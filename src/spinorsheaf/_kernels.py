@@ -1,20 +1,6 @@
-"""Backend selection for the row-reduction kernels.
+"""The integer row-reduction kernels the package calls, re-exported from
+their one implementation in ``_rowreduce_py``."""
 
-The compiled Cython kernel is preferred when it has been built; setting
-SPINORSHEAF_PURE=1 in the environment forces the pure-Python fallback.
-Both backends are bit-for-bit interchangeable.
-"""
+from ._rowreduce_py import BACKEND, echelon, sparse_echelon, sparse_rank
 
-import os
-
-if os.environ.get("SPINORSHEAF_PURE") == "1":
-    from . import _rowreduce_py as _impl
-else:
-    try:
-        from . import _rowreduce_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _rowreduce_py as _impl
-
-echelon = _impl.echelon
-sparse_rank = _impl.sparse_rank
-BACKEND = _impl.BACKEND
+__all__ = ["BACKEND", "echelon", "sparse_echelon", "sparse_rank"]

@@ -1,7 +1,10 @@
-"""Integer row-reduction kernels, pure Python reference implementation.
+"""Integer row-reduction kernels.
 
-The compiled twin (_rowreduce_cy) implements the same two functions with
-identical semantics; callers pick a backend through spinorsheaf._kernels.
+``echelon`` is the dense fraction-free (Bareiss) elimination behind the
+small dense reductions.  ``sparse_rank`` and ``sparse_echelon`` share one
+elimination loop over sparse rows ``{col: int}`` that always pivots on the
+leftmost column, so the pivot columns it fixes are those of the reduced
+row echelon form.
 """
 
 from math import gcd
@@ -56,30 +59,33 @@ def echelon(rows, ncols):
     return r, pivots
 
 
-def sparse_rank(rows):
-    """Rank of an integer matrix given as sparse rows ``{col: value}``.
+def _eliminate(rows, fixed):
+    """Sparse leftmost-pivot elimination; yields ``(col, pivot_row)`` in
+    increasing column order as each pivot is fixed.
 
-    Row scaling leaves the rank alone, so rows are cross-multiplied and
-    divided by their content to keep entries small.  ``rows`` is consumed.
+    Rows are grouped by leading column.  At the leftmost column still held,
+    the pivot is ``fixed[col]`` when given (it is not yielded again), else
+    the shortest row of the group; the other rows of the group lose that
+    column by cross-multiplication and are divided by their content.
+    ``rows`` is consumed; pivot rows are never modified afterwards.
     """
     buckets = {}
     for row in rows:
         if row:
             buckets.setdefault(min(row), []).append(row)
-    rank = 0
     while buckets:
         c = min(buckets)
         group = buckets.pop(c)
-        pi = 0
-        for i in range(1, len(group)):
-            if len(group[i]) < len(group[pi]):
-                pi = i
-        prow = group[pi]
+        prow = fixed.get(c)
+        if prow is None:
+            pi = 0
+            for i in range(1, len(group)):
+                if len(group[i]) < len(group[pi]):
+                    pi = i
+            prow = group.pop(pi)
+            yield c, prow
         p = prow[c]
-        rank += 1
-        for i, row in enumerate(group):
-            if i == pi:
-                continue
+        for row in group:
             f = row.pop(c)
             if p != 1:
                 for j in row:
@@ -102,4 +108,33 @@ def sparse_rank(rows):
                     for j in row:
                         row[j] //= g
                 buckets.setdefault(min(row), []).append(row)
+
+
+def sparse_rank(rows):
+    """Rank of an integer matrix given as sparse rows ``{col: value}``.
+
+    Row scaling leaves the rank alone, so rows are cross-multiplied and
+    divided by their content to keep entries small.  ``rows`` is consumed
+    and no pivot row is kept.
+    """
+    rank = 0
+    for _ in _eliminate(rows, {}):
+        rank += 1
     return rank
+
+
+def sparse_echelon(rows, pivots=None):
+    """Row echelon form of sparse integer rows ``{col: value}``.
+
+    Returns ``{col: pivot_row}``; the rank is its length and its keys are
+    the pivot columns of the reduced row echelon form.  Given ``pivots``
+    from an earlier call, the new rows are reduced against those pivot
+    rows and the pivots they add are inserted into it, so the result is
+    the echelon form of the old and the new rows together.  ``rows`` is
+    consumed.
+    """
+    if pivots is None:
+        pivots = {}
+    for c, row in _eliminate(rows, pivots):
+        pivots[c] = row
+    return pivots

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import SchemaError, SpinorError
+from .errors import InvariantError, SchemaError, SpinorError
 from .exactalg import LinMat, Mat, rref_rows
 from .fixtures import FIXTURE_LABELS, get_fixture, load_fixture
 from .homalg import (
@@ -266,6 +266,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
+    except InvariantError as exc:
+        sys.stderr.write(f"internal check failed: {exc}\n")
+        return 1
     except SpinorError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -13,6 +13,11 @@ class PreconditionError(SpinorError):
     """An operation was called outside its stated preconditions."""
 
 
+class InvariantError(SpinorError):
+    """An internal cross-check failed: two computations that must agree
+    did not.  This is a bug in the package, not in the input."""
+
+
 class SpanError(SpinorError):
     """An element fell outside the span it was required to lie in."""
 

@@ -8,6 +8,7 @@ so identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -206,6 +207,34 @@ def _kernel_from_echelon(rows, pivots, ncols):
                     s += row[j] * xj
             x[c] = Fraction(-s, row[c]) if s else ZERO
         basis.append(tuple(x))
+    return tuple(basis)
+
+
+def _kernel_from_sparse_echelon(pivots, ncols):
+    """The basis of ``_kernel_from_echelon`` for a sparse echelon form
+    ``{col: row}``: its pivot columns are those of the reduced form, so
+    the vector with entry 1 at one free column and 0 at the others is
+    the same whichever echelon form it is read from."""
+    cols = sorted(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: ONE}
+        for k in range(bisect_left(cols, f) - 1, -1, -1):
+            c = cols[k]
+            row = pivots[c]
+            s = 0
+            for j, v in row.items():
+                xj = x.get(j)
+                if xj is not None:
+                    s += v * xj
+            if s:
+                x[c] = -s / row[c]
+        vec = [ZERO] * ncols
+        for j, v in x.items():
+            vec[j] = v
+        basis.append(tuple(vec))
     return tuple(basis)
 
 

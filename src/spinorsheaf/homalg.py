@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .clifford import CliffordElement, grade_parts, multiply
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .exactalg import (
     Mat,
     ZERO,
@@ -23,7 +23,7 @@ from .exactalg import (
     mat_rank_kernel,
     monomial_count,
     mult_map_rank,
-    _scaled_int_rows,
+    _kernel_from_sparse_echelon,
 )
 from . import _kernels
 from .quadform import Subspace, radical_basis, standardize, sub_intersection
@@ -48,77 +48,71 @@ class GradedHom:
         self.companion_identity_holds = companion
 
 
-def _hom_system(a, b, both_families):
-    """Rows of the linear system for (A, B); A is b.odd x a.odd, B is
-    b.ev x a.ev, variables vec(A) then vec(B)."""
-    n = a.space.n
-    a_rows, a_cols = b.odd_dim, a.odd_dim
-    b_rows, b_cols = b.ev_dim, a.ev_dim
-    na = a_rows * a_cols
-    nvars = na + b_rows * b_cols
+def _int_row(pairs):
+    """Sparse integer row ``{index: value}`` from ``[(index, Fraction)]``,
+    scaled by the least common denominator; row scaling leaves the
+    solution space alone."""
+    l = 1
+    for _, v in pairs:
+        d = v.denominator
+        if d != 1:
+            l = l * d // gcd(l, d)
+    return {j: v.numerator * (l // v.denominator) for j, v in pairs}
+
+
+def _intertwining_rows(lefts, rights, x_at, y_at):
+    """Sparse integer rows of X L - R Y = 0 for each pair (L, R) of
+    ``lefts`` and ``rights``: X is R.rows x L.rows with vec(X) starting at
+    variable ``x_at``, Y is R.cols x L.cols with vec(Y) starting at
+    ``y_at``.  Equation (r, c) reads column c of L and row r of R, so the
+    nonzeros of each are listed once per pair; all-zero rows are dropped."""
     rows = []
-    for i in range(n):
-        phi = a.act_ev[i]      # a.ev -> a.odd
-        phi_p = b.act_ev[i]    # b.ev -> b.odd
-        # (A phi - phi' B)[r, c] = 0 over b.odd x a.ev
-        for r in range(a_rows):
-            for c in range(b_cols):
-                row = [ZERO] * nvars
-                for t in range(a_cols):
-                    v = phi[t, c]
-                    if v:
-                        row[r * a_cols + t] += v
-                for t in range(b_rows):
-                    v = phi_p[r, t]
-                    if v:
-                        row[na + t * b_cols + c] -= v
-                if any(row):
-                    rows.append(row)
-    if both_families:
-        for i in range(n):
-            psi = a.act_odd[i]     # a.odd -> a.ev
-            psi_p = b.act_odd[i]   # b.odd -> b.ev
-            # (B psi - psi' A)[r, c] = 0 over b.ev x a.odd
-            for r in range(b_rows):
-                for c in range(a_cols):
-                    row = [ZERO] * nvars
-                    for t in range(b_cols):
-                        v = psi[t, c]
-                        if v:
-                            row[na + r * b_cols + t] += v
-                    for t in range(a_rows):
-                        v = psi_p[r, t]
-                        if v:
-                            row[t * a_cols + c] -= v
-                    if any(row):
-                        rows.append(row)
-    return rows, nvars
+    for left, right in zip(lefts, rights):
+        m, k, q = left.rows, left.cols, right.cols
+        lv, rv = left.entries, right.entries
+        lcols = [[(t, lv[t * k + c]) for t in range(m) if lv[t * k + c]]
+                 for c in range(k)]
+        rrows = [[(y_at + t * k, -rv[r * q + t]) for t in range(q) if rv[r * q + t]]
+                 for r in range(right.rows)]
+        for r, rrow in enumerate(rrows):
+            xr = x_at + r * m
+            for c, lcol in enumerate(lcols):
+                if lcol or rrow:
+                    rows.append(_int_row([(xr + t, v) for t, v in lcol]
+                                         + [(j + c, v) for j, v in rrow]))
+    return rows
 
 
-def _kernel_dim_and_basis(rows, nvars, want_basis):
-    if not rows:
-        ident = [tuple(Fraction(1) if i == j else ZERO for j in range(nvars))
-                 for i in range(nvars)]
-        return nvars, ident if want_basis else None
-    int_rows = _scaled_int_rows(rows)
-    rank, pivots = _kernels.echelon(int_rows, nvars)
-    dim = nvars - rank
-    if not want_basis:
-        return dim, None
-    from .exactalg import _kernel_from_echelon
-
-    return dim, _kernel_from_echelon(int_rows, pivots, nvars)
+def _hom_system(a, b):
+    """The Hom system for (A, B); A is b.odd x a.odd, B is b.ev x a.ev,
+    variables vec(A) then vec(B).  Returns the sparse integer rows of
+    A phi = phi' B, those of B psi = psi' A, and the variable count."""
+    na = b.odd_dim * a.odd_dim
+    nvars = na + b.ev_dim * a.ev_dim
+    phi_rows = _intertwining_rows(a.act_ev, b.act_ev, 0, na)
+    psi_rows = _intertwining_rows(a.act_odd, b.act_odd, na, 0)
+    return phi_rows, psi_rows, nvars
 
 
 def hom_space(a, b) -> GradedHom:
-    """All graded Cl-module maps a -> b, with the two-route cross-check."""
+    """All graded Cl-module maps a -> b, with the two-route cross-check.
+
+    One sparse elimination of the A phi = phi' B rows gives the basis; the
+    B psi = psi' A rows are then reduced against the same pivots, and the
+    rank they add must be zero."""
     if a.space != b.space:
         raise PreconditionError("hom requires modules over one space")
-    rows, nvars = _hom_system(a, b, both_families=False)
-    dim, kernel = _kernel_dim_and_basis(rows, nvars, want_basis=True)
-    rows2, _ = _hom_system(a, b, both_families=True)
-    dim2, _ = _kernel_dim_and_basis(rows2, nvars, want_basis=False)
-    assert dim == dim2, "hom-space routes disagree: intertwining bug"
+    phi_rows, psi_rows, nvars = _hom_system(a, b)
+    pivots = _kernels.sparse_echelon(phi_rows)
+    dim = nvars - len(pivots)
+    kernel = _kernel_from_sparse_echelon(pivots, nvars)
+    _kernels.sparse_echelon(psi_rows, pivots)
+    dim2 = nvars - len(pivots)
+    if dim != dim2:
+        raise InvariantError(
+            f"hom-space routes disagree: {dim} from A phi = phi' B, "
+            f"{dim2} with B psi = psi' A as well"
+        )
     na = b.odd_dim * a.odd_dim
     basis = []
     companion = True

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+from spinorsheaf import homalg
 from spinorsheaf.cli import main, paper_example_matrices, paper_example_result
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -152,6 +153,17 @@ class TestQuery:
     def test_missing_args_exit_2(self):
         r = run_cli(["query", "hom", "F-H6"])
         assert r.returncode == 2
+
+    def test_hom_route_disagreement_exit_1(self, monkeypatch, capsys):
+        hom_system = homalg._hom_system
+
+        def one_more_psi_equation(a, b):
+            phi_rows, psi_rows, nvars = hom_system(a, b)
+            return phi_rows, psi_rows + [{0: 1}], nvars
+
+        monkeypatch.setattr(homalg, "_hom_system", one_more_psi_equation)
+        assert main(["query", "hom", "F-H6", "F-H6"]) == 1
+        assert "hom-space routes disagree" in capsys.readouterr().err
 
 
 class TestPaperExample:

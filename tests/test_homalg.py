@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from spinorsheaf.clifford import CliffordElement
-from spinorsheaf.errors import PreconditionError
-from spinorsheaf.exactalg import Mat, UniPoly
-from spinorsheaf.fixtures import get_fixture
+from spinorsheaf.errors import InvariantError, PreconditionError
+from spinorsheaf.exactalg import Mat, UniPoly, mat_rank, mat_rank_kernel
+from spinorsheaf.fixtures import get_fixture, grid_spaces
 from spinorsheaf.homalg import (
     ann_in_v,
     cohomology_dim,
@@ -50,7 +50,60 @@ def odd5_module():
     return build_ideal(sp, Subspace(sp, [e(5, 3), e(5, 4)]))
 
 
+def dense_hom_oracle(a, b):
+    """Hom(a, b) solved with dense rows and dense Bareiss elimination: the
+    kernel basis of A phi = phi' B, and the kernel dimension once
+    B psi = psi' A is imposed as well."""
+    zero = Fraction(0)
+    na = b.odd_dim * a.odd_dim
+    nvars = na + b.ev_dim * a.ev_dim
+    phi_rows, psi_rows = [], []
+    for i in range(a.space.n):
+        phi, phi_p = a.act_ev[i], b.act_ev[i]
+        for r in range(b.odd_dim):
+            for c in range(a.ev_dim):
+                row = [zero] * nvars
+                for t in range(a.odd_dim):
+                    row[r * a.odd_dim + t] += phi[t, c]
+                for t in range(b.ev_dim):
+                    row[na + t * a.ev_dim + c] -= phi_p[r, t]
+                phi_rows.append(row)
+        psi, psi_p = a.act_odd[i], b.act_odd[i]
+        for r in range(b.ev_dim):
+            for c in range(a.odd_dim):
+                row = [zero] * nvars
+                for t in range(a.ev_dim):
+                    row[na + r * a.ev_dim + t] += psi[t, c]
+                for t in range(b.odd_dim):
+                    row[t * a.odd_dim + c] -= psi_p[r, t]
+                psi_rows.append(row)
+    _, kernel = mat_rank_kernel(Mat.from_rows(phi_rows))
+    both = nvars - mat_rank(Mat.from_rows(phi_rows + psi_rows))
+    return kernel, both
+
+
 class TestHomSpace:
+    def test_matches_dense_oracle_on_grid(self):
+        pairs = 0
+        for space, w in grid_spaces(5):
+            i = build_ideal(space, w)
+            for a, b in ((i, i), (i, shift(i))):
+                kernel, both = dense_hom_oracle(a, b)
+                h = hom_space(a, b)
+                flat = [A.entries + B.entries for A, B in h.basis]
+                assert flat == list(kernel)
+                assert h.crosscheck_dimension == both == h.dimension
+                pairs += 1
+        assert pairs == 68
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        a = module("F-H6")
+        b = module("F-H6")
+        act = b.act_odd
+        monkeypatch.setattr(b, "_act_odd", (act[0].scale(2),) + act[1:])
+        with pytest.raises(InvariantError):
+            hom_space(a, b)
+
     def test_end_dims(self):
         assert hom_space(module("F-H6"), module("F-H6")).dimension == 1
         assert hom_space(module("F-QS"), module("F-QS")).dimension == 1

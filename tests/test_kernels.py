@@ -1,18 +1,19 @@
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorsheaf import _kernels
 from spinorsheaf import _rowreduce_py as pure
-
-try:
-    from spinorsheaf import _rowreduce_cy as compiled
-except ImportError:
-    compiled = None
+from spinorsheaf.exactalg import _kernel_from_echelon, _kernel_from_sparse_echelon
 
 
 def random_matrix(rng, nr, nc):
     return [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+
+
+def sparse_rows(mat):
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
 
 
 class TestPureKernel:
@@ -39,23 +40,71 @@ class TestPureKernel:
             sparse = [d for d in sparse if d]
             assert pure.sparse_rank(sparse) == rank
 
+    def test_sparse_echelon_known(self):
+        pivots = pure.sparse_echelon([{1: 2, 2: 4}, {1: 1, 2: 2}, {0: 3, 2: 1}, {}])
+        assert sorted(pivots) == [0, 1]
+        assert all(min(row) == c for c, row in pivots.items())
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-class TestBackendEquivalence:
-    def test_bit_identical(self):
-        rng = random.Random(3)
-        for _ in range(150):
-            nr, nc = rng.randint(1, 12), rng.randint(1, 12)
-            mat = random_matrix(rng, nr, nc)
-            a = [row[:] for row in mat]
-            b = [row[:] for row in mat]
-            assert pure.echelon(a, nc) == compiled.echelon(b, nc)
-            assert a == b
-            sa = [{j: v for j, v in enumerate(row) if v} for row in mat]
-            sb = [dict(d) for d in sa]
-            assert pure.sparse_rank([d for d in sa if d]) == compiled.sparse_rank(
-                [d for d in sb if d]
-            )
+    def test_kernels_reexports_the_one_implementation(self):
+        assert _kernels.echelon is pure.echelon
+        assert _kernels.sparse_rank is pure.sparse_rank
+        assert _kernels.sparse_echelon is pure.sparse_echelon
+        assert _kernels.BACKEND == "pure"
 
-    def test_selected_backend_exposed(self):
-        assert _kernels.BACKEND in ("pure", "compiled")
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Mostly-zero integer matrices with zero rows, repeated rows and
+    scaled copies of rows, so that rank deficiency is common."""
+    nc = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0),
+                      st.integers(-7, 7), st.sampled_from([1, -1]))
+    base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=1, max_size=8))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scaled"]))
+        if kind == "zero":
+            rows.append([0] * nc)
+        else:
+            src = draw(st.sampled_from(base))
+            s = 1 if kind == "repeat" else draw(st.sampled_from([-3, -2, 2, 5]))
+            rows.append([s * v for v in src])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], nc
+
+
+class TestSparseAgainstDense:
+    """Dense Bareiss elimination is the oracle for the sparse kernel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_int_matrices())
+    def test_rank_pivots_and_kernel(self, case):
+        mat, nc = case
+        dense = [row[:] for row in mat]
+        rank, pivots = pure.echelon(dense, nc)
+        kernel = _kernel_from_echelon(dense, pivots, nc)
+
+        ech = pure.sparse_echelon(sparse_rows(mat))
+        assert len(ech) == rank
+        assert sorted(ech) == pivots
+        assert all(min(row) == c for c, row in ech.items())
+        assert _kernel_from_sparse_echelon(ech, nc) == kernel
+        assert pure.sparse_rank(sparse_rows(mat)) == rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_int_matrices(), st.integers(0, 16))
+    def test_appending_rows_to_an_echelon_form(self, case, cut):
+        mat, nc = case
+        dense = [row[:] for row in mat]
+        rank, pivots = pure.echelon(dense, nc)
+
+        ech = pure.sparse_echelon(sparse_rows(mat[:cut]))
+        first = dict(ech)
+        first_rows = {c: dict(row) for c, row in ech.items()}
+        same = pure.sparse_echelon(sparse_rows(mat[cut:]), ech)
+        assert same is ech
+        assert len(ech) == rank
+        assert sorted(ech) == pivots
+        # the pivot rows fixed by the first call are kept as they were
+        assert all(ech[c] is first[c] and ech[c] == first_rows[c] for c in first)
