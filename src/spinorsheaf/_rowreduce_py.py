@@ -1,12 +1,16 @@
 """Integer row-reduction kernels.
 
 ``echelon`` is the dense fraction-free (Bareiss) elimination behind the
-small dense reductions.  ``sparse_rank`` and ``sparse_echelon`` share one
-elimination loop over sparse rows ``{col: int}`` that always pivots on the
-leftmost column, so the pivot columns it fixes are those of the reduced
-row echelon form.
+small dense reductions of ``exactalg``: ``mat_rank``, ``mat_rank_kernel``,
+``mat_solve``, ``mat_invertible`` and ``rref_rows``.  ``sparse_rank`` and
+``sparse_echelon`` share one elimination loop over sparse rows
+``{col: int}`` that always pivots on the leftmost column, so the pivot
+columns it fixes are those of the reduced row echelon form.
+``sparse_echelon`` solves the Hom systems; ``sparse_rank`` gives the rank
+of every multiplication map (``exactalg.mult_map_rank``).
 """
 
+from heapq import heappop, heappush
 from math import gcd
 
 BACKEND = "pure"
@@ -68,13 +72,20 @@ def _eliminate(rows, fixed):
     the shortest row of the group; the other rows of the group lose that
     column by cross-multiplication and are divided by their content.
     ``rows`` is consumed; pivot rows are never modified afterwards.
+
+    The held columns sit in a heap (the sorted leading columns to start),
+    each pushed when its group is created and popped with it.  A reduced
+    row only moves right of the column being eliminated, so the heap
+    yields the columns in the order ``min(buckets)`` would, without
+    rescanning the groups at each pivot.
     """
     buckets = {}
     for row in rows:
         if row:
             buckets.setdefault(min(row), []).append(row)
-    while buckets:
-        c = min(buckets)
+    heap = sorted(buckets)
+    while heap:
+        c = heappop(heap)
         group = buckets.pop(c)
         prow = fixed.get(c)
         if prow is None:
@@ -107,7 +118,13 @@ def _eliminate(rows, fixed):
                 if g > 1:
                     for j in row:
                         row[j] //= g
-                buckets.setdefault(min(row), []).append(row)
+                lead = min(row)
+                held = buckets.get(lead)
+                if held is None:
+                    buckets[lead] = [row]
+                    heappush(heap, lead)
+                else:
+                    held.append(row)
 
 
 def sparse_rank(rows):

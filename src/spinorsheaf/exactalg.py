@@ -1,9 +1,13 @@
 """Exact rational linear algebra: matrices, matrices of linear forms,
 univariate polynomials.
 
-Every scalar is a fractions.Fraction, eliminations are fraction-free
-(Bareiss), and every operation is a deterministic function of its inputs,
-so identical inputs give bit-identical outputs.
+Every scalar is a fractions.Fraction, and every operation is a
+deterministic function of its inputs, so identical inputs give
+bit-identical outputs.  Eliminations run on integer rows after the
+denominators are cleared: the dense ``Mat`` reductions (``mat_rank``,
+``mat_rank_kernel``, ``mat_solve``, ``mat_invertible``, ``rref_rows``) use
+fraction-free Bareiss elimination, and the multiplication-map ranks
+(``mult_map_rank``) use the sparse leftmost-pivot kernel.
 """
 
 from __future__ import annotations
@@ -560,46 +564,48 @@ def monomial_multiplication_matrix(lm: LinMat, t: int) -> Mat:
     return Mat(nrows, ncols, out)
 
 
-_SPARSE_CUTOFF = 250_000
-
-
 def mult_map_rank(lm: LinMat, t: int) -> int:
     """Rank of monomial_multiplication_matrix(lm, t); t <= 0 gives an empty
-    domain and rank 0.  Large instances avoid materializing the dense
-    matrix but compute the identical rank."""
+    domain and rank 0.
+
+    The matrix is built straight as sparse integer rows for
+    ``_kernels.sparse_rank``.  Row (nu, r) meets column (mu, j) only when
+    nu - mu = e_k for one k, so each entry is a single coefficient
+    ``lm.coeff[k][r, j]``; all coefficients are scaled by one common
+    denominator, which leaves the rank alone.
+    """
     if t <= 0:
         return 0
     n = lm.n
-    dom = monomials(n, t - 1)
-    codom = monomials(n, t)
     R, C = lm.rows, lm.cols
-    nrows = len(codom) * R
-    ncols = len(dom) * C
-    if nrows * ncols <= _SPARSE_CUTOFF:
-        return mat_rank(monomial_multiplication_matrix(lm, t))
-    idx = {m: i for i, m in enumerate(codom)}
-    rows = [dict() for _ in range(nrows)]
-    for mi, mu in enumerate(dom):
-        for k in range(n):
-            nu = mu[:k] + (mu[k] + 1,) + mu[k + 1 :]
-            ri = idx[nu]
-            coeff = lm.coeff[k]
-            for r in range(R):
-                base = rows[ri * R + r]
-                for j in range(C):
-                    v = coeff[r, j]
-                    if v:
-                        col = mi * C + j
-                        base[col] = base.get(col, ZERO) + v
-    int_rows = []
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            continue
-        l = 1
-        for v in row.values():
+    den = 1
+    for m in lm.coeff:
+        for v in m.entries:
             d = v.denominator
             if d != 1:
-                l = l * d // gcd(l, d)
-        int_rows.append({c: v.numerator * (l // v.denominator) for c, v in row.items()})
-    return _kernels.sparse_rank(int_rows)
+                den = den * d // gcd(den, d)
+    # nz[k][r]: the nonzeros (j, int) of row r of coeff[k]
+    nz = []
+    for m in lm.coeff:
+        e = m.entries
+        nz.append([
+            [(j, v.numerator * (den // v.denominator))
+             for j, v in enumerate(e[r * C : (r + 1) * C]) if v]
+            for r in range(R)
+        ])
+    dom_idx = {mu: i for i, mu in enumerate(monomials(n, t - 1))}
+    rows = []
+    for nu in monomials(n, t):
+        # (k, offset of the column block of nu - e_k) for each k with nu_k > 0
+        blocks = [
+            (k, dom_idx[nu[:k] + (nu[k] - 1,) + nu[k + 1 :]] * C)
+            for k in range(n) if nu[k]
+        ]
+        for r in range(R):
+            row = {}
+            for k, base in blocks:
+                for j, v in nz[k][r]:
+                    row[base + j] = v
+            if row:
+                rows.append(row)
+    return _kernels.sparse_rank(rows)

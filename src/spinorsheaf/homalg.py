@@ -642,7 +642,10 @@ def sheaf_numerics(mf: MatrixFactorization) -> SheafNumerics:
     if codim == 1:
         return SheafNumerics(hilbert, None, None, None, True)
     d = n - 2
-    assert hilbert.degree() == d, "Hilbert polynomial has the wrong degree"
+    if hilbert.degree() != d:
+        raise InvariantError(
+            f"Hilbert polynomial has degree {hilbert.degree()}, expected {d}"
+        )
     chi_oq = binomial_upoly(n - 1, n - 1) - binomial_upoly(n - 3, n - 1)
     deg_q = chi_oq.coeff(d) * factorial(d)
     rank = hilbert.coeff(d) * factorial(d) / deg_q

@@ -18,7 +18,7 @@ from .clifford import (
     conjugate_subspace,
     multiply,
 )
-from .errors import PreconditionError, SpanError
+from .errors import InvariantError, PreconditionError, SpanError
 from .exactalg import (
     LinMat,
     Mat,
@@ -169,7 +169,11 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     ev_basis = [CliffordElement.from_coords(space, r) for r in ev_rows]
     odd_basis = [CliffordElement.from_coords(space, r) for r in odd_rows]
     expected = 1 << (space.n - m - 1)
-    assert len(ev_basis) == len(odd_basis) == expected, "dimension law violated"
+    if not len(ev_basis) == len(odd_basis) == expected:
+        raise InvariantError(
+            f"dimension law violated: ev {len(ev_basis)}, odd {len(odd_basis)},"
+            f" expected {expected}"
+        )
     return IdealModule(space, w, gen, ev_basis, odd_basis, shift=0)
 
 
@@ -300,7 +304,8 @@ class MatrixFactorization(FactorizationPair):
 
 def build_factorization(i) -> MatrixFactorization:
     mf = MatrixFactorization(i)
-    assert mf.check_identity(), "factorization identity failed: multiplication bug"
+    if not mf.check_identity():
+        raise InvariantError("factorization identity failed: multiplication bug")
     return mf
 
 
@@ -631,7 +636,8 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     cap_in_u = []
     for v in cap.basis:
         sol = mat_solve(ucol_mat, v)
-        assert sol is not None
+        if sol is None:
+            raise InvariantError("a vector of W cap U is not in the span of U")
         cap_in_u.append(sol[0])
     restricted = build_ideal(space_u, Subspace(space_u, cap_in_u))
 
@@ -642,9 +648,12 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
         trial = taken + rest + [v]
         if len(rref_rows(trial, n)[0]) == len(trial):
             rest.append(v)
-    assert l + len(rest) == w.dim
     shift_amount = len(rest)
-    assert shift_amount == codim_u, "transversality bookkeeping failed"
+    if l + shift_amount != w.dim or shift_amount != codim_u:
+        raise InvariantError(
+            f"transversality bookkeeping failed: dim(W cap U) {l} + complement"
+            f" {shift_amount} vs dim W {w.dim}, codim U {codim_u}"
+        )
     tail = CliffordElement.scalar(space, 1)
     for v in rest:
         tail = multiply(tail, CliffordElement.from_vector(space, v))
@@ -652,7 +661,8 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     # the adapted module is the same ideal as i (basis change rescales the
     # generator), so coordinates may be taken in i's bases
     adapted = build_ideal(space, Subspace(space, list(cap.basis) + rest))
-    assert [x.coords() for x in adapted.ev_basis] == [x.coords() for x in i.ev_basis]
+    if [x.coords() for x in adapted.ev_basis] != [x.coords() for x in i.ev_basis]:
+        raise InvariantError("the adapted basis of W gives a different ideal")
 
     def tau(par):
         basis = restricted.ev_basis if par == 0 else restricted.odd_basis

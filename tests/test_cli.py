@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 
-from spinorsheaf import homalg
+from spinorsheaf import homalg, spinor
 from spinorsheaf.cli import main, paper_example_matrices, paper_example_result
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -164,6 +164,14 @@ class TestQuery:
         monkeypatch.setattr(homalg, "_hom_system", one_more_psi_equation)
         assert main(["query", "hom", "F-H6", "F-H6"]) == 1
         assert "hom-space routes disagree" in capsys.readouterr().err
+
+
+class TestInvariantExit:
+    def test_failing_identity_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(spinor.MatrixFactorization, "check_identity",
+                            lambda self: False)
+        assert main(["verify", "--fixture", "F-QS"]) == 1
+        assert "factorization identity failed" in capsys.readouterr().err
 
 
 class TestPaperExample:

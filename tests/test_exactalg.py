@@ -164,6 +164,55 @@ class TestMonomialMatrix:
         assert mult_map_rank(lm, 0) == 0
         assert mult_map_rank(lm, -3) == 0
 
+    def test_mult_map_rank_on_grid_factorizations(self):
+        # phi gives h^0, its transpose the top cohomology (homalg.cohomology_dim)
+        from spinorsheaf.fixtures import grid_spaces
+        from spinorsheaf.spinor import build_factorization, build_ideal
+
+        checked = 0
+        for space, w in grid_spaces(5):
+            mf = build_factorization(build_ideal(space, w))
+            for lm in (mf.phi, mf.phi.transpose()):
+                for t in (1, 2, 3):
+                    dense = mat_rank(monomial_multiplication_matrix(lm, t))
+                    assert mult_map_rank(lm, t) == dense
+                    checked += 1
+        assert checked == 204
+
+    def test_mult_map_rank_large_instance(self):
+        # a rank-6 form on n = 6 with dim W = 1, so N = 16: at t = 3 the
+        # matrix is 896 x 336, over 300,000 cells
+        from spinorsheaf.fixtures import grid_spaces
+        from spinorsheaf.spinor import build_factorization, build_ideal
+
+        space, w = [(s, w) for s, w in grid_spaces(6)
+                    if s.n == 6 and s.rank == 6 and w.dim == 1][0]
+        mf = build_factorization(build_ideal(space, w))
+        assert mf.N == 16
+        mat = monomial_multiplication_matrix(mf.phi, 3)
+        assert (mat.rows, mat.cols) == (896, 336)
+        assert mult_map_rank(mf.phi, 3) == mat_rank(mat) == 336
+
+    def test_mult_map_rank_common_denominator(self):
+        # phi = [[x0/2 - 3x1/4, x1], [x0 - 3x1/2, 2x1]]: row 2 is twice row 1,
+        # which keeping each entry's numerator alone would break
+        F = Fraction
+        lm = LinMat(2, [
+            M([[F(1, 2), 0], [1, 0]]),
+            M([[F(-3, 4), 1], [F(-3, 2), 2]]),
+        ])
+        for t in range(1, 5):
+            dense = mat_rank(monomial_multiplication_matrix(lm, t))
+            assert dense == t + 1 < 2 * (t + 1)
+            assert mult_map_rank(lm, t) == dense
+        lm3 = LinMat(3, [
+            M([[F(1, 2), F(1, 3)], [0, F(-3, 4)]]),
+            M([[F(-3, 4), 0], [F(5, 6), 1]]),
+            M([[0, F(2, 7)], [F(-1, 2), 0]]),
+        ])
+        for t in range(1, 4):
+            assert mult_map_rank(lm3, t) == mat_rank(monomial_multiplication_matrix(lm3, t))
+
     def test_monomial_order_is_lex(self):
         assert monomials(2, 1) == ((1, 0), (0, 1))
         assert monomials(2, 2) == ((2, 0), (1, 1), (0, 2))

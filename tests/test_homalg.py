@@ -274,6 +274,14 @@ class TestNumerics:
         assert num.hilbert == expected
         assert num.hilbert(0) == 4
 
+    def test_hilbert_degree_raises(self, monkeypatch):
+        from spinorsheaf import homalg
+
+        monkeypatch.setattr(homalg, "binomial_upoly",
+                            lambda offset, k: UniPoly([offset]))
+        with pytest.raises(InvariantError, match="Hilbert polynomial"):
+            sheaf_numerics(build_factorization(module("F-H6")))
+
     def test_torsion_flag(self):
         num = sheaf_numerics(build_factorization(module("F-H2")))
         assert num.torsion_flag

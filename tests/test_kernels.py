@@ -52,6 +52,43 @@ class TestPureKernel:
         assert _kernels.BACKEND == "pure"
 
 
+class TestHeapOrder:
+    def test_reduced_row_opens_a_column_left_of_the_queue(self):
+        # Leading columns 0, 3 and 5 are queued at the start.  Eliminating
+        # column 0 turns {0: 1, 3: 2} into {1: -1, 3: 2} and {0: 2, 4: 1}
+        # into {1: -2, 4: 1}: column 1 opens left of every queued column
+        # and must be the next pivot, ahead of 3 and 5.
+        mat = [
+            [1, 1, 0, 0, 0, 0, 0],
+            [1, 0, 0, 2, 0, 0, 0],
+            [2, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 0, 0, 3],
+            [0, 0, 0, 0, 0, 1, 1],
+        ]
+        nc = 7
+        dense = [row[:] for row in mat]
+        rank, pivots = pure.echelon(dense, nc)
+        kernel = _kernel_from_echelon(dense, pivots, nc)
+
+        ech = pure.sparse_echelon(sparse_rows(mat))
+        assert list(ech) == sorted(ech) == pivots == [0, 1, 3, 4, 5]
+        assert len(ech) == rank
+        assert all(min(row) == c for c, row in ech.items())
+        assert _kernel_from_sparse_echelon(ech, nc) == kernel
+        assert pure.sparse_rank(sparse_rows(mat)) == rank
+
+    def test_fixed_pivot_then_new_column(self):
+        # against a fixed pivot at column 0, a new row opens column 2,
+        # below the queued column 4
+        ech = pure.sparse_echelon([{0: 1, 2: 1}])
+        pure.sparse_echelon([{4: 1}, {0: 3, 5: 1}], ech)
+        mat = [[1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0], [3, 0, 0, 0, 0, 1]]
+        dense = [row[:] for row in mat]
+        rank, pivots = pure.echelon(dense, 6)
+        assert list(ech) == pivots == [0, 2, 4]
+        assert _kernel_from_sparse_echelon(ech, 6) == _kernel_from_echelon(dense, pivots, 6)
+
+
 @st.composite
 def sparse_int_matrices(draw):
     """Mostly-zero integer matrices with zero rows, repeated rows and

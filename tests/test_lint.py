@@ -1,0 +1,24 @@
+"""Source checks that need nothing beyond the standard library."""
+
+import ast
+from pathlib import Path
+
+import spinorsheaf
+
+PACKAGE = Path(spinorsheaf.__file__).resolve().parent
+
+
+def test_package_modules_found():
+    names = {p.name for p in PACKAGE.glob("*.py")}
+    assert {"exactalg.py", "spinor.py", "homalg.py", "verify.py"} <= names
+
+
+def test_no_assert_statements():
+    # python -O strips asserts; a package check must raise a typed error
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

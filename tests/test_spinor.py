@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from spinorsheaf.clifford import CliffordElement, GroupElement
-from spinorsheaf.errors import PreconditionError
+from spinorsheaf import spinor
+from spinorsheaf.errors import InvariantError, PreconditionError
 from spinorsheaf.exactalg import Mat, vec
 from spinorsheaf.fixtures import get_fixture, grid_spaces
 from spinorsheaf.quadform import Subspace, quotient_space, radical_basis, standardize
@@ -396,3 +397,60 @@ class TestSampler:
     def test_deterministic(self):
         space = get_fixture("F-H6").space
         assert sample_quadric_points(space) == sample_quadric_points(space)
+
+
+class TestInvariants:
+    """A broken internal invariant raises InvariantError, which python -O
+    cannot strip as it would an assert."""
+
+    def test_failing_identity_raises(self, monkeypatch):
+        monkeypatch.setattr(spinor.MatrixFactorization, "check_identity",
+                            lambda self: False)
+        with pytest.raises(InvariantError, match="factorization identity"):
+            build_factorization(module("F-QS"))
+
+    def test_dimension_law_raises(self, monkeypatch):
+        rref_rows = spinor.rref_rows
+
+        def drop_last(vectors, ncols):
+            rows, pivots = rref_rows(vectors, ncols)
+            return rows[:-1], pivots[:-1]
+
+        monkeypatch.setattr(spinor, "rref_rows", drop_last)
+        fx = get_fixture("F-H6")
+        with pytest.raises(InvariantError, match="dimension law"):
+            build_ideal(fx.space, fx.w)
+
+    def _restrict_fh6(self):
+        fx = get_fixture("F-H6")
+        return build_ideal(fx.space, fx.w), Subspace(fx.space, fx.section_subspace)
+
+    def test_restrict_solve_raises(self, monkeypatch):
+        i, u = self._restrict_fh6()
+        monkeypatch.setattr(spinor, "mat_solve", lambda a, target: None)
+        with pytest.raises(InvariantError, match="W cap U"):
+            restrict_compare(i, u)
+
+    def test_transversality_bookkeeping_raises(self, monkeypatch):
+        i, u = self._restrict_fh6()
+        sub_intersection = spinor.sub_intersection
+
+        def one_vector_short(a, b):
+            cap = sub_intersection(a, b)
+            return Subspace(cap.ambient, list(cap.basis)[1:])
+
+        monkeypatch.setattr(spinor, "sub_intersection", one_vector_short)
+        with pytest.raises(InvariantError, match="transversality"):
+            restrict_compare(i, u)
+
+    def test_adapted_basis_raises(self, monkeypatch):
+        i, u = self._restrict_fh6()
+        build = spinor.build_ideal
+
+        def shifted_on_the_full_space(space, w):
+            out = build(space, w)
+            return shift(out) if space is i.space else out
+
+        monkeypatch.setattr(spinor, "build_ideal", shifted_on_the_full_space)
+        with pytest.raises(InvariantError, match="adapted basis"):
+            restrict_compare(i, u)
