@@ -1,13 +1,15 @@
 """Integer row-reduction kernels.
 
-``echelon`` is the dense fraction-free (Bareiss) elimination behind the
-small dense reductions of ``exactalg``: ``mat_rank``, ``mat_rank_kernel``,
-``mat_solve``, ``mat_invertible`` and ``rref_rows``.  ``sparse_rank`` and
-``sparse_echelon`` share one elimination loop over sparse rows
+``echelon`` is the dense fraction-free (Bareiss) elimination that now
+serves only the small dense reductions of ``exactalg``: ``mat_rank``,
+``mat_rank_kernel``, ``mat_solve`` and ``mat_invertible``.  ``sparse_rank``
+and ``sparse_echelon`` share one elimination loop over sparse rows
 ``{col: int}`` that always pivots on the leftmost column, so the pivot
 columns it fixes are those of the reduced row echelon form.
-``sparse_echelon`` solves the Hom systems; ``sparse_rank`` gives the rank
-of every multiplication map (``exactalg.mult_map_rank``).
+``sparse_echelon`` solves the Hom systems and gives the echelon form that
+``exactalg.rref_rows`` back-substitutes into the canonical span bases;
+``sparse_rank`` gives the rank of every multiplication map
+(``exactalg.mult_map_rank``).
 """
 
 from heapq import heappop, heappush

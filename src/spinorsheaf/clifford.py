@@ -11,19 +11,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError, SpanError
-from .exactalg import Mat, SpanSolver, ZERO, ONE, rat, rref_rows, vec
+from .exactalg import Mat, SpanSolver, ZERO, ONE, mat_invertible, rat, rref_rows, vec
 from .quadform import QuadraticSpace, Subspace
 
 _POPCOUNT = int.bit_count if hasattr(int, "bit_count") else (lambda m: bin(m).count("1"))
 
 
 class _Context:
-    """Per-space monomial order and multiplication cache."""
+    """Per-space monomial order and multiplication cache.  It keeps no
+    reference to its space, so the two form no cycle for the collector."""
 
-    __slots__ = ("space", "n", "order", "index", "vec_cache", "gram_rows", "top")
+    __slots__ = ("n", "order", "index", "vec_cache", "gram_rows", "top")
 
     def __init__(self, space: QuadraticSpace):
-        self.space = space
         n = space.n
         self.n = n
         self.order = tuple(sorted(range(1 << n), key=lambda m: (_POPCOUNT(m), m)))
@@ -173,11 +173,6 @@ class CliffordElement:
             out[ctx.index[m]] = c
         return tuple(out)
 
-    @classmethod
-    def from_coords(cls, space, coords) -> "CliffordElement":
-        ctx = _ctx(space)
-        return cls(space, {ctx.order[i]: c for i, c in enumerate(coords) if c})
-
     def vector_part(self):
         """The degree-1 coordinates, or None if other monomials appear."""
         v = [ZERO] * self.space.n
@@ -283,34 +278,28 @@ def left_action_matrix(v, domain_basis, codomain_basis) -> Mat:
         return Mat.zeros(len(codomain_basis), 0)
     space = domain_basis[0].space
     velt = CliffordElement.from_vector(space, v)
-    ncols = 1 << space.n
-    rows, pivots = rref_rows([x.coords() for x in codomain_basis], ncols)
-    solver = SpanSolver(rows, list(pivots))
-    raw = [x.coords() for x in codomain_basis]
-    change = _basis_change(raw, rows, pivots)
+    rows, pivots = rref_rows([x.terms for x in codomain_basis], 1 << space.n)
+    solver = SpanSolver(rows, pivots)
+    change = _basis_change([x.terms for x in codomain_basis], solver)
     cols = []
     for xi in domain_basis:
         image = multiply(velt, xi)
-        in_rref = solver.coords(image.coords())
+        in_rref = solver.coords(image.terms)
         if in_rref is None:
             raise SpanError("image leaves the codomain span", witness=image)
         cols.append(change.mul_vec(in_rref))
     return Mat.from_cols(cols) if cols else Mat.zeros(len(codomain_basis), 0)
 
 
-def _basis_change(raw_coords, rref, pivots) -> Mat:
-    """Matrix turning rref-coordinates into raw-basis coordinates."""
-    solver = SpanSolver(rref, list(pivots))
+def _basis_change(raw_terms, solver) -> Mat:
+    """Matrix turning the solver's RREF coordinates into raw-basis ones."""
     cols = []
-    for v in raw_coords:
+    for v in raw_terms:
         c = solver.coords(v)
         if c is None:
             raise SpanError("basis is not inside its own span")
         cols.append(c)
-    m = Mat.from_cols(cols)
-    from .exactalg import mat_invertible
-
-    inv = mat_invertible(m)
+    inv = mat_invertible(Mat.from_cols(cols))
     if inv is None:
         raise SpanError("codomain basis vectors are dependent")
     return inv

@@ -4,18 +4,19 @@ univariate polynomials.
 Every scalar is a fractions.Fraction, and every operation is a
 deterministic function of its inputs, so identical inputs give
 bit-identical outputs.  Eliminations run on integer rows after the
-denominators are cleared: the dense ``Mat`` reductions (``mat_rank``,
-``mat_rank_kernel``, ``mat_solve``, ``mat_invertible``, ``rref_rows``) use
-fraction-free Bareiss elimination, and the multiplication-map ranks
-(``mult_map_rank``) use the sparse leftmost-pivot kernel.
+denominators are cleared.  The canonical span bases (``rref_rows``) and the
+multiplication-map ranks (``mult_map_rank``) use the sparse leftmost-pivot
+kernel; fraction-free Bareiss elimination serves only the small dense
+reductions ``mat_rank``, ``mat_rank_kernel``, ``mat_solve``, ``mat_invertible``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd
+from functools import lru_cache, reduce
+from itertools import chain
+from math import factorial, lcm
 
 from . import _kernels
 
@@ -154,6 +155,13 @@ class Mat:
             out[i] = s
         return tuple(out)
 
+    def block_diag(self, other: "Mat") -> "Mat":
+        """The block matrix [[self, 0], [0, other]]."""
+        top = (self.row(i) + (ZERO,) * other.cols for i in range(self.rows))
+        bottom = ((ZERO,) * self.cols + other.row(i) for i in range(other.rows))
+        return Mat(self.rows + other.rows, self.cols + other.cols,
+                   chain.from_iterable(chain(top, bottom)))
+
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
@@ -179,13 +187,21 @@ def _scaled_int_rows(frac_rows):
     """Clear denominators row by row; row scaling preserves rank and kernel."""
     out = []
     for row in frac_rows:
-        l = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                l = l * d // gcd(l, d)
+        l = reduce(lcm, (x.denominator for x in row), 1)
         out.append([x.numerator * (l // x.denominator) for x in row])
     return out
+
+
+def _int_row(pairs):
+    """Sparse integer row ``{index: value}`` from ``(index, Fraction)`` pairs
+    (iterated twice) times their least common denominator, same span."""
+    l = reduce(lcm, (v.denominator for _, v in pairs), 1)
+    return {j: v.numerator * (l // v.denominator) for j, v in pairs}
+
+
+def _sparse(v) -> dict:
+    """``v`` as ``{col: value}``; a dict is taken to hold nonzeros only."""
+    return v if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
 
 
 def _kernel_from_echelon(rows, pivots, ncols):
@@ -306,52 +322,69 @@ def mat_invertible(m: Mat):
 
 
 def rref_rows(vectors, ncols):
-    """Reduced row echelon basis of the span of ``vectors``.
-
-    Rows are normalized to pivot 1 and fully back-eliminated, so the output
-    is the canonical basis of the span.  Returns (rows, pivots).
-    """
-    rows = _scaled_int_rows([list(v) for v in vectors])
-    rank, pivots = _kernels.echelon(rows, ncols)
-    out = [[Fraction(x) for x in rows[i]] for i in range(rank)]
-    for i in range(rank):
-        p = out[i][pivots[i]]
-        if p != 1:
-            out[i] = [x / p for x in out[i]]
-    for i in range(rank - 1, -1, -1):
-        c = pivots[i]
-        for k in range(i):
-            f = out[k][c]
-            if f:
-                rowi = out[i]
-                rowk = out[k]
-                for j in range(c, ncols):
-                    if rowi[j]:
-                        rowk[j] -= f * rowi[j]
-    return [tuple(r) for r in out], pivots
+    """Canonical (reduced row echelon) basis of the span of ``vectors``,
+    dense sequences or ``{col: value}`` dicts: echelon form from the sparse
+    kernel on rows cleared of denominators, then back-substitution from the
+    last pivot up to pivot 1.  Returns (rows, pivots); rows are dicts in
+    column order for dict input, else dense tuples of length ``ncols``."""
+    vectors = list(vectors)
+    echelon = _kernels.sparse_echelon(
+        [r for r in (_int_row(_sparse(v).items()) for v in vectors) if r])
+    pivots = sorted(echelon)
+    done = {}
+    for c in reversed(pivots):
+        row = {j: Fraction(v, echelon[c][c]) for j, v in echelon[c].items()}
+        # a finished row holds no other pivot: clearing one refills none
+        for k in [k for k in row if k != c and k in done]:
+            f = row.pop(k)
+            for j, x in done[k].items():
+                if j != k:
+                    v = row.get(j, ZERO) - f * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        done[c] = row
+    rows = [dict(sorted(done[c].items())) for c in pivots]
+    if vectors and not isinstance(vectors[0], dict):
+        rows = [tuple(r.get(j, ZERO) for j in range(ncols)) for r in rows]
+    return rows, pivots
 
 
 class SpanSolver:
-    """Express vectors in the span of a fixed RREF basis."""
+    """Coordinates in a fixed RREF basis, on ``{col: value}`` dicts of
+    nonzeros (dense sequences are read as their nonzeros).  A row has 1 at
+    its pivot and 0 at the other pivots, so a coordinate is the vector's
+    entry at a pivot; the vector is in the span when that combination of
+    the rows leaves no residual.  Only nonzeros are touched."""
 
     def __init__(self, rref, pivots):
-        self.rref = rref
-        self.pivots = pivots
+        rows = [_sparse(r) for r in rref]
+        self.pivots = list(pivots)
+        self._at = {c: k for k, c in enumerate(self.pivots)}
+        if any(r.get(c) != 1 or any(j != c and j in self._at for j in r)
+               for r, c in zip(rows, self.pivots)):
+            raise ValueError("span rows must be in reduced row echelon form")
+        self._tails = [[(j, x) for j, x in r.items() if j != c]
+                       for r, c in zip(rows, self.pivots)]
 
     def coords(self, v):
         """Coordinates of v in the basis, or None if v is outside the span."""
-        v = list(v)
-        coords = []
-        for row, c in zip(self.rref, self.pivots):
-            a = v[c]
-            coords.append(a)
-            if a:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] -= a * x
-        if any(v):
-            return None
-        return tuple(coords)
+        v = _sparse(v)
+        out = [ZERO] * len(self.pivots)
+        rest = dict(v)
+        for c, a in v.items():
+            k = self._at.get(c)
+            if k is not None:
+                out[k] = a
+                del rest[c]
+                for j, x in self._tails[k]:
+                    r = rest.get(j, ZERO) - a * x
+                    if r:
+                        rest[j] = r
+                    else:
+                        rest.pop(j, None)
+        return None if rest else tuple(out)
 
 
 class LinMat:
@@ -375,13 +408,34 @@ class LinMat:
         self.coeff = coeff
 
     def evaluate(self, v) -> Mat:
+        """M(v), summed over the nonzero entries of each coefficient."""
+        v = vec(v)
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        out = Mat.zeros(self.rows, self.cols)
+        out = [ZERO] * (self.rows * self.cols)
         for x, m in zip(v, self.coeff):
             if x:
-                out = out + m.scale(x)
-        return out
+                for t, a in enumerate(m.entries):
+                    if a:
+                        out[t] += x * a
+        return Mat(self.rows, self.cols, out)
+
+    def int_rows(self):
+        """``(d, rows)``: ``d`` is the least common denominator of all
+        coefficients, and ``rows[k][r]`` lists the nonzeros of row r of
+        ``coeff[k]`` as int pairs ``(j, d * coeff[k][r, j])``."""
+        C = self.cols
+        # "is not ZERO" skips the shared zero without calling Fraction.__bool__
+        nz = [[(t, v) for t, v in enumerate(m.entries) if v is not ZERO and v]
+              for m in self.coeff]
+        den = reduce(lcm, (v.denominator for flat in nz for _, v in flat), 1)
+        out = []
+        for flat in nz:
+            rows = [[] for _ in range(self.rows)]
+            for t, v in flat:
+                rows[t // C].append((t % C, v.numerator * (den // v.denominator)))
+            out.append(rows)
+        return den, out
 
     def transpose(self) -> "LinMat":
         return LinMat(self.n, [m.transpose() for m in self.coeff])
@@ -389,19 +443,7 @@ class LinMat:
     def block_diag(self, other: "LinMat") -> "LinMat":
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        coeff = []
-        for a, b in zip(self.coeff, other.coeff):
-            rows = a.rows + b.rows
-            cols = a.cols + b.cols
-            m = [[ZERO] * cols for _ in range(rows)]
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    m[i][j] = a[i, j]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    m[a.rows + i][a.cols + j] = b[i, j]
-            coeff.append(Mat.from_rows(m))
-        return LinMat(self.n, coeff)
+        return LinMat(self.n, [a.block_diag(b) for a, b in zip(self.coeff, other.coeff)])
 
     def __eq__(self, other):
         return (
@@ -578,21 +620,7 @@ def mult_map_rank(lm: LinMat, t: int) -> int:
         return 0
     n = lm.n
     R, C = lm.rows, lm.cols
-    den = 1
-    for m in lm.coeff:
-        for v in m.entries:
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-    # nz[k][r]: the nonzeros (j, int) of row r of coeff[k]
-    nz = []
-    for m in lm.coeff:
-        e = m.entries
-        nz.append([
-            [(j, v.numerator * (den // v.denominator))
-             for j, v in enumerate(e[r * C : (r + 1) * C]) if v]
-            for r in range(R)
-        ])
+    _, nz = lm.int_rows()
     dom_idx = {mu: i for i, mu in enumerate(monomials(n, t - 1))}
     rows = []
     for nu in monomials(n, t):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from .clifford import CliffordElement, grade_parts, multiply
 from .errors import InvariantError, PreconditionError
@@ -23,6 +23,7 @@ from .exactalg import (
     mat_rank_kernel,
     monomial_count,
     mult_map_rank,
+    _int_row,
     _kernel_from_sparse_echelon,
 )
 from . import _kernels
@@ -46,18 +47,6 @@ class GradedHom:
         self.dimension = len(self.basis)
         self.crosscheck_dimension = crosscheck_dimension
         self.companion_identity_holds = companion
-
-
-def _int_row(pairs):
-    """Sparse integer row ``{index: value}`` from ``[(index, Fraction)]``,
-    scaled by the least common denominator; row scaling leaves the
-    solution space alone."""
-    l = 1
-    for _, v in pairs:
-        d = v.denominator
-        if d != 1:
-            l = l * d // gcd(l, d)
-    return {j: v.numerator * (l // v.denominator) for j, v in pairs}
 
 
 def _intertwining_rows(lefts, rights, x_at, y_at):

@@ -116,11 +116,11 @@ def evaluate(space: QuadraticSpace, v, w=None) -> Fraction:
 
 
 def radical_basis(space: QuadraticSpace) -> Subspace:
-    """The kernel K of the form; dim K = n - rank(q)."""
+    """The kernel K of the form; dim K = n - rank(q).  The space caches the
+    kernel vectors, not the Subspace, which would refer back to it."""
     if space._radical is None:
-        _, kernel = mat_rank_kernel(space.gram)
-        space._radical = Subspace(space, kernel)
-    return space._radical
+        space._radical = mat_rank_kernel(space.gram)[1]
+    return Subspace(space, space._radical)
 
 
 def check_isotropic(space: QuadraticSpace, w: Subspace) -> bool:

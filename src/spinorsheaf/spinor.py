@@ -10,6 +10,7 @@ verified through exact linear algebra on those bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .clifford import (
     CliffordElement,
@@ -84,17 +85,19 @@ class IdealModule:
         return self.space.n - self.w.dim
 
     def _solver(self, parity):
+        """Span solver of one graded part; a canonical row's pivot is its first monomial."""
         attr = "_solver_ev" if parity == 0 else "_solver_odd"
         if getattr(self, attr) is None:
             basis = self.ev_basis if parity == 0 else self.odd_basis
-            rows, pivots = rref_rows([x.coords() for x in basis], 1 << self.space.n)
-            setattr(self, attr, SpanSolver(rows, list(pivots)))
+            first = _ctx(self.space).index.__getitem__
+            setattr(self, attr, SpanSolver([x.terms for x in basis],
+                                           [min(x.terms, key=first) for x in basis]))
         return getattr(self, attr)
 
     def coords_in(self, parity, element):
         """Coordinates of element in the basis of the given graded part, or
         None when it lies outside."""
-        return self._solver(parity).coords(element.coords())
+        return self._solver(parity).coords(element.terms)
 
     @property
     def act_ev(self):
@@ -134,11 +137,11 @@ def _action_matrix(space, i, domain, codomain_solver, codomain_dim):
     cols = []
     for xi in domain:
         image = multiply(velt, xi)
-        coords = codomain_solver.coords(image.coords())
+        coords = codomain_solver.coords(image.terms)
         if coords is None:
             raise SpanError("left action leaves the module", witness=image)
         cols.append(coords)
-    return Mat.from_cols(cols) if cols else Mat.zeros(codomain_dim, 0)
+    return Mat(codomain_dim, len(cols), chain.from_iterable(zip(*cols)))
 
 
 def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
@@ -151,6 +154,7 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     for v in w.basis:
         gen = multiply(gen, CliffordElement.from_vector(space, v))
     ctx = _ctx(space)
+    index, order = ctx.index, ctx.order
     m = w.dim
     ev_raw = []
     odd_raw = []
@@ -158,16 +162,16 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
         prod = ctx.mono_mul_terms(mask, gen.terms)
         if not prod:
             continue
-        elt = CliffordElement(space, prod)
+        row = {index[mono]: c for mono, c in prod.items()}
         if (bin(mask).count("1") + m) % 2 == 0:
-            ev_raw.append(elt.coords())
+            ev_raw.append(row)
         else:
-            odd_raw.append(elt.coords())
+            odd_raw.append(row)
     dim = 1 << space.n
     ev_rows, _ = rref_rows(ev_raw, dim)
     odd_rows, _ = rref_rows(odd_raw, dim)
-    ev_basis = [CliffordElement.from_coords(space, r) for r in ev_rows]
-    odd_basis = [CliffordElement.from_coords(space, r) for r in odd_rows]
+    ev_basis = [CliffordElement(space, {order[j]: c for j, c in r.items()}) for r in ev_rows]
+    odd_basis = [CliffordElement(space, {order[j]: c for j, c in r.items()}) for r in odd_rows]
     expected = 1 << (space.n - m - 1)
     if not len(ev_basis) == len(odd_basis) == expected:
         raise InvariantError(
@@ -218,8 +222,8 @@ def direct_sum(a, b) -> DirectSumModule:
     act_ev = []
     act_odd = []
     for i in range(a.space.n):
-        act_ev.append(_block_diag(a.act_ev[i], b.act_ev[i]))
-        act_odd.append(_block_diag(a.act_odd[i], b.act_odd[i]))
+        act_ev.append(a.act_ev[i].block_diag(b.act_ev[i]))
+        act_odd.append(a.act_odd[i].block_diag(b.act_odd[i]))
     return DirectSumModule(
         a.space,
         a.ev_dim + b.ev_dim,
@@ -228,25 +232,6 @@ def direct_sum(a, b) -> DirectSumModule:
         act_odd,
         parts=(a, b),
     )
-
-
-def _block_diag(a: Mat, b: Mat) -> Mat:
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i][j] = a[i, j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            out[a.rows + i][a.cols + j] = b[i, j]
-    return Mat.from_rows(out) if rows else Mat.zeros(0, cols)
-
-
-def _sparse_rows(m: Mat):
-    return [
-        [(j, v) for j, v in enumerate(m.row(i)) if v] for i in range(m.rows)
-    ]
 
 
 class FactorizationPair:
@@ -262,28 +247,34 @@ class FactorizationPair:
         self.N = phi.rows
 
     def check_identity(self) -> bool:
+        """phi_i psi_j + phi_j psi_i = 2 b(e_i, e_j) Id for i <= j, and the
+        same with phi and psi swapped, on integer rows: scaling phi and psi
+        by their denominators multiplies both sides by d_phi * d_psi."""
         g = self.space.gram
         n = self.space.n
         N = self.N
-        phi_rows = [_sparse_rows(m) for m in self.phi.coeff]
-        psi_rows = [_sparse_rows(m) for m in self.psi.coeff]
+        d_phi, phi_rows = self.phi.int_rows()
+        d_psi, psi_rows = self.psi.int_rows()
+        scale = d_phi * d_psi
         for first, second in ((phi_rows, psi_rows), (psi_rows, phi_rows)):
             for i in range(n):
                 for j in range(i, n):
-                    target = g[i, i] if i == j else 2 * g[i, j]
+                    target = (g[i, i] if i == j else 2 * g[i, j]) * scale
+                    if target.denominator == 1:
+                        target = target.numerator
                     for r in range(N):
                         acc = {}
                         for t, v in first[i][r]:
                             for c, w in second[j][t]:
-                                acc[c] = acc.get(c, ZERO) + v * w
+                                acc[c] = acc.get(c, 0) + v * w
                         if i != j:
                             for t, v in first[j][r]:
                                 for c, w in second[i][t]:
-                                    acc[c] = acc.get(c, ZERO) + v * w
+                                    acc[c] = acc.get(c, 0) + v * w
                         for c, v in acc.items():
                             if v != (target if c == r else 0):
                                 return False
-                        if target and acc.get(r, ZERO) != target:
+                        if target and acc.get(r, 0) != target:
                             return False
         return True
 

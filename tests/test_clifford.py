@@ -321,3 +321,50 @@ class TestGroup:
             velt = CliffordElement.from_vector(space, e(6, i))
             conj = multiply(multiply(g.as_element, velt), ginv)
             assert conj.vector_part() == g.conjugate_vector(e(6, i))
+
+
+class TestContext:
+    def test_context_holds_no_reference_to_its_space(self):
+        import gc
+
+        from spinorsheaf.clifford import _ctx
+        from spinorsheaf.quadform import QuadraticSpace
+
+        space = QuadraticSpace(Mat.from_rows(
+            [[0, 0, Fraction(1, 2), 0], [0, 0, 0, Fraction(1, 2)],
+             [Fraction(1, 2), 0, 0, 0], [0, Fraction(1, 2), 0, 0]]))
+        ctx = _ctx(space)
+        multiply(mono(space, 0, 1), mono(space, 1, 2, 3))  # fill the cache
+        assert ctx.vec_cache
+        # walk everything the context holds through plain containers
+        seen = set()
+        stack = [ctx]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            assert obj is not space and obj is not space.gram
+            if obj is ctx or isinstance(obj, (dict, list, tuple, set, frozenset)):
+                stack.extend(gc.get_referents(obj))
+
+    def test_dropped_space_needs_no_cycle_collection(self):
+        import gc
+
+        from spinorsheaf.clifford import _ctx
+        from spinorsheaf.quadform import QuadraticSpace
+
+        space = QuadraticSpace(Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+        multiply(mono(space, 0), mono(space, 0, 1))
+        probe = _ctx(space).vec_cache
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del space
+            # reference counting alone frees the space and its context
+            assert not any(r is probe for o in gc.get_objects()
+                           if type(o).__name__ == "_Context"
+                           for r in gc.get_referents(o))
+        finally:
+            if was_enabled:
+                gc.enable()

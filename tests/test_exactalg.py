@@ -257,3 +257,167 @@ class TestSpanSolver:
         solver = ea.SpanSolver(rows, pivots)
         assert solver.coords(ea.vec((1, 1, 5))) == (1, 1)
         assert solver.coords(ea.vec((0, 0, 1))) is None
+
+
+ONE = Fraction(1)
+
+
+@st.composite
+def spanning_sets(draw):
+    """Mostly-zero rational vectors with zero, repeated and scaled copies
+    and fractional entries, so that dependent sets are common."""
+    nc = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.integers(-5, 5).map(Fraction),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=1, max_size=7))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scaled"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * nc)
+        else:
+            src = draw(st.sampled_from(base))
+            s = Fraction(1) if kind == "repeat" else draw(
+                st.sampled_from([Fraction(-3), Fraction(2), Fraction(1, 2), Fraction(-5, 3)]))
+            rows.append([s * v for v in src])
+    order = draw(st.permutations(range(len(rows))))
+    return [tuple(rows[i]) for i in order], nc
+
+
+class TestRrefAgainstDense:
+    """The dense Bareiss RREF that rref_rows replaced is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spanning_sets())
+    def test_dense_vectors(self, case):
+        from dense_oracles import dense_rref
+
+        vectors, nc = case
+        rows, pivots = ea.rref_rows(vectors, nc)
+        assert (rows, pivots) == dense_rref(vectors, nc)
+        assert all(type(row) is tuple and len(row) == nc for row in rows)
+        assert all(isinstance(x, Fraction) for row in rows for x in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spanning_sets())
+    def test_sparse_vectors(self, case):
+        from dense_oracles import dense_rref
+
+        vectors, nc = case
+        sparse = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+        rows, pivots = ea.rref_rows(sparse, nc)
+        want, want_pivots = dense_rref(vectors, nc)
+        assert pivots == want_pivots
+        assert rows == [{j: x for j, x in enumerate(r) if x} for r in want]
+        assert all(list(row) == sorted(row) for row in rows)
+
+    def test_empty_and_zero(self):
+        assert ea.rref_rows([], 3) == ([], [])
+        assert ea.rref_rows([ea.vec((0, 0, 0))], 3) == ([], [])
+        assert ea.rref_rows([{}], 3) == ([], [])
+
+    def test_known(self):
+        # [[2, 4, 0], [1, 3, 1]] -> [[1, 0, -2], [0, 1, 1]]
+        rows, pivots = ea.rref_rows([ea.vec((2, 4, 0)), ea.vec((1, 3, 1))], 3)
+        assert pivots == [0, 1]
+        assert rows == [(1, 0, -2), (0, 1, 1)]
+        rows, _ = ea.rref_rows([{0: Fraction(2), 1: Fraction(4)}, {0: ONE, 1: Fraction(3), 2: ONE}], 3)
+        assert rows == [{0: 1, 2: -2}, {1: 1, 2: 1}]
+
+
+
+class TestSparseSpanSolver:
+    def _solver(self):
+        rows, pivots = ea.rref_rows(
+            [{0: ONE, 2: Fraction(1, 2)}, {1: ONE, 3: Fraction(-2)}, {0: Fraction(3), 4: ONE}], 5)
+        return ea.SpanSolver(rows, pivots), rows
+
+    def test_coordinates_of_combinations(self):
+        solver, rows = self._solver()
+        for coeffs in ((1, 0, 0), (0, -2, 0), (Fraction(2, 3), 5, -1), (0, 0, 0)):
+            v = {}
+            for a, row in zip(coeffs, rows):
+                for j, x in row.items():
+                    v[j] = v.get(j, 0) + a * x
+            v = {j: x for j, x in v.items() if x}
+            assert solver.coords(v) == tuple(Fraction(a) for a in coeffs)
+
+    def test_outside_the_span(self):
+        solver, rows = self._solver()
+        assert solver.coords({2: ONE}) is None
+        assert solver.coords({0: ONE}) is None  # pivot alone misses its tail
+        assert solver.coords({1: ONE, 3: Fraction(-2), 2: Fraction(1, 7)}) is None
+
+    def test_dense_vectors_read_as_nonzeros(self):
+        solver, _ = self._solver()
+        assert solver.coords(ea.vec((0, 1, 0, -2, 0))) == (0, 1, 0)
+        assert solver.coords(ea.vec((0, 0, 0, 0, 1))) is None
+
+    def test_rejects_rows_not_in_reduced_form(self):
+        with pytest.raises(ValueError):
+            ea.SpanSolver([{0: Fraction(2)}], [0])
+        with pytest.raises(ValueError):
+            ea.SpanSolver([{0: ONE, 1: ONE}, {1: ONE}], [0, 1])
+
+
+def _lin_mats():
+    from spinorsheaf.fixtures import grid_spaces
+    from spinorsheaf.spinor import build_factorization, build_ideal
+
+    out = []
+    for space, w in grid_spaces(5)[::5]:
+        mf = build_factorization(build_ideal(space, w))
+        out += [mf.phi, mf.psi.transpose()]
+    out.append(LinMat(2, [M([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]]),
+                          M([[0, Fraction(5, 7)], [3, 0]])]))
+    return out
+
+
+class TestLinMatSparse:
+    def test_evaluate_matches_dense_sum(self):
+        from dense_oracles import dense_evaluate
+
+        points = [(1,), (0, 1), (Fraction(1, 2), -1, 0, 3), (2, Fraction(-1, 3), 1, 1, 1, 1)]
+        for lm in _lin_mats():
+            for p in points:
+                v = ea.vec((list(p) * lm.n)[: lm.n])
+                got = lm.evaluate(v)
+                assert got == dense_evaluate(lm, v)
+                assert all(isinstance(x, Fraction) for x in got.entries)
+
+    def test_evaluate_checks_length(self):
+        with pytest.raises(ValueError):
+            LinMat(2, [Mat.identity(1), Mat.identity(1)]).evaluate((1,))
+
+    def test_int_rows(self):
+        lm = LinMat(2, [M([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]]),
+                        M([[0, 0], [3, 0]])])
+        den, rows = lm.int_rows()
+        assert den == 6
+        assert rows == [[[(0, 3)], [(1, -4)]], [[], [(0, 18)]]]
+        for k, m in enumerate(lm.coeff):
+            for r in range(m.rows):
+                for j in range(m.cols):
+                    assert dict(rows[k][r]).get(j, 0) == den * m[r, j]
+
+
+class TestBlockDiag:
+    def test_blocks(self):
+        a = M([[1, 2]])
+        b = M([[3], [Fraction(1, 2)]])
+        assert a.block_diag(b) == M([[1, 2, 0], [0, 0, 3], [0, 0, Fraction(1, 2)]])
+
+    def test_empty_blocks(self):
+        a = M([[1, 2]])
+        assert a.block_diag(Mat.zeros(0, 0)) == a
+        assert Mat.zeros(0, 0).block_diag(a) == a
+        assert Mat.zeros(0, 2).block_diag(Mat.zeros(0, 1)) == Mat.zeros(0, 3)
+        assert Mat.zeros(2, 0).block_diag(Mat.zeros(1, 0)) == Mat.zeros(3, 0)
+
+    def test_linmat_block_diag(self):
+        p = LinMat(2, [M([[1]]), M([[2]])])
+        q = LinMat(2, [M([[0, 1]]), M([[Fraction(1, 3), 0]])])
+        s = p.block_diag(q)
+        assert s.coeff == (M([[1, 0, 0], [0, 0, 1]]), M([[2, 0, 0], [0, Fraction(1, 3), 0]]))

@@ -411,15 +411,21 @@ class TestInvariants:
 
     def test_dimension_law_raises(self, monkeypatch):
         rref_rows = spinor.rref_rows
+        seen = []
 
         def drop_last(vectors, ncols):
+            # truncate the canonical basis build_ideal computes from its
+            # sparse product rows
             rows, pivots = rref_rows(vectors, ncols)
+            seen.append(rows)
             return rows[:-1], pivots[:-1]
 
         monkeypatch.setattr(spinor, "rref_rows", drop_last)
         fx = get_fixture("F-H6")
         with pytest.raises(InvariantError, match="dimension law"):
             build_ideal(fx.space, fx.w)
+        assert len(seen) == 2 and all(len(rows) == 4 for rows in seen)
+        assert all(isinstance(row, dict) for rows in seen for row in rows)
 
     def _restrict_fh6(self):
         fx = get_fixture("F-H6")
@@ -454,3 +460,104 @@ class TestInvariants:
         monkeypatch.setattr(spinor, "build_ideal", shifted_on_the_full_space)
         with pytest.raises(InvariantError, match="adapted basis"):
             restrict_compare(i, u)
+
+
+FIXTURES = ("F-H2", "F-QS", "F-QSb", "F-C5", "F-H6", "F-H6a")
+
+
+class TestSparseConstruction:
+    """The sparse construction path against the dense Fraction path it
+    replaced (tests/dense_oracles.py)."""
+
+    def test_bases_match_dense_path_on_grid(self):
+        from dense_oracles import dense_ideal_bases
+
+        for space, w in grid_spaces(6):
+            i = build_ideal(space, w)
+            assert (list(i.ev_basis), list(i.odd_basis)) == dense_ideal_bases(space, w)
+
+    def test_bases_match_dense_path_on_fixtures(self):
+        from dense_oracles import dense_ideal_bases
+
+        for label in FIXTURES:
+            fx = get_fixture(label)
+            i = build_ideal(fx.space, fx.w)
+            ev, odd = dense_ideal_bases(fx.space, fx.w)
+            assert [x.coords() for x in i.ev_basis] == [x.coords() for x in ev]
+            assert [x.coords() for x in i.odd_basis] == [x.coords() for x in odd]
+
+    def test_coords_in_reads_the_canonical_basis(self):
+        i = module("F-H6")
+        for par, basis in ((0, i.ev_basis), (1, i.odd_basis)):
+            for k, x in enumerate(basis):
+                want = tuple(Fraction(int(t == k)) for t in range(len(basis)))
+                assert i.coords_in(par, x) == want
+                assert i.coords_in(par, x.scale(Fraction(-3, 2))) == tuple(
+                    Fraction(-3, 2) * c for c in want)
+        outside = CliffordElement.scalar(i.space, 1)
+        assert i.coords_in(0, outside) is None
+
+    def _pairs(self):
+        out = []
+        for space, w in grid_spaces(5):
+            out.append(build_factorization(build_ideal(space, w)))
+        for label in FIXTURES:
+            out.append(build_factorization(module(label)))
+        return out
+
+    def test_identity_matches_fraction_loop(self):
+        from dense_oracles import fraction_identity
+        from spinorsheaf.exactalg import LinMat
+
+        for mf in self._pairs():
+            assert mf.check_identity() is True
+            assert fraction_identity(mf) is True
+            n = mf.space.n
+            for phi, psi, holds in (
+                (mf.psi, mf.phi, True),
+                (mf.phi.transpose(), mf.psi.transpose(), True),
+                # fractional entries on both sides, the product unchanged
+                (LinMat(n, [m.scale(Fraction(1, 2)) for m in mf.phi.coeff]),
+                 LinMat(n, [m.scale(2) for m in mf.psi.coeff]), True),
+                (LinMat(n, [m.scale(2) for m in mf.phi.coeff]),
+                 LinMat(n, [m.scale(Fraction(1, 2)) for m in mf.psi.coeff]), True),
+                (LinMat(n, [m.scale(Fraction(2, 3)) for m in mf.phi.coeff]),
+                 LinMat(n, [m.scale(Fraction(3, 2)) for m in mf.psi.coeff]), True),
+                (LinMat(n, [m.scale(Fraction(2, 3)) for m in mf.phi.coeff]),
+                 LinMat(n, [m.scale(Fraction(3, 4)) for m in mf.psi.coeff]), False),
+                # every product vanishes: only the missing diagonal shows it
+                (mf.phi, LinMat(n, [Mat.zeros(mf.N, mf.N)] * n), False),
+            ):
+                pair = FactorizationPair(mf.space, phi, psi)
+                assert pair.check_identity() is holds
+                assert fraction_identity(pair) is holds
+
+    def test_single_perturbed_entry_fails(self):
+        from dense_oracles import fraction_identity
+        from spinorsheaf.exactalg import LinMat
+
+        for mf in self._pairs()[::3]:
+            n, N = mf.space.n, mf.N
+            for k in (0, n - 1):
+                for r, c in ((0, 0), (N - 1, N - 1), (0, N - 1)):
+                    for delta in (Fraction(1), Fraction(1, 3), Fraction(-5, 7)):
+                        for side in ("phi", "psi"):
+                            lm = getattr(mf, side)
+                            coeff = list(lm.coeff)
+                            rows = coeff[k].row_lists()
+                            rows[r][c] += delta
+                            coeff[k] = Mat.from_rows(rows)
+                            bad = LinMat(n, coeff)
+                            pair = (FactorizationPair(mf.space, bad, mf.psi) if side == "phi"
+                                    else FactorizationPair(mf.space, mf.phi, bad))
+                            assert pair.check_identity() is False
+                            assert fraction_identity(pair) is False
+
+    def test_action_matrix_leaving_the_module_raises(self):
+        from spinorsheaf.errors import SpanError
+
+        i = module("F-H6")
+        # e_0 maps the even part into the odd part, so reading its images
+        # in the even part's basis must fail
+        with pytest.raises(SpanError, match="left action leaves the module"):
+            spinor._action_matrix(i.space, 0, i.ev_basis, i._solver(0), i.ev_dim)
