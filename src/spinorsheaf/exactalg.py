@@ -1,5 +1,5 @@
 """Exact rational linear algebra: matrices, matrices of linear forms,
-univariate polynomials.
+univariate polynomials, and the sparse intertwining rows of Hom systems.
 
 Every scalar is a fractions.Fraction, and every operation is a
 deterministic function of its inputs, so identical inputs give
@@ -197,6 +197,41 @@ def _int_row(pairs):
     (iterated twice) times their least common denominator, same span."""
     l = reduce(lcm, (v.denominator for _, v in pairs), 1)
     return {j: v.numerator * (l // v.denominator) for j, v in pairs}
+
+
+def _intertwining_rows(lefts, rights, x_at, y_at):
+    """Sparse integer rows of X L - R Y = 0 for each pair (L, R) of
+    ``lefts`` and ``rights``: X is R.rows x L.rows with vec(X) starting at
+    variable ``x_at``, Y is R.cols x L.cols with vec(Y) starting at
+    ``y_at``.  Equation (r, c) reads column c of L and row r of R, so the
+    nonzeros of each are listed once per pair; all-zero rows are dropped."""
+    rows = []
+    for left, right in zip(lefts, rights):
+        m, k, q = left.rows, left.cols, right.cols
+        lv, rv = left.entries, right.entries
+        lcols = [[(t, lv[t * k + c]) for t in range(m) if lv[t * k + c]]
+                 for c in range(k)]
+        rrows = [[(y_at + t * k, -rv[r * q + t]) for t in range(q) if rv[r * q + t]]
+                 for r in range(right.rows)]
+        for r, rrow in enumerate(rrows):
+            xr = x_at + r * m
+            for c, lcol in enumerate(lcols):
+                if lcol or rrow:
+                    rows.append(_int_row([(xr + t, v) for t, v in lcol]
+                                         + [(j + c, v) for j, v in rrow]))
+    return rows
+
+
+def _hom_system(a, b):
+    """The Hom system of graded modules given by their action matrices
+    (``act_ev``, ``act_odd``): maps (A, B) with A b.odd x a.odd and B
+    b.ev x a.ev, variables vec(A) then vec(B).  Returns the sparse integer
+    rows of A phi = phi' B, those of B psi = psi' A, and the variable count."""
+    na = b.odd_dim * a.odd_dim
+    nvars = na + b.ev_dim * a.ev_dim
+    phi_rows = _intertwining_rows(a.act_ev, b.act_ev, 0, na)
+    psi_rows = _intertwining_rows(a.act_odd, b.act_odd, na, 0)
+    return phi_rows, psi_rows, nvars
 
 
 def _sparse(v) -> dict:

@@ -11,24 +11,36 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain, product
 from math import factorial
 
 from .clifford import CliffordElement, grade_parts, multiply
-from .errors import InvariantError, PreconditionError
+from .errors import (
+    InvariantError,
+    PreconditionError,
+    SpanError,
+    SpinorError,
+    StandardizationUnavailable,
+)
 from .exactalg import (
     Mat,
     ZERO,
     binomial_upoly,
     mat_invertible,
-    mat_rank_kernel,
     monomial_count,
     mult_map_rank,
-    _int_row,
+    _hom_system,
     _kernel_from_sparse_echelon,
 )
 from . import _kernels
-from .quadform import Subspace, radical_basis, standardize, sub_intersection
-from .spinor import IdealModule, MatrixFactorization, build_ideal, shift
+from .quadform import radical_basis, standardize, sub_intersection
+from .spinor import (
+    IdealModule,
+    MatrixFactorization,
+    build_ideal,
+    recover_intersection_with_radical,
+    shift,
+)
 
 DEFAULT_SEED = 20103
 
@@ -47,40 +59,6 @@ class GradedHom:
         self.dimension = len(self.basis)
         self.crosscheck_dimension = crosscheck_dimension
         self.companion_identity_holds = companion
-
-
-def _intertwining_rows(lefts, rights, x_at, y_at):
-    """Sparse integer rows of X L - R Y = 0 for each pair (L, R) of
-    ``lefts`` and ``rights``: X is R.rows x L.rows with vec(X) starting at
-    variable ``x_at``, Y is R.cols x L.cols with vec(Y) starting at
-    ``y_at``.  Equation (r, c) reads column c of L and row r of R, so the
-    nonzeros of each are listed once per pair; all-zero rows are dropped."""
-    rows = []
-    for left, right in zip(lefts, rights):
-        m, k, q = left.rows, left.cols, right.cols
-        lv, rv = left.entries, right.entries
-        lcols = [[(t, lv[t * k + c]) for t in range(m) if lv[t * k + c]]
-                 for c in range(k)]
-        rrows = [[(y_at + t * k, -rv[r * q + t]) for t in range(q) if rv[r * q + t]]
-                 for r in range(right.rows)]
-        for r, rrow in enumerate(rrows):
-            xr = x_at + r * m
-            for c, lcol in enumerate(lcols):
-                if lcol or rrow:
-                    rows.append(_int_row([(xr + t, v) for t, v in lcol]
-                                         + [(j + c, v) for j, v in rrow]))
-    return rows
-
-
-def _hom_system(a, b):
-    """The Hom system for (A, B); A is b.odd x a.odd, B is b.ev x a.ev,
-    variables vec(A) then vec(B).  Returns the sparse integer rows of
-    A phi = phi' B, those of B psi = psi' A, and the variable count."""
-    na = b.odd_dim * a.odd_dim
-    nvars = na + b.ev_dim * a.ev_dim
-    phi_rows = _intertwining_rows(a.act_ev, b.act_ev, 0, na)
-    psi_rows = _intertwining_rows(a.act_odd, b.act_odd, na, 0)
-    return phi_rows, psi_rows, nvars
 
 
 def hom_space(a, b) -> GradedHom:
@@ -115,27 +93,6 @@ def hom_space(a, b) -> GradedHom:
     return GradedHom(a, b, basis, dim2, companion)
 
 
-def ann_in_v(module) -> Subspace:
-    """Vectors of V annihilating the module, from the action matrices."""
-    n = module.space.n
-    rows = []
-    for mats in (module.act_ev, module.act_odd):
-        if not mats:
-            continue
-        r0 = mats[0].rows
-        c0 = mats[0].cols
-        for rr in range(r0):
-            for cc in range(c0):
-                row = [mats[i][rr, cc] for i in range(n)]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return Subspace(module.space,
-                        [module.space.basis_vector(i) for i in range(n)])
-    _, kernel = mat_rank_kernel(Mat.from_rows(rows))
-    return Subspace(module.space, kernel)
-
-
 class IsoVerdict:
     __slots__ = ("kind", "reason", "certificate")
 
@@ -157,64 +114,45 @@ def _is_intertwiner(a, b, A, B) -> bool:
     return True
 
 
+def _invertible_pair(A, B):
+    """(A, B, A^-1, B^-1) when both are invertible, else None."""
+    ai = mat_invertible(A)
+    if ai is None:
+        return None
+    bi = mat_invertible(B)
+    if bi is None:
+        return None
+    return (A, B, ai, bi)
+
+
+def _combine(hom, coeffs):
+    """The pair sum_k coeffs[k] * hom.basis[k]."""
+    A = Mat.zeros(*_shape(hom, 0))
+    B = Mat.zeros(*_shape(hom, 1))
+    for c, (HA, HB) in zip(coeffs, hom.basis):
+        if c:
+            A = A + HA.scale(c)
+            B = B + HB.scale(c)
+    return A, B
+
+
 def _search_invertible(hom, rng, tries=200):
     """Look for an invertible pair in the hom space: basis elements, then
     small integer sweeps, then seeded random combinations."""
     d = hom.dimension
     if d == 0:
         return None
-
-    def check(A, B):
-        ai = mat_invertible(A)
-        if ai is None:
-            return None
-        bi = mat_invertible(B)
-        if bi is None:
-            return None
-        return (A, B, ai, bi)
-
     for A, B in hom.basis:
-        got = check(A, B)
+        got = _invertible_pair(A, B)
         if got:
             return got
-    if d <= 6:
-        coeffs = [0] * d
-
-        def sweep(pos):
-            if pos == d:
-                if all(c == 0 for c in coeffs):
-                    return None
-                A = Mat.zeros(*_shape(hom, 0))
-                B = Mat.zeros(*_shape(hom, 1))
-                for c, (HA, HB) in zip(coeffs, hom.basis):
-                    if c:
-                        A = A + HA.scale(c)
-                        B = B + HB.scale(c)
-                return check(A, B)
-            for c in (1, -1, 0):
-                coeffs[pos] = c
-                got = sweep(pos + 1)
-                if got:
-                    return got
-            coeffs[pos] = 0
-            return None
-
-        got = sweep(0)
-        if got:
-            return got
-    for _ in range(tries):
-        cs = [rng.randint(-9, 9) for _ in range(d)]
-        if all(c == 0 for c in cs):
-            continue
-        A = Mat.zeros(*_shape(hom, 0))
-        B = Mat.zeros(*_shape(hom, 1))
-        for c, (HA, HB) in zip(cs, hom.basis):
-            if c:
-                A = A + HA.scale(c)
-                B = B + HB.scale(c)
-        got = check(A, B)
-        if got:
-            return got
+    sweep = product((1, -1, 0), repeat=d) if d <= 6 else ()
+    randoms = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(tries))
+    for cs in chain(sweep, randoms):
+        if any(cs):
+            got = _invertible_pair(*_combine(hom, cs))
+            if got:
+                return got
     return None
 
 
@@ -235,7 +173,7 @@ def _family_certificate(a, b):
         return None
     try:
         std = standardize(a.space, a.w)
-    except Exception:
+    except SpinorError:
         return None
     try:
         module = build_ideal(std.space_std, std.w_std)
@@ -273,27 +211,12 @@ def _orthogonal_shift_witness(a, b, rng):
             continue
         uelt = CliffordElement.from_vector(space, u)
         uinv = uelt.scale(Fraction(1) / space.q(u))
-        cols_A = []
-        cols_B = []
-        ok = True
-        for xi in a.odd_basis:
-            c = b.coords_in(1, multiply(xi, uinv))
-            if c is None:
-                ok = False
-                break
-            cols_A.append(c)
-        if not ok:
+        try:
+            A, B = (b.part_matrix(par, (multiply(xi, uinv) for xi in a.part(par)),
+                                  "right multiplication leaves the shift")
+                    for par in (1, 0))
+        except SpanError:
             continue
-        for xi in a.ev_basis:
-            c = b.coords_in(0, multiply(xi, uinv))
-            if c is None:
-                ok = False
-                break
-            cols_B.append(c)
-        if not ok:
-            continue
-        A = Mat.from_cols(cols_A)
-        B = Mat.from_cols(cols_B)
         if not _is_intertwiner(a, b, A, B):
             continue
         if mat_invertible(A) is None or mat_invertible(B) is None:
@@ -313,8 +236,8 @@ def is_isomorphic(a, b, seed: int = DEFAULT_SEED) -> IsoVerdict:
     if a.ev_dim == 0:
         return IsoVerdict("ISO", reason="both modules are zero",
                           certificate={"A": Mat.zeros(0, 0), "B": Mat.zeros(0, 0)})
-    ann_a = ann_in_v(a)
-    ann_b = ann_in_v(b)
+    ann_a = recover_intersection_with_radical(a)
+    ann_b = recover_intersection_with_radical(b)
     if not ann_a.same_span(ann_b):
         return IsoVerdict(
             "NOT_ISO",
@@ -415,8 +338,10 @@ def predict_simplicity(space, w) -> tuple:
     return False, "otherwise"
 
 
-def simplicity_verdict(i: IdealModule) -> SimplicityVerdict:
-    end = hom_space(i, i)
+def simplicity_verdict(i: IdealModule, end: GradedHom | None = None) -> SimplicityVerdict:
+    """End(i) decides simplicity; ``end`` is that space when already computed."""
+    if end is None:
+        end = hom_space(i, i)
     computed = end.dimension == 1
     predicted, case = predict_simplicity(i.space, i.w)
     return SimplicityVerdict(end.dimension, computed, predicted, case)
@@ -571,7 +496,7 @@ def _irreducibility_certificate(i: IdealModule):
     reduction argument for maximal w; returns the checklist or None."""
     try:
         std = standardize(i.space, i.w)
-    except Exception:
+    except (PreconditionError, StandardizationUnavailable):
         return None
     space = std.space_std
     module = build_ideal(space, std.w_std)
@@ -717,8 +642,6 @@ def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED, tries: int = 100)
 
     candidates = []
     if d <= 6:
-        from itertools import product
-
         halves = (ZERO, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
         candidates = list(product(halves, repeat=d))
     rng = random.Random(seed)
@@ -727,15 +650,9 @@ def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED, tries: int = 100)
             Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(d)
         ))
     for cs in candidates:
-        cs = tuple(cs)
         if all(c == 0 for c in cs):
             continue
-        A = Mat.zeros(*_shape(end, 0))
-        B = Mat.zeros(*_shape(end, 1))
-        for c, (HA, HB) in zip(cs, end.basis):
-            if c:
-                A = A + HA.scale(c)
-                B = B + HB.scale(c)
+        A, B = _combine(end, cs)
         if is_nontrivial_idem(A, B):
             return {"A": A, "B": B, "coeffs": cs}
     return None

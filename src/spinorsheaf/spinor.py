@@ -19,14 +19,18 @@ from .clifford import (
     conjugate_subspace,
     multiply,
 )
-from .errors import InvariantError, PreconditionError, SpanError
+from . import _kernels
+from .errors import InvariantError, PreconditionError, SchemaError, SpanError
 from .exactalg import (
     LinMat,
     Mat,
+    ONE,
     SpanSolver,
-    ZERO,
+    _hom_system,
+    _int_row,
     mat_invertible,
     mat_rank,
+    mat_rank_kernel,
     mat_solve,
     rref_rows,
     vec,
@@ -99,23 +103,45 @@ class IdealModule:
         None when it lies outside."""
         return self._solver(parity).coords(element.terms)
 
+    def part(self, parity):
+        """Canonical basis of the even (0) or odd (1) graded part."""
+        return self.ev_basis if parity == 0 else self.odd_basis
+
+    def part_matrix(self, parity, images, what) -> Mat:
+        """The matrix whose columns are the coordinates of ``images`` in the
+        given graded part; an image outside it raises SpanError(what)."""
+        solver = self._solver(parity)
+        cols = []
+        for image in images:
+            coords = solver.coords(image.terms)
+            if coords is None:
+                raise SpanError(what, witness=image)
+            cols.append(coords)
+        dim = self.ev_dim if parity == 0 else self.odd_dim
+        return Mat(dim, len(cols), chain.from_iterable(zip(*cols)))
+
+    def _left_action(self, parity):
+        """Matrices of left multiplication by each e_i on one graded part."""
+        space = self.space
+        out = []
+        for i in range(space.n):
+            velt = CliffordElement.from_vector(space, space.basis_vector(i))
+            out.append(self.part_matrix(1 - parity,
+                                        (multiply(velt, xi) for xi in self.part(parity)),
+                                        "left action leaves the module"))
+        return tuple(out)
+
     @property
     def act_ev(self):
         """Matrices of left multiplication by e_i: ev part -> odd part."""
         if self._act_ev is None:
-            self._act_ev = tuple(
-                _action_matrix(self.space, i, self.ev_basis, self._solver(1), self.odd_dim)
-                for i in range(self.space.n)
-            )
+            self._act_ev = self._left_action(0)
         return self._act_ev
 
     @property
     def act_odd(self):
         if self._act_odd is None:
-            self._act_odd = tuple(
-                _action_matrix(self.space, i, self.odd_basis, self._solver(0), self.ev_dim)
-                for i in range(self.space.n)
-            )
+            self._act_odd = self._left_action(1)
         return self._act_odd
 
     def same_module(self, other) -> bool:
@@ -123,25 +149,13 @@ class IdealModule:
             isinstance(other, IdealModule)
             and self.space == other.space
             and self.shift == other.shift
-            and [x.coords() for x in self.ev_basis] == [x.coords() for x in other.ev_basis]
-            and [x.coords() for x in self.odd_basis] == [x.coords() for x in other.odd_basis]
+            and [x.terms for x in self.ev_basis] == [x.terms for x in other.ev_basis]
+            and [x.terms for x in self.odd_basis] == [x.terms for x in other.odd_basis]
         )
 
     def __repr__(self):
         tag = "[1]" if self.shift else ""
         return f"IdealModule(dim W={self.w.dim}, N={self.ev_dim}){tag}"
-
-
-def _action_matrix(space, i, domain, codomain_solver, codomain_dim):
-    velt = CliffordElement.from_vector(space, space.basis_vector(i))
-    cols = []
-    for xi in domain:
-        image = multiply(velt, xi)
-        coords = codomain_solver.coords(image.terms)
-        if coords is None:
-            raise SpanError("left action leaves the module", witness=image)
-        cols.append(coords)
-    return Mat(codomain_dim, len(cols), chain.from_iterable(zip(*cols)))
 
 
 def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
@@ -361,50 +375,27 @@ def flag_sequence(space: QuadraticSpace, w: Subspace, drop) -> FlagSequence:
     inner = build_ideal(space, Subspace(space, list(w_prime.basis) + [drop]))
     outer = build_ideal(space, w_prime)
 
-    def inclusion(par):
-        basis = inner.ev_basis if par == 0 else inner.odd_basis
-        cols = []
-        for xi in basis:
-            c = outer.coords_in(par, xi)
-            if c is None:
-                raise SpanError("inner module does not embed", witness=xi)
-            cols.append(c)
-        dim = outer.ev_dim if par == 0 else outer.odd_dim
-        return Mat.from_cols(cols) if cols else Mat.zeros(dim, 0)
-
-    inc_ev = inclusion(0)
-    inc_odd = inclusion(1)
-
+    inc_ev, inc_odd = (
+        outer.part_matrix(par, inner.part(par), "inner module does not embed")
+        for par in (0, 1)
+    )
     drop_elt = CliffordElement.from_vector(space, drop)
-
-    def quotient(par):
-        basis = outer.ev_basis if par == 0 else outer.odd_basis
-        cols = []
-        for xi in basis:
-            image = multiply(xi, drop_elt)
-            c = inner.coords_in(1 - par, image)
-            if c is None:
-                raise SpanError("right multiplication leaves the flag", witness=image)
-            cols.append(c)
-        dim = inner.odd_dim if par == 0 else inner.ev_dim
-        return Mat.from_cols(cols) if cols else Mat.zeros(dim, 0)
-
-    q_ev = quotient(0)   # outer ev -> inner odd
-    q_odd = quotient(1)  # outer odd -> inner ev
+    # outer ev -> inner odd and outer odd -> inner ev
+    q_ev, q_odd = (
+        inner.part_matrix(1 - par, (multiply(xi, drop_elt) for xi in outer.part(par)),
+                          "right multiplication leaves the flag")
+        for par in (0, 1)
+    )
 
     exact = True
-    # injectivity, vanishing composite, middle exactness, surjectivity
+    # injectivity, vanishing composite, surjectivity, middle exactness
     for inc, q, inner_dim, outer_dim in (
         (inc_ev, q_ev, inner.ev_dim, outer.ev_dim),
         (inc_odd, q_odd, inner.odd_dim, outer.odd_dim),
     ):
-        if mat_rank(inc) != inner_dim:
-            exact = False
-        if not (q @ inc).is_zero():
-            exact = False
-        if mat_rank(q) != inner_dim:
-            exact = False
-        if mat_rank(inc) + mat_rank(q) != outer_dim:
+        rank_inc, rank_q = mat_rank(inc), mat_rank(q)
+        if (rank_inc != inner_dim or not (q @ inc).is_zero()
+                or rank_q != inner_dim or rank_inc + rank_q != outer_dim):
             exact = False
 
     rad = radical_basis(space)
@@ -431,106 +422,38 @@ def flag_sequence(space: QuadraticSpace, w: Subspace, drop) -> FlagSequence:
 def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
     """Is there a graded Cl-linear section of the quotient map?
 
-    The section sigma has components s_ev: inner_odd -> outer_ev and
-    s_odd: inner_ev -> outer_odd (the target of the quotient is the
-    shifted inner module).  Constraints: Cl-linearity against every
-    coordinate vector and q . sigma = id.
+    A section is a graded module map inner[1] -> outer, so its unknowns
+    and its Cl-linearity rows are those of the Hom system of
+    (inner[1], outer): A = s_odd: inner_ev -> outer_odd, then
+    B = s_ev: inner_odd -> outer_ev.  The rows of q_odd A = id and
+    q_ev B = id carry their right-hand side in the extra column nvars, and
+    the system is inconsistent exactly when that column is a pivot.
     """
-    n = inner.space.n
-    a_rows, a_cols = outer.ev_dim, inner.odd_dim
-    b_rows, b_cols = outer.odd_dim, inner.ev_dim
-    nvars = a_rows * a_cols + b_rows * b_cols
-
-    def a_index(r, c):
-        return r * a_cols + c
-
-    def b_index(r, c):
-        return a_rows * a_cols + r * b_cols + c
-
-    rows = []
-    rhs = []
-
-    def add_row(coeffs, target):
-        row = [ZERO] * nvars
-        for idx, val in coeffs:
-            row[idx] += val
-        rows.append(row)
-        rhs.append(target)
-
-    # Cl-linearity: outer.act_ev[i] @ s_ev = s_odd @ inner.act_odd[i]
-    # (left mult by e_i maps inner_odd -> inner_ev, i.e. shifted ev -> odd)
-    for i in range(n):
-        oa = outer.act_ev[i]
-        ia = inner.act_odd[i]
-        for r in range(b_rows):
-            for c in range(a_cols):
-                coeffs = []
-                for t in range(a_rows):
-                    v = oa[r, t]
-                    if v:
-                        coeffs.append((a_index(t, c), v))
-                for t in range(b_cols):
-                    v = ia[t, c]
-                    if v:
-                        coeffs.append((b_index(r, t), -v))
-                add_row(coeffs, ZERO)
-        ob = outer.act_odd[i]
-        ib = inner.act_ev[i]
-        for r in range(a_rows):
-            for c in range(b_cols):
-                coeffs = []
-                for t in range(b_rows):
-                    v = ob[r, t]
-                    if v:
-                        coeffs.append((b_index(t, c), v))
-                for t in range(a_cols):
-                    v = ib[t, c]
-                    if v:
-                        coeffs.append((a_index(r, t), -v))
-                add_row(coeffs, ZERO)
-
-    # section property: q_ev @ s_ev = id, q_odd @ s_odd = id
-    for r in range(a_cols):
-        for c in range(a_cols):
-            coeffs = []
-            for t in range(a_rows):
-                v = q_ev[r, t]
-                if v:
-                    coeffs.append((a_index(t, c), v))
-            add_row(coeffs, Fraction(1) if r == c else ZERO)
-    for r in range(b_cols):
-        for c in range(b_cols):
-            coeffs = []
-            for t in range(b_rows):
-                v = q_odd[r, t]
-                if v:
-                    coeffs.append((b_index(t, c), v))
-            add_row(coeffs, Fraction(1) if r == c else ZERO)
-
-    return mat_solve(Mat.from_rows(rows), rhs) is not None
+    phi_rows, psi_rows, nvars = _hom_system(shift(inner), outer)
+    rows = phi_rows + psi_rows
+    for q, at in ((q_odd, 0), (q_ev, outer.odd_dim * inner.ev_dim)):
+        k = q.rows
+        for r in range(k):
+            row = [(at + t * k, v) for t, v in enumerate(q.row(r)) if v]
+            for c in range(k):
+                pairs = [(j + c, v) for j, v in row]
+                if r == c:
+                    pairs.append((nvars, ONE))
+                if pairs:
+                    rows.append(_int_row(pairs))
+    return nvars not in _kernels.sparse_echelon(rows)
 
 
-def recover_intersection_with_radical(i: IdealModule) -> Subspace:
-    """{v in V : v annihilates the module} computed exactly; equals the
-    intersection of w with the radical."""
-    space = i.space
-    dim = 1 << space.n
-    rows = []
-    for xi in list(i.ev_basis) + list(i.odd_basis):
-        images = []
-        for t in range(space.n):
-            velt = CliffordElement.from_vector(space, space.basis_vector(t))
-            images.append(multiply(velt, xi).coords())
-        for c in range(dim):
-            row = [images[t][c] for t in range(space.n)]
-            if any(row):
-                rows.append(row)
+def recover_intersection_with_radical(module) -> Subspace:
+    """{v in V : v annihilates the module}, from the action matrices: the
+    kernel of v -> sum_i v_i act[i] on both graded parts.  For an ideal
+    module it equals the intersection of w with the radical."""
+    space = module.space
+    rows = [r for mats in (module.act_ev, module.act_odd)
+            for r in zip(*(m.entries for m in mats)) if any(r)]
     if not rows:
         return Subspace(space, [space.basis_vector(t) for t in range(space.n)])
-    from .exactalg import mat_rank_kernel
-
-    _, kernel = mat_rank_kernel(Mat.from_rows(rows))
-    return Subspace(space, kernel)
+    return Subspace(space, mat_rank_kernel(Mat.from_rows(rows))[1])
 
 
 def family_indicator(i: IdealModule) -> str:
@@ -565,14 +488,8 @@ class RestrictVerdict:
                  "bijective", "linear")
 
     def __init__(self, **kw):
-        self.kind = kw.get("kind")
-        self.codim_u = kw.get("codim_u")
-        self.parity = kw.get("parity")
-        self.restricted = kw.get("restricted")
-        self.map_ev = kw.get("map_ev")
-        self.map_odd = kw.get("map_odd")
-        self.bijective = kw.get("bijective")
-        self.linear = kw.get("linear")
+        for k in self.__slots__:
+            setattr(self, k, kw.get(k))
 
     @property
     def matches(self) -> str:
@@ -620,7 +537,7 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     )
     try:
         space_u = QuadraticSpace(gram_u)
-    except Exception as exc:
+    except SchemaError as exc:
         raise PreconditionError(f"restricted form is degenerate: {exc}") from exc
     # W cap U in U coordinates
     ucol_mat = Mat.from_cols(ucols)
@@ -652,47 +569,41 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     # the adapted module is the same ideal as i (basis change rescales the
     # generator), so coordinates may be taken in i's bases
     adapted = build_ideal(space, Subspace(space, list(cap.basis) + rest))
-    if [x.coords() for x in adapted.ev_basis] != [x.coords() for x in i.ev_basis]:
+    if [x.terms for x in adapted.ev_basis] != [x.terms for x in i.ev_basis]:
         raise InvariantError("the adapted basis of W gives a different ideal")
 
-    def tau(par):
-        basis = restricted.ev_basis if par == 0 else restricted.odd_basis
-        out_par = (par + shift_amount) % 2
-        cols = []
-        for xi in basis:
-            image = multiply(_embed_element(space, ucols, xi), tail)
-            c = i.coords_in(out_par, image)
-            if c is None:
-                raise SpanError("comparison map leaves the module", witness=image)
-            cols.append(c)
-        dim = i.ev_dim if out_par == 0 else i.odd_dim
-        return Mat.from_cols(cols) if cols else Mat.zeros(dim, 0)
-
-    map_ev = tau(0)
-    map_odd = tau(1)
-    bijective = (
-        mat_invertible(map_ev) is not None and mat_invertible(map_odd) is not None
-    )
-
-    linear = True
-    for t in range(space_u.n):
-        ut_small = CliffordElement.from_vector(space_u, space_u.basis_vector(t))
-        ut_big = CliffordElement.from_vector(space, ucols[t])
-        for xi in list(restricted.ev_basis) + list(restricted.odd_basis):
-            lhs = multiply(_embed_element(space, ucols, multiply(ut_small, xi)), tail)
-            rhs = multiply(ut_big, multiply(_embed_element(space, ucols, xi), tail))
-            if lhs != rhs:
-                linear = False
+    pairs = [(CliffordElement.from_vector(space_u, space_u.basis_vector(t)),
+              CliffordElement.from_vector(space, ucols[t])) for t in range(space_u.n)]
     return RestrictVerdict(
         kind="ISOMORPHIC",
         codim_u=codim_u,
         parity=codim_u % 2,
         restricted=restricted,
-        map_ev=map_ev,
-        map_odd=map_odd,
-        bijective=bijective,
-        linear=linear,
+        **_tail_comparison(restricted, i, ucols, tail, shift_amount, pairs,
+                           "comparison map leaves the module"),
     )
+
+
+def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
+    """The map tau: x -> embed(x) * tail from the module ``small`` (on the
+    space whose basis ``cols`` embeds) into ``big`` shifted by ``d``.
+    Returns its two graded matrices (``map_ev``, ``map_odd``), whether both
+    are invertible (``bijective``), and whether tau(s x) = b tau(x) for
+    every pair (s, b) of ``vector_pairs`` (``linear``)."""
+    space = big.space
+    images = [[multiply(_embed_element(space, cols, xi), tail) for xi in small.part(par)]
+              for par in (0, 1)]
+    map_ev, map_odd = (big.part_matrix((par + d) % 2, images[par], what) for par in (0, 1))
+    bijective = (
+        mat_invertible(map_ev) is not None and mat_invertible(map_odd) is not None
+    )
+    linear = all(
+        multiply(_embed_element(space, cols, multiply(s, xi)), tail) == multiply(b, image)
+        for s, b in vector_pairs
+        for par in (0, 1)
+        for xi, image in zip(small.part(par), images[par])
+    )
+    return {"map_ev": map_ev, "map_odd": map_odd, "bijective": bijective, "linear": linear}
 
 
 class ConeVerdict:
@@ -737,43 +648,15 @@ def cone_compare(i_quotient: IdealModule, qs: QuotientSpace) -> ConeVerdict:
     tail = CliffordElement.scalar(space, 1)
     for v in u.basis:
         tail = multiply(tail, CliffordElement.from_vector(space, v))
-
-    def tau(par):
-        basis = i_quotient.ev_basis if par == 0 else i_quotient.odd_basis
-        out_par = (par + d) % 2
-        cols = []
-        for xi in basis:
-            image = multiply(_embed_element(space, section_cols, xi), tail)
-            c = total.coords_in(out_par, image)
-            if c is None:
-                raise SpanError("cone comparison leaves the module", witness=image)
-            cols.append(c)
-        dim = total.ev_dim if out_par == 0 else total.odd_dim
-        return Mat.from_cols(cols) if cols else Mat.zeros(dim, 0)
-
-    map_ev = tau(0)
-    map_odd = tau(1)
-    bijective = (
-        mat_invertible(map_ev) is not None and mat_invertible(map_odd) is not None
-    )
-    linear = True
-    for t in range(space.n):
-        pi_e = qs.project(space.basis_vector(t))
-        small = CliffordElement.from_vector(qs.space, pi_e)
-        big = CliffordElement.from_vector(space, space.basis_vector(t))
-        for xi in list(i_quotient.ev_basis) + list(i_quotient.odd_basis):
-            lhs = multiply(_embed_element(space, section_cols, multiply(small, xi)), tail)
-            rhs = multiply(big, multiply(_embed_element(space, section_cols, xi), tail))
-            if lhs != rhs:
-                linear = False
+    pairs = [(CliffordElement.from_vector(qs.space, qs.project(space.basis_vector(t))),
+              CliffordElement.from_vector(space, space.basis_vector(t)))
+             for t in range(space.n)]
     return ConeVerdict(
         dim_u=d,
         parity=d % 2,
         total=total,
-        map_ev=map_ev,
-        map_odd=map_odd,
-        bijective=bijective,
-        linear=linear,
+        **_tail_comparison(i_quotient, total, section_cols, tail, d, pairs,
+                           "cone comparison leaves the module"),
     )
 
 
@@ -837,7 +720,8 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = 20103, extra: int =
 
 
 class EquivarianceVerdict:
-    __slots__ = ("parity", "target_shifted", "bijective", "linear", "twisted")
+    __slots__ = ("parity", "target_shifted", "bijective", "linear", "twisted",
+                 "rho", "sigma")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -849,9 +733,10 @@ class EquivarianceVerdict:
 
 
 def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
-    """Verify that right multiplication by g^{-1} is a Cl-linear bijection
-    onto the module of gWg^{-1} (shifted for odd g) and that conjugation
-    satisfies the twisted commuting square with the reflected vectors."""
+    """Verify that right multiplication by g^{-1} (rho) is a Cl-linear
+    bijection onto the module of gWg^{-1} (shifted for odd g) and that
+    conjugation (sigma) satisfies the twisted commuting square with the
+    reflected vectors."""
     space = i.space
     w_prime = conjugate_subspace(g, i.w)
     iprime = build_ideal(space, w_prime)
@@ -860,20 +745,11 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     ginv = g.inverse_element
     gelt = g.as_element
 
-    def rho(src_par):
-        basis = i.ev_basis if src_par == 0 else i.odd_basis
-        cols = []
-        for xi in basis:
-            image = multiply(xi, ginv)
-            c = target.coords_in(src_par, image)
-            if c is None:
-                raise SpanError("right multiplication misses the target", witness=image)
-            cols.append(c)
-        dim = target.ev_dim if src_par == 0 else target.odd_dim
-        return Mat.from_cols(cols) if cols else Mat.zeros(dim, 0)
-
-    rho_ev = rho(0)
-    rho_odd = rho(1)
+    rho_ev, rho_odd = (
+        target.part_matrix(p, (multiply(xi, ginv) for xi in i.part(p)),
+                           "right multiplication misses the target")
+        for p in (0, 1)
+    )
     bijective = (
         mat_invertible(rho_ev) is not None and mat_invertible(rho_odd) is not None
     )
@@ -886,28 +762,16 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
 
     # twisted square: conjugation sigma(xi) = g xi g^{-1} lands in the
     # unshifted module of gWg^{-1} and intertwines phi(v) with phi'(gvg^{-1})
-    def sigma(src_par):
-        basis = i.ev_basis if src_par == 0 else i.odd_basis
-        cols = []
-        for xi in basis:
-            image = multiply(gelt, multiply(xi, ginv))
-            c = iprime.coords_in(src_par, image)
-            if c is None:
-                raise SpanError("conjugation misses the target", witness=image)
-            cols.append(c)
-        dim = iprime.ev_dim if src_par == 0 else iprime.odd_dim
-        return Mat.from_cols(cols) if cols else Mat.zeros(dim, 0)
-
-    sig_ev = sigma(0)
-    sig_odd = sigma(1)
+    sig_ev, sig_odd = (
+        iprime.part_matrix(p, (multiply(gelt, multiply(xi, ginv)) for xi in i.part(p)),
+                           "conjugation misses the target")
+        for p in (0, 1)
+    )
+    phi_prime = LinMat(space.n, iprime.act_ev)
     twisted = True
     for t in range(space.n):
         gv = g.conjugate_vector(space.basis_vector(t))
-        phi_prime_gv = Mat.zeros(iprime.odd_dim, iprime.ev_dim)
-        for j, x in enumerate(gv):
-            if x:
-                phi_prime_gv = phi_prime_gv + iprime.act_ev[j].scale(x)
-        if phi_prime_gv @ sig_ev != sig_odd @ i.act_ev[t]:
+        if phi_prime.evaluate(gv) @ sig_ev != sig_odd @ i.act_ev[t]:
             twisted = False
     return EquivarianceVerdict(
         parity=par,
@@ -915,4 +779,6 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
         bijective=bijective,
         linear=linear,
         twisted=twisted,
+        rho=(rho_ev, rho_odd),
+        sigma=(sig_ev, sig_odd),
     )

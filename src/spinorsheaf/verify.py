@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from functools import cached_property
 
 from .clifford import CliffordElement, GroupElement, trace_form
 from .errors import SpinorError
@@ -137,6 +138,29 @@ def default_group_elements(space):
     return evens, odd
 
 
+class _Run:
+    """What the suites of one run share: the module, its factorization,
+    and, computed on first use, the flag sequence and End(module)."""
+
+    def __init__(self, fx, seed, window):
+        self.fx = fx
+        self.seed = seed
+        self.window = window
+        self.module = build_ideal(fx.space, fx.w)
+        self.mf = build_factorization(self.module)
+
+    @cached_property
+    def flag(self):
+        """The fixture's flag sequence, or None when it names no flag."""
+        if self.fx.flag_drop is None:
+            return None
+        return flag_sequence(self.fx.space, self.fx.w, self.fx.flag_drop)
+
+    @cached_property
+    def end(self):
+        return hom_space(self.module, self.module)
+
+
 def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED,
               window: int = 6) -> Report:
     if suite != "all" and suite not in SUITES:
@@ -144,15 +168,15 @@ def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED,
     chosen = SUITES if suite == "all" else (suite,)
     report = Report(fx.label, suite, seed)
     t0 = time.perf_counter()
-    module = build_ideal(fx.space, fx.w)
-    mf = build_factorization(module)
+    run = _Run(fx, seed, window)
     for name in chosen:
-        _RUNNERS[name](fx, module, mf, report, seed, window)
+        _RUNNERS[name](run, report)
     report.timing = time.perf_counter() - t0
     return report
 
 
-def _run_construction(fx, module, mf, report, seed, window):
+def _run_construction(run, report):
+    fx, module, mf, seed = run.fx, run.module, run.mf, run.seed
     c = module.codim
     report.add(
         "dimension_law",
@@ -183,7 +207,8 @@ def _run_construction(fx, module, mf, report, seed, window):
                points=len(points), strata=strata)
 
 
-def _run_dependence(fx, module, mf, report, seed, window):
+def _run_dependence(run, report):
+    fx, module, seed = run.fx, run.module, run.seed
     space = fx.space
     rad = radical_basis(space)
     expected = sub_intersection(fx.w, rad)
@@ -203,7 +228,7 @@ def _run_dependence(fx, module, mf, report, seed, window):
                    computed=verdict.kind, reason=verdict.reason,
                    predicted_iso=predicted_shift_iso)
 
-    end = hom_space(module, module)
+    end = run.end
     report.add(
         "hom_route_crosscheck",
         _verdict(end.dimension == end.crosscheck_dimension
@@ -211,8 +236,8 @@ def _run_dependence(fx, module, mf, report, seed, window):
         dim=end.dimension,
     )
 
-    if fx.flag_drop is not None:
-        fl = flag_sequence(space, fx.w, fx.flag_drop)
+    fl = run.flag
+    if fl is not None:
         report.add("flag_exactness", _verdict(fl.exact),
                    inner_N=fl.inner.ev_dim, outer_N=fl.outer.ev_dim)
         report.add("flag_split_agreement", _verdict(fl.split_agree),
@@ -233,8 +258,8 @@ def _run_dependence(fx, module, mf, report, seed, window):
                factors=[list(f) for f in odd.factors])
 
 
-def _run_dual(fx, module, mf, report, seed, window):
-    space = fx.space
+def _run_dual(run, report):
+    space, module, mf = run.fx.space, run.module, run.mf
     n = space.n
     monos = [CliffordElement(space, {m: Fraction(1)}) for m in range(1 << n)]
     gram = Mat.from_rows([[trace_form(a, b) for b in monos] for a in monos])
@@ -250,7 +275,7 @@ def _run_dual(fx, module, mf, report, seed, window):
     else:
         target = FactorizationPair(space, mf.psi, mf.phi)
         expected = "swap"
-    cert = factorization_equivalent(dual, target, seed=seed)
+    cert = factorization_equivalent(dual, target, seed=run.seed)
     if cert is None:
         report.add("dual_parity_equivalence", "UNDECIDED", expected=expected)
     else:
@@ -258,7 +283,8 @@ def _run_dual(fx, module, mf, report, seed, window):
                    certificate={"A": cert["A"], "B": cert["B"]})
 
 
-def _run_sections(fx, module, mf, report, seed, window):
+def _run_sections(run, report):
+    fx, module, mf, window = run.fx, run.module, run.mf, run.window
     if fx.section_subspace is not None:
         u = Subspace(fx.space, fx.section_subspace)
         verdict = restrict_compare(module, u)
@@ -290,7 +316,8 @@ def _run_sections(fx, module, mf, report, seed, window):
         report.add("acm_vanishing", _verdict(ok), window=window)
 
 
-def _run_stability(fx, module, mf, report, seed, window):
+def _run_stability(run, report):
+    module, mf, window = run.module, run.mf, run.window
     num = sheaf_numerics(mf)
     if num.torsion_flag:
         report.add("sheaf_numerics", "pass", torsion=True)
@@ -305,7 +332,7 @@ def _run_stability(fx, module, mf, report, seed, window):
             ok = False
     report.add("euler_consistency", _verdict(ok), window=window)
 
-    sv = simplicity_verdict(module)
+    sv = simplicity_verdict(module, end=run.end)
     report.add("simplicity_trichotomy", _verdict(sv.agree),
                end_dim=sv.end_dim, predicted=sv.predicted_simple, case=sv.case)
 
@@ -316,10 +343,10 @@ def _run_stability(fx, module, mf, report, seed, window):
         report.add("irreducibility", "pass", kind=irr.kind,
                    witness=irr.witness, certificate=irr.certificate)
 
-    if fx.flag_drop is not None:
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+    fl = run.flag
+    if fl is not None:
         end = hom_space(fl.outer, fl.outer)
-        probe = idempotent_probe(end, seed=seed)
+        probe = idempotent_probe(end, seed=run.seed)
         if fl.split_subspace:
             v = "pass" if probe is not None else "UNDECIDED"
             report.add("jordan_hoelder_record", v, split=True,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply
-from spinorsheaf.exactalg import ZERO, Mat, _scaled_int_rows
+from spinorsheaf.exactalg import ZERO, Mat, _scaled_int_rows, mat_solve
 
 
 def dense_rref(vectors, ncols):
@@ -93,3 +93,57 @@ def dense_evaluate(lm, v) -> Mat:
         if x:
             out = out + m.scale(x)
     return out
+
+
+def dense_splitting_exists(inner, outer, q_ev, q_odd) -> bool:
+    """Is there a graded Cl-linear section of the quotient map?  One dense
+    Fraction row per equation (Cl-linearity against every coordinate
+    vector, then q . sigma = id), solved by ``mat_solve``.  The section has
+    components s_ev: inner_odd -> outer_ev and s_odd: inner_ev -> outer_odd."""
+    n = inner.space.n
+    a_rows, a_cols = outer.ev_dim, inner.odd_dim
+    b_rows, b_cols = outer.odd_dim, inner.ev_dim
+    nvars = a_rows * a_cols + b_rows * b_cols
+
+    def a_index(r, c):
+        return r * a_cols + c
+
+    def b_index(r, c):
+        return a_rows * a_cols + r * b_cols + c
+
+    rows = []
+    rhs = []
+
+    def add_row(coeffs, target):
+        row = [ZERO] * nvars
+        for idx, val in coeffs:
+            row[idx] += val
+        rows.append(row)
+        rhs.append(target)
+
+    # outer.act_ev[i] @ s_ev = s_odd @ inner.act_odd[i], and the odd twin
+    for i in range(n):
+        oa, ia = outer.act_ev[i], inner.act_odd[i]
+        for r in range(b_rows):
+            for c in range(a_cols):
+                coeffs = [(a_index(t, c), oa[r, t]) for t in range(a_rows) if oa[r, t]]
+                coeffs += [(b_index(r, t), -ia[t, c]) for t in range(b_cols) if ia[t, c]]
+                add_row(coeffs, ZERO)
+        ob, ib = outer.act_odd[i], inner.act_ev[i]
+        for r in range(a_rows):
+            for c in range(b_cols):
+                coeffs = [(b_index(t, c), ob[r, t]) for t in range(b_rows) if ob[r, t]]
+                coeffs += [(a_index(r, t), -ib[t, c]) for t in range(a_cols) if ib[t, c]]
+                add_row(coeffs, ZERO)
+
+    # q_ev @ s_ev = id, q_odd @ s_odd = id
+    for r in range(a_cols):
+        for c in range(a_cols):
+            coeffs = [(a_index(t, c), q_ev[r, t]) for t in range(a_rows) if q_ev[r, t]]
+            add_row(coeffs, Fraction(1) if r == c else ZERO)
+    for r in range(b_cols):
+        for c in range(b_cols):
+            coeffs = [(b_index(t, c), q_odd[r, t]) for t in range(b_rows) if q_odd[r, t]]
+            add_row(coeffs, Fraction(1) if r == c else ZERO)
+
+    return mat_solve(Mat.from_rows(rows), rhs) is not None

@@ -7,7 +7,6 @@ from spinorsheaf.errors import InvariantError, PreconditionError
 from spinorsheaf.exactalg import Mat, UniPoly, mat_rank, mat_rank_kernel
 from spinorsheaf.fixtures import get_fixture, grid_spaces
 from spinorsheaf.homalg import (
-    ann_in_v,
     cohomology_dim,
     euler_characteristic_matches,
     factorization_equivalent,
@@ -26,6 +25,7 @@ from spinorsheaf.spinor import (
     build_factorization,
     build_ideal,
     flag_sequence,
+    recover_intersection_with_radical,
     shift,
 )
 
@@ -186,8 +186,8 @@ class TestIsIsomorphic:
 
 class TestAnnihilator:
     def test_matches_radical_intersections(self):
-        assert ann_in_v(module("F-H6")).dim == 0
-        got = ann_in_v(module("F-QS"))
+        assert recover_intersection_with_radical(module("F-H6")).dim == 0
+        got = recover_intersection_with_radical(module("F-QS"))
         assert got.dim == 1 and got.contains(e(4, 2))
 
 
@@ -215,6 +215,31 @@ class TestSimplicity:
     def test_predict_only(self):
         fx = get_fixture("F-H6")
         assert predict_simplicity(fx.space, fx.w) == (True, "maximal")
+
+
+class TestSearchInvertible:
+    def test_sweep_visits_coefficients_in_order(self):
+        # every basis pair is singular, and so is the first sweep point
+        # (1, 1, 1); (1, 1, -1) comes before (1, 1, 0), which is invertible too
+        import random
+        from types import SimpleNamespace
+
+        from spinorsheaf.homalg import GradedHom, _search_invertible
+
+        def diag(a, b):
+            return Mat.from_rows([[a, 0], [0, b]])
+
+        shape = SimpleNamespace(ev_dim=2, odd_dim=2)
+        basis = [(diag(a, b), diag(a, b)) for a, b in ((1, 0), (0, 1), (-1, 0))]
+        hom = GradedHom(shape, shape, basis, 3, True)
+        A, B, ai, bi = _search_invertible(hom, random.Random(0))
+        assert A == B == diag(2, 1)
+        assert ai == diag(Fraction(1, 2), 1)
+
+    def test_simplicity_verdict_reuses_a_given_end(self):
+        i = module("F-C5")
+        end = hom_space(i, i)
+        assert simplicity_verdict(i, end=end).end_dim == simplicity_verdict(i).end_dim == 2
 
 
 class TestClosure:

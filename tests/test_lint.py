@@ -22,3 +22,19 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_broad_except_clauses():
+    # a package error is caught by its own type; "except Exception" or a
+    # bare "except:" would also hide programming errors
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(t is None or (isinstance(t, ast.Name)
+                                     and t.id in ("Exception", "BaseException"))
+                       for t in names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -559,5 +559,131 @@ class TestSparseConstruction:
         i = module("F-H6")
         # e_0 maps the even part into the odd part, so reading its images
         # in the even part's basis must fail
+        e0 = CliffordElement.from_vector(i.space, e(6, 0))
         with pytest.raises(SpanError, match="left action leaves the module"):
-            spinor._action_matrix(i.space, 0, i.ev_basis, i._solver(0), i.ev_dim)
+            i.part_matrix(0, [e0 * xi for xi in i.ev_basis], "left action leaves the module")
+
+
+class TestSplittingAgainstDense:
+    """``_splitting_exists`` (the Hom system's rows plus q . sigma = id on
+    one sparse elimination) against the dense Fraction system."""
+
+    def test_every_flag_of_the_grid(self):
+        from dense_oracles import dense_splitting_exists
+
+        seen = set()
+        for space, w in grid_spaces(5):
+            if w.dim < 2:
+                continue
+            for drop in w.basis:
+                fl = flag_sequence(space, w, drop)
+                assert fl.split_module == dense_splitting_exists(
+                    fl.inner, fl.outer, fl.quotient_ev, fl.quotient_odd)
+                seen.add(fl.split_module)
+                # q scaled by 2 needs a section scaled by 1/2, so the
+                # right-hand side meets a denominator; q = 0 leaves rows
+                # whose only entry is the right-hand side
+                for s in (2, 0):
+                    q_ev, q_odd = fl.quotient_ev.scale(s), fl.quotient_odd.scale(s)
+                    got = spinor._splitting_exists(fl.inner, fl.outer, q_ev, q_odd)
+                    assert got == dense_splitting_exists(fl.inner, fl.outer, q_ev, q_odd)
+                    assert got == (fl.split_module if s else False)
+        assert seen == {True, False}
+
+
+# sha256 of the JSON form (``verify.jsonable``) of the module maps that the
+# reports only summarize: the orthogonal shift witness (A, B, u), the
+# restriction and cone maps, and rho and sigma of equivariance_check for
+# each default group element.
+MAP_SHA256 = {
+    "F-C5": {
+        "cone": "2ccf45298674ae7160ad3c6877f5a3bc41e952acaa343e30db3579b39efb0883",
+        "rho_0": "562d203769181137147d7c287f1cea5961edfb22a7aa5b840ce4ba6b17de552e",
+        "rho_1": "737973874bb3226baf5165bfda956141c6dcc7651fff2d3c90d269c624937a84",
+        "rho_2": "036bd038303b2b9aff47c06de0b2e783fe3a9ef1d4fcc778009b4c971a74cd31",
+        "shift_witness": "ad12dfb117ad6a98d6c6ae55025b8ef49ad938997e6b68b7bf8f58390770372e",
+        "sigma_0": "45965457db9a1523fa3bbea694d19413c0e86e8e2c9136c93ea951e9d87e79b3",
+        "sigma_1": "c9a38f9621ca936e456befc76cf0e7632edb50ea0098d93e4f60902dd4954e94",
+        "sigma_2": "036bd038303b2b9aff47c06de0b2e783fe3a9ef1d4fcc778009b4c971a74cd31",
+    },
+    "F-H2": {
+        "rho_0": "f05693e8863e767ac31b6d32a1b7735265bbadcd4d89519f0b700d5e23ded94f",
+        "rho_1": "4549d16a580d0bba486d0c0badd28ea95069616180f5f04b1e73896e516a017c",
+        "rho_2": "4549d16a580d0bba486d0c0badd28ea95069616180f5f04b1e73896e516a017c",
+        "sigma_0": "a21d04337251c4f57d0fbaaf0e746d028dfb656b95a3a35cdbcf1abbe916dc7b",
+        "sigma_1": "a21d04337251c4f57d0fbaaf0e746d028dfb656b95a3a35cdbcf1abbe916dc7b",
+        "sigma_2": "4549d16a580d0bba486d0c0badd28ea95069616180f5f04b1e73896e516a017c",
+    },
+    "F-H6": {
+        "restrict": "2ccf45298674ae7160ad3c6877f5a3bc41e952acaa343e30db3579b39efb0883",
+        "rho_0": "562d203769181137147d7c287f1cea5961edfb22a7aa5b840ce4ba6b17de552e",
+        "rho_1": "2ccf45298674ae7160ad3c6877f5a3bc41e952acaa343e30db3579b39efb0883",
+        "rho_2": "2ccf45298674ae7160ad3c6877f5a3bc41e952acaa343e30db3579b39efb0883",
+        "sigma_0": "e7868c2ee5db526385551f670e1357defd078af4d16f9643563707d68c011915",
+        "sigma_1": "1b5679ad11a3d94efde184ec5c42a2a37cd269b4466338d22e98bb6bc153fa4f",
+        "sigma_2": "2ccf45298674ae7160ad3c6877f5a3bc41e952acaa343e30db3579b39efb0883",
+    },
+    "F-H6a": {
+        "rho_0": "a7d803a235f8f369acf928accbe5ab77557442d160bf51c20387bcfab37bc0fe",
+        "rho_1": "95924e0a1309748f141dab4030d734e7fe0a148f60100f0df9d99add11ebd85a",
+        "rho_2": "1dc0b7be8e0f91c4a7232862bb2144df3fc380d55c4f80ecba2546ba1017b1f3",
+        "shift_witness": "96dd2c309e3113f302bb97e36d883c306d59e4392b40a0599792617ae094303f",
+        "sigma_0": "8ee271e4f027b20f26965ec292e59b7c0c7550d3d636aa6842fc7bfe51eab482",
+        "sigma_1": "86b722a334853129ec5bbfbbbfaa1895d5815e6f4db4510a8c1279cb1ae6e0b1",
+        "sigma_2": "c4861d9ac687d30f5f208c1e491b10b398344f9702b7425736468602e4863b72",
+    },
+    "F-QS": {
+        "rho_0": "4d14154e5f6448e82272be920e24cd62b71cd6b69c6b1dc6cd62db45c97c1e22",
+        "rho_1": "baf8622b6f9a2d2e61c6c9dff15957a99a51657638c784e34e3d8087ea353d9e",
+        "rho_2": "3458a9b0f193daa5c202a61d68f60eff9c8f5f2e2b8df08d4a6344cfc1e37865",
+        "sigma_0": "c72c3f91a12863ef4044613dadd9023e7cc7ffdb5e2b278bedb933f350e6cb18",
+        "sigma_1": "c72c3f91a12863ef4044613dadd9023e7cc7ffdb5e2b278bedb933f350e6cb18",
+        "sigma_2": "3458a9b0f193daa5c202a61d68f60eff9c8f5f2e2b8df08d4a6344cfc1e37865",
+    },
+    "F-QSb": {
+        "rho_0": "4d14154e5f6448e82272be920e24cd62b71cd6b69c6b1dc6cd62db45c97c1e22",
+        "rho_1": "baf8622b6f9a2d2e61c6c9dff15957a99a51657638c784e34e3d8087ea353d9e",
+        "rho_2": "3458a9b0f193daa5c202a61d68f60eff9c8f5f2e2b8df08d4a6344cfc1e37865",
+        "sigma_0": "c72c3f91a12863ef4044613dadd9023e7cc7ffdb5e2b278bedb933f350e6cb18",
+        "sigma_1": "c72c3f91a12863ef4044613dadd9023e7cc7ffdb5e2b278bedb933f350e6cb18",
+        "sigma_2": "3458a9b0f193daa5c202a61d68f60eff9c8f5f2e2b8df08d4a6344cfc1e37865",
+    },
+}
+
+
+def _module_map_digests(label):
+    import hashlib
+    import json
+    import random
+
+    from spinorsheaf.exactalg import rref_rows
+    from spinorsheaf.homalg import DEFAULT_SEED, _orthogonal_shift_witness
+    from spinorsheaf.verify import default_group_elements, jsonable
+
+    fx = get_fixture(label)
+    m = build_ideal(fx.space, fx.w)
+    maps = {}
+    witness = _orthogonal_shift_witness(m, shift(m), random.Random(DEFAULT_SEED))
+    if witness is not None:
+        maps["shift_witness"] = list(witness)
+    if fx.section_subspace is not None:
+        v = restrict_compare(m, Subspace(fx.space, fx.section_subspace))
+        if v.kind == "ISOMORPHIC":
+            maps["restrict"] = [v.map_ev, v.map_odd]
+    if fx.cone_mod is not None:
+        qs = quotient_space(fx.space, Subspace(fx.space, fx.cone_mod))
+        rows, _ = rref_rows([qs.project(v) for v in fx.w.basis], qs.space.n)
+        v = cone_compare(build_ideal(qs.space, Subspace(qs.space, rows)), qs)
+        maps["cone"] = [v.map_ev, v.map_odd]
+    evens, odd = default_group_elements(fx.space)
+    for k, g in enumerate(evens + [odd]):
+        v = equivariance_check(g, m)
+        maps[f"rho_{k}"] = list(v.rho)
+        maps[f"sigma_{k}"] = list(v.sigma)
+    return {k: hashlib.sha256(json.dumps(jsonable(x)).encode()).hexdigest()
+            for k, x in maps.items()}
+
+
+@pytest.mark.parametrize("label", sorted(MAP_SHA256))
+def test_module_maps_pinned(label):
+    assert _module_map_digests(label) == MAP_SHA256[label]

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 
 import pytest
 
+from spinorsheaf import verify
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture
 from spinorsheaf.homalg import DEFAULT_SEED
 from spinorsheaf.verify import run_suite
@@ -22,3 +24,42 @@ REPORT_SHA256 = {
 def test_report_bytes_pinned(label):
     text = run_suite(get_fixture(label), "all", DEFAULT_SEED).to_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[label]
+
+
+def test_run_leaves_no_cyclic_garbage():
+    # a reference cycle (a recursive closure, say) would leave every call's
+    # locals waiting for the cyclic collector
+    fixtures = [get_fixture(label) for label in FIXTURE_LABELS]
+    gc.collect()
+    gc.disable()
+    try:
+        for fx in fixtures:
+            run_suite(fx, "all", DEFAULT_SEED)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_flag_and_end_computed_once_per_run(monkeypatch):
+    # F-H6 has a flag: the dependence and stability suites share the flag
+    # sequence and End(I); End of the flag's outer module is the only other
+    flags = _count_calls(monkeypatch, "flag_sequence")
+    homs = _count_calls(monkeypatch, "hom_space")
+    fx = get_fixture("F-H6")
+    run_suite(fx, "all", DEFAULT_SEED)
+    assert len(flags) == 1
+    assert len(homs) == 2
+    module = homs[0][0]
+    assert homs[0] == (module, module) and homs[1][0] is not module
+    del flags[:], homs[:]
+    run_suite(fx, "construction", DEFAULT_SEED)
+    assert flags == [] and homs == []
+    run_suite(fx, "stability-numerics", DEFAULT_SEED)
+    assert len(flags) == 1 and len(homs) == 2
