@@ -7,9 +7,10 @@ and ``sparse_echelon`` share one elimination loop over sparse rows
 ``{col: int}`` that always pivots on the leftmost column, so the pivot
 columns it fixes are those of the reduced row echelon form.
 ``sparse_echelon`` solves the Hom systems and gives the echelon form that
-``exactalg.rref_rows`` back-substitutes into the canonical span bases;
-``sparse_rank`` gives the rank of every multiplication map
-(``exactalg.mult_map_rank``).
+``exactalg.rref_rows`` back-substitutes into the canonical span bases; fed
+its own earlier result, it grows ``exactalg.IncrementalSpan`` (closures,
+basis extensions) one vector at a time.  ``sparse_rank`` gives the rank
+of every multiplication map (``exactalg.mult_map_rank``).
 """
 
 from heapq import heappop, heappush

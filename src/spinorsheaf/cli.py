@@ -101,6 +101,9 @@ def _parse_data(args):
 
 def cmd_query(args) -> int:
     kind = args.kind
+    want = 2 if kind in ("hom", "iso") else 1
+    if len(args.args) != want:
+        raise SchemaError(f"query {kind} takes {want} fixture label(s), got {len(args.args)}")
     result = {"op": kind}
     if kind == "hom":
         a, _ = _module_from_label(args.args[0])
@@ -271,9 +274,6 @@ def main(argv=None) -> int:
         return 1
     except SpinorError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except IndexError:
-        sys.stderr.write("input error: missing query arguments\n")
         return 2
 
 

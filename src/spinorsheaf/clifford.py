@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PreconditionError, SpanError
-from .exactalg import Mat, SpanSolver, ZERO, ONE, mat_invertible, rat, rref_rows, vec
+from .errors import PreconditionError
+from .exactalg import ZERO, ONE, rat, vec
 from .quadform import QuadraticSpace, Subspace
 
 _POPCOUNT = int.bit_count if hasattr(int, "bit_count") else (lambda m: bin(m).count("1"))
@@ -266,43 +266,6 @@ def trace_form(a: CliffordElement, b: CliffordElement | None = None) -> Fraction
         a = multiply(a, b)
     ctx = _ctx(a.space)
     return a.terms.get(ctx.top, ZERO)
-
-
-def left_action_matrix(v, domain_basis, codomain_basis) -> Mat:
-    """Matrix of xi -> v*xi from span(domain_basis) to span(codomain_basis).
-
-    Raises SpanError (with the offending element as witness) when the image
-    leaves the codomain span.
-    """
-    if not domain_basis:
-        return Mat.zeros(len(codomain_basis), 0)
-    space = domain_basis[0].space
-    velt = CliffordElement.from_vector(space, v)
-    rows, pivots = rref_rows([x.terms for x in codomain_basis], 1 << space.n)
-    solver = SpanSolver(rows, pivots)
-    change = _basis_change([x.terms for x in codomain_basis], solver)
-    cols = []
-    for xi in domain_basis:
-        image = multiply(velt, xi)
-        in_rref = solver.coords(image.terms)
-        if in_rref is None:
-            raise SpanError("image leaves the codomain span", witness=image)
-        cols.append(change.mul_vec(in_rref))
-    return Mat.from_cols(cols) if cols else Mat.zeros(len(codomain_basis), 0)
-
-
-def _basis_change(raw_terms, solver) -> Mat:
-    """Matrix turning the solver's RREF coordinates into raw-basis ones."""
-    cols = []
-    for v in raw_terms:
-        c = solver.coords(v)
-        if c is None:
-            raise SpanError("basis is not inside its own span")
-        cols.append(c)
-    inv = mat_invertible(Mat.from_cols(cols))
-    if inv is None:
-        raise SpanError("codomain basis vectors are dependent")
-    return inv
 
 
 def reflect(space: QuadraticSpace, u, v) -> tuple:

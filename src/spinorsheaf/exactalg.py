@@ -4,10 +4,12 @@ univariate polynomials, and the sparse intertwining rows of Hom systems.
 Every scalar is a fractions.Fraction, and every operation is a
 deterministic function of its inputs, so identical inputs give
 bit-identical outputs.  Eliminations run on integer rows after the
-denominators are cleared.  The canonical span bases (``rref_rows``) and the
+denominators are cleared.  The canonical span bases (``rref_rows``), the
+spans grown one vector at a time (``IncrementalSpan``) and the
 multiplication-map ranks (``mult_map_rank``) use the sparse leftmost-pivot
 kernel; fraction-free Bareiss elimination serves only the small dense
-reductions ``mat_rank``, ``mat_rank_kernel``, ``mat_solve``, ``mat_invertible``.
+reductions ``mat_rank``, ``mat_rank_kernel``, ``mat_solve``, ``mat_invertible``,
+which share one back-substitution (``_back_substitute``).
 """
 
 from __future__ import annotations
@@ -239,28 +241,34 @@ def _sparse(v) -> dict:
     return v if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
 
 
+def _back_substitute(rows, pivots, n, rhs):
+    """The solution over the first ``n`` columns of a dense integer echelon
+    system (``_kernels.echelon`` rows) with right-hand side ``rhs[i]`` on
+    row i, taken 0 at every free column: x[c] for pivot c = pivots[i] is
+    (rhs[i] - sum over j > c of rows[i][j] x[j]) / rows[i][c], from the
+    last pivot up."""
+    x = [ZERO] * n
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        row = rows[i]
+        s = rhs[i]
+        for j in range(c + 1, n):
+            xj = x[j]
+            if xj and row[j]:
+                s -= row[j] * xj
+        x[c] = Fraction(s, row[c]) if s else ZERO
+    return x
+
+
 def _kernel_from_echelon(rows, pivots, ncols):
     """Kernel basis in reduced echelon-normal form: one vector per free
-    column, with entry 1 there and zeros at the other free columns."""
-    rank = len(pivots)
-    pivot_set = set(pivots)
+    column f, with entry 1 there and zeros at the other free columns, so
+    its pivot entries solve the system with right-hand side -column f."""
+    rows = rows[:len(pivots)]
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        x = [ZERO] * ncols
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        x = _back_substitute(rows, pivots, ncols, [-row[f] for row in rows])
         x[f] = ONE
-        for i in range(rank - 1, -1, -1):
-            c = pivots[i]
-            if c > f:
-                continue
-            row = rows[i]
-            s = 0
-            for j in range(c + 1, ncols):
-                xj = x[j]
-                if xj and row[j]:
-                    s += row[j] * xj
-            x[c] = Fraction(-s, row[c]) if s else ZERO
         basis.append(tuple(x))
     return tuple(basis)
 
@@ -316,18 +324,8 @@ def mat_solve(a: Mat, target):
     rank, pivots = _kernels.echelon(rows, a.cols + 1)
     if pivots and pivots[-1] == a.cols:
         return None
-    x = [ZERO] * a.cols
-    for i in range(rank - 1, -1, -1):
-        c = pivots[i]
-        row = rows[i]
-        s = row[a.cols]
-        for j in range(c + 1, a.cols):
-            xj = x[j]
-            if xj and row[j]:
-                s -= row[j] * xj
-        x[c] = Fraction(s, row[c]) if s else ZERO
-    kernel = _kernel_from_echelon(rows, pivots, a.cols)
-    return tuple(x), kernel
+    x = _back_substitute(rows, pivots, a.cols, [row[a.cols] for row in rows[:rank]])
+    return tuple(x), _kernel_from_echelon(rows, pivots, a.cols)
 
 
 def mat_invertible(m: Mat):
@@ -338,22 +336,12 @@ def mat_invertible(m: Mat):
     ident = Mat.identity(n)
     aug = [list(m.row(i)) + list(ident.row(i)) for i in range(n)]
     rows = _scaled_int_rows(aug)
-    rank, pivots = _kernels.echelon(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
+    _, pivots = _kernels.echelon(rows, 2 * n)
+    pivots = pivots[:n]
+    if pivots != list(range(n)):
         return None
-    cols = []
-    for k in range(n):
-        x = [ZERO] * n
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            s = row[n + k]
-            for j in range(i + 1, n):
-                xj = x[j]
-                if xj and row[j]:
-                    s -= row[j] * xj
-            x[i] = Fraction(s, row[i]) if s else ZERO
-        cols.append(x)
-    return Mat.from_cols(cols)
+    return Mat.from_cols([_back_substitute(rows, pivots, n, [row[n + k] for row in rows])
+                          for k in range(n)])
 
 
 def rref_rows(vectors, ncols):
@@ -384,6 +372,30 @@ def rref_rows(vectors, ncols):
     if vectors and not isinstance(vectors[0], dict):
         rows = [tuple(r.get(j, ZERO) for j in range(ncols)) for r in rows]
     return rows, pivots
+
+
+class IncrementalSpan:
+    """A span grown one vector at a time, in the incremental mode of
+    ``_kernels.sparse_echelon``: each new vector (dense, or a ``{col:
+    value}`` dict of nonzeros) is reduced against the pivot rows held so
+    far, and ``add`` tells whether it added a pivot."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self, vectors=()):
+        self.pivots = {}
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def add(self, v) -> bool:
+        """Add ``v``; True exactly when it lies outside the span so far."""
+        dim = len(self.pivots)
+        _kernels.sparse_echelon([_int_row(_sparse(v).items())], self.pivots)
+        return len(self.pivots) > dim
 
 
 class SpanSolver:

@@ -9,7 +9,8 @@ Fixture files look like::
      "section_subspace": [[...], ...],   # optional
      "cone_mod": [[...], ...]}           # optional
 
-Rationals are bare integers or "a/b" strings.
+Rationals are bare integers or "a/b" strings.  ``dimension`` is at most
+``MAX_DIMENSION``: Clifford elements have 2^dimension coordinates.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from fractions import Fraction
 from .errors import SchemaError
 from .exactalg import Mat, rat_from_json, rat_to_json, vec
 from .quadform import QuadraticSpace, Subspace, check_isotropic
+
+# Above the n = 10 scale target; the ideal of a 20-dimensional fixture
+# alone would take 2^20 Clifford products to build.
+MAX_DIMENSION = 12
 
 
 class Fixture:
@@ -109,13 +114,17 @@ def get_fixture(label: str) -> Fixture:
     return _REGISTRY[label]()
 
 
+def _parse_row(row, what):
+    try:
+        return vec(rat_from_json(x) for x in row)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational in {what}: {exc}") from exc
+
+
 def _parse_matrix(data, what):
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SchemaError(f"{what} must be a non-empty list of rows")
-    try:
-        return [[rat_from_json(x) for x in row] for row in data]
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad rational in {what}: {exc}") from exc
+    return [_parse_row(row, what) for row in data]
 
 
 def fixture_from_dict(data) -> Fixture:
@@ -126,8 +135,10 @@ def fixture_from_dict(data) -> Fixture:
             raise SchemaError(f"fixture is missing required key {key!r}")
     label = data["label"]
     n = data["dimension"]
-    if not isinstance(label, str) or not isinstance(n, int) or n <= 0:
+    if not isinstance(label, str) or type(n) is not int or n <= 0:
         raise SchemaError("label must be a string and dimension a positive integer")
+    if n > MAX_DIMENSION:
+        raise SchemaError(f"dimension {n} is above the supported maximum {MAX_DIMENSION}")
     gram_rows = _parse_matrix(data["gram"], "gram")
     if len(gram_rows) != n or any(len(r) != n for r in gram_rows):
         raise SchemaError("gram must be an n x n matrix")
@@ -135,7 +146,7 @@ def fixture_from_dict(data) -> Fixture:
     iso_rows = _parse_matrix(data["isotropic"], "isotropic")
     if any(len(r) != n for r in iso_rows):
         raise SchemaError("isotropic vectors must have length n")
-    w = Subspace(space, [vec(r) for r in iso_rows])
+    w = Subspace(space, iso_rows)
     if not check_isotropic(space, w):
         raise SchemaError("the given subspace is not isotropic")
     flag_drop = None
@@ -143,15 +154,15 @@ def fixture_from_dict(data) -> Fixture:
         row = data["flag_drop"]
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError("flag_drop must be a length-n vector")
-        flag_drop = vec([rat_from_json(x) for x in row])
+        flag_drop = _parse_row(row, "flag_drop")
     section_subspace = None
     if "section_subspace" in data:
-        section_subspace = [vec(r) for r in _parse_matrix(data["section_subspace"], "section_subspace")]
+        section_subspace = _parse_matrix(data["section_subspace"], "section_subspace")
         if any(len(r) != n for r in section_subspace):
             raise SchemaError("section_subspace vectors must have length n")
     cone_mod = None
     if "cone_mod" in data:
-        cone_mod = [vec(r) for r in _parse_matrix(data["cone_mod"], "cone_mod")]
+        cone_mod = _parse_matrix(data["cone_mod"], "cone_mod")
         if any(len(r) != n for r in cone_mod):
             raise SchemaError("cone_mod vectors must have length n")
     return Fixture(label, space, w, flag_drop, section_subspace, cone_mod)

@@ -1,4 +1,5 @@
-"""Hom spaces, isomorphism and simplicity tests, submodule closures,
+"""Hom spaces, isomorphism and simplicity tests, irreducibility by
+submodule closures (spans grown with ``exactalg.IncrementalSpan``),
 Hilbert polynomials, slope, and cohomology tables.
 
 Hom spaces are computed two ways and compared: the intertwining system
@@ -11,10 +12,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import factorial
 
-from .clifford import CliffordElement, grade_parts, multiply
+from .clifford import CliffordElement, multiply
 from .errors import (
     InvariantError,
     PreconditionError,
@@ -23,6 +24,7 @@ from .errors import (
     StandardizationUnavailable,
 )
 from .exactalg import (
+    IncrementalSpan,
     Mat,
     ZERO,
     binomial_upoly,
@@ -37,6 +39,7 @@ from .quadform import radical_basis, standardize, sub_intersection
 from .spinor import (
     IdealModule,
     MatrixFactorization,
+    _is_intertwiner,
     build_ideal,
     recover_intersection_with_radical,
     shift,
@@ -103,15 +106,6 @@ class IsoVerdict:
 
     def __repr__(self):
         return f"IsoVerdict({self.kind}, {self.reason})"
-
-
-def _is_intertwiner(a, b, A, B) -> bool:
-    for i in range(a.space.n):
-        if A @ a.act_ev[i] != b.act_ev[i] @ B:
-            return False
-        if B @ a.act_odd[i] != b.act_odd[i] @ A:
-            return False
-    return True
 
 
 def _invertible_pair(A, B):
@@ -347,92 +341,22 @@ def simplicity_verdict(i: IdealModule, end: GradedHom | None = None) -> Simplici
     return SimplicityVerdict(end.dimension, computed, predicted, case)
 
 
-class _IncrementalSpan:
-    """Row space with incremental insertion, for closures."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                for j in range(self.ncols):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v
-
-    def insert(self, v) -> bool:
-        v = self.reduce(v)
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        lead = v[p]
-        v = [x / lead for x in v]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
-class Closure:
-    __slots__ = ("ev_dim", "odd_dim", "ev_rows", "odd_rows")
-
-    def __init__(self, ev_dim, odd_dim, ev_rows, odd_rows):
-        self.ev_dim = ev_dim
-        self.odd_dim = odd_dim
-        self.ev_rows = ev_rows
-        self.odd_rows = odd_rows
-
-
-def _coords_pair(i: IdealModule, seed: CliffordElement):
-    ev_cl, odd_cl = grade_parts(seed)
-    parts = {0: ev_cl, 1: odd_cl}
-    label_parity_of_ev = i.shift  # Cl-parity of the ev-labeled part
-    ev_part = parts[label_parity_of_ev]
-    odd_part = parts[1 - label_parity_of_ev]
-    ev_c = i.coords_in(0, ev_part)
-    odd_c = i.coords_in(1, odd_part)
-    if ev_c is None or odd_c is None:
-        raise PreconditionError("seed lies outside the module")
-    return ev_c, odd_c
-
-
-def submodule_closure(i: IdealModule, seed: CliffordElement) -> Closure:
-    """Smallest graded subspace pair containing the seed and closed under
-    left multiplication by every coordinate vector."""
-    ev_c, odd_c = _coords_pair(i, seed)
-    return _closure_from_coords(i, [ev_c], [odd_c])
-
-
-def _closure_from_coords(module, ev_seeds, odd_seeds) -> Closure:
+def _closure_from_coords(module, ev_seeds, odd_seeds):
+    """(ev_dim, odd_dim) of the smallest graded subspace pair containing
+    the seed coordinate vectors (an empty one adds nothing) and closed
+    under left multiplication by every coordinate vector."""
     n = module.space.n
-    ev_span = _IncrementalSpan(module.ev_dim)
-    odd_span = _IncrementalSpan(module.odd_dim)
-    queue = []
-    for v in ev_seeds:
-        if any(v) and ev_span.insert(v):
-            queue.append((0, v))
-    for v in odd_seeds:
-        if any(v) and odd_span.insert(v):
-            queue.append((1, v))
+    spans = (IncrementalSpan(), IncrementalSpan())
+    queue = [(par, v) for par, seeds in ((0, ev_seeds), (1, odd_seeds))
+             for v in seeds if spans[par].add(v)]
     while queue:
         par, v = queue.pop()
         mats = module.act_ev if par == 0 else module.act_odd
-        span = odd_span if par == 0 else ev_span
         for t in range(n):
             img = mats[t].mul_vec(v)
-            if any(img) and span.insert(img):
+            if spans[1 - par].add(img):
                 queue.append((1 - par, img))
-    return Closure(ev_span.dim, odd_span.dim,
-                   [tuple(r) for r in ev_span.rows],
-                   [tuple(r) for r in odd_span.rows])
+    return spans[0].dim, spans[1].dim
 
 
 class IrredVerdict:
@@ -444,38 +368,24 @@ class IrredVerdict:
         self.certificate = certificate
 
 
-def _unit(dim, t):
-    return tuple(Fraction(1) if s == t else ZERO for s in range(dim))
-
-
 def irreducibility_check(i: IdealModule) -> IrredVerdict:
     """REDUCIBLE with a closure witness, IRREDUCIBLE with the standardized
     generator identities, or UNDECIDED."""
     n_ev, n_odd = i.ev_dim, i.odd_dim
-    seeds = []
-    for t in range(n_ev):
-        seeds.append(((_unit(n_ev, t)), ()))
-    for t in range(n_odd):
-        seeds.append(((), _unit(n_odd, t)))
-    singles = list(seeds)
-    for x in range(len(singles)):
-        for y in range(x + 1, len(singles)):
-            ev = _add_opt(singles[x][0], singles[y][0], n_ev)
-            od = _add_opt(singles[x][1], singles[y][1], n_odd)
-            seeds.append((ev, od))
-    for ev, od in seeds:
-        cl = _closure_from_coords(i, [ev] if ev else [], [od] if od else [])
-        if 0 < cl.ev_dim + cl.odd_dim < n_ev + n_odd:
+    eye_ev, eye_odd = Mat.identity(n_ev), Mat.identity(n_odd)
+    singles = ([(eye_ev.row(t), ()) for t in range(n_ev)]
+               + [((), eye_odd.row(t)) for t in range(n_odd)])
+    pairs = ((_seed_sum(x[0], y[0]), _seed_sum(x[1], y[1]))
+             for x, y in combinations(singles, 2))
+    for ev, od in chain(singles, pairs):
+        ev_dim, odd_dim = _closure_from_coords(i, [ev], [od])
+        if 0 < ev_dim + odd_dim < n_ev + n_odd:
             return IrredVerdict(
                 "REDUCIBLE",
-                witness={"ev_dim": cl.ev_dim, "odd_dim": cl.odd_dim,
+                witness={"ev_dim": ev_dim, "odd_dim": odd_dim,
                          "seed": {"ev": ev, "odd": od}},
             )
-    rad = radical_basis(i.space)
-    cap = sub_intersection(i.w, rad)
-    k = i.space.rank // 2
-    w_maximal = (i.w.dim - cap.dim == k) and cap.dim == rad.dim
-    if not w_maximal:
+    if predict_simplicity(i.space, i.w)[1] != "maximal":
         return IrredVerdict("UNDECIDED")
     cert = _irreducibility_certificate(i)
     if cert is not None:
@@ -483,12 +393,9 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
     return IrredVerdict("UNDECIDED")
 
 
-def _add_opt(a, b, dim):
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b))
+def _seed_sum(a, b):
+    """Sum of two seed parts, where () stands for no seed."""
+    return tuple(x + y for x, y in zip(a, b)) if a and b else a or b
 
 
 def _irreducibility_certificate(i: IdealModule):

@@ -12,13 +12,13 @@ from math import isqrt
 
 from .errors import PreconditionError, SchemaError, StandardizationUnavailable
 from .exactalg import (
+    IncrementalSpan,
     Mat,
     SpanSolver,
     ZERO,
     mat_rank,
     mat_rank_kernel,
     mat_solve,
-    rat,
     rref_rows,
     vec,
 )
@@ -279,9 +279,6 @@ class Standardization:
         self.w_std = w_std
         self.profile = profile
 
-    def to_new_coords(self, v) -> tuple:
-        return self.inverse.mul_vec(vec(v))
-
 
 def _rational_sqrt(x: Fraction):
     if x < 0:
@@ -376,12 +373,8 @@ def standardize(space: QuadraticSpace, w: Subspace):
     j = w.dim - l
 
     # complement of w∩K inside w, giving representatives of pi(w)
-    w_part = []
-    taken = list(w_cap_k.basis)
-    for v in w.basis:
-        trial = taken + w_part + [v]
-        if len(rref_rows(trial, n)[0]) == len(trial):
-            w_part.append(v)
+    span = IncrementalSpan(w_cap_k.basis)
+    w_part = [v for v in w.basis if span.add(v)]
     if len(w_part) != j:
         raise PreconditionError("could not split w against the radical")
     if j > k:
@@ -442,11 +435,8 @@ def standardize(space: QuadraticSpace, w: Subspace):
         cols = _orthogonal_complement(space, a_vecs + b_vecs + [diag_vec])
 
     # leftover must now be exactly the radical
-    rad_basis = list(w_cap_k.basis)
-    for v in rad.basis:
-        trial = rad_basis + [v]
-        if len(rref_rows(trial, n)[0]) == len(trial):
-            rad_basis.append(v)
+    span = IncrementalSpan(w_cap_k.basis)
+    rad_basis = list(w_cap_k.basis) + [v for v in rad.basis if span.add(v)]
     if len(rad_basis) != rad.dim:
         raise PreconditionError("radical completion failed")
 

@@ -22,6 +22,7 @@ from .clifford import (
 from . import _kernels
 from .errors import InvariantError, PreconditionError, SchemaError, SpanError
 from .exactalg import (
+    IncrementalSpan,
     LinMat,
     Mat,
     ONE,
@@ -444,6 +445,13 @@ def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
     return nvars not in _kernels.sparse_echelon(rows)
 
 
+def _is_intertwiner(a, b, A, B) -> bool:
+    """Is (A, B) a graded module map a -> b: A on the odd parts, B on the
+    even parts, A act_ev = act_ev' B and B act_odd = act_odd' A?"""
+    return all(A @ a.act_ev[i] == b.act_ev[i] @ B and B @ a.act_odd[i] == b.act_odd[i] @ A
+               for i in range(a.space.n))
+
+
 def recover_intersection_with_radical(module) -> Subspace:
     """{v in V : v annihilates the module}, from the action matrices: the
     kernel of v -> sum_i v_i act[i] on both graded parts.  For an ideal
@@ -550,12 +558,8 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     restricted = build_ideal(space_u, Subspace(space_u, cap_in_u))
 
     # adapted basis of w: cap part first, then a complement inside w
-    rest = []
-    taken = list(cap.basis)
-    for v in w.basis:
-        trial = taken + rest + [v]
-        if len(rref_rows(trial, n)[0]) == len(trial):
-            rest.append(v)
+    span = IncrementalSpan(cap.basis)
+    rest = [v for v in w.basis if span.add(v)]
     shift_amount = len(rest)
     if l + shift_amount != w.dim or shift_amount != codim_u:
         raise InvariantError(
@@ -753,12 +757,7 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     bijective = (
         mat_invertible(rho_ev) is not None and mat_invertible(rho_odd) is not None
     )
-    linear = True
-    for t in range(space.n):
-        if target.act_ev[t] @ rho_ev != rho_odd @ i.act_ev[t]:
-            linear = False
-        if target.act_odd[t] @ rho_odd != rho_ev @ i.act_odd[t]:
-            linear = False
+    linear = _is_intertwiner(i, target, rho_odd, rho_ev)
 
     # twisted square: conjugation sigma(xi) = g xi g^{-1} lands in the
     # unshifted module of gWg^{-1} and intertwines phi(v) with phi'(gvg^{-1})

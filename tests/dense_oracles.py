@@ -5,7 +5,16 @@ from fractions import Fraction
 
 from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply
-from spinorsheaf.exactalg import ZERO, Mat, _scaled_int_rows, mat_solve
+from spinorsheaf.errors import SpanError
+from spinorsheaf.exactalg import (
+    ZERO,
+    Mat,
+    SpanSolver,
+    _scaled_int_rows,
+    mat_invertible,
+    mat_solve,
+    rref_rows,
+)
 
 
 def dense_rref(vectors, ncols):
@@ -147,3 +156,27 @@ def dense_splitting_exists(inner, outer, q_ev, q_odd) -> bool:
             add_row(coeffs, Fraction(1) if r == c else ZERO)
 
     return mat_solve(Mat.from_rows(rows), rhs) is not None
+
+
+def left_action_matrix(v, domain_basis, codomain_basis) -> Mat:
+    """Matrix of xi -> v*xi from span(domain_basis) to span(codomain_basis),
+    through coordinates in the RREF basis of the codomain and a basis
+    change back to the given codomain basis.  Raises SpanError (with the
+    offending element as witness) when an image leaves the codomain span."""
+    if not domain_basis:
+        return Mat.zeros(len(codomain_basis), 0)
+    space = domain_basis[0].space
+    velt = CliffordElement.from_vector(space, v)
+    rows, pivots = rref_rows([x.terms for x in codomain_basis], 1 << space.n)
+    solver = SpanSolver(rows, pivots)
+    change = mat_invertible(Mat.from_cols([solver.coords(x.terms) for x in codomain_basis]))
+    if change is None:
+        raise SpanError("codomain basis vectors are dependent")
+    cols = []
+    for xi in domain_basis:
+        image = multiply(velt, xi)
+        in_rref = solver.coords(image.terms)
+        if in_rref is None:
+            raise SpanError("image leaves the codomain span", witness=image)
+        cols.append(change.mul_vec(in_rref))
+    return Mat.from_cols(cols)

@@ -1,10 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
-from spinorsheaf import homalg, spinor
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinorsheaf import cli, homalg, spinor
 from spinorsheaf.cli import main, paper_example_matrices, paper_example_result
+from spinorsheaf.errors import SchemaError
+from spinorsheaf.fixtures import (
+    MAX_DIMENSION,
+    fixture_from_dict,
+    fixture_to_dict,
+    get_fixture,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -154,6 +168,23 @@ class TestQuery:
         r = run_cli(["query", "hom", "F-H6"])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("argv", [["hom", "F-H2"], ["hom", "F-H2", "F-H2", "F-H2"],
+                                      ["iso", "F-H2"], ["restrict", "F-H6", "F-H6"],
+                                      ["cohomology"]])
+    def test_wrong_label_count_exit_2(self, argv, capsys):
+        assert main(["query", *argv]) == 2
+        want = 2 if argv[0] in ("hom", "iso") else 1
+        assert f"takes {want} fixture label" in capsys.readouterr().err
+
+    def test_library_index_error_is_not_an_input_error(self, monkeypatch, capsys):
+        def broken(a, b):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(cli, "hom_space", broken)
+        with pytest.raises(IndexError):
+            main(["query", "hom", "F-H2", "F-H2"])
+        assert "missing query arguments" not in capsys.readouterr().err
+
     def test_hom_route_disagreement_exit_1(self, monkeypatch, capsys):
         hom_system = homalg._hom_system
 
@@ -195,3 +226,82 @@ class TestPaperExample:
     def test_inprocess_main(self, capsys):
         assert main(["paper-example"]) == 0
         assert "EQUIVALENT" in capsys.readouterr().out
+
+
+BAD_SCALARS = st.sampled_from([1.5, 0.0, True, False, None, [1], {"a": 1}, "1/0", "x"])
+
+
+@st.composite
+def broken_fixtures(draw):
+    """A built-in fixture's JSON with one defect: a bad scalar, a short
+    (ragged) row, rows one entry too long, a bad or oversize dimension,
+    or a missing required key."""
+    data = fixture_to_dict(get_fixture(draw(st.sampled_from(["F-H6", "F-C5", "F-QS"]))))
+    kind = draw(st.sampled_from(["scalar", "ragged", "long", "dimension", "missing"]))
+    if kind == "dimension":
+        data["dimension"] = draw(st.one_of(
+            st.integers(MAX_DIMENSION + 1, 10 ** 9),
+            st.sampled_from([0, -3, 2.0, True, None, "4", [4]])))
+        return data
+    if kind == "missing":
+        del data[draw(st.sampled_from(["label", "dimension", "gram", "isotropic"]))]
+        return data
+    key = draw(st.sampled_from(
+        [k for k in ("gram", "isotropic", "flag_drop", "section_subspace", "cone_mod")
+         if k in data]))
+    rows = [data[key]] if key == "flag_drop" else data[key]
+    row = draw(st.sampled_from(rows))
+    if kind == "scalar":
+        row[draw(st.integers(0, len(row) - 1))] = draw(BAD_SCALARS)
+    elif kind == "ragged":
+        del row[draw(st.integers(0, len(row) - 1))]
+    else:
+        for r in rows:
+            r.append(0)
+    return data
+
+
+class TestFixtureSchema:
+    @settings(max_examples=120, deadline=None)
+    @given(broken_fixtures())
+    def test_broken_fixture_is_an_input_error(self, data):
+        with pytest.raises(SchemaError):
+            fixture_from_dict(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["verify", "-i", path]) == 2
+        assert err.getvalue().startswith("input error:")
+
+    def test_bad_flag_drop_exit_2_without_traceback(self, tmp_path):
+        data = fixture_to_dict(get_fixture("F-QS"))
+        data["flag_drop"] = [0, 1.5, 0, 0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        r = run_cli(["verify", "-i", str(path)])
+        assert r.returncode == 2
+        assert "bad rational in flag_drop" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_dimension_above_the_bound_exit_2(self, tmp_path):
+        # a well-formed 20-dimensional fixture is refused before any
+        # Clifford algebra of 2^20 monomials is set up
+        n = 20
+        gram = [["1/2" if abs(i - j) == n // 2 else 0 for j in range(n)] for i in range(n)]
+        data = {"label": "big", "dimension": n, "gram": gram,
+                "isotropic": [[1 if j == 0 else 0 for j in range(n)]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        r = run_cli(["verify", "-i", str(path)])
+        assert r.returncode == 2
+        assert f"above the supported maximum {MAX_DIMENSION}" in r.stderr
+
+    def test_largest_dimension_accepted(self):
+        n = MAX_DIMENSION
+        gram = [["1/2" if abs(i - j) == n // 2 else 0 for j in range(n)] for i in range(n)]
+        fx = fixture_from_dict({"label": "top", "dimension": n, "gram": gram,
+                                "isotropic": [[1 if j == 0 else 0 for j in range(n)]]})
+        assert fx.space.n == n and fx.w.dim == 1

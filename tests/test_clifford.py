@@ -10,7 +10,6 @@ from spinorsheaf.clifford import (
     GroupElement,
     conjugate_subspace,
     grade_parts,
-    left_action_matrix,
     multiply,
     reflect,
     trace_form,
@@ -20,6 +19,8 @@ from spinorsheaf.errors import PreconditionError, SpanError
 from spinorsheaf.exactalg import Mat, mat_rank, vec
 from spinorsheaf.fixtures import get_fixture, grid_spaces
 from spinorsheaf.quadform import Subspace
+
+from dense_oracles import left_action_matrix
 
 
 def e(n, i):

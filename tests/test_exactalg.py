@@ -328,6 +328,47 @@ class TestRrefAgainstDense:
 
 
 
+class TestIncrementalSpan:
+    """``add`` is True exactly when the rank of the vectors added so far
+    grows; ``rref_rows`` of each prefix is its oracle."""
+
+    @staticmethod
+    def forms(vectors):
+        # dense Fractions, dense with integral entries as int, dicts of nonzeros
+        yield vectors
+        yield [tuple(int(x) if x.denominator == 1 else x for x in v) for v in vectors]
+        yield [{j: x for j, x in enumerate(v) if x} for v in vectors]
+
+    @settings(max_examples=100, deadline=None)
+    @given(spanning_sets())
+    def test_add_reports_rank_growth(self, case):
+        vectors, nc = case
+        ranks = [len(ea.rref_rows(vectors[:k], nc)[1]) for k in range(len(vectors) + 1)]
+        for form in self.forms(vectors):
+            span = ea.IncrementalSpan()
+            for k, v in enumerate(form):
+                assert span.add(v) == (ranks[k + 1] > ranks[k])
+                assert span.dim == ranks[k + 1]
+            assert sorted(span.pivots) == ea.rref_rows(vectors, nc)[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(spanning_sets())
+    def test_seeded_span_keeps_independent_extensions(self, case):
+        vectors, nc = case
+        base = ea.rref_rows(vectors[:2], nc)[0]
+        span = ea.IncrementalSpan(base)
+        kept = [v for v in vectors if span.add(v)]
+        assert len(ea.rref_rows(list(base) + kept, nc)[0]) == len(base) + len(kept)
+        assert span.dim == len(ea.rref_rows(vectors, nc)[1])
+
+    def test_zero_and_repeated_vectors(self):
+        span = ea.IncrementalSpan()
+        assert not span.add((0, 0, 0)) and not span.add({})
+        assert span.add((1, Fraction(1, 2), 0))
+        assert not span.add((2, 1, 0)) and not span.add({0: Fraction(-1), 1: Fraction(-1, 2)})
+        assert span.add({2: Fraction(3)}) and span.dim == 2
+
+
 class TestSparseSpanSolver:
     def _solver(self):
         rows, pivots = ea.rref_rows(

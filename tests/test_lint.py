@@ -38,3 +38,36 @@ def test_no_broad_except_clauses():
                        for t in names):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads or lists in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # a deleted helper must not leave its imports behind
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert found == []
+
+
+def test_unused_import_check_reads_all_and_attributes():
+    tree = ast.parse("import os\nimport sys\nfrom a import b, c as d\n"
+                     "__all__ = ['b']\nos.getcwd()\n")
+    assert _unused_imports(tree) == [(2, "sys"), (3, "d")]

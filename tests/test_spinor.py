@@ -98,7 +98,7 @@ class TestFactorization:
             assert mf.check_identity()
 
     def test_phi_matches_left_action(self):
-        from spinorsheaf.clifford import left_action_matrix
+        from dense_oracles import left_action_matrix
 
         i = module("F-H6")
         mf = build_factorization(i)
