@@ -1,16 +1,14 @@
 """Integer row-reduction kernels.
 
-``echelon`` is the dense fraction-free (Bareiss) elimination that now
-serves only the small dense reductions of ``exactalg``: ``mat_rank``,
-``mat_rank_kernel``, ``mat_solve`` and ``mat_invertible``.  ``sparse_rank``
-and ``sparse_echelon`` share one elimination loop over sparse rows
-``{col: int}`` that always pivots on the leftmost column, so the pivot
-columns it fixes are those of the reduced row echelon form.
-``sparse_echelon`` solves the Hom systems and gives the echelon form that
-``exactalg.rref_rows`` back-substitutes into the canonical span bases; fed
-its own earlier result, it grows ``exactalg.IncrementalSpan`` (closures,
-basis extensions) one vector at a time.  ``sparse_rank`` gives the rank
-of every multiplication map (``exactalg.mult_map_rank``).
+``sparse_rank`` and ``sparse_echelon`` share the package's one exact
+elimination, a loop over sparse rows ``{col: int}`` that always pivots on
+the leftmost column, so its pivot columns are those of the reduced row
+echelon form.  ``sparse_echelon`` solves the Hom systems and gives the
+echelon forms of ``exactalg``'s kernels, solves, inverses and span bases;
+fed its own earlier result, it grows ``exactalg.IncrementalSpan`` one
+vector at a time.  ``sparse_rank`` gives ``exactalg.mat_rank`` and every
+multiplication-map rank.  ``echelon``, dense fraction-free (Bareiss)
+elimination, is only the tests' reference for the sparse kernel.
 """
 
 from heapq import heappop, heappush

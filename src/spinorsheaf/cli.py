@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvariantError, SchemaError, SpinorError
 from .exactalg import LinMat, Mat, rref_rows
-from .fixtures import FIXTURE_LABELS, get_fixture, load_fixture
+from .fixtures import FIXTURE_LABELS, _parse_matrix, get_fixture, load_fixture
 from .homalg import (
     DEFAULT_SEED,
     cohomology_dim,
@@ -90,13 +90,18 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_data(args):
-    if getattr(args, "data", None):
-        try:
-            return json.loads(args.data)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"bad JSON in --data: {exc}") from exc
-    return {}
+def _data_rows(args, key, default):
+    """The vectors under ``key`` in the ``--data`` JSON object, parsed as
+    in a fixture file, or ``default`` when the key is absent."""
+    if not getattr(args, "data", None):
+        return default
+    try:
+        data = json.loads(args.data)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"bad JSON in --data: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError("--data must be a JSON object")
+    return _parse_matrix(data[key], key) if key in data else default
 
 
 def cmd_query(args) -> int:
@@ -118,8 +123,7 @@ def cmd_query(args) -> int:
                       verdict=v.kind, reason=v.reason)
     elif kind == "restrict":
         module, fx = _module_from_label(args.args[0])
-        data = _parse_data(args)
-        rows = data.get("section_subspace", fx.section_subspace)
+        rows = _data_rows(args, "section_subspace", fx.section_subspace)
         if rows is None:
             raise SchemaError("restriction needs section_subspace data")
         u = Subspace(fx.space, rows)
@@ -130,8 +134,7 @@ def cmd_query(args) -> int:
                           bijective=bool(v.bijective), linear=bool(v.linear))
     elif kind == "cone":
         module, fx = _module_from_label(args.args[0])
-        data = _parse_data(args)
-        rows = data.get("cone_mod", fx.cone_mod)
+        rows = _data_rows(args, "cone_mod", fx.cone_mod)
         if rows is None:
             raise SchemaError("cone comparison needs cone_mod data")
         u = Subspace(fx.space, rows)

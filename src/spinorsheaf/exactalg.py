@@ -3,13 +3,14 @@ univariate polynomials, and the sparse intertwining rows of Hom systems.
 
 Every scalar is a fractions.Fraction, and every operation is a
 deterministic function of its inputs, so identical inputs give
-bit-identical outputs.  Eliminations run on integer rows after the
-denominators are cleared.  The canonical span bases (``rref_rows``), the
-spans grown one vector at a time (``IncrementalSpan``) and the
-multiplication-map ranks (``mult_map_rank``) use the sparse leftmost-pivot
-kernel; fraction-free Bareiss elimination serves only the small dense
-reductions ``mat_rank``, ``mat_rank_kernel``, ``mat_solve``, ``mat_invertible``,
-which share one back-substitution (``_back_substitute``).
+bit-identical outputs.  Every elimination is the sparse leftmost-pivot
+kernel of ``_kernels`` on integer rows cleared of denominators: the
+canonical span bases (``rref_rows``), the spans grown one vector at a time
+(``IncrementalSpan``), the multiplication-map ranks (``mult_map_rank``)
+and the matrix routines ``mat_rank``, ``mat_rank_kernel``, ``mat_solve``
+and ``mat_invertible``.  One back-substitution (``_back_substitute``)
+gives the kernel vectors, the particular solutions and the inverse
+columns, each from fixed values at free columns.
 """
 
 from __future__ import annotations
@@ -185,15 +186,6 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
-def _scaled_int_rows(frac_rows):
-    """Clear denominators row by row; row scaling preserves rank and kernel."""
-    out = []
-    for row in frac_rows:
-        l = reduce(lcm, (x.denominator for x in row), 1)
-        out.append([x.numerator * (l // x.denominator) for x in row])
-    return out
-
-
 def _int_row(pairs):
     """Sparse integer row ``{index: value}`` from ``(index, Fraction)`` pairs
     (iterated twice) times their least common denominator, same span."""
@@ -241,77 +233,43 @@ def _sparse(v) -> dict:
     return v if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
 
 
-def _back_substitute(rows, pivots, n, rhs):
-    """The solution over the first ``n`` columns of a dense integer echelon
-    system (``_kernels.echelon`` rows) with right-hand side ``rhs[i]`` on
-    row i, taken 0 at every free column: x[c] for pivot c = pivots[i] is
-    (rhs[i] - sum over j > c of rows[i][j] x[j]) / rows[i][c], from the
-    last pivot up."""
-    x = [ZERO] * n
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        row = rows[i]
-        s = rhs[i]
-        for j in range(c + 1, n):
-            xj = x[j]
-            if xj and row[j]:
-                s -= row[j] * xj
-        x[c] = Fraction(s, row[c]) if s else ZERO
-    return x
-
-
-def _kernel_from_echelon(rows, pivots, ncols):
-    """Kernel basis in reduced echelon-normal form: one vector per free
-    column f, with entry 1 there and zeros at the other free columns, so
-    its pivot entries solve the system with right-hand side -column f."""
-    rows = rows[:len(pivots)]
-    basis = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        x = _back_substitute(rows, pivots, ncols, [-row[f] for row in rows])
-        x[f] = ONE
-        basis.append(tuple(x))
-    return tuple(basis)
+def _back_substitute(pivots, fixed, n):
+    """The solution of a sparse echelon form ``{col: row}`` that takes the
+    values ``fixed`` at some free columns and 0 at the others, on the first
+    ``n`` columns.  Its pivots are those of the reduced form, so it is the
+    same whichever echelon form it is read from; a pivot right of every
+    fixed column stays 0."""
+    cols = sorted(pivots)
+    x = dict(fixed)
+    for c in reversed(cols[:bisect_left(cols, max(fixed))]):
+        row = pivots[c]
+        s = sum(v * x[j] for j, v in row.items() if j in x)
+        if s:
+            x[c] = -s / row[c]
+    return tuple(x.get(j, ZERO) for j in range(n))
 
 
 def _kernel_from_sparse_echelon(pivots, ncols):
-    """The basis of ``_kernel_from_echelon`` for a sparse echelon form
-    ``{col: row}``: its pivot columns are those of the reduced form, so
-    the vector with entry 1 at one free column and 0 at the others is
-    the same whichever echelon form it is read from."""
-    cols = sorted(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = {f: ONE}
-        for k in range(bisect_left(cols, f) - 1, -1, -1):
-            c = cols[k]
-            row = pivots[c]
-            s = 0
-            for j, v in row.items():
-                xj = x.get(j)
-                if xj is not None:
-                    s += v * xj
-            if s:
-                x[c] = -s / row[c]
-        vec = [ZERO] * ncols
-        for j, v in x.items():
-            vec[j] = v
-        basis.append(tuple(vec))
-    return tuple(basis)
+    """Kernel basis in reduced echelon-normal form: for each free column
+    f < ncols, the solution with 1 at f and 0 at the other free columns."""
+    return tuple(_back_substitute(pivots, {f: ONE}, ncols)
+                 for f in range(ncols) if f not in pivots)
+
+
+def _int_rows(m: Mat, extra=None):
+    """Sparse integer rows of ``m``, row i extended by the pairs ``extra[i]``."""
+    return [_int_row([(j, x) for j, x in enumerate(m.row(i)) if x] + (extra[i] if extra else []))
+            for i in range(m.rows)]
 
 
 def mat_rank_kernel(m: Mat):
     """Rank and a deterministic kernel basis of ``m``."""
-    rows = _scaled_int_rows(m.row_lists())
-    rank, pivots = _kernels.echelon(rows, m.cols)
-    return rank, _kernel_from_echelon(rows, pivots, m.cols)
+    pivots = _kernels.sparse_echelon(_int_rows(m))
+    return len(pivots), _kernel_from_sparse_echelon(pivots, m.cols)
 
 
 def mat_rank(m: Mat) -> int:
-    rows = _scaled_int_rows(m.row_lists())
-    rank, _ = _kernels.echelon(rows, m.cols)
-    return rank
+    return _kernels.sparse_rank(_int_rows(m))
 
 
 def mat_solve(a: Mat, target):
@@ -319,13 +277,13 @@ def mat_solve(a: Mat, target):
     the system is inconsistent."""
     if len(target) != a.rows:
         raise ValueError("target length mismatch")
-    aug = [list(a.row(i)) + [rat(target[i])] for i in range(a.rows)]
-    rows = _scaled_int_rows(aug)
-    rank, pivots = _kernels.echelon(rows, a.cols + 1)
-    if pivots and pivots[-1] == a.cols:
+    n = a.cols
+    # [a | -target] x' = 0 with x'[n] = 1; inconsistent when n is a pivot
+    pivots = _kernels.sparse_echelon(
+        _int_rows(a, [[(n, -t)] if t else [] for t in map(rat, target)]))
+    if n in pivots:
         return None
-    x = _back_substitute(rows, pivots, a.cols, [row[a.cols] for row in rows[:rank]])
-    return tuple(x), _kernel_from_echelon(rows, pivots, a.cols)
+    return _back_substitute(pivots, {n: ONE}, n), _kernel_from_sparse_echelon(pivots, n)
 
 
 def mat_invertible(m: Mat):
@@ -333,15 +291,11 @@ def mat_invertible(m: Mat):
     if m.rows != m.cols:
         raise ValueError("mat_invertible requires a square matrix")
     n = m.rows
-    ident = Mat.identity(n)
-    aug = [list(m.row(i)) + list(ident.row(i)) for i in range(n)]
-    rows = _scaled_int_rows(aug)
-    _, pivots = _kernels.echelon(rows, 2 * n)
-    pivots = pivots[:n]
-    if pivots != list(range(n)):
+    # [m | -I] x' = 0 with x'[n + k] = 1 gives column k of the inverse
+    pivots = _kernels.sparse_echelon(_int_rows(m, [[(n + i, -ONE)] for i in range(n)]))
+    if any(c not in pivots for c in range(n)):
         return None
-    return Mat.from_cols([_back_substitute(rows, pivots, n, [row[n + k] for row in rows])
-                          for k in range(n)])
+    return Mat.from_cols([_back_substitute(pivots, {n + k: ONE}, n) for k in range(n)])
 
 
 def rref_rows(vectors, ncols):
@@ -351,12 +305,12 @@ def rref_rows(vectors, ncols):
     last pivot up to pivot 1.  Returns (rows, pivots); rows are dicts in
     column order for dict input, else dense tuples of length ``ncols``."""
     vectors = list(vectors)
-    echelon = _kernels.sparse_echelon(
+    reduced = _kernels.sparse_echelon(
         [r for r in (_int_row(_sparse(v).items()) for v in vectors) if r])
-    pivots = sorted(echelon)
+    pivots = sorted(reduced)
     done = {}
     for c in reversed(pivots):
-        row = {j: Fraction(v, echelon[c][c]) for j, v in echelon[c].items()}
+        row = {j: Fraction(v, reduced[c][c]) for j, v in reduced[c].items()}
         # a finished row holds no other pivot: clearing one refills none
         for k in [k for k in row if k != c and k in done]:
             f = row.pop(k)

@@ -19,6 +19,7 @@ from .clifford import CliffordElement, multiply
 from .errors import (
     InvariantError,
     PreconditionError,
+    SchemaError,
     SpanError,
     SpinorError,
     StandardizationUnavailable,
@@ -46,6 +47,13 @@ from .spinor import (
 )
 
 DEFAULT_SEED = 20103
+
+# Cohomology runs over the twists -window..window, and the multiplication
+# map in degree t has N * C(t + n - 1, n - 1) rows: F-H6a's
+# ``verify --suite all`` takes 0.14 s at window 6, 0.88 s at 12 and 3.9 s
+# at 16 (Python 3.11, 2-vCPU Xeon), and F-H6 at window 40 had not ended
+# after 25 s.
+MAX_WINDOW = 12
 
 
 class GradedHom:
@@ -479,6 +487,12 @@ def sheaf_numerics(mf: MatrixFactorization) -> SheafNumerics:
     return SheafNumerics(hilbert, rank, degree, slope, False)
 
 
+def check_window(window) -> None:
+    """Reject a twist window outside 0..MAX_WINDOW (a negative one has no twists)."""
+    if type(window) is not int or not 0 <= window <= MAX_WINDOW:
+        raise SchemaError(f"window must be an integer in 0..{MAX_WINDOW}, got {window!r}")
+
+
 def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
     """Dimension of H^idx(S(t)) computed from the resolution.
 
@@ -487,6 +501,7 @@ def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
     space have no middle cohomology; the top index is the kernel on top
     cohomology, computed through the transposed multiplication map.
     """
+    check_window(window)
     n = mf.space.n
     N = mf.N
     top = n - 2

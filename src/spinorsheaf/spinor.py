@@ -356,9 +356,12 @@ class FlagSequence:
         return self.split_subspace == self.split_module
 
 
-def flag_sequence(space: QuadraticSpace, w: Subspace, drop) -> FlagSequence:
-    """Build and verify the codimension-1 flag sequence obtained by
-    dropping the direction of ``drop`` from w."""
+def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
+    """Build and verify the codimension-1 flag sequence of the module
+    ``inner`` of w, obtained by dropping the direction of ``drop`` from w."""
+    if inner.shift:
+        raise PreconditionError("flag_sequence expects an unshifted module")
+    space, w = inner.space, inner.w
     drop = vec(drop)
     if w.dim < 2:
         raise PreconditionError("flags need an isotropic subspace of dimension >= 2")
@@ -373,7 +376,6 @@ def flag_sequence(space: QuadraticSpace, w: Subspace, drop) -> FlagSequence:
     if w_prime.contains(drop):
         raise PreconditionError("the dropped vector lies in the smaller subspace")
 
-    inner = build_ideal(space, Subspace(space, list(w_prime.basis) + [drop]))
     outer = build_ideal(space, w_prime)
 
     inc_ev, inc_odd = (
@@ -400,8 +402,7 @@ def flag_sequence(space: QuadraticSpace, w: Subspace, drop) -> FlagSequence:
             exact = False
 
     rad = radical_basis(space)
-    w_full = inner.w
-    split_subspace = sub_intersection(w_full, rad).same_span(
+    split_subspace = sub_intersection(w, rad).same_span(
         sub_intersection(w_prime, rad)
     )
     split_module = _splitting_exists(inner, outer, q_ev, q_odd)

@@ -15,6 +15,7 @@ from .exactalg import Mat, mat_rank, rat_to_json, rref_rows
 from .fixtures import Fixture
 from .homalg import (
     DEFAULT_SEED,
+    check_window,
     cohomology_dim,
     euler_characteristic_matches,
     factorization_equivalent,
@@ -154,7 +155,7 @@ class _Run:
         """The fixture's flag sequence, or None when it names no flag."""
         if self.fx.flag_drop is None:
             return None
-        return flag_sequence(self.fx.space, self.fx.w, self.fx.flag_drop)
+        return flag_sequence(self.module, self.fx.flag_drop)
 
     @cached_property
     def end(self):
@@ -165,6 +166,7 @@ def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED,
               window: int = 6) -> Report:
     if suite != "all" and suite not in SUITES:
         raise SpinorError(f"unknown suite {suite!r}; choose from all, " + ", ".join(SUITES))
+    check_window(window)
     chosen = SUITES if suite == "all" else (suite,)
     report = Report(fx.label, suite, seed)
     t0 = time.perf_counter()

@@ -2,19 +2,102 @@
 replaced; the tests compare the package against them."""
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply
 from spinorsheaf.errors import SpanError
 from spinorsheaf.exactalg import (
+    ONE,
     ZERO,
     Mat,
     SpanSolver,
-    _scaled_int_rows,
     mat_invertible,
     mat_solve,
+    rat,
     rref_rows,
 )
+
+
+def _scaled_int_rows(frac_rows):
+    """Clear denominators row by row; row scaling preserves rank and kernel."""
+    out = []
+    for row in frac_rows:
+        l = reduce(lcm, (x.denominator for x in row), 1)
+        out.append([x.numerator * (l // x.denominator) for x in row])
+    return out
+
+
+def _back_substitute(rows, pivots, n, rhs):
+    """The solution over the first ``n`` columns of a dense integer echelon
+    system (``_kernels.echelon`` rows) with right-hand side ``rhs[i]`` on
+    row i, taken 0 at every free column: x[c] for pivot c = pivots[i] is
+    (rhs[i] - sum over j > c of rows[i][j] x[j]) / rows[i][c], from the
+    last pivot up."""
+    x = [ZERO] * n
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        row = rows[i]
+        s = rhs[i]
+        for j in range(c + 1, n):
+            xj = x[j]
+            if xj and row[j]:
+                s -= row[j] * xj
+        x[c] = Fraction(s, row[c]) if s else ZERO
+    return x
+
+
+def _kernel_from_echelon(rows, pivots, ncols):
+    """Kernel basis in reduced echelon-normal form: one vector per free
+    column f, with entry 1 there and zeros at the other free columns, so
+    its pivot entries solve the system with right-hand side -column f."""
+    rows = rows[:len(pivots)]
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        x = _back_substitute(rows, pivots, ncols, [-row[f] for row in rows])
+        x[f] = ONE
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def dense_rank_kernel(m: Mat):
+    """``mat_rank_kernel`` by dense Bareiss elimination."""
+    rows = _scaled_int_rows(m.row_lists())
+    rank, pivots = _kernels.echelon(rows, m.cols)
+    return rank, _kernel_from_echelon(rows, pivots, m.cols)
+
+
+def dense_rank(m: Mat) -> int:
+    """``mat_rank`` by dense Bareiss elimination."""
+    rows = _scaled_int_rows(m.row_lists())
+    rank, _ = _kernels.echelon(rows, m.cols)
+    return rank
+
+
+def dense_solve(a: Mat, target):
+    """``mat_solve`` by dense Bareiss elimination of [a | target]."""
+    aug = [list(a.row(i)) + [rat(target[i])] for i in range(a.rows)]
+    rows = _scaled_int_rows(aug)
+    rank, pivots = _kernels.echelon(rows, a.cols + 1)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = _back_substitute(rows, pivots, a.cols, [row[a.cols] for row in rows[:rank]])
+    return tuple(x), _kernel_from_echelon(rows, pivots, a.cols)
+
+
+def dense_invertible(m: Mat):
+    """``mat_invertible`` by dense Bareiss elimination of [m | I]."""
+    n = m.rows
+    ident = Mat.identity(n)
+    aug = [list(m.row(i)) + list(ident.row(i)) for i in range(n)]
+    rows = _scaled_int_rows(aug)
+    _, pivots = _kernels.echelon(rows, 2 * n)
+    pivots = pivots[:n]
+    if pivots != list(range(n)):
+        return None
+    return Mat.from_cols([_back_substitute(rows, pivots, n, [row[n + k] for row in rows])
+                          for k in range(n)])
 
 
 def dense_rref(vectors, ncols):

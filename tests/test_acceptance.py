@@ -137,9 +137,9 @@ def test_criterion_05_duality(modules):
 
 def test_criterion_06_flags(modules):
     fx6 = get_fixture("F-H6")
-    fl6 = flag_sequence(fx6.space, fx6.w, fx6.flag_drop)
+    fl6 = flag_sequence(build_ideal(fx6.space, fx6.w), fx6.flag_drop)
     fxq = get_fixture("F-QS")
-    flq = flag_sequence(fxq.space, fxq.w, fxq.flag_drop)
+    flq = flag_sequence(build_ideal(fxq.space, fxq.w), fxq.flag_drop)
     ok = fl6.exact and fl6.split_subspace and fl6.split_module
     ok &= flq.exact and not flq.split_subspace and not flq.split_module
     checked = 0
@@ -147,7 +147,7 @@ def test_criterion_06_flags(modules):
         if w.dim < 2:
             continue
         for drop in w.basis:
-            fl = flag_sequence(space, w, drop)
+            fl = flag_sequence(build_ideal(space, w), drop)
             ok &= fl.exact and fl.split_agree
             checked += 1
     report(6, ok,
@@ -197,7 +197,7 @@ def test_criterion_09_simplicity(modules):
     ok = sv6.end_dim == 1 and svq.end_dim == 1
     ok &= sva.end_dim > 1
     fx6 = get_fixture("F-H6")
-    fl = flag_sequence(fx6.space, fx6.w, fx6.flag_drop)
+    fl = flag_sequence(build_ideal(fx6.space, fx6.w), fx6.flag_drop)
     split_end = hom_space(fl.outer, fl.outer)
     ok &= split_end.dimension == 2
     checked = 0

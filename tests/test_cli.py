@@ -19,6 +19,7 @@ from spinorsheaf.fixtures import (
     fixture_to_dict,
     get_fixture,
 )
+from spinorsheaf.verify import run_suite
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -133,6 +134,29 @@ class TestVerify:
         r = run_cli(["verify", "--fixture", "F-H6", "--suite", "nope"])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--fixture", "F-H6", "--window", "-1"],
+        ["verify", "--fixture", "F-H6", "--window", str(homalg.MAX_WINDOW + 1)],
+        ["query", "cohomology", "F-H6", "--twist", "0", "--window", str(homalg.MAX_WINDOW + 1)],
+    ])
+    def test_window_out_of_range_exit_2(self, argv):
+        # a negative window checks no twist at all; a large one runs for minutes
+        r = run_cli(argv)
+        assert r.returncode == 2
+        assert f"window must be an integer in 0..{homalg.MAX_WINDOW}" in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
+    def test_window_bounds_in_the_library(self):
+        fx = get_fixture("F-H2")
+        for window in (-1, homalg.MAX_WINDOW + 1):
+            with pytest.raises(SchemaError):
+                run_suite(fx, "all", window=window)
+        mf = spinor.build_factorization(spinor.build_ideal(fx.space, fx.w))
+        with pytest.raises(SchemaError):
+            homalg.cohomology_dim(mf, 0, 0, window=-1)
+        assert homalg.cohomology_dim(mf, 0, 0, window=0) == 1
+        assert run_suite(fx, "all", window=homalg.MAX_WINDOW).overall()
+
 
 class TestQuery:
     def test_hom(self):
@@ -163,6 +187,19 @@ class TestQuery:
         payload = json.loads(r.stdout)
         assert payload["parity"] == 1
         assert payload["bijective"] and payload["linear"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["restrict", "F-H6", "--data", "[1]"], "--data must be a JSON object"),
+        (["restrict", "F-H6", "--data", '{"section_subspace": [[1.5, 0, 0, 0, 0, 0]]}'],
+         "bad rational in section_subspace"),
+        (["cone", "F-QS", "--data", '{"cone_mod": "x"}'],
+         "cone_mod must be a non-empty list of rows"),
+    ])
+    def test_malformed_data_exit_2(self, argv, message):
+        r = run_cli(["query", *argv])
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == ""
 
     def test_missing_args_exit_2(self):
         r = run_cli(["query", "hom", "F-H6"])

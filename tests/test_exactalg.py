@@ -19,6 +19,8 @@ from spinorsheaf.exactalg import (
     mult_map_rank,
 )
 
+from dense_oracles import dense_invertible, dense_rank, dense_rank_kernel, dense_solve
+
 
 def M(rows):
     return Mat.from_rows(rows)
@@ -159,7 +161,7 @@ class TestMonomialMatrix:
             [M([[1, 0], [0, 1]]), M([[0, 1], [1, 0]])],
         )
         for t in range(1, 5):
-            dense = mat_rank(monomial_multiplication_matrix(lm, t))
+            dense = dense_rank(monomial_multiplication_matrix(lm, t))
             assert mult_map_rank(lm, t) == dense
         assert mult_map_rank(lm, 0) == 0
         assert mult_map_rank(lm, -3) == 0
@@ -174,7 +176,7 @@ class TestMonomialMatrix:
             mf = build_factorization(build_ideal(space, w))
             for lm in (mf.phi, mf.phi.transpose()):
                 for t in (1, 2, 3):
-                    dense = mat_rank(monomial_multiplication_matrix(lm, t))
+                    dense = dense_rank(monomial_multiplication_matrix(lm, t))
                     assert mult_map_rank(lm, t) == dense
                     checked += 1
         assert checked == 204
@@ -191,7 +193,7 @@ class TestMonomialMatrix:
         assert mf.N == 16
         mat = monomial_multiplication_matrix(mf.phi, 3)
         assert (mat.rows, mat.cols) == (896, 336)
-        assert mult_map_rank(mf.phi, 3) == mat_rank(mat) == 336
+        assert mult_map_rank(mf.phi, 3) == mat_rank(mat) == dense_rank(mat) == 336
 
     def test_mult_map_rank_common_denominator(self):
         # phi = [[x0/2 - 3x1/4, x1], [x0 - 3x1/2, 2x1]]: row 2 is twice row 1,
@@ -202,7 +204,7 @@ class TestMonomialMatrix:
             M([[F(-3, 4), 1], [F(-3, 2), 2]]),
         ])
         for t in range(1, 5):
-            dense = mat_rank(monomial_multiplication_matrix(lm, t))
+            dense = dense_rank(monomial_multiplication_matrix(lm, t))
             assert dense == t + 1 < 2 * (t + 1)
             assert mult_map_rank(lm, t) == dense
         lm3 = LinMat(3, [
@@ -211,7 +213,7 @@ class TestMonomialMatrix:
             M([[0, F(2, 7)], [F(-1, 2), 0]]),
         ])
         for t in range(1, 4):
-            assert mult_map_rank(lm3, t) == mat_rank(monomial_multiplication_matrix(lm3, t))
+            assert mult_map_rank(lm3, t) == dense_rank(monomial_multiplication_matrix(lm3, t))
 
     def test_monomial_order_is_lex(self):
         assert monomials(2, 1) == ((1, 0), (0, 1))
@@ -326,6 +328,102 @@ class TestRrefAgainstDense:
         rows, _ = ea.rref_rows([{0: Fraction(2), 1: Fraction(4)}, {0: ONE, 1: Fraction(3), 2: ONE}], 3)
         assert rows == [{0: 1, 2: -2}, {1: 1, 2: 1}]
 
+
+
+@st.composite
+def solve_cases(draw):
+    """A matrix from ``spanning_sets`` (any shape) and a target: an image
+    a x, so consistent, or any vector, mostly inconsistent when the rank
+    is short."""
+    rows, nc = draw(spanning_sets())
+    a = Mat.from_rows(rows)
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    if draw(st.booleans()):
+        target = a.mul_vec(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    else:
+        target = tuple(draw(st.lists(entry, min_size=a.rows, max_size=a.rows)))
+    return a, target
+
+
+@st.composite
+def square_mats(draw):
+    """Square matrices with fractional entries; a zero, repeated or
+    scaled row makes a singular one."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.integers(-4, 4).map(Fraction),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["as drawn", "unit lower", "zero", "repeat", "scaled"]))
+    if kind == "unit lower":
+        rows = [[Fraction(1) if i == j else (x if j < i else Fraction(0))
+                 for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    elif kind != "as drawn" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        s = {"zero": Fraction(0), "repeat": Fraction(1), "scaled": Fraction(-2, 3)}[kind]
+        rows[i] = [s * x for x in rows[j]]
+    return Mat.from_rows(rows)
+
+
+class TestMatRoutinesAgainstBareiss:
+    """The dense Bareiss routines that the sparse echelon replaced are the
+    oracle of ``mat_rank``, ``mat_rank_kernel``, ``mat_solve`` and
+    ``mat_invertible``: pivots, kernels, solutions and inverses are fixed
+    by the reduced form, so both give equal results."""
+
+    @staticmethod
+    def all_fractions(*vectors):
+        return all(isinstance(x, Fraction) for v in vectors for x in v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spanning_sets())
+    def test_rank_and_kernel(self, case):
+        m = Mat.from_rows(case[0])
+        rank, kernel = mat_rank_kernel(m)
+        assert (rank, kernel) == dense_rank_kernel(m)
+        assert mat_rank(m) == dense_rank(m) == rank
+        assert self.all_fractions(*kernel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(solve_cases())
+    def test_solve(self, case):
+        a, target = case
+        got = mat_solve(a, target)
+        assert got == dense_solve(a, target)
+        if got is not None:
+            particular, kernel = got
+            assert a.mul_vec(particular) == target
+            assert self.all_fractions(particular, *kernel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_mats())
+    def test_inverse(self, m):
+        inv = mat_invertible(m)
+        assert inv == dense_invertible(m)
+        assert (inv is None) == (mat_rank(m) < m.rows)
+        if inv is not None:
+            assert inv @ m == m @ inv == Mat.identity(m.rows)
+            assert self.all_fractions(inv.entries)
+
+    @pytest.mark.parametrize("rows, target, want", [
+        # consistent, with a free column between two pivots
+        ([[2, 1, 4], [0, 0, 6]], (1, 3), ((Fraction(-1, 2), 0, Fraction(1, 2)),
+                                          ((Fraction(-1, 2), 1, 0),))),
+        # inconsistent: the target column is a pivot
+        ([[1, 2], [2, 4]], (1, 3), None),
+        ([[0, 0]], (Fraction(1, 3),), None),
+        # zero target on a wide matrix: the particular solution is 0
+        ([[1, Fraction(1, 2), 0]], (0,), ((0, 0, 0), ((Fraction(-1, 2), 1, 0), (0, 0, 1)))),
+    ])
+    def test_known_solutions(self, rows, target, want):
+        a = M(rows)
+        assert mat_solve(a, target) == dense_solve(a, target) == want
+
+    def test_known_inverse_needs_a_row_swap(self):
+        m = M([[0, 2], [Fraction(1, 3), 1]])
+        assert mat_invertible(m) == M([[Fraction(-3, 2), 3], [Fraction(1, 2), 0]])
 
 
 class TestIncrementalSpan:

@@ -110,7 +110,7 @@ class TestHomSpace:
 
     def test_split_flag_outer_end(self):
         fx = get_fixture("F-H6")
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         assert hom_space(fl.outer, fl.outer).dimension == 2
 
     def test_companion_identity(self):
@@ -136,7 +136,7 @@ class TestHomSpace:
     def test_hom_between_different_w(self):
         # split additivity: Hom(S', S) for the flag has dimension 1
         fx = get_fixture("F-H6")
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         assert hom_space(fl.outer, fl.inner).dimension == 1
         assert hom_space(fl.inner, fl.outer).dimension == 1
 
@@ -346,7 +346,7 @@ class TestCohomology:
 class TestIdempotentProbe:
     def test_split_flag_has_idempotent(self):
         fx = get_fixture("F-H6")
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         end = hom_space(fl.outer, fl.outer)
         assert end.dimension == 2
         probe = idempotent_probe(end)
@@ -356,7 +356,7 @@ class TestIdempotentProbe:
 
     def test_nonsplit_flag_has_none(self):
         fx = get_fixture("F-QS")
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         end = hom_space(fl.outer, fl.outer)
         assert end.dimension == 2
         assert idempotent_probe(end) is None

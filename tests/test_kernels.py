@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from spinorsheaf import _kernels
 from spinorsheaf import _rowreduce_py as pure
-from spinorsheaf.exactalg import _kernel_from_echelon, _kernel_from_sparse_echelon
+from spinorsheaf.exactalg import _kernel_from_sparse_echelon
+
+from dense_oracles import _kernel_from_echelon
 
 
 def random_matrix(rng, nr, nc):

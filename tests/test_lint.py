@@ -40,6 +40,42 @@ def test_no_broad_except_clauses():
     assert found == []
 
 
+def _names(tree):
+    """The identifiers a module reads, binds, imports, defines as functions
+or takes as attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+            yield node.name
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
+
+
+def test_one_exact_elimination():
+    # the dense Bareiss ``echelon`` is the test oracle of the sparse kernel:
+    # it is defined in _rowreduce_py and re-exported by _kernels, and no
+    # other package module may call or bind it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("_rowreduce_py.py", "_kernels.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if "echelon" in set(_names(tree)):
+            found.append(path.name)
+    assert found == []
+
+
+def test_name_scan_sees_attributes_imports_and_bindings():
+    for src in ("_kernels.echelon(rows, 3)", "from x import echelon as e",
+                "echelon = 1", "def echelon(): pass"):
+        assert "echelon" in set(_names(ast.parse(src)))
+    assert "echelon" not in set(_names(ast.parse("sparse_echelon(rows)")))
+
+
 def _unused_imports(tree):
     """Names a module imports but never reads or lists in ``__all__``."""
     imported = {}

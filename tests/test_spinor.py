@@ -197,14 +197,14 @@ class TestDual:
 class TestFlag:
     def test_fh6_split(self):
         fx = get_fixture("F-H6")
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         assert fl.exact
         assert fl.split_subspace and fl.split_module and fl.split_agree
         assert fl.outer.ev_dim == 2 * fl.inner.ev_dim
 
     def test_fqs_nonsplit(self):
         fx = get_fixture("F-QS")
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         assert fl.exact
         assert not fl.split_subspace and not fl.split_module and fl.split_agree
 
@@ -212,26 +212,40 @@ class TestFlag:
         from spinorsheaf.homalg import is_isomorphic
 
         fx = get_fixture("F-H6")
-        fl = flag_sequence(fx.space, fx.w, fx.flag_drop)
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         target = direct_sum(fl.inner, shift(fl.inner))
         assert is_isomorphic(fl.outer, target).kind == "ISO"
 
     def test_degenerate_inputs(self):
         fx = get_fixture("F-H6")
         with pytest.raises(PreconditionError):
-            flag_sequence(fx.space, fx.w, vec((0,) * 6))
+            flag_sequence(build_ideal(fx.space, fx.w), vec((0,) * 6))
         with pytest.raises(PreconditionError):
-            flag_sequence(fx.space, fx.w, e(6, 0))  # not in w
+            flag_sequence(build_ideal(fx.space, fx.w), e(6, 0))  # not in w
         fx2 = get_fixture("F-H2")
         with pytest.raises(PreconditionError):
-            flag_sequence(fx2.space, fx2.w, e(2, 1))  # dim w = 1
+            flag_sequence(build_ideal(fx2.space, fx2.w), e(2, 1))  # dim w = 1
+        with pytest.raises(PreconditionError):
+            flag_sequence(shift(build_ideal(fx.space, fx.w)), fx.flag_drop)
+
+    def test_inner_is_the_given_module(self):
+        # the module of w is that of w' + <drop>, whichever basis spans w
+        for space, w in grid_spaces(4):
+            if w.dim < 2:
+                continue
+            module = build_ideal(space, w)
+            for t, drop in enumerate(w.basis):
+                fl = flag_sequence(module, drop)
+                assert fl.inner is module
+                rest = [v for k, v in enumerate(w.basis) if k != t]
+                assert module.same_module(build_ideal(space, Subspace(space, rest + [drop])))
 
     def test_grid_split_agreement(self):
         for space, w in grid_spaces(4):
             if w.dim < 2:
                 continue
             for drop in w.basis:
-                fl = flag_sequence(space, w, drop)
+                fl = flag_sequence(build_ideal(space, w), drop)
                 assert fl.exact
                 assert fl.split_agree
 
@@ -576,7 +590,7 @@ class TestSplittingAgainstDense:
             if w.dim < 2:
                 continue
             for drop in w.basis:
-                fl = flag_sequence(space, w, drop)
+                fl = flag_sequence(build_ideal(space, w), drop)
                 assert fl.split_module == dense_splitting_exists(
                     fl.inner, fl.outer, fl.quotient_ev, fl.quotient_odd)
                 seen.add(fl.split_module)

@@ -58,6 +58,10 @@ def test_flag_and_end_computed_once_per_run(monkeypatch):
     assert len(homs) == 2
     module = homs[0][0]
     assert homs[0] == (module, module) and homs[1][0] is not module
+    # the flag is built on the run's own module, not on a rebuilt copy
+    assert flags[0][0] is module
+    run = verify._Run(fx, DEFAULT_SEED, 6)
+    assert run.flag.inner is run.module
     del flags[:], homs[:]
     run_suite(fx, "construction", DEFAULT_SEED)
     assert flags == [] and homs == []
