@@ -268,6 +268,44 @@ def trace_form(a: CliffordElement, b: CliffordElement | None = None) -> Fraction
     return a.terms.get(ctx.top, ZERO)
 
 
+def trace_pairing_nondegenerate(space: QuadraticSpace) -> bool:
+    """Whether (a, b) -> tr(a*b) is nondegenerate on Cl(V, q), certified
+    from the multiplication table instead of the 2^n x 2^n Gram.
+
+    (a) Each e_i * e_M has degree at most |M| + 1, and its part of that
+    degree is e_i ^ e_M: the sign (-1)^(bits of M below i) times
+    e_{M + i} when i is not in M, nothing when it is.  Products of
+    monomials are built from these entries (``mono_mul_terms``), so the
+    top-degree part of e_S * e_T is e_S ^ e_T, and tr(e_S * e_T) = 0 when
+    |S| + |T| < n, or when |S| + |T| = n and T is not the complement S^c.
+    (b) Each tr(e_S * e_{S^c}) is nonzero.  Given (a), the Gram graded by
+    |S| is block anti-triangular and its anti-diagonal blocks hold only the
+    entries tr(e_S * e_{S^c}), so it is invertible exactly when (b) holds.
+    A correct table satisfies (a) for every form, since Cl(V, q) is a
+    filtered deformation of the exterior algebra (Chevalley, 1954)."""
+    ctx = _ctx(space)
+    for mask in range(1 << ctx.n):
+        top = _POPCOUNT(mask) + 1
+        for i in range(ctx.n):
+            bit = 1 << i
+            lead = {}
+            for m, c in ctx.vec_mono(i, mask).items():
+                d = _POPCOUNT(m)
+                if d > top:
+                    return False
+                if d == top:
+                    lead[m] = c
+            if mask & bit:
+                wedge = {}
+            else:
+                wedge = {mask | bit: -ONE if _POPCOUNT(mask & (bit - 1)) % 2 else ONE}
+            if lead != wedge:
+                return False
+    return all(trace_form(CliffordElement(space, {m: ONE}),
+                          CliffordElement(space, {ctx.top ^ m: ONE}))
+               for m in range(1 << ctx.n))
+
+
 def reflect(space: QuadraticSpace, u, v) -> tuple:
     """v - (2 b(v,u)/q(u)) u; agrees with -u v u^{-1} in the algebra."""
     u = vec(u)

@@ -391,7 +391,7 @@ class SpanSolver:
 class LinMat:
     """Matrix of linear forms M(x) = sum_i x_i * coeff[i], all shapes equal."""
 
-    __slots__ = ("n", "rows", "cols", "coeff")
+    __slots__ = ("n", "rows", "cols", "coeff", "_int_rows")
 
     def __init__(self, n: int, coeff):
         coeff = tuple(coeff)
@@ -407,6 +407,7 @@ class LinMat:
         self.rows = r
         self.cols = c
         self.coeff = coeff
+        self._int_rows = None
 
     def evaluate(self, v) -> Mat:
         """M(v), summed over the nonzero entries of each coefficient."""
@@ -424,19 +425,22 @@ class LinMat:
     def int_rows(self):
         """``(d, rows)``: ``d`` is the least common denominator of all
         coefficients, and ``rows[k][r]`` lists the nonzeros of row r of
-        ``coeff[k]`` as int pairs ``(j, d * coeff[k][r, j])``."""
-        C = self.cols
-        # "is not ZERO" skips the shared zero without calling Fraction.__bool__
-        nz = [[(t, v) for t, v in enumerate(m.entries) if v is not ZERO and v]
-              for m in self.coeff]
-        den = reduce(lcm, (v.denominator for flat in nz for _, v in flat), 1)
-        out = []
-        for flat in nz:
-            rows = [[] for _ in range(self.rows)]
-            for t, v in flat:
-                rows[t // C].append((t % C, v.numerator * (den // v.denominator)))
-            out.append(rows)
-        return den, out
+        ``coeff[k]`` as int pairs ``(j, d * coeff[k][r, j])``.  Computed
+        once, since a LinMat is immutable; callers must not modify it."""
+        if self._int_rows is None:
+            C = self.cols
+            # "is not ZERO" skips the shared zero without calling Fraction.__bool__
+            nz = [[(t, v) for t, v in enumerate(m.entries) if v is not ZERO and v]
+                  for m in self.coeff]
+            den = reduce(lcm, (v.denominator for flat in nz for _, v in flat), 1)
+            out = []
+            for flat in nz:
+                rows = [[] for _ in range(self.rows)]
+                for t, v in flat:
+                    rows[t // C].append((t % C, v.numerator * (den // v.denominator)))
+                out.append(rows)
+            self._int_rows = den, out
+        return self._int_rows
 
     def transpose(self) -> "LinMat":
         return LinMat(self.n, [m.transpose() for m in self.coeff])

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, product
-from math import factorial
+from math import factorial, lcm
 
 from .clifford import CliffordElement, multiply
 from .errors import (
@@ -84,6 +85,11 @@ def hom_space(a, b) -> GradedHom:
     pivots = _kernels.sparse_echelon(phi_rows)
     dim = nvars - len(pivots)
     kernel = _kernel_from_sparse_echelon(pivots, nvars)
+    # psi_rows is consumed: keep its nonzeros by variable, (row, value) each
+    companion_cols = {}
+    for r, row in enumerate(psi_rows):
+        for j, c in row.items():
+            companion_cols.setdefault(j, []).append((r, c))
     _kernels.sparse_echelon(psi_rows, pivots)
     dim2 = nvars - len(pivots)
     if dim != dim2:
@@ -93,15 +99,25 @@ def hom_space(a, b) -> GradedHom:
         )
     na = b.odd_dim * a.odd_dim
     basis = []
-    companion = True
     for v in kernel:
         A = Mat(b.odd_dim, a.odd_dim, v[:na]) if na else Mat.zeros(b.odd_dim, a.odd_dim)
         B = Mat(b.ev_dim, a.ev_dim, v[na:]) if nvars - na else Mat.zeros(b.ev_dim, a.ev_dim)
         basis.append((A, B))
-        for i in range(a.space.n):
-            if B @ a.act_odd[i] != b.act_odd[i] @ A:
-                companion = False
+    companion = all(_satisfies(companion_cols, v) for v in kernel)
     return GradedHom(a, b, basis, dim2, companion)
+
+
+def _satisfies(cols, v) -> bool:
+    """Whether ``v`` solves the integer rows whose nonzeros ``cols`` lists by
+    variable; only the nonzeros of ``v`` are read, cleared of denominators."""
+    l = reduce(lcm, (x.denominator for x in v if x), 1)
+    acc = {}
+    for j, x in enumerate(v):
+        if x:
+            x = x.numerator * (l // x.denominator)
+            for r, c in cols.get(j, ()):
+                acc[r] = acc.get(r, 0) + c * x
+    return not any(acc.values())
 
 
 class IsoVerdict:

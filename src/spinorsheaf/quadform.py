@@ -27,7 +27,7 @@ from .exactalg import (
 class QuadraticSpace:
     """A rational vector space with a symmetric bilinear form of rank >= 2."""
 
-    __slots__ = ("n", "gram", "_rank", "_radical", "_clifford")
+    __slots__ = ("n", "gram", "_gram_nz", "_rank", "_radical", "_clifford")
 
     def __init__(self, gram: Mat):
         if gram.rows != gram.cols:
@@ -36,6 +36,10 @@ class QuadraticSpace:
             raise SchemaError("gram matrix must be symmetric")
         self.n = gram.rows
         self.gram = gram
+        # (i, ((j, g_ij), ...)) for the nonzero rows: b reads only these
+        rows = ((i, tuple((j, g) for j, g in enumerate(gram.row(i)) if g))
+                for i in range(gram.rows))
+        self._gram_nz = tuple((i, row) for i, row in rows if row)
         self._rank = mat_rank(gram)
         if self._rank < 2:
             raise SchemaError("quadratic form must have rank at least 2")
@@ -49,11 +53,17 @@ class QuadraticSpace:
     def b(self, v, w) -> Fraction:
         if len(v) != self.n or len(w) != self.n:
             raise PreconditionError("vector length mismatch")
-        gw = self.gram.mul_vec(w)
         s = ZERO
-        for a, c in zip(v, gw):
-            if a and c:
-                s += a * c
+        for i, row in self._gram_nz:
+            a = v[i]
+            if a:
+                t = ZERO
+                for j, g in row:
+                    c = w[j]
+                    if c:
+                        t += g * c
+                if t:
+                    s += a * t
         return s
 
     def q(self, v) -> Fraction:

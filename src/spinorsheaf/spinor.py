@@ -10,7 +10,9 @@ verified through exact linear algebra on those bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from math import lcm
 
 from .clifford import (
     CliffordElement,
@@ -322,7 +324,19 @@ def fiber_rank(mf: FactorizationPair, v):
         raise PreconditionError("fiber point must be nonzero")
     if mf.space.q(v) != 0:
         raise PreconditionError("fiber points must lie on the quadric")
-    r = mat_rank(mf.phi.evaluate(v))
+    # phi(v) scaled by d * l is sum_k (l v_k) * (d coeff[k]): integer rows
+    # read off the nonzeros of the coefficients, with the rank of phi(v)
+    _, nz = mf.phi.int_rows()
+    l = reduce(lcm, (x.denominator for x in v), 1)
+    scaled = [(k, x.numerator * (l // x.denominator)) for k, x in enumerate(v) if x]
+    rows = []
+    for r in range(mf.N):
+        row = {}
+        for k, a in scaled:
+            for j, c in nz[k][r]:
+                row[j] = row.get(j, 0) + a * c
+        rows.append({j: c for j, c in row.items() if c})
+    r = _kernels.sparse_rank(rows)
     return r, mf.N - r
 
 

@@ -6,7 +6,7 @@ from functools import reduce
 from math import lcm
 
 from spinorsheaf import _kernels
-from spinorsheaf.clifford import CliffordElement, _ctx, multiply
+from spinorsheaf.clifford import CliffordElement, _ctx, multiply, trace_form
 from spinorsheaf.errors import SpanError
 from spinorsheaf.exactalg import (
     ONE,
@@ -263,3 +263,11 @@ def left_action_matrix(v, domain_basis, codomain_basis) -> Mat:
             raise SpanError("image leaves the codomain span", witness=image)
         cols.append(change.mul_vec(in_rref))
     return Mat.from_cols(cols)
+
+
+def dense_trace_pairing_nondegenerate(space) -> bool:
+    """``clifford.trace_pairing_nondegenerate`` from the full 2^n x 2^n
+    Gram of tr(e_S * e_T) and its rank."""
+    monos = [CliffordElement(space, {m: ONE}) for m in range(1 << space.n)]
+    gram = Mat.from_rows([[trace_form(a, b) for b in monos] for a in monos])
+    return dense_rank(gram) == 1 << space.n

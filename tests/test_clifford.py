@@ -5,22 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinorsheaf import clifford
 from spinorsheaf.clifford import (
     CliffordElement,
     GroupElement,
+    _ctx,
     conjugate_subspace,
     grade_parts,
     multiply,
     reflect,
     trace_form,
+    trace_pairing_nondegenerate,
     transpose_anti,
 )
 from spinorsheaf.errors import PreconditionError, SpanError
-from spinorsheaf.exactalg import Mat, mat_rank, vec
-from spinorsheaf.fixtures import get_fixture, grid_spaces
-from spinorsheaf.quadform import Subspace
+from spinorsheaf.exactalg import Mat, vec
+from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
+from spinorsheaf.quadform import QuadraticSpace, Subspace
 
-from dense_oracles import left_action_matrix
+from dense_oracles import dense_trace_pairing_nondegenerate, left_action_matrix
 
 
 def e(n, i):
@@ -150,14 +153,48 @@ class TestTrace:
         assert trace_form(mono(space, 0, 1, 2, 3, 4, 5)) == 1
 
     def test_pairing_nondegenerate_all_fixtures(self):
-        for label in ("F-H2", "F-QS", "F-C5", "F-H6"):
+        for label in FIXTURE_LABELS:
             space = get_fixture(label).space
-            n = space.n
-            monos = [CliffordElement(space, {m: Fraction(1)}) for m in range(1 << n)]
-            g = Mat.from_rows(
-                [[trace_form(a, b) for b in monos] for a in monos]
-            )
-            assert mat_rank(g) == 1 << n
+            assert dense_trace_pairing_nondegenerate(space)
+            assert trace_pairing_nondegenerate(space)
+
+    def test_pairing_certificate_matches_dense_gram_on_grid(self):
+        seen = set()
+        for space, _ in grid_spaces(6):
+            if space.gram not in seen:
+                seen.add(space.gram)
+                assert trace_pairing_nondegenerate(space) == \
+                    dense_trace_pairing_nondegenerate(space)
+        assert len(seen) == 15
+
+    @staticmethod
+    def _certified_space():
+        space = QuadraticSpace(get_fixture("F-H6").space.gram)
+        assert trace_pairing_nondegenerate(space)
+        return space, _ctx(space)
+
+    def test_pairing_certificate_rejects_a_wrong_leading_term(self):
+        space, ctx = self._certified_space()
+        # e2 * e0e1 = e0e1e2: flip its sign
+        assert ctx.vec_cache[2, 0b011] == {0b111: 1}
+        ctx.vec_cache[2, 0b011] = {0b111: Fraction(-1)}
+        assert not trace_pairing_nondegenerate(space)
+
+    def test_pairing_certificate_rejects_a_degree_raising_term(self):
+        space, ctx = self._certified_space()
+        # e0 * e1 gains a term of degree 3
+        ctx.vec_cache[0, 0b010] = {0b011: Fraction(1), 0b111000: Fraction(1)}
+        assert not trace_pairing_nondegenerate(space)
+
+    def test_pairing_certificate_rejects_a_zero_antidiagonal_trace(self, monkeypatch):
+        space, _ = self._certified_space()
+        real = clifford.trace_form
+
+        def zero_at_e0e2(a, b=None):
+            return Fraction(0) if a.terms == {0b101: 1} else real(a, b)
+
+        monkeypatch.setattr(clifford, "trace_form", zero_at_e0e2)
+        assert not trace_pairing_nondegenerate(space)
 
     def test_vector_commutation_sign(self):
         # tr(v xi) = (-1)^(n-1) tr(xi v), exhaustively for n <= 4

@@ -540,6 +540,7 @@ class TestLinMatSparse:
             for r in range(m.rows):
                 for j in range(m.cols):
                     assert dict(rows[k][r]).get(j, 0) == den * m[r, j]
+        assert lm.int_rows() is lm.int_rows()
 
 
 class TestBlockDiag:

@@ -6,6 +6,7 @@ from spinorsheaf.clifford import CliffordElement, grade_parts
 from spinorsheaf.errors import InvariantError, PreconditionError
 from spinorsheaf.exactalg import Mat, UniPoly, mat_rank, mat_rank_kernel
 from spinorsheaf.fixtures import get_fixture, grid_spaces
+from spinorsheaf import homalg
 from spinorsheaf.homalg import (
     _closure_from_coords,
     cohomology_dim,
@@ -119,6 +120,22 @@ class TestHomSpace:
             h = hom_space(i, i)
             assert h.companion_identity_holds
             assert h.crosscheck_dimension == h.dimension
+
+    def test_corrupted_basis_vector_breaks_companion(self, monkeypatch):
+        # one entry of B off in the first basis element: B psi = psi' A fails
+        real = homalg._kernel_from_sparse_echelon
+
+        def corrupted(pivots, ncols):
+            kernel = real(pivots, ncols)
+            first = kernel[0][:-1] + (kernel[0][-1] + 1,)
+            return (first,) + kernel[1:]
+
+        a = module("F-H6")
+        assert hom_space(a, a).companion_identity_holds
+        monkeypatch.setattr(homalg, "_kernel_from_sparse_echelon", corrupted)
+        h = hom_space(a, a)
+        assert h.crosscheck_dimension == h.dimension
+        assert not h.companion_identity_holds
 
     def test_intertwining_equations_hold(self):
         a = module("F-QS")

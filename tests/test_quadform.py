@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinorsheaf.errors import PreconditionError, SchemaError
 from spinorsheaf.exactalg import Mat, vec
@@ -20,6 +22,39 @@ from spinorsheaf.quadform import (
 
 def e(n, i):
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+_small_rats = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _space_and_vectors(draw):
+    n = draw(st.integers(2, 5))
+    # symmetric, mostly sparse; a Gram of rank < 2 is no QuadraticSpace
+    upper = {(i, j): draw(st.one_of(st.just(Fraction(0)), _small_rats))
+             for i in range(n) for j in range(i, n)}
+    gram = Mat.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    try:
+        space = QuadraticSpace(gram)
+    except SchemaError:
+        assume(False)
+    vectors = st.lists(_small_rats, min_size=n, max_size=n).map(tuple)
+    return space, draw(vectors), draw(vectors)
+
+
+class TestBilinear:
+    @settings(max_examples=150, deadline=None)
+    @given(_space_and_vectors())
+    def test_b_matches_the_dense_gram(self, case):
+        space, v, w = case
+        got = space.b(v, w)
+        assert isinstance(got, Fraction)
+        assert got == sum((a * c for a, c in zip(v, space.gram.mul_vec(w))), Fraction(0))
+
+    def test_b_checks_lengths(self):
+        space = get_fixture("F-H6").space
+        with pytest.raises(PreconditionError):
+            space.b(e(6, 0), e(5, 0))
 
 
 class TestEvaluate:

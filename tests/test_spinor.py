@@ -5,8 +5,8 @@ import pytest
 from spinorsheaf.clifford import CliffordElement, GroupElement
 from spinorsheaf import spinor
 from spinorsheaf.errors import InvariantError, PreconditionError
-from spinorsheaf.exactalg import Mat, vec
-from spinorsheaf.fixtures import get_fixture, grid_spaces
+from spinorsheaf.exactalg import Mat, mat_rank, vec
+from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf.quadform import Subspace, quotient_space, radical_basis, standardize
 from spinorsheaf.spinor import (
     FactorizationPair,
@@ -152,6 +152,17 @@ class TestFiberRank:
                     assert fiber == 1 << (c - 1)
                 else:
                     assert fiber == 1 << (c - 2)
+
+    def test_matches_rank_of_evaluated_phi(self):
+        # the sparse integer rows of phi(v) give the rank of the dense
+        # phi(v), at every sampled point and at a multiple with denominators
+        for label in FIXTURE_LABELS:
+            fx = get_fixture(label)
+            mf = build_factorization(build_ideal(fx.space, fx.w))
+            for v in sample_quadric_points(fx.space):
+                for u in (v, tuple(x / 3 for x in v)):
+                    r = mat_rank(mf.phi.evaluate(u))
+                    assert fiber_rank(mf, u) == (r, mf.N - r)
 
     def test_codim_one_components(self):
         # rank-2 surface: Q = PW cup PW'; the 1x1 factorization vanishes on

@@ -1,9 +1,10 @@
 import gc
 import hashlib
+import sys
 
 import pytest
 
-from spinorsheaf import verify
+from spinorsheaf import clifford, verify
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture
 from spinorsheaf.homalg import DEFAULT_SEED
 from spinorsheaf.verify import run_suite
@@ -67,3 +68,24 @@ def test_flag_and_end_computed_once_per_run(monkeypatch):
     assert flags == [] and homs == []
     run_suite(fx, "stability-numerics", DEFAULT_SEED)
     assert len(flags) == 1 and len(homs) == 2
+
+
+def test_trace_pairing_reads_the_antidiagonal_only(monkeypatch):
+    # the dual suite certifies the trace pairing from the multiplication
+    # table and the 2^n traces tr(e_S e_{S^c}), not from the 4^n entries
+    # of its Gram; every module binding of trace_form is counted
+    real = clifford.trace_form
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spinorsheaf") and getattr(mod, "trace_form", None) is real:
+            monkeypatch.setattr(mod, "trace_form", counted)
+    report = run_suite(get_fixture("F-H6"), "dual", DEFAULT_SEED)
+    record = report.records[0]
+    assert record["op"] == "trace_pairing_nondegenerate"
+    assert record["verdict"] == "pass" and record["details"] == {"size": 64}
+    assert len(calls) == 1 << 6
