@@ -129,18 +129,18 @@ class Mat:
             raise ValueError("shape mismatch in product")
         n, m, k = self.rows, other.cols, self.cols
         out = [ZERO] * (n * m)
-        oe = other.entries
+        # the nonzeros of each row of other, listed once; "is not ZERO"
+        # skips the shared zero without calling Fraction.__bool__
+        orows = [[(j, b) for j, b in enumerate(other.row(t)) if b is not ZERO and b]
+                 for t in range(k)]
         for i in range(n):
             base = i * k
             obase = i * m
             for t in range(k):
                 a = self.entries[base + t]
-                if a:
-                    rb = t * m
-                    for j in range(m):
-                        b = oe[rb + j]
-                        if b:
-                            out[obase + j] += a * b
+                if a is not ZERO and a:
+                    for j, b in orows[t]:
+                        out[obase + j] += a * b
         return Mat(n, m, out)
 
     def mul_vec(self, v) -> tuple:

@@ -6,6 +6,9 @@ Hom spaces are computed two ways and compared: the intertwining system
 A phi = phi' B in the matrix pair (A, B), and the direct graded-module
 equations that also impose B psi = psi' A.  The first determines the
 second (multiplying by psi on both sides), and the computation checks it.
+
+A module here is anything with ``space``, ``ev_dim``, ``odd_dim``,
+``act_ev`` and ``act_odd``: an ideal module or a factorization pair.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .exactalg import (
     Mat,
     ZERO,
     binomial_upoly,
-    mat_invertible,
     monomial_count,
     mult_map_rank,
     _hom_system,
@@ -41,8 +43,9 @@ from .quadform import radical_basis, standardize, sub_intersection
 from .spinor import (
     IdealModule,
     MatrixFactorization,
-    _is_intertwiner,
+    _invertible_pair,
     build_ideal,
+    intertwines,
     recover_intersection_with_radical,
     shift,
 )
@@ -130,17 +133,6 @@ class IsoVerdict:
 
     def __repr__(self):
         return f"IsoVerdict({self.kind}, {self.reason})"
-
-
-def _invertible_pair(A, B):
-    """(A, B, A^-1, B^-1) when both are invertible, else None."""
-    ai = mat_invertible(A)
-    if ai is None:
-        return None
-    bi = mat_invertible(B)
-    if bi is None:
-        return None
-    return (A, B, ai, bi)
 
 
 def _combine(hom, coeffs):
@@ -235,11 +227,8 @@ def _orthogonal_shift_witness(a, b, rng):
                     for par in (1, 0))
         except SpanError:
             continue
-        if not _is_intertwiner(a, b, A, B):
-            continue
-        if mat_invertible(A) is None or mat_invertible(B) is None:
-            continue
-        return (A, B, u)
+        if intertwines(a, b, A, B) and _invertible_pair(A, B) is not None:
+            return (A, B, u)
     return None
 
 
@@ -300,26 +289,12 @@ def is_isomorphic(a, b, seed: int = DEFAULT_SEED) -> IsoVerdict:
     return IsoVerdict("UNDECIDED", reason="no invertible combination found")
 
 
-def pair_view(pair):
-    """Module-like view of a raw factorization pair, so hom machinery can
-    compare pairs that do not come from an ideal module."""
-    from .spinor import DirectSumModule
-
-    return DirectSumModule(
-        pair.space,
-        pair.phi.cols,
-        pair.phi.rows,
-        pair.phi.coeff,
-        pair.psi.coeff,
-    )
-
-
 def factorization_equivalent(p1, p2, seed: int = DEFAULT_SEED):
     """Invertible (A, B) with A phi1 = phi2 B, or None.  Certifies that two
     factorization pairs present isomorphic cokernels."""
     if (p1.phi.rows, p1.phi.cols) != (p2.phi.rows, p2.phi.cols):
         return None
-    hom = hom_space(pair_view(p1), pair_view(p2))
+    hom = hom_space(p1, p2)
     found = _search_invertible(hom, random.Random(seed))
     if found is None:
         return None

@@ -5,6 +5,13 @@ odd parts; left multiplication by the coordinate vectors gives the pair
 (phi, psi) of matrices of linear forms with phi psi = psi phi = q * Id.
 Everything downstream (flags, duals, restriction, cones, equivariance) is
 verified through exact linear algebra on those bases.
+
+A module known only by its action is a ``FactorizationPair``: a graded
+module and its pair (phi, psi) are the same data, so duals and direct
+sums are pairs, and Hom spaces take them as they take ideal modules.
+Whether a graded map respects the action is decided in one place,
+``intertwines``, for equivariance, restriction, cones and the shift
+witness of the isomorphism test.
 """
 
 from __future__ import annotations
@@ -209,51 +216,11 @@ def shift(i: IdealModule) -> IdealModule:
     return out
 
 
-class DirectSumModule:
-    """Formal direct sum; only the action matrices matter downstream."""
-
-    __slots__ = ("space", "ev_dim", "odd_dim", "act_ev", "act_odd", "parts")
-
-    def __init__(self, space, ev_dim, odd_dim, act_ev, act_odd, parts=()):
-        self.space = space
-        self.ev_dim = ev_dim
-        self.odd_dim = odd_dim
-        self.act_ev = tuple(act_ev)
-        self.act_odd = tuple(act_odd)
-        self.parts = tuple(parts)
-
-    def __repr__(self):
-        return f"DirectSumModule(ev={self.ev_dim}, odd={self.odd_dim})"
-
-
-def zero_module(space: QuadraticSpace) -> DirectSumModule:
-    zero = Mat.zeros(0, 0)
-    return DirectSumModule(space, 0, 0,
-                           [zero] * space.n, [zero] * space.n)
-
-
-def direct_sum(a, b) -> DirectSumModule:
-    """Block sum of two modules over the same space."""
-    if a.space != b.space:
-        raise PreconditionError("direct sum needs a common space")
-    act_ev = []
-    act_odd = []
-    for i in range(a.space.n):
-        act_ev.append(a.act_ev[i].block_diag(b.act_ev[i]))
-        act_odd.append(a.act_odd[i].block_diag(b.act_odd[i]))
-    return DirectSumModule(
-        a.space,
-        a.ev_dim + b.ev_dim,
-        a.odd_dim + b.odd_dim,
-        act_ev,
-        act_odd,
-        parts=(a, b),
-    )
-
-
 class FactorizationPair:
     """A pair (phi, psi) of square matrices of linear forms with
-    phi(v) psi(v) = psi(v) phi(v) = q(v) Id."""
+    phi(v) psi(v) = psi(v) phi(v) = q(v) Id.  It is also the graded module
+    on which v acts by phi(v): ev -> odd and psi(v): odd -> ev, which is
+    all that Hom spaces, isomorphism tests and direct sums read."""
 
     __slots__ = ("space", "phi", "psi", "N")
 
@@ -262,6 +229,22 @@ class FactorizationPair:
         self.phi = phi
         self.psi = psi
         self.N = phi.rows
+
+    @property
+    def ev_dim(self) -> int:
+        return self.phi.cols
+
+    @property
+    def odd_dim(self) -> int:
+        return self.phi.rows
+
+    @property
+    def act_ev(self):
+        return self.phi.coeff
+
+    @property
+    def act_odd(self):
+        return self.psi.coeff
 
     def check_identity(self) -> bool:
         """phi_i psi_j + phi_j psi_i = 2 b(e_i, e_j) Id for i <= j, and the
@@ -308,6 +291,18 @@ class MatrixFactorization(FactorizationPair):
         psi = LinMat(n, module.act_odd)
         super().__init__(module.space, phi, psi)
         self.module = module
+
+
+def direct_sum(a, b) -> FactorizationPair:
+    """Block sum of two modules over the same space."""
+    if a.space != b.space:
+        raise PreconditionError("direct sum needs a common space")
+    n = a.space.n
+    return FactorizationPair(
+        a.space,
+        LinMat(n, a.act_ev).block_diag(LinMat(n, b.act_ev)),
+        LinMat(n, a.act_odd).block_diag(LinMat(n, b.act_odd)),
+    )
 
 
 def build_factorization(i) -> MatrixFactorization:
@@ -460,11 +455,37 @@ def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
     return nvars not in _kernels.sparse_echelon(rows)
 
 
-def _is_intertwiner(a, b, A, B) -> bool:
-    """Is (A, B) a graded module map a -> b: A on the odd parts, B on the
-    even parts, A act_ev = act_ev' B and B act_odd = act_odd' A?"""
-    return all(A @ a.act_ev[i] == b.act_ev[i] @ B and B @ a.act_odd[i] == b.act_odd[i] @ A
-               for i in range(a.space.n))
+def intertwines(a, b, A, B, pairs=None) -> bool:
+    """Does the graded map (A, B): a -> b, A on the odd parts and B on the
+    even parts, carry the action of s on a to that of v on b for each pair
+    (s, v) of vectors: A phi_a(s) = phi_b(v) B and B psi_a(s) = psi_b(v) A?
+    The default pairs (e_i, e_i) ask for a module map.  This is the one
+    check of a map against the action."""
+    if pairs is None:
+        basis = [a.space.basis_vector(i) for i in range(a.space.n)]
+        pairs = zip(basis, basis)
+    return all(A @ _action(a.act_ev, s) == _action(b.act_ev, v) @ B
+               and B @ _action(a.act_odd, s) == _action(b.act_odd, v) @ A
+               for s, v in pairs)
+
+
+def _action(mats, v) -> Mat:
+    """sum_k v_k mats[k]; for a basis vector, one of ``mats`` as it is."""
+    support = [k for k, x in enumerate(v) if x]
+    if len(support) == 1 and v[support[0]] == 1:
+        return mats[support[0]]
+    return LinMat(len(mats), mats).evaluate(v)
+
+
+def _invertible_pair(A, B):
+    """(A, B, A^-1, B^-1) when both are invertible, else None."""
+    ai = mat_invertible(A)
+    if ai is None:
+        return None
+    bi = mat_invertible(B)
+    if bi is None:
+        return None
+    return (A, B, ai, bi)
 
 
 def recover_intersection_with_radical(module) -> Subspace:
@@ -591,8 +612,7 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     if [x.terms for x in adapted.ev_basis] != [x.terms for x in i.ev_basis]:
         raise InvariantError("the adapted basis of W gives a different ideal")
 
-    pairs = [(CliffordElement.from_vector(space_u, space_u.basis_vector(t)),
-              CliffordElement.from_vector(space, ucols[t])) for t in range(space_u.n)]
+    pairs = [(space_u.basis_vector(t), ucols[t]) for t in range(space_u.n)]
     return RestrictVerdict(
         kind="ISOMORPHIC",
         codim_u=codim_u,
@@ -607,22 +627,19 @@ def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
     """The map tau: x -> embed(x) * tail from the module ``small`` (on the
     space whose basis ``cols`` embeds) into ``big`` shifted by ``d``.
     Returns its two graded matrices (``map_ev``, ``map_odd``), whether both
-    are invertible (``bijective``), and whether tau(s x) = b tau(x) for
-    every pair (s, b) of ``vector_pairs`` (``linear``)."""
+    are invertible (``bijective``), and whether tau(s x) = v tau(x) for
+    every pair (s, v) of ``vector_pairs`` (``linear``)."""
     space = big.space
-    images = [[multiply(_embed_element(space, cols, xi), tail) for xi in small.part(par)]
-              for par in (0, 1)]
-    map_ev, map_odd = (big.part_matrix((par + d) % 2, images[par], what) for par in (0, 1))
-    bijective = (
-        mat_invertible(map_ev) is not None and mat_invertible(map_odd) is not None
-    )
-    linear = all(
-        multiply(_embed_element(space, cols, multiply(s, xi)), tail) == multiply(b, image)
-        for s, b in vector_pairs
+    map_ev, map_odd = (
+        big.part_matrix((par + d) % 2,
+                        (multiply(_embed_element(space, cols, xi), tail)
+                         for xi in small.part(par)), what)
         for par in (0, 1)
-        for xi, image in zip(small.part(par), images[par])
     )
-    return {"map_ev": map_ev, "map_odd": map_odd, "bijective": bijective, "linear": linear}
+    target = shift(big) if d % 2 else big
+    return {"map_ev": map_ev, "map_odd": map_odd,
+            "bijective": _invertible_pair(map_ev, map_odd) is not None,
+            "linear": intertwines(small, target, map_odd, map_ev, vector_pairs)}
 
 
 class ConeVerdict:
@@ -667,8 +684,7 @@ def cone_compare(i_quotient: IdealModule, qs: QuotientSpace) -> ConeVerdict:
     tail = CliffordElement.scalar(space, 1)
     for v in u.basis:
         tail = multiply(tail, CliffordElement.from_vector(space, v))
-    pairs = [(CliffordElement.from_vector(qs.space, qs.project(space.basis_vector(t))),
-              CliffordElement.from_vector(space, space.basis_vector(t)))
+    pairs = [(qs.project(space.basis_vector(t)), space.basis_vector(t))
              for t in range(space.n)]
     return ConeVerdict(
         dim_u=d,
@@ -757,10 +773,10 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     conjugation (sigma) satisfies the twisted commuting square with the
     reflected vectors."""
     space = i.space
-    w_prime = conjugate_subspace(g, i.w)
-    iprime = build_ideal(space, w_prime)
     par = g.parity
-    target = shift(iprime) if par else iprime
+    target = build_ideal(space, conjugate_subspace(g, i.w))
+    if par:
+        target = shift(target)
     ginv = g.inverse_element
     gelt = g.as_element
 
@@ -769,30 +785,24 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
                            "right multiplication misses the target")
         for p in (0, 1)
     )
-    bijective = (
-        mat_invertible(rho_ev) is not None and mat_invertible(rho_odd) is not None
-    )
-    linear = _is_intertwiner(i, target, rho_odd, rho_ev)
-
+    linear = intertwines(i, target, rho_odd, rho_ev)
     # twisted square: conjugation sigma(xi) = g xi g^{-1} lands in the
-    # unshifted module of gWg^{-1} and intertwines phi(v) with phi'(gvg^{-1})
+    # unshifted module of gWg^{-1} and carries the action of v to that of
+    # gvg^{-1}; shifting back shares the solvers and action of the target
+    iprime = shift(target) if par else target
     sig_ev, sig_odd = (
         iprime.part_matrix(p, (multiply(gelt, multiply(xi, ginv)) for xi in i.part(p)),
                            "conjugation misses the target")
         for p in (0, 1)
     )
-    phi_prime = LinMat(space.n, iprime.act_ev)
-    twisted = True
-    for t in range(space.n):
-        gv = g.conjugate_vector(space.basis_vector(t))
-        if phi_prime.evaluate(gv) @ sig_ev != sig_odd @ i.act_ev[t]:
-            twisted = False
+    basis = [space.basis_vector(t) for t in range(space.n)]
     return EquivarianceVerdict(
         parity=par,
         target_shifted=bool(par),
-        bijective=bijective,
+        bijective=_invertible_pair(rho_ev, rho_odd) is not None,
         linear=linear,
-        twisted=twisted,
+        twisted=intertwines(i, iprime, sig_odd, sig_ev,
+                            [(v, g.conjugate_vector(v)) for v in basis]),
         rho=(rho_ev, rho_odd),
         sigma=(sig_ev, sig_odd),
     )

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .clifford import CliffordElement, GroupElement, trace_pairing_nondegenerate
-from .errors import SpinorError
+from .errors import InvariantError, SpinorError
 from .exactalg import Mat, rat_to_json, rref_rows
 from .fixtures import Fixture
 from .homalg import (
@@ -164,6 +164,10 @@ class _Run:
 
 def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED,
               window: int = 6) -> Report:
+    """Run one suite or all of them on a fixture.  An ``InvariantError``
+    inside a suite becomes a ``fail`` record with op ``invariant_error``
+    and the next suite runs; one raised while building the module or its
+    factorization ends the run."""
     if suite != "all" and suite not in SUITES:
         raise SpinorError(f"unknown suite {suite!r}; choose from all, " + ", ".join(SUITES))
     check_window(window)
@@ -172,7 +176,10 @@ def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED,
     t0 = time.perf_counter()
     run = _Run(fx, seed, window)
     for name in chosen:
-        _RUNNERS[name](run, report)
+        try:
+            _RUNNERS[name](run, report)
+        except InvariantError as exc:
+            report.add("invariant_error", "fail", suite=name, message=str(exc))
     report.timing = time.perf_counter() - t0
     return report
 

@@ -16,7 +16,6 @@ from spinorsheaf.homalg import (
     idempotent_probe,
     irreducibility_check,
     is_isomorphic,
-    pair_view,
     predict_simplicity,
     sheaf_numerics,
     simplicity_verdict,
@@ -380,10 +379,10 @@ class TestIdempotentProbe:
 
 
 class TestFactorizationEquivalence:
-    def test_pair_view_roundtrip(self):
+    def test_pair_is_a_module(self):
         mf = build_factorization(module("F-QS"))
-        view = pair_view(mf)
-        assert (view.ev_dim, view.odd_dim) == (2, 2)
+        assert (mf.ev_dim, mf.odd_dim) == (2, 2)
+        assert (mf.act_ev, mf.act_odd) == (mf.phi.coeff, mf.psi.coeff)
 
     def test_self_equivalent(self):
         mf = build_factorization(module("F-H6"))

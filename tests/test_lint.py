@@ -107,3 +107,52 @@ def test_unused_import_check_reads_all_and_attributes():
     tree = ast.parse("import os\nimport sys\nfrom a import b, c as d\n"
                      "__all__ = ['b']\nos.getcwd()\n")
     assert _unused_imports(tree) == [(2, "sys"), (3, "d")]
+
+
+def _reads_action(node):
+    """Whether an expression reads an action matrix (``act_ev``,
+    ``act_odd``) or evaluates a matrix of linear forms."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr in ("act_ev", "act_odd"):
+            return True
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "evaluate"):
+            return True
+    return False
+
+
+def _action_products(tree):
+    """Lines of the ``@`` products outside ``intertwines`` with an operand
+    that reads the action."""
+    inside = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "intertwines"
+              for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside or not isinstance(getattr(node, "op", None), ast.MatMult):
+            continue
+        operands = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                    else (node.target, node.value))
+        if any(_reads_action(x) for x in operands):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_one_check_of_a_map_against_the_action():
+    # whether a graded map (A, B) respects the action is decided by
+    # spinor.intertwines alone; a product like A @ act_ev[i] elsewhere is a
+    # second copy of that check
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _action_products(tree)]
+    assert found == []
+
+
+def test_action_product_scan():
+    src = ("def f(a, A):\n    return A @ a.act_ev[0]\n"
+           "def g(p, v, B):\n    return p.evaluate(v) @ B\n"
+           "def h(a, X):\n    X @= a.act_odd[1]\n"
+           "def intertwines(a, A):\n    return A @ a.act_odd[0]\n"
+           "def k(A, B):\n    return A @ B\n")
+    assert _action_products(ast.parse(src)) == [2, 4, 6]

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from spinorsheaf.clifford import CliffordElement, GroupElement
+from spinorsheaf.clifford import CliffordElement, GroupElement, conjugate_subspace
 from spinorsheaf import spinor
 from spinorsheaf.errors import InvariantError, PreconditionError
-from spinorsheaf.exactalg import Mat, mat_rank, vec
+from spinorsheaf.exactalg import LinMat, Mat, mat_rank, vec
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf.quadform import Subspace, quotient_space, radical_basis, standardize
 from spinorsheaf.spinor import (
@@ -19,11 +19,11 @@ from spinorsheaf.spinor import (
     family_indicator,
     fiber_rank,
     flag_sequence,
+    intertwines,
     recover_intersection_with_radical,
     restrict_compare,
     sample_quadric_points,
     shift,
-    zero_module,
 )
 
 
@@ -389,25 +389,107 @@ class TestEquivariance:
             assert equivariance_check(g, i).ok
 
 
+def bumped(m, r=0, c=0):
+    """``m`` with the entry (r, c) raised by 1."""
+    entries = list(m.entries)
+    entries[r * m.cols + c] += 1
+    return Mat(m.rows, m.cols, entries)
+
+
+class TestIntertwines:
+    """Every map the package checks against the action passes
+    ``intertwines``, and one changed entry of either half fails it."""
+
+    def assert_sharp(self, a, b, A, B, pairs=None):
+        assert intertwines(a, b, A, B, pairs)
+        assert not intertwines(a, b, bumped(A), B, pairs)
+        assert not intertwines(a, b, A, bumped(B), pairs)
+
+    @pytest.mark.parametrize("factors", [
+        [vec((1, 0, 0, 1, 0, 0)), vec((0, 1, 0, 0, 1, 0))],
+        [vec((1, 0, 0, 1, 0, 0))],
+    ])
+    def test_rho_and_sigma(self, factors):
+        i = module("F-H6")
+        g = GroupElement(i.space, factors)
+        v = equivariance_check(g, i)
+        assert v.ok
+        iprime = build_ideal(i.space, conjugate_subspace(g, i.w))
+        rho_ev, rho_odd = v.rho
+        self.assert_sharp(i, shift(iprime) if g.parity else iprime, rho_odd, rho_ev)
+        sig_ev, sig_odd = v.sigma
+        basis = [i.space.basis_vector(t) for t in range(i.space.n)]
+        self.assert_sharp(i, iprime, sig_odd, sig_ev,
+                          [(x, g.conjugate_vector(x)) for x in basis])
+
+    def test_restriction_tau(self):
+        fx = get_fixture("F-H6")
+        i = build_ideal(fx.space, fx.w)
+        u = Subspace(fx.space, fx.section_subspace)
+        v = restrict_compare(i, u)
+        assert v.bijective and v.linear
+        space_u = v.restricted.space
+        self.assert_sharp(v.restricted, shift(i) if v.codim_u % 2 else i,
+                          v.map_odd, v.map_ev,
+                          [(space_u.basis_vector(t), u.basis[t]) for t in range(space_u.n)])
+
+    def test_cone_tau(self):
+        fx = get_fixture("F-C5")
+        qs = quotient_space(fx.space, Subspace(fx.space, fx.cone_mod))
+        iq = build_ideal(qs.space, Subspace(qs.space, [qs.project(fx.w.basis[0])]))
+        v = cone_compare(iq, qs)
+        assert v.bijective and v.linear
+        basis = [fx.space.basis_vector(t) for t in range(fx.space.n)]
+        self.assert_sharp(iq, shift(v.total) if v.dim_u % 2 else v.total,
+                          v.map_odd, v.map_ev, [(qs.project(x), x) for x in basis])
+
+    def test_shift_witness(self):
+        from spinorsheaf.homalg import is_isomorphic
+
+        i = module("F-H6a")
+        v = is_isomorphic(i, shift(i))
+        assert v.reason == "orthogonal reflection witness"
+        self.assert_sharp(i, shift(i), v.certificate["A"], v.certificate["B"])
+
+    def test_checks_both_halves(self):
+        mf = build_factorization(module("F-QS"))
+        n = mf.space.n
+        eye = Mat.identity(mf.N)
+        assert intertwines(mf, mf, eye, eye)
+        for phi, psi in ((LinMat(n, (bumped(mf.phi.coeff[0]),) + mf.phi.coeff[1:]), mf.psi),
+                         (mf.phi, LinMat(n, (bumped(mf.psi.coeff[0]),) + mf.psi.coeff[1:]))):
+            assert not intertwines(mf, FactorizationPair(mf.space, phi, psi), eye, eye)
+
+    def test_basis_vector_reads_the_action_as_it_is(self):
+        i = module("F-H6")
+        assert spinor._action(i.act_ev, e(6, 2)) is i.act_ev[2]
+        v = vec((0, 0, 2, 0, 0, 0))
+        assert spinor._action(i.act_ev, v) == i.act_ev[2].scale(2)
+
+    def test_invertible_pair_stops_at_a_singular_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spinor, "mat_invertible", lambda m: calls.append(m))
+        assert spinor._invertible_pair(Mat.zeros(1, 1), Mat.identity(1)) is None
+        assert calls == [Mat.zeros(1, 1)]
+
+
 class TestDirectSum:
     def test_sum_with_zero(self):
         from spinorsheaf.homalg import is_isomorphic
 
         i = module("F-QS")
-        s = direct_sum(i, zero_module(i.space))
+        zero = LinMat(i.space.n, [Mat.zeros(0, 0)] * i.space.n)
+        s = direct_sum(i, FactorizationPair(i.space, zero, zero))
         assert (s.ev_dim, s.odd_dim) == (i.ev_dim, i.odd_dim)
         assert is_isomorphic(s, i).kind == "ISO"
 
     def test_block_identity(self):
-        from spinorsheaf.exactalg import LinMat
-
         a = module("F-QS")
         b = shift(module("F-QS"))
         s = direct_sum(a, b)
-        pair = FactorizationPair(
-            s.space, LinMat(s.space.n, s.act_ev), LinMat(s.space.n, s.act_odd)
-        )
-        assert pair.check_identity()
+        assert isinstance(s, FactorizationPair)
+        assert s.phi == LinMat(a.space.n, a.act_ev).block_diag(LinMat(a.space.n, b.act_ev))
+        assert s.check_identity()
 
 
 class TestSampler:
