@@ -64,15 +64,25 @@ def echelon(rows, ncols):
     return r, pivots
 
 
-def _eliminate(rows, fixed):
-    """Sparse leftmost-pivot elimination; yields ``(col, pivot_row)`` in
-    increasing column order as each pivot is fixed.
+def _buckets(rows):
+    """The nonempty ``rows`` grouped by leading column."""
+    buckets = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    return buckets
 
-    Rows are grouped by leading column.  At the leftmost column still held,
-    the pivot is ``fixed[col]`` when given (it is not yielded again), else
-    the shortest row of the group; the other rows of the group lose that
-    column by cross-multiplication and are divided by their content.
-    ``rows`` is consumed; pivot rows are never modified afterwards.
+
+def _eliminate(buckets, fixed):
+    """Sparse leftmost-pivot elimination of rows grouped by leading column
+    (``_buckets``); yields ``(col, pivot_row)`` in increasing column order
+    as each pivot is fixed.
+
+    At the leftmost column still held, the pivot is ``fixed[col]`` when
+    given (it is not yielded again), else the shortest row of the group;
+    the other rows of the group lose that column by cross-multiplication
+    and are divided by their content.  The rows are consumed; pivot rows
+    are never modified afterwards.
 
     The held columns sit in a heap (the sorted leading columns to start),
     each pushed when its group is created and popped with it.  A reduced
@@ -80,10 +90,6 @@ def _eliminate(rows, fixed):
     yields the columns in the order ``min(buckets)`` would, without
     rescanning the groups at each pivot.
     """
-    buckets = {}
-    for row in rows:
-        if row:
-            buckets.setdefault(min(row), []).append(row)
     heap = sorted(buckets)
     while heap:
         c = heappop(heap)
@@ -131,14 +137,16 @@ def _eliminate(rows, fixed):
 def sparse_rank(rows):
     """Rank of an integer matrix given as sparse rows ``{col: value}``.
 
-    Row scaling leaves the rank alone, so rows are cross-multiplied and
-    divided by their content to keep entries small.  ``rows`` is consumed
-    and no pivot row is kept.
+    Nonempty rows whose leading columns are all distinct are already in
+    echelon form, so their count is the rank and they are left as they
+    are.  Otherwise the rows are eliminated, cross-multiplied and divided
+    by their content to keep entries small (row scaling leaves the rank
+    alone); they are then consumed and no pivot row is kept.
     """
-    rank = 0
-    for _ in _eliminate(rows, {}):
-        rank += 1
-    return rank
+    buckets = _buckets(rows)
+    if all(len(group) == 1 for group in buckets.values()):
+        return len(buckets)
+    return sum(1 for _ in _eliminate(buckets, {}))
 
 
 def sparse_echelon(rows, pivots=None):
@@ -153,6 +161,6 @@ def sparse_echelon(rows, pivots=None):
     """
     if pivots is None:
         pivots = {}
-    for c, row in _eliminate(rows, pivots):
+    for c, row in _eliminate(_buckets(rows), pivots):
         pivots[c] = row
     return pivots

@@ -146,16 +146,18 @@ class Mat:
     def mul_vec(self, v) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [ZERO] * self.rows
+        # the nonzeros of v, listed once; "is not ZERO" as in __matmul__
+        nz = [(j, x) for j, x in enumerate(v) if x is not ZERO and x]
+        e, k = self.entries, self.cols
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
+            base = i * k
             s = ZERO
-            for j, x in enumerate(v):
-                if x:
-                    a = self.entries[base + j]
-                    if a:
-                        s += a * x
-            out[i] = s
+            for j, x in nz:
+                a = e[base + j]
+                if a is not ZERO and a:
+                    s += a * x
+            out.append(s)
         return tuple(out)
 
     def block_diag(self, other: "Mat") -> "Mat":
@@ -391,7 +393,7 @@ class SpanSolver:
 class LinMat:
     """Matrix of linear forms M(x) = sum_i x_i * coeff[i], all shapes equal."""
 
-    __slots__ = ("n", "rows", "cols", "coeff", "_int_rows")
+    __slots__ = ("n", "rows", "cols", "coeff", "_int_rows", "_transpose")
 
     def __init__(self, n: int, coeff):
         coeff = tuple(coeff)
@@ -408,6 +410,7 @@ class LinMat:
         self.cols = c
         self.coeff = coeff
         self._int_rows = None
+        self._transpose = None
 
     def evaluate(self, v) -> Mat:
         """M(v), summed over the nonzero entries of each coefficient."""
@@ -443,7 +446,11 @@ class LinMat:
         return self._int_rows
 
     def transpose(self) -> "LinMat":
-        return LinMat(self.n, [m.transpose() for m in self.coeff])
+        """The transposed matrix, computed once.  It keeps no link back, so
+        the two make no reference cycle."""
+        if self._transpose is None:
+            self._transpose = LinMat(self.n, [m.transpose() for m in self.coeff])
+        return self._transpose
 
     def block_diag(self, other: "LinMat") -> "LinMat":
         if self.n != other.n:
@@ -585,60 +592,32 @@ def monomial_count(n: int, d: int) -> int:
     return num // factorial(n - 1)
 
 
-def monomial_multiplication_matrix(lm: LinMat, t: int) -> Mat:
-    """Matrix of multiplication by ``lm`` from (degree t-1 forms)^cols to
-    (degree t forms)^rows, monomials ordered lexicographically."""
-    if t <= 0:
-        raise ValueError("t must be at least 1")
-    n = lm.n
-    dom = monomials(n, t - 1)
-    codom = monomials(n, t)
-    idx = {m: i for i, m in enumerate(codom)}
-    R, C = lm.rows, lm.cols
-    nrows = len(codom) * R
-    ncols = len(dom) * C
-    out = [ZERO] * (nrows * ncols)
-    for mi, mu in enumerate(dom):
-        for k in range(n):
-            nu = mu[:k] + (mu[k] + 1,) + mu[k + 1 :]
-            ri = idx[nu]
-            coeff = lm.coeff[k]
-            for r in range(R):
-                for j in range(C):
-                    v = coeff[r, j]
-                    if v:
-                        out[(ri * R + r) * ncols + mi * C + j] += v
-    return Mat(nrows, ncols, out)
-
-
 def mult_map_rank(lm: LinMat, t: int) -> int:
-    """Rank of monomial_multiplication_matrix(lm, t); t <= 0 gives an empty
-    domain and rank 0.
+    """Rank of multiplication by ``lm`` from (degree t-1 forms)^cols to
+    (degree t forms)^rows, monomials in ``monomials`` order; t <= 0 gives
+    an empty domain and rank 0.
 
-    The matrix is built straight as sparse integer rows for
-    ``_kernels.sparse_rank``.  Row (nu, r) meets column (mu, j) only when
-    nu - mu = e_k for one k, so each entry is a single coefficient
-    ``lm.coeff[k][r, j]``; all coefficients are scaled by one common
-    denominator, which leaves the rank alone.
+    The rank is taken on the domain side, the transposed matrix: one
+    sparse integer row per domain column (mu, j), whose entry at codomain
+    row (nu, r), nu = mu + e_k, is the single coefficient
+    ``lm.coeff[k][r, j]``, all scaled by one common denominator.  For a
+    factorization map, psi phi = q Id (and phi^T psi^T = q Id) makes phi
+    and phi^T injective over the polynomial ring, so these rows are
+    independent and often reach ``_kernels.sparse_rank`` already in
+    echelon form; the codomain side would add rows * (df(t) - df(t-1))
+    rows, df(d) the monomial count, only to reduce them to zero.
     """
     if t <= 0:
         return 0
-    n = lm.n
-    R, C = lm.rows, lm.cols
-    _, nz = lm.int_rows()
-    dom_idx = {mu: i for i, mu in enumerate(monomials(n, t - 1))}
+    n, R = lm.n, lm.rows
+    _, nz = lm.transpose().int_rows()
+    # the nonzeros (k, r, value) of each nonzero column j of the coefficients
+    cols = [c for c in ([(k, r, v) for k in range(n) for r, v in nz[k][j]]
+                        for j in range(lm.cols)) if c]
+    cod_idx = {nu: i for i, nu in enumerate(monomials(n, t))}
     rows = []
-    for nu in monomials(n, t):
-        # (k, offset of the column block of nu - e_k) for each k with nu_k > 0
-        blocks = [
-            (k, dom_idx[nu[:k] + (nu[k] - 1,) + nu[k + 1 :]] * C)
-            for k in range(n) if nu[k]
-        ]
-        for r in range(R):
-            row = {}
-            for k, base in blocks:
-                for j, v in nz[k][r]:
-                    row[base + j] = v
-            if row:
-                rows.append(row)
+    for mu in monomials(n, t - 1):
+        # offset of the row block of mu + e_k, for each k
+        base = [cod_idx[mu[:k] + (mu[k] + 1,) + mu[k + 1:]] * R for k in range(n)]
+        rows += [{base[k] + r: v for k, r, v in col} for col in cols]
     return _kernels.sparse_rank(rows)

@@ -136,14 +136,19 @@ class IsoVerdict:
 
 
 def _combine(hom, coeffs):
-    """The pair sum_k coeffs[k] * hom.basis[k]."""
-    A = Mat.zeros(*_shape(hom, 0))
-    B = Mat.zeros(*_shape(hom, 1))
-    for c, (HA, HB) in zip(coeffs, hom.basis):
-        if c:
-            A = A + HA.scale(c)
-            B = B + HB.scale(c)
-    return A, B
+    """The pair sum_k coeffs[k] * hom.basis[k], each part summed over the
+    nonzero cells of the basis pairs into one list."""
+    parts = []
+    for which in (0, 1):
+        rows, cols = _shape(hom, which)
+        out = [ZERO] * (rows * cols)
+        for c, pair in zip(coeffs, hom.basis):
+            if c:
+                for t, a in enumerate(pair[which].entries):
+                    if a is not ZERO and a:
+                        out[t] += c * a
+        parts.append(Mat(rows, cols, out))
+    return tuple(parts)
 
 
 def _search_invertible(hom, rng, tries=200):

@@ -15,6 +15,7 @@ from spinorsheaf.exactalg import (
     SpanSolver,
     mat_invertible,
     mat_solve,
+    monomials,
     rat,
     rref_rows,
 )
@@ -73,6 +74,33 @@ def dense_rank(m: Mat) -> int:
     rows = _scaled_int_rows(m.row_lists())
     rank, _ = _kernels.echelon(rows, m.cols)
     return rank
+
+
+def monomial_multiplication_matrix(lm, t: int) -> Mat:
+    """Dense matrix of multiplication by ``lm`` from (degree t-1
+    forms)^cols to (degree t forms)^rows, monomials ordered
+    lexicographically: the reference for ``exactalg.mult_map_rank``."""
+    if t <= 0:
+        raise ValueError("t must be at least 1")
+    n = lm.n
+    dom = monomials(n, t - 1)
+    codom = monomials(n, t)
+    idx = {m: i for i, m in enumerate(codom)}
+    R, C = lm.rows, lm.cols
+    nrows = len(codom) * R
+    ncols = len(dom) * C
+    out = [ZERO] * (nrows * ncols)
+    for mi, mu in enumerate(dom):
+        for k in range(n):
+            nu = mu[:k] + (mu[k] + 1,) + mu[k + 1 :]
+            ri = idx[nu]
+            coeff = lm.coeff[k]
+            for r in range(R):
+                for j in range(C):
+                    v = coeff[r, j]
+                    if v:
+                        out[(ri * R + r) * ncols + mi * C + j] += v
+    return Mat(nrows, ncols, out)
 
 
 def dense_solve(a: Mat, target):

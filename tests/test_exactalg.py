@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorsheaf import exactalg as ea
@@ -14,12 +14,17 @@ from spinorsheaf.exactalg import (
     mat_rank,
     mat_rank_kernel,
     mat_solve,
-    monomial_multiplication_matrix,
     monomials,
     mult_map_rank,
 )
 
-from dense_oracles import dense_invertible, dense_rank, dense_rank_kernel, dense_solve
+from dense_oracles import (
+    dense_invertible,
+    dense_rank,
+    dense_rank_kernel,
+    dense_solve,
+    monomial_multiplication_matrix,
+)
 
 
 def M(rows):
@@ -128,10 +133,48 @@ class TestProperties:
         for v in kernel:
             assert m.mul_vec(v) == zero
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_mats(), st.data())
+    def test_mul_vec_matches_dense_sum(self, m, data):
+        v = data.draw(st.lists(st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-3, 3),
+                                         st.fractions(-3, 3, max_denominator=5)),
+                               min_size=m.cols, max_size=m.cols))
+        expected = tuple(sum((m[i, j] * v[j] for j in range(m.cols)), Fraction(0))
+                         for i in range(m.rows))
+        assert m.mul_vec(v) == expected
+        assert all(isinstance(x, Fraction) for x in m.mul_vec(v))
+
+    def test_mul_vec_empty_shapes(self):
+        assert Mat.zeros(3, 0).mul_vec(()) == (0, 0, 0)
+        assert Mat.zeros(0, 2).mul_vec((1, 2)) == ()
+
     def test_deterministic(self):
         m = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert mat_rank_kernel(m) == mat_rank_kernel(m)
         assert repr(mat_rank_kernel(m)) == repr(mat_rank_kernel(m))
+
+
+@st.composite
+def rectangular_lin_mats(draw):
+    """LinMats with rows != cols and fractional entries, most entries zero;
+    some repeat a scaled row (or column) of every coefficient, so that the
+    multiplication maps are often rank-deficient."""
+    n = draw(st.integers(1, 3))
+    R = draw(st.integers(1, 4))
+    C = draw(st.sampled_from([c for c in range(1, 5) if c != R]))
+    entry = st.one_of(st.just(0), st.just(0),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    coeff = [draw(st.lists(st.lists(entry, min_size=C, max_size=C), min_size=R, max_size=R))
+             for _ in range(n)]
+    kind = draw(st.sampled_from(["generic", "row", "col"]))
+    s = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+    for m in coeff:
+        if kind == "row" and R > 1:
+            m[-1] = [s * x for x in m[0]]
+        elif kind == "col" and C > 1:
+            for row in m:
+                row[-1] = s * row[0]
+    return LinMat(n, [M(m) for m in coeff])
 
 
 class TestMonomialMatrix:
@@ -165,6 +208,13 @@ class TestMonomialMatrix:
             assert mult_map_rank(lm, t) == dense
         assert mult_map_rank(lm, 0) == 0
         assert mult_map_rank(lm, -3) == 0
+        # [x0, x1] maps S(t-1)^2 onto S(t), with the Koszul syzygy as kernel
+        # from t = 2; its transpose [x0; x1] is injective
+        row = LinMat(2, [M([[1, 0]]), M([[0, 1]])])
+        for t in range(1, 5):
+            assert mult_map_rank(row, t) == t + 1 <= 2 * t
+            assert mult_map_rank(row.transpose(), t) == t < 2 * (t + 1)
+            assert dense_rank(monomial_multiplication_matrix(row, t)) == t + 1
 
     def test_mult_map_rank_on_grid_factorizations(self):
         # phi gives h^0, its transpose the top cohomology (homalg.cohomology_dim)
@@ -180,6 +230,39 @@ class TestMonomialMatrix:
                     assert mult_map_rank(lm, t) == dense
                     checked += 1
         assert checked == 204
+
+    @settings(max_examples=60, deadline=None)
+    @given(rectangular_lin_mats())
+    # codomain blocks laid out cols wide instead of rows wide overlap here
+    # and lose a pivot at t = 3
+    @example(LinMat(2, [M([[1, 0], [0, 0], [0, 0]]), M([[0, 1], [0, 0], [-1, 0]])]))
+    def test_mult_map_rank_rectangular(self, lm):
+        assert lm.rows != lm.cols
+        for t in range(1, 5):
+            assert mult_map_rank(lm, t) == dense_rank(monomial_multiplication_matrix(lm, t))
+
+    def test_cohomology_grid_ranks_pinned(self):
+        # every rank one cohomology-grid pass computes: phi at t = 1..6 for
+        # h^0, phi^T in degree -t-n+1 >= 1 (twists t >= -6) for the top
+        # index; psi phi = q Id makes each map injective, of full column rank
+        import hashlib
+
+        from spinorsheaf.fixtures import grid_spaces
+        from spinorsheaf.spinor import build_factorization, build_ideal
+
+        ranks = []
+        for space, w in grid_spaces(6):
+            n = space.n
+            if n not in (5, 6):
+                continue
+            mf = build_factorization(build_ideal(space, w))
+            for lm, degrees in ((mf.phi, range(1, 7)), (mf.phi.transpose(), range(1, 8 - n))):
+                got = [mult_map_rank(lm, t) for t in degrees]
+                assert got == [mf.N * ea.monomial_count(n, t - 1) for t in degrees]
+                ranks.append(got)
+        assert len(ranks) == 2 * 51
+        digest = hashlib.sha256(repr(ranks).encode("utf-8")).hexdigest()
+        assert digest == "3d338e5c718a0155952ebc5ae086204300a19a16b472da04119e195841dc9df2"
 
     def test_mult_map_rank_large_instance(self):
         # a rank-6 form on n = 6 with dim W = 1, so N = 16: at t = 3 the
@@ -529,6 +612,16 @@ class TestLinMatSparse:
     def test_evaluate_checks_length(self):
         with pytest.raises(ValueError):
             LinMat(2, [Mat.identity(1), Mat.identity(1)]).evaluate((1,))
+
+    def test_transpose_computed_once(self):
+        lm = LinMat(2, [M([[1, Fraction(1, 2), 0]]), M([[0, 0, -3]])])
+        t = lm.transpose()
+        assert lm.transpose() is t
+        assert (t.rows, t.cols) == (3, 1)
+        assert t.coeff == tuple(m.transpose() for m in lm.coeff)
+        # no link back from the transpose, so no reference cycle
+        assert t._transpose is None
+        assert t.transpose() == lm and t.transpose() is not lm
 
     def test_int_rows(self):
         lm = LinMat(2, [M([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]]),

@@ -370,6 +370,25 @@ class TestIdempotentProbe:
         A, B = probe["A"], probe["B"]
         assert A @ A == A and B @ B == B
 
+    def test_combine_matches_the_dense_sum(self):
+        # the running sum of scaled basis pairs is the reference
+        from spinorsheaf.homalg import _combine
+
+        fx = get_fixture("F-H6")
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
+        end = hom_space(fl.outer, fl.outer)
+        for cs in ((1, 0), (0, -1), (Fraction(-1, 2), 3), (0, 0), (2, Fraction(1, 3))):
+            dense = []
+            for which in (0, 1):
+                acc = Mat.zeros(end.basis[0][which].rows, end.basis[0][which].cols)
+                for c, pair in zip(cs, end.basis):
+                    if c:
+                        acc = acc + pair[which].scale(c)
+                dense.append(acc)
+            got = _combine(end, cs)
+            assert got == tuple(dense)
+            assert all(isinstance(x, Fraction) for m in got for x in m.entries)
+
     def test_nonsplit_flag_has_none(self):
         fx = get_fixture("F-QS")
         fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)

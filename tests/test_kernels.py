@@ -54,6 +54,48 @@ class TestPureKernel:
         assert _kernels.BACKEND == "pure"
 
 
+class TestEchelonShortcut:
+    """Nonempty rows with distinct leading columns are already echelon."""
+
+    def test_distinct_leading_columns(self):
+        mat = [
+            [0, 2, 0, 1, 0],
+            [0, 0, 0, 0, 0],
+            [3, 0, 0, 0, 1],
+            [0, 0, 0, -1, 4],
+            [0, 0, 0, 0, 0],
+            [0, 0, 5, 5, 5],
+        ]
+        rank, _ = pure.echelon([row[:] for row in mat], 5)
+        rows = sparse_rows(mat)
+        assert pure.sparse_rank(rows) == rank == 4
+        # the shortcut leaves the rows as they were
+        assert rows == sparse_rows(mat)
+
+    def test_random_distinct_leading_columns(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            nc = rng.randint(1, 9)
+            leads = rng.sample(range(nc), rng.randint(1, nc))
+            mat = [[0] * nc for _ in range(rng.randint(0, 3))]
+            for c in leads:
+                row = [0] * c + [rng.choice([1, -1, 2, -5])]
+                mat.append(row + [rng.randint(-3, 3) for _ in range(nc - c - 1)])
+            rng.shuffle(mat)
+            rank, _ = pure.echelon([row[:] for row in mat], nc)
+            assert pure.sparse_rank(sparse_rows(mat)) == rank == len(leads)
+
+    def test_one_repeated_leading_column(self):
+        # column 0 leads two rows; eliminating it leaves zero in the first
+        # case and a new pivot in the second
+        for mat, expected in (
+            ([[1, 2, 0], [0, 0, 0], [2, 4, 0], [0, 0, 1]], 2),
+            ([[1, 2, 0], [0, 0, 0], [1, 3, 0], [0, 0, 1]], 3),
+        ):
+            rank, _ = pure.echelon([row[:] for row in mat], 3)
+            assert pure.sparse_rank(sparse_rows(mat)) == rank == expected
+
+
 class TestHeapOrder:
     def test_reduced_row_opens_a_column_left_of_the_queue(self):
         # Leading columns 0, 3 and 5 are queued at the start.  Eliminating
