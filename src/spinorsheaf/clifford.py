@@ -231,6 +231,14 @@ def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return CliffordElement(a.space, out)
 
 
+def vector_product(space: QuadraticSpace, vectors) -> CliffordElement:
+    """The product v1 * v2 * ... * vr of the vectors in order; 1 for none."""
+    acc = CliffordElement.scalar(space, 1)
+    for v in vectors:
+        acc = multiply(acc, CliffordElement.from_vector(space, v))
+    return acc
+
+
 def grade_parts(a: CliffordElement):
     """Split into (even, odd) by monomial length parity."""
     ev = {m: c for m, c in a.terms.items() if _POPCOUNT(m) % 2 == 0}
@@ -339,21 +347,17 @@ class GroupElement:
     @property
     def as_element(self) -> CliffordElement:
         if self._element is None:
-            acc = CliffordElement.scalar(self.space, 1)
-            for f in self.factors:
-                acc = multiply(acc, CliffordElement.from_vector(self.space, f))
-            self._element = acc
+            self._element = vector_product(self.space, self.factors)
         return self._element
 
     @property
     def inverse_element(self) -> CliffordElement:
         if self._inverse is None:
-            acc = CliffordElement.scalar(self.space, 1)
             denom = Fraction(1)
-            for f in reversed(self.factors):
-                acc = multiply(acc, CliffordElement.from_vector(self.space, f))
+            for f in self.factors:
                 denom *= self.space.q(f)
-            self._inverse = acc.scale(Fraction(1) / denom)
+            self._inverse = vector_product(
+                self.space, reversed(self.factors)).scale(Fraction(1) / denom)
         return self._inverse
 
     def conjugate_vector(self, v) -> tuple:

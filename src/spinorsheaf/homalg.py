@@ -25,7 +25,6 @@ from .errors import (
     PreconditionError,
     SchemaError,
     SpanError,
-    SpinorError,
     StandardizationUnavailable,
 )
 from .exactalg import (
@@ -39,18 +38,22 @@ from .exactalg import (
     _kernel_from_sparse_echelon,
 )
 from . import _kernels
-from .quadform import radical_basis, standardize, sub_intersection
+from .quadform import candidate_vectors, isotropic_type, standardize
 from .spinor import (
     IdealModule,
     MatrixFactorization,
     _invertible_pair,
-    build_ideal,
+    family_indicator,
     intertwines,
     recover_intersection_with_radical,
-    shift,
 )
 
 DEFAULT_SEED = 20103
+
+# Seeded random combinations that _search_invertible tries after its sweep,
+# and that idempotent_probe tries after its half-integer grid
+INVERTIBLE_TRIES = 200
+IDEMPOTENT_TRIES = 100
 
 # Cohomology runs over the twists -window..window, and the multiplication
 # map in degree t has N * C(t + n - 1, n - 1) rows: F-H6a's
@@ -151,7 +154,7 @@ def _combine(hom, coeffs):
     return tuple(parts)
 
 
-def _search_invertible(hom, rng, tries=200):
+def _search_invertible(hom, rng):
     """Look for an invertible pair in the hom space: basis elements, then
     small integer sweeps, then seeded random combinations."""
     d = hom.dimension
@@ -162,7 +165,7 @@ def _search_invertible(hom, rng, tries=200):
         if got:
             return got
     sweep = product((1, -1, 0), repeat=d) if d <= 6 else ()
-    randoms = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(tries))
+    randoms = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(INVERTIBLE_TRIES))
     for cs in chain(sweep, randoms):
         if any(cs):
             got = _invertible_pair(*_combine(hom, cs))
@@ -177,49 +180,27 @@ def _shape(hom, which):
     return (hom.target.ev_dim, hom.source.ev_dim)
 
 
-def _family_certificate(a, b):
-    """NOT_ISO certificate for a module against its own shift via the
-    standardized annihilation indicator; None when not applicable."""
-    from .spinor import family_indicator
-
-    if not (isinstance(a, IdealModule) and isinstance(b, IdealModule)):
-        return None
-    if not a.w.same_span(b.w) or a.shift == b.shift:
-        return None
+def _family_certificate(i):
+    """NOT_ISO certificate for the unshifted ideal module i against i[1],
+    from ``family_indicator``; None when it does not apply or is NONE.  The
+    witness xi kills one graded half of i and not the other.  Shifting
+    swaps the halves, so in i[1] it kills the other one, and a graded
+    isomorphism i -> i[1], which commutes with xi, cannot exist."""
     try:
-        std = standardize(a.space, a.w)
-    except SpinorError:
-        return None
-    try:
-        module = build_ideal(std.space_std, std.w_std)
-        ind = family_indicator(module)
-    except PreconditionError:
+        ind = family_indicator(i)
+    except (PreconditionError, StandardizationUnavailable):
         return None
     if ind == "NONE":
         return None
-    # the shifted module flips the indicator, so the two disagree
-    other = family_indicator(shift(module))
-    if other != ind:
-        return {"indicator": ind, "shifted_indicator": other}
-    return None
+    return {"indicator": ind, "shifted_indicator": "ODD" if ind == "EVEN" else "EVEN"}
 
 
-def _orthogonal_shift_witness(a, b, rng):
+def _orthogonal_shift_witness(a, b):
     """For a module and its shift: right multiplication by an anisotropic
-    vector orthogonal to w is an explicit degree-1 automorphism."""
-    if not (isinstance(a, IdealModule) and isinstance(b, IdealModule)):
-        return None
-    if not a.w.same_span(b.w) or a.shift == b.shift:
-        return None
+    vector orthogonal to w is an explicit degree-1 automorphism.  The
+    vectors tried are ``candidate_vectors``, in their order."""
     space = a.space
-    n = space.n
-    candidates = [space.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = space.basis_vector(i), space.basis_vector(j)
-            candidates.append(tuple(x + y for x, y in zip(ei, ej)))
-            candidates.append(tuple(x - y for x, y in zip(ei, ej)))
-    for u in candidates:
+    for u in candidate_vectors(space):
         if space.q(u) == 0:
             continue
         if any(space.b(u, wv) != 0 for wv in a.w.basis):
@@ -259,14 +240,17 @@ def is_isomorphic(a, b, seed: int = DEFAULT_SEED) -> IsoVerdict:
                 "ann_b": [list(v) for v in ann_b.basis],
             },
         )
-    fam = _family_certificate(a, b)
-    if fam is not None:
-        return IsoVerdict("NOT_ISO", reason="family indicator", certificate=fam)
-    witness = _orthogonal_shift_witness(a, b, rng)
-    if witness is not None:
-        A, B, u = witness
-        return IsoVerdict("ISO", reason="orthogonal reflection witness",
-                          certificate={"A": A, "B": B, "vector": u})
+    if (isinstance(a, IdealModule) and isinstance(b, IdealModule)
+            and a.w.same_span(b.w) and a.shift != b.shift):
+        # a module and its shift
+        fam = _family_certificate(b if a.shift else a)
+        if fam is not None:
+            return IsoVerdict("NOT_ISO", reason="family indicator", certificate=fam)
+        witness = _orthogonal_shift_witness(a, b)
+        if witness is not None:
+            A, B, u = witness
+            return IsoVerdict("ISO", reason="orthogonal reflection witness",
+                              certificate={"A": A, "B": B, "vector": u})
     hom_ab = hom_space(a, b)
     if hom_ab.dimension == 0:
         return IsoVerdict("NOT_ISO", reason="hom space vanishes")
@@ -323,15 +307,11 @@ class SimplicityVerdict:
 
 def predict_simplicity(space, w) -> tuple:
     """The trichotomy: (predicted_simple, case_name)."""
-    rad = radical_basis(space)
-    cap = sub_intersection(w, rad)
-    k = space.rank // 2
-    j = w.dim - cap.dim
-    pi_maximal = j == k
-    w_maximal = pi_maximal and cap.dim == rad.dim
-    if w_maximal:
+    j, k, l = isotropic_type(space, w)
+    rad_dim = space.n - space.rank
+    if j == k and l == rad_dim:
         return True, "maximal"
-    if space.rank % 2 == 0 and pi_maximal and cap.dim == rad.dim - 1:
+    if space.rank % 2 == 0 and j == k and l == rad_dim - 1:
         return True, "corank-one-in-radical"
     return False, "otherwise"
 
@@ -403,40 +383,47 @@ def _seed_sum(a, b):
 
 
 def _irreducibility_certificate(i: IdealModule):
-    """Verify the standardized generator identities that drive the
-    reduction argument for maximal w; returns the checklist or None."""
+    """Verify the generator identities that drive the reduction argument
+    for maximal w; returns the checklist or None.
+
+    The identities are those of the standardized basis, read on i itself.
+    ``standardize`` gives a basis of V adapted to w: in odd rank an
+    anisotropic vector, then hyperbolic pairs (a_t, b_t), then the radical,
+    with w spanned by the b_t and the first radical vectors.  The map taking the
+    standard basis of V_std to it is an isometry V_std -> V, so it extends
+    to an isomorphism Cl(V_std) -> Cl(V) of graded algebras, which carries
+    each basis vector e_p to new_basis[p].  It carries the standardized
+    generator to the product of a basis of w, a nonzero multiple of
+    ``i.generator``, and each identity below is linear in the generator.
+    So each holds here exactly when it holds on the standardized module."""
     try:
         std = standardize(i.space, i.w)
     except (PreconditionError, StandardizationUnavailable):
         return None
-    space = std.space_std
-    module = build_ideal(space, std.w_std)
     prof = std.profile
-    gen = module.generator
+    vecel = [CliffordElement.from_vector(i.space, v) for v in std.new_basis]
+    gen = i.generator
     checks = []
 
-    def vecel(pos):
-        return CliffordElement.from_vector(space, space.basis_vector(pos))
-
     for pos in prof.w_positions:
-        if not multiply(vecel(pos), gen).is_zero():
+        if not multiply(vecel[pos], gen).is_zero():
             return None
     checks.append("w kills the generator")
     for ai, bi in zip(prof.a_positions, prof.b_positions):
-        if multiply(vecel(bi), multiply(vecel(ai), gen)) != gen:
+        if multiply(vecel[bi], multiply(vecel[ai], gen)) != gen:
             return None
     checks.append("partner pair restores the generator")
     for ai in prof.a_positions:
         for bj in prof.b_positions:
             if prof.a_positions.index(ai) == prof.b_positions.index(bj):
                 continue
-            lhs = multiply(vecel(ai), vecel(bj))
-            rhs = multiply(vecel(bj), vecel(ai)).scale(-1)
+            lhs = multiply(vecel[ai], vecel[bj])
+            rhs = multiply(vecel[bj], vecel[ai]).scale(-1)
             if lhs != rhs:
                 return None
     checks.append("partners anticommute across pairs")
     if prof.diag_index is not None:
-        v0 = vecel(prof.diag_index)
+        v0 = vecel[prof.diag_index]
         if multiply(v0, multiply(v0, gen)) != gen.scale(prof.diag_value):
             return None
         if prof.diag_value == 0:
@@ -540,7 +527,7 @@ def euler_characteristic_matches(mf, numerics: SheafNumerics, t: int,
     return total == numerics.hilbert(t)
 
 
-def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED, tries: int = 100):
+def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED):
     """Search the endomorphism space for a nontrivial idempotent pair; a
     hit certifies decomposability, a miss is only a record."""
     d = end.dimension
@@ -563,7 +550,7 @@ def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED, tries: int = 100)
         halves = (ZERO, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
         candidates = list(product(halves, repeat=d))
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(IDEMPOTENT_TRIES):
         candidates.append(tuple(
             Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(d)
         ))

@@ -8,6 +8,7 @@ of the Gram matrix; an isotropic subspace has b identically zero on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 from .errors import PreconditionError, SchemaError, StandardizationUnavailable
@@ -85,33 +86,33 @@ class QuadraticSpace:
 class Subspace:
     """A subspace given by linearly independent column vectors."""
 
-    __slots__ = ("ambient", "basis", "_rref", "_solver")
+    __slots__ = ("ambient", "basis", "_rows", "_solver")
 
     def __init__(self, ambient: QuadraticSpace, basis):
         basis = tuple(vec(v) for v in basis)
         for v in basis:
             if len(v) != ambient.n:
                 raise SchemaError("basis vector length does not match ambient")
-        rows, pivots = rref_rows(basis, ambient.n) if basis else ([], [])
+        # the canonical rows, as {col: value} dicts of nonzeros
+        rows, pivots = rref_rows(
+            [{j: x for j, x in enumerate(v) if x} for v in basis], ambient.n
+        ) if basis else ([], [])
         if len(rows) != len(basis):
             raise SchemaError("subspace basis vectors must be independent")
         self.ambient = ambient
         self.basis = basis
-        self._rref = (tuple(rows), tuple(pivots))
-        self._solver = SpanSolver(rows, list(pivots))
+        self._rows = rows
+        self._solver = SpanSolver(rows, pivots)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def rref_basis(self):
-        return self._rref[0]
-
     def contains(self, v) -> bool:
         return self._solver.coords(vec(v)) is not None
 
     def same_span(self, other: "Subspace") -> bool:
-        return self._rref[0] == other._rref[0]
+        return self._rows == other._rows
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of n={self.ambient.n})"
@@ -144,6 +145,17 @@ def check_isotropic(space: QuadraticSpace, w: Subspace) -> bool:
     return True
 
 
+def _combination(coeffs, vectors, n) -> tuple:
+    """sum_t coeffs[t] * vectors[t], a vector of length n; the coefficients
+    beyond the last vector are ignored."""
+    v = [ZERO] * n
+    for c, col in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(col):
+                v[i] += c * x
+    return tuple(v)
+
+
 def sub_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
     if a.ambient != b.ambient:
@@ -153,14 +165,8 @@ def sub_intersection(a: Subspace, b: Subspace) -> Subspace:
     cols = list(a.basis) + list(b.basis)
     m = Mat.from_cols(cols)
     _, kernel = mat_rank_kernel(m)
-    vectors = []
-    for k in kernel:
-        v = [ZERO] * a.ambient.n
-        for coeff, bas in zip(k[: a.dim], a.basis):
-            if coeff:
-                for i, x in enumerate(bas):
-                    v[i] += coeff * x
-        vectors.append(tuple(v))
+    # the first a.dim coordinates of a kernel vector combine a's basis
+    vectors = [_combination(k, a.basis, a.ambient.n) for k in kernel]
     rows, _ = rref_rows(vectors, a.ambient.n) if vectors else ([], [])
     return Subspace(a.ambient, rows)
 
@@ -170,6 +176,24 @@ def sub_sum(a: Subspace, b: Subspace) -> Subspace:
         raise PreconditionError("ambient mismatch")
     rows, _ = rref_rows(list(a.basis) + list(b.basis), a.ambient.n)
     return Subspace(a.ambient, rows)
+
+
+def isotropic_type(space: QuadraticSpace, w: Subspace) -> tuple:
+    """(j, k, l) of an isotropic w: j = dim pi(w), its image in V/K;
+    k = rank(q) // 2, the Witt bound on j; l = dim (w cap K)."""
+    l = sub_intersection(w, radical_basis(space)).dim
+    return w.dim - l, space.rank // 2, l
+
+
+def candidate_vectors(space: QuadraticSpace):
+    """The vectors that searches over (V, q) try, in order: each e_i, then
+    e_i + e_j and e_i - e_j for each i < j.  The order fixes the sample
+    points, the group elements and the shift witness that reports show."""
+    basis = [space.basis_vector(i) for i in range(space.n)]
+    yield from basis
+    for x, y in combinations(basis, 2):
+        yield tuple(a + b for a, b in zip(x, y))
+        yield tuple(a - b for a, b in zip(x, y))
 
 
 class QuotientSpace:
@@ -300,6 +324,19 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
+def line_roots(qa, bab, qb) -> list:
+    """The rational roots t of qa + bab t + qb t^2 = 0, ascending: where the
+    line a + t b meets the quadric, with qa = q(a), bab = 2 b(a, b) and
+    qb = q(b).  For qb = 0 the equation is linear; for qb = bab = 0 no root
+    is given, even when every t is one."""
+    if qb == 0:
+        return [Fraction(-qa, bab)] if bab != 0 else []
+    root = _rational_sqrt(bab * bab - 4 * qb * qa)
+    if root is None:
+        return []
+    return sorted({Fraction(-bab - root, 2 * qb), Fraction(-bab + root, 2 * qb)})
+
+
 def _solve_partner(space, constraints, rhs):
     rows = [space.gram.mul_vec(c) for c in constraints]
     sol = mat_solve(Mat.from_rows(rows), rhs)
@@ -319,41 +356,20 @@ def _isotropic_in(space, cols):
     def non_radical(coords):
         return not all(x == 0 for x in sub_gram.mul_vec(coords))
 
-    def embed(coords):
-        v = [ZERO] * space.n
-        for c, col in zip(coords, cols):
-            if c:
-                for i, x in enumerate(col):
-                    v[i] += c * x
-        return tuple(v)
-
     for i in range(m):
         coords = tuple(Fraction(1) if t == i else ZERO for t in range(m))
         if sub_gram[i, i] == 0 and non_radical(coords):
-            return embed(coords)
+            return _combination(coords, cols, space.n)
     for i in range(m):
         for j in range(i + 1, m):
-            qa = sub_gram[i, i]
-            qb = sub_gram[j, j]
-            bb = 2 * sub_gram[i, j]
-            # q(c_i + t c_j) = qb t^2 + bb t + qa
-            candidates = []
-            if qb == 0:
-                if bb != 0:
-                    candidates.append(Fraction(-qa, bb))
-            else:
-                disc = bb * bb - 4 * qb * qa
-                root = _rational_sqrt(disc)
-                if root is not None:
-                    candidates.extend(sorted({Fraction(-bb - root, 2 * qb),
-                                              Fraction(-bb + root, 2 * qb)}))
-            for t in candidates:
+            # the points c_i + t c_j of the quadric
+            for t in line_roots(sub_gram[i, i], 2 * sub_gram[i, j], sub_gram[j, j]):
                 coords = tuple(
                     Fraction(1) if s == i else (t if s == j else ZERO)
                     for s in range(m)
                 )
                 if non_radical(coords):
-                    return embed(coords)
+                    return _combination(coords, cols, space.n)
     return None
 
 
@@ -421,12 +437,7 @@ def standardize(space: QuadraticSpace, w: Subspace):
         sol = mat_solve(Mat.from_rows([proj]), (Fraction(1, 2),))
         if sol is None:
             raise StandardizationUnavailable("no dual partner in the leftover form")
-        u = [ZERO] * n
-        for c, col in zip(sol[0], cols):
-            if c:
-                for i, x in enumerate(col):
-                    u[i] += c * x
-        u = tuple(u)
+        u = _combination(sol[0], cols, n)
         qu = space.q(u)
         if qu:
             u = tuple(x - qu * y for x, y in zip(u, iso))
@@ -487,45 +498,3 @@ def standardize(space: QuadraticSpace, w: Subspace):
     return Standardization(space, w, tuple(new_basis), change, inverse,
                            space_std, w_std, profile)
 
-
-def detect_standard_profile(space: QuadraticSpace, w: Subspace):
-    """Recognize a space already in standardized coordinates; returns the
-    StdProfile or None.  Used by consumers whose preconditions require a
-    standardized basis."""
-    n = space.n
-    rank = space.rank
-    k = rank // 2
-    diag_index = None
-    diag_value = None
-    offset = 0
-    if rank % 2 == 1:
-        diag_index = 0
-        diag_value = space.gram[0, 0]
-        if diag_value == 0:
-            return None
-        offset = 1
-    a_positions = list(range(offset, offset + k))
-    b_positions = list(range(offset + k, offset + 2 * k))
-    radical_positions = list(range(offset + 2 * k, n))
-    # w must be spanned by coordinate vectors among tails and radicals
-    positions = []
-    for row in w.rref_basis():
-        nz = [i for i, x in enumerate(row) if x]
-        if len(nz) != 1 or row[nz[0]] != 1:
-            return None
-        positions.append(nz[0])
-    tail_hits = [p for p in positions if p in b_positions]
-    rad_hits = [p for p in positions if p in radical_positions]
-    if len(tail_hits) + len(rad_hits) != len(positions):
-        return None
-    if tail_hits != b_positions[: len(tail_hits)]:
-        return None
-    if rad_hits != radical_positions[: len(rad_hits)]:
-        return None
-    profile = StdProfile(
-        n, rank, k, len(tail_hits), diag_index, diag_value,
-        a_positions, b_positions, radical_positions, len(rad_hits),
-    )
-    if space.gram != profile.normal_gram():
-        return None
-    return profile

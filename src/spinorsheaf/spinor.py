@@ -27,6 +27,7 @@ from .clifford import (
     _ctx,
     conjugate_subspace,
     multiply,
+    vector_product,
 )
 from . import _kernels
 from .errors import InvariantError, PreconditionError, SchemaError, SpanError
@@ -49,9 +50,12 @@ from .quadform import (
     QuadraticSpace,
     QuotientSpace,
     Subspace,
+    candidate_vectors,
     check_isotropic,
-    detect_standard_profile,
+    isotropic_type,
+    line_roots,
     radical_basis,
+    standardize,
     sub_intersection,
     sub_sum,
 )
@@ -174,9 +178,7 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
         raise PreconditionError("the isotropic subspace must be nonzero")
     if not check_isotropic(space, w):
         raise PreconditionError("the subspace is not isotropic")
-    gen = CliffordElement.scalar(space, 1)
-    for v in w.basis:
-        gen = multiply(gen, CliffordElement.from_vector(space, v))
+    gen = vector_product(space, w.basis)
     ctx = _ctx(space)
     index, order = ctx.index, ctx.order
     m = w.dim
@@ -501,23 +503,30 @@ def recover_intersection_with_radical(module) -> Subspace:
 
 
 def family_indicator(i: IdealModule) -> str:
-    """Which graded half the standardized witness element annihilates.
+    """Which graded half of the module the family witness xi annihilates:
+    "EVEN", "ODD", or "NONE" when it kills both halves or neither.
 
-    Requires the module to live on a standardized space (even-rank form,
-    tails of w leading) with pi(w) maximal.  The witness is the product of
-    the hyperbolic partners and the radical directions outside w.
+    Requires dim V/K even and pi(w) maximal, and checks that before
+    standardizing.  ``standardize`` gives a basis of V adapted to w:
+    hyperbolic pairs (a_t, b_t), then the radical, with w spanned by the
+    b_t and the first radical vectors.  xi is the product, in increasing
+    position, of the partners a_t and the radical vectors outside w.  The
+    map taking the standard basis of V_std to that basis is an isometry
+    V_std -> V, so it extends to an isomorphism Cl(V_std) -> Cl(V) that
+    keeps the grading and carries the ideal of the standardized w onto
+    this one.  xi is the image of a monomial, and it kills a half of the
+    module exactly when that monomial kills the same half of the
+    standardized module.
     """
-    profile = detect_standard_profile(i.space, i.w)
-    if profile is None:
-        raise PreconditionError("family_indicator needs a standardized basis")
-    if profile.diag_index is not None:
+    j, k, _ = isotropic_type(i.space, i.w)
+    if i.space.rank % 2:
         raise PreconditionError("family_indicator needs dim V/K even")
-    if profile.pi_dim != profile.k:
+    if j != k:
         raise PreconditionError("family_indicator needs pi(w) maximal")
-    witness_positions = list(profile.a_positions) + list(
-        profile.radical_positions[profile.w_radical_count :]
-    )
-    xi = CliffordElement.monomial(i.space, sorted(witness_positions))
+    std = standardize(i.space, i.w)
+    prof = std.profile
+    positions = prof.a_positions + prof.radical_positions[prof.w_radical_count:]
+    xi = vector_product(i.space, (std.new_basis[p] for p in positions))
     killed_ev = all(multiply(xi, b).is_zero() for b in i.ev_basis)
     killed_odd = all(multiply(xi, b).is_zero() for b in i.odd_basis)
     if killed_ev and not killed_odd:
@@ -545,13 +554,8 @@ def _embed_element(space, cols, element):
     isometric embedding of quadratic spaces)."""
     out = CliffordElement.zero(space)
     for mask, c in element.terms.items():
-        acc = CliffordElement.scalar(space, c)
-        mm = mask
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            acc = multiply(acc, CliffordElement.from_vector(space, cols[j]))
-        out = out + acc
+        bits = (j for j in range(mask.bit_length()) if mask >> j & 1)
+        out = out + vector_product(space, (cols[j] for j in bits)).scale(c)
     return out
 
 
@@ -602,9 +606,7 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
             f"transversality bookkeeping failed: dim(W cap U) {l} + complement"
             f" {shift_amount} vs dim W {w.dim}, codim U {codim_u}"
         )
-    tail = CliffordElement.scalar(space, 1)
-    for v in rest:
-        tail = multiply(tail, CliffordElement.from_vector(space, v))
+    tail = vector_product(space, rest)
 
     # the adapted module is the same ideal as i (basis change rescales the
     # generator), so coordinates may be taken in i's bases
@@ -681,9 +683,7 @@ def cone_compare(i_quotient: IdealModule, qs: QuotientSpace) -> ConeVerdict:
             raise PreconditionError("cone vertex must lie inside w")
     total = build_ideal(space, w_total)
     d = u.dim
-    tail = CliffordElement.scalar(space, 1)
-    for v in u.basis:
-        tail = multiply(tail, CliffordElement.from_vector(space, v))
+    tail = vector_product(space, u.basis)
     pairs = [(qs.project(space.basis_vector(t)), space.basis_vector(t))
              for t in range(space.n)]
     return ConeVerdict(
@@ -695,13 +695,15 @@ def cone_compare(i_quotient: IdealModule, qs: QuotientSpace) -> ConeVerdict:
     )
 
 
-def sample_quadric_points(space: QuadraticSpace, seed: int = 20103, extra: int = 24):
-    """Deterministic rational points on the quadric: coordinate vectors,
-    pairwise sums/differences, and seeded points found by solving q = 0 on
-    random small-integer lines."""
-    import random as _random
+# Points that sample_quadric_points takes from random lines
+LINE_POINTS = 24
 
-    from .quadform import _rational_sqrt
+
+def sample_quadric_points(space: QuadraticSpace, seed: int = 20103):
+    """Deterministic rational points on the quadric: the isotropic
+    ``candidate_vectors``, then LINE_POINTS points where seeded random
+    small-integer lines meet it."""
+    import random as _random
 
     n = space.n
     points = []
@@ -717,36 +719,17 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = 20103, extra: int =
             seen.add(key)
             points.append(tuple(v))
 
-    basis = [space.basis_vector(i) for i in range(n)]
-    for v in basis:
+    for v in candidate_vectors(space):
         if space.q(v) == 0:
             push(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in (1, -1):
-                v = tuple(x + s * y for x, y in zip(basis[i], basis[j]))
-                if space.q(v) == 0:
-                    push(v)
     rng = _random.Random(seed)
     attempts = 0
     found = 0
-    while found < extra and attempts < 40 * extra:
+    while found < LINE_POINTS and attempts < 40 * LINE_POINTS:
         attempts += 1
         a = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
         b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-        qa = space.q(a)
-        qb = space.q(b)
-        bb = 2 * space.b(a, b)
-        roots = []
-        if qb == 0:
-            if bb != 0:
-                roots.append(Fraction(-qa, bb))
-        else:
-            disc = bb * bb - 4 * qb * qa
-            root = _rational_sqrt(disc)
-            if root is not None:
-                roots.extend({Fraction(-bb - root, 2 * qb), Fraction(-bb + root, 2 * qb)})
-        for t in sorted(roots):
+        for t in line_roots(space.q(a), 2 * space.b(a, b), space.q(b)):
             v = tuple(x + t * y for x, y in zip(a, b))
             if any(v) and space.q(v) == 0:
                 push(v)

@@ -8,6 +8,7 @@ import json
 import time
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .clifford import CliffordElement, GroupElement, trace_pairing_nondegenerate
 from .errors import InvariantError, SpinorError
@@ -26,7 +27,14 @@ from .homalg import (
     sheaf_numerics,
     simplicity_verdict,
 )
-from .quadform import Subspace, quotient_space, radical_basis, sub_intersection
+from .quadform import (
+    Subspace,
+    candidate_vectors,
+    isotropic_type,
+    quotient_space,
+    radical_basis,
+    sub_intersection,
+)
 from .spinor import (
     FactorizationPair,
     build_factorization,
@@ -111,25 +119,11 @@ def _verdict(ok: bool) -> str:
 
 
 def default_group_elements(space):
-    """Two even and one odd group element from deterministic anisotropic
-    candidates."""
-    n = space.n
-    candidates = []
-    basis = [space.basis_vector(i) for i in range(n)]
-    for v in basis:
-        if space.q(v) != 0:
-            candidates.append(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in (1, -1):
-                v = tuple(x + s * y for x, y in zip(basis[i], basis[j]))
-                if space.q(v) != 0:
-                    candidates.append(v)
-        if len(candidates) >= 4:
-            break
-    if len(candidates) < 2:
+    """Two even and one odd group element from the first three anisotropic
+    ``candidate_vectors``."""
+    c = list(islice((v for v in candidate_vectors(space) if space.q(v) != 0), 3))
+    if len(c) < 2:
         raise SpinorError("no anisotropic vectors found for group elements")
-    c = candidates
     evens = [GroupElement(space, [c[0], c[1]])]
     if len(c) >= 3:
         evens.append(GroupElement(space, [c[0], c[2]]))
@@ -225,8 +219,7 @@ def _run_dependence(run, report):
     report.add("recover_radical_intersection",
                _verdict(got.same_span(expected)), dim=got.dim)
 
-    k = space.rank // 2
-    j = fx.w.dim - expected.dim
+    j, k, _ = isotropic_type(space, fx.w)
     predicted_shift_iso = not (space.rank % 2 == 0 and j == k)
     verdict = is_isomorphic(module, shift(module), seed=seed)
     if verdict.kind == "UNDECIDED":

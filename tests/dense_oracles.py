@@ -1,5 +1,7 @@
 """Dense reference implementations that the sparse construction path
-replaced; the tests compare the package against them."""
+replaced, and the certificates on a standardized copy of the space that
+the module-side ones replaced; the tests compare the package against
+them."""
 
 from fractions import Fraction
 from functools import reduce
@@ -7,7 +9,7 @@ from math import lcm
 
 from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply, trace_form
-from spinorsheaf.errors import SpanError
+from spinorsheaf.errors import PreconditionError, SpanError, StandardizationUnavailable
 from spinorsheaf.exactalg import (
     ONE,
     ZERO,
@@ -19,6 +21,8 @@ from spinorsheaf.exactalg import (
     rat,
     rref_rows,
 )
+from spinorsheaf.quadform import StdProfile, standardize
+from spinorsheaf.spinor import build_ideal, shift
 
 
 def _scaled_int_rows(frac_rows):
@@ -299,3 +303,120 @@ def dense_trace_pairing_nondegenerate(space) -> bool:
     monos = [CliffordElement(space, {m: ONE}) for m in range(1 << space.n)]
     gram = Mat.from_rows([[trace_form(a, b) for b in monos] for a in monos])
     return dense_rank(gram) == 1 << space.n
+
+
+def detect_standard_profile(space, w):
+    """Recognize a space already in standardized coordinates: the
+    ``StdProfile`` of (space, w), or None when the form is not in normal
+    form or w is not spanned by the leading tail and radical vectors."""
+    n = space.n
+    rank = space.rank
+    k = rank // 2
+    diag_index = None
+    diag_value = None
+    offset = 0
+    if rank % 2 == 1:
+        diag_index = 0
+        diag_value = space.gram[0, 0]
+        if diag_value == 0:
+            return None
+        offset = 1
+    a_positions = list(range(offset, offset + k))
+    b_positions = list(range(offset + k, offset + 2 * k))
+    radical_positions = list(range(offset + 2 * k, n))
+    # w must be spanned by coordinate vectors among tails and radicals
+    positions = []
+    for row in (rref_rows(w.basis, n)[0] if w.basis else []):
+        nz = [i for i, x in enumerate(row) if x]
+        if len(nz) != 1 or row[nz[0]] != 1:
+            return None
+        positions.append(nz[0])
+    tail_hits = [p for p in positions if p in b_positions]
+    rad_hits = [p for p in positions if p in radical_positions]
+    if len(tail_hits) + len(rad_hits) != len(positions):
+        return None
+    if tail_hits != b_positions[: len(tail_hits)]:
+        return None
+    if rad_hits != radical_positions[: len(rad_hits)]:
+        return None
+    profile = StdProfile(
+        n, rank, k, len(tail_hits), diag_index, diag_value,
+        a_positions, b_positions, radical_positions, len(rad_hits),
+    )
+    if space.gram != profile.normal_gram():
+        return None
+    return profile
+
+
+def _standardized_module(i):
+    """The module of i rebuilt on the standardized copy of its space (and
+    shifted as i is), with the profile detected there."""
+    std = standardize(i.space, i.w)
+    module = build_ideal(std.space_std, std.w_std)
+    profile = detect_standard_profile(std.space_std, std.w_std)
+    return (shift(module) if i.shift else module), profile
+
+
+def standardized_family_indicator(i):
+    """``spinor.family_indicator`` on the standardized copy of the module:
+    the monomial of the partners and of the radical directions outside w,
+    tried on both graded halves."""
+    module, profile = _standardized_module(i)
+    if profile is None:
+        raise PreconditionError("family_indicator needs a standardized basis")
+    if profile.diag_index is not None:
+        raise PreconditionError("family_indicator needs dim V/K even")
+    if profile.pi_dim != profile.k:
+        raise PreconditionError("family_indicator needs pi(w) maximal")
+    witness_positions = list(profile.a_positions) + list(
+        profile.radical_positions[profile.w_radical_count:]
+    )
+    xi = CliffordElement.monomial(module.space, sorted(witness_positions))
+    killed_ev = all(multiply(xi, b).is_zero() for b in module.ev_basis)
+    killed_odd = all(multiply(xi, b).is_zero() for b in module.odd_basis)
+    if killed_ev and not killed_odd:
+        return "EVEN"
+    if killed_odd and not killed_ev:
+        return "ODD"
+    return "NONE"
+
+
+def standardized_irreducibility_certificate(i):
+    """``homalg._irreducibility_certificate`` on the standardized copy of
+    the module, with the coordinate vectors of the detected profile."""
+    try:
+        module, prof = _standardized_module(i)
+    except (PreconditionError, StandardizationUnavailable):
+        return None
+    space = module.space
+    gen = module.generator
+    checks = []
+
+    def vecel(pos):
+        return CliffordElement.from_vector(space, space.basis_vector(pos))
+
+    for pos in prof.w_positions:
+        if not multiply(vecel(pos), gen).is_zero():
+            return None
+    checks.append("w kills the generator")
+    for ai, bi in zip(prof.a_positions, prof.b_positions):
+        if multiply(vecel(bi), multiply(vecel(ai), gen)) != gen:
+            return None
+    checks.append("partner pair restores the generator")
+    for ai in prof.a_positions:
+        for bj in prof.b_positions:
+            if prof.a_positions.index(ai) == prof.b_positions.index(bj):
+                continue
+            lhs = multiply(vecel(ai), vecel(bj))
+            rhs = multiply(vecel(bj), vecel(ai)).scale(-1)
+            if lhs != rhs:
+                return None
+    checks.append("partners anticommute across pairs")
+    if prof.diag_index is not None:
+        v0 = vecel(prof.diag_index)
+        if multiply(v0, multiply(v0, gen)) != gen.scale(prof.diag_value):
+            return None
+        if prof.diag_value == 0:
+            return None
+        checks.append("anisotropic direction squares to a nonzero scalar")
+    return {"identities": checks, "k": prof.k, "diag": prof.diag_value}

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from spinorsheaf.clifford import CliffordElement, grade_parts
-from spinorsheaf.errors import InvariantError, PreconditionError
+from spinorsheaf.errors import InvariantError, PreconditionError, StandardizationUnavailable
 from spinorsheaf.exactalg import Mat, UniPoly, mat_rank, mat_rank_kernel
-from spinorsheaf.fixtures import get_fixture, grid_spaces
+from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf import homalg
 from spinorsheaf.homalg import (
     _closure_from_coords,
@@ -24,6 +24,7 @@ from spinorsheaf.quadform import QuadraticSpace, Subspace
 from spinorsheaf.spinor import (
     build_factorization,
     build_ideal,
+    family_indicator,
     flag_sequence,
     recover_intersection_with_radical,
     shift,
@@ -296,6 +297,49 @@ class TestIrreducibility:
             v = irreducibility_check(module(label))
             assert v.kind == "REDUCIBLE"
             assert v.witness["ev_dim"] + v.witness["odd_dim"] > 0
+
+
+class TestStandardizedCertificates:
+    """``family_indicator`` and ``_irreducibility_certificate`` read the
+    standardized basis on the module itself; the oracles rebuild the module
+    on the standardized copy of the space and detect its profile there."""
+
+    @staticmethod
+    def outcome(f, x):
+        try:
+            return f(x)
+        except (PreconditionError, StandardizationUnavailable):
+            return "not applicable"
+
+    def test_match_the_standardized_module(self):
+        from dense_oracles import (
+            standardized_family_indicator,
+            standardized_irreducibility_certificate,
+        )
+
+        cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
+        cases += grid_spaces(6)
+        indicators, certificates, maximal = [], [], 0
+        for space, w in cases:
+            m = build_ideal(space, w)
+            for x in (m, shift(m)):
+                ind = self.outcome(family_indicator, x)
+                assert ind == self.outcome(standardized_family_indicator, x)
+                cert = homalg._irreducibility_certificate(x)
+                assert cert == standardized_irreducibility_certificate(x)
+                indicators.append(ind)
+                certificates.append(cert)
+            maximal += predict_simplicity(space, w)[1] == "maximal"
+        # the comparison covers both indicator values and every maximal w
+        assert len(cases) == 72 and maximal == 17
+        assert indicators.count("EVEN") == indicators.count("ODD") == 26
+        assert sum(c is not None for c in certificates) == 78
+
+    def test_family_certificate_flips_on_the_shift(self):
+        i = module("F-H6")
+        cert = homalg._family_certificate(i)
+        assert cert["shifted_indicator"] == family_indicator(shift(i)) != cert["indicator"]
+        assert homalg._family_certificate(module("F-H6a")) is None
 
 
 class TestNumerics:

@@ -1,6 +1,8 @@
 """Source checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import spinorsheaf
@@ -156,3 +158,55 @@ def test_action_product_scan():
            "def intertwines(a, A):\n    return A @ a.act_odd[0]\n"
            "def k(A, B):\n    return A @ B\n")
     assert _action_products(ast.parse(src)) == [2, 4, 6]
+
+
+def _benchmark_tracer():
+    """``perfbench/tracer.py``, loaded by its path (it is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _missing_bindings(layers):
+    """The ``(metric, module, attribute path)`` entries that name nothing.
+    A dotted path must end in an attribute the class defines itself, as
+    the recorder replaces it in the class dict."""
+    missing = []
+    for name, modname, qual in layers:
+        owner = importlib.import_module(modname)
+        *path, attr = qual.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{name}: {modname}.{qual}")
+    return missing
+
+
+def test_benchmark_bindings_resolve():
+    # the traced benchmark run (perfbench/run.py --trace 1) wraps these
+    # names, and its harness tests wrap three module bindings; a rename in
+    # the package would break it
+    from spinorsheaf import _kernels, _rowreduce_py, clifford, exactalg, homalg, spinor, verify
+
+    tracer = _benchmark_tracer()
+    assert _missing_bindings(tracer.LAYERS) == []
+    assert "__init__" in vars(clifford._Context)
+    assert isinstance(spinorsheaf.KERNEL_BACKEND, str)
+    assert spinor.rref_rows is exactalg.rref_rows
+    assert verify.hom_space is homalg.hom_space
+    assert _kernels.echelon is _rowreduce_py.echelon
+
+
+def test_binding_check_sees_a_rename():
+    layers = (("homalg.idempotent_probe", "spinorsheaf.homalg", "idempotent_probe"),
+              ("spinor.action_matrices", "spinorsheaf.spinor", "IdealModule.act_ev"),
+              ("x.renamed", "spinorsheaf.homalg", "idempotent_search"),
+              ("x.no_class", "spinorsheaf.spinor", "IdealMod.act_ev"),
+              ("x.inherited", "spinorsheaf.spinor", "MatrixFactorization.check_identity"))
+    assert _missing_bindings(layers) == [
+        "x.renamed: spinorsheaf.homalg.idempotent_search",
+        "x.no_class: spinorsheaf.spinor.IdealMod.act_ev",
+        "x.inherited: spinorsheaf.spinor.MatrixFactorization.check_identity",
+    ]

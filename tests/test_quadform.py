@@ -9,10 +9,13 @@ from spinorsheaf.exactalg import Mat, vec
 from spinorsheaf.fixtures import get_fixture
 from spinorsheaf.quadform import (
     QuadraticSpace,
+    StdProfile,
     Subspace,
+    candidate_vectors,
     check_isotropic,
-    detect_standard_profile,
     evaluate,
+    isotropic_type,
+    line_roots,
     quotient_space,
     radical_basis,
     standardize,
@@ -218,12 +221,22 @@ class TestStandardize:
         assert std.profile.diag_value != 0
 
     def test_detect_profile_roundtrip(self):
-        fx = get_fixture("F-QS")
-        std = standardize(fx.space, fx.w)
-        prof = detect_standard_profile(std.space_std, std.w_std)
-        assert prof is not None
-        assert prof.pi_dim == std.profile.pi_dim
-        assert prof.w_radical_count == std.profile.w_radical_count
+        # the oracle of the standardized certificates recovers the profile
+        # that standardize returned, and recognizes no other space
+        from dense_oracles import detect_standard_profile
+
+        for label in ("F-QS", "F-H6", "F-C5", "F-H6a"):
+            fx = get_fixture(label)
+            std = standardize(fx.space, fx.w)
+            prof = detect_standard_profile(std.space_std, std.w_std)
+            assert prof is not None
+            for attr in StdProfile.__slots__:
+                assert getattr(prof, attr) == getattr(std.profile, attr)
+        # x0^2 - x1^2 is not in normal form
+        space = QuadraticSpace(Mat.from_rows([[1, 0], [0, -1]]))
+        w = Subspace(space, [(1, 1)])
+        assert detect_standard_profile(space, w) is None
+        assert standardize(space, w).profile.pi_dim == 1
 
     def test_non_isotropic_rejected(self):
         fx = get_fixture("F-H6")
@@ -267,3 +280,57 @@ class TestSubspaceOps:
             QuadraticSpace(Mat.from_rows([[0, 1], [0, 0]]))  # not symmetric
         with pytest.raises(SchemaError):
             QuadraticSpace(Mat.from_rows([[1, 0], [0, 0]]))  # rank 1
+
+
+class TestSearches:
+    def test_candidate_order_pinned(self):
+        # e_i, then for each i < j: e_i + e_j and e_i - e_j
+        space = get_fixture("F-QS").space
+        got = [tuple(int(x) for x in v) for v in candidate_vectors(space)]
+        assert got == [
+            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+            (1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0),
+            (1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0),
+            (0, 1, 0, 1), (0, 1, 0, -1), (0, 0, 1, 1), (0, 0, 1, -1),
+        ]
+        assert all(len(v) == 4 and all(isinstance(x, Fraction) for x in v)
+                   for v in candidate_vectors(space))
+
+    @given(_space_and_vectors())
+    @settings(max_examples=60, deadline=None)
+    def test_line_roots_solve_q(self, sv):
+        space, a, b = sv
+        qa, bab, qb = space.q(a), 2 * space.b(a, b), space.q(b)
+        roots = line_roots(qa, bab, qb)
+        assert roots == sorted(set(roots))
+        for t in roots:
+            assert space.q(tuple(x + t * y for x, y in zip(a, b))) == 0
+        if qb == 0 and bab != 0:
+            assert roots == [-qa / bab]
+
+    def test_line_roots_cases(self):
+        half = Fraction(1, 2)
+        # t^2 - 1: two roots, ascending
+        assert line_roots(-1, 0, 1) == [-1, 1]
+        # (t + 1/2)^2: one double root
+        assert line_roots(Fraction(1, 4), 1, 1) == [-half]
+        # t^2 - 2 and t^2 + 1: no rational root
+        assert line_roots(-2, 0, 1) == []
+        assert line_roots(1, 0, 1) == []
+        # linear, qb = 0: 3 + 2t
+        assert line_roots(3, 2, 0) == [Fraction(-3, 2)]
+        # qb = bab = 0: none given, whether or not qa = 0
+        assert line_roots(3, 0, 0) == []
+        assert line_roots(0, 0, 0) == []
+        # q = x0 x1 on the line (1, 0) + t (1, 1): q = t + t^2
+        space = QuadraticSpace(Mat.from_rows([[0, half], [half, 0]]))
+        a, b = e(2, 0), (Fraction(1), Fraction(1))
+        assert line_roots(space.q(a), 2 * space.b(a, b), space.q(b)) == [-1, 0]
+
+    def test_isotropic_type(self):
+        # (dim pi(w), rank // 2, dim w cap K)
+        expected = {"F-H2": (1, 1, 0), "F-QS": (1, 1, 1), "F-QSb": (1, 1, 1),
+                    "F-C5": (1, 2, 1), "F-H6": (3, 3, 0), "F-H6a": (1, 3, 0)}
+        for label, jkl in expected.items():
+            fx = get_fixture(label)
+            assert isotropic_type(fx.space, fx.w) == jkl

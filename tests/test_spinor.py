@@ -761,16 +761,15 @@ MAP_SHA256 = {
 def _module_map_digests(label):
     import hashlib
     import json
-    import random
 
     from spinorsheaf.exactalg import rref_rows
-    from spinorsheaf.homalg import DEFAULT_SEED, _orthogonal_shift_witness
+    from spinorsheaf.homalg import _orthogonal_shift_witness
     from spinorsheaf.verify import default_group_elements, jsonable
 
     fx = get_fixture(label)
     m = build_ideal(fx.space, fx.w)
     maps = {}
-    witness = _orthogonal_shift_witness(m, shift(m), random.Random(DEFAULT_SEED))
+    witness = _orthogonal_shift_witness(m, shift(m))
     if witness is not None:
         maps["shift_witness"] = list(witness)
     if fx.section_subspace is not None:
