@@ -420,8 +420,9 @@ class LinMat:
         out = [ZERO] * (self.rows * self.cols)
         for x, m in zip(v, self.coeff):
             if x:
+                # "is not ZERO" skips the shared zero without Fraction.__bool__
                 for t, a in enumerate(m.entries):
-                    if a:
+                    if a is not ZERO and a:
                         out[t] += x * a
         return Mat(self.rows, self.cols, out)
 

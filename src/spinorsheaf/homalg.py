@@ -29,6 +29,7 @@ from .errors import (
 )
 from .exactalg import (
     IncrementalSpan,
+    LinMat,
     Mat,
     ZERO,
     binomial_upoly,
@@ -78,6 +79,12 @@ class GradedHom:
         self.crosscheck_dimension = crosscheck_dimension
         self.companion_identity_holds = companion
 
+    def at(self, coeffs):
+        """The pair sum_k coeffs[k] * basis[k]: each part is a matrix of
+        linear forms in the coefficients, evaluated at ``coeffs``."""
+        return tuple(LinMat(self.dimension, part).evaluate(coeffs)
+                     for part in zip(*self.basis))
+
 
 def hom_space(a, b) -> GradedHom:
     """All graded Cl-module maps a -> b, with the two-route cross-check.
@@ -104,11 +111,8 @@ def hom_space(a, b) -> GradedHom:
             f"{dim2} with B psi = psi' A as well"
         )
     na = b.odd_dim * a.odd_dim
-    basis = []
-    for v in kernel:
-        A = Mat(b.odd_dim, a.odd_dim, v[:na]) if na else Mat.zeros(b.odd_dim, a.odd_dim)
-        B = Mat(b.ev_dim, a.ev_dim, v[na:]) if nvars - na else Mat.zeros(b.ev_dim, a.ev_dim)
-        basis.append((A, B))
+    basis = [(Mat(b.odd_dim, a.odd_dim, v[:na]), Mat(b.ev_dim, a.ev_dim, v[na:]))
+             for v in kernel]
     companion = all(_satisfies(companion_cols, v) for v in kernel)
     return GradedHom(a, b, basis, dim2, companion)
 
@@ -138,46 +142,25 @@ class IsoVerdict:
         return f"IsoVerdict({self.kind}, {self.reason})"
 
 
-def _combine(hom, coeffs):
-    """The pair sum_k coeffs[k] * hom.basis[k], each part summed over the
-    nonzero cells of the basis pairs into one list."""
-    parts = []
-    for which in (0, 1):
-        rows, cols = _shape(hom, which)
-        out = [ZERO] * (rows * cols)
-        for c, pair in zip(coeffs, hom.basis):
-            if c:
-                for t, a in enumerate(pair[which].entries):
-                    if a is not ZERO and a:
-                        out[t] += c * a
-        parts.append(Mat(rows, cols, out))
-    return tuple(parts)
+def _candidates(d, grid, draw, tries, rng):
+    """Coefficient vectors of length d, lazily: every vector over ``grid``
+    in ``product`` order when d <= 6, then ``tries`` vectors of ``draw(rng)``
+    entries; the zero vector is skipped."""
+    sweep = product(grid, repeat=d) if d <= 6 else ()
+    draws = (tuple(draw(rng) for _ in range(d)) for _ in range(tries))
+    return (cs for cs in chain(sweep, draws) if any(cs))
 
 
 def _search_invertible(hom, rng):
     """Look for an invertible pair in the hom space: basis elements, then
     small integer sweeps, then seeded random combinations."""
-    d = hom.dimension
-    if d == 0:
-        return None
-    for A, B in hom.basis:
+    cands = _candidates(hom.dimension, (1, -1, 0), lambda r: r.randint(-9, 9),
+                        INVERTIBLE_TRIES, rng)
+    for A, B in chain(hom.basis, map(hom.at, cands)):
         got = _invertible_pair(A, B)
         if got:
             return got
-    sweep = product((1, -1, 0), repeat=d) if d <= 6 else ()
-    randoms = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(INVERTIBLE_TRIES))
-    for cs in chain(sweep, randoms):
-        if any(cs):
-            got = _invertible_pair(*_combine(hom, cs))
-            if got:
-                return got
     return None
-
-
-def _shape(hom, which):
-    if which == 0:
-        return (hom.target.odd_dim, hom.source.odd_dim)
-    return (hom.target.ev_dim, hom.source.ev_dim)
 
 
 def _family_certificate(i):
@@ -251,30 +234,26 @@ def is_isomorphic(a, b, seed: int = DEFAULT_SEED) -> IsoVerdict:
             A, B, u = witness
             return IsoVerdict("ISO", reason="orthogonal reflection witness",
                               certificate={"A": A, "B": B, "vector": u})
-    hom_ab = hom_space(a, b)
-    if hom_ab.dimension == 0:
-        return IsoVerdict("NOT_ISO", reason="hom space vanishes")
-    end_a = hom_space(a, a)
-    end_b = hom_space(b, b)
-    if end_a.dimension != end_b.dimension:
-        return IsoVerdict(
-            "NOT_ISO",
-            reason="endomorphism dimensions differ",
-            certificate={"end_a": end_a.dimension, "end_b": end_b.dimension},
-        )
-    found = _search_invertible(hom_ab, rng)
-    if found:
-        A, B, _, _ = found
-        return IsoVerdict("ISO", reason="invertible intertwiner",
-                          certificate={"A": A, "B": B})
-    hom_ba = hom_space(b, a)
-    if hom_ba.dimension == 0:
-        return IsoVerdict("NOT_ISO", reason="hom space vanishes (reverse)")
-    found = _search_invertible(hom_ba, rng)
-    if found:
-        A, B, ai, bi = found
-        return IsoVerdict("ISO", reason="invertible intertwiner (reverse)",
-                          certificate={"A": ai, "B": bi})
+    # Hom(a, b), then Hom(b, a) on the same generator; the certificate
+    # always maps a -> b, so the reverse one is the inverse of the found pair
+    for tag, src, dst in (("", a, b), (" (reverse)", b, a)):
+        hom = hom_space(src, dst)
+        if hom.dimension == 0:
+            return IsoVerdict("NOT_ISO", reason="hom space vanishes" + tag)
+        if not tag:
+            end_a = hom_space(a, a)
+            end_b = hom_space(b, b)
+            if end_a.dimension != end_b.dimension:
+                return IsoVerdict(
+                    "NOT_ISO",
+                    reason="endomorphism dimensions differ",
+                    certificate={"end_a": end_a.dimension, "end_b": end_b.dimension},
+                )
+        found = _search_invertible(hom, rng)
+        if found:
+            A, B, ai, bi = found
+            return IsoVerdict("ISO", reason="invertible intertwiner" + tag,
+                              certificate={"A": ai, "B": bi} if tag else {"A": A, "B": B})
     return IsoVerdict("UNDECIDED", reason="no invertible combination found")
 
 
@@ -353,8 +332,12 @@ class IrredVerdict:
 
 
 def irreducibility_check(i: IdealModule) -> IrredVerdict:
-    """REDUCIBLE with a closure witness, IRREDUCIBLE with the standardized
-    generator identities, or UNDECIDED."""
+    """REDUCIBLE with a closure witness, IRREDUCIBLE, or UNDECIDED.
+
+    IRREDUCIBLE rests on the closure sweep finding no proper submodule,
+    together with ``predict_simplicity`` returning "maximal".  The
+    standardized generator identities in its certificate are a consistency
+    record: they hold on REDUCIBLE modules too, F-QS and F-QSb among them."""
     n_ev, n_odd = i.ev_dim, i.odd_dim
     eye_ev, eye_odd = Mat.identity(n_ev), Mat.identity(n_odd)
     singles = ([(eye_ev.row(t), ()) for t in range(n_ev)]
@@ -383,8 +366,9 @@ def _seed_sum(a, b):
 
 
 def _irreducibility_certificate(i: IdealModule):
-    """Verify the generator identities that drive the reduction argument
-    for maximal w; returns the checklist or None.
+    """Verify the generator identities of the standardized basis; returns
+    the checklist or None.  They are a consistency record, not a proof of
+    irreducibility: they hold on REDUCIBLE modules too (F-QS, F-QSb).
 
     The identities are those of the standardized basis, read on i itself.
     ``standardize`` gives a basis of V adapted to w: in odd rank an
@@ -530,11 +514,8 @@ def euler_characteristic_matches(mf, numerics: SheafNumerics, t: int,
 def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED):
     """Search the endomorphism space for a nontrivial idempotent pair; a
     hit certifies decomposability, a miss is only a record."""
-    d = end.dimension
-    if d == 0:
-        return None
-    ident_a = Mat.identity(_shape(end, 0)[0])
-    ident_b = Mat.identity(_shape(end, 1)[0])
+    ident_a = Mat.identity(end.target.odd_dim)
+    ident_b = Mat.identity(end.target.ev_dim)
 
     def is_nontrivial_idem(A, B):
         if (A @ A, B @ B) != (A, B):
@@ -545,19 +526,12 @@ def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED):
             return False
         return True
 
-    candidates = []
-    if d <= 6:
-        halves = (ZERO, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
-        candidates = list(product(halves, repeat=d))
-    rng = random.Random(seed)
-    for _ in range(IDEMPOTENT_TRIES):
-        candidates.append(tuple(
-            Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(d)
-        ))
-    for cs in candidates:
-        if all(c == 0 for c in cs):
-            continue
-        A, B = _combine(end, cs)
+    halves = (ZERO, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+    cands = _candidates(end.dimension, halves,
+                        lambda r: Fraction(r.randint(-4, 4), r.choice((1, 2))),
+                        IDEMPOTENT_TRIES, random.Random(seed))
+    for cs in cands:
+        A, B = end.at(cs)
         if is_nontrivial_idem(A, B):
             return {"A": A, "B": B, "coeffs": cs}
     return None

@@ -35,10 +35,7 @@ from .exactalg import (
     IncrementalSpan,
     LinMat,
     Mat,
-    ONE,
     SpanSolver,
-    _hom_system,
-    _int_row,
     mat_invertible,
     mat_rank,
     mat_rank_kernel,
@@ -433,28 +430,28 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
 
 
 def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
-    """Is there a graded Cl-linear section of the quotient map?
+    """Is there a graded Cl-linear section s: inner[1] -> outer of the
+    quotient map (q_ev, q_odd)?
 
-    A section is a graded module map inner[1] -> outer, so its unknowns
-    and its Cl-linearity rows are those of the Hom system of
-    (inner[1], outer): A = s_odd: inner_ev -> outer_odd, then
-    B = s_ev: inner_odd -> outer_ev.  The rows of q_odd A = id and
-    q_ev B = id carry their right-hand side in the extra column nvars, and
-    the system is inconsistent exactly when that column is a pivot.
+    inner is the ideal of g = w1...wm, so s is fixed by x = s(g), and x
+    lies in the outer part p that labels g in inner[1].  The left
+    annihilator of g is Cl.W: in a basis of V that extends one of W, the
+    ordered monomials v_S w_T form a basis of Cl, those with T nonempty span
+    both Cl.W and Ann(g), and the v_S g are independent.  So x defines a
+    module map exactly when w.x = 0 for each basis vector w of W, and
+    q.s = id exactly when q_p x is the coordinate vector of g.  That is one
+    solve on the coordinates of x.
     """
-    phi_rows, psi_rows, nvars = _hom_system(shift(inner), outer)
-    rows = phi_rows + psi_rows
-    for q, at in ((q_odd, 0), (q_ev, outer.odd_dim * inner.ev_dim)):
-        k = q.rows
-        for r in range(k):
-            row = [(at + t * k, v) for t, v in enumerate(q.row(r)) if v]
-            for c in range(k):
-                pairs = [(j + c, v) for j, v in row]
-                if r == c:
-                    pairs.append((nvars, ONE))
-                if pairs:
-                    rows.append(_int_row(pairs))
-    return nvars not in _kernels.sparse_echelon(rows)
+    at = inner.w.dim % 2
+    g = inner.coords_in(at, inner.generator)
+    if g is None:
+        raise InvariantError("the generator has no coordinates in its graded part")
+    # x lies in the other outer part: odd when g is even, even when g is odd
+    act, q = (outer.act_ev, q_ev) if at else (outer.act_odd, q_odd)
+    blocks = [_action(act, w) for w in inner.w.basis] + [q]
+    rows = sum(m.rows for m in blocks)
+    system = Mat(rows, blocks[0].cols, chain.from_iterable(m.entries for m in blocks))
+    return mat_solve(system, (0,) * (rows - len(g)) + g) is not None
 
 
 def intertwines(a, b, A, B, pairs=None) -> bool:

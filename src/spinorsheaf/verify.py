@@ -345,15 +345,14 @@ def _run_stability(run, report):
     fl = run.flag
     if fl is not None:
         end = hom_space(fl.outer, fl.outer)
-        probe = idempotent_probe(end, seed=run.seed)
+        found = idempotent_probe(end, seed=run.seed) is not None
+        # a split flag should show an idempotent, a non-split one must not
         if fl.split_subspace:
-            v = "pass" if probe is not None else "UNDECIDED"
-            report.add("jordan_hoelder_record", v, split=True,
-                       end_dim=end.dimension, idempotent_found=probe is not None)
+            v = "pass" if found else "UNDECIDED"
         else:
-            v = "pass" if probe is None else "fail"
-            report.add("jordan_hoelder_record", v, split=False,
-                       end_dim=end.dimension, idempotent_found=probe is not None)
+            v = "fail" if found else "pass"
+        report.add("jordan_hoelder_record", v, split=fl.split_subspace,
+                   end_dim=end.dimension, idempotent_found=found)
 
 
 _RUNNERS = {

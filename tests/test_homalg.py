@@ -298,6 +298,15 @@ class TestIrreducibility:
             assert v.kind == "REDUCIBLE"
             assert v.witness["ev_dim"] + v.witness["odd_dim"] > 0
 
+    def test_identities_hold_on_reducible_modules(self):
+        # the standardized identities are a consistency record, not a proof
+        # of irreducibility: they hold on these REDUCIBLE modules as well
+        for label in ("F-QS", "F-QSb"):
+            i = module(label)
+            assert homalg._irreducibility_certificate(i) is not None
+            assert irreducibility_check(i).kind == "REDUCIBLE"
+            assert predict_simplicity(i.space, i.w)[1] != "maximal"
+
 
 class TestStandardizedCertificates:
     """``family_indicator`` and ``_irreducibility_certificate`` read the
@@ -414,10 +423,15 @@ class TestIdempotentProbe:
         A, B = probe["A"], probe["B"]
         assert A @ A == A and B @ B == B
 
+    def test_split_flag_candidate_is_pinned(self):
+        # the half-integer grid runs in product order from (0, ..., 0), and
+        # (1, 1) is the first idempotent on this End
+        fx = get_fixture("F-H6")
+        fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
+        assert idempotent_probe(hom_space(fl.outer, fl.outer))["coeffs"] == (1, 1)
+
     def test_combine_matches_the_dense_sum(self):
         # the running sum of scaled basis pairs is the reference
-        from spinorsheaf.homalg import _combine
-
         fx = get_fixture("F-H6")
         fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
         end = hom_space(fl.outer, fl.outer)
@@ -429,7 +443,7 @@ class TestIdempotentProbe:
                     if c:
                         acc = acc + pair[which].scale(c)
                 dense.append(acc)
-            got = _combine(end, cs)
+            got = end.at(cs)
             assert got == tuple(dense)
             assert all(isinstance(x, Fraction) for m in got for x in m.entries)
 

@@ -568,6 +568,16 @@ class TestInvariants:
         with pytest.raises(InvariantError, match="adapted basis"):
             restrict_compare(i, u)
 
+    def test_splitting_generator_outside_its_part_raises(self):
+        fx = get_fixture("F-H6")
+        fl = flag_sequence(module("F-H6"), fx.flag_drop)
+        inner = fl.inner
+        # the scalar 1 lies in no proper left ideal
+        bad = spinor.IdealModule(inner.space, inner.w, CliffordElement.scalar(inner.space, 1),
+                                 inner.ev_basis, inner.odd_basis)
+        with pytest.raises(InvariantError, match="generator"):
+            spinor._splitting_exists(bad, fl.outer, fl.quotient_ev, fl.quotient_odd)
+
 
 FIXTURES = ("F-H2", "F-QS", "F-QSb", "F-C5", "F-H6", "F-H6a")
 
