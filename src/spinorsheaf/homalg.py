@@ -191,9 +191,8 @@ def _orthogonal_shift_witness(a, b):
         uelt = CliffordElement.from_vector(space, u)
         uinv = uelt.scale(Fraction(1) / space.q(u))
         try:
-            A, B = (b.part_matrix(par, (multiply(xi, uinv) for xi in a.part(par)),
-                                  "right multiplication leaves the shift")
-                    for par in (1, 0))
+            A, B = b.graded_map(a, lambda xi: multiply(xi, uinv),
+                                "right multiplication leaves the shift")
         except SpanError:
             continue
         if intertwines(a, b, A, B) and _invertible_pair(A, B) is not None:

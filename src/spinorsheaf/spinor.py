@@ -131,6 +131,13 @@ class IdealModule:
         dim = self.ev_dim if parity == 0 else self.odd_dim
         return Mat(dim, len(cols), chain.from_iterable(zip(*cols)))
 
+    def graded_map(self, source, f, what):
+        """The map x -> f(x) from each graded part of ``source`` to the same
+        part of this module, as the pair (A, B) of ``intertwines``: A on the
+        odd parts, B on the even parts.  A shift is the caller's: pass the
+        shifted module as ``source`` or as this one."""
+        return tuple(self.part_matrix(par, map(f, source.part(par)), what) for par in (1, 0))
+
     def _left_action(self, parity):
         """Matrices of left multiplication by each e_i on one graded part."""
         space = self.space
@@ -342,18 +349,9 @@ def dual_factorization(mf: FactorizationPair) -> FactorizationPair:
 class FlagSequence:
     """Data of 0 -> I_W -> I_W' -> I_W[1] -> 0 for W' of codimension 1."""
 
-    __slots__ = (
-        "inner",
-        "outer",
-        "connecting_vector",
-        "inclusion_ev",
-        "inclusion_odd",
-        "quotient_ev",
-        "quotient_odd",
-        "exact",
-        "split_subspace",
-        "split_module",
-    )
+    __slots__ = ("inner", "outer", "connecting_vector", "inclusion_ev", "inclusion_odd",
+                 "quotient_ev", "quotient_odd", "exact", "split_subspace", "split_module",
+                 "section")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -366,7 +364,15 @@ class FlagSequence:
 
 def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
     """Build and verify the codimension-1 flag sequence of the module
-    ``inner`` of w, obtained by dropping the direction of ``drop`` from w."""
+    ``inner`` of w, obtained by dropping the direction d of ``drop`` from w.
+
+    The quotient is q(x) = x d.  ``section`` is sigma(x) = x u for a u with
+    b(u, W') = 0 and 2 b(u, d) = 1, which exists exactly when d is not in
+    W' + K (K the radical), that is when W cap K = W' cap K; else None.
+      sigma is Cl-linear: right and left multiplication commute.
+      x u lies in I_W' = Cl g': x = c g' d, and d u commutes with W'.
+      q sigma = id: x u d = x - x d u = x, as u d + d u = 1 and x d = 0.
+    ``intertwines`` and q . sigma = id are checked on the matrices."""
     if inner.shift:
         raise PreconditionError("flag_sequence expects an unshifted module")
     space, w = inner.space, inner.w
@@ -386,17 +392,12 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
 
     outer = build_ideal(space, w_prime)
 
-    inc_ev, inc_odd = (
-        outer.part_matrix(par, inner.part(par), "inner module does not embed")
-        for par in (0, 1)
-    )
+    inc_odd, inc_ev = outer.graded_map(inner, lambda x: x, "inner module does not embed")
     drop_elt = CliffordElement.from_vector(space, drop)
     # outer ev -> inner odd and outer odd -> inner ev
-    q_ev, q_odd = (
-        inner.part_matrix(1 - par, (multiply(xi, drop_elt) for xi in outer.part(par)),
-                          "right multiplication leaves the flag")
-        for par in (0, 1)
-    )
+    inner_shift = shift(inner)
+    q_odd, q_ev = inner_shift.graded_map(outer, lambda x: multiply(x, drop_elt),
+                                         "right multiplication leaves the flag")
 
     exact = True
     # injectivity, vanishing composite, surjectivity, middle exactness
@@ -415,6 +416,18 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
     )
     split_module = _splitting_exists(inner, outer, q_ev, q_odd)
 
+    orth = Mat.from_rows([space.gram.mul_vec(v) for v in w_prime.basis + (drop,)])
+    u = mat_solve(orth, (0,) * w_prime.dim + (Fraction(1, 2),))
+    section = None
+    if u is not None:
+        u_elt = CliffordElement.from_vector(space, u[0])
+        section = outer.graded_map(inner_shift, lambda x: multiply(x, u_elt),
+                                   "the section leaves the flag")
+        if not (intertwines(inner_shift, outer, *section)
+                and (q_odd @ section[0], q_ev @ section[1])
+                == (Mat.identity(inner.ev_dim), Mat.identity(inner.odd_dim))):
+            raise InvariantError("x -> x u is no module section of the flag quotient")
+
     return FlagSequence(
         inner=inner,
         outer=outer,
@@ -426,6 +439,7 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
         exact=exact,
         split_subspace=split_subspace,
         split_module=split_module,
+        section=section,
     )
 
 
@@ -629,13 +643,9 @@ def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
     are invertible (``bijective``), and whether tau(s x) = v tau(x) for
     every pair (s, v) of ``vector_pairs`` (``linear``)."""
     space = big.space
-    map_ev, map_odd = (
-        big.part_matrix((par + d) % 2,
-                        (multiply(_embed_element(space, cols, xi), tail)
-                         for xi in small.part(par)), what)
-        for par in (0, 1)
-    )
     target = shift(big) if d % 2 else big
+    map_odd, map_ev = target.graded_map(
+        small, lambda xi: multiply(_embed_element(space, cols, xi), tail), what)
     return {"map_ev": map_ev, "map_odd": map_odd,
             "bijective": _invertible_pair(map_ev, map_odd) is not None,
             "linear": intertwines(small, target, map_odd, map_ev, vector_pairs)}
@@ -760,21 +770,15 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     ginv = g.inverse_element
     gelt = g.as_element
 
-    rho_ev, rho_odd = (
-        target.part_matrix(p, (multiply(xi, ginv) for xi in i.part(p)),
-                           "right multiplication misses the target")
-        for p in (0, 1)
-    )
+    rho_odd, rho_ev = target.graded_map(i, lambda xi: multiply(xi, ginv),
+                                        "right multiplication misses the target")
     linear = intertwines(i, target, rho_odd, rho_ev)
     # twisted square: conjugation sigma(xi) = g xi g^{-1} lands in the
     # unshifted module of gWg^{-1} and carries the action of v to that of
     # gvg^{-1}; shifting back shares the solvers and action of the target
     iprime = shift(target) if par else target
-    sig_ev, sig_odd = (
-        iprime.part_matrix(p, (multiply(gelt, multiply(xi, ginv)) for xi in i.part(p)),
-                           "conjugation misses the target")
-        for p in (0, 1)
-    )
+    sig_odd, sig_ev = iprime.graded_map(i, lambda xi: multiply(gelt, multiply(xi, ginv)),
+                                        "conjugation misses the target")
     basis = [space.basis_vector(t) for t in range(space.n)]
     return EquivarianceVerdict(
         parity=par,

@@ -160,11 +160,24 @@ def test_action_product_scan():
     assert _action_products(ast.parse(src)) == [2, 4, 6]
 
 
-def _reads_outside(tree, name, home):
+def _qualified_functions(tree, prefix=""):
+    """(qualified name, node) of every function, a method named after its
+    class as ``Class.method``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            yield from _qualified_functions(node, name + ".")
+        else:
+            yield from _qualified_functions(node, prefix)
+
+
+def _reads_outside(tree, name, *homes):
     """Lines that read ``name`` (a name or an attribute) outside the
-    function ``home``; its definition and its imports are not reads."""
-    inside = {id(sub) for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == home
+    functions whose qualified names ``homes`` lists; a definition and an
+    import are not reads."""
+    inside = {id(sub) for qual, node in _qualified_functions(tree) if qual in homes
               for sub in ast.walk(node)}
     return sorted(node.lineno for node in ast.walk(tree)
                   if id(node) not in inside
@@ -192,6 +205,37 @@ def test_hom_system_scan():
            "def g(a, b):\n    rows = exactalg._hom_system(a, b)\n"
            "h = _hom_system\n")
     assert _reads_outside(ast.parse(src), "_hom_system", "hom_space") == [7, 9, 10]
+
+
+PART_MATRIX_HOMES = ("IdealModule.graded_map", "IdealModule._left_action")
+
+
+def test_one_graded_map_builder():
+    # a map x -> f(x) between ideal modules is built by
+    # IdealModule.graded_map, which pairs each part with its image part;
+    # part_matrix elsewhere would repeat that parity bookkeeping
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}"
+                  for line in _reads_outside(tree, "part_matrix", *PART_MATRIX_HOMES)]
+    assert found == []
+
+
+def test_graded_map_scan():
+    src = ("class IdealModule:\n"
+           "    def part_matrix(self, p):\n        return p\n"
+           "    def graded_map(self, s):\n        return self.part_matrix(1)\n"
+           "    def other(self):\n        return self.part_matrix(0)\n"
+           "class Other:\n"
+           "    def graded_map(self, m):\n        return m.part_matrix(0)\n"
+           "def graded_map(m):\n    return m.part_matrix(1)\n"
+           "def f(m):\n    def graded_map():\n        return m.part_matrix(0)\n")
+    tree = ast.parse(src)
+    assert _reads_outside(tree, "part_matrix", *PART_MATRIX_HOMES) == [7, 10, 12, 15]
+    assert dict(_qualified_functions(tree)).keys() == {
+        "IdealModule.part_matrix", "IdealModule.graded_map", "IdealModule.other",
+        "Other.graded_map", "graded_map", "f", "f.graded_map"}
 
 
 def _benchmark_tracer():

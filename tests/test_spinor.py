@@ -5,7 +5,7 @@ import pytest
 from spinorsheaf.clifford import CliffordElement, GroupElement, conjugate_subspace
 from spinorsheaf import spinor
 from spinorsheaf.errors import InvariantError, PreconditionError
-from spinorsheaf.exactalg import LinMat, Mat, mat_rank, vec
+from spinorsheaf.exactalg import LinMat, Mat, mat_rank, mat_solve, vec
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf.quadform import Subspace, quotient_space, radical_basis, standardize
 from spinorsheaf.spinor import (
@@ -259,6 +259,70 @@ class TestFlag:
                 fl = flag_sequence(build_ideal(space, w), drop)
                 assert fl.exact
                 assert fl.split_agree
+
+
+def _flags(k):
+    """Every flag of ``grid_spaces(k)``: each W of dimension >= 2, each
+    basis vector dropped."""
+    for space, w in grid_spaces(k):
+        if w.dim >= 2:
+            module = build_ideal(space, w)
+            for drop in w.basis:
+                yield flag_sequence(module, drop)
+
+
+def _sigma_q(fl):
+    """sigma . q on the outer module, as the pair (A, B)."""
+    s_odd, s_ev = fl.section
+    return s_odd @ fl.quotient_odd, s_ev @ fl.quotient_ev
+
+
+class TestFlagSection:
+    def test_section_on_every_flag_of_the_grid(self):
+        count = split = 0
+        for fl in _flags(7):
+            count += 1
+            assert (fl.section is not None) == fl.split_subspace == fl.split_module
+            if fl.section is None:
+                continue
+            split += 1
+            s_odd, s_ev = fl.section
+            assert intertwines(shift(fl.inner), fl.outer, s_odd, s_ev)
+            assert fl.quotient_odd @ s_odd == Mat.identity(fl.inner.ev_dim)
+            assert fl.quotient_ev @ s_ev == Mat.identity(fl.inner.odd_dim)
+            # sigma . q, the idempotent that jordan_hoelder_record stands for
+            A, B = _sigma_q(fl)
+            assert A @ A == A and B @ B == B
+            assert not (A.is_zero() and B.is_zero())
+            assert (A, B) != (Mat.identity(A.rows), Mat.identity(B.rows))
+        assert (count, split) == (228, 87)
+
+    def test_split_outer_against_the_searches(self):
+        # the searched certificates: an invertible intertwiner to the
+        # direct sum, and a nontrivial idempotent of End(outer); neither may
+        # contradict the section, and each must find one somewhere
+        from spinorsheaf.homalg import hom_space, idempotent_probe, is_isomorphic
+
+        iso = probed = 0
+        for fl in _flags(5):
+            if fl.section is None:
+                continue
+            verdict = is_isomorphic(fl.outer, direct_sum(fl.inner, shift(fl.inner)))
+            assert verdict.kind in ("ISO", "UNDECIDED")
+            iso += verdict.kind == "ISO"
+            end = hom_space(fl.outer, fl.outer)
+            # sigma . q is a module endomorphism, so it lies in End(outer)
+            cols = [A.entries + B.entries for A, B in end.basis]
+            A, B = _sigma_q(fl)
+            assert mat_solve(Mat.from_cols(cols), A.entries + B.entries) is not None
+            probed += idempotent_probe(end) is not None
+        assert iso > 0 and probed > 0
+
+    def test_section_check_raises(self, monkeypatch):
+        fx = get_fixture("F-H6")
+        monkeypatch.setattr(spinor, "intertwines", lambda *args: False)
+        with pytest.raises(InvariantError, match="section"):
+            flag_sequence(module("F-H6"), fx.flag_drop)
 
 
 class TestRestrict:
@@ -682,8 +746,8 @@ class TestSparseConstruction:
 
 
 class TestSplittingAgainstDense:
-    """``_splitting_exists`` (the Hom system's rows plus q . sigma = id on
-    one sparse elimination) against the dense Fraction system."""
+    """``_splitting_exists`` (one solve for the generator's image on
+    N_outer unknowns) against the dense Fraction system."""
 
     def test_every_flag_of_the_grid(self):
         from dense_oracles import dense_splitting_exists
@@ -803,3 +867,38 @@ def _module_map_digests(label):
 @pytest.mark.parametrize("label", sorted(MAP_SHA256))
 def test_module_maps_pinned(label):
     assert _module_map_digests(label) == MAP_SHA256[label]
+
+
+# sha256 of the JSON form (``verify.jsonable``) of the flag maps, which the
+# reports only summarize: inclusion and quotient as built before
+# ``IdealModule.graded_map`` built them, and F-H6's section x -> x u.
+FLAG_MAP_SHA256 = {
+    "F-H6": {
+        "inclusion_ev": "9e12a55539d3a20aaefa9e057e10a110dd412a76a4066e29dd538fd94ffc98bf",
+        "inclusion_odd": "a0c9ad1c1f7f4fafa539f2a8bb8d9e28a71668b54e7d23cb431be43993264c51",
+        "quotient_ev": "4ba83142c9c48104f6c670e22444097c4dfead030f2cf80ee0f418ff02ca179d",
+        "quotient_odd": "87b76905d98d22da03561b8ce0108a887b7a9a8f3d6effbf31d61df8a4238758",
+        "section": "9cfe2d4ded88afdf9b344955fa64dda739d1e18af99fd84589c53492d216f93a",
+    },
+    "F-QS": {
+        "inclusion_ev": "879d76aea7802dab20f7ddf0d9a0ef6d3f1c48d2df70d87ae83956a3a0a4ecc9",
+        "inclusion_odd": "879d76aea7802dab20f7ddf0d9a0ef6d3f1c48d2df70d87ae83956a3a0a4ecc9",
+        "quotient_ev": "1e6b7e8d61edd6049cb4f4a2c5cb27664126e30133d602aa1b68aabd1df202cb",
+        "quotient_odd": "1e6b7e8d61edd6049cb4f4a2c5cb27664126e30133d602aa1b68aabd1df202cb",
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(FLAG_MAP_SHA256))
+def test_flag_maps_pinned(label):
+    import hashlib
+    import json
+
+    from spinorsheaf.verify import jsonable
+
+    fx = get_fixture(label)
+    fl = flag_sequence(module(label), fx.flag_drop)
+    maps = {k: getattr(fl, k) for k in FLAG_MAP_SHA256[label]}
+    assert {k: hashlib.sha256(json.dumps(jsonable(x)).encode()).hexdigest()
+            for k, x in maps.items()} == FLAG_MAP_SHA256[label]
+    assert (fl.section is None) == (label == "F-QS")
