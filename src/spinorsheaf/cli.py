@@ -16,15 +16,10 @@ from fractions import Fraction
 from .errors import InvariantError, SchemaError, SpinorError
 from .exactalg import LinMat, Mat, rref_rows
 from .fixtures import FIXTURE_LABELS, _parse_matrix, get_fixture, load_fixture
-from .homalg import (
-    DEFAULT_SEED,
-    cohomology_dim,
-    factorization_equivalent,
-    hom_space,
-    is_isomorphic,
-)
+from .homalg import cohomology_dim, factorization_equivalent, hom_space, is_isomorphic
 from .quadform import Subspace, quotient_space
 from .spinor import (
+    DEFAULT_SEED,
     FactorizationPair,
     build_factorization,
     build_ideal,
@@ -118,7 +113,7 @@ def cmd_query(args) -> int:
     elif kind == "iso":
         a, _ = _module_from_label(args.args[0])
         b, _ = _module_from_label(args.args[1])
-        v = is_isomorphic(a, b, seed=args.seed)
+        v = is_isomorphic(a, b)
         result.update(source=args.args[0], target=args.args[1],
                       verdict=v.kind, reason=v.reason)
     elif kind == "restrict":
@@ -193,7 +188,7 @@ def linmat_from_strings(n, rows) -> LinMat:
     return LinMat(n, [Mat.from_rows(m) for m in coeff])
 
 
-def paper_example_result(phi_rows=None, psi_rows=None, seed=DEFAULT_SEED) -> dict:
+def paper_example_result(phi_rows=None, psi_rows=None) -> dict:
     """Certify that the built F-H6 factorization is equivalent to the
     printed pair; injectable matrices keep the mutation path testable."""
     default_phi, default_psi = paper_example_matrices()
@@ -204,14 +199,14 @@ def paper_example_result(phi_rows=None, psi_rows=None, seed=DEFAULT_SEED) -> dic
     if not printed.check_identity():
         return {"verdict": "NOT_A_FACTORIZATION"}
     mf = build_factorization(build_ideal(fx.space, fx.w))
-    cert = factorization_equivalent(mf, printed, seed=seed)
+    cert = factorization_equivalent(mf, printed)
     if cert is None:
         return {"verdict": "NOT_EQUIVALENT"}
     return {"verdict": "EQUIVALENT", "A": cert["A"], "B": cert["B"]}
 
 
 def cmd_paper_example(args) -> int:
-    result = paper_example_result(seed=args.seed)
+    result = paper_example_result()
     verdict = result["verdict"]
     sys.stdout.write(f"printed 4x4 factorization: {verdict}\n")
     if verdict == "EQUIVALENT":
@@ -254,12 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--index", type=int, default=0, help="cohomology index")
     p_query.add_argument("--twist", type=int, default=0, help="cohomology twist")
     p_query.add_argument("--window", type=int, default=6)
-    p_query.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_query.set_defaults(func=cmd_query)
 
     p_paper = sub.add_parser("paper-example",
                              help="certify the printed 4x4 factorization")
-    p_paper.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_paper.set_defaults(func=cmd_paper_example)
     return parser
 

@@ -13,7 +13,6 @@ A module here is anything with ``space``, ``ev_dim``, ``odd_dim``,
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, product
@@ -49,12 +48,8 @@ from .spinor import (
     recover_intersection_with_radical,
 )
 
-DEFAULT_SEED = 20103
-
-# Seeded random combinations that _search_invertible tries after its sweep,
-# and that idempotent_probe tries after its half-integer grid
+# Ramps that _search_invertible tries after its sweep
 INVERTIBLE_TRIES = 200
-IDEMPOTENT_TRIES = 100
 
 # Cohomology runs over the twists -window..window, and the multiplication
 # map in degree t has N * C(t + n - 1, n - 1) rows: F-H6a's
@@ -142,20 +137,25 @@ class IsoVerdict:
         return f"IsoVerdict({self.kind}, {self.reason})"
 
 
-def _candidates(d, grid, draw, tries, rng):
+def _candidates(d, grid, ramps=0):
     """Coefficient vectors of length d, lazily: every vector over ``grid``
-    in ``product`` order when d <= 6, then ``tries`` vectors of ``draw(rng)``
-    entries; the zero vector is skipped."""
+    in ``product`` order when d <= 6, then the ramps (k, k+1, ..., k+d-1)
+    for k = 1..``ramps``; the zero vector is skipped."""
     sweep = product(grid, repeat=d) if d <= 6 else ()
-    draws = (tuple(draw(rng) for _ in range(d)) for _ in range(tries))
-    return (cs for cs in chain(sweep, draws) if any(cs))
+    line = (tuple(range(k, k + d)) for k in range(1, ramps + 1))
+    return (cs for cs in chain(sweep, line) if any(cs))
 
 
-def _search_invertible(hom, rng):
+def _search_invertible(hom):
     """Look for an invertible pair in the hom space: basis elements, then
-    small integer sweeps, then seeded random combinations."""
-    cands = _candidates(hom.dimension, (1, -1, 0), lambda r: r.randint(-9, 9),
-                        INVERTIBLE_TRIES, rng)
+    the {1, -1, 0} sweep, then INVERTIBLE_TRIES ramps.
+
+    The ramps lie on one affine line k -> k(1, ..., 1) + (0, 1, ..., d-1),
+    so A and B there are affine in k and det A * det B is a polynomial in
+    k of degree at most ev_dim + odd_dim.  Unless it vanishes on the whole
+    line it has at most that many roots, and one of the first
+    ev_dim + odd_dim + 1 ramps is invertible."""
+    cands = _candidates(hom.dimension, (1, -1, 0), INVERTIBLE_TRIES)
     for A, B in chain(hom.basis, map(hom.at, cands)):
         got = _invertible_pair(A, B)
         if got:
@@ -200,12 +200,11 @@ def _orthogonal_shift_witness(a, b):
     return None
 
 
-def is_isomorphic(a, b, seed: int = DEFAULT_SEED) -> IsoVerdict:
+def is_isomorphic(a, b) -> IsoVerdict:
     """ISO with an invertible certificate, NOT_ISO with a reason, or
-    UNDECIDED.  Deterministic for a fixed seed."""
+    UNDECIDED.  Deterministic: the search order is fixed."""
     if a.space != b.space:
         raise PreconditionError("modules live over different spaces")
-    rng = random.Random(seed)
     if (a.ev_dim, a.odd_dim) != (b.ev_dim, b.odd_dim):
         return IsoVerdict("NOT_ISO", reason="graded dimensions differ")
     if a.ev_dim == 0:
@@ -248,7 +247,7 @@ def is_isomorphic(a, b, seed: int = DEFAULT_SEED) -> IsoVerdict:
                     reason="endomorphism dimensions differ",
                     certificate={"end_a": end_a.dimension, "end_b": end_b.dimension},
                 )
-        found = _search_invertible(hom, rng)
+        found = _search_invertible(hom)
         if found:
             A, B, ai, bi = found
             return IsoVerdict("ISO", reason="invertible intertwiner" + tag,
@@ -256,13 +255,13 @@ def is_isomorphic(a, b, seed: int = DEFAULT_SEED) -> IsoVerdict:
     return IsoVerdict("UNDECIDED", reason="no invertible combination found")
 
 
-def factorization_equivalent(p1, p2, seed: int = DEFAULT_SEED):
+def factorization_equivalent(p1, p2):
     """Invertible (A, B) with A phi1 = phi2 B, or None.  Certifies that two
     factorization pairs present isomorphic cokernels."""
     if (p1.phi.rows, p1.phi.cols) != (p2.phi.rows, p2.phi.cols):
         return None
     hom = hom_space(p1, p2)
-    found = _search_invertible(hom, random.Random(seed))
+    found = _search_invertible(hom)
     if found is None:
         return None
     A, B, _, _ = found
@@ -510,9 +509,10 @@ def euler_characteristic_matches(mf, numerics: SheafNumerics, t: int,
     return total == numerics.hilbert(t)
 
 
-def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED):
-    """Search the endomorphism space for a nontrivial idempotent pair; a
-    hit certifies decomposability, a miss is only a record."""
+def idempotent_probe(end: GradedHom):
+    """Search the endomorphism space, when its dimension is at most 6, for a
+    nontrivial idempotent pair on the half-integer grid; a hit certifies
+    decomposability, a miss is only a record."""
     ident_a = Mat.identity(end.target.odd_dim)
     ident_b = Mat.identity(end.target.ev_dim)
 
@@ -526,10 +526,7 @@ def idempotent_probe(end: GradedHom, seed: int = DEFAULT_SEED):
         return True
 
     halves = (ZERO, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
-    cands = _candidates(end.dimension, halves,
-                        lambda r: Fraction(r.randint(-4, 4), r.choice((1, 2))),
-                        IDEMPOTENT_TRIES, random.Random(seed))
-    for cs in cands:
+    for cs in _candidates(end.dimension, halves):
         A, B = end.at(cs)
         if is_nontrivial_idem(A, B):
             return {"A": A, "B": B, "coeffs": cs}

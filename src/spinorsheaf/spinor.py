@@ -16,6 +16,7 @@ witness of the isomorphism test.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -704,14 +705,14 @@ def cone_compare(i_quotient: IdealModule, qs: QuotientSpace) -> ConeVerdict:
 
 # Points that sample_quadric_points takes from random lines
 LINE_POINTS = 24
+# The seed of those lines, the one random stream of the package
+DEFAULT_SEED = 20103
 
 
-def sample_quadric_points(space: QuadraticSpace, seed: int = 20103):
+def sample_quadric_points(space: QuadraticSpace, seed: int = DEFAULT_SEED):
     """Deterministic rational points on the quadric: the isotropic
     ``candidate_vectors``, then LINE_POINTS points where seeded random
     small-integer lines meet it."""
-    import random as _random
-
     n = space.n
     points = []
     seen = set()
@@ -729,7 +730,7 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = 20103):
     for v in candidate_vectors(space):
         if space.q(v) == 0:
             push(v)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     attempts = 0
     found = 0
     while found < LINE_POINTS and attempts < 40 * LINE_POINTS:

@@ -15,7 +15,6 @@ from .errors import InvariantError, SpinorError
 from .exactalg import Mat, rat_to_json, rref_rows
 from .fixtures import Fixture
 from .homalg import (
-    DEFAULT_SEED,
     check_window,
     cohomology_dim,
     euler_characteristic_matches,
@@ -35,6 +34,7 @@ from .quadform import (
     sub_intersection,
 )
 from .spinor import (
+    DEFAULT_SEED,
     FactorizationPair,
     build_factorization,
     build_ideal,
@@ -209,7 +209,7 @@ def _run_construction(run, report):
 
 
 def _run_dependence(run, report):
-    fx, module, seed = run.fx, run.module, run.seed
+    fx, module = run.fx, run.module
     space = fx.space
     rad = radical_basis(space)
     expected = sub_intersection(fx.w, rad)
@@ -219,7 +219,7 @@ def _run_dependence(run, report):
 
     j, k, _ = isotropic_type(space, fx.w)
     predicted_shift_iso = not (space.rank % 2 == 0 and j == k)
-    verdict = is_isomorphic(module, shift(module), seed=seed)
+    verdict = is_isomorphic(module, shift(module))
     if verdict.kind == "UNDECIDED":
         report.add("shift_isomorphism", "UNDECIDED", predicted=predicted_shift_iso)
     else:
@@ -273,7 +273,7 @@ def _run_dual(run, report):
     else:
         target = FactorizationPair(space, mf.psi, mf.phi)
         expected = "swap"
-    cert = factorization_equivalent(dual, target, seed=run.seed)
+    cert = factorization_equivalent(dual, target)
     if cert is None:
         report.add("dual_parity_equivalence", "UNDECIDED", expected=expected)
     else:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -273,6 +274,20 @@ class TestPaperExample:
         r1 = run_cli(["paper-example"])
         r2 = run_cli(["paper-example"])
         assert r1.stdout == r2.stdout
+
+    def test_certificate_pinned(self, capsys):
+        # a change in the order of the certificate search shows here
+        assert main(["paper-example"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "8331d2436076171e68b1dfc1d16a4705e468b87dfcb2f261ff20937c5a4595b0"
+
+    @pytest.mark.parametrize("argv", [["query", "iso", "F-H6a", "F-H6a-shift"],
+                                      ["paper-example"]])
+    def test_seed_only_on_verify(self, argv):
+        # the searches are deterministic; only verify samples points
+        r = run_cli([*argv, "--seed", "1"])
+        assert r.returncode == 2
+        assert "unrecognized arguments: --seed 1" in r.stderr
 
     def test_mutated_matrix_detected(self):
         phi, psi = paper_example_matrices()

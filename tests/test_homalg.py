@@ -22,8 +22,10 @@ from spinorsheaf.homalg import (
 )
 from spinorsheaf.quadform import QuadraticSpace, Subspace
 from spinorsheaf.spinor import (
+    FactorizationPair,
     build_factorization,
     build_ideal,
+    dual_factorization,
     family_indicator,
     flag_sequence,
     recover_intersection_with_radical,
@@ -238,7 +240,6 @@ class TestSearchInvertible:
     def test_sweep_visits_coefficients_in_order(self):
         # every basis pair is singular, and so is the first sweep point
         # (1, 1, 1); (1, 1, -1) comes before (1, 1, 0), which is invertible too
-        import random
         from types import SimpleNamespace
 
         from spinorsheaf.homalg import GradedHom, _search_invertible
@@ -249,7 +250,7 @@ class TestSearchInvertible:
         shape = SimpleNamespace(ev_dim=2, odd_dim=2)
         basis = [(diag(a, b), diag(a, b)) for a, b in ((1, 0), (0, 1), (-1, 0))]
         hom = GradedHom(shape, shape, basis, 3, True)
-        A, B, ai, bi = _search_invertible(hom, random.Random(0))
+        A, B, ai, bi = _search_invertible(hom)
         assert A == B == diag(2, 1)
         assert ai == diag(Fraction(1, 2), 1)
 
@@ -464,3 +465,18 @@ class TestFactorizationEquivalence:
     def test_self_equivalent(self):
         mf = build_factorization(module("F-H6"))
         assert factorization_equivalent(mf, mf) is not None
+
+    @pytest.mark.parametrize("index", [35, 44])
+    def test_first_ramp_certifies_the_dual(self, index):
+        # n = 6, dim W = 2: codim 4, so the dual is the swapped pair; its
+        # 8-dimensional Hom has no invertible basis element and is too big
+        # for the sweep, and the ramp (1, 2, ..., 8) is the certificate
+        space, w = grid_spaces(6)[index]
+        mf = build_factorization(build_ideal(space, w))
+        dual = dual_factorization(mf)
+        target = FactorizationPair(space, mf.psi, mf.phi)
+        hom = hom_space(dual, target)
+        assert hom.dimension == 8
+        assert not any(homalg._invertible_pair(A, B) for A, B in hom.basis)
+        A, B = hom.at(tuple(range(1, 9)))
+        assert factorization_equivalent(dual, target) == {"A": A, "B": B}

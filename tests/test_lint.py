@@ -238,6 +238,33 @@ def test_graded_map_scan():
         "Other.graded_map", "graded_map", "f", "f.graded_map"}
 
 
+def _random_imports(tree):
+    """(line, at module level) of each import of ``random``."""
+    top = {id(node) for node in tree.body}
+    return [(node.lineno, id(node) in top) for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(a.name == "random" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "random"
+                and not node.level)]
+
+
+def test_one_random_stream():
+    # the Hom searches are deterministic; the sampled quadric points of
+    # spinor.sample_quadric_points are the one place a seed is read
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line, top in _random_imports(tree)
+                  if path.name != "spinor.py" or not top]
+    assert found == []
+
+
+def test_random_import_scan():
+    src = ("import random\nimport os, random as r\nfrom random import Random\n"
+           "import randomx\nfrom .random import x\n"
+           "def f():\n    import random\n    return random\n")
+    assert _random_imports(ast.parse(src)) == [(1, True), (2, True), (3, True), (7, False)]
+
+
 def _benchmark_tracer():
     """``perfbench/tracer.py``, loaded by its path (it is no package)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -7,7 +7,7 @@ import pytest
 from spinorsheaf import clifford, verify
 from spinorsheaf import homalg
 from spinorsheaf.fixtures import FIXTURE_LABELS, fixture_from_dict, get_fixture
-from spinorsheaf.homalg import DEFAULT_SEED
+from spinorsheaf.spinor import DEFAULT_SEED
 from spinorsheaf.verify import run_suite
 
 # sha256 of run_suite(fixture, "all", DEFAULT_SEED).to_json(): a change of
@@ -26,6 +26,17 @@ REPORT_SHA256 = {
 def test_report_bytes_pinned(label):
     text = run_suite(get_fixture(label), "all", DEFAULT_SEED).to_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[label]
+
+
+@pytest.mark.parametrize("label", FIXTURE_LABELS)
+def test_only_the_sampled_points_read_the_seed(label):
+    fx = get_fixture(label)
+
+    def records(seed):
+        return [r for r in run_suite(fx, "all", seed).records
+                if r["op"] != "fiber_rank_stratification"]
+
+    assert records(1) == records(7) == records(DEFAULT_SEED)
 
 
 def test_run_leaves_no_cyclic_garbage():
