@@ -17,7 +17,6 @@ from .homalg import (
 from .quadform import QuadraticSpace, Subspace, quotient_space, standardize
 from .spinor import (
     IdealModule,
-    MatrixFactorization,
     build_factorization,
     build_ideal,
     shift,
@@ -46,7 +45,6 @@ __all__ = [
     "quotient_space",
     "standardize",
     "IdealModule",
-    "MatrixFactorization",
     "build_factorization",
     "build_ideal",
     "shift",

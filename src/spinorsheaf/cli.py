@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InvariantError, SchemaError, SpinorError
-from .exactalg import LinMat, Mat, rref_rows
+from .exactalg import LinMat, Mat
 from .fixtures import FIXTURE_LABELS, _parse_matrix, get_fixture, load_fixture
 from .homalg import cohomology_dim, factorization_equivalent, hom_space, is_isomorphic
 from .quadform import Subspace, quotient_space
@@ -132,11 +132,7 @@ def cmd_query(args) -> int:
         rows = _data_rows(args, "cone_mod", fx.cone_mod)
         if rows is None:
             raise SchemaError("cone comparison needs cone_mod data")
-        u = Subspace(fx.space, rows)
-        qs = quotient_space(fx.space, u)
-        wrows, _ = rref_rows([qs.project(v) for v in fx.w.basis], qs.space.n)
-        iq = build_ideal(qs.space, Subspace(qs.space, wrows))
-        v = cone_compare(iq, qs)
+        v = cone_compare(module, quotient_space(fx.space, Subspace(fx.space, rows)))
         result.update(fixture=args.args[0], dim_u=v.dim_u, parity=v.parity,
                       matches=v.matches, bijective=bool(v.bijective),
                       linear=bool(v.linear))

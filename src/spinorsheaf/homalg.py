@@ -40,8 +40,8 @@ from .exactalg import (
 from . import _kernels
 from .quadform import candidate_vectors, isotropic_type, standardize
 from .spinor import (
+    FactorizationPair,
     IdealModule,
-    MatrixFactorization,
     _invertible_pair,
     family_indicator,
     intertwines,
@@ -425,15 +425,15 @@ class SheafNumerics:
         self.torsion_flag = torsion_flag
 
 
-def sheaf_numerics(mf: MatrixFactorization) -> SheafNumerics:
+def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:
     """Hilbert polynomial from the two-term resolution; rank, degree and
-    slope read off against the quadric's own Hilbert polynomial."""
-    module = mf.module
-    n = module.space.n
+    slope read off against the quadric's own Hilbert polynomial.  Only n
+    and N are read, so any pair will do; N = 1 is the torsion case, which
+    for an ideal module is codim W = 1 by the dimension law."""
+    n = mf.space.n
     N = mf.N
     hilbert = (binomial_upoly(n - 1, n - 1) - binomial_upoly(n - 2, n - 1)).scale(N)
-    codim = module.codim
-    if codim == 1:
+    if N == 1:
         return SheafNumerics(hilbert, None, None, None, True)
     d = n - 2
     if hilbert.degree() != d:

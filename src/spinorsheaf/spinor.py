@@ -7,8 +7,9 @@ Everything downstream (flags, duals, restriction, cones, equivariance) is
 verified through exact linear algebra on those bases.
 
 A module known only by its action is a ``FactorizationPair``: a graded
-module and its pair (phi, psi) are the same data, so duals and direct
-sums are pairs, and Hom spaces take them as they take ideal modules.
+module and its pair (phi, psi) are the same data, so the factorization of
+an ideal module is the plain pair of its action, duals and direct sums
+are pairs, and Hom spaces take them as they take ideal modules.
 Whether a graded map respects the action is decided in one place,
 ``intertwines``, for equivariance, restriction, cones and the shift
 witness of the isomorphism test.
@@ -286,20 +287,6 @@ class FactorizationPair:
         return True
 
 
-class MatrixFactorization(FactorizationPair):
-    """The factorization attached to a module: phi is left multiplication
-    ev -> odd, psi is odd -> ev."""
-
-    __slots__ = ("module",)
-
-    def __init__(self, module):
-        n = module.space.n
-        phi = LinMat(n, module.act_ev)
-        psi = LinMat(n, module.act_odd)
-        super().__init__(module.space, phi, psi)
-        self.module = module
-
-
 def direct_sum(a, b) -> FactorizationPair:
     """Block sum of two modules over the same space."""
     if a.space != b.space:
@@ -312,8 +299,11 @@ def direct_sum(a, b) -> FactorizationPair:
     )
 
 
-def build_factorization(i) -> MatrixFactorization:
-    mf = MatrixFactorization(i)
+def build_factorization(i) -> FactorizationPair:
+    """The pair of the module's action, phi = left multiplication ev -> odd
+    and psi = odd -> ev, checked against the factorization identity."""
+    n = i.space.n
+    mf = FactorizationPair(i.space, LinMat(n, i.act_ev), LinMat(n, i.act_odd))
     if not mf.check_identity():
         raise InvariantError("factorization identity failed: multiplication bug")
     return mf
@@ -620,10 +610,11 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
         )
     tail = vector_product(space, rest)
 
-    # the adapted module is the same ideal as i (basis change rescales the
-    # generator), so coordinates may be taken in i's bases
-    adapted = build_ideal(space, Subspace(space, list(cap.basis) + rest))
-    if [x.terms for x in adapted.ev_basis] != [x.terms for x in i.ev_basis]:
+    # the vectors of an isotropic W anticommute, so the product of the
+    # adapted basis is a nonzero multiple of i's generator: the same ideal,
+    # and coordinates may be taken in i's bases
+    adapted, gen = vector_product(space, list(cap.basis) + rest).terms, i.generator.terms
+    if adapted.keys() != gen.keys() or len({c / gen[m] for m, c in adapted.items()}) != 1:
         raise InvariantError("the adapted basis of W gives a different ideal")
 
     pairs = [(space_u.basis_vector(t), ucols[t]) for t in range(space_u.n)]
@@ -653,7 +644,7 @@ def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
 
 
 class ConeVerdict:
-    __slots__ = ("dim_u", "parity", "total", "map_ev", "map_odd", "bijective", "linear")
+    __slots__ = ("dim_u", "parity", "quotient", "map_ev", "map_odd", "bijective", "linear")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -664,32 +655,29 @@ class ConeVerdict:
         return "S" if self.parity == 0 else "T"
 
 
-def cone_compare(i_quotient: IdealModule, qs: QuotientSpace) -> ConeVerdict:
-    """Compare the module of W/U on V/U with the module of W on V.
+def cone_compare(i: IdealModule, qs: QuotientSpace) -> ConeVerdict:
+    """Compare the module ``i`` of W on V with the module of W/U on V/U,
+    where U, the modded subspace of ``qs``, must lie in W and in the
+    radical.
 
     The section embeds Cl(V/U) into Cl(V); right multiplication by a basis
     of U gives the isomorphism I' -> I shifted by dim U, checked exactly,
     Cl(V)-linearly.
     """
-    space = qs.source
-    u = qs.modded
-    if i_quotient.shift:
+    space, u = i.space, qs.modded
+    if i.shift:
         raise PreconditionError("cone_compare expects an unshifted module")
-    if i_quotient.space != qs.space:
-        raise PreconditionError("quotient module does not live on the quotient space")
+    if space != qs.source:
+        raise PreconditionError("the module does not live on the cone's space")
     rad = radical_basis(space)
     for v in u.basis:
         if not rad.contains(v):
             raise PreconditionError("cone vertex must lie inside the radical")
-    section_cols = [qs.section.col(j) for j in range(qs.section.cols)]
-    lifted = [qs.lift(wb) for wb in i_quotient.w.basis]
-    w_total = Subspace(space, lifted + list(u.basis))
-    if not check_isotropic(space, w_total):
-        raise PreconditionError("lifted subspace is not isotropic")
-    for v in u.basis:
-        if not w_total.contains(v):
+        if not i.w.contains(v):
             raise PreconditionError("cone vertex must lie inside w")
-    total = build_ideal(space, w_total)
+    rows, _ = rref_rows([qs.project(v) for v in i.w.basis], qs.space.n)
+    quotient = build_ideal(qs.space, Subspace(qs.space, rows))
+    section_cols = [qs.section.col(j) for j in range(qs.section.cols)]
     d = u.dim
     tail = vector_product(space, u.basis)
     pairs = [(qs.project(space.basis_vector(t)), space.basis_vector(t))
@@ -697,8 +685,8 @@ def cone_compare(i_quotient: IdealModule, qs: QuotientSpace) -> ConeVerdict:
     return ConeVerdict(
         dim_u=d,
         parity=d % 2,
-        total=total,
-        **_tail_comparison(i_quotient, total, section_cols, tail, d, pairs,
+        quotient=quotient,
+        **_tail_comparison(quotient, i, section_cols, tail, d, pairs,
                            "cone comparison leaves the module"),
     )
 

@@ -12,7 +12,7 @@ from itertools import islice
 
 from .clifford import CliffordElement, GroupElement, trace_pairing_nondegenerate
 from .errors import InvariantError, SpinorError
-from .exactalg import Mat, rat_to_json, rref_rows
+from .exactalg import Mat, rat_to_json
 from .fixtures import Fixture
 from .homalg import (
     check_window,
@@ -293,13 +293,7 @@ def _run_sections(run, report):
                        _verdict(bool(verdict.bijective and verdict.linear)),
                        parity=verdict.parity, matches=verdict.matches)
     if fx.cone_mod is not None:
-        u = Subspace(fx.space, fx.cone_mod)
-        qs = quotient_space(fx.space, u)
-        wbar_vectors = [qs.project(v) for v in fx.w.basis]
-        rows, _ = rref_rows(wbar_vectors, qs.space.n)
-        wbar = Subspace(qs.space, rows)
-        iq = build_ideal(qs.space, wbar)
-        verdict = cone_compare(iq, qs)
+        verdict = cone_compare(module, quotient_space(fx.space, Subspace(fx.space, fx.cone_mod)))
         report.add("cone",
                    _verdict(bool(verdict.bijective and verdict.linear)),
                    dim_u=verdict.dim_u, parity=verdict.parity,

@@ -215,6 +215,19 @@ class TestQuery:
         assert message in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == ""
 
+    def test_cone_vertex_outside_w_exit_2(self, capsys):
+        # e3 lies in F-QS's radical but not in its W; the comparison must
+        # not fall back to the module of W + <e3>
+        argv = ["query", "cone", "F-QS", "--data", '{"cone_mod": [[0, 0, 0, 1]]}']
+        assert main(argv) == 2
+        assert "cone vertex must lie inside w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, label", [("cone", "F-C5-shift"),
+                                             ("restrict", "F-H6-shift")])
+    def test_shifted_label_exit_2(self, kind, label, capsys):
+        assert main(["query", kind, label]) == 2
+        assert "expects an unshifted module" in capsys.readouterr().err
+
     def test_missing_args_exit_2(self):
         r = run_cli(["query", "hom", "F-H6"])
         assert r.returncode == 2
@@ -243,7 +256,7 @@ class TestQuery:
 
 class TestInvariantExit:
     def test_failing_identity_exit_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(spinor.MatrixFactorization, "check_identity",
+        monkeypatch.setattr(spinor.FactorizationPair, "check_identity",
                             lambda self: False)
         assert main(["verify", "--fixture", "F-QS"]) == 1
         assert "factorization identity failed" in capsys.readouterr().err
@@ -299,6 +312,18 @@ class TestPaperExample:
     def test_inprocess_main(self, capsys):
         assert main(["paper-example"]) == 0
         assert "EQUIVALENT" in capsys.readouterr().out
+
+
+def test_readme_fixture_example_verifies(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```json\n") + len("```json\n")
+    path = tmp_path / "example.json"
+    path.write_text(text[start:text.index("```", start)])
+    assert main(["verify", "-i", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS     ] restriction" in out and "[PASS     ] cone" in out
 
 
 BAD_SCALARS = st.sampled_from([1.5, 0.0, True, False, None, [1], {"a": 1}, "1/0", "x"])

@@ -4,7 +4,7 @@ import pytest
 
 from spinorsheaf.clifford import CliffordElement, grade_parts
 from spinorsheaf.errors import InvariantError, PreconditionError, StandardizationUnavailable
-from spinorsheaf.exactalg import Mat, UniPoly, mat_rank, mat_rank_kernel
+from spinorsheaf.exactalg import LinMat, Mat, UniPoly, mat_rank, mat_rank_kernel
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf import homalg
 from spinorsheaf.homalg import (
@@ -20,7 +20,7 @@ from spinorsheaf.homalg import (
     sheaf_numerics,
     simplicity_verdict,
 )
-from spinorsheaf.quadform import QuadraticSpace, Subspace
+from spinorsheaf.quadform import QuadraticSpace, Subspace, isotropic_type
 from spinorsheaf.spinor import (
     FactorizationPair,
     build_factorization,
@@ -381,6 +381,14 @@ class TestNumerics:
         assert num.torsion_flag
         assert num.slope is None
 
+    @pytest.mark.parametrize("label", FIXTURE_LABELS)
+    def test_dual_pair_has_the_same_numerics(self, label):
+        # only n and N are read, so the dual pair has the same numerics
+        mf = build_factorization(module(label))
+        num, dual = sheaf_numerics(mf), sheaf_numerics(dual_factorization(mf))
+        assert (dual.hilbert, dual.slope, dual.torsion_flag) == (
+            num.hilbert, num.slope, num.torsion_flag)
+
 
 class TestCohomology:
     def test_h0_values(self):
@@ -462,6 +470,12 @@ class TestFactorizationEquivalence:
         assert (mf.ev_dim, mf.odd_dim) == (2, 2)
         assert (mf.act_ev, mf.act_odd) == (mf.phi.coeff, mf.psi.coeff)
 
+    def test_factorization_is_the_plain_pair_of_the_action(self):
+        i = module("F-H6")
+        mf = build_factorization(i)
+        assert type(mf) is FactorizationPair
+        assert mf.act_ev is i.act_ev and mf.act_odd is i.act_odd
+
     def test_self_equivalent(self):
         mf = build_factorization(module("F-H6"))
         assert factorization_equivalent(mf, mf) is not None
@@ -480,3 +494,44 @@ class TestFactorizationEquivalence:
         assert not any(homalg._invertible_pair(A, B) for A, B in hom.basis)
         A, B = hom.at(tuple(range(1, 9)))
         assert factorization_equivalent(dual, target) == {"A": A, "B": B}
+
+
+def knoerrer_pairs(space, w):
+    """For V' = V + <u, v> with b(u, v) = 1/2 and W' = W + <v>: Knoerrer's
+    doubled pair ([[phi, u Id], [-v Id, psi]], [[psi, -u Id], [v Id, phi]])
+    of the module of (V, W), the factorization of the module of (V', W'),
+    and W'."""
+    n = space.n
+    half = Fraction(1, 2)
+    big = QuadraticSpace(space.gram.block_diag(Mat.from_rows([[0, half], [half, 0]])))
+    w_big = Subspace(big, [tuple(v) + (0, 0) for v in w.basis] + [big.basis_vector(n + 1)])
+    mf = build_factorization(build_ideal(space, w))
+    size = 2 * mf.N
+
+    def corner(r, c, s):
+        # s Id in block (r, c) of a 2 x 2 block matrix
+        return Mat(size, size, [Fraction(s * ((i // mf.N, j // mf.N) == (r, c)
+                                              and i % mf.N == j % mf.N))
+                                for i in range(size) for j in range(size)])
+
+    phi = LinMat(n + 2, mf.phi.block_diag(mf.psi).coeff + (corner(0, 1, 1), corner(1, 0, -1)))
+    psi = LinMat(n + 2, mf.psi.block_diag(mf.phi).coeff + (corner(0, 1, -1), corner(1, 0, 1)))
+    return FactorizationPair(big, phi, psi), build_factorization(build_ideal(big, w_big)), w_big
+
+
+def test_knoerrer_periodicity():
+    # the module of (V', W') is Knoerrer's doubled pair itself; its swap
+    # presents the shifted module, which is not isomorphic to it exactly
+    # when rank q' is even and pi(W') is maximal, on 17 of the 40 inputs
+    cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
+    cases += grid_spaces(5)
+    not_swapped = 0
+    for space, w in cases:
+        doubled, mf, w_big = knoerrer_pairs(space, w)
+        assert doubled.check_identity()
+        assert factorization_equivalent(doubled, mf) is not None
+        swapped = factorization_equivalent(doubled, FactorizationPair(mf.space, mf.psi, mf.phi))
+        j, k, _ = isotropic_type(mf.space, w_big)
+        assert (swapped is None) == (mf.space.rank % 2 == 0 and j == k)
+        not_swapped += swapped is None
+    assert (len(cases), not_swapped) == (40, 17)

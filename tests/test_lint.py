@@ -315,3 +315,11 @@ def test_binding_check_sees_a_rename():
         "x.no_class: spinorsheaf.spinor.IdealMod.act_ev",
         "x.inherited: spinorsheaf.spinor.MatrixFactorization.check_identity",
     ]
+
+
+def test_binding_check_sees_an_inherited_method():
+    # the recorder replaces a method in the class dict, so a method that a
+    # class only inherits names nothing there
+    layers = (("x.own", "spinorsheaf.errors", "SpanError.__init__"),
+              ("x.inherited", "spinorsheaf.errors", "SchemaError.__init__"))
+    assert _missing_bindings(layers) == ["x.inherited: spinorsheaf.errors.SchemaError.__init__"]

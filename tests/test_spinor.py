@@ -362,9 +362,7 @@ class TestCone:
     def test_fc5_cone(self):
         fx = get_fixture("F-C5")
         qs = quotient_space(fx.space, Subspace(fx.space, fx.cone_mod))
-        wbar = Subspace(qs.space, [qs.project(fx.w.basis[0])])
-        iq = build_ideal(qs.space, wbar)
-        verdict = cone_compare(iq, qs)
+        verdict = cone_compare(build_ideal(fx.space, fx.w), qs)
         assert verdict.dim_u == 1
         assert verdict.parity == 1
         assert verdict.bijective and verdict.linear
@@ -372,11 +370,17 @@ class TestCone:
     def test_zero_vertex(self):
         fx = get_fixture("F-H6")
         qs = quotient_space(fx.space, Subspace(fx.space, []))
-        iq = build_ideal(qs.space, Subspace(qs.space, [qs.project(v) for v in fx.w.basis]))
-        verdict = cone_compare(iq, qs)
+        verdict = cone_compare(build_ideal(fx.space, fx.w), qs)
         assert verdict.dim_u == 0
         assert verdict.parity == 0
         assert verdict.bijective and verdict.linear
+
+    def test_vertex_outside_w_rejected(self):
+        # e3 lies in F-QS's radical but not in W = <e1, e2>
+        fx = get_fixture("F-QS")
+        qs = quotient_space(fx.space, Subspace(fx.space, [e(4, 3)]))
+        with pytest.raises(PreconditionError, match="cone vertex must lie inside w"):
+            cone_compare(module("F-QS"), qs)
 
     def test_vertex_outside_radical_rejected(self):
         fx = get_fixture("F-C5")
@@ -500,11 +504,11 @@ class TestIntertwines:
     def test_cone_tau(self):
         fx = get_fixture("F-C5")
         qs = quotient_space(fx.space, Subspace(fx.space, fx.cone_mod))
-        iq = build_ideal(qs.space, Subspace(qs.space, [qs.project(fx.w.basis[0])]))
-        v = cone_compare(iq, qs)
+        i = build_ideal(fx.space, fx.w)
+        v = cone_compare(i, qs)
         assert v.bijective and v.linear
         basis = [fx.space.basis_vector(t) for t in range(fx.space.n)]
-        self.assert_sharp(iq, shift(v.total) if v.dim_u % 2 else v.total,
+        self.assert_sharp(v.quotient, shift(i) if v.dim_u % 2 else i,
                           v.map_odd, v.map_ev, [(qs.project(x), x) for x in basis])
 
     def test_shift_witness(self):
@@ -575,7 +579,7 @@ class TestInvariants:
     cannot strip as it would an assert."""
 
     def test_failing_identity_raises(self, monkeypatch):
-        monkeypatch.setattr(spinor.MatrixFactorization, "check_identity",
+        monkeypatch.setattr(spinor.FactorizationPair, "check_identity",
                             lambda self: False)
         with pytest.raises(InvariantError, match="factorization identity"):
             build_factorization(module("F-QS"))
@@ -620,15 +624,10 @@ class TestInvariants:
         with pytest.raises(InvariantError, match="transversality"):
             restrict_compare(i, u)
 
-    def test_adapted_basis_raises(self, monkeypatch):
+    def test_adapted_basis_raises(self):
         i, u = self._restrict_fh6()
-        build = spinor.build_ideal
-
-        def shifted_on_the_full_space(space, w):
-            out = build(space, w)
-            return shift(out) if space is i.space else out
-
-        monkeypatch.setattr(spinor, "build_ideal", shifted_on_the_full_space)
+        # the scalar 1 is no multiple of the product of a basis of W
+        i.generator = CliffordElement.scalar(i.space, 1)
         with pytest.raises(InvariantError, match="adapted basis"):
             restrict_compare(i, u)
 
@@ -836,7 +835,6 @@ def _module_map_digests(label):
     import hashlib
     import json
 
-    from spinorsheaf.exactalg import rref_rows
     from spinorsheaf.homalg import _orthogonal_shift_witness
     from spinorsheaf.verify import default_group_elements, jsonable
 
@@ -851,9 +849,7 @@ def _module_map_digests(label):
         if v.kind == "ISOMORPHIC":
             maps["restrict"] = [v.map_ev, v.map_odd]
     if fx.cone_mod is not None:
-        qs = quotient_space(fx.space, Subspace(fx.space, fx.cone_mod))
-        rows, _ = rref_rows([qs.project(v) for v in fx.w.basis], qs.space.n)
-        v = cone_compare(build_ideal(qs.space, Subspace(qs.space, rows)), qs)
+        v = cone_compare(m, quotient_space(fx.space, Subspace(fx.space, fx.cone_mod)))
         maps["cone"] = [v.map_ev, v.map_odd]
     evens, odd = default_group_elements(fx.space)
     for k, g in enumerate(evens + [odd]):

@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import json
+import os
 import sys
 
 import pytest
 
-from spinorsheaf import clifford, verify
+from spinorsheaf import clifford, spinor, verify
 from spinorsheaf import homalg
 from spinorsheaf.fixtures import FIXTURE_LABELS, fixture_from_dict, get_fixture
 from spinorsheaf.spinor import DEFAULT_SEED
@@ -80,6 +82,45 @@ def test_flag_and_end_computed_once_per_run(monkeypatch):
     assert flags == [] and homs == []
     run_suite(fx, "stability-numerics", DEFAULT_SEED)
     assert len(flags) == 1 and len(homs) == 2
+
+
+def test_each_module_built_once_per_pass(monkeypatch):
+    # a six-fixture pass builds 28 ideal modules: the 6 run modules, the 2
+    # flags' outer modules, F-H6's restricted and F-C5's quotient module,
+    # and the 18 equivariance targets; the restriction and cone
+    # comparisons build no module on the fixture's own space
+    real = spinor.build_ideal
+    spaces = []
+
+    def counted(space, w):
+        spaces.append(space)
+        return real(space, w)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spinorsheaf") and getattr(mod, "build_ideal", None) is real:
+            monkeypatch.setattr(mod, "build_ideal", counted)
+    for label in FIXTURE_LABELS:
+        run_suite(get_fixture(label), "all", DEFAULT_SEED)
+    assert len(spaces) == 28
+    for label in ("F-H6", "F-C5"):
+        fx = get_fixture(label)
+        del spaces[:]
+        run_suite(fx, "sections", DEFAULT_SEED)
+        assert [space == fx.space for space in spaces] == [True, False]
+
+
+def test_verdict_table_of_the_benchmark():
+    # the benchmark's verify-fixtures workload checks each run against this
+    # (op, verdict) table
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "expected_verdicts.json")
+    with open(path, encoding="utf-8") as fh:
+        table = json.load(fh)
+    assert sorted(table) == sorted(FIXTURE_LABELS)
+    for seed in (DEFAULT_SEED, 1):
+        for label, expected in table.items():
+            records = run_suite(get_fixture(label), "all", seed).records
+            assert [[r["op"], r["verdict"]] for r in records] == expected
 
 
 def test_trace_pairing_reads_the_antidiagonal_only(monkeypatch):
