@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .exactalg import ZERO, ONE, rat, vec
+from .exactalg import exact, vec
 from .quadform import QuadraticSpace, Subspace
 
 _POPCOUNT = int.bit_count if hasattr(int, "bit_count") else (lambda m: bin(m).count("1"))
@@ -19,9 +19,11 @@ _POPCOUNT = int.bit_count if hasattr(int, "bit_count") else (lambda m: bin(m).co
 
 class _Context:
     """Per-space monomial order and multiplication cache.  It keeps no
-    reference to its space, so the two form no cycle for the collector."""
+    reference to its space, so the two form no cycle for the collector.
+    The constants and the entries of the table are canonical exact
+    rationals (``exactalg.exact``): ints for an integral form."""
 
-    __slots__ = ("n", "order", "index", "vec_cache", "gram_rows", "top")
+    __slots__ = ("n", "order", "index", "vec_cache", "consts", "top")
 
     def __init__(self, space: QuadraticSpace):
         n = space.n
@@ -29,7 +31,9 @@ class _Context:
         self.order = tuple(sorted(range(1 << n), key=lambda m: (_POPCOUNT(m), m)))
         self.index = {m: i for i, m in enumerate(self.order)}
         self.vec_cache = {}
-        self.gram_rows = [space.gram.row(i) for i in range(n)]
+        # q(e_i) on the diagonal, 2 b(e_i, e_j) off it
+        self.consts = [[exact(g if i == j else 2 * g) for j, g in enumerate(space.gram.row(i))]
+                       for i in range(n)]
         self.top = (1 << n) - 1
 
     def vec_mono(self, i: int, mask: int) -> dict:
@@ -40,24 +44,24 @@ class _Context:
             return cached
         bit = 1 << i
         if mask == 0:
-            res = {bit: ONE}
+            res = {bit: 1}
         else:
             j = (mask & -mask).bit_length() - 1
             if i < j:
-                res = {bit | mask: ONE}
+                res = {bit | mask: 1}
             elif i == j:
-                qi = self.gram_rows[i][i]
+                qi = self.consts[i][i]
                 rest = mask & (mask - 1)
                 res = {rest: qi} if qi else {}
             else:
                 rest = mask & (mask - 1)
                 jbit = 1 << j
                 res = {}
-                two_b = 2 * self.gram_rows[i][j]
+                two_b = self.consts[i][j]
                 if two_b:
                     res[rest] = two_b
                 for m, c in self.vec_mono(i, rest).items():
-                    prev = res.get(m | jbit, ZERO) - c
+                    prev = exact(res.get(m | jbit, 0) - c)
                     if prev:
                         res[m | jbit] = prev
                     elif (m | jbit) in res:
@@ -69,7 +73,7 @@ class _Context:
         out = {}
         for m, c in terms.items():
             for mm, cc in self.vec_mono(i, m).items():
-                v = out.get(mm, ZERO) + c * cc
+                v = out.get(mm, 0) + c * cc
                 if v:
                     out[mm] = v
                 elif mm in out:
@@ -95,13 +99,16 @@ def _ctx(space: QuadraticSpace) -> _Context:
 
 
 class CliffordElement:
-    """An exact element of Cl(V, q)."""
+    """An exact element of Cl(V, q).  Its nonzero coefficients are made
+    canonical (``exactalg.exact``) here, so every product, sum and scaling
+    has ints where they are whole."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space: QuadraticSpace, terms: dict):
         self.space = space
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: c if c.__class__ is int else exact(c)
+                      for m, c in terms.items() if c}
 
     @classmethod
     def zero(cls, space) -> "CliffordElement":
@@ -109,7 +116,7 @@ class CliffordElement:
 
     @classmethod
     def scalar(cls, space, c) -> "CliffordElement":
-        return cls(space, {0: rat(c)})
+        return cls(space, {0: exact(c)})
 
     @classmethod
     def from_vector(cls, space, v) -> "CliffordElement":
@@ -126,7 +133,7 @@ class CliffordElement:
             if mask & bit:
                 raise PreconditionError("monomial indices must be distinct")
             mask |= bit
-        return cls(space, {mask: rat(coeff)})
+        return cls(space, {mask: exact(coeff)})
 
     def _require_same_space(self, other):
         if self.space is not other.space and self.space != other.space:
@@ -136,7 +143,7 @@ class CliffordElement:
         self._require_same_space(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, ZERO) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             elif m in out:
@@ -150,7 +157,7 @@ class CliffordElement:
         return CliffordElement(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, s) -> "CliffordElement":
-        s = rat(s)
+        s = exact(s)
         if not s:
             return CliffordElement.zero(self.space)
         return CliffordElement(self.space, {m: s * c for m, c in self.terms.items()})
@@ -168,14 +175,14 @@ class CliffordElement:
 
     def coords(self) -> tuple:
         ctx = _ctx(self.space)
-        out = [ZERO] * (1 << ctx.n)
+        out = [0] * (1 << ctx.n)
         for m, c in self.terms.items():
             out[ctx.index[m]] = c
         return tuple(out)
 
     def vector_part(self):
         """The degree-1 coordinates, or None if other monomials appear."""
-        v = [ZERO] * self.space.n
+        v = [0] * self.space.n
         for m, c in self.terms.items():
             if _POPCOUNT(m) != 1:
                 return None
@@ -223,7 +230,7 @@ def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     for m, c in a.terms.items():
         prod = ctx.mono_mul_terms(m, b.terms)
         for mm, cc in prod.items():
-            v = out.get(mm, ZERO) + c * cc
+            v = out.get(mm, 0) + c * cc
             if v:
                 out[mm] = v
             elif mm in out:
@@ -253,14 +260,14 @@ def transpose_anti(a: CliffordElement) -> CliffordElement:
     for m, c in a.terms.items():
         # reversed product e_{ik}...e_{i1}: left-multiply 1 by the indices
         # in ascending order
-        acc = {0: ONE}
+        acc = {0: 1}
         mm = m
         while mm:
             i = (mm & -mm).bit_length() - 1
             mm &= mm - 1
             acc = ctx.vec_mul_terms(i, acc)
         for mono, cc in acc.items():
-            v = out.get(mono, ZERO) + c * cc
+            v = out.get(mono, 0) + c * cc
             if v:
                 out[mono] = v
             elif mono in out:
@@ -268,12 +275,12 @@ def transpose_anti(a: CliffordElement) -> CliffordElement:
     return CliffordElement(a.space, out)
 
 
-def trace_form(a: CliffordElement, b: CliffordElement | None = None) -> Fraction:
+def trace_form(a: CliffordElement, b: CliffordElement | None = None) -> int | Fraction:
     """Coefficient of the top monomial e_0...e_{n-1}; with b, tr(a*b)."""
     if b is not None:
         a = multiply(a, b)
     ctx = _ctx(a.space)
-    return a.terms.get(ctx.top, ZERO)
+    return a.terms.get(ctx.top, 0)
 
 
 def trace_pairing_nondegenerate(space: QuadraticSpace) -> bool:
@@ -306,11 +313,11 @@ def trace_pairing_nondegenerate(space: QuadraticSpace) -> bool:
             if mask & bit:
                 wedge = {}
             else:
-                wedge = {mask | bit: -ONE if _POPCOUNT(mask & (bit - 1)) % 2 else ONE}
+                wedge = {mask | bit: -1 if _POPCOUNT(mask & (bit - 1)) % 2 else 1}
             if lead != wedge:
                 return False
-    return all(trace_form(CliffordElement(space, {m: ONE}),
-                          CliffordElement(space, {ctx.top ^ m: ONE}))
+    return all(trace_form(CliffordElement(space, {m: 1}),
+                          CliffordElement(space, {ctx.top ^ m: 1}))
                for m in range(1 << ctx.n))
 
 
@@ -321,7 +328,7 @@ def reflect(space: QuadraticSpace, u, v) -> tuple:
     qu = space.q(u)
     if qu == 0:
         raise PreconditionError("reflection axis must be anisotropic")
-    f = 2 * space.b(v, u) / qu
+    f = Fraction(2 * space.b(v, u), qu)
     return tuple(x - f * y for x, y in zip(v, u))
 
 
@@ -353,11 +360,11 @@ class GroupElement:
     @property
     def inverse_element(self) -> CliffordElement:
         if self._inverse is None:
-            denom = Fraction(1)
+            denom = 1
             for f in self.factors:
                 denom *= self.space.q(f)
             self._inverse = vector_product(
-                self.space, reversed(self.factors)).scale(Fraction(1) / denom)
+                self.space, reversed(self.factors)).scale(exact(1, denom))
         return self._inverse
 
     def conjugate_vector(self, v) -> tuple:

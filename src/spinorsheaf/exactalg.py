@@ -1,16 +1,27 @@
 """Exact rational linear algebra: matrices, matrices of linear forms,
 univariate polynomials, and the sparse intertwining rows of Hom systems.
 
-Every scalar is a fractions.Fraction, and every operation is a
-deterministic function of its inputs, so identical inputs give
-bit-identical outputs.  Every elimination is the sparse leftmost-pivot
-kernel of ``_kernels`` on integer rows cleared of denominators: the
-canonical span bases (``rref_rows``), the spans grown one vector at a time
-(``IncrementalSpan``), the multiplication-map ranks (``mult_map_rank``)
-and the matrix routines ``mat_rank``, ``mat_rank_kernel``, ``mat_solve``
-and ``mat_invertible``.  One back-substitution (``_back_substitute``)
-gives the kernel vectors, the particular solutions and the inverse
-columns, each from fixed values at free columns.
+Every scalar is an exact rational, never a float or a bool, and every
+operation is a deterministic function of its inputs, so identical inputs
+give bit-identical outputs.  An exact rational is an int when it is whole
+and a Fraction otherwise, the form that ``exact`` returns.  The Clifford
+table, the canonical span bases (``rref_rows``) and the coordinates in
+them (``SpanSolver``) keep that form, so an integral form carries its
+Clifford products, module bases and action matrices as ints.  ``rat``,
+``vec`` and ``Mat.from_rows`` coerce to Fraction, and products
+(``@``, ``mul_vec``, ``LinMat.evaluate``), kernels and solutions come out
+as Fractions.  A true division names its Fraction (``Fraction(a, b)``,
+``Fraction(a) / b``) or goes through ``exact(a, b)``: ``a / b`` of two
+ints is a float.
+
+Every elimination is the sparse leftmost-pivot kernel of ``_kernels`` on
+integer rows cleared of denominators: the canonical span bases
+(``rref_rows``), the spans grown one vector at a time (``IncrementalSpan``),
+the multiplication-map ranks (``mult_map_rank``) and the matrix routines
+``mat_rank``, ``mat_rank_kernel``, ``mat_solve`` and ``mat_invertible``.
+One back-substitution (``_back_substitute``) gives the kernel vectors, the
+particular solutions and the inverse columns, each from fixed values at
+free columns.
 """
 
 from __future__ import annotations
@@ -33,6 +44,16 @@ def rat(x) -> Fraction:
     if isinstance(x, int) or isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot make an exact rational from {x!r}")
+
+
+def exact(num, den=1):
+    """``num / den`` in canonical form: an int when it is whole, else a
+    Fraction.  ``num`` is anything ``rat`` takes, ``den`` an int or a
+    Fraction."""
+    if den == 1 and num.__class__ is int:
+        return num
+    x = rat(num) if den == 1 else Fraction(rat(num), den)
+    return x.numerator if x.denominator == 1 else x
 
 
 def rat_to_json(x: Fraction):
@@ -247,7 +268,7 @@ def _back_substitute(pivots, fixed, n):
         row = pivots[c]
         s = sum(v * x[j] for j, v in row.items() if j in x)
         if s:
-            x[c] = -s / row[c]
+            x[c] = Fraction(-s, row[c])
     return tuple(x.get(j, ZERO) for j in range(n))
 
 
@@ -305,28 +326,32 @@ def rref_rows(vectors, ncols):
     dense sequences or ``{col: value}`` dicts: echelon form from the sparse
     kernel on rows cleared of denominators, then back-substitution from the
     last pivot up to pivot 1.  Returns (rows, pivots); rows are dicts in
-    column order for dict input, else dense tuples of length ``ncols``."""
+    column order for dict input, else dense tuples of length ``ncols``, and
+    their entries are canonical (``exact``): ints where whole."""
     vectors = list(vectors)
     reduced = _kernels.sparse_echelon(
         [r for r in (_int_row(_sparse(v).items()) for v in vectors) if r])
     pivots = sorted(reduced)
     done = {}
     for c in reversed(pivots):
-        row = {j: Fraction(v, reduced[c][c]) for j, v in reduced[c].items()}
+        p = reduced[c][c]
+        row = {j: v // p if v % p == 0 else Fraction(v, p) for j, v in reduced[c].items()}
         # a finished row holds no other pivot: clearing one refills none
         for k in [k for k in row if k != c and k in done]:
             f = row.pop(k)
             for j, x in done[k].items():
                 if j != k:
-                    v = row.get(j, ZERO) - f * x
+                    v = row.get(j, 0) - f * x
                     if v:
                         row[j] = v
                     else:
                         del row[j]
         done[c] = row
-    rows = [dict(sorted(done[c].items())) for c in pivots]
+    # a Fraction difference may be whole
+    rows = [{j: v if v.__class__ is int else exact(v) for j, v in sorted(done[c].items())}
+            for c in pivots]
     if vectors and not isinstance(vectors[0], dict):
-        rows = [tuple(r.get(j, ZERO) for j in range(ncols)) for r in rows]
+        rows = [tuple(r.get(j, 0) for j in range(ncols)) for r in rows]
     return rows, pivots
 
 
@@ -359,7 +384,9 @@ class SpanSolver:
     nonzeros (dense sequences are read as their nonzeros).  A row has 1 at
     its pivot and 0 at the other pivots, so a coordinate is the vector's
     entry at a pivot; the vector is in the span when that combination of
-    the rows leaves no residual.  Only nonzeros are touched."""
+    the rows leaves no residual.  Only nonzeros are touched, and a
+    coordinate is the vector's own entry, so canonical vectors (``exact``)
+    get canonical coordinates."""
 
     def __init__(self, rref, pivots):
         rows = [_sparse(r) for r in rref]
@@ -374,7 +401,7 @@ class SpanSolver:
     def coords(self, v):
         """Coordinates of v in the basis, or None if v is outside the span."""
         v = _sparse(v)
-        out = [ZERO] * len(self.pivots)
+        out = [0] * len(self.pivots)
         rest = dict(v)
         for c, a in v.items():
             k = self._at.get(c)
@@ -382,7 +409,7 @@ class SpanSolver:
                 out[k] = a
                 del rest[c]
                 for j, x in self._tails[k]:
-                    r = rest.get(j, ZERO) - a * x
+                    r = rest.get(j, 0) - a * x
                     if r:
                         rest[j] = r
                     else:

@@ -189,7 +189,7 @@ def _orthogonal_shift_witness(a, b):
         if any(space.b(u, wv) != 0 for wv in a.w.basis):
             continue
         uelt = CliffordElement.from_vector(space, u)
-        uinv = uelt.scale(Fraction(1) / space.q(u))
+        uinv = uelt.scale(Fraction(1, space.q(u)))
         try:
             A, B = b.graded_map(a, lambda xi: multiply(xi, uinv),
                                 "right multiplication leaves the shift")
@@ -442,13 +442,13 @@ def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:
         )
     chi_oq = binomial_upoly(n - 1, n - 1) - binomial_upoly(n - 3, n - 1)
     deg_q = chi_oq.coeff(d) * factorial(d)
-    rank = hilbert.coeff(d) * factorial(d) / deg_q
+    rank = Fraction(hilbert.coeff(d) * factorial(d), deg_q)
     if d >= 1:
         c_oq = chi_oq.coeff(d - 1) * factorial(d - 1)
         degree = hilbert.coeff(d - 1) * factorial(d - 1) - c_oq * rank
     else:
         degree = ZERO
-    slope = degree / rank
+    slope = Fraction(degree, rank)
     return SheafNumerics(hilbert, rank, degree, slope, False)
 
 

@@ -209,15 +209,8 @@ class QuotientSpace:
         self.projection = projection
         self.space = space
 
-    @property
-    def induced_gram(self) -> Mat:
-        return self.space.gram
-
     def project(self, v) -> tuple:
         return self.projection.mul_vec(vec(v))
-
-    def lift(self, v) -> tuple:
-        return self.section.mul_vec(vec(v))
 
 
 def quotient_space(space: QuadraticSpace, modded: Subspace) -> QuotientSpace:

@@ -614,7 +614,8 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     # adapted basis is a nonzero multiple of i's generator: the same ideal,
     # and coordinates may be taken in i's bases
     adapted, gen = vector_product(space, list(cap.basis) + rest).terms, i.generator.terms
-    if adapted.keys() != gen.keys() or len({c / gen[m] for m, c in adapted.items()}) != 1:
+    if (adapted.keys() != gen.keys()
+            or len({Fraction(c, gen[m]) for m, c in adapted.items()}) != 1):
         raise InvariantError("the adapted basis of W gives a different ideal")
 
     pairs = [(space_u.basis_vector(t), ucols[t]) for t in range(space_u.n)]
@@ -710,7 +711,7 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = DEFAULT_SEED):
             return
         # projective dedup: normalize by the first nonzero coordinate
         lead = next(x for x in v if x)
-        key = tuple(x / lead for x in v)
+        key = tuple(Fraction(x, lead) for x in v)
         if key not in seen:
             seen.add(key)
             points.append(tuple(v))
@@ -750,10 +751,12 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     """Verify that right multiplication by g^{-1} (rho) is a Cl-linear
     bijection onto the module of gWg^{-1} (shifted for odd g) and that
     conjugation (sigma) satisfies the twisted commuting square with the
-    reflected vectors."""
+    reflected vectors.  When g fixes W, the target has i's canonical bases,
+    so the unshifted ``i`` is taken as it is, with its solvers and action."""
     space = i.space
     par = g.parity
-    target = build_ideal(space, conjugate_subspace(g, i.w))
+    w_conj = conjugate_subspace(g, i.w)
+    target = i if not i.shift and w_conj.same_span(i.w) else build_ideal(space, w_conj)
     if par:
         target = shift(target)
     ginv = g.inverse_element

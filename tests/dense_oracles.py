@@ -1,7 +1,7 @@
 """Dense reference implementations that the sparse construction path
-replaced, and the certificates on a standardized copy of the space that
-the module-side ones replaced; the tests compare the package against
-them."""
+replaced, the certificates on a standardized copy of the space that the
+module-side ones replaced, and the quotient-space readings no package
+module needs; the tests compare the package against them."""
 
 from fractions import Fraction
 from functools import reduce
@@ -20,6 +20,7 @@ from spinorsheaf.exactalg import (
     monomials,
     rat,
     rref_rows,
+    vec,
 )
 from spinorsheaf.quadform import StdProfile, standardize
 from spinorsheaf.spinor import build_ideal, shift
@@ -420,3 +421,13 @@ def standardized_irreducibility_certificate(i):
             return None
         checks.append("anisotropic direction squares to a nonzero scalar")
     return {"identities": checks, "k": prof.k, "diag": prof.diag_value}
+
+
+def quotient_lift(qs, v) -> tuple:
+    """The section of the quotient space ``qs`` applied to ``v``: V/U -> V."""
+    return qs.section.mul_vec(vec(v))
+
+
+def quotient_induced_gram(qs) -> Mat:
+    """The Gram matrix of the form that V/U inherits."""
+    return qs.space.gram

@@ -323,3 +323,37 @@ def test_binding_check_sees_an_inherited_method():
     layers = (("x.own", "spinorsheaf.errors", "SpanError.__init__"),
               ("x.inherited", "spinorsheaf.errors", "SchemaError.__init__"))
     assert _missing_bindings(layers) == ["x.inherited: spinorsheaf.errors.SchemaError.__init__"]
+
+
+def _bare_divisions(tree):
+    """Lines of the true divisions (``/`` and ``/=``) whose left operand is
+    not a ``Fraction(...)`` call: on two ints they would make a float."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left = node.left
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            left = node.target
+        else:
+            continue
+        if not (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                and left.func.id == "Fraction"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_every_division_names_its_fraction():
+    # a whole rational is an int, so a / b of two of them is a float; a
+    # division is Fraction(a) / b, Fraction(a, b) or exactalg.exact(a, b)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _bare_divisions(tree)]
+    assert found == []
+
+
+def test_division_scan():
+    src = ("a = x / y\nb = Fraction(x) / y\nc = Fraction(x, y)\nd = x // y\n"
+           "x /= y\ne = fractions.Fraction(x) / y\nf = (Fraction(x) / y) / z\n"
+           "g = exact(x, y)\n")
+    assert _bare_divisions(ast.parse(src)) == [1, 5, 6, 7]

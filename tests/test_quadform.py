@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import quotient_induced_gram, quotient_lift
 from spinorsheaf.errors import PreconditionError, SchemaError
 from spinorsheaf.exactalg import Mat, vec
 from spinorsheaf.fixtures import get_fixture
@@ -121,7 +122,7 @@ class TestQuotient:
         qs = quotient_space(space, radical_basis(space))
         assert qs.space.n == 2
         assert qs.space.rank == 2
-        assert qs.induced_gram == Mat.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+        assert quotient_induced_gram(qs) == Mat.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
 
     def test_mod_zero(self):
         space = get_fixture("F-H6").space
@@ -145,7 +146,8 @@ class TestQuotient:
         for i in range(qs.space.n):
             for j in range(qs.space.n):
                 vi, vj = e(qs.space.n, i), e(qs.space.n, j)
-                assert qs.space.b(vi, vj) == space.b(qs.lift(vi), qs.lift(vj))
+                assert qs.space.b(vi, vj) == space.b(quotient_lift(qs, vi),
+                                                     quotient_lift(qs, vj))
 
     def test_rejects_non_radical(self):
         space = get_fixture("F-QS").space

@@ -898,3 +898,58 @@ def test_flag_maps_pinned(label):
     assert {k: hashlib.sha256(json.dumps(jsonable(x)).encode()).hexdigest()
             for k, x in maps.items()} == FLAG_MAP_SHA256[label]
     assert (fl.section is None) == (label == "F-QS")
+
+
+# A form whose q(e_i) and 2 b(e_i, e_j) are not all integers (1/3, 1/5, 2/3,
+# ...), with a radical vector e4 in W, a flag, a section and a cone: its
+# Clifford table and module bases carry Fractions through the same code.
+NON_INTEGRAL_FIXTURE = {
+    "label": "F-Q5r", "dimension": 5,
+    "gram": [["1/3", "1/6", "1/5", "2/3", 0],
+             ["1/6", 0, 0, "1/3", 0],
+             ["1/5", 0, 0, "1/5", 0],
+             ["2/3", "1/3", "1/5", "1/3", 0],
+             [0, 0, 0, 0, 0]],
+    "isotropic": [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]],
+    "flag_drop": [0, 0, 1, 0, 0],
+    "section_subspace": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0],
+                         [0, 0, 0, 0, 1]],
+    "cone_mod": [[0, 0, 0, 0, 1]],
+}
+# sha256 of its run_suite(..., "all") report, as computed when every scalar
+# was a Fraction
+NON_INTEGRAL_REPORT_SHA256 = "2c664aa2d1189efd623fde18f8e4e587c31d5017528e5e646c25b27fd17e0b62"
+
+
+def _canonical(x):
+    """An exact rational in canonical form: an int when whole, else a Fraction."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def test_module_scalars_are_canonical():
+    # from the Clifford table through the canonical bases to the action
+    # matrices, a whole rational is an int; the non-integral form keeps
+    # Fractions where they are not whole
+    from spinorsheaf.fixtures import fixture_from_dict
+
+    odd = fixture_from_dict(NON_INTEGRAL_FIXTURE)
+    cases = ([(fx.space, fx.w) for fx in map(get_fixture, FIXTURE_LABELS)]
+             + grid_spaces(6) + [(odd.space, odd.w)])
+    for space, w in cases:
+        i = build_ideal(space, w)
+        coeffs = [c for x in i.ev_basis + i.odd_basis for c in x.terms.values()]
+        entries = [a for m in i.act_ev + i.act_odd for a in m.entries]
+        assert all(map(_canonical, coeffs + entries)), (space, w)
+        assert (space is odd.space) == any(type(c) is Fraction for c in coeffs)
+
+
+def test_non_integral_form_report_pinned():
+    import hashlib
+
+    from spinorsheaf.fixtures import fixture_from_dict
+    from spinorsheaf.verify import run_suite
+
+    report = run_suite(fixture_from_dict(NON_INTEGRAL_FIXTURE), "all", spinor.DEFAULT_SEED)
+    assert report.counts() == {"pass": 23, "fail": 0, "UNDECIDED": 0}
+    text = report.to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NON_INTEGRAL_REPORT_SHA256

@@ -85,10 +85,11 @@ def test_flag_and_end_computed_once_per_run(monkeypatch):
 
 
 def test_each_module_built_once_per_pass(monkeypatch):
-    # a six-fixture pass builds 28 ideal modules: the 6 run modules, the 2
+    # a six-fixture pass builds 19 ideal modules: the 6 run modules, the 2
     # flags' outer modules, F-H6's restricted and F-C5's quotient module,
-    # and the 18 equivariance targets; the restriction and cone
-    # comparisons build no module on the fixture's own space
+    # and the 9 of the 18 equivariance targets whose g moves W (the other 9
+    # are the run's module); the restriction and cone comparisons build no
+    # module on the fixture's own space
     real = spinor.build_ideal
     spaces = []
 
@@ -101,7 +102,7 @@ def test_each_module_built_once_per_pass(monkeypatch):
             monkeypatch.setattr(mod, "build_ideal", counted)
     for label in FIXTURE_LABELS:
         run_suite(get_fixture(label), "all", DEFAULT_SEED)
-    assert len(spaces) == 28
+    assert len(spaces) == 19
     for label in ("F-H6", "F-C5"):
         fx = get_fixture(label)
         del spaces[:]
