@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .clifford import CliffordElement, GroupElement
 from .exactalg import LinMat, Mat, Rat, UniPoly
-from .fixtures import FIXTURE_LABELS, get_fixture, grid_spaces, load_fixture
+from .fixtures import FIXTURE_LABELS, fixture_to_dict, get_fixture, grid_spaces, load_fixture
 from .homalg import (
     hom_space,
     irreducibility_check,
@@ -32,6 +32,7 @@ __all__ = [
     "Rat",
     "UniPoly",
     "FIXTURE_LABELS",
+    "fixture_to_dict",
     "get_fixture",
     "grid_spaces",
     "load_fixture",

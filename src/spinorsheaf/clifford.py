@@ -246,35 +246,6 @@ def vector_product(space: QuadraticSpace, vectors) -> CliffordElement:
     return acc
 
 
-def grade_parts(a: CliffordElement):
-    """Split into (even, odd) by monomial length parity."""
-    ev = {m: c for m, c in a.terms.items() if _POPCOUNT(m) % 2 == 0}
-    od = {m: c for m, c in a.terms.items() if _POPCOUNT(m) % 2 == 1}
-    return CliffordElement(a.space, ev), CliffordElement(a.space, od)
-
-
-def transpose_anti(a: CliffordElement) -> CliffordElement:
-    """The anti-automorphism reversing products of vectors."""
-    ctx = _ctx(a.space)
-    out = {}
-    for m, c in a.terms.items():
-        # reversed product e_{ik}...e_{i1}: left-multiply 1 by the indices
-        # in ascending order
-        acc = {0: 1}
-        mm = m
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            acc = ctx.vec_mul_terms(i, acc)
-        for mono, cc in acc.items():
-            v = out.get(mono, 0) + c * cc
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
-    return CliffordElement(a.space, out)
-
-
 def trace_form(a: CliffordElement, b: CliffordElement | None = None) -> int | Fraction:
     """Coefficient of the top monomial e_0...e_{n-1}; with b, tr(a*b)."""
     if b is not None:

@@ -178,6 +178,7 @@ def load_fixture(path: str) -> Fixture:
 
 
 def fixture_to_dict(fx: Fixture) -> dict:
+    """The JSON object of a fixture, as ``fixture_from_dict`` reads it."""
     out = {
         "label": fx.label,
         "dimension": fx.space.n,

@@ -2,10 +2,13 @@
 submodule closures (spans grown with ``exactalg.IncrementalSpan``),
 Hilbert polynomials, slope, and cohomology tables.
 
-Hom spaces are computed two ways and compared: the intertwining system
-A phi = phi' B in the matrix pair (A, B), and the direct graded-module
+A Hom space is the echelon form of its intertwining system, A phi =
+phi' B in the matrix pair (A, B), checked against the graded-module
 equations that also impose B psi = psi' A.  The first determines the
-second (multiplying by psi on both sides), and the computation checks it.
+second (multiply by psi on both sides), so the psi rows add no pivot, and
+the computation checks that they do not.  The dimension is read off the
+pivots; a basis pair is back-substituted only when a search reads it, and
+an invertible pair that a search returns is checked with ``intertwines``.
 
 A module here is anything with ``space``, ``ev_dim``, ``odd_dim``,
 ``act_ev`` and ``act_odd``: an ideal module or a factorization pair.
@@ -14,9 +17,8 @@ A module here is anything with ``space``, ``ev_dim``, ``odd_dim``,
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, combinations, product
-from math import factorial, lcm
+from math import factorial
 
 from .clifford import CliffordElement, multiply
 from .errors import (
@@ -30,12 +32,13 @@ from .exactalg import (
     IncrementalSpan,
     LinMat,
     Mat,
+    ONE,
     ZERO,
     binomial_upoly,
     monomial_count,
     mult_map_rank,
+    _back_substitute,
     _hom_system,
-    _kernel_from_sparse_echelon,
 )
 from . import _kernels
 from .quadform import candidate_vectors, isotropic_type, standardize
@@ -48,9 +51,6 @@ from .spinor import (
     recover_intersection_with_radical,
 )
 
-# Ramps that _search_invertible tries after its sweep
-INVERTIBLE_TRIES = 200
-
 # Cohomology runs over the twists -window..window, and the multiplication
 # map in degree t has N * C(t + n - 1, n - 1) rows: F-H6a's
 # ``verify --suite all`` takes 0.14 s at window 6, 0.88 s at 12 and 3.9 s
@@ -60,19 +60,39 @@ MAX_WINDOW = 12
 
 
 class GradedHom:
-    """Basis of graded module maps source -> target as pairs (A, B):
-    A on the odd parts, B on the even parts."""
+    """Graded module maps source -> target, kept as the echelon form of
+    their intertwining system in the variables vec(A), vec(B): A on the odd
+    parts, B on the even parts.  The dimension is the number of free
+    columns; basis pair k, the solution with 1 at free column k and 0 at
+    the others, is back-substituted when it is first read."""
 
-    __slots__ = ("source", "target", "basis", "dimension", "crosscheck_dimension",
-                 "companion_identity_holds")
+    __slots__ = ("source", "target", "dimension", "crosscheck_dimension",
+                 "_pivots", "_free", "_pairs")
 
-    def __init__(self, source, target, basis, crosscheck_dimension, companion):
+    def __init__(self, source, target, pivots, crosscheck_dimension):
         self.source = source
         self.target = target
-        self.basis = tuple(basis)
-        self.dimension = len(self.basis)
+        nvars = target.odd_dim * source.odd_dim + target.ev_dim * source.ev_dim
+        self._pivots = pivots
+        self._free = [f for f in range(nvars) if f not in pivots]
+        self.dimension = len(self._free)
         self.crosscheck_dimension = crosscheck_dimension
-        self.companion_identity_holds = companion
+        self._pairs = {}
+
+    def pair(self, k):
+        """Basis pair k, back-substituted on first read."""
+        got = self._pairs.get(k)
+        if got is None:
+            a, b = self.source, self.target
+            na = b.odd_dim * a.odd_dim
+            v = _back_substitute(self._pivots, {self._free[k]: ONE}, na + b.ev_dim * a.ev_dim)
+            got = self._pairs[k] = (Mat(b.odd_dim, a.odd_dim, v[:na]),
+                                    Mat(b.ev_dim, a.ev_dim, v[na:]))
+        return got
+
+    @property
+    def basis(self):
+        return tuple(map(self.pair, range(self.dimension)))
 
     def at(self, coeffs):
         """The pair sum_k coeffs[k] * basis[k]: each part is a matrix of
@@ -84,20 +104,15 @@ class GradedHom:
 def hom_space(a, b) -> GradedHom:
     """All graded Cl-module maps a -> b, with the two-route cross-check.
 
-    One sparse elimination of the A phi = phi' B rows gives the basis; the
-    B psi = psi' A rows are then reduced against the same pivots, and the
-    rank they add must be zero."""
+    One sparse elimination of the A phi = phi' B rows gives the echelon
+    form; the B psi = psi' A rows are then reduced against the same
+    pivots, and the rank they add must be zero, so the pivots kept are
+    those of the phi rows.  No basis pair is built here."""
     if a.space != b.space:
         raise PreconditionError("hom requires modules over one space")
     phi_rows, psi_rows, nvars = _hom_system(a, b)
     pivots = _kernels.sparse_echelon(phi_rows)
     dim = nvars - len(pivots)
-    kernel = _kernel_from_sparse_echelon(pivots, nvars)
-    # psi_rows is consumed: keep its nonzeros by variable, (row, value) each
-    companion_cols = {}
-    for r, row in enumerate(psi_rows):
-        for j, c in row.items():
-            companion_cols.setdefault(j, []).append((r, c))
     _kernels.sparse_echelon(psi_rows, pivots)
     dim2 = nvars - len(pivots)
     if dim != dim2:
@@ -105,24 +120,7 @@ def hom_space(a, b) -> GradedHom:
             f"hom-space routes disagree: {dim} from A phi = phi' B, "
             f"{dim2} with B psi = psi' A as well"
         )
-    na = b.odd_dim * a.odd_dim
-    basis = [(Mat(b.odd_dim, a.odd_dim, v[:na]), Mat(b.ev_dim, a.ev_dim, v[na:]))
-             for v in kernel]
-    companion = all(_satisfies(companion_cols, v) for v in kernel)
-    return GradedHom(a, b, basis, dim2, companion)
-
-
-def _satisfies(cols, v) -> bool:
-    """Whether ``v`` solves the integer rows whose nonzeros ``cols`` lists by
-    variable; only the nonzeros of ``v`` are read, cleared of denominators."""
-    l = reduce(lcm, (x.denominator for x in v if x), 1)
-    acc = {}
-    for j, x in enumerate(v):
-        if x:
-            x = x.numerator * (l // x.denominator)
-            for r, c in cols.get(j, ()):
-                acc[r] = acc.get(r, 0) + c * x
-    return not any(acc.values())
+    return GradedHom(a, b, pivots, dim2)
 
 
 class IsoVerdict:
@@ -147,18 +145,22 @@ def _candidates(d, grid, ramps=0):
 
 
 def _search_invertible(hom):
-    """Look for an invertible pair in the hom space: basis elements, then
-    the {1, -1, 0} sweep, then INVERTIBLE_TRIES ramps.
+    """Look for an invertible pair in the hom space: the basis pairs, read
+    one at a time, then the {1, -1, 0} sweep, then the ramps.
 
     The ramps lie on one affine line k -> k(1, ..., 1) + (0, 1, ..., d-1),
     so A and B there are affine in k and det A * det B is a polynomial in
     k of degree at most ev_dim + odd_dim.  Unless it vanishes on the whole
-    line it has at most that many roots, and one of the first
-    ev_dim + odd_dim + 1 ramps is invertible."""
-    cands = _candidates(hom.dimension, (1, -1, 0), INVERTIBLE_TRIES)
-    for A, B in chain(hom.basis, map(hom.at, cands)):
+    line it has at most that many roots, so the search stops after the
+    first ev_dim + odd_dim + 1 ramps.  The pair it returns is checked with
+    ``intertwines``."""
+    target = hom.target
+    cands = _candidates(hom.dimension, (1, -1, 0), target.ev_dim + target.odd_dim + 1)
+    for A, B in chain(map(hom.pair, range(hom.dimension)), map(hom.at, cands)):
         got = _invertible_pair(A, B)
         if got:
+            if not intertwines(hom.source, target, A, B):
+                raise InvariantError("an invertible Hom pair does not intertwine the actions")
             return got
     return None
 

@@ -164,15 +164,6 @@ class IdealModule:
             self._act_odd = self._left_action(1)
         return self._act_odd
 
-    def same_module(self, other) -> bool:
-        return (
-            isinstance(other, IdealModule)
-            and self.space == other.space
-            and self.shift == other.shift
-            and [x.terms for x in self.ev_basis] == [x.terms for x in other.ev_basis]
-            and [x.terms for x in self.odd_basis] == [x.terms for x in other.odd_basis]
-        )
-
     def __repr__(self):
         tag = "[1]" if self.shift else ""
         return f"IdealModule(dim W={self.w.dim}, N={self.ev_dim}){tag}"
@@ -285,18 +276,6 @@ class FactorizationPair:
                         if target and acc.get(r, 0) != target:
                             return False
         return True
-
-
-def direct_sum(a, b) -> FactorizationPair:
-    """Block sum of two modules over the same space."""
-    if a.space != b.space:
-        raise PreconditionError("direct sum needs a common space")
-    n = a.space.n
-    return FactorizationPair(
-        a.space,
-        LinMat(n, a.act_ev).block_diag(LinMat(n, b.act_ev)),
-        LinMat(n, a.act_odd).block_diag(LinMat(n, b.act_odd)),
-    )
 
 
 def build_factorization(i) -> FactorizationPair:
@@ -724,8 +703,8 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = DEFAULT_SEED):
     found = 0
     while found < LINE_POINTS and attempts < 40 * LINE_POINTS:
         attempts += 1
-        a = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-        b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+        a = tuple(rng.randint(-3, 3) for _ in range(n))
+        b = tuple(rng.randint(-3, 3) for _ in range(n))
         for t in line_roots(space.q(a), 2 * space.b(a, b), space.q(b)):
             v = tuple(x + t * y for x, y in zip(a, b))
             if any(v) and space.q(v) == 0:

@@ -231,8 +231,7 @@ def _run_dependence(run, report):
     end = run.end
     report.add(
         "hom_route_crosscheck",
-        _verdict(end.dimension == end.crosscheck_dimension
-                 and end.companion_identity_holds),
+        _verdict(end.dimension == end.crosscheck_dimension),
         dim=end.dimension,
     )
 

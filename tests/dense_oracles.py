@@ -1,7 +1,8 @@
 """Dense reference implementations that the sparse construction path
 replaced, the certificates on a standardized copy of the space that the
-module-side ones replaced, and the quotient-space readings no package
-module needs; the tests compare the package against them."""
+module-side ones replaced, and the quotient-space, Clifford and module
+helpers no package module needs; the tests compare the package against
+them."""
 
 from fractions import Fraction
 from functools import reduce
@@ -13,6 +14,7 @@ from spinorsheaf.errors import PreconditionError, SpanError, StandardizationUnav
 from spinorsheaf.exactalg import (
     ONE,
     ZERO,
+    LinMat,
     Mat,
     SpanSolver,
     mat_invertible,
@@ -23,7 +25,7 @@ from spinorsheaf.exactalg import (
     vec,
 )
 from spinorsheaf.quadform import StdProfile, standardize
-from spinorsheaf.spinor import build_ideal, shift
+from spinorsheaf.spinor import FactorizationPair, IdealModule, build_ideal, shift
 
 
 def _scaled_int_rows(frac_rows):
@@ -431,3 +433,57 @@ def quotient_lift(qs, v) -> tuple:
 def quotient_induced_gram(qs) -> Mat:
     """The Gram matrix of the form that V/U inherits."""
     return qs.space.gram
+
+
+def grade_parts(a: CliffordElement):
+    """Split into (even, odd) by monomial length parity."""
+    ev = {m: c for m, c in a.terms.items() if bin(m).count("1") % 2 == 0}
+    od = {m: c for m, c in a.terms.items() if bin(m).count("1") % 2 == 1}
+    return CliffordElement(a.space, ev), CliffordElement(a.space, od)
+
+
+def transpose_anti(a: CliffordElement) -> CliffordElement:
+    """The anti-automorphism reversing products of vectors."""
+    ctx = _ctx(a.space)
+    out = {}
+    for m, c in a.terms.items():
+        # reversed product e_{ik}...e_{i1}: left-multiply 1 by the indices
+        # in ascending order
+        acc = {0: 1}
+        mm = m
+        while mm:
+            i = (mm & -mm).bit_length() - 1
+            mm &= mm - 1
+            acc = ctx.vec_mul_terms(i, acc)
+        for mono, cc in acc.items():
+            v = out.get(mono, 0) + c * cc
+            if v:
+                out[mono] = v
+            elif mono in out:
+                del out[mono]
+    return CliffordElement(a.space, out)
+
+
+def same_module(a, b) -> bool:
+    """Whether two ideal modules have the same space, shift and canonical
+    bases."""
+    return (
+        isinstance(a, IdealModule)
+        and isinstance(b, IdealModule)
+        and a.space == b.space
+        and a.shift == b.shift
+        and [x.terms for x in a.ev_basis] == [x.terms for x in b.ev_basis]
+        and [x.terms for x in a.odd_basis] == [x.terms for x in b.odd_basis]
+    )
+
+
+def direct_sum(a, b) -> FactorizationPair:
+    """Block sum of two modules over the same space."""
+    if a.space != b.space:
+        raise PreconditionError("direct sum needs a common space")
+    n = a.space.n
+    return FactorizationPair(
+        a.space,
+        LinMat(n, a.act_ev).block_diag(LinMat(n, b.act_ev)),
+        LinMat(n, a.act_odd).block_diag(LinMat(n, b.act_odd)),
+    )

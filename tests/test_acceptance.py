@@ -35,6 +35,7 @@ from spinorsheaf.spinor import (
     equivariance_check,
     fiber_rank,
     flag_sequence,
+    intertwines,
     restrict_compare,
     sample_quadric_points,
     shift,
@@ -183,7 +184,7 @@ def test_criterion_08_full_faithfulness(modules):
             for b in mods:
                 h = hom_space(a, b)
                 ok &= h.dimension == h.crosscheck_dimension
-                ok &= h.companion_identity_holds
+                ok &= all(intertwines(a, b, A, B) for A, B in h.basis)
                 pairs += 1
     report(8, ok,
            f"(A,B)-system and graded-module dims agree with psi' A = B psi "

@@ -11,19 +11,22 @@ from spinorsheaf.clifford import (
     GroupElement,
     _ctx,
     conjugate_subspace,
-    grade_parts,
     multiply,
     reflect,
     trace_form,
     trace_pairing_nondegenerate,
-    transpose_anti,
 )
 from spinorsheaf.errors import PreconditionError, SpanError
 from spinorsheaf.exactalg import Mat, vec
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf.quadform import QuadraticSpace, Subspace
 
-from dense_oracles import dense_trace_pairing_nondegenerate, left_action_matrix
+from dense_oracles import (
+    dense_trace_pairing_nondegenerate,
+    grade_parts,
+    left_action_matrix,
+    transpose_anti,
+)
 
 
 def e(n, i):

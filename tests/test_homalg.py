@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinorsheaf.clifford import CliffordElement, grade_parts
+from spinorsheaf.clifford import CliffordElement
 from spinorsheaf.errors import InvariantError, PreconditionError, StandardizationUnavailable
 from spinorsheaf.exactalg import LinMat, Mat, UniPoly, mat_rank, mat_rank_kernel
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
@@ -28,9 +28,12 @@ from spinorsheaf.spinor import (
     dual_factorization,
     family_indicator,
     flag_sequence,
+    intertwines,
     recover_intersection_with_radical,
     shift,
 )
+
+from dense_oracles import grade_parts
 
 
 def e(n, i):
@@ -117,27 +120,38 @@ class TestHomSpace:
         assert hom_space(fl.outer, fl.outer).dimension == 2
 
     def test_companion_identity(self):
+        # every basis pair respects the whole action, B psi = psi' A too
         for label in ("F-H2", "F-QS", "F-C5", "F-H6"):
             i = module(label)
             h = hom_space(i, i)
-            assert h.companion_identity_holds
+            assert all(intertwines(i, i, A, B) for A, B in h.basis)
             assert h.crosscheck_dimension == h.dimension
 
-    def test_corrupted_basis_vector_breaks_companion(self, monkeypatch):
-        # one entry of B off in the first basis element: B psi = psi' A fails
-        real = homalg._kernel_from_sparse_echelon
+    def test_corrupted_pair_fails_the_certificate_check(self, monkeypatch):
+        # one entry of B off in the first basis pair: the pair stays
+        # invertible, B psi = psi' A fails, and the search raises
+        real = homalg._back_substitute
 
-        def corrupted(pivots, ncols):
-            kernel = real(pivots, ncols)
-            first = kernel[0][:-1] + (kernel[0][-1] + 1,)
-            return (first,) + kernel[1:]
+        def corrupted(pivots, fixed, n):
+            v = real(pivots, fixed, n)
+            return v[:-1] + (v[-1] + 1,)
 
         a = module("F-H6")
-        assert hom_space(a, a).companion_identity_holds
-        monkeypatch.setattr(homalg, "_kernel_from_sparse_echelon", corrupted)
-        h = hom_space(a, a)
-        assert h.crosscheck_dimension == h.dimension
-        assert not h.companion_identity_holds
+        assert is_isomorphic(a, a).kind == "ISO"
+        monkeypatch.setattr(homalg, "_back_substitute", corrupted)
+        with pytest.raises(InvariantError):
+            is_isomorphic(a, a)
+
+    def test_dimension_back_substitutes_nothing(self, monkeypatch):
+        calls = []
+        real = homalg._back_substitute
+        monkeypatch.setattr(homalg, "_back_substitute",
+                            lambda *args: calls.append(args) or real(*args))
+        i = module("F-H6a")
+        h = hom_space(i, i)
+        assert (h.dimension, calls) == (8, [])
+        assert h.pair(3) is h.pair(3)
+        assert len(calls) == 1
 
     def test_intertwining_equations_hold(self):
         a = module("F-QS")
@@ -244,15 +258,19 @@ class TestSearchInvertible:
 
         from spinorsheaf.homalg import GradedHom, _search_invertible
 
-        def diag(a, b):
-            return Mat.from_rows([[a, 0], [0, b]])
-
-        shape = SimpleNamespace(ev_dim=2, odd_dim=2)
-        basis = [(diag(a, b), diag(a, b)) for a, b in ((1, 0), (0, 1), (-1, 0))]
-        hom = GradedHom(shape, shape, basis, 3, True)
+        # A = B = [[c0, c0], [c1, c2]]: variables vec(A) then vec(B), with
+        # free columns b01, b10, b11 and the pivot rows a = b, b00 = b01;
+        # no action to respect over a space of dimension 0
+        shape = SimpleNamespace(space=SimpleNamespace(n=0), ev_dim=2, odd_dim=2)
+        pivots = {j: {j: 1, j + 4: -1} for j in range(4)}
+        pivots[4] = {4: 1, 5: -1}
+        hom = GradedHom(shape, shape, pivots, 3)
+        assert hom.basis == tuple((m, m) for m in (Mat.from_rows([[1, 1], [0, 0]]),
+                                                   Mat.from_rows([[0, 0], [1, 0]]),
+                                                   Mat.from_rows([[0, 0], [0, 1]])))
         A, B, ai, bi = _search_invertible(hom)
-        assert A == B == diag(2, 1)
-        assert ai == diag(Fraction(1, 2), 1)
+        assert A == B == Mat.from_rows([[1, 1], [1, -1]])
+        assert ai == Mat.from_rows([[1, 1], [1, -1]]).scale(Fraction(1, 2))
 
     def test_simplicity_verdict_reuses_a_given_end(self):
         i = module("F-C5")
@@ -535,3 +553,32 @@ def test_knoerrer_periodicity():
         assert (swapped is None) == (mf.space.rank % 2 == 0 and j == k)
         not_swapped += swapped is None
     assert (len(cases), not_swapped) == (40, 17)
+
+
+def hyperbolic_case(n):
+    """The hyperbolic form of dimension n, pairs (e_i, e_{k+i}) for
+    k = n // 2 and q(e_{n-1}) = 1 when n is odd, with W = <e_k>."""
+    k = n // 2
+    half = Fraction(1, 2)
+    space = QuadraticSpace(Mat.from_rows(
+        [[half if abs(i - j) == k and max(i, j) < 2 * k else int(i == j == 2 * k)
+          for j in range(n)] for i in range(n)]))
+    return space, Subspace(space, [e(n, k)])
+
+
+@pytest.mark.parametrize("n, end_dim", [(7, 16), (8, 32)])
+def test_scale_case_reads_one_pair(n, end_dim, monkeypatch):
+    # N = 2^(n-2): End(I) comes from the pivots with no basis pair, and
+    # the dual search is certified by the first basis pair it reads
+    space, w = hyperbolic_case(n)
+    i = build_ideal(space, w)
+    assert i.ev_dim == 2 ** (n - 2)
+    pairs = []
+    real = homalg._back_substitute
+    monkeypatch.setattr(homalg, "_back_substitute", lambda *a: pairs.append(a) or real(*a))
+    end = hom_space(i, i)
+    assert (end.dimension, end.crosscheck_dimension, len(pairs)) == (end_dim, end_dim, 0)
+    mf = build_factorization(i)
+    target = mf if i.codim % 2 else FactorizationPair(space, mf.psi, mf.phi)
+    assert factorization_equivalent(dual_factorization(mf), target) is not None
+    assert len(pairs) == 1

@@ -357,3 +357,47 @@ def test_division_scan():
            "x /= y\ne = fractions.Fraction(x) / y\nf = (Fraction(x) / y) / z\n"
            "g = exact(x, y)\n")
     assert _bare_divisions(ast.parse(src)) == [1, 5, 6, 7]
+
+
+def _uncalled(trees, kept):
+    """``module.function`` for each top-level function of the modules
+    ``trees`` (name -> tree) that no module reads outside its own
+    definition and whose name ``kept`` does not list."""
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[node.id] = reads.get(node.id, 0) + 1
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name in kept:
+                continue
+            own = sum(1 for sub in ast.walk(node)
+                      if (isinstance(sub, ast.Name) and sub.id == node.name)
+                      or (isinstance(sub, ast.Attribute) and sub.attr == node.name))
+            if reads.get(node.name, 0) == own:
+                found.append(f"{mod}.{node.name}")
+    return sorted(found)
+
+
+def test_every_function_has_a_caller():
+    # a top-level function is called in the package, exported from
+    # spinorsheaf.__all__, or wrapped by the benchmark tracer; one that
+    # only tests call belongs in tests/dense_oracles.py
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    kept = set(spinorsheaf.__all__) | {qual for _, _, qual in _benchmark_tracer().LAYERS}
+    assert _uncalled(trees, kept) == []
+
+
+def test_caller_scan():
+    trees = {
+        "a": ast.parse("def f():\n    return g()\ndef g():\n    return 1\n"
+                       "def h():\n    return h()\ndef public():\n    pass\n"),
+        "b": ast.parse("from .a import h, public\nx = a.f\n"
+                       "def unused():\n    def inner():\n        pass\n    return inner\n"),
+    }
+    assert _uncalled(trees, {"public"}) == ["a.h", "b.unused"]

@@ -198,3 +198,23 @@ def test_flag_records_search_nothing(monkeypatch):
         run_suite(get_fixture(label), "all", DEFAULT_SEED)
     assert calls == {"hom_space": 14, "is_isomorphic": 6, "idempotent_probe": 0}
     assert not hasattr(verify, "idempotent_probe") and not hasattr(verify, "direct_sum")
+
+
+def test_only_the_dual_searches_read_hom_pairs(monkeypatch):
+    # a Hom space stops at its echelon form: End(I), End of the flag's
+    # outer module and the shift verdicts back-substitute no basis pair,
+    # and each dual search is certified by the first pair it reads
+    pairs, per_dual = [], []
+    real_sub, real_equiv = homalg._back_substitute, verify.factorization_equivalent
+
+    def equivalent(*args):
+        before = len(pairs)
+        got = real_equiv(*args)
+        per_dual.append(len(pairs) - before)
+        return got
+
+    monkeypatch.setattr(homalg, "_back_substitute", lambda *a: pairs.append(a) or real_sub(*a))
+    monkeypatch.setattr(verify, "factorization_equivalent", equivalent)
+    for label in FIXTURE_LABELS:
+        run_suite(get_fixture(label), "all", DEFAULT_SEED)
+    assert (len(pairs), per_dual) == (6, [1] * 6)
