@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import InvariantError, SchemaError, SpinorError
 from .exactalg import LinMat, Mat
@@ -167,7 +166,7 @@ def paper_example_matrices():
 
 def linmat_from_strings(n, rows) -> LinMat:
     size = len(rows)
-    coeff = [[[Fraction(0)] * size for _ in range(size)] for _ in range(n)]
+    coeff = [[[0] * size for _ in range(size)] for _ in range(n)]
     for r, row in enumerate(rows):
         for c, entry in enumerate(row):
             entry = entry.strip()

@@ -8,8 +8,6 @@ e_i e_i = q(e_i), which handles hyperbolic (non-orthogonal) bases directly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import PreconditionError
 from .exactalg import exact, vec
 from .quadform import QuadraticSpace, Subspace
@@ -125,16 +123,6 @@ class CliffordElement:
             raise PreconditionError("vector length mismatch")
         return cls(space, {1 << i: x for i, x in enumerate(v) if x})
 
-    @classmethod
-    def monomial(cls, space, indices, coeff=1) -> "CliffordElement":
-        mask = 0
-        for i in indices:
-            bit = 1 << i
-            if mask & bit:
-                raise PreconditionError("monomial indices must be distinct")
-            mask |= bit
-        return cls(space, {mask: exact(coeff)})
-
     def _require_same_space(self, other):
         if self.space is not other.space and self.space != other.space:
             raise PreconditionError("elements live in different Clifford algebras")
@@ -179,15 +167,6 @@ class CliffordElement:
         for m, c in self.terms.items():
             out[ctx.index[m]] = c
         return tuple(out)
-
-    def vector_part(self):
-        """The degree-1 coordinates, or None if other monomials appear."""
-        v = [0] * self.space.n
-        for m, c in self.terms.items():
-            if _POPCOUNT(m) != 1:
-                return None
-            v[m.bit_length() - 1] = c
-        return tuple(v)
 
     def __eq__(self, other):
         return (
@@ -246,7 +225,7 @@ def vector_product(space: QuadraticSpace, vectors) -> CliffordElement:
     return acc
 
 
-def trace_form(a: CliffordElement, b: CliffordElement | None = None) -> int | Fraction:
+def trace_form(a: CliffordElement, b: CliffordElement | None = None):
     """Coefficient of the top monomial e_0...e_{n-1}; with b, tr(a*b)."""
     if b is not None:
         a = multiply(a, b)
@@ -299,8 +278,8 @@ def reflect(space: QuadraticSpace, u, v) -> tuple:
     qu = space.q(u)
     if qu == 0:
         raise PreconditionError("reflection axis must be anisotropic")
-    f = Fraction(2 * space.b(v, u), qu)
-    return tuple(x - f * y for x, y in zip(v, u))
+    f = exact(2 * space.b(v, u), qu)
+    return vec(x - f * y for x, y in zip(v, u))
 
 
 class GroupElement:

@@ -4,15 +4,15 @@ univariate polynomials, and the sparse intertwining rows of Hom systems.
 Every scalar is an exact rational, never a float or a bool, and every
 operation is a deterministic function of its inputs, so identical inputs
 give bit-identical outputs.  An exact rational is an int when it is whole
-and a Fraction otherwise, the form that ``exact`` returns.  The Clifford
-table, the canonical span bases (``rref_rows``) and the coordinates in
-them (``SpanSolver``) keep that form, so an integral form carries its
-Clifford products, module bases and action matrices as ints.  ``rat``,
-``vec`` and ``Mat.from_rows`` coerce to Fraction, and products
-(``@``, ``mul_vec``, ``LinMat.evaluate``), kernels and solutions come out
-as Fractions.  A true division names its Fraction (``Fraction(a, b)``,
-``Fraction(a) / b``) or goes through ``exact(a, b)``: ``a / b`` of two
-ints is a float.
+and a Fraction otherwise: the canonical form.  ``exact`` is the one
+constructor of a rational and returns that form; ``vec``, ``Mat.from_rows``
+and ``UniPoly`` read their entries through it.  Every producer keeps the
+form: products and sums (``@``, ``mul_vec``, ``LinMat.evaluate``), the
+canonical span bases (``rref_rows``) and the coordinates in them
+(``SpanSolver``), kernels, solutions and inverses.  So an integral form
+carries its Clifford products, module bases, action matrices and Hom
+pairs as ints.  A quotient is ``exact(a, b)``: ``a / b`` of two ints is a
+float.
 
 Every elimination is the sparse leftmost-pivot kernel of ``_kernels`` on
 integer rows cleared of denominators: the canonical span bases
@@ -37,41 +37,42 @@ from . import _kernels
 Rat = Fraction
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, 'a/b' string or Fraction to an exact rational."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) or isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot make an exact rational from {x!r}")
-
-
 def exact(num, den=1):
     """``num / den`` in canonical form: an int when it is whole, else a
-    Fraction.  ``num`` is anything ``rat`` takes, ``den`` an int or a
-    Fraction."""
-    if den == 1 and num.__class__ is int:
-        return num
-    x = rat(num) if den == 1 else Fraction(rat(num), den)
-    return x.numerator if x.denominator == 1 else x
+    Fraction.  ``num`` is an int, an 'a/b' string or a Fraction, ``den``
+    an int or a Fraction; anything else is a TypeError."""
+    if num.__class__ is int and den.__class__ is int:
+        if den == 1:
+            return num
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    if isinstance(num, str):
+        num = Fraction(num)
+    elif not isinstance(num, (int, Fraction)):
+        raise TypeError(f"cannot make an exact rational from {num!r}")
+    if den != 1:
+        num = Fraction(num, den)
+    return num.numerator if num.denominator == 1 else num
 
 
-def rat_to_json(x: Fraction):
+def _whole(x):
+    """A canonical ``x`` from a sum or product of canonical values: a
+    whole Fraction becomes its int."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
+def rat_to_json(x):
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_json(v) -> Fraction:
+def rat_from_json(v):
     if isinstance(v, bool) or isinstance(v, float):
         raise ValueError(f"rationals must be integers or 'a/b' strings, got {v!r}")
-    return rat(v)
+    return exact(v)
 
 
 def vec(values) -> tuple:
-    return tuple(rat(v) for v in values)
-
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+    return tuple(map(exact, values))
 
 
 class Mat:
@@ -94,7 +95,7 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [rat(x) for r in rows for x in r])
+        return cls(len(rows), ncols, [exact(x) for r in rows for x in r])
 
     @classmethod
     def from_cols(cls, cols) -> "Mat":
@@ -102,13 +103,13 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls(rows, cols, [0] * (rows * cols))
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
 
@@ -117,9 +118,6 @@ class Mat:
 
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Mat":
         return Mat(
@@ -131,62 +129,55 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return Mat(self.rows, self.cols,
+                   [_whole(a + b) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return Mat(self.rows, self.cols,
+                   [_whole(a - b) for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Mat":
         return Mat(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, s) -> "Mat":
-        s = rat(s)
-        return Mat(self.rows, self.cols, [s * a for a in self.entries])
+        s = exact(s)
+        return Mat(self.rows, self.cols, [_whole(s * a) for a in self.entries])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         n, m, k = self.rows, other.cols, self.cols
-        out = [ZERO] * (n * m)
-        # the nonzeros of each row of other, listed once; "is not ZERO"
-        # skips the shared zero without calling Fraction.__bool__
-        orows = [[(j, b) for j, b in enumerate(other.row(t)) if b is not ZERO and b]
-                 for t in range(k)]
+        out = [0] * (n * m)
+        # the nonzeros of each row of other, listed once
+        orows = [[(j, b) for j, b in enumerate(other.row(t)) if b] for t in range(k)]
         for i in range(n):
             base = i * k
             obase = i * m
             for t in range(k):
                 a = self.entries[base + t]
-                if a is not ZERO and a:
+                if a:
                     for j, b in orows[t]:
                         out[obase + j] += a * b
-        return Mat(n, m, out)
+        return Mat(n, m, map(_whole, out))
 
     def mul_vec(self, v) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        # the nonzeros of v, listed once; "is not ZERO" as in __matmul__
-        nz = [(j, x) for j, x in enumerate(v) if x is not ZERO and x]
+        # the nonzeros of v, listed once
+        nz = [(j, x) for j, x in enumerate(v) if x]
         e, k = self.entries, self.cols
         out = []
         for i in range(self.rows):
             base = i * k
-            s = ZERO
+            s = 0
             for j, x in nz:
                 a = e[base + j]
-                if a is not ZERO and a:
+                if a:
                     s += a * x
-            out.append(s)
+            out.append(_whole(s))
         return tuple(out)
-
-    def block_diag(self, other: "Mat") -> "Mat":
-        """The block matrix [[self, 0], [0, other]]."""
-        top = (self.row(i) + (ZERO,) * other.cols for i in range(self.rows))
-        bottom = ((ZERO,) * self.cols + other.row(i) for i in range(other.rows))
-        return Mat(self.rows + other.rows, self.cols + other.cols,
-                   chain.from_iterable(chain(top, bottom)))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -210,8 +201,14 @@ class Mat:
 
 
 def _int_row(pairs):
-    """Sparse integer row ``{index: value}`` from ``(index, Fraction)`` pairs
-    (iterated twice) times their least common denominator, same span."""
+    """Sparse integer row ``{index: value}`` from ``(index, value)`` pairs
+    (iterated more than once) times their least common denominator, same span;
+    all-int pairs are the row as they are."""
+    for _, v in pairs:
+        if v.__class__ is not int:
+            break
+    else:
+        return dict(pairs)
     l = reduce(lcm, (v.denominator for _, v in pairs), 1)
     return {j: v.numerator * (l // v.denominator) for j, v in pairs}
 
@@ -268,14 +265,14 @@ def _back_substitute(pivots, fixed, n):
         row = pivots[c]
         s = sum(v * x[j] for j, v in row.items() if j in x)
         if s:
-            x[c] = Fraction(-s, row[c])
-    return tuple(x.get(j, ZERO) for j in range(n))
+            x[c] = exact(-s, row[c])
+    return tuple(x.get(j, 0) for j in range(n))
 
 
 def _kernel_from_sparse_echelon(pivots, ncols):
     """Kernel basis in reduced echelon-normal form: for each free column
     f < ncols, the solution with 1 at f and 0 at the other free columns."""
-    return tuple(_back_substitute(pivots, {f: ONE}, ncols)
+    return tuple(_back_substitute(pivots, {f: 1}, ncols)
                  for f in range(ncols) if f not in pivots)
 
 
@@ -303,10 +300,10 @@ def mat_solve(a: Mat, target):
     n = a.cols
     # [a | -target] x' = 0 with x'[n] = 1; inconsistent when n is a pivot
     pivots = _kernels.sparse_echelon(
-        _int_rows(a, [[(n, -t)] if t else [] for t in map(rat, target)]))
+        _int_rows(a, [[(n, -t)] if t else [] for t in vec(target)]))
     if n in pivots:
         return None
-    return _back_substitute(pivots, {n: ONE}, n), _kernel_from_sparse_echelon(pivots, n)
+    return _back_substitute(pivots, {n: 1}, n), _kernel_from_sparse_echelon(pivots, n)
 
 
 def mat_invertible(m: Mat):
@@ -315,10 +312,11 @@ def mat_invertible(m: Mat):
         raise ValueError("mat_invertible requires a square matrix")
     n = m.rows
     # [m | -I] x' = 0 with x'[n + k] = 1 gives column k of the inverse
-    pivots = _kernels.sparse_echelon(_int_rows(m, [[(n + i, -ONE)] for i in range(n)]))
+    pivots = _kernels.sparse_echelon(_int_rows(m, [[(n + i, -1)] for i in range(n)]))
     if any(c not in pivots for c in range(n)):
         return None
-    return Mat.from_cols([_back_substitute(pivots, {n + k: ONE}, n) for k in range(n)])
+    cols = [_back_substitute(pivots, {n + k: 1}, n) for k in range(n)]
+    return Mat(n, n, chain.from_iterable(zip(*cols)))
 
 
 def rref_rows(vectors, ncols):
@@ -335,7 +333,7 @@ def rref_rows(vectors, ncols):
     done = {}
     for c in reversed(pivots):
         p = reduced[c][c]
-        row = {j: v // p if v % p == 0 else Fraction(v, p) for j, v in reduced[c].items()}
+        row = {j: exact(v, p) for j, v in reduced[c].items()}
         # a finished row holds no other pivot: clearing one refills none
         for k in [k for k in row if k != c and k in done]:
             f = row.pop(k)
@@ -348,8 +346,7 @@ def rref_rows(vectors, ncols):
                         del row[j]
         done[c] = row
     # a Fraction difference may be whole
-    rows = [{j: v if v.__class__ is int else exact(v) for j, v in sorted(done[c].items())}
-            for c in pivots]
+    rows = [{j: _whole(v) for j, v in sorted(done[c].items())} for c in pivots]
     if vectors and not isinstance(vectors[0], dict):
         rows = [tuple(r.get(j, 0) for j in range(ncols)) for r in rows]
     return rows, pivots
@@ -444,14 +441,13 @@ class LinMat:
         v = vec(v)
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        out = [ZERO] * (self.rows * self.cols)
+        out = [0] * (self.rows * self.cols)
         for x, m in zip(v, self.coeff):
             if x:
-                # "is not ZERO" skips the shared zero without Fraction.__bool__
                 for t, a in enumerate(m.entries):
-                    if a is not ZERO and a:
+                    if a:
                         out[t] += x * a
-        return Mat(self.rows, self.cols, out)
+        return Mat(self.rows, self.cols, map(_whole, out))
 
     def int_rows(self):
         """``(d, rows)``: ``d`` is the least common denominator of all
@@ -460,8 +456,7 @@ class LinMat:
         once, since a LinMat is immutable; callers must not modify it."""
         if self._int_rows is None:
             C = self.cols
-            # "is not ZERO" skips the shared zero without calling Fraction.__bool__
-            nz = [[(t, v) for t, v in enumerate(m.entries) if v is not ZERO and v]
+            nz = [[(t, v) for t, v in enumerate(m.entries) if v]
                   for m in self.coeff]
             den = reduce(lcm, (v.denominator for flat in nz for _, v in flat), 1)
             out = []
@@ -479,11 +474,6 @@ class LinMat:
         if self._transpose is None:
             self._transpose = LinMat(self.n, [m.transpose() for m in self.coeff])
         return self._transpose
-
-    def block_diag(self, other: "LinMat") -> "LinMat":
-        if self.n != other.n:
-            raise ValueError("ambient dimension mismatch")
-        return LinMat(self.n, [a.block_diag(b) for a, b in zip(self.coeff, other.coeff)])
 
     def __eq__(self, other):
         return (
@@ -528,7 +518,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [rat(c) for c in coeffs]
+        coeffs = list(map(exact, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -536,15 +526,15 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __call__(self, t) -> Fraction:
-        acc = ZERO
-        t = rat(t)
+    def __call__(self, t):
+        acc = 0
+        t = exact(t)
         for c in reversed(self.coeffs):
             acc = acc * t + c
-        return acc
+        return _whole(acc)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -561,7 +551,7 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
             return UniPoly([])
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -570,7 +560,7 @@ class UniPoly:
         return UniPoly(out)
 
     def scale(self, s) -> "UniPoly":
-        s = rat(s)
+        s = exact(s)
         return UniPoly([s * c for c in self.coeffs])
 
     def __eq__(self, other):
@@ -593,7 +583,7 @@ def binomial_upoly(offset: int, k: int) -> UniPoly:
     p = UniPoly([1])
     for i in range(k):
         p = p * UniPoly([offset - i, 1])
-    return p.scale(Fraction(1, factorial(k)))
+    return p.scale(exact(1, factorial(k)))
 
 
 @lru_cache(maxsize=None)

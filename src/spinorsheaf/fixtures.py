@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 
 from .errors import SchemaError
-from .exactalg import Mat, rat_from_json, rat_to_json, vec
+from .exactalg import Mat, exact, rat_from_json, rat_to_json, vec
 from .quadform import QuadraticSpace, Subspace, check_isotropic
 
 # Above the n = 10 scale target; the ideal of a 20-dimensional fixture
@@ -44,17 +44,17 @@ class Fixture:
 
 def _hyperbolic_gram(n, pairs, diag=()):
     half = Fraction(1, 2)
-    g = [[Fraction(0)] * n for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
     for i, j in pairs:
         g[i][j] = half
         g[j][i] = half
     for i, c in diag:
-        g[i][i] = Fraction(c)
+        g[i][i] = exact(c)
     return Mat.from_rows(g)
 
 
 def _e(n, i):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def _build_fh2():

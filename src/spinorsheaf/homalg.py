@@ -32,9 +32,8 @@ from .exactalg import (
     IncrementalSpan,
     LinMat,
     Mat,
-    ONE,
-    ZERO,
     binomial_upoly,
+    exact,
     monomial_count,
     mult_map_rank,
     _back_substitute,
@@ -85,7 +84,7 @@ class GradedHom:
         if got is None:
             a, b = self.source, self.target
             na = b.odd_dim * a.odd_dim
-            v = _back_substitute(self._pivots, {self._free[k]: ONE}, na + b.ev_dim * a.ev_dim)
+            v = _back_substitute(self._pivots, {self._free[k]: 1}, na + b.ev_dim * a.ev_dim)
             got = self._pairs[k] = (Mat(b.odd_dim, a.odd_dim, v[:na]),
                                     Mat(b.ev_dim, a.ev_dim, v[na:]))
         return got
@@ -191,7 +190,7 @@ def _orthogonal_shift_witness(a, b):
         if any(space.b(u, wv) != 0 for wv in a.w.basis):
             continue
         uelt = CliffordElement.from_vector(space, u)
-        uinv = uelt.scale(Fraction(1, space.q(u)))
+        uinv = uelt.scale(exact(1, space.q(u)))
         try:
             A, B = b.graded_map(a, lambda xi: multiply(xi, uinv),
                                 "right multiplication leaves the shift")
@@ -444,13 +443,13 @@ def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:
         )
     chi_oq = binomial_upoly(n - 1, n - 1) - binomial_upoly(n - 3, n - 1)
     deg_q = chi_oq.coeff(d) * factorial(d)
-    rank = Fraction(hilbert.coeff(d) * factorial(d), deg_q)
+    rank = exact(hilbert.coeff(d) * factorial(d), deg_q)
     if d >= 1:
         c_oq = chi_oq.coeff(d - 1) * factorial(d - 1)
-        degree = hilbert.coeff(d - 1) * factorial(d - 1) - c_oq * rank
+        degree = exact(hilbert.coeff(d - 1) * factorial(d - 1) - c_oq * rank)
     else:
-        degree = ZERO
-    slope = Fraction(degree, rank)
+        degree = 0
+    slope = exact(degree, rank)
     return SheafNumerics(hilbert, rank, degree, slope, False)
 
 
@@ -527,7 +526,7 @@ def idempotent_probe(end: GradedHom):
             return False
         return True
 
-    halves = (ZERO, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+    halves = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2))
     for cs in _candidates(end.dimension, halves):
         A, B = end.at(cs)
         if is_nontrivial_idem(A, B):

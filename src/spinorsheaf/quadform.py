@@ -16,7 +16,8 @@ from .exactalg import (
     IncrementalSpan,
     Mat,
     SpanSolver,
-    ZERO,
+    _whole,
+    exact,
     mat_rank,
     mat_rank_kernel,
     mat_solve,
@@ -51,27 +52,27 @@ class QuadraticSpace:
     def rank(self) -> int:
         return self._rank
 
-    def b(self, v, w) -> Fraction:
+    def b(self, v, w):
         if len(v) != self.n or len(w) != self.n:
             raise PreconditionError("vector length mismatch")
-        s = ZERO
+        s = 0
         for i, row in self._gram_nz:
             a = v[i]
             if a:
-                t = ZERO
+                t = 0
                 for j, g in row:
                     c = w[j]
                     if c:
                         t += g * c
                 if t:
                     s += a * t
-        return s
+        return _whole(s)
 
-    def q(self, v) -> Fraction:
+    def q(self, v):
         return self.b(v, v)
 
     def basis_vector(self, i: int) -> tuple:
-        return tuple(Fraction(1) if j == i else ZERO for j in range(self.n))
+        return tuple(1 if j == i else 0 for j in range(self.n))
 
     def __eq__(self, other):
         return isinstance(other, QuadraticSpace) and self.gram == other.gram
@@ -118,7 +119,7 @@ class Subspace:
         return f"Subspace(dim={self.dim} of n={self.ambient.n})"
 
 
-def evaluate(space: QuadraticSpace, v, w=None) -> Fraction:
+def evaluate(space: QuadraticSpace, v, w=None):
     """b(v, w); with w omitted, q(v) = b(v, v)."""
     v = vec(v)
     if w is None:
@@ -148,12 +149,12 @@ def check_isotropic(space: QuadraticSpace, w: Subspace) -> bool:
 def _combination(coeffs, vectors, n) -> tuple:
     """sum_t coeffs[t] * vectors[t], a vector of length n; the coefficients
     beyond the last vector are ignored."""
-    v = [ZERO] * n
+    v = [0] * n
     for c, col in zip(coeffs, vectors):
         if c:
             for i, x in enumerate(col):
                 v[i] += c * x
-    return tuple(v)
+    return tuple(map(_whole, v))
 
 
 def sub_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -281,7 +282,7 @@ class StdProfile:
 
     def normal_gram(self) -> Mat:
         half = Fraction(1, 2)
-        g = [[ZERO] * self.n for _ in range(self.n)]
+        g = [[0] * self.n for _ in range(self.n)]
         for a, b in zip(self.a_positions, self.b_positions):
             g[a][b] = half
             g[b][a] = half
@@ -307,13 +308,13 @@ class Standardization:
         self.profile = profile
 
 
-def _rational_sqrt(x: Fraction):
+def _rational_sqrt(x):
     if x < 0:
         return None
     num, den = x.numerator, x.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
+        return exact(rn, rd)
     return None
 
 
@@ -323,11 +324,11 @@ def line_roots(qa, bab, qb) -> list:
     qb = q(b).  For qb = 0 the equation is linear; for qb = bab = 0 no root
     is given, even when every t is one."""
     if qb == 0:
-        return [Fraction(-qa, bab)] if bab != 0 else []
+        return [exact(-qa, bab)] if bab != 0 else []
     root = _rational_sqrt(bab * bab - 4 * qb * qa)
     if root is None:
         return []
-    return sorted({Fraction(-bab - root, 2 * qb), Fraction(-bab + root, 2 * qb)})
+    return sorted({exact(-bab - root, 2 * qb), exact(-bab + root, 2 * qb)})
 
 
 def _solve_partner(space, constraints, rhs):
@@ -350,7 +351,7 @@ def _isotropic_in(space, cols):
         return not all(x == 0 for x in sub_gram.mul_vec(coords))
 
     for i in range(m):
-        coords = tuple(Fraction(1) if t == i else ZERO for t in range(m))
+        coords = tuple(1 if t == i else 0 for t in range(m))
         if sub_gram[i, i] == 0 and non_radical(coords):
             return _combination(coords, cols, space.n)
     for i in range(m):
@@ -358,7 +359,7 @@ def _isotropic_in(space, cols):
             # the points c_i + t c_j of the quadric
             for t in line_roots(sub_gram[i, i], 2 * sub_gram[i, j], sub_gram[j, j]):
                 coords = tuple(
-                    Fraction(1) if s == i else (t if s == j else ZERO)
+                    1 if s == i else (t if s == j else 0)
                     for s in range(m)
                 )
                 if non_radical(coords):
@@ -403,11 +404,11 @@ def standardize(space: QuadraticSpace, w: Subspace):
     b_vecs = list(w_part)
     for t in range(j):
         constraints = b_vecs[:j] + a_vecs
-        rhs = [Fraction(1, 2) if i == t else ZERO for i in range(j)] + [ZERO] * len(a_vecs)
+        rhs = [Fraction(1, 2) if i == t else 0 for i in range(j)] + [0] * len(a_vecs)
         u = _solve_partner(space, constraints, rhs)
         qu = space.q(u)
         if qu:
-            u = tuple(x - qu * y for x, y in zip(u, b_vecs[t]))
+            u = vec(x - qu * y for x, y in zip(u, b_vecs[t]))
         a_vecs.append(u)
 
     # hyperbolically complete the orthogonal complement of the pairs so far
@@ -426,14 +427,14 @@ def standardize(space: QuadraticSpace, w: Subspace):
             )
         # partner inside the complement span
         giso = space.gram.mul_vec(iso)
-        proj = [sum((giso[i] * c[i] for i in range(n)), ZERO) for c in cols]
+        proj = [sum(giso[i] * c[i] for i in range(n)) for c in cols]
         sol = mat_solve(Mat.from_rows([proj]), (Fraction(1, 2),))
         if sol is None:
             raise StandardizationUnavailable("no dual partner in the leftover form")
         u = _combination(sol[0], cols, n)
         qu = space.q(u)
         if qu:
-            u = tuple(x - qu * y for x, y in zip(u, iso))
+            u = vec(x - qu * y for x, y in zip(u, iso))
         a_vecs.append(u)
         b_vecs.append(iso)
         cols = _orthogonal_complement(space, a_vecs + b_vecs)

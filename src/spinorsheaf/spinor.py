@@ -38,6 +38,7 @@ from .exactalg import (
     LinMat,
     Mat,
     SpanSolver,
+    exact,
     mat_invertible,
     mat_rank,
     mat_rank_kernel,
@@ -248,8 +249,10 @@ class FactorizationPair:
     def check_identity(self) -> bool:
         """phi_i psi_j + phi_j psi_i = 2 b(e_i, e_j) Id for i <= j, and the
         same with phi and psi swapped, on integer rows: scaling phi and psi
-        by their denominators multiplies both sides by d_phi * d_psi."""
-        g = self.space.gram
+        by their denominators multiplies both sides by d_phi * d_psi.  The
+        constants q(e_i) and 2 b(e_i, e_j) are read from the Clifford
+        table."""
+        consts = _ctx(self.space).consts
         n = self.space.n
         N = self.N
         d_phi, phi_rows = self.phi.int_rows()
@@ -258,9 +261,7 @@ class FactorizationPair:
         for first, second in ((phi_rows, psi_rows), (psi_rows, phi_rows)):
             for i in range(n):
                 for j in range(i, n):
-                    target = (g[i, i] if i == j else 2 * g[i, j]) * scale
-                    if target.denominator == 1:
-                        target = target.numerator
+                    target = consts[i][j] * scale
                     for r in range(N):
                         acc = {}
                         for t, v in first[i][r]:
@@ -594,7 +595,7 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     # and coordinates may be taken in i's bases
     adapted, gen = vector_product(space, list(cap.basis) + rest).terms, i.generator.terms
     if (adapted.keys() != gen.keys()
-            or len({Fraction(c, gen[m]) for m, c in adapted.items()}) != 1):
+            or len({exact(c, gen[m]) for m, c in adapted.items()}) != 1):
         raise InvariantError("the adapted basis of W gives a different ideal")
 
     pairs = [(space_u.basis_vector(t), ucols[t]) for t in range(space_u.n)]
@@ -690,7 +691,7 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = DEFAULT_SEED):
             return
         # projective dedup: normalize by the first nonzero coordinate
         lead = next(x for x in v if x)
-        key = tuple(Fraction(x, lead) for x in v)
+        key = tuple(exact(x, lead) for x in v)
         if key not in seen:
             seen.add(key)
             points.append(tuple(v))
@@ -706,7 +707,7 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = DEFAULT_SEED):
         a = tuple(rng.randint(-3, 3) for _ in range(n))
         b = tuple(rng.randint(-3, 3) for _ in range(n))
         for t in line_roots(space.q(a), 2 * space.b(a, b), space.q(b)):
-            v = tuple(x + t * y for x, y in zip(a, b))
+            v = vec(x + t * y for x, y in zip(a, b))
             if any(v) and space.q(v) == 0:
                 push(v)
                 found += 1

@@ -1,31 +1,77 @@
 """Dense reference implementations that the sparse construction path
 replaced, the certificates on a standardized copy of the space that the
-module-side ones replaced, and the quotient-space, Clifford and module
-helpers no package module needs; the tests compare the package against
-them."""
+module-side ones replaced, and the quotient-space, Clifford, matrix and
+module helpers no package module needs; the tests compare the package
+against them.  The references compute on their own Fraction constants,
+so they stay independent of the package's canonical form."""
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import lcm
 
 from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply, trace_form
 from spinorsheaf.errors import PreconditionError, SpanError, StandardizationUnavailable
 from spinorsheaf.exactalg import (
-    ONE,
-    ZERO,
     LinMat,
     Mat,
     SpanSolver,
     mat_invertible,
     mat_solve,
     monomials,
-    rat,
     rref_rows,
     vec,
 )
 from spinorsheaf.quadform import StdProfile, standardize
 from spinorsheaf.spinor import FactorizationPair, IdealModule, build_ideal, shift
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def canonical(x) -> bool:
+    """Whether ``x`` is an exact rational in the package's canonical form:
+    an int, or a Fraction with denominator > 1; never a bool or a float."""
+    return x.__class__ is int or (x.__class__ is Fraction and x.denominator > 1)
+
+
+def row_lists(m: Mat):
+    """The rows of ``m`` as lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def block_diag(a, b):
+    """The block matrix [[a, 0], [0, b]] of two Mats, or of two LinMats
+    coefficient by coefficient."""
+    if isinstance(a, LinMat):
+        if a.n != b.n:
+            raise ValueError("ambient dimension mismatch")
+        return LinMat(a.n, [block_diag(x, y) for x, y in zip(a.coeff, b.coeff)])
+    top = (a.row(i) + (0,) * b.cols for i in range(a.rows))
+    bottom = ((0,) * a.cols + b.row(i) for i in range(b.rows))
+    return Mat(a.rows + b.rows, a.cols + b.cols, chain.from_iterable(chain(top, bottom)))
+
+
+def monomial(space, indices, coeff=1) -> CliffordElement:
+    """The element coeff * e_{i1}...e_{ik} for distinct ascending indices."""
+    mask = 0
+    for i in indices:
+        bit = 1 << i
+        if mask & bit:
+            raise PreconditionError("monomial indices must be distinct")
+        mask |= bit
+    return CliffordElement(space, {mask: coeff})
+
+
+def vector_part(a: CliffordElement):
+    """The degree-1 coordinates of ``a``, or None if other monomials appear."""
+    v = [0] * a.space.n
+    for m, c in a.terms.items():
+        if bin(m).count("1") != 1:
+            return None
+        v[m.bit_length() - 1] = c
+    return tuple(v)
 
 
 def _scaled_int_rows(frac_rows):
@@ -71,14 +117,14 @@ def _kernel_from_echelon(rows, pivots, ncols):
 
 def dense_rank_kernel(m: Mat):
     """``mat_rank_kernel`` by dense Bareiss elimination."""
-    rows = _scaled_int_rows(m.row_lists())
+    rows = _scaled_int_rows(row_lists(m))
     rank, pivots = _kernels.echelon(rows, m.cols)
     return rank, _kernel_from_echelon(rows, pivots, m.cols)
 
 
 def dense_rank(m: Mat) -> int:
     """``mat_rank`` by dense Bareiss elimination."""
-    rows = _scaled_int_rows(m.row_lists())
+    rows = _scaled_int_rows(row_lists(m))
     rank, _ = _kernels.echelon(rows, m.cols)
     return rank
 
@@ -112,7 +158,7 @@ def monomial_multiplication_matrix(lm, t: int) -> Mat:
 
 def dense_solve(a: Mat, target):
     """``mat_solve`` by dense Bareiss elimination of [a | target]."""
-    aug = [list(a.row(i)) + [rat(target[i])] for i in range(a.rows)]
+    aug = [list(a.row(i)) + [Fraction(target[i])] for i in range(a.rows)]
     rows = _scaled_int_rows(aug)
     rank, pivots = _kernels.echelon(rows, a.cols + 1)
     if pivots and pivots[-1] == a.cols:
@@ -374,7 +420,7 @@ def standardized_family_indicator(i):
     witness_positions = list(profile.a_positions) + list(
         profile.radical_positions[profile.w_radical_count:]
     )
-    xi = CliffordElement.monomial(module.space, sorted(witness_positions))
+    xi = monomial(module.space, sorted(witness_positions))
     killed_ev = all(multiply(xi, b).is_zero() for b in module.ev_basis)
     killed_odd = all(multiply(xi, b).is_zero() for b in module.odd_basis)
     if killed_ev and not killed_odd:
@@ -484,6 +530,6 @@ def direct_sum(a, b) -> FactorizationPair:
     n = a.space.n
     return FactorizationPair(
         a.space,
-        LinMat(n, a.act_ev).block_diag(LinMat(n, b.act_ev)),
-        LinMat(n, a.act_odd).block_diag(LinMat(n, b.act_odd)),
+        block_diag(LinMat(n, a.act_ev), LinMat(n, b.act_ev)),
+        block_diag(LinMat(n, a.act_odd), LinMat(n, b.act_odd)),
     )

@@ -1,0 +1,111 @@
+"""The canonical form of an exact rational: an int when it is whole, a
+Fraction otherwise.  Every producer of values returns that form, on
+integral inputs and on fractional ones, whole Fractions among them."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spinorsheaf.errors import SchemaError
+from spinorsheaf.exactalg import LinMat, Mat, exact, mat_invertible, mat_rank_kernel, mat_solve
+from spinorsheaf.fixtures import grid_spaces
+from spinorsheaf.homalg import hom_space, sheaf_numerics
+from spinorsheaf.quadform import QuadraticSpace, _combination, _rational_sqrt, line_roots
+from spinorsheaf.spinor import build_factorization, build_ideal, shift
+
+from dense_oracles import canonical
+
+INTEGRAL = st.integers(-4, 4)
+# Fractions, whole ones included, which no producer may pass on as they are
+FRACTIONAL = st.one_of(st.integers(-4, 4).map(Fraction),
+                       st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def scalars(draw, n):
+    """n entries, all ints or all drawn from ints and Fractions."""
+    entry = draw(st.sampled_from([INTEGRAL, st.one_of(INTEGRAL, FRACTIONAL)]))
+    return draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@st.composite
+def mats(draw, rows=None, cols=None):
+    """A matrix built without coercion, so its entries may be whole Fractions."""
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    return Mat(rows, cols, draw(scalars(rows * cols)))
+
+
+def all_canonical(*groups):
+    return all(canonical(x) for g in groups for x in g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_products_and_sums(data):
+    a = data.draw(mats())
+    b = data.draw(mats(rows=a.cols))
+    c = data.draw(mats(rows=a.rows, cols=a.cols))
+    v = data.draw(scalars(a.cols))
+    s = data.draw(st.one_of(INTEGRAL, FRACTIONAL))
+    assert all_canonical((a @ b).entries, a.mul_vec(v), (a + c).entries, (a - c).entries,
+                         a.scale(s).entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate(data):
+    n = data.draw(st.integers(1, 4))
+    first = data.draw(mats())
+    lm = LinMat(n, [first] + [data.draw(mats(first.rows, first.cols)) for _ in range(n - 1)])
+    assert all_canonical(lm.evaluate(data.draw(scalars(n))).entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernels_solutions_and_inverses(data):
+    m = data.draw(mats())
+    _, kernel = mat_rank_kernel(m)
+    got = mat_solve(m, data.draw(scalars(m.rows)))
+    solved = [got[0], *got[1]] if got else []
+    square = data.draw(mats(m.rows, m.rows))
+    inv = mat_invertible(square)
+    assert all_canonical(*kernel, *solved, inv.entries if inv else ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_form_values(data):
+    n = data.draw(st.integers(2, 4))
+    upper = data.draw(scalars(n * n))
+    gram = Mat(n, n, [upper[min(i, j) * n + max(i, j)] for i in range(n) for j in range(n)])
+    try:
+        space = QuadraticSpace(gram)
+    except SchemaError:
+        assume(False)
+    v, w = data.draw(scalars(n)), data.draw(scalars(n))
+    coeffs = data.draw(scalars(2))
+    assert all_canonical((space.b(v, w), space.q(v)), _combination(coeffs, (v, w), n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(INTEGRAL, FRACTIONAL), st.one_of(INTEGRAL, FRACTIONAL),
+       st.one_of(INTEGRAL, FRACTIONAL), st.integers(1, 5), st.integers(1, 5))
+def test_roots(qa, bab, qb, p, q):
+    square = Fraction(p * p, q * q)
+    assert all_canonical(line_roots(qa, bab, qb), [_rational_sqrt(square)],
+                         [_rational_sqrt(Fraction(p * p))])
+
+
+def test_numerics_and_hom_pairs():
+    for space, w in grid_spaces(5)[::4]:
+        i = build_ideal(space, w)
+        num = sheaf_numerics(build_factorization(i))
+        if not num.torsion_flag:
+            assert all_canonical((num.rank, num.degree, num.slope))
+        for hom in (hom_space(i, i), hom_space(i, shift(i))):
+            assert all_canonical(*(m.entries for pair in hom.basis for m in pair))
+            if hom.dimension:
+                cs = tuple(exact(k + 1, 2) for k in range(hom.dimension))
+                assert all_canonical(*(m.entries for m in hom.at(cs)))

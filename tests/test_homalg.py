@@ -33,7 +33,7 @@ from spinorsheaf.spinor import (
     shift,
 )
 
-from dense_oracles import grade_parts
+from dense_oracles import block_diag, canonical, grade_parts, monomial
 
 
 def e(n, i):
@@ -296,7 +296,7 @@ class TestClosure:
 
     def test_fqs_proper_submodule(self):
         i = module("F-QS")
-        seed = CliffordElement.monomial(i.space, (1, 2, 3))
+        seed = monomial(i.space, (1, 2, 3))
         assert self.closure(i, seed) == (1, 1)
 
 
@@ -472,7 +472,7 @@ class TestIdempotentProbe:
                 dense.append(acc)
             got = end.at(cs)
             assert got == tuple(dense)
-            assert all(isinstance(x, Fraction) for m in got for x in m.entries)
+            assert all(canonical(x) for m in got for x in m.entries)
 
     def test_nonsplit_flag_has_none(self):
         fx = get_fixture("F-QS")
@@ -521,7 +521,7 @@ def knoerrer_pairs(space, w):
     and W'."""
     n = space.n
     half = Fraction(1, 2)
-    big = QuadraticSpace(space.gram.block_diag(Mat.from_rows([[0, half], [half, 0]])))
+    big = QuadraticSpace(block_diag(space.gram, Mat.from_rows([[0, half], [half, 0]])))
     w_big = Subspace(big, [tuple(v) + (0, 0) for v in w.basis] + [big.basis_vector(n + 1)])
     mf = build_factorization(build_ideal(space, w))
     size = 2 * mf.N
@@ -532,8 +532,8 @@ def knoerrer_pairs(space, w):
                                               and i % mf.N == j % mf.N))
                                 for i in range(size) for j in range(size)])
 
-    phi = LinMat(n + 2, mf.phi.block_diag(mf.psi).coeff + (corner(0, 1, 1), corner(1, 0, -1)))
-    psi = LinMat(n + 2, mf.psi.block_diag(mf.phi).coeff + (corner(0, 1, -1), corner(1, 0, 1)))
+    phi = LinMat(n + 2, block_diag(mf.phi, mf.psi).coeff + (corner(0, 1, 1), corner(1, 0, -1)))
+    psi = LinMat(n + 2, block_diag(mf.psi, mf.phi).coeff + (corner(0, 1, -1), corner(1, 0, 1)))
     return FactorizationPair(big, phi, psi), build_factorization(build_ideal(big, w_big)), w_big
 
 

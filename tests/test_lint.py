@@ -325,44 +325,57 @@ def test_binding_check_sees_an_inherited_method():
     assert _missing_bindings(layers) == ["x.inherited: spinorsheaf.errors.SchemaError.__init__"]
 
 
-def _bare_divisions(tree):
-    """Lines of the true divisions (``/`` and ``/=``) whose left operand is
-    not a ``Fraction(...)`` call: on two ints they would make a float."""
+def _int_literal(node):
+    """Whether ``node`` is an int literal or a negated one."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _rational_sites(tree):
+    """Lines of the true divisions (``/`` and ``/=``), and of the
+    ``Fraction(...)`` calls outside the function ``exact`` whose arguments
+    are not all int literals."""
+    inside = {id(sub) for qual, node in _qualified_functions(tree) if qual == "exact"
+              for sub in ast.walk(node)}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            left = node.left
-        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
-            left = node.target
-        else:
-            continue
-        if not (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
-                and left.func.id == "Fraction"):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and id(node) not in inside
+              and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+              and not (node.args and not node.keywords and all(map(_int_literal, node.args)))):
             found.append(node.lineno)
     return sorted(found)
 
 
-def test_every_division_names_its_fraction():
-    # a whole rational is an int, so a / b of two of them is a float; a
-    # division is Fraction(a) / b, Fraction(a, b) or exactalg.exact(a, b)
+def test_one_way_to_make_a_rational():
+    # exactalg.exact is the one constructor of a rational and returns the
+    # canonical form; a quotient is exact(a, b), since a / b of two ints is
+    # a float and Fraction(a, b) may be whole.  Only int-literal constants
+    # such as Fraction(1, 2) are written out.
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line}" for line in _bare_divisions(tree)]
+        found += [f"{path.name}:{line}" for line in _rational_sites(tree)]
     assert found == []
 
 
-def test_division_scan():
+def test_rational_scan():
     src = ("a = x / y\nb = Fraction(x) / y\nc = Fraction(x, y)\nd = x // y\n"
-           "x /= y\ne = fractions.Fraction(x) / y\nf = (Fraction(x) / y) / z\n"
-           "g = exact(x, y)\n")
-    assert _bare_divisions(ast.parse(src)) == [1, 5, 6, 7]
+           "x /= y\ne = fractions.Fraction(x)\nf = Fraction(1, 2)\ng = Fraction(-1, 2)\n"
+           "h = exact(x, y)\ndef exact(n, d):\n    return Fraction(n, d)\n"
+           "k = Fraction('1/2')\nm = Fraction(1)\nclass C:\n"
+           "    def exact(self, n):\n        return Fraction(n)\n")
+    assert _rational_sites(ast.parse(src)) == [1, 2, 2, 3, 5, 6, 12, 16]
 
 
 def _uncalled(trees, kept):
-    """``module.function`` for each top-level function of the modules
-    ``trees`` (name -> tree) that no module reads outside its own
-    definition and whose name ``kept`` does not list."""
+    """``module.function`` for each top-level function, and
+    ``module.Class.method`` for each method of a top-level class other than
+    a dunder, that no module of ``trees`` (name -> tree) reads outside its
+    own definition and that ``kept`` does not list (a method as
+    ``Class.method``).  A read is by name, whatever the object."""
     reads = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -372,21 +385,27 @@ def _uncalled(trees, kept):
                 reads[node.attr] = reads.get(node.attr, 0) + 1
     found = []
     for mod, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name in kept:
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node)
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)
+                 and not (node.name.startswith("__") and node.name.endswith("__"))]
+        for qual, node in defs:
+            if qual in kept:
                 continue
             own = sum(1 for sub in ast.walk(node)
                       if (isinstance(sub, ast.Name) and sub.id == node.name)
                       or (isinstance(sub, ast.Attribute) and sub.attr == node.name))
             if reads.get(node.name, 0) == own:
-                found.append(f"{mod}.{node.name}")
+                found.append(f"{mod}.{qual}")
     return sorted(found)
 
 
 def test_every_function_has_a_caller():
-    # a top-level function is called in the package, exported from
-    # spinorsheaf.__all__, or wrapped by the benchmark tracer; one that
-    # only tests call belongs in tests/dense_oracles.py
+    # a top-level function or a method is called in the package, exported
+    # from spinorsheaf.__all__ (a function, not a class's methods), or
+    # wrapped by the benchmark tracer; one that only tests call belongs in
+    # tests/dense_oracles.py
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     kept = set(spinorsheaf.__all__) | {qual for _, _, qual in _benchmark_tracer().LAYERS}
@@ -401,3 +420,17 @@ def test_caller_scan():
                        "def unused():\n    def inner():\n        pass\n    return inner\n"),
     }
     assert _uncalled(trees, {"public"}) == ["a.h", "b.unused"]
+
+
+def test_caller_scan_checks_methods():
+    trees = {
+        "a": ast.parse("class C:\n"
+                       "    def __init__(self):\n        pass\n"
+                       "    def used(self):\n        return self.helper()\n"
+                       "    def helper(self):\n        return 1\n"
+                       "    def recursive(self):\n        return self.recursive()\n"
+                       "    def traced(self):\n        pass\n"
+                       "    def __repr__(self):\n        return ''\n"),
+        "b": ast.parse("from .a import C\nx = C().used()\n"),
+    }
+    assert _uncalled(trees, {"C", "C.traced"}) == ["a.C.recursive"]

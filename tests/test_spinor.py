@@ -25,7 +25,7 @@ from spinorsheaf.spinor import (
     shift,
 )
 
-from dense_oracles import direct_sum, same_module
+from dense_oracles import block_diag, canonical, direct_sum, monomial, row_lists, same_module
 
 
 def e(n, i):
@@ -42,8 +42,8 @@ class TestBuildIdeal:
         i = module("F-H2")
         assert i.ev_dim == i.odd_dim == 1
         space = i.space
-        assert i.ev_basis[0] == CliffordElement.monomial(space, (0, 1))
-        assert i.odd_basis[0] == CliffordElement.monomial(space, (1,))
+        assert i.ev_basis[0] == monomial(space, (0, 1))
+        assert i.odd_basis[0] == monomial(space, (1,))
 
     def test_fh6_size(self):
         i = module("F-H6")
@@ -111,7 +111,7 @@ class TestFactorization:
 
         mf = build_factorization(module("F-QS"))
         coeff = list(mf.phi.coeff)
-        rows = coeff[0].row_lists()
+        rows = row_lists(coeff[0])
         rows[0][0] += 1
         coeff[0] = Mat.from_rows(rows)
         bad = FactorizationPair(mf.space, LinMat(4, coeff), mf.psi)
@@ -161,7 +161,7 @@ class TestFiberRank:
             fx = get_fixture(label)
             mf = build_factorization(build_ideal(fx.space, fx.w))
             for v in sample_quadric_points(fx.space):
-                for u in (v, tuple(x / 3 for x in v)):
+                for u in (v, tuple(Fraction(x, 3) for x in v)):
                     r = mat_rank(mf.phi.evaluate(u))
                     assert fiber_rank(mf, u) == (r, mf.N - r)
 
@@ -557,7 +557,7 @@ class TestDirectSum:
         b = shift(module("F-QS"))
         s = direct_sum(a, b)
         assert isinstance(s, FactorizationPair)
-        assert s.phi == LinMat(a.space.n, a.act_ev).block_diag(LinMat(a.space.n, b.act_ev))
+        assert s.phi == block_diag(LinMat(a.space.n, a.act_ev), LinMat(a.space.n, b.act_ev))
         assert s.check_identity()
 
 
@@ -725,7 +725,7 @@ class TestSparseConstruction:
                         for side in ("phi", "psi"):
                             lm = getattr(mf, side)
                             coeff = list(lm.coeff)
-                            rows = coeff[k].row_lists()
+                            rows = row_lists(coeff[k])
                             rows[r][c] += delta
                             coeff[k] = Mat.from_rows(rows)
                             bad = LinMat(n, coeff)
@@ -922,11 +922,6 @@ NON_INTEGRAL_FIXTURE = {
 NON_INTEGRAL_REPORT_SHA256 = "2c664aa2d1189efd623fde18f8e4e587c31d5017528e5e646c25b27fd17e0b62"
 
 
-def _canonical(x):
-    """An exact rational in canonical form: an int when whole, else a Fraction."""
-    return type(x) is (int if x.denominator == 1 else Fraction)
-
-
 def test_module_scalars_are_canonical():
     # from the Clifford table through the canonical bases to the action
     # matrices, a whole rational is an int; the non-integral form keeps
@@ -940,8 +935,38 @@ def test_module_scalars_are_canonical():
         i = build_ideal(space, w)
         coeffs = [c for x in i.ev_basis + i.odd_basis for c in x.terms.values()]
         entries = [a for m in i.act_ev + i.act_odd for a in m.entries]
-        assert all(map(_canonical, coeffs + entries)), (space, w)
+        assert all(map(canonical, coeffs + entries)), (space, w)
         assert (space is odd.space) == any(type(c) is Fraction for c in coeffs)
+
+
+def test_maps_and_certificates_are_canonical(monkeypatch):
+    # the Hom basis pairs and every scalar that a report records
+    # (certificates, witnesses, maps) of the six fixtures and of the
+    # non-integral form; test_module_scalars_are_canonical reads the action
+    from spinorsheaf import verify
+    from spinorsheaf.fixtures import fixture_from_dict
+    from spinorsheaf.homalg import hom_space
+
+    seen = []
+    original = verify.jsonable
+
+    def spy(x):
+        if isinstance(x, Mat):
+            seen.extend(x.entries)
+        elif isinstance(x, (int, Fraction)):
+            seen.append(x)
+        return original(x)
+
+    monkeypatch.setattr(verify, "jsonable", spy)
+    for fx in [get_fixture(label) for label in FIXTURE_LABELS] + [
+            fixture_from_dict(NON_INTEGRAL_FIXTURE)]:
+        i = build_ideal(fx.space, fx.w)
+        for hom in (hom_space(i, i), hom_space(i, shift(i))):
+            entries = [a for pair in hom.basis for m in pair for a in m.entries]
+            assert all(map(canonical, entries)), fx.label
+        seen.clear()
+        verify.run_suite(fx, "all", spinor.DEFAULT_SEED)
+        assert seen and all(canonical(x) for x in seen if type(x) is not bool), fx.label
 
 
 def test_non_integral_form_report_pinned():
