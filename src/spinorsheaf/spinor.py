@@ -220,15 +220,19 @@ class FactorizationPair:
     """A pair (phi, psi) of square matrices of linear forms with
     phi(v) psi(v) = psi(v) phi(v) = q(v) Id.  It is also the graded module
     on which v acts by phi(v): ev -> odd and psi(v): odd -> ev, which is
-    all that Hom spaces, isomorphism tests and direct sums read."""
+    all that Hom spaces, isomorphism tests and direct sums read.
+    ``identity_checked`` is set once ``check_identity`` has passed on the
+    pair, by ``build_factorization`` or by the first ``cohomology_dim``
+    call on it."""
 
-    __slots__ = ("space", "phi", "psi", "N")
+    __slots__ = ("space", "phi", "psi", "N", "identity_checked")
 
     def __init__(self, space, phi: LinMat, psi: LinMat):
         self.space = space
         self.phi = phi
         self.psi = psi
         self.N = phi.rows
+        self.identity_checked = False
 
     @property
     def ev_dim(self) -> int:
@@ -286,6 +290,7 @@ def build_factorization(i) -> FactorizationPair:
     mf = FactorizationPair(i.space, LinMat(n, i.act_ev), LinMat(n, i.act_odd))
     if not mf.check_identity():
         raise InvariantError("factorization identity failed: multiplication bug")
+    mf.identity_checked = True
     return mf
 
 

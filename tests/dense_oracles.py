@@ -1,6 +1,7 @@
 """Dense reference implementations that the sparse construction path
 replaced, the certificates on a standardized copy of the space that the
-module-side ones replaced, and the quotient-space, Clifford, matrix and
+module-side ones replaced, the eliminated cohomology dimensions that the
+identity route replaced, and the quotient-space, Clifford, matrix and
 module helpers no package module needs; the tests compare the package
 against them.  The references compute on their own Fraction constants,
 so they stay independent of the package's canonical form."""
@@ -19,7 +20,9 @@ from spinorsheaf.exactalg import (
     SpanSolver,
     mat_invertible,
     mat_solve,
+    monomial_count,
     monomials,
+    mult_map_rank,
     rref_rows,
     vec,
 )
@@ -154,6 +157,29 @@ def monomial_multiplication_matrix(lm, t: int) -> Mat:
                     if v:
                         out[(ri * R + r) * ncols + mi * C + j] += v
     return Mat(nrows, ncols, out)
+
+
+def eliminated_cohomology_dim(mf, idx: int, t: int) -> int:
+    """``homalg.cohomology_dim`` by elimination, as it was computed before
+    the ranks were read off psi phi = q Id: h^0 is N * df(t) minus the rank
+    of phi in degree t, the top index N * df(s) minus the rank of phi^T in
+    degree s = -t-n+1, and the middle indices vanish."""
+    n, N = mf.space.n, mf.N
+
+    def h0():
+        return N * monomial_count(n, t) - mult_map_rank(mf.phi, t)
+
+    def htop():
+        s = -t - n + 1
+        return N * monomial_count(n, s) - mult_map_rank(mf.phi.transpose(), s)
+
+    if n == 2:
+        return h0() + htop()
+    if idx == 0:
+        return h0()
+    if idx == n - 2:
+        return htop()
+    return 0
 
 
 def dense_solve(a: Mat, target):

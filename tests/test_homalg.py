@@ -33,7 +33,13 @@ from spinorsheaf.spinor import (
     shift,
 )
 
-from dense_oracles import block_diag, canonical, grade_parts, monomial
+from dense_oracles import (
+    block_diag,
+    canonical,
+    eliminated_cohomology_dim,
+    grade_parts,
+    monomial,
+)
 
 
 def e(n, i):
@@ -437,6 +443,58 @@ class TestCohomology:
             cohomology_dim(m, 0, 9)
         with pytest.raises(PreconditionError):
             cohomology_dim(m, 7, 0)
+
+    def test_identity_route_agrees_with_elimination(self):
+        pairs = [build_factorization(module(label)) for label in FIXTURE_LABELS]
+        pairs += [build_factorization(build_ideal(space, w))
+                  for space, w in grid_spaces(6) if space.n in (5, 6)]
+        dual = dual_factorization(pairs[FIXTURE_LABELS.index("F-H6")])
+        pairs.append(dual)
+        assert len(pairs) == 6 + 51 + 1 and not dual.identity_checked
+        for mf in pairs:
+            for idx in range(max(mf.space.n - 1, 1)):
+                for t in range(-6, 7):
+                    assert cohomology_dim(mf, idx, t) == eliminated_cohomology_dim(mf, idx, t)
+        assert dual.identity_checked
+
+    def test_pair_failing_the_identity_is_rejected(self):
+        # psi scaled by 2 gives psi phi = 2q Id: no resolution, so no index
+        # is read off it, the middle ones behind acm_vanishing included
+        mf = build_factorization(module("F-H6"))
+        psi2 = LinMat(mf.space.n, [m.scale(2) for m in mf.psi.coeff])
+        bad = FactorizationPair(mf.space, mf.phi, psi2)
+        for idx in (0, 2):
+            with pytest.raises(PreconditionError, match="phi psi = q Id fails"):
+                cohomology_dim(bad, idx, 1)
+        assert not bad.identity_checked
+
+    def test_cross_check_disagreement_raises(self, monkeypatch):
+        rank = homalg.mult_map_rank
+        monkeypatch.setattr(homalg, "mult_map_rank", lambda lm, t: rank(lm, t) - 1)
+        mf = build_factorization(module("F-H6"))
+        assert cohomology_dim(mf, 0, 1) == 4 * (6 - 1)
+        with pytest.raises(InvariantError, match="rank 23 in degree 2, expected 24"):
+            cohomology_dim(mf, 0, 2)
+
+    def test_explicit_identity_check_runs_in_full(self, monkeypatch):
+        # the gate reads identity_checked; check_identity itself is not
+        # memoized, so an explicit call after build_factorization repeats
+        # every row product (counted as reads of the coefficient rows)
+        reads = []
+
+        class Counted(list):
+            def __getitem__(self, k):
+                reads.append(k)
+                return list.__getitem__(self, k)
+
+        int_rows = LinMat.int_rows
+        monkeypatch.setattr(LinMat, "int_rows",
+                            lambda self: (int_rows(self)[0], Counted(int_rows(self)[1])))
+        mf = build_factorization(module("F-QS"))
+        built = len(reads)
+        assert mf.identity_checked and built > 0
+        assert mf.check_identity()
+        assert len(reads) == 2 * built
 
 
 class TestIdempotentProbe:

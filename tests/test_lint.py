@@ -207,6 +207,30 @@ def test_hom_system_scan():
     assert _reads_outside(ast.parse(src), "_hom_system", "hom_space") == [7, 9, 10]
 
 
+def test_multiplication_ranks_only_in_cohomology_dim():
+    # the cohomology ranks are read off psi phi = q Id; cohomology_dim
+    # eliminates once per pair as the cross-check, and nothing else
+    # eliminates a multiplication map
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = "cohomology_dim" if path.name == "homalg.py" else None
+        found += [f"{path.name}:{line}" for line in _reads_outside(tree, "mult_map_rank", home)]
+    assert found == []
+
+
+def test_mult_map_rank_scan():
+    src = ("from .exactalg import mult_map_rank\n"
+           "def mult_map_rank(lm, t):\n    return t\n"
+           "def cohomology_dim(mf, t):\n    def h0():\n        return mult_map_rank(mf.phi, t)\n"
+           "    return h0()\n"
+           "def h0(mf, t):\n    return mult_map_rank(mf.phi, t)\n"
+           "class Pair:\n    def cohomology_dim(self, t):\n"
+           "        return exactalg.mult_map_rank(self.phi, t)\n"
+           "rank = mult_map_rank\n")
+    assert _reads_outside(ast.parse(src), "mult_map_rank", "cohomology_dim") == [9, 12, 13]
+
+
 PART_MATRIX_HOMES = ("IdealModule.graded_map", "IdealModule._left_action")
 
 

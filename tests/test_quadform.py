@@ -308,7 +308,7 @@ class TestSearches:
         for t in roots:
             assert space.q(tuple(x + t * y for x, y in zip(a, b))) == 0
         if qb == 0 and bab != 0:
-            assert roots == [-qa / bab]
+            assert roots == [Fraction(-qa, bab)]
 
     def test_line_roots_cases(self):
         half = Fraction(1, 2)

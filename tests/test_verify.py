@@ -110,6 +110,30 @@ def test_each_module_built_once_per_pass(monkeypatch):
         assert [space == fx.space for space in spaces] == [True, False]
 
 
+def test_one_elimination_per_run(monkeypatch):
+    # the cohomology ranks are read off psi phi = q Id; each run eliminates
+    # phi and phi^T once, in degree 2, inside euler_consistency
+    degrees = []
+    real = homalg.mult_map_rank
+    monkeypatch.setattr(homalg, "mult_map_rank",
+                        lambda lm, t: degrees.append(t) or real(lm, t))
+    for label in FIXTURE_LABELS:
+        run_suite(get_fixture(label), "all", DEFAULT_SEED)
+    assert degrees == [2] * 12
+
+
+def test_cross_check_failure_is_a_fail_record(monkeypatch):
+    fx = get_fixture("F-QS")
+    ops = [r["op"] for r in run_suite(fx, "stability-numerics").records]
+    cut = ops.index("euler_consistency")
+    real = homalg.mult_map_rank
+    monkeypatch.setattr(homalg, "mult_map_rank", lambda lm, t: real(lm, t) - 1)
+    records = run_suite(fx, "stability-numerics").records
+    assert [r["op"] for r in records] == ops[:cut] + ["invariant_error"]
+    assert records[-1]["verdict"] == "fail"
+    assert "in degree 2" in records[-1]["details"]["message"]
+
+
 def test_verdict_table_of_the_benchmark():
     # the benchmark's verify-fixtures workload checks each run against this
     # (op, verdict) table
