@@ -76,17 +76,21 @@ def vec(values) -> tuple:
 
 
 class Mat:
-    """Dense exact rational matrix, row major, treated as immutable."""
+    """Dense exact rational matrix, row major, treated as immutable.  Its
+    row-major nonzeros (``nonzero_rows``) are kept in one slot, given by
+    the producer or read once from the entries; equality and hashing read
+    the entries only."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nz")
 
-    def __init__(self, rows: int, cols: int, entries):
+    def __init__(self, rows: int, cols: int, entries, nz=None):
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match the shape")
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._nz = nz
 
     @classmethod
     def from_rows(cls, rows) -> "Mat":
@@ -119,12 +123,23 @@ class Mat:
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
+    def nonzero_rows(self) -> list:
+        """The nonzeros of each row as ``(col, value)`` pairs in column
+        order.  Computed once; callers must not modify it."""
+        if self._nz is None:
+            e, k = self.entries, self.cols
+            self._nz = [[(j, x) for j, x in enumerate(e[b:b + k]) if x]
+                        for b in range(0, self.rows * k, k)]
+        return self._nz
+
     def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        out = [0] * (self.rows * self.cols)
+        nz = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero_rows()):
+            for j, x in row:
+                out[j * self.rows + i] = x
+                nz[j].append((i, x))
+        return Mat(self.cols, self.rows, out, nz)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -278,8 +293,8 @@ def _kernel_from_sparse_echelon(pivots, ncols):
 
 def _int_rows(m: Mat, extra=None):
     """Sparse integer rows of ``m``, row i extended by the pairs ``extra[i]``."""
-    return [_int_row([(j, x) for j, x in enumerate(m.row(i)) if x] + (extra[i] if extra else []))
-            for i in range(m.rows)]
+    nz = m.nonzero_rows()
+    return [_int_row(nz[i] + extra[i] if extra else nz[i]) for i in range(m.rows)]
 
 
 def mat_rank_kernel(m: Mat):
@@ -396,9 +411,10 @@ class SpanSolver:
                        for r, c in zip(rows, self.pivots)]
 
     def coords(self, v):
-        """Coordinates of v in the basis, or None if v is outside the span."""
+        """The nonzero coordinates ``{k: a}`` of v in the basis, or None if
+        v is outside the span."""
         v = _sparse(v)
-        out = [0] * len(self.pivots)
+        out = {}
         rest = dict(v)
         for c, a in v.items():
             k = self._at.get(c)
@@ -411,7 +427,7 @@ class SpanSolver:
                         rest[j] = r
                     else:
                         rest.pop(j, None)
-        return None if rest else tuple(out)
+        return None if rest else out
 
 
 class LinMat:
@@ -455,17 +471,16 @@ class LinMat:
         ``coeff[k]`` as int pairs ``(j, d * coeff[k][r, j])``.  Computed
         once, since a LinMat is immutable; callers must not modify it."""
         if self._int_rows is None:
-            C = self.cols
-            nz = [[(t, v) for t, v in enumerate(m.entries) if v]
-                  for m in self.coeff]
-            den = reduce(lcm, (v.denominator for flat in nz for _, v in flat), 1)
-            out = []
-            for flat in nz:
-                rows = [[] for _ in range(self.rows)]
-                for t, v in flat:
-                    rows[t // C].append((t % C, v.numerator * (den // v.denominator)))
-                out.append(rows)
-            self._int_rows = den, out
+            nz = [m.nonzero_rows() for m in self.coeff]
+            dens = [v.denominator for rows in nz for row in rows for _, v in row
+                    if v.__class__ is not int]
+            if not dens:
+                self._int_rows = 1, nz
+            else:
+                den = reduce(lcm, dens, 1)
+                self._int_rows = den, [
+                    [[(j, v.numerator * (den // v.denominator)) for j, v in row]
+                     for row in rows] for rows in nz]
         return self._int_rows
 
     def transpose(self) -> "LinMat":

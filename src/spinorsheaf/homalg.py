@@ -18,6 +18,7 @@ A module here is anything with ``space``, ``ev_dim``, ``odd_dim``,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import factorial
 
@@ -428,6 +429,15 @@ class SheafNumerics:
         self.torsion_flag = torsion_flag
 
 
+@lru_cache(maxsize=None)
+def _quadric_polys(n: int):
+    """(C(t+n-1, n-1) - C(t+n-2, n-1), C(t+n-1, n-1) - C(t+n-3, n-1)): the
+    Hilbert polynomials of coker(O(-1) -> O) and of the quadric O_Q on
+    P^{n-1}.  They depend on n only."""
+    top = binomial_upoly(n - 1, n - 1)
+    return top - binomial_upoly(n - 2, n - 1), top - binomial_upoly(n - 3, n - 1)
+
+
 def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:
     """Hilbert polynomial from the two-term resolution; rank, degree and
     slope read off against the quadric's own Hilbert polynomial.  Only n
@@ -435,7 +445,8 @@ def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:
     for an ideal module is codim W = 1 by the dimension law."""
     n = mf.space.n
     N = mf.N
-    hilbert = (binomial_upoly(n - 1, n - 1) - binomial_upoly(n - 2, n - 1)).scale(N)
+    line, chi_oq = _quadric_polys(n)
+    hilbert = line.scale(N)
     if N == 1:
         return SheafNumerics(hilbert, None, None, None, True)
     d = n - 2
@@ -443,7 +454,6 @@ def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:
         raise InvariantError(
             f"Hilbert polynomial has degree {hilbert.degree()}, expected {d}"
         )
-    chi_oq = binomial_upoly(n - 1, n - 1) - binomial_upoly(n - 3, n - 1)
     deg_q = chi_oq.coeff(d) * factorial(d)
     rank = exact(hilbert.coeff(d) * factorial(d), deg_q)
     if d >= 1:

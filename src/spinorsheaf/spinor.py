@@ -113,9 +113,12 @@ class IdealModule:
         return getattr(self, attr)
 
     def coords_in(self, parity, element):
-        """Coordinates of element in the basis of the given graded part, or
-        None when it lies outside."""
-        return self._solver(parity).coords(element.terms)
+        """Coordinates of element in the basis of the given graded part, as
+        a dense tuple, or None when it lies outside."""
+        solver = self._solver(parity)
+        coords = solver.coords(element.terms)
+        return None if coords is None else tuple(coords.get(k, 0)
+                                                 for k in range(len(solver.pivots)))
 
     def part(self, parity):
         """Canonical basis of the even (0) or odd (1) graded part."""
@@ -124,15 +127,29 @@ class IdealModule:
     def part_matrix(self, parity, images, what) -> Mat:
         """The matrix whose columns are the coordinates of ``images`` in the
         given graded part; an image outside it raises SpanError(what)."""
+        return self._terms_matrix(parity, (x.terms for x in images), what)
+
+    def _terms_matrix(self, parity, images, what) -> Mat:
+        """``part_matrix`` of images given by their terms: the dense matrix
+        and its row-major nonzeros are filled from the nonzero coordinates,
+        each made canonical (``exact``)."""
         solver = self._solver(parity)
         cols = []
-        for image in images:
-            coords = solver.coords(image.terms)
+        for terms in images:
+            coords = solver.coords(terms)
             if coords is None:
-                raise SpanError(what, witness=image)
+                raise SpanError(what, witness=CliffordElement(self.space, terms))
             cols.append(coords)
-        dim = self.ev_dim if parity == 0 else self.odd_dim
-        return Mat(dim, len(cols), chain.from_iterable(zip(*cols)))
+        dim, ncols = len(solver.pivots), len(cols)
+        entries = [0] * (dim * ncols)
+        nz = [[] for _ in range(dim)]
+        for c, coords in enumerate(cols):
+            for k, a in coords.items():
+                if a.__class__ is not int:
+                    a = exact(a)
+                entries[k * ncols + c] = a
+                nz[k].append((c, a))
+        return Mat(dim, ncols, entries, nz)
 
     def graded_map(self, source, f, what):
         """The map x -> f(x) from each graded part of ``source`` to the same
@@ -142,15 +159,14 @@ class IdealModule:
         return tuple(self.part_matrix(par, map(f, source.part(par)), what) for par in (1, 0))
 
     def _left_action(self, parity):
-        """Matrices of left multiplication by each e_i on one graded part."""
-        space = self.space
-        out = []
-        for i in range(space.n):
-            velt = CliffordElement.from_vector(space, space.basis_vector(i))
-            out.append(self.part_matrix(1 - parity,
-                                        (multiply(velt, xi) for xi in self.part(parity)),
-                                        "left action leaves the module"))
-        return tuple(out)
+        """Matrices of left multiplication by each e_i on one graded part,
+        read off the Clifford table (``vec_mul_terms``)."""
+        ctx = _ctx(self.space)
+        basis = [x.terms for x in self.part(parity)]
+        return tuple(self._terms_matrix(1 - parity,
+                                        (ctx.vec_mul_terms(i, x) for x in basis),
+                                        "left action leaves the module")
+                     for i in range(self.space.n))
 
     @property
     def act_ev(self):
@@ -171,7 +187,17 @@ class IdealModule:
 
 
 def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
-    """The ideal module of an isotropic subspace, with canonical bases."""
+    """The ideal module of an isotropic subspace, with canonical bases.
+
+    Let S be the coordinates that are not pivots of W's reduced rows, so
+    V = span(e_S) + W, a direct sum.  The ordered products e_M w_A (M in S,
+    A in a basis of W) then span Cl, and w_a g = 0 for the generator
+    g = w_1...w_m, since the vectors of an isotropic W anticommute and
+    square to 0.  So Cl g is spanned by the 2^(n-m) products e_M g, M a
+    subset of S, built by a recursion over the masks of S:
+    e_M g = e_i (e_{M - i} g) with i the least index of M.  They are
+    2^(n-m) nonzero elements of the right graded degrees, and the
+    dimension law checks that they are independent."""
     if w.dim == 0:
         raise PreconditionError("the isotropic subspace must be nonzero")
     if not check_isotropic(space, w):
@@ -180,13 +206,15 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     ctx = _ctx(space)
     index, order = ctx.index, ctx.order
     m = w.dim
+    free = [k for k in range(space.n) if k not in w._solver.pivots]
+    prods = [gen.terms]
     ev_raw = []
     odd_raw = []
-    for mask in range(1 << space.n):
-        prod = ctx.mono_mul_terms(mask, gen.terms)
-        if not prod:
-            continue
-        row = {index[mono]: c for mono, c in prod.items()}
+    for mask in range(1 << len(free)):
+        if mask:
+            low = mask & -mask
+            prods.append(ctx.vec_mul_terms(free[low.bit_length() - 1], prods[mask ^ low]))
+        row = {index[mono]: c for mono, c in prods[mask].items()}
         if (bin(mask).count("1") + m) % 2 == 0:
             ev_raw.append(row)
         else:
@@ -255,31 +283,39 @@ class FactorizationPair:
         same with phi and psi swapped, on integer rows: scaling phi and psi
         by their denominators multiplies both sides by d_phi * d_psi.  The
         constants q(e_i) and 2 b(e_i, e_j) are read from the Clifford
-        table."""
+        table.
+
+        One accumulator per row r: every product of row r of first_i with
+        a row t of second_j is summed under the key (min(i, j), max(i, j),
+        c), flattened to an int, with the nonzeros of second indexed by
+        their row t once per order.  Each nonzero target, at c = r, is taken
+        out of the accumulator and compared, and what is left must be
+        zero."""
         consts = _ctx(self.space).consts
         n = self.space.n
         N = self.N
         d_phi, phi_rows = self.phi.int_rows()
         d_psi, psi_rows = self.psi.int_rows()
         scale = d_phi * d_psi
+        # the key of (i, j, c) is base[i][j] + c, symmetric in i and j
+        base = [[(min(i, j) * n + max(i, j)) * N for j in range(n)] for i in range(n)]
+        targets = [(base[i][j], consts[i][j] * scale)
+                   for i in range(n) for j in range(i, n) if consts[i][j]]
         for first, second in ((phi_rows, psi_rows), (psi_rows, phi_rows)):
-            for i in range(n):
-                for j in range(i, n):
-                    target = consts[i][j] * scale
-                    for r in range(N):
-                        acc = {}
-                        for t, v in first[i][r]:
-                            for c, w in second[j][t]:
-                                acc[c] = acc.get(c, 0) + v * w
-                        if i != j:
-                            for t, v in first[j][r]:
-                                for c, w in second[i][t]:
-                                    acc[c] = acc.get(c, 0) + v * w
-                        for c, v in acc.items():
-                            if v != (target if c == r else 0):
-                                return False
-                        if target and acc.get(r, 0) != target:
-                            return False
+            by_t = [[(j, c, w) for j in range(n) for c, w in second[j][t]] for t in range(N)]
+            for r in range(N):
+                acc = {}
+                for i in range(n):
+                    bi = base[i]
+                    for t, v in first[i][r]:
+                        for j, c, w in by_t[t]:
+                            k = bi[j] + c
+                            acc[k] = acc.get(k, 0) + v * w
+                for b, want in targets:
+                    if acc.pop(b + r, 0) != want:
+                        return False
+                if any(acc.values()):
+                    return False
         return True
 
 

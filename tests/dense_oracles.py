@@ -359,13 +359,18 @@ def left_action_matrix(v, domain_basis, codomain_basis) -> Mat:
     velt = CliffordElement.from_vector(space, v)
     rows, pivots = rref_rows([x.terms for x in codomain_basis], 1 << space.n)
     solver = SpanSolver(rows, pivots)
-    change = mat_invertible(Mat.from_cols([solver.coords(x.terms) for x in codomain_basis]))
+
+    def dense_coords(x):
+        coords = solver.coords(x.terms)
+        return None if coords is None else tuple(coords.get(k, 0) for k in range(len(pivots)))
+
+    change = mat_invertible(Mat.from_cols([dense_coords(x) for x in codomain_basis]))
     if change is None:
         raise SpanError("codomain basis vectors are dependent")
     cols = []
     for xi in domain_basis:
         image = multiply(velt, xi)
-        in_rref = solver.coords(image.terms)
+        in_rref = dense_coords(image)
         if in_rref is None:
             raise SpanError("image leaves the codomain span", witness=image)
         cols.append(change.mul_vec(in_rref))

@@ -343,7 +343,7 @@ class TestSpanSolver:
         vs = [(1, 0, 2), (0, 1, 3)]
         rows, pivots = ea.rref_rows([ea.vec(v) for v in vs], 3)
         solver = ea.SpanSolver(rows, pivots)
-        assert solver.coords(ea.vec((1, 1, 5))) == (1, 1)
+        assert solver.coords(ea.vec((1, 1, 5))) == {0: 1, 1: 1}
         assert solver.coords(ea.vec((0, 0, 1))) is None
 
 
@@ -568,7 +568,7 @@ class TestSparseSpanSolver:
                 for j, x in row.items():
                     v[j] = v.get(j, 0) + a * x
             v = {j: x for j, x in v.items() if x}
-            assert solver.coords(v) == tuple(Fraction(a) for a in coeffs)
+            assert solver.coords(v) == {k: Fraction(a) for k, a in enumerate(coeffs) if a}
 
     def test_outside_the_span(self):
         solver, rows = self._solver()
@@ -578,7 +578,7 @@ class TestSparseSpanSolver:
 
     def test_dense_vectors_read_as_nonzeros(self):
         solver, _ = self._solver()
-        assert solver.coords(ea.vec((0, 1, 0, -2, 0))) == (0, 1, 0)
+        assert solver.coords(ea.vec((0, 1, 0, -2, 0))) == {1: 1}
         assert solver.coords(ea.vec((0, 0, 0, 0, 1))) is None
 
     def test_rejects_rows_not_in_reduced_form(self):
@@ -599,6 +599,23 @@ def _lin_mats():
     out.append(LinMat(2, [M([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]]),
                           M([[0, Fraction(5, 7)], [3, 0]])]))
     return out
+
+
+class TestNonzeroRows:
+    def test_read_once_and_ignored_by_equality(self):
+        m = M([[0, 2, 0], [Fraction(1, 3), 0, -1]])
+        assert m.nonzero_rows() == [[(1, 2)], [(0, Fraction(1, 3)), (2, -1)]]
+        assert m.nonzero_rows() is m.nonzero_rows()
+        given = Mat(2, 3, m.entries, [[(1, 2)], [(0, Fraction(1, 3)), (2, -1)]])
+        fresh = Mat(2, 3, m.entries)
+        assert given == m == fresh and hash(given) == hash(fresh)
+
+    def test_transpose_carries_its_nonzeros(self):
+        m = M([[0, 2, 0], [Fraction(1, 3), 0, -1]])
+        t = m.transpose()
+        assert t == M([[0, Fraction(1, 3)], [2, 0], [0, -1]])
+        assert t.nonzero_rows() == Mat(3, 2, t.entries).nonzero_rows()
+        assert Mat.zeros(0, 3).transpose() == Mat.zeros(3, 0)
 
 
 class TestLinMatSparse:

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorsheaf.clifford import CliffordElement, GroupElement, conjugate_subspace
 from spinorsheaf import spinor
@@ -667,6 +670,36 @@ class TestSparseConstruction:
             assert [x.coords() for x in i.ev_basis] == [x.coords() for x in ev]
             assert [x.coords() for x in i.odd_basis] == [x.coords() for x in odd]
 
+    def test_bases_match_dense_path_beyond_the_grid(self):
+        # the 2^(n-m) products e_M g (M off W's pivots) against all 2^n masks
+        from dense_oracles import dense_ideal_bases
+        from spinorsheaf.fixtures import fixture_from_dict
+        from spinorsheaf.quadform import QuadraticSpace
+
+        odd = fixture_from_dict(NON_INTEGRAL_FIXTURE)
+        cases = [(odd.space, odd.w)] + [(s, w) for s, w in grid_spaces(7) if s.n == 7]
+        # e_0 anisotropic, hyperbolic pairs (1, 3) and (2, 4), e_5 radical;
+        # W = <e_1 + e_4, e_2 - e_3, e_5> has pivots 1, 2, 5 and a tail at 3
+        h = Fraction(1, 2)
+        space = QuadraticSpace(Mat.from_rows([
+            [2, 0, 0, 0, 0, 0], [0, 0, 0, h, 0, 0], [0, 0, 0, 0, h, 0],
+            [0, h, 0, 0, 0, 0], [0, 0, h, 0, 0, 0], [0, 0, 0, 0, 0, 0]]))
+        w = Subspace(space, [(0, 1, 0, 0, 1, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 0, 1)])
+        assert w._solver.pivots == [1, 2, 5] and radical_basis(space).contains(w.basis[2])
+        cases.append((space, w))
+        for space, w in cases:
+            i = build_ideal(space, w)
+            assert (list(i.ev_basis), list(i.odd_basis)) == dense_ideal_bases(space, w)
+
+    def test_action_nonzeros_match_the_entries(self):
+        # the action matrices carry the nonzeros they were filled from
+        from spinorsheaf.fixtures import fixture_from_dict
+
+        odd = fixture_from_dict(NON_INTEGRAL_FIXTURE)
+        for i in [module(label) for label in FIXTURES] + [build_ideal(odd.space, odd.w)]:
+            for m in i.act_ev + i.act_odd:
+                assert m.nonzero_rows() == Mat(m.rows, m.cols, m.entries).nonzero_rows()
+
     def test_coords_in_reads_the_canonical_basis(self):
         i = module("F-H6")
         for par, basis in ((0, i.ev_basis), (1, i.odd_basis)):
@@ -733,6 +766,23 @@ class TestSparseConstruction:
                                     else FactorizationPair(mf.space, mf.phi, bad))
                             assert pair.check_identity() is False
                             assert fraction_identity(pair) is False
+
+    def test_vanishing_diagonal_product_fails(self):
+        # phi_0 = psi_0 = 0 with e_0 orthogonal to the rest: every sum in
+        # the row accumulators matches its target, but q(e_0) = 2 is never
+        # reached, so only the missing nonzero target shows it
+        from dense_oracles import fraction_identity
+        from spinorsheaf.quadform import QuadraticSpace
+
+        h = Fraction(1, 2)
+        space = QuadraticSpace(Mat.from_rows([[2, 0, 0], [0, 0, h], [0, h, 0]]))
+        mf = build_factorization(build_ideal(space, Subspace(space, [(0, 0, 1)])))
+        assert not mf.phi.coeff[0].is_zero() and mf.check_identity()
+        zero = Mat.zeros(mf.N, mf.N)
+        pair = FactorizationPair(space, LinMat(3, (zero,) + mf.phi.coeff[1:]),
+                                 LinMat(3, (zero,) + mf.psi.coeff[1:]))
+        assert pair.check_identity() is False
+        assert fraction_identity(pair) is False
 
     def test_action_matrix_leaving_the_module_raises(self):
         from spinorsheaf.errors import SpanError
@@ -979,3 +1029,34 @@ def test_non_integral_form_report_pinned():
     assert report.counts() == {"pass": 23, "fail": 0, "UNDECIDED": 0}
     text = report.to_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NON_INTEGRAL_REPORT_SHA256
+
+
+@lru_cache(maxsize=None)
+def _fixture_pair(label):
+    return build_factorization(module(label))
+
+
+_INT_DELTAS = st.integers(-3, 3).filter(bool)
+_FRACTION_DELTAS = st.fractions(-3, 3, max_denominator=7).filter(lambda x: x.denominator > 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIXTURES), st.sampled_from(("phi", "psi")),
+       st.sampled_from((_INT_DELTAS, _FRACTION_DELTAS)), st.data())
+def test_perturbed_identity_matches_fraction_loop(label, side, deltas, data):
+    # check_identity (one accumulator per row, integer rows) against the
+    # pairwise Fraction loop after 1-3 entries of phi or psi are moved
+    from dense_oracles import fraction_identity
+
+    mf = _fixture_pair(label)
+    n, N = mf.space.n, mf.N
+    lm = getattr(mf, side)
+    coeff = [row_lists(m) for m in lm.coeff]
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, n - 1))
+        r, c = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+        coeff[k][r][c] += data.draw(deltas)
+    bad = LinMat(n, [Mat.from_rows(rows) for rows in coeff])
+    pair = (FactorizationPair(mf.space, bad, mf.psi) if side == "phi"
+            else FactorizationPair(mf.space, mf.phi, bad))
+    assert pair.check_identity() is fraction_identity(pair)
