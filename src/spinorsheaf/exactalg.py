@@ -1,18 +1,19 @@
-"""Exact rational linear algebra: matrices, matrices of linear forms,
-univariate polynomials, and the sparse intertwining rows of Hom systems.
+"""Exact rational linear algebra: matrices stored as their row-major
+nonzeros, matrices of linear forms, univariate polynomials, and the sparse
+intertwining rows of Hom systems.
 
 Every scalar is an exact rational, never a float or a bool, and every
 operation is a deterministic function of its inputs, so identical inputs
 give bit-identical outputs.  An exact rational is an int when it is whole
 and a Fraction otherwise: the canonical form.  ``exact`` is the one
-constructor of a rational and returns that form; ``vec``, ``Mat.from_rows``
-and ``UniPoly`` read their entries through it.  Every producer keeps the
-form: products and sums (``@``, ``mul_vec``, ``LinMat.evaluate``), the
-canonical span bases (``rref_rows``) and the coordinates in them
-(``SpanSolver``), kernels, solutions and inverses.  So an integral form
-carries its Clifford products, module bases, action matrices and Hom
-pairs as ints.  A quotient is ``exact(a, b)``: ``a / b`` of two ints is a
-float.
+constructor of a rational and returns that form; ``vec``, the dense
+``Mat`` constructor and ``UniPoly`` read their entries through it.  Every
+producer keeps the form: products and sums (``@``, ``mul_vec``,
+``LinMat.evaluate``), the canonical span bases (``rref_rows``) and the
+coordinates in them (``SpanSolver``), kernels, solutions and inverses.
+So an integral form carries its Clifford products, module bases, action
+matrices and Hom pairs as ints.  A quotient is ``exact(a, b)``: ``a / b``
+of two ints is a float.
 
 Every elimination is the sparse leftmost-pivot kernel of ``_kernels`` on
 integer rows cleared of denominators: the canonical span bases
@@ -76,21 +77,33 @@ def vec(values) -> tuple:
 
 
 class Mat:
-    """Dense exact rational matrix, row major, treated as immutable.  Its
-    row-major nonzeros (``nonzero_rows``) are kept in one slot, given by
-    the producer or read once from the entries; equality and hashing read
-    the entries only."""
+    """Exact rational matrix, treated as immutable, stored as its row-major
+    nonzeros only: ``nz[i]`` lists row i as ``(col, value)`` pairs in
+    column order, each value canonical (``exact``), one list per row
+    whoever built it, so equal matrices compare and hash alike.  Products,
+    sums, checks and eliminations read ``nz``; ``entries``, ``row``,
+    ``col`` and ``m[i, j]`` are read off it for reports, printing, tests
+    and the n x n form work of ``quadform``."""
 
-    __slots__ = ("rows", "cols", "entries", "_nz")
+    __slots__ = ("rows", "cols", "nz")
 
-    def __init__(self, rows: int, cols: int, entries, nz=None):
+    def __init__(self, rows: int, cols: int, entries):
+        """The matrix of the dense row-major ``entries``."""
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match the shape")
         self.rows = rows
         self.cols = cols
-        self.entries = entries
-        self._nz = nz
+        self.nz = [[(j, x) for j, x in enumerate(map(exact, entries[i * cols:(i + 1) * cols]))
+                    if x] for i in range(rows)]
+
+    @classmethod
+    def from_nonzeros(cls, rows: int, cols: int, nz) -> "Mat":
+        """The matrix of the row-major nonzeros ``nz``, taken as they are:
+        a list per row of canonical ``(col, value)`` pairs in column order."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.nz = rows, cols, nz
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "Mat":
@@ -99,7 +112,7 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [exact(x) for r in rows for x in r])
+        return cls(len(rows), ncols, [x for r in rows for x in r])
 
     @classmethod
     def from_cols(cls, cols) -> "Mat":
@@ -107,112 +120,113 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls.from_nonzeros(n, n, [[(i, 1)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls.from_nonzeros(rows, cols, [[] for _ in range(rows)])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        row = self.nz[i]
+        k = bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else 0
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        out = [0] * self.cols
+        for j, x in self.nz[i]:
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(self[i, j] for i in range(self.rows))
 
-    def nonzero_rows(self) -> list:
-        """The nonzeros of each row as ``(col, value)`` pairs in column
-        order.  Computed once; callers must not modify it."""
-        if self._nz is None:
-            e, k = self.entries, self.cols
-            self._nz = [[(j, x) for j, x in enumerate(e[b:b + k]) if x]
-                        for b in range(0, self.rows * k, k)]
-        return self._nz
+    @property
+    def entries(self) -> tuple:
+        """The dense row-major entries."""
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     def transpose(self) -> "Mat":
-        out = [0] * (self.rows * self.cols)
         nz = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.nonzero_rows()):
+        for i, row in enumerate(self.nz):
             for j, x in row:
-                out[j * self.rows + i] = x
                 nz[j].append((i, x))
-        return Mat(self.cols, self.rows, out, nz)
+        return Mat.from_nonzeros(self.cols, self.rows, nz)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   [_whole(a + b) for a, b in zip(self.entries, other.entries)])
+        out = []
+        for a, b in zip(self.nz, other.nz):
+            acc = dict(a)
+            for j, x in b:
+                acc[j] = acc.get(j, 0) + x
+            out.append(_sorted_row(acc))
+        return Mat.from_nonzeros(self.rows, self.cols, out)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   [_whole(a - b) for a, b in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-a for a in self.entries])
+        return Mat.from_nonzeros(self.rows, self.cols,
+                                 [[(j, -x) for j, x in row] for row in self.nz])
 
     def scale(self, s) -> "Mat":
         s = exact(s)
-        return Mat(self.rows, self.cols, [_whole(s * a) for a in self.entries])
+        return Mat.from_nonzeros(self.rows, self.cols,
+                                 [[(j, _whole(s * x)) for j, x in row] if s else []
+                                  for row in self.nz])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        n, m, k = self.rows, other.cols, self.cols
-        out = [0] * (n * m)
-        # the nonzeros of each row of other, listed once
-        orows = [[(j, b) for j, b in enumerate(other.row(t)) if b] for t in range(k)]
-        for i in range(n):
-            base = i * k
-            obase = i * m
-            for t in range(k):
-                a = self.entries[base + t]
-                if a:
-                    for j, b in orows[t]:
-                        out[obase + j] += a * b
-        return Mat(n, m, map(_whole, out))
+        onz = other.nz
+        out = []
+        for row in self.nz:
+            acc = {}
+            for t, a in row:
+                for j, b in onz[t]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_sorted_row(acc))
+        return Mat.from_nonzeros(self.rows, other.cols, out)
 
     def mul_vec(self, v) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        # the nonzeros of v, listed once
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        e, k = self.entries, self.cols
         out = []
-        for i in range(self.rows):
-            base = i * k
+        for row in self.nz:
             s = 0
-            for j, x in nz:
-                a = e[base + j]
-                if a:
+            for j, a in row:
+                x = v[j]
+                if x:
                     s += a * x
-            out.append(_whole(s))
+            out.append(s if s.__class__ is int else _whole(s))
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.nz)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.nz == other.nz
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(map(tuple, self.nz))))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
-        )
+        e, k = self.entries, self.cols
+        body = "; ".join(" ".join(map(str, e[i * k:(i + 1) * k])) for i in range(self.rows))
         return f"Mat({self.rows}x{self.cols}: {body})"
+
+
+def _sorted_row(acc) -> list:
+    """The nonzeros of a ``{col: value}`` accumulator of sums and products
+    of canonical values, canonical and in column order."""
+    return sorted((j, _whole(x)) for j, x in acc.items() if x)
 
 
 def _int_row(pairs):
@@ -232,17 +246,14 @@ def _intertwining_rows(lefts, rights, x_at, y_at):
     """Sparse integer rows of X L - R Y = 0 for each pair (L, R) of
     ``lefts`` and ``rights``: X is R.rows x L.rows with vec(X) starting at
     variable ``x_at``, Y is R.cols x L.cols with vec(Y) starting at
-    ``y_at``.  Equation (r, c) reads column c of L and row r of R, so the
-    nonzeros of each are listed once per pair; all-zero rows are dropped."""
+    ``y_at``.  Equation (r, c) reads column c of L (a row of its
+    transpose) and row r of R; all-zero rows are dropped."""
     rows = []
     for left, right in zip(lefts, rights):
-        m, k, q = left.rows, left.cols, right.cols
-        lv, rv = left.entries, right.entries
-        lcols = [[(t, lv[t * k + c]) for t in range(m) if lv[t * k + c]]
-                 for c in range(k)]
-        rrows = [[(y_at + t * k, -rv[r * q + t]) for t in range(q) if rv[r * q + t]]
-                 for r in range(right.rows)]
-        for r, rrow in enumerate(rrows):
+        m, k = left.rows, left.cols
+        lcols = left.transpose().nz
+        for r, rrow in enumerate(right.nz):
+            rrow = [(y_at + t * k, -v) for t, v in rrow]
             xr = x_at + r * m
             for c, lcol in enumerate(lcols):
                 if lcol or rrow:
@@ -293,7 +304,7 @@ def _kernel_from_sparse_echelon(pivots, ncols):
 
 def _int_rows(m: Mat, extra=None):
     """Sparse integer rows of ``m``, row i extended by the pairs ``extra[i]``."""
-    nz = m.nonzero_rows()
+    nz = m.nz
     return [_int_row(nz[i] + extra[i] if extra else nz[i]) for i in range(m.rows)]
 
 
@@ -453,17 +464,17 @@ class LinMat:
         self._transpose = None
 
     def evaluate(self, v) -> Mat:
-        """M(v), summed over the nonzero entries of each coefficient."""
+        """M(v), summed row by row over the nonzeros of each coefficient."""
         v = vec(v)
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        out = [0] * (self.rows * self.cols)
+        acc = [{} for _ in range(self.rows)]
         for x, m in zip(v, self.coeff):
             if x:
-                for t, a in enumerate(m.entries):
-                    if a:
-                        out[t] += x * a
-        return Mat(self.rows, self.cols, map(_whole, out))
+                for row, nz in zip(acc, m.nz):
+                    for j, a in nz:
+                        row[j] = row.get(j, 0) + x * a
+        return Mat.from_nonzeros(self.rows, self.cols, list(map(_sorted_row, acc)))
 
     def int_rows(self):
         """``(d, rows)``: ``d`` is the least common denominator of all
@@ -471,7 +482,7 @@ class LinMat:
         ``coeff[k]`` as int pairs ``(j, d * coeff[k][r, j])``.  Computed
         once, since a LinMat is immutable; callers must not modify it."""
         if self._int_rows is None:
-            nz = [m.nonzero_rows() for m in self.coeff]
+            nz = [m.nz for m in self.coeff]
             dens = [v.denominator for rows in nz for row in rows for _, v in row
                     if v.__class__ is not int]
             if not dens:
@@ -530,13 +541,14 @@ class LinMat:
 class UniPoly:
     """Univariate polynomial with exact rational coefficients, ascending."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_cleared")
 
     def __init__(self, coeffs):
         coeffs = list(map(exact, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
+        self._cleared = None
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -545,11 +557,18 @@ class UniPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __call__(self, t):
-        acc = 0
-        t = exact(t)
-        for c in reversed(self.coeffs):
+        """p(t) by Horner's rule on the coefficients cleared once of their
+        common denominator d, all in ints at an integer t, and one
+        ``exact`` division by d."""
+        if self._cleared is None:
+            d = reduce(lcm, (c.denominator for c in self.coeffs), 1)
+            self._cleared = d, [c.numerator * (d // c.denominator)
+                                for c in reversed(self.coeffs)]
+        d, cleared = self._cleared
+        t, acc = exact(t), 0
+        for c in cleared:
             acc = acc * t + c
-        return _whole(acc)
+        return exact(acc, d)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))

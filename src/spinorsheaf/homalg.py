@@ -431,11 +431,12 @@ class SheafNumerics:
 
 @lru_cache(maxsize=None)
 def _quadric_polys(n: int):
-    """(C(t+n-1, n-1) - C(t+n-2, n-1), C(t+n-1, n-1) - C(t+n-3, n-1)): the
-    Hilbert polynomials of coker(O(-1) -> O) and of the quadric O_Q on
-    P^{n-1}.  They depend on n only."""
-    top = binomial_upoly(n - 1, n - 1)
-    return top - binomial_upoly(n - 2, n - 1), top - binomial_upoly(n - 3, n - 1)
+    """(C(t+n-2, n-2), C(t+n-1, n-1) - C(t+n-3, n-1)): the Hilbert
+    polynomials of coker(O(-1) -> O) on P^{n-1}, which is C(t+n-1, n-1) -
+    C(t+n-2, n-1) by Pascal's rule, and of the quadric O_Q.  They depend on
+    n only."""
+    return (binomial_upoly(n - 2, n - 2),
+            binomial_upoly(n - 1, n - 1) - binomial_upoly(n - 3, n - 1))
 
 
 def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:

@@ -18,6 +18,7 @@ from .exactalg import (
     SpanSolver,
     _whole,
     exact,
+    mat_invertible,
     mat_rank,
     mat_rank_kernel,
     mat_solve,
@@ -29,7 +30,7 @@ from .exactalg import (
 class QuadraticSpace:
     """A rational vector space with a symmetric bilinear form of rank >= 2."""
 
-    __slots__ = ("n", "gram", "_gram_nz", "_rank", "_radical", "_clifford")
+    __slots__ = ("n", "gram", "_rank", "_radical", "_clifford")
 
     def __init__(self, gram: Mat):
         if gram.rows != gram.cols:
@@ -38,10 +39,6 @@ class QuadraticSpace:
             raise SchemaError("gram matrix must be symmetric")
         self.n = gram.rows
         self.gram = gram
-        # (i, ((j, g_ij), ...)) for the nonzero rows: b reads only these
-        rows = ((i, tuple((j, g) for j, g in enumerate(gram.row(i)) if g))
-                for i in range(gram.rows))
-        self._gram_nz = tuple((i, row) for i, row in rows if row)
         self._rank = mat_rank(gram)
         if self._rank < 2:
             raise SchemaError("quadratic form must have rank at least 2")
@@ -56,8 +53,7 @@ class QuadraticSpace:
         if len(v) != self.n or len(w) != self.n:
             raise PreconditionError("vector length mismatch")
         s = 0
-        for i, row in self._gram_nz:
-            a = v[i]
+        for a, row in zip(v, self.gram.nz):
             if a:
                 t = 0
                 for j, g in row:
@@ -229,7 +225,7 @@ def quotient_space(space: QuadraticSpace, modded: Subspace) -> QuotientSpace:
     section_cols = [space.basis_vector(i) for i in free_positions]
     basis_change = Mat.from_cols(list(modded.basis) + section_cols)
     inv = _invert_or_die(basis_change)
-    projection = Mat.from_rows([inv.row(d + i) for i in range(n - d)])
+    projection = Mat.from_nonzeros(n - d, n, inv.nz[d:])
     section = Mat.from_cols(section_cols)
     induced = section.transpose() @ space.gram @ section
     quotient = QuadraticSpace(induced)
@@ -239,8 +235,6 @@ def quotient_space(space: QuadraticSpace, modded: Subspace) -> QuotientSpace:
 
 
 def _invert_or_die(m: Mat) -> Mat:
-    from .exactalg import mat_invertible
-
     inv = mat_invertible(m)
     if inv is None:
         raise PreconditionError("expected an invertible change of basis")

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
-from math import lcm
 
 from .clifford import (
     CliffordElement,
@@ -31,7 +28,6 @@ from .clifford import (
     multiply,
     vector_product,
 )
-from . import _kernels
 from .errors import InvariantError, PreconditionError, SchemaError, SpanError
 from .exactalg import (
     IncrementalSpan,
@@ -130,9 +126,9 @@ class IdealModule:
         return self._terms_matrix(parity, (x.terms for x in images), what)
 
     def _terms_matrix(self, parity, images, what) -> Mat:
-        """``part_matrix`` of images given by their terms: the dense matrix
-        and its row-major nonzeros are filled from the nonzero coordinates,
-        each made canonical (``exact``)."""
+        """``part_matrix`` of images given by their terms: the row-major
+        nonzeros are filled from the nonzero coordinates, each made
+        canonical (``exact``)."""
         solver = self._solver(parity)
         cols = []
         for terms in images:
@@ -140,16 +136,11 @@ class IdealModule:
             if coords is None:
                 raise SpanError(what, witness=CliffordElement(self.space, terms))
             cols.append(coords)
-        dim, ncols = len(solver.pivots), len(cols)
-        entries = [0] * (dim * ncols)
-        nz = [[] for _ in range(dim)]
+        nz = [[] for _ in solver.pivots]
         for c, coords in enumerate(cols):
             for k, a in coords.items():
-                if a.__class__ is not int:
-                    a = exact(a)
-                entries[k * ncols + c] = a
-                nz[k].append((c, a))
-        return Mat(dim, ncols, entries, nz)
+                nz[k].append((c, a if a.__class__ is int else exact(a)))
+        return Mat.from_nonzeros(len(nz), len(cols), nz)
 
     def graded_map(self, source, f, what):
         """The map x -> f(x) from each graded part of ``source`` to the same
@@ -337,19 +328,7 @@ def fiber_rank(mf: FactorizationPair, v):
         raise PreconditionError("fiber point must be nonzero")
     if mf.space.q(v) != 0:
         raise PreconditionError("fiber points must lie on the quadric")
-    # phi(v) scaled by d * l is sum_k (l v_k) * (d coeff[k]): integer rows
-    # read off the nonzeros of the coefficients, with the rank of phi(v)
-    _, nz = mf.phi.int_rows()
-    l = reduce(lcm, (x.denominator for x in v), 1)
-    scaled = [(k, x.numerator * (l // x.denominator)) for k, x in enumerate(v) if x]
-    rows = []
-    for r in range(mf.N):
-        row = {}
-        for k, a in scaled:
-            for j, c in nz[k][r]:
-                row[j] = row.get(j, 0) + a * c
-        rows.append({j: c for j, c in row.items() if c})
-    r = _kernels.sparse_rank(rows)
+    r = mat_rank(mf.phi.evaluate(v))
     return r, mf.N - r
 
 
@@ -475,9 +454,9 @@ def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
     # x lies in the other outer part: odd when g is even, even when g is odd
     act, q = (outer.act_ev, q_ev) if at else (outer.act_odd, q_odd)
     blocks = [_action(act, w) for w in inner.w.basis] + [q]
-    rows = sum(m.rows for m in blocks)
-    system = Mat(rows, blocks[0].cols, chain.from_iterable(m.entries for m in blocks))
-    return mat_solve(system, (0,) * (rows - len(g)) + g) is not None
+    system = Mat.from_nonzeros(sum(m.rows for m in blocks), q.cols,
+                               [row for m in blocks for row in m.nz])
+    return mat_solve(system, (0,) * (system.rows - len(g)) + g) is not None
 
 
 def intertwines(a, b, A, B, pairs=None) -> bool:
@@ -515,14 +494,18 @@ def _invertible_pair(A, B):
 
 def recover_intersection_with_radical(module) -> Subspace:
     """{v in V : v annihilates the module}, from the action matrices: the
-    kernel of v -> sum_i v_i act[i] on both graded parts.  For an ideal
-    module it equals the intersection of w with the radical."""
+    kernel of v -> sum_i v_i act[i] on both graded parts: one equation
+    per nonzero entry position.  For an ideal module it equals the
+    intersection of w with the radical."""
     space = module.space
-    rows = [r for mats in (module.act_ev, module.act_odd)
-            for r in zip(*(m.entries for m in mats)) if any(r)]
-    if not rows:
-        return Subspace(space, [space.basis_vector(t) for t in range(space.n)])
-    return Subspace(space, mat_rank_kernel(Mat.from_rows(rows))[1])
+    rows = {}
+    for part, mats in enumerate((module.act_ev, module.act_odd)):
+        for i, m in enumerate(mats):
+            for r, row in enumerate(m.nz):
+                for c, x in row:
+                    rows.setdefault((part, r, c), []).append((i, x))
+    system = Mat.from_nonzeros(len(rows), space.n, list(rows.values()))
+    return Subspace(space, mat_rank_kernel(system)[1])
 
 
 def family_indicator(i: IdealModule) -> str:

@@ -56,7 +56,7 @@ def jsonable(x):
     if isinstance(x, Fraction):
         return rat_to_json(x)
     if isinstance(x, Mat):
-        return [[rat_to_json(x[i, j]) for j in range(x.cols)] for i in range(x.rows)]
+        return [list(map(rat_to_json, x.row(i))) for i in range(x.rows)]
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):

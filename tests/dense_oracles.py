@@ -39,6 +39,18 @@ def canonical(x) -> bool:
     return x.__class__ is int or (x.__class__ is Fraction and x.denominator > 1)
 
 
+def canonical_nonzeros(m: Mat) -> bool:
+    """Whether ``m`` holds the one storage of a matrix: a list per row of
+    ``(col, value)`` tuples, columns ascending inside the shape, no zero,
+    each value canonical."""
+    return (m.nz.__class__ is list and len(m.nz) == m.rows
+            and all(row.__class__ is list
+                    and all(p.__class__ is tuple and len(p) == 2 for p in row)
+                    and [j for j, _ in row] == sorted({j for j, _ in row})
+                    and all(0 <= j < m.cols and x != 0 and canonical(x) for j, x in row)
+                    for row in m.nz))
+
+
 def row_lists(m: Mat):
     """The rows of ``m`` as lists."""
     return [list(m.row(i)) for i in range(m.rows)]

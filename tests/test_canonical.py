@@ -14,7 +14,7 @@ from spinorsheaf.homalg import hom_space, sheaf_numerics
 from spinorsheaf.quadform import QuadraticSpace, _combination, _rational_sqrt, line_roots
 from spinorsheaf.spinor import build_factorization, build_ideal, shift
 
-from dense_oracles import canonical
+from dense_oracles import canonical, canonical_nonzeros
 
 INTEGRAL = st.integers(-4, 4)
 # Fractions, whole ones included, which no producer may pass on as they are
@@ -31,7 +31,8 @@ def scalars(draw, n):
 
 @st.composite
 def mats(draw, rows=None, cols=None):
-    """A matrix built without coercion, so its entries may be whole Fractions."""
+    """A matrix built densely from drawn entries, whole Fractions among
+    them, which the constructor stores in canonical form."""
     rows = draw(st.integers(1, 4)) if rows is None else rows
     cols = draw(st.integers(1, 4)) if cols is None else cols
     return Mat(rows, cols, draw(scalars(rows * cols)))
@@ -51,6 +52,7 @@ def test_products_and_sums(data):
     s = data.draw(st.one_of(INTEGRAL, FRACTIONAL))
     assert all_canonical((a @ b).entries, a.mul_vec(v), (a + c).entries, (a - c).entries,
                          a.scale(s).entries)
+    assert all(map(canonical_nonzeros, (a, a @ b, a + c, a - c, a.scale(s), a.transpose())))
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,7 +61,8 @@ def test_evaluate(data):
     n = data.draw(st.integers(1, 4))
     first = data.draw(mats())
     lm = LinMat(n, [first] + [data.draw(mats(first.rows, first.cols)) for _ in range(n - 1)])
-    assert all_canonical(lm.evaluate(data.draw(scalars(n))).entries)
+    got = lm.evaluate(data.draw(scalars(n)))
+    assert all_canonical(got.entries) and canonical_nonzeros(got)
 
 
 @settings(max_examples=100, deadline=None)
@@ -72,6 +75,7 @@ def test_kernels_solutions_and_inverses(data):
     square = data.draw(mats(m.rows, m.rows))
     inv = mat_invertible(square)
     assert all_canonical(*kernel, *solved, inv.entries if inv else ())
+    assert inv is None or canonical_nonzeros(inv)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,8 +108,11 @@ def test_numerics_and_hom_pairs():
         num = sheaf_numerics(build_factorization(i))
         if not num.torsion_flag:
             assert all_canonical((num.rank, num.degree, num.slope))
+        assert all(map(canonical_nonzeros, i.act_ev + i.act_odd))
         for hom in (hom_space(i, i), hom_space(i, shift(i))):
             assert all_canonical(*(m.entries for pair in hom.basis for m in pair))
+            assert all(canonical_nonzeros(m) for pair in hom.basis for m in pair)
             if hom.dimension:
                 cs = tuple(exact(k + 1, 2) for k in range(hom.dimension))
                 assert all_canonical(*(m.entries for m in hom.at(cs)))
+                assert all(map(canonical_nonzeros, hom.at(cs)))

@@ -21,6 +21,7 @@ from spinorsheaf.exactalg import (
 from dense_oracles import (
     block_diag,
     canonical,
+    canonical_nonzeros,
     dense_invertible,
     dense_rank,
     dense_rank_kernel,
@@ -337,6 +338,34 @@ class TestUniPoly:
         assert p.coeff(2) == Fraction(5, 2)
         assert UniPoly([]).degree() == -1
 
+    @staticmethod
+    def fraction_horner(p, t):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * t + c
+        return acc
+
+    def test_integer_horner_matches_fractions_on_hilbert_polynomials(self):
+        from spinorsheaf.homalg import _quadric_polys
+
+        for n in range(2, 13):
+            for N in (1, 2 ** (n - 2), 3):
+                for p in _quadric_polys(n):
+                    p = p.scale(N)
+                    for t in range(-20, 21):
+                        got = p(t)
+                        assert got == self.fraction_horner(p, t) and canonical(got)
+        assert UniPoly([])(5) == 0 and UniPoly([Fraction(7, 2)])(-3) == Fraction(7, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(-5, 5, max_denominator=9), max_size=7),
+           st.one_of(st.integers(-30, 30), st.fractions(-4, 4, max_denominator=7)))
+    def test_integer_horner_matches_fractions(self, coeffs, t):
+        p = UniPoly(coeffs)
+        got = p(t)
+        assert got == self.fraction_horner(p, Fraction(t)) and canonical(got)
+        assert p(t) == got
+
 
 class TestSpanSolver:
     def test_coords_roundtrip(self):
@@ -602,19 +631,38 @@ def _lin_mats():
 
 
 class TestNonzeroRows:
-    def test_read_once_and_ignored_by_equality(self):
-        m = M([[0, 2, 0], [Fraction(1, 3), 0, -1]])
-        assert m.nonzero_rows() == [[(1, 2)], [(0, Fraction(1, 3)), (2, -1)]]
-        assert m.nonzero_rows() is m.nonzero_rows()
-        given = Mat(2, 3, m.entries, [[(1, 2)], [(0, Fraction(1, 3)), (2, -1)]])
-        fresh = Mat(2, 3, m.entries)
-        assert given == m == fresh and hash(given) == hash(fresh)
+    # (rows, cols, dense entries, the same matrix as row-major nonzeros)
+    CASES = [
+        (2, 3, [0, 2, 0, Fraction(1, 3), 0, -1], [[(1, 2)], [(0, Fraction(1, 3)), (2, -1)]]),
+        # zero rows, and a whole Fraction that is stored as its int
+        (3, 2, [0, 0, Fraction(4, 2), 0, 0, 0], [[], [(0, 2)], []]),
+        (2, 2, [Fraction(0), Fraction(-6, 3), 0, Fraction(5, 7)],
+         [[(1, -2)], [(1, Fraction(5, 7))]]),
+        (0, 3, [], []),
+        (3, 0, [], [[], [], []]),
+    ]
+
+    def test_dense_and_nonzero_builds_agree(self):
+        # one storage: a matrix built densely and the same matrix built
+        # from its nonzeros are equal and hash alike
+        for rows, cols, entries, nz in self.CASES:
+            dense, given = Mat(rows, cols, entries), Mat.from_nonzeros(rows, cols, nz)
+            assert dense.nz == nz and canonical_nonzeros(dense)
+            assert dense == given and hash(dense) == hash(given)
+            assert given.entries == tuple(entries) and all(map(canonical, given.entries))
+            assert [given.row(i) for i in range(rows)] == [
+                tuple(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
+            assert all(given[i, j] == entries[i * cols + j] == given.col(j)[i]
+                       for i in range(rows) for j in range(cols))
+        assert Mat(3, 0, []) != Mat(0, 3, []) and Mat(2, 2, [0] * 4) == Mat.zeros(2, 2)
+        assert Mat.identity(2) == M([[1, 0], [0, Fraction(1)]])
+        assert Mat.from_rows([[Fraction(2), "1/2"]]).nz == [[(0, 2), (1, Fraction(1, 2))]]
 
     def test_transpose_carries_its_nonzeros(self):
         m = M([[0, 2, 0], [Fraction(1, 3), 0, -1]])
         t = m.transpose()
         assert t == M([[0, Fraction(1, 3)], [2, 0], [0, -1]])
-        assert t.nonzero_rows() == Mat(3, 2, t.entries).nonzero_rows()
+        assert t.nz == Mat(3, 2, t.entries).nz == [[(1, Fraction(1, 3))], [(0, 2)], [(1, -1)]]
         assert Mat.zeros(0, 3).transpose() == Mat.zeros(3, 0)
 
 

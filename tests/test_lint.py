@@ -262,6 +262,42 @@ def test_graded_map_scan():
         "Other.graded_map", "graded_map", "f", "f.graded_map"}
 
 
+def _dense_entries_reads(tree, home):
+    """Lines that take the attribute ``entries`` outside the classes named
+    ``home``; a name that is no attribute is not a read."""
+    inside = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == home
+              for sub in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in inside
+                  and isinstance(node, ast.Attribute) and node.attr == "entries")
+
+
+def test_dense_entries_only_in_mat():
+    # a matrix is stored as its row-major nonzeros; the dense entries are
+    # read off them inside exactalg.Mat (reports and tests read them through
+    # it), so a product, check or elimination elsewhere reads ``nz``
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = "Mat" if path.name == "exactalg.py" else None
+        found += [f"{path.name}:{line}" for line in _dense_entries_reads(tree, home)]
+    assert found == []
+
+
+def test_dense_entries_scan():
+    src = ("class Mat:\n"
+           "    def entries(self):\n        return self.nz\n"
+           "    def __repr__(self):\n        return str(self.entries)\n"
+           "def f(m):\n    return m.entries[0]\n"
+           "class Other:\n"
+           "    def g(self, m):\n        return len(m.entries)\n"
+           "def h(rows, cols, entries):\n    return Mat(rows, cols, entries)\n"
+           "x = Mat(1, 1, [0]).entries\n")
+    assert _dense_entries_reads(ast.parse(src), "Mat") == [7, 10, 13]
+    assert _dense_entries_reads(ast.parse(src), None) == [5, 7, 10, 13]
+
+
 def _random_imports(tree):
     """(line, at module level) of each import of ``random``."""
     top = {id(node) for node in tree.body}

@@ -692,13 +692,15 @@ class TestSparseConstruction:
             assert (list(i.ev_basis), list(i.odd_basis)) == dense_ideal_bases(space, w)
 
     def test_action_nonzeros_match_the_entries(self):
-        # the action matrices carry the nonzeros they were filled from
+        # the action matrices, filled from nonzero coordinates, equal their
+        # dense builds and hash alike
         from spinorsheaf.fixtures import fixture_from_dict
 
         odd = fixture_from_dict(NON_INTEGRAL_FIXTURE)
         for i in [module(label) for label in FIXTURES] + [build_ideal(odd.space, odd.w)]:
             for m in i.act_ev + i.act_odd:
-                assert m.nonzero_rows() == Mat(m.rows, m.cols, m.entries).nonzero_rows()
+                dense = Mat(m.rows, m.cols, m.entries)
+                assert m == dense and hash(m) == hash(dense) and m.nz == dense.nz
 
     def test_coords_in_reads_the_canonical_basis(self):
         i = module("F-H6")
