@@ -242,6 +242,18 @@ def _int_row(pairs):
     return {j: v.numerator * (l // v.denominator) for j, v in pairs}
 
 
+def _int_vec(v):
+    """``(ints, d)``: the entries of ``v`` times their least common
+    denominator ``d``, as ints; an all-int ``v`` is ``(v, 1)`` as it is."""
+    for x in v:
+        if x.__class__ is not int:
+            break
+    else:
+        return v, 1
+    d = reduce(lcm, (x.denominator for x in v), 1)
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _intertwining_rows(lefts, rights, x_at, y_at):
     """Sparse integer rows of X L - R Y = 0 for each pair (L, R) of
     ``lefts`` and ``rights``: X is R.rows x L.rows with vec(X) starting at
@@ -561,10 +573,8 @@ class UniPoly:
         common denominator d, all in ints at an integer t, and one
         ``exact`` division by d."""
         if self._cleared is None:
-            d = reduce(lcm, (c.denominator for c in self.coeffs), 1)
-            self._cleared = d, [c.numerator * (d // c.denominator)
-                                for c in reversed(self.coeffs)]
-        d, cleared = self._cleared
+            self._cleared = _int_vec(self.coeffs[::-1])
+        cleared, d = self._cleared
         t, acc = exact(t), 0
         for c in cleared:
             acc = acc * t + c

@@ -40,6 +40,7 @@ from .exactalg import (
     mult_map_rank,
     _back_substitute,
     _hom_system,
+    _sparse,
 )
 from . import _kernels
 from .quadform import candidate_vectors, isotropic_type, standardize
@@ -309,16 +310,22 @@ def simplicity_verdict(i: IdealModule, end: GradedHom | None = None) -> Simplici
 def _closure_from_coords(module, ev_seeds, odd_seeds):
     """(ev_dim, odd_dim) of the smallest graded subspace pair containing
     the seed coordinate vectors (an empty one adds nothing) and closed
-    under left multiplication by every coordinate vector."""
-    n = module.space.n
+    under left multiplication by every coordinate vector.  The closure
+    grows on sparse ``{col: value}`` vectors: the image of v under an
+    action matrix sums the matrix columns at the nonzeros of v."""
+    # the nonzeros of each column of each action matrix, per parity
+    columns = [[m.transpose().nz for m in mats] for mats in (module.act_ev, module.act_odd)]
     spans = (IncrementalSpan(), IncrementalSpan())
     queue = [(par, v) for par, seeds in ((0, ev_seeds), (1, odd_seeds))
-             for v in seeds if spans[par].add(v)]
+             for v in map(_sparse, seeds) if spans[par].add(v)]
     while queue:
         par, v = queue.pop()
-        mats = module.act_ev if par == 0 else module.act_odd
-        for t in range(n):
-            img = mats[t].mul_vec(v)
+        for cols in columns[par]:
+            acc = {}
+            for c, a in v.items():
+                for r, x in cols[c]:
+                    acc[r] = acc.get(r, 0) + a * x
+            img = {r: x for r, x in acc.items() if x}
             if spans[1 - par].add(img):
                 queue.append((1 - par, img))
     return spans[0].dim, spans[1].dim

@@ -8,14 +8,16 @@ of the Gram matrix; an isotropic subspace has b identically zero on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import PreconditionError, SchemaError, StandardizationUnavailable
 from .exactalg import (
     IncrementalSpan,
     Mat,
     SpanSolver,
+    _int_vec,
     _whole,
     exact,
     mat_invertible,
@@ -30,7 +32,7 @@ from .exactalg import (
 class QuadraticSpace:
     """A rational vector space with a symmetric bilinear form of rank >= 2."""
 
-    __slots__ = ("n", "gram", "_rank", "_radical", "_clifford")
+    __slots__ = ("n", "gram", "_den", "_int_nz", "_rank", "_radical", "_clifford")
 
     def __init__(self, gram: Mat):
         if gram.rows != gram.cols:
@@ -39,6 +41,11 @@ class QuadraticSpace:
             raise SchemaError("gram matrix must be symmetric")
         self.n = gram.rows
         self.gram = gram
+        # the form on integer rows: _int_nz is the Gram's nonzeros times _den,
+        # the least common denominator of its entries
+        self._den = reduce(lcm, (x.denominator for row in gram.nz for _, x in row), 1)
+        self._int_nz = [[(j, x.numerator * (self._den // x.denominator)) for j, x in row]
+                        for row in gram.nz]
         self._rank = mat_rank(gram)
         if self._rank < 2:
             raise SchemaError("quadratic form must have rank at least 2")
@@ -50,10 +57,14 @@ class QuadraticSpace:
         return self._rank
 
     def b(self, v, w):
+        """b(v, w), summed in ints on the integer Gram rows and both
+        vectors cleared of denominators, with one ``exact`` division."""
         if len(v) != self.n or len(w) != self.n:
             raise PreconditionError("vector length mismatch")
+        v, dv = _int_vec(v)
+        w, dw = (v, dv) if w is v else _int_vec(w)
         s = 0
-        for a, row in zip(v, self.gram.nz):
+        for a, row in zip(v, self._int_nz):
             if a:
                 t = 0
                 for j, g in row:
@@ -62,7 +73,7 @@ class QuadraticSpace:
                         t += g * c
                 if t:
                     s += a * t
-        return _whole(s)
+        return exact(s, self._den * dv * dw)
 
     def q(self, v):
         return self.b(v, v)

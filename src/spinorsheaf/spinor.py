@@ -34,6 +34,7 @@ from .exactalg import (
     LinMat,
     Mat,
     SpanSolver,
+    _int_vec,
     exact,
     mat_invertible,
     mat_rank,
@@ -322,13 +323,14 @@ def build_factorization(i) -> FactorizationPair:
 
 
 def fiber_rank(mf: FactorizationPair, v):
-    """(rank of phi(v), N - rank): the fiber dimension of coker phi at v."""
+    """(rank of phi(v), N - rank): the fiber dimension of coker phi at v.
+    The rank is projective, so phi is evaluated at v cleared of denominators."""
     v = vec(v)
     if all(x == 0 for x in v):
         raise PreconditionError("fiber point must be nonzero")
     if mf.space.q(v) != 0:
         raise PreconditionError("fiber points must lie on the quadric")
-    r = mat_rank(mf.phi.evaluate(v))
+    r = mat_rank(mf.phi.evaluate(_int_vec(v)[0]))
     return r, mf.N - r
 
 
@@ -766,14 +768,16 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     ginv = g.inverse_element
     gelt = g.as_element
 
-    rho_odd, rho_ev = target.graded_map(i, lambda xi: multiply(xi, ginv),
+    # x g^{-1} for each basis element x of i, computed once for rho and sigma
+    right = {id(xi): multiply(xi, ginv) for xi in i.ev_basis + i.odd_basis}
+    rho_odd, rho_ev = target.graded_map(i, lambda xi: right[id(xi)],
                                         "right multiplication misses the target")
     linear = intertwines(i, target, rho_odd, rho_ev)
     # twisted square: conjugation sigma(xi) = g xi g^{-1} lands in the
     # unshifted module of gWg^{-1} and carries the action of v to that of
     # gvg^{-1}; shifting back shares the solvers and action of the target
     iprime = shift(target) if par else target
-    sig_odd, sig_ev = iprime.graded_map(i, lambda xi: multiply(gelt, multiply(xi, ginv)),
+    sig_odd, sig_ev = iprime.graded_map(i, lambda xi: multiply(gelt, right[id(xi)]),
                                         "conjugation misses the target")
     basis = [space.basis_vector(t) for t in range(space.n)]
     return EquivarianceVerdict(

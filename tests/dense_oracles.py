@@ -1,15 +1,18 @@
 """Dense reference implementations that the sparse construction path
 replaced, the certificates on a standardized copy of the space that the
 module-side ones replaced, the eliminated cohomology dimensions that the
-identity route replaced, and the quotient-space, Clifford, matrix and
-module helpers no package module needs; the tests compare the package
+identity route replaced, the form, sampled points and fiber ranks in
+Fraction arithmetic that the integer form replaced, and the
+quotient-space, Clifford, matrix and module helpers no package module
+needs; the tests compare the package
 against them.  The references compute on their own Fraction constants,
 so they stay independent of the package's canonical form."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import lcm
+from math import isqrt, lcm
 
 from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply, trace_form
@@ -26,8 +29,15 @@ from spinorsheaf.exactalg import (
     rref_rows,
     vec,
 )
-from spinorsheaf.quadform import StdProfile, standardize
-from spinorsheaf.spinor import FactorizationPair, IdealModule, build_ideal, shift
+from spinorsheaf.quadform import StdProfile, candidate_vectors, standardize
+from spinorsheaf.spinor import (
+    DEFAULT_SEED,
+    LINE_POINTS,
+    FactorizationPair,
+    IdealModule,
+    build_ideal,
+    shift,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -304,6 +314,68 @@ def dense_evaluate(lm, v) -> Mat:
         if x:
             out = out + m.scale(x)
     return out
+
+
+def fraction_form(space, v, w) -> Fraction:
+    """b(v, w) = sum over i, j of v_i G_ij w_j, every cell of the dense
+    Gram taken, in Fraction arithmetic."""
+    n = space.n
+    return sum((Fraction(v[i]) * Fraction(space.gram[i, j]) * Fraction(w[j])
+                for i in range(n) for j in range(n)), ZERO)
+
+
+def _fraction_roots(qa, bab, qb) -> list:
+    """The rational roots t of qa + bab t + qb t^2 = 0, ascending, by the
+    quadratic formula in Fractions; none when qb = bab = 0."""
+    if qb == 0:
+        return [-qa / bab] if bab != 0 else []
+    disc = bab * bab - 4 * qb * qa
+    if disc < 0:
+        return []
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    root = Fraction(num, den)
+    return sorted({(-bab - root) / (2 * qb), (-bab + root) / (2 * qb)})
+
+
+def fraction_quadric_points(space, seed=DEFAULT_SEED) -> list:
+    """``sample_quadric_points`` with the form and the line roots in
+    Fraction arithmetic (``fraction_form``): the isotropic candidate
+    vectors, then LINE_POINTS points on the seeded random lines, each
+    point kept unless a multiple of it was kept before."""
+    def q(v):
+        return fraction_form(space, v, v)
+
+    points, seen = [], set()
+
+    def push(v):
+        lead = next(x for x in v if x)
+        key = tuple(x / lead for x in v)
+        if key not in seen:
+            seen.add(key)
+            points.append(v)
+
+    for v in candidate_vectors(space):
+        if q(v) == 0:
+            push(tuple(map(Fraction, v)))
+    rng = random.Random(seed)
+    attempts = found = 0
+    while found < LINE_POINTS and attempts < 40 * LINE_POINTS:
+        attempts += 1
+        a = [Fraction(rng.randint(-3, 3)) for _ in range(space.n)]
+        b = [Fraction(rng.randint(-3, 3)) for _ in range(space.n)]
+        for t in _fraction_roots(q(a), 2 * fraction_form(space, a, b), q(b)):
+            v = tuple(x + t * y for x, y in zip(a, b))
+            if any(v) and q(v) == 0:
+                push(v)
+                found += 1
+    return points
+
+
+def fraction_fiber_rank(mf, v) -> int:
+    """The rank of phi(v) on the dense phi(v) at v itself, in Fractions."""
+    return dense_rank(dense_evaluate(mf.phi, tuple(map(Fraction, v))))
 
 
 def dense_splitting_exists(inner, outer, q_ev, q_odd) -> bool:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import canonical, quotient_induced_gram, quotient_lift
+from dense_oracles import canonical, fraction_form, quotient_induced_gram, quotient_lift
 from spinorsheaf.errors import PreconditionError, SchemaError
 from spinorsheaf.exactalg import Mat, vec
 from spinorsheaf.fixtures import get_fixture
@@ -31,18 +31,22 @@ def e(n, i):
 _small_rats = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
 
 
+# ints, whole Fractions and proper ones
+_mixed = st.one_of(st.integers(-3, 3), _small_rats)
+
+
 @st.composite
-def _space_and_vectors(draw):
+def _space_and_vectors(draw, entries=_small_rats):
     n = draw(st.integers(2, 5))
     # symmetric, mostly sparse; a Gram of rank < 2 is no QuadraticSpace
-    upper = {(i, j): draw(st.one_of(st.just(Fraction(0)), _small_rats))
+    upper = {(i, j): draw(st.one_of(st.just(Fraction(0)), entries))
              for i in range(n) for j in range(i, n)}
     gram = Mat.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
     try:
         space = QuadraticSpace(gram)
     except SchemaError:
         assume(False)
-    vectors = st.lists(_small_rats, min_size=n, max_size=n).map(tuple)
+    vectors = st.lists(entries, min_size=n, max_size=n).map(tuple)
     return space, draw(vectors), draw(vectors)
 
 
@@ -54,6 +58,17 @@ class TestBilinear:
         got = space.b(v, w)
         assert canonical(got)
         assert got == sum((a * c for a, c in zip(v, space.gram.mul_vec(w))), Fraction(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_space_and_vectors(_mixed))
+    def test_b_and_q_match_the_fraction_oracle(self, case):
+        # the integer Gram rows and the cleared vectors give the value of
+        # the form in Fractions, canonical, whole Fractions among the inputs
+        space, v, w = case
+        for got, want in ((space.b(v, w), fraction_form(space, v, w)),
+                          (space.b(w, v), fraction_form(space, v, w)),
+                          (space.q(v), fraction_form(space, v, v))):
+            assert canonical(got) and got == want
 
     def test_b_checks_lengths(self):
         space = get_fixture("F-H6").space

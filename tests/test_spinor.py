@@ -28,7 +28,16 @@ from spinorsheaf.spinor import (
     shift,
 )
 
-from dense_oracles import block_diag, canonical, direct_sum, monomial, row_lists, same_module
+from dense_oracles import (
+    block_diag,
+    canonical,
+    direct_sum,
+    fraction_fiber_rank,
+    fraction_quadric_points,
+    monomial,
+    row_lists,
+    same_module,
+)
 
 
 def e(n, i):
@@ -576,6 +585,27 @@ class TestSampler:
     def test_deterministic(self):
         space = get_fixture("F-H6").space
         assert sample_quadric_points(space) == sample_quadric_points(space)
+
+    @pytest.mark.parametrize("seed", [spinor.DEFAULT_SEED, 5])
+    def test_points_match_the_fraction_oracle(self, seed):
+        # the same points in the same order as the search in Fractions, on
+        # the fixtures and on every space of the grid
+        spaces = [get_fixture(label).space for label in FIXTURE_LABELS]
+        spaces += list({id(space): space for space, _ in grid_spaces(6)}.values())
+        for space in spaces:
+            points = sample_quadric_points(space, seed)
+            assert points == fraction_quadric_points(space, seed)
+            assert all(canonical(x) for v in points for x in v)
+
+    def test_fiber_ranks_match_the_fraction_oracle(self):
+        # phi ranked at the cleared point has the rank of the dense phi(v)
+        # at v itself, at every sampled point of every fixture and grid pair
+        cases = [(fx.space, fx.w) for fx in map(get_fixture, FIXTURE_LABELS)] + grid_spaces(6)
+        for space, w in cases:
+            mf = build_factorization(build_ideal(space, w))
+            for v in sample_quadric_points(space):
+                r = fraction_fiber_rank(mf, v)
+                assert fiber_rank(mf, v) == (r, mf.N - r)
 
 
 class TestInvariants:
