@@ -108,6 +108,9 @@ def cmd_query(args) -> int:
         a, _ = _module_from_label(args.args[0])
         b, _ = _module_from_label(args.args[1])
         h = hom_space(a, b)
+        if h.crosscheck_dimension != h.dimension:
+            raise InvariantError(f"{h.dimension - h.crosscheck_dimension} of {h.dimension}"
+                                 " Hom basis maps fail to intertwine the actions")
         result.update(source=args.args[0], target=args.args[1], dim=h.dimension)
     elif kind == "iso":
         a, _ = _module_from_label(args.args[0])
@@ -193,11 +196,10 @@ def paper_example_result(phi_rows=None, psi_rows=None) -> dict:
     printed = FactorizationPair(fx.space, phi, psi)
     if not printed.check_identity():
         return {"verdict": "NOT_A_FACTORIZATION"}
-    mf = build_factorization(build_ideal(fx.space, fx.w))
-    cert = factorization_equivalent(mf, printed)
-    if cert is None:
+    found = factorization_equivalent(build_ideal(fx.space, fx.w), printed)
+    if found is None:
         return {"verdict": "NOT_EQUIVALENT"}
-    return {"verdict": "EQUIVALENT", "A": cert["A"], "B": cert["B"]}
+    return {"verdict": "EQUIVALENT", "A": found[0], "B": found[1]}
 
 
 def cmd_paper_example(args) -> int:

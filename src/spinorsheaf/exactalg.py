@@ -1,6 +1,5 @@
 """Exact rational linear algebra: matrices stored as their row-major
-nonzeros, matrices of linear forms, univariate polynomials, and the sparse
-intertwining rows of Hom systems.
+nonzeros, matrices of linear forms and univariate polynomials.
 
 Every scalar is an exact rational, never a float or a bool, and every
 operation is a deterministic function of its inputs, so identical inputs
@@ -252,38 +251,6 @@ def _int_vec(v):
         return v, 1
     d = reduce(lcm, (x.denominator for x in v), 1)
     return [x.numerator * (d // x.denominator) for x in v], d
-
-
-def _intertwining_rows(lefts, rights, x_at, y_at):
-    """Sparse integer rows of X L - R Y = 0 for each pair (L, R) of
-    ``lefts`` and ``rights``: X is R.rows x L.rows with vec(X) starting at
-    variable ``x_at``, Y is R.cols x L.cols with vec(Y) starting at
-    ``y_at``.  Equation (r, c) reads column c of L (a row of its
-    transpose) and row r of R; all-zero rows are dropped."""
-    rows = []
-    for left, right in zip(lefts, rights):
-        m, k = left.rows, left.cols
-        lcols = left.transpose().nz
-        for r, rrow in enumerate(right.nz):
-            rrow = [(y_at + t * k, -v) for t, v in rrow]
-            xr = x_at + r * m
-            for c, lcol in enumerate(lcols):
-                if lcol or rrow:
-                    rows.append(_int_row([(xr + t, v) for t, v in lcol]
-                                         + [(j + c, v) for j, v in rrow]))
-    return rows
-
-
-def _hom_system(a, b):
-    """The Hom system of graded modules given by their action matrices
-    (``act_ev``, ``act_odd``): maps (A, B) with A b.odd x a.odd and B
-    b.ev x a.ev, variables vec(A) then vec(B).  Returns the sparse integer
-    rows of A phi = phi' B, those of B psi = psi' A, and the variable count."""
-    na = b.odd_dim * a.odd_dim
-    nvars = na + b.ev_dim * a.ev_dim
-    phi_rows = _intertwining_rows(a.act_ev, b.act_ev, 0, na)
-    psi_rows = _intertwining_rows(a.act_odd, b.act_odd, na, 0)
-    return phi_rows, psi_rows, nvars
 
 
 def _sparse(v) -> dict:

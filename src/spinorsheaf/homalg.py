@@ -3,16 +3,12 @@ submodule closures (spans grown with ``exactalg.IncrementalSpan``),
 Hilbert polynomials, slope, and cohomology tables read off the checked
 factorization identity.
 
-A Hom space is the echelon form of its intertwining system, A phi =
-phi' B in the matrix pair (A, B), checked against the graded-module
-equations that also impose B psi = psi' A.  The first determines the
-second (multiply by psi on both sides), so the psi rows add no pivot, and
-the computation checks that they do not.  The dimension is read off the
-pivots; a basis pair is back-substituted only when a search reads it, and
-an invertible pair that a search returns is checked with ``intertwines``.
-
-A module here is anything with ``space``, ``ev_dim``, ``odd_dim``,
-``act_ev`` and ``act_odd``: an ideal module or a factorization pair.
+A Hom space runs from an ideal module I = Cl.g to a module given by its
+action (``space``, ``ev_dim``, ``odd_dim``, ``act_ev``, ``act_odd``): an
+ideal module or a factorization pair.  A map is fixed by x = f(g), any
+target vector with w.x = 0 for w in W (``spinor.generator_image_system``),
+so the dimension is a kernel on N unknowns; a map is built only when read,
+and the cross-check is that every basis map passes ``intertwines``.
 """
 
 from __future__ import annotations
@@ -32,25 +28,25 @@ from .errors import (
 )
 from .exactalg import (
     IncrementalSpan,
-    LinMat,
     Mat,
     binomial_upoly,
     exact,
+    mat_invertible,
+    mat_rank_kernel,
     monomial_count,
     mult_map_rank,
-    _back_substitute,
-    _hom_system,
     _sparse,
 )
-from . import _kernels
 from .quadform import candidate_vectors, isotropic_type, standardize
 from .spinor import (
     FactorizationPair,
     IdealModule,
     _invertible_pair,
     family_indicator,
+    generator_image_system,
     intertwines,
     recover_intersection_with_radical,
+    word_coordinates,
 )
 
 # Cohomology runs over the twists -window..window.  The bound was set when
@@ -63,67 +59,92 @@ MAX_WINDOW = 12
 
 
 class GradedHom:
-    """Graded module maps source -> target, kept as the echelon form of
-    their intertwining system in the variables vec(A), vec(B): A on the odd
-    parts, B on the even parts.  The dimension is the number of free
-    columns; basis pair k, the solution with 1 at free column k and 0 at
-    the others, is back-substituted when it is first read."""
+    """Graded module maps from the ideal module ``source`` to ``target``,
+    kept as a basis of the generator images x (``hom_space``); the
+    dimension is its length.  The map of an x is built when it is read:
+    the words e_M g that ``build_ideal`` spans the source with are walked
+    from g in the source and from x in the target, e_M g -> e_M x, and the
+    target walk is carried back through the inverse of the source walk,
+    computed once per Hom."""
 
-    __slots__ = ("source", "target", "dimension", "crosscheck_dimension",
-                 "_pivots", "_free", "_pairs")
+    __slots__ = ("source", "target", "dimension", "_part", "_kernel", "_walk", "_crosscheck")
 
-    def __init__(self, source, target, pivots, crosscheck_dimension):
-        self.source = source
-        self.target = target
-        nvars = target.odd_dim * source.odd_dim + target.ev_dim * source.ev_dim
-        self._pivots = pivots
-        self._free = [f for f in range(nvars) if f not in pivots]
-        self.dimension = len(self._free)
-        self.crosscheck_dimension = crosscheck_dimension
-        self._pairs = {}
+    def __init__(self, source, target, part, kernel):
+        self.source, self.target, self._part, self._kernel = source, target, part, kernel
+        self.dimension = len(kernel)
+        self._walk = self._crosscheck = None
+
+    def _words(self, module, columns, v):
+        """The words e_M v = e_i (e_{M - i} v), M a subset of the source's
+        ``word_coordinates`` and i its least index (as in ``build_ideal``),
+        v in part ``_part`` of ``module``: the columns of a matrix per part,
+        read only by a product or an inverse, which make them canonical."""
+        free = word_coordinates(self.source.w)
+        words, parts = [_sparse(v)], [self._part]
+        for mask in range(1, 1 << len(free)):
+            rest = mask & (mask - 1)
+            words.append(_image(columns[parts[rest]][free[(mask ^ rest).bit_length() - 1]],
+                                words[rest]))
+            parts.append(1 - parts[rest])
+        cols = [[sorted(w.items()) for w, p in zip(words, parts) if p == par] for par in (0, 1)]
+        return [Mat.from_nonzeros(len(c), dim, c).transpose()
+                for c, dim in zip(cols, (module.ev_dim, module.odd_dim))]
+
+    def _map(self, x):
+        """The pair (A, B) of the map that takes g to x."""
+        if self._walk is None:
+            src = self.source
+            g = src.coords_in(self._part, src.generator)
+            inverse = list(map(mat_invertible, self._words(src, _action_columns(src), g)))
+            if None in inverse:
+                raise InvariantError("the words e_M g are no basis of the source")
+            self._walk = _action_columns(self.target), inverse
+        columns, inverse = self._walk
+        B, A = (m @ inv for m, inv in zip(self._words(self.target, columns, x), inverse))
+        return A, B
 
     def pair(self, k):
-        """Basis pair k, back-substituted on first read."""
-        got = self._pairs.get(k)
-        if got is None:
-            a, b = self.source, self.target
-            na = b.odd_dim * a.odd_dim
-            v = _back_substitute(self._pivots, {self._free[k]: 1}, na + b.ev_dim * a.ev_dim)
-            got = self._pairs[k] = (Mat(b.odd_dim, a.odd_dim, v[:na]),
-                                    Mat(b.ev_dim, a.ev_dim, v[na:]))
-        return got
-
-    @property
-    def basis(self):
-        return tuple(map(self.pair, range(self.dimension)))
+        """Basis pair k, the map of the k-th generator image."""
+        return self._map(self._kernel[k])
 
     def at(self, coeffs):
-        """The pair sum_k coeffs[k] * basis[k]: each part is a matrix of
-        linear forms in the coefficients, evaluated at ``coeffs``."""
-        return tuple(LinMat(self.dimension, part).evaluate(coeffs)
-                     for part in zip(*self.basis))
+        """The pair sum_k coeffs[k] * basis[k]: the map of that
+        combination of the generator images."""
+        return self._map([sum(c * a for c, a in zip(coeffs, col) if c)
+                          for col in zip(*self._kernel)])
+
+    @property
+    def crosscheck_dimension(self):
+        """How many basis maps pass ``intertwines``, counted on first read:
+        it reads only the action, so a wrong image x gives a failing map."""
+        if self._crosscheck is None:
+            self._crosscheck = sum(intertwines(self.source, self.target, *self.pair(k))
+                                   for k in range(self.dimension))
+        return self._crosscheck
+
+
+def _action_columns(module):
+    """The nonzeros of each column of each action matrix, per part."""
+    return tuple([m.transpose().nz for m in mats] for mats in (module.act_ev, module.act_odd))
+
+
+def _image(cols, v):
+    """The sparse image of v: the columns ``cols`` at its nonzeros, summed."""
+    acc = {}
+    for c, a in v.items():
+        for r, x in cols[c]:
+            acc[r] = acc.get(r, 0) + a * x
+    return {r: x for r, x in acc.items() if x}
 
 
 def hom_space(a, b) -> GradedHom:
-    """All graded Cl-module maps a -> b, with the two-route cross-check.
-
-    One sparse elimination of the A phi = phi' B rows gives the echelon
-    form; the B psi = psi' A rows are then reduced against the same
-    pivots, and the rank they add must be zero, so the pivots kept are
-    those of the phi rows.  No basis pair is built here."""
+    """All graded Cl-module maps from the ideal module ``a`` (else
+    ``PreconditionError``) to ``b``, a module given by its action: the
+    images x of g with w.x = 0 for w in W, a kernel on N unknowns."""
     if a.space != b.space:
         raise PreconditionError("hom requires modules over one space")
-    phi_rows, psi_rows, nvars = _hom_system(a, b)
-    pivots = _kernels.sparse_echelon(phi_rows)
-    dim = nvars - len(pivots)
-    _kernels.sparse_echelon(psi_rows, pivots)
-    dim2 = nvars - len(pivots)
-    if dim != dim2:
-        raise InvariantError(
-            f"hom-space routes disagree: {dim} from A phi = phi' B, "
-            f"{dim2} with B psi = psi' A as well"
-        )
-    return GradedHom(a, b, pivots, dim2)
+    part, system = generator_image_system(a, b)
+    return GradedHom(a, b, part, mat_rank_kernel(system)[1])
 
 
 class IsoVerdict:
@@ -207,7 +228,9 @@ def _orthogonal_shift_witness(a, b):
 
 def is_isomorphic(a, b) -> IsoVerdict:
     """ISO with an invertible certificate, NOT_ISO with a reason, or
-    UNDECIDED.  Deterministic: the search order is fixed."""
+    UNDECIDED.  Deterministic: the search order is fixed.  The Hom searches
+    run from each side that is an ideal module (``PreconditionError`` when
+    neither is), and the End dimensions are compared when both are."""
     if a.space != b.space:
         raise PreconditionError("modules live over different spaces")
     if (a.ev_dim, a.odd_dim) != (b.ev_dim, b.odd_dim):
@@ -226,8 +249,8 @@ def is_isomorphic(a, b) -> IsoVerdict:
                 "ann_b": [list(v) for v in ann_b.basis],
             },
         )
-    if (isinstance(a, IdealModule) and isinstance(b, IdealModule)
-            and a.w.same_span(b.w) and a.shift != b.shift):
+    both = isinstance(a, IdealModule) and isinstance(b, IdealModule)
+    if both and a.w.same_span(b.w) and a.shift != b.shift:
         # a module and its shift
         fam = _family_certificate(b if a.shift else a)
         if fam is not None:
@@ -237,13 +260,17 @@ def is_isomorphic(a, b) -> IsoVerdict:
             A, B, u = witness
             return IsoVerdict("ISO", reason="orthogonal reflection witness",
                               certificate={"A": A, "B": B, "vector": u})
-    # Hom(a, b), then Hom(b, a) on the same generator; the certificate
+    # Hom(a, b), then Hom(b, a), each from an ideal module; the certificate
     # always maps a -> b, so the reverse one is the inverse of the found pair
-    for tag, src, dst in (("", a, b), (" (reverse)", b, a)):
+    directions = [(tag, src, dst) for tag, src, dst in (("", a, b), (" (reverse)", b, a))
+                  if isinstance(src, IdealModule)]
+    if not directions:
+        raise PreconditionError("the Hom search needs an ideal module on one side")
+    for tag, src, dst in directions:
         hom = hom_space(src, dst)
         if hom.dimension == 0:
             return IsoVerdict("NOT_ISO", reason="hom space vanishes" + tag)
-        if not tag:
+        if both and not tag:
             end_a = hom_space(a, a)
             end_b = hom_space(b, b)
             if end_a.dimension != end_b.dimension:
@@ -260,17 +287,14 @@ def is_isomorphic(a, b) -> IsoVerdict:
     return IsoVerdict("UNDECIDED", reason="no invertible combination found")
 
 
-def factorization_equivalent(p1, p2):
-    """Invertible (A, B) with A phi1 = phi2 B, or None.  Certifies that two
-    factorization pairs present isomorphic cokernels."""
-    if (p1.phi.rows, p1.phi.cols) != (p2.phi.rows, p2.phi.cols):
+def factorization_equivalent(i, pair):
+    """(A, B, A^-1, B^-1) for an invertible graded map (A, B) from the
+    ideal module ``i`` to ``pair``, so A phi_i = phi_pair B; or None when
+    the search finds none.  It certifies that ``pair`` presents the
+    cokernel of i's factorization, and its inverse maps ``pair`` to ``i``."""
+    if (i.ev_dim, i.odd_dim) != (pair.ev_dim, pair.odd_dim):
         return None
-    hom = hom_space(p1, p2)
-    found = _search_invertible(hom)
-    if found is None:
-        return None
-    A, B, _, _ = found
-    return {"A": A, "B": B}
+    return _search_invertible(hom_space(i, pair))
 
 
 class SimplicityVerdict:
@@ -307,25 +331,19 @@ def simplicity_verdict(i: IdealModule, end: GradedHom | None = None) -> Simplici
     return SimplicityVerdict(end.dimension, computed, predicted, case)
 
 
-def _closure_from_coords(module, ev_seeds, odd_seeds):
+def _closure_from_coords(columns, ev_seeds, odd_seeds):
     """(ev_dim, odd_dim) of the smallest graded subspace pair containing
     the seed coordinate vectors (an empty one adds nothing) and closed
-    under left multiplication by every coordinate vector.  The closure
-    grows on sparse ``{col: value}`` vectors: the image of v under an
-    action matrix sums the matrix columns at the nonzeros of v."""
-    # the nonzeros of each column of each action matrix, per parity
-    columns = [[m.transpose().nz for m in mats] for mats in (module.act_ev, module.act_odd)]
+    under left multiplication by every coordinate vector, given the
+    module's ``_action_columns``.  The closure grows on sparse
+    ``{col: value}`` vectors."""
     spans = (IncrementalSpan(), IncrementalSpan())
     queue = [(par, v) for par, seeds in ((0, ev_seeds), (1, odd_seeds))
              for v in map(_sparse, seeds) if spans[par].add(v)]
     while queue:
         par, v = queue.pop()
         for cols in columns[par]:
-            acc = {}
-            for c, a in v.items():
-                for r, x in cols[c]:
-                    acc[r] = acc.get(r, 0) + a * x
-            img = {r: x for r, x in acc.items() if x}
+            img = _image(cols, v)
             if spans[1 - par].add(img):
                 queue.append((1 - par, img))
     return spans[0].dim, spans[1].dim
@@ -353,8 +371,9 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
                + [((), eye_odd.row(t)) for t in range(n_odd)])
     pairs = ((_seed_sum(x[0], y[0]), _seed_sum(x[1], y[1]))
              for x, y in combinations(singles, 2))
+    columns = _action_columns(i)
     for ev, od in chain(singles, pairs):
-        ev_dim, odd_dim = _closure_from_coords(i, [ev], [od])
+        ev_dim, odd_dim = _closure_from_coords(columns, [ev], [od])
         if 0 < ev_dim + odd_dim < n_ev + n_odd:
             return IrredVerdict(
                 "REDUCIBLE",

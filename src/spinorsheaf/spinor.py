@@ -178,12 +178,17 @@ class IdealModule:
         return f"IdealModule(dim W={self.w.dim}, N={self.ev_dim}){tag}"
 
 
+def word_coordinates(w: Subspace) -> list:
+    """S, the coordinates that are not pivots of W's reduced rows."""
+    return [k for k in range(w.ambient.n) if k not in w._solver.pivots]
+
+
 def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     """The ideal module of an isotropic subspace, with canonical bases.
 
-    Let S be the coordinates that are not pivots of W's reduced rows, so
-    V = span(e_S) + W, a direct sum.  The ordered products e_M w_A (M in S,
-    A in a basis of W) then span Cl, and w_a g = 0 for the generator
+    Let S be the ``word_coordinates`` of W, so V = span(e_S) + W, a
+    direct sum.  The ordered products e_M w_A (M in S, A in a basis of W)
+    then span Cl, and w_a g = 0 for the generator
     g = w_1...w_m, since the vectors of an isotropic W anticommute and
     square to 0.  So Cl g is spanned by the 2^(n-m) products e_M g, M a
     subset of S, built by a recursion over the masks of S:
@@ -198,7 +203,7 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     ctx = _ctx(space)
     index, order = ctx.index, ctx.order
     m = w.dim
-    free = [k for k in range(space.n) if k not in w._solver.pivots]
+    free = word_coordinates(w)
     prods = [gen.terms]
     ev_raw = []
     odd_raw = []
@@ -436,28 +441,39 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
     )
 
 
+def generator_image_system(i, target):
+    """(p, M): the part p of the ideal module ``i`` that holds its
+    generator g = w1...wm, and the matrix M of x -> (w.x for w in a basis
+    of W) on part p of ``target``, a module given by its action.
+
+    The left annihilator of g is Cl.W: in a basis of V that extends one of
+    W, the ordered monomials v_S w_T form a basis of Cl, those with T
+    nonempty span both Cl.W and Ann(g), and the v_S g are independent.  So
+    a graded module map f: i -> target is fixed by x = f(g), which lies in
+    part p, and an x there is the image of one exactly when M x = 0."""
+    if not isinstance(i, IdealModule):
+        raise PreconditionError("a map is read off the generator of an ideal module")
+    p = (i.w.dim + i.shift) % 2
+    act, dim = (target.act_odd, target.odd_dim) if p else (target.act_ev, target.ev_dim)
+    rows = [row for w in i.w.basis for row in _action(act, w).nz]
+    return p, Mat.from_nonzeros(len(rows), dim, rows)
+
+
 def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
     """Is there a graded Cl-linear section s: inner[1] -> outer of the
     quotient map (q_ev, q_odd)?
 
-    inner is the ideal of g = w1...wm, so s is fixed by x = s(g), and x
-    lies in the outer part p that labels g in inner[1].  The left
-    annihilator of g is Cl.W: in a basis of V that extends one of W, the
-    ordered monomials v_S w_T form a basis of Cl, those with T nonempty span
-    both Cl.W and Ann(g), and the v_S g are independent.  So x defines a
-    module map exactly when w.x = 0 for each basis vector w of W, and
-    q.s = id exactly when q_p x is the coordinate vector of g.  That is one
-    solve on the coordinates of x.
-    """
-    at = inner.w.dim % 2
-    g = inner.coords_in(at, inner.generator)
+    s is fixed by x = s(g) with w.x = 0 for each w in W
+    (``generator_image_system``), and q.s = id exactly when q_p x is the
+    coordinate vector of g, p the part that holds it.  That is one solve on
+    the coordinates of x."""
+    source = shift(inner)
+    p, system = generator_image_system(source, outer)
+    g = source.coords_in(p, source.generator)
     if g is None:
         raise InvariantError("the generator has no coordinates in its graded part")
-    # x lies in the other outer part: odd when g is even, even when g is odd
-    act, q = (outer.act_ev, q_ev) if at else (outer.act_odd, q_odd)
-    blocks = [_action(act, w) for w in inner.w.basis] + [q]
-    system = Mat.from_nonzeros(sum(m.rows for m in blocks), q.cols,
-                               [row for m in blocks for row in m.nz])
+    q = q_odd if p else q_ev
+    system = Mat.from_nonzeros(system.rows + q.rows, q.cols, system.nz + q.nz)
     return mat_solve(system, (0,) * (system.rows - len(g)) + g) is not None
 
 

@@ -35,7 +35,6 @@ from .quadform import (
 )
 from .spinor import (
     DEFAULT_SEED,
-    FactorizationPair,
     build_factorization,
     build_ideal,
     cone_compare,
@@ -265,19 +264,15 @@ def _run_dual(run, report):
 
     dual = dual_factorization(mf)
     report.add("dual_is_factorization", _verdict(dual.check_identity()))
-    c = module.codim
-    if c % 2 == 1:
-        target = mf
-        expected = "self"
-    else:
-        target = FactorizationPair(space, mf.psi, mf.phi)
-        expected = "swap"
-    cert = factorization_equivalent(dual, target)
-    if cert is None:
+    # the dual against I (odd codimension) or I[1], whose pair is the
+    # swapped one (even); the certificate maps the dual to that pair
+    source, expected = (module, "self") if module.codim % 2 else (shift(module), "swap")
+    found = factorization_equivalent(source, dual)
+    if found is None:
         report.add("dual_parity_equivalence", "UNDECIDED", expected=expected)
     else:
         report.add("dual_parity_equivalence", "pass", expected=expected,
-                   certificate={"A": cert["A"], "B": cert["B"]})
+                   certificate={"A": found[2], "B": found[3]})
 
 
 def _run_sections(run, report):

@@ -18,6 +18,7 @@ from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply, trace_form
 from spinorsheaf.errors import PreconditionError, SpanError, StandardizationUnavailable
 from spinorsheaf.exactalg import (
+    IncrementalSpan,
     LinMat,
     Mat,
     SpanSolver,
@@ -648,3 +649,26 @@ def direct_sum(a, b) -> FactorizationPair:
         block_diag(LinMat(n, a.act_ev), LinMat(n, b.act_ev)),
         block_diag(LinMat(n, a.act_odd), LinMat(n, b.act_odd)),
     )
+
+
+def hom_basis(h):
+    """The basis pairs of the Hom space ``h``, in order."""
+    return tuple(map(h.pair, range(h.dimension)))
+
+
+def element_closure(i, par, x):
+    """(ev_dim, odd_dim) of the span of the products e_{t1} ... e_{tk} x
+    of the element x of part ``par`` of the module ``i``, grown by Clifford
+    multiplication and read in the module's coordinates: the reference of
+    the closure on action-matrix columns."""
+    vectors = [CliffordElement.from_vector(i.space, i.space.basis_vector(t))
+               for t in range(i.space.n)]
+    spans = (IncrementalSpan(), IncrementalSpan())
+    queue = [(par, x)] if spans[par].add(i.coords_in(par, x)) else []
+    while queue:
+        p, y = queue.pop()
+        for e in vectors:
+            z = multiply(e, y)
+            if spans[1 - p].add(i.coords_in(1 - p, z)):
+                queue.append((1 - p, z))
+    return spans[0].dim, spans[1].dim

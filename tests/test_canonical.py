@@ -14,7 +14,7 @@ from spinorsheaf.homalg import hom_space, sheaf_numerics
 from spinorsheaf.quadform import QuadraticSpace, _combination, _rational_sqrt, line_roots
 from spinorsheaf.spinor import build_factorization, build_ideal, shift
 
-from dense_oracles import canonical, canonical_nonzeros
+from dense_oracles import canonical, canonical_nonzeros, hom_basis
 
 INTEGRAL = st.integers(-4, 4)
 # Fractions, whole ones included, which no producer may pass on as they are
@@ -110,8 +110,8 @@ def test_numerics_and_hom_pairs():
             assert all_canonical((num.rank, num.degree, num.slope))
         assert all(map(canonical_nonzeros, i.act_ev + i.act_odd))
         for hom in (hom_space(i, i), hom_space(i, shift(i))):
-            assert all_canonical(*(m.entries for pair in hom.basis for m in pair))
-            assert all(canonical_nonzeros(m) for pair in hom.basis for m in pair)
+            assert all_canonical(*(m.entries for pair in hom_basis(hom) for m in pair))
+            assert all(canonical_nonzeros(m) for pair in hom_basis(hom) for m in pair)
             if hom.dimension:
                 cs = tuple(exact(k + 1, 2) for k in range(hom.dimension))
                 assert all_canonical(*(m.entries for m in hom.at(cs)))

@@ -25,19 +25,6 @@ from spinorsheaf.verify import run_suite
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-@pytest.fixture
-def routes_disagree(monkeypatch):
-    """Give every Hom system one extra B psi = psi' A equation, so the two
-    Hom routes disagree and ``hom_space`` raises an InvariantError."""
-    hom_system = homalg._hom_system
-
-    def one_more_psi_equation(a, b):
-        phi_rows, psi_rows, nvars = hom_system(a, b)
-        return phi_rows, psi_rows + [{0: 1}], nvars
-
-    monkeypatch.setattr(homalg, "_hom_system", one_more_psi_equation)
-
-
 def run_cli(args, **kw):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -249,9 +236,11 @@ class TestQuery:
             main(["query", "hom", "F-H2", "F-H2"])
         assert "missing query arguments" not in capsys.readouterr().err
 
-    def test_hom_route_disagreement_exit_1(self, routes_disagree, capsys):
+    def test_hom_route_disagreement_exit_1(self, corrupted_image, capsys):
+        # the image of g off the annihilator kernel: its map fails
+        # ``intertwines``, so the dimension is not confirmed
         assert main(["query", "hom", "F-H6", "F-H6"]) == 1
-        assert "hom-space routes disagree" in capsys.readouterr().err
+        assert "1 of 1 Hom basis maps fail to intertwine" in capsys.readouterr().err
 
 
 class TestInvariantExit:
@@ -261,17 +250,17 @@ class TestInvariantExit:
         assert main(["verify", "--fixture", "F-QS"]) == 1
         assert "factorization identity failed" in capsys.readouterr().err
 
-    def test_suite_invariant_error_is_a_fail_record(self, routes_disagree, tmp_path):
+    def test_suite_invariant_error_is_a_fail_record(self, corrupted_image, tmp_path):
         out = tmp_path / "F.json"
         assert main(["verify", "--fixture", "F-H6", "--out", str(out)]) == 1
         records = json.loads(out.read_text())["records"]
+        # End(I)'s cross-check counts the corrupted map out; the dual
+        # search finds it invertible, checks it and raises
+        assert [r["op"] for r in records if r["verdict"] != "pass"] == [
+            "hom_route_crosscheck", "invariant_error"]
         errors = [r for r in records if r["op"] == "invariant_error"]
-        # End(I) is computed in the dependence suite and again in the
-        # stability suite, after the first failure
-        assert [r["details"]["suite"] for r in errors] == ["dependence", "stability-numerics"]
-        for r in errors:
-            assert r["verdict"] == "fail"
-            assert "hom-space routes disagree" in r["details"]["message"]
+        assert [r["details"]["suite"] for r in errors] == ["dual"]
+        assert "does not intertwine" in errors[0]["details"]["message"]
         # the suites after a failed one still ran
         ops = [r["op"] for r in records]
         assert {"trace_pairing_nondegenerate", "restriction", "sheaf_numerics"} <= set(ops)

@@ -36,8 +36,10 @@ from spinorsheaf.spinor import (
 from dense_oracles import (
     block_diag,
     canonical,
+    element_closure,
     eliminated_cohomology_dim,
     grade_parts,
+    hom_basis,
     monomial,
 )
 
@@ -63,10 +65,11 @@ def odd5_module():
 
 
 def dense_hom_oracle(a, b):
-    """Hom(a, b) solved with dense rows and dense Bareiss elimination: the
-    kernel basis of A phi = phi' B, and the kernel dimension once
-    B psi = psi' A is imposed as well."""
-    zero = Fraction(0)
+    """Hom(a, b) as the 2N^2-unknown matrix system, built as dense rows:
+    the kernel basis of A phi = phi' B, and the kernel dimension once
+    B psi = psi' A is imposed as well.  The rows start at int 0, so an
+    integral form keeps int entries."""
+    zero = 0
     na = b.odd_dim * a.odd_dim
     nvars = na + b.ev_dim * a.ev_dim
     phi_rows, psi_rows = [], []
@@ -94,27 +97,70 @@ def dense_hom_oracle(a, b):
     return kernel, both
 
 
+def route_cases():
+    """(source, target) for the 40 modules of the fixtures and of
+    grid_spaces(5): sources I and I[1], targets I, I[1], the dual pair and
+    the swapped pair."""
+    cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
+    for space, w in cases + grid_spaces(5):
+        i = build_ideal(space, w)
+        mf = build_factorization(i)
+        swapped = FactorizationPair(space, mf.psi, mf.phi)
+        for a in (i, shift(i)):
+            for b in (i, shift(i), dual_factorization(mf), swapped):
+                yield a, b
+
+
 class TestHomSpace:
     def test_matches_dense_oracle_on_grid(self):
-        pairs = 0
-        for space, w in grid_spaces(5):
-            i = build_ideal(space, w)
-            for a, b in ((i, i), (i, shift(i))):
-                kernel, both = dense_hom_oracle(a, b)
-                h = hom_space(a, b)
-                flat = [A.entries + B.entries for A, B in h.basis]
-                assert flat == list(kernel)
-                assert h.crosscheck_dimension == both == h.dimension
-                pairs += 1
-        assert pairs == 68
+        # the basis maps span the kernel of the 2N^2-unknown matrix system
+        # (basis equality gave way to span equality), and every one of them
+        # intertwines
+        count = 0
+        for a, b in route_cases():
+            kernel, both = dense_hom_oracle(a, b)
+            h = hom_space(a, b)
+            assert h.dimension == len(kernel) == both == h.crosscheck_dimension
+            flat = [A.entries + B.entries for A, B in hom_basis(h)]
+            assert mat_rank(Mat.from_rows(flat + list(kernel))) == h.dimension
+            count += 1
+        assert count == 320
 
-    def test_route_disagreement_raises(self, monkeypatch):
+    def test_pair_source_raises(self):
+        mf = build_factorization(module("F-H6"))
+        with pytest.raises(PreconditionError, match="ideal module"):
+            hom_space(mf, module("F-H6"))
+        with pytest.raises(PreconditionError, match="ideal module"):
+            factorization_equivalent(mf, mf)
+        # an isomorphism test searches from a side that is an ideal module
+        with pytest.raises(PreconditionError, match="ideal module"):
+            is_isomorphic(mf, mf)
+        assert is_isomorphic(mf, module("F-H6")).kind == "ISO"
+
+    def test_route_disagreement_raises(self):
+        # a target action scaled off the Clifford relations: the kernel of
+        # w.x = 0 still has dimension 1, its map fails ``intertwines``, and
+        # the search that reads it raises
         a = module("F-H6")
         b = module("F-H6")
         act = b.act_odd
-        monkeypatch.setattr(b, "_act_odd", (act[0].scale(2),) + act[1:])
-        with pytest.raises(InvariantError):
-            hom_space(a, b)
+        b._act_odd = (act[0].scale(2),) + act[1:]
+        h = hom_space(a, b)
+        assert (h.dimension, h.crosscheck_dimension) == (1, 0)
+        with pytest.raises(InvariantError, match="does not intertwine"):
+            is_isomorphic(a, b)
+
+    def test_corrupted_pair_fails_the_certificate_check(self, request):
+        # a generator image off the annihilator kernel gives a map that is
+        # no module map: the cross-check counts it out, and the search that
+        # reads it raises
+        a = module("F-H6")
+        assert is_isomorphic(a, a).kind == "ISO"
+        request.getfixturevalue("corrupted_image")
+        h = hom_space(a, a)
+        assert (h.dimension, h.crosscheck_dimension) == (1, 0)
+        with pytest.raises(InvariantError, match="does not intertwine"):
+            is_isomorphic(a, a)
 
     def test_end_dims(self):
         assert hom_space(module("F-H6"), module("F-H6")).dimension == 1
@@ -130,40 +176,42 @@ class TestHomSpace:
         for label in ("F-H2", "F-QS", "F-C5", "F-H6"):
             i = module(label)
             h = hom_space(i, i)
-            assert all(intertwines(i, i, A, B) for A, B in h.basis)
+            assert all(intertwines(i, i, A, B) for A, B in hom_basis(h))
             assert h.crosscheck_dimension == h.dimension
 
-    def test_corrupted_pair_fails_the_certificate_check(self, monkeypatch):
-        # one entry of B off in the first basis pair: the pair stays
-        # invertible, B psi = psi' A fails, and the search raises
-        real = homalg._back_substitute
-
-        def corrupted(pivots, fixed, n):
-            v = real(pivots, fixed, n)
-            return v[:-1] + (v[-1] + 1,)
-
-        a = module("F-H6")
-        assert is_isomorphic(a, a).kind == "ISO"
-        monkeypatch.setattr(homalg, "_back_substitute", corrupted)
-        with pytest.raises(InvariantError):
-            is_isomorphic(a, a)
-
-    def test_dimension_back_substitutes_nothing(self, monkeypatch):
+    def test_dimension_builds_no_map(self, monkeypatch):
+        # the dimension is the kernel on N unknowns; the source walk and its
+        # inverse are built with the first map, and the cross-check is read
+        # on first use
         calls = []
-        real = homalg._back_substitute
-        monkeypatch.setattr(homalg, "_back_substitute",
-                            lambda *args: calls.append(args) or real(*args))
+        real = homalg.mat_invertible
+        monkeypatch.setattr(homalg, "mat_invertible",
+                            lambda m: calls.append(m) or real(m))
         i = module("F-H6a")
         h = hom_space(i, i)
         assert (h.dimension, calls) == (8, [])
-        assert h.pair(3) is h.pair(3)
-        assert len(calls) == 1
+        assert h.pair(3) == h.pair(3)
+        assert len(calls) == 2
+        assert h.crosscheck_dimension == 8 and len(calls) == 2
+
+    def test_map_takes_the_generator_to_its_image(self):
+        # the map of x sends g to x, in the part (dim W + shift) mod 2
+        # that holds g
+        for label in ("F-H6", "F-QS"):
+            i = module(label)
+            for src in (i, shift(i)):
+                h = hom_space(src, shift(i))
+                part = (src.w.dim + src.shift) % 2
+                g = src.coords_in(part, src.generator)
+                for k in range(h.dimension):
+                    A, B = h.pair(k)
+                    assert (A if part else B).mul_vec(g) == h._kernel[k]
 
     def test_intertwining_equations_hold(self):
         a = module("F-QS")
         b = shift(a)
         h = hom_space(a, b)
-        for A, B in h.basis:
+        for A, B in hom_basis(h):
             for t in range(a.space.n):
                 assert A @ a.act_ev[t] == b.act_ev[t] @ B
                 assert B @ a.act_odd[t] == b.act_odd[t] @ A
@@ -262,19 +310,25 @@ class TestSearchInvertible:
         # (1, 1, 1); (1, 1, -1) comes before (1, 1, 0), which is invertible too
         from types import SimpleNamespace
 
-        from spinorsheaf.homalg import GradedHom, _search_invertible
+        from spinorsheaf.homalg import _search_invertible
 
-        # A = B = [[c0, c0], [c1, c2]]: variables vec(A) then vec(B), with
-        # free columns b01, b10, b11 and the pivot rows a = b, b00 = b01;
-        # no action to respect over a space of dimension 0
-        shape = SimpleNamespace(space=SimpleNamespace(n=0), ev_dim=2, odd_dim=2)
-        pivots = {j: {j: 1, j + 4: -1} for j in range(4)}
-        pivots[4] = {4: 1, 5: -1}
-        hom = GradedHom(shape, shape, pivots, 3)
-        assert hom.basis == tuple((m, m) for m in (Mat.from_rows([[1, 1], [0, 0]]),
-                                                   Mat.from_rows([[0, 0], [1, 0]]),
-                                                   Mat.from_rows([[0, 0], [0, 1]])))
-        A, B, ai, bi = _search_invertible(hom)
+        class HandBuiltHom:
+            """A = B = [[c0, c0], [c1, c2]] for the coefficients c; no
+            action to respect over a space of dimension 0."""
+
+            dimension = 3
+            source = target = SimpleNamespace(space=SimpleNamespace(n=0), ev_dim=2, odd_dim=2)
+            mats = (Mat.from_rows([[1, 1], [0, 0]]), Mat.from_rows([[0, 0], [1, 0]]),
+                    Mat.from_rows([[0, 0], [0, 1]]))
+
+            def pair(self, k):
+                return self.mats[k], self.mats[k]
+
+            def at(self, cs):
+                m = LinMat(3, self.mats).evaluate(cs)
+                return m, m
+
+        A, B, ai, bi = _search_invertible(HandBuiltHom())
         assert A == B == Mat.from_rows([[1, 1], [1, -1]])
         assert ai == Mat.from_rows([[1, 1], [1, -1]]).scale(Fraction(1, 2))
 
@@ -290,7 +344,8 @@ class TestClosure:
         # the closure of a seed element of an unshifted module, from its
         # coordinates in both parts
         ev, odd = grade_parts(seed)
-        return _closure_from_coords(i, [i.coords_in(0, ev)], [i.coords_in(1, odd)])
+        return _closure_from_coords(homalg._action_columns(i),
+                                    [i.coords_in(0, ev)], [i.coords_in(1, odd)])
 
     def test_generator_generates(self):
         i = module("F-H6")
@@ -304,6 +359,24 @@ class TestClosure:
         i = module("F-QS")
         seed = monomial(i.space, (1, 2, 3))
         assert self.closure(i, seed) == (1, 1)
+
+    def test_matches_products_of_elements(self):
+        # the closure of each basis element, from the action columns that
+        # irreducibility_check computes once, against the span grown by
+        # Clifford products (the other part's columns give a different
+        # closure for 66 of these seeds)
+        cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
+        seeds = 0
+        for space, w in cases + grid_spaces(5):
+            i = build_ideal(space, w)
+            columns = homalg._action_columns(i)
+            for par, basis in ((0, i.ev_basis), (1, i.odd_basis)):
+                for x in basis:
+                    coords = i.coords_in(par, x)
+                    seed = ([()], [coords]) if par else ([coords], [()])
+                    assert _closure_from_coords(columns, *seed) == element_closure(i, par, x)
+                    seeds += 1
+        assert seeds == 318
 
 
 class TestIrreducibility:
@@ -511,11 +584,14 @@ class TestIdempotentProbe:
         assert A @ A == A and B @ B == B
 
     def test_split_flag_candidate_is_pinned(self):
-        # the half-integer grid runs in product order from (0, ..., 0), and
-        # (1, 1) is the first idempotent on this End
+        # the half-integer grid runs in product order from (0, ..., 0); the
+        # first basis map is the identity (its generator image is g) and the
+        # second is itself idempotent, so (0, 1) is the first hit
         fx = get_fixture("F-H6")
         fl = flag_sequence(build_ideal(fx.space, fx.w), fx.flag_drop)
-        assert idempotent_probe(hom_space(fl.outer, fl.outer))["coeffs"] == (1, 1)
+        end = hom_space(fl.outer, fl.outer)
+        assert end.pair(0) == (Mat.identity(8), Mat.identity(8))
+        assert idempotent_probe(end)["coeffs"] == (0, 1)
 
     def test_combine_matches_the_dense_sum(self):
         # the running sum of scaled basis pairs is the reference
@@ -525,8 +601,9 @@ class TestIdempotentProbe:
         for cs in ((1, 0), (0, -1), (Fraction(-1, 2), 3), (0, 0), (2, Fraction(1, 3))):
             dense = []
             for which in (0, 1):
-                acc = Mat.zeros(end.basis[0][which].rows, end.basis[0][which].cols)
-                for c, pair in zip(cs, end.basis):
+                basis = hom_basis(end)
+                acc = Mat.zeros(basis[0][which].rows, basis[0][which].cols)
+                for c, pair in zip(cs, basis):
                     if c:
                         acc = acc + pair[which].scale(c)
                 dense.append(acc)
@@ -555,30 +632,62 @@ class TestFactorizationEquivalence:
         assert mf.act_ev is i.act_ev and mf.act_odd is i.act_odd
 
     def test_self_equivalent(self):
-        mf = build_factorization(module("F-H6"))
-        assert factorization_equivalent(mf, mf) is not None
+        i = module("F-H6")
+        mf = build_factorization(i)
+        A, B, ai, bi = factorization_equivalent(i, mf)
+        assert intertwines(i, mf, A, B) and intertwines(mf, i, ai, bi)
 
     @pytest.mark.parametrize("index", [35, 44])
-    def test_first_ramp_certifies_the_dual(self, index):
-        # n = 6, dim W = 2: codim 4, so the dual is the swapped pair; its
-        # 8-dimensional Hom has no invertible basis element and is too big
-        # for the sweep, and the ramp (1, 2, ..., 8) is the certificate
+    def test_last_basis_map_certifies_the_dual(self, index):
+        # n = 6, dim W = 2: codim 4, so the dual is compared with I[1]; of
+        # the 8 basis maps I[1] -> dual only the last is invertible, the
+        # search reads the basis in order, and that map is the certificate
         space, w = grid_spaces(6)[index]
-        mf = build_factorization(build_ideal(space, w))
-        dual = dual_factorization(mf)
-        target = FactorizationPair(space, mf.psi, mf.phi)
-        hom = hom_space(dual, target)
+        i = build_ideal(space, w)
+        dual = dual_factorization(build_factorization(i))
+        hom = hom_space(shift(i), dual)
         assert hom.dimension == 8
-        assert not any(homalg._invertible_pair(A, B) for A, B in hom.basis)
-        A, B = hom.at(tuple(range(1, 9)))
-        assert factorization_equivalent(dual, target) == {"A": A, "B": B}
+        invertible = [homalg._invertible_pair(A, B) is not None for A, B in hom_basis(hom)]
+        assert invertible == [False] * 7 + [True]
+        A, B, ai, bi = factorization_equivalent(shift(i), dual)
+        assert (A, B) == hom.pair(7)
+        # the inverse maps the dual to I[1], whose pair is the swapped one
+        assert intertwines(dual, shift(i), ai, bi)
+
+    def test_ramps_follow_the_basis_beyond_the_sweep(self):
+        # d = 7 skips the sweep; the basis pairs diag(1, 0) and diag(0, 1)
+        # and five zero pairs are singular, and the first ramp (1, ..., 7)
+        # gives diag(1, 2)
+        from types import SimpleNamespace
+
+        from spinorsheaf.homalg import _search_invertible
+
+        class HandBuiltHom:
+            dimension = 7
+            source = target = SimpleNamespace(space=SimpleNamespace(n=0), ev_dim=2, odd_dim=2)
+            mats = (Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 0], [0, 1]])) + (
+                Mat.zeros(2, 2),) * 5
+            read = []
+
+            def pair(self, k):
+                self.read.append(k)
+                return self.mats[k], self.mats[k]
+
+            def at(self, cs):
+                self.read.append(cs)
+                m = LinMat(7, self.mats).evaluate(cs)
+                return m, m
+
+        hom = HandBuiltHom()
+        A, B, _, _ = _search_invertible(hom)
+        assert A == B == Mat.from_rows([[1, 0], [0, 2]])
+        assert hom.read == list(range(7)) + [tuple(range(1, 8))]
 
 
 def knoerrer_pairs(space, w):
     """For V' = V + <u, v> with b(u, v) = 1/2 and W' = W + <v>: Knoerrer's
     doubled pair ([[phi, u Id], [-v Id, psi]], [[psi, -u Id], [v Id, phi]])
-    of the module of (V, W), the factorization of the module of (V', W'),
-    and W'."""
+    of the module of (V, W), the ideal module of (V', W'), and W'."""
     n = space.n
     half = Fraction(1, 2)
     big = QuadraticSpace(block_diag(space.gram, Mat.from_rows([[0, half], [half, 0]])))
@@ -594,23 +703,24 @@ def knoerrer_pairs(space, w):
 
     phi = LinMat(n + 2, block_diag(mf.phi, mf.psi).coeff + (corner(0, 1, 1), corner(1, 0, -1)))
     psi = LinMat(n + 2, block_diag(mf.psi, mf.phi).coeff + (corner(0, 1, -1), corner(1, 0, 1)))
-    return FactorizationPair(big, phi, psi), build_factorization(build_ideal(big, w_big)), w_big
+    return FactorizationPair(big, phi, psi), build_ideal(big, w_big), w_big
 
 
 def test_knoerrer_periodicity():
-    # the module of (V', W') is Knoerrer's doubled pair itself; its swap
-    # presents the shifted module, which is not isomorphic to it exactly
-    # when rank q' is even and pi(W') is maximal, on 17 of the 40 inputs
+    # the module of (V', W') presents Knoerrer's doubled pair: an explicit
+    # map from it, read off its generator, is invertible; its shift, whose
+    # pair is the swapped one, is not isomorphic to it exactly when rank q'
+    # is even and pi(W') is maximal, on 17 of the 40 inputs
     cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
     cases += grid_spaces(5)
     not_swapped = 0
     for space, w in cases:
-        doubled, mf, w_big = knoerrer_pairs(space, w)
+        doubled, i, w_big = knoerrer_pairs(space, w)
         assert doubled.check_identity()
-        assert factorization_equivalent(doubled, mf) is not None
-        swapped = factorization_equivalent(doubled, FactorizationPair(mf.space, mf.psi, mf.phi))
-        j, k, _ = isotropic_type(mf.space, w_big)
-        assert (swapped is None) == (mf.space.rank % 2 == 0 and j == k)
+        assert factorization_equivalent(i, doubled) is not None
+        swapped = factorization_equivalent(shift(i), doubled)
+        j, k, _ = isotropic_type(i.space, w_big)
+        assert (swapped is None) == (i.space.rank % 2 == 0 and j == k)
         not_swapped += swapped is None
     assert (len(cases), not_swapped) == (40, 17)
 
@@ -627,18 +737,22 @@ def hyperbolic_case(n):
 
 
 @pytest.mark.parametrize("n, end_dim", [(7, 16), (8, 32)])
-def test_scale_case_reads_one_pair(n, end_dim, monkeypatch):
-    # N = 2^(n-2): End(I) comes from the pivots with no basis pair, and
-    # the dual search is certified by the first basis pair it reads
+def test_scale_case_builds_maps_when_read(n, end_dim, monkeypatch):
+    # N = 2^(n-2): End(I) is a kernel on N unknowns and builds no map; the
+    # cross-check builds each basis map once; the dual search reads the
+    # basis in order, and its last map is the certificate
     space, w = hyperbolic_case(n)
     i = build_ideal(space, w)
     assert i.ev_dim == 2 ** (n - 2)
-    pairs = []
-    real = homalg._back_substitute
-    monkeypatch.setattr(homalg, "_back_substitute", lambda *a: pairs.append(a) or real(*a))
+    maps = []
+    real = homalg.GradedHom._map
+    monkeypatch.setattr(homalg.GradedHom, "_map",
+                        lambda self, x: maps.append(x) or real(self, x))
     end = hom_space(i, i)
-    assert (end.dimension, end.crosscheck_dimension, len(pairs)) == (end_dim, end_dim, 0)
-    mf = build_factorization(i)
-    target = mf if i.codim % 2 else FactorizationPair(space, mf.psi, mf.phi)
-    assert factorization_equivalent(dual_factorization(mf), target) is not None
-    assert len(pairs) == 1
+    assert (end.dimension, len(maps)) == (end_dim, 0)
+    assert (end.crosscheck_dimension, len(maps)) == (end_dim, end_dim)
+    source = i if i.codim % 2 else shift(i)
+    dual = dual_factorization(build_factorization(i))
+    A, B, _, _ = factorization_equivalent(source, dual)
+    assert len(maps) == 2 * end_dim
+    assert intertwines(source, dual, A, B)

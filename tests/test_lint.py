@@ -185,26 +185,55 @@ def _reads_outside(tree, name, *homes):
                        or (isinstance(node, ast.Attribute) and node.attr == name)))
 
 
-def test_hom_system_only_in_hom_space():
-    # the 2N^2-unknown Hom system is solved in homalg.hom_space alone; a
-    # map out of an ideal module is fixed by the generator's image, and the
-    # flag section is solved that way on N unknowns
-    found = []
+MATRIX_HOM_NAMES = ("_hom_system", "_intertwining_rows")
+GENERATOR_IMAGE_READERS = ("hom_space", "_splitting_exists")
+
+
+def _matrix_hom_sites(tree):
+    """Lines that define, import, bind or read ``_hom_system`` or
+    ``_intertwining_rows``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.FunctionDef) and node.name in MATRIX_HOM_NAMES)
+                  or (isinstance(node, ast.Name) and node.id in MATRIX_HOM_NAMES)
+                  or (isinstance(node, ast.Attribute) and node.attr in MATRIX_HOM_NAMES)
+                  or (isinstance(node, ast.alias) and node.name in MATRIX_HOM_NAMES))
+
+
+def _definitions(tree, name):
+    """Lines of the functions named ``name``, at any depth."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+
+
+def test_one_hom_route():
+    # a map out of an ideal module is fixed by the image of its generator,
+    # so a Hom space is a kernel on N unknowns: no package module defines
+    # or reads the 2N^2-unknown matrix system (it is the tests' oracle),
+    # and the generator-image system is defined in spinor alone and read
+    # only by hom_space and _splitting_exists
+    found, homes = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        home = "hom_space" if path.name == "homalg.py" else None
-        found += [f"{path.name}:{line}" for line in _reads_outside(tree, "_hom_system", home)]
+        found += [f"{path.name}:{line}" for line in _matrix_hom_sites(tree)]
+        found += [f"{path.name}:{line}" for line in
+                  _reads_outside(tree, "generator_image_system", *GENERATOR_IMAGE_READERS)]
+        homes += [path.name for _ in _definitions(tree, "generator_image_system")]
     assert found == []
+    assert homes == ["spinor.py"]
 
 
-def test_hom_system_scan():
+def test_one_hom_route_scan():
     src = ("from .exactalg import _hom_system\n"
-           "def _hom_system(a, b):\n    return a\n"
-           "def hom_space(a, b):\n    return _hom_system(a, b)\n"
-           "def f(a, b):\n    return _hom_system(a, b)\n"
-           "def g(a, b):\n    rows = exactalg._hom_system(a, b)\n"
-           "h = _hom_system\n")
-    assert _reads_outside(ast.parse(src), "_hom_system", "hom_space") == [7, 9, 10]
+           "def _intertwining_rows(a, b):\n    return a\n"
+           "def hom_space(a, b):\n    return generator_image_system(a, b)\n"
+           "def f(a, b):\n    return exactalg._hom_system(a, b)\n"
+           "def generator_image_system(i, t):\n    return i\n"
+           "def g(i, t):\n    return generator_image_system(i, t)\n"
+           "rows = _intertwining_rows\n")
+    tree = ast.parse(src)
+    assert _matrix_hom_sites(tree) == [1, 2, 7, 12]
+    assert _reads_outside(tree, "generator_image_system", *GENERATOR_IMAGE_READERS) == [11]
+    assert _definitions(tree, "generator_image_system") == [8]
 
 
 def test_multiplication_ranks_only_in_cohomology_dim():

@@ -34,6 +34,7 @@ from dense_oracles import (
     direct_sum,
     fraction_fiber_rank,
     fraction_quadric_points,
+    hom_basis,
     monomial,
     row_lists,
     same_module,
@@ -205,17 +206,19 @@ class TestDual:
     def test_parity_equivalence(self):
         from spinorsheaf.homalg import factorization_equivalent
 
-        # codim 3 (odd): dual pair equivalent to (phi, psi)
-        mf = build_factorization(module("F-H6"))
-        dual = dual_factorization(mf)
-        cert = factorization_equivalent(dual, mf)
-        assert cert is not None
-        # codim 2 (even): dual pair equivalent to (psi, phi)
-        mf2 = build_factorization(module("F-QS"))
+        # codim 3 (odd): the dual pair presents I, by an invertible map
+        # from I read off its generator
+        i = module("F-H6")
+        assert factorization_equivalent(i, dual_factorization(build_factorization(i))) is not None
+        # codim 2 (even): it presents I[1], whose pair is (psi, phi), and
+        # not I; the inverse map takes the dual to the swapped pair
+        i2 = module("F-QS")
+        mf2 = build_factorization(i2)
         dual2 = dual_factorization(mf2)
+        _, _, ai, bi = factorization_equivalent(shift(i2), dual2)
         swapped = FactorizationPair(mf2.space, mf2.psi, mf2.phi)
-        assert factorization_equivalent(dual2, swapped) is not None
-        assert factorization_equivalent(dual2, mf2) is None
+        assert intertwines(dual2, swapped, ai, bi)
+        assert factorization_equivalent(i2, dual2) is None
 
 
 class TestFlag:
@@ -325,7 +328,7 @@ class TestFlagSection:
             iso += verdict.kind == "ISO"
             end = hom_space(fl.outer, fl.outer)
             # sigma . q is a module endomorphism, so it lies in End(outer)
-            cols = [A.entries + B.entries for A, B in end.basis]
+            cols = [A.entries + B.entries for A, B in hom_basis(end)]
             A, B = _sigma_q(fl)
             assert mat_solve(Mat.from_cols(cols), A.entries + B.entries) is not None
             probed += idempotent_probe(end) is not None
@@ -1044,7 +1047,7 @@ def test_maps_and_certificates_are_canonical(monkeypatch):
             fixture_from_dict(NON_INTEGRAL_FIXTURE)]:
         i = build_ideal(fx.space, fx.w)
         for hom in (hom_space(i, i), hom_space(i, shift(i))):
-            entries = [a for pair in hom.basis for m in pair for a in m.entries]
+            entries = [a for pair in hom_basis(hom) for m in pair for a in m.entries]
             assert all(map(canonical, entries)), fx.label
         seen.clear()
         verify.run_suite(fx, "all", spinor.DEFAULT_SEED)

@@ -13,14 +13,16 @@ from spinorsheaf.spinor import DEFAULT_SEED
 from spinorsheaf.verify import run_suite
 
 # sha256 of run_suite(fixture, "all", DEFAULT_SEED).to_json(): a change of
-# kernel or of system assembly must leave every report byte-identical.
+# kernel or of system assembly must leave every report byte-identical.  The
+# dual certificate (dual_parity_equivalence.details.certificate) is the
+# inverse of a map read off the generator of I or I[1], found by the search.
 REPORT_SHA256 = {
-    "F-C5": "e481a8178fad4ec918af9455986cd570e2c448df0251e0ce967924a30840d18c",
+    "F-C5": "fea3690ddeab328630f3b2cad256ae2d16d3e3593dfc32cdaa5b71a06716adf8",
     "F-H2": "0854f46fa9d6c0310b837d190a6420601e4a226f7a616c792790d81eb1ac87b6",
-    "F-H6": "c4b7915f51d5666a811eaa3fe0c7d01a03d89a0e77f67dca856ad6dc3a7bc572",
+    "F-H6": "dbf84a3322cf5d6e72c1408f9c25bd037fcce61873bb5c108945b514fa2cea38",
     "F-H6a": "3ffdb8dcb0366fedbd6b11c1894b20b6583ace36d5d6fa4a6f0b5b516797b65f",
-    "F-QS": "4764c9991e89d02f7f62f03ada85f6d6aa9b396b55b762bf272661ce1e6acb9e",
-    "F-QSb": "4cc983fc0d121064d1e9953077f49bb2e61c9de778f5b0723065d4ee99147345",
+    "F-QS": "f4e0ff1bcc100837100adf232aa6b2ba1e34f4dc5f743288c6d706cef498eefd",
+    "F-QSb": "fae2a577b4c187d7ffe9fea9936b1e8310f5967f25b0a218563910d4c433e633",
 }
 
 
@@ -225,20 +227,25 @@ def test_flag_records_search_nothing(monkeypatch):
 
 
 def test_only_the_dual_searches_read_hom_pairs(monkeypatch):
-    # a Hom space stops at its echelon form: End(I), End of the flag's
-    # outer module and the shift verdicts back-substitute no basis pair,
-    # and each dual search is certified by the first pair it reads
-    pairs, per_dual = [], []
-    real_sub, real_equiv = homalg._back_substitute, verify.factorization_equivalent
+    # a Hom dimension builds no map, and of the searches in a pass only the
+    # six dual searches read basis maps: the shift verdicts are decided
+    # without one, and End of the flag's outer module builds none.  Each
+    # dual search reads the basis in order up to its certificate, the last
+    # map; the only other maps are End(I)'s, each built once for its
+    # cross-check (End dimensions 2, 1, 1, 8, 1, 1)
+    maps, per_dual = [], []
+    real_map, real_equiv = homalg.GradedHom._map, verify.factorization_equivalent
 
     def equivalent(*args):
-        before = len(pairs)
+        before = len(maps)
         got = real_equiv(*args)
-        per_dual.append(len(pairs) - before)
+        per_dual.append(len(maps) - before)
         return got
 
-    monkeypatch.setattr(homalg, "_back_substitute", lambda *a: pairs.append(a) or real_sub(*a))
+    monkeypatch.setattr(homalg.GradedHom, "_map",
+                        lambda self, x: maps.append(x) or real_map(self, x))
     monkeypatch.setattr(verify, "factorization_equivalent", equivalent)
     for label in FIXTURE_LABELS:
         run_suite(get_fixture(label), "all", DEFAULT_SEED)
-    assert (len(pairs), per_dual) == (6, [1] * 6)
+    assert per_dual == [2, 1, 1, 8, 1, 1]
+    assert len(maps) == 14 + sum(per_dual)
