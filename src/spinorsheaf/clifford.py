@@ -78,6 +78,15 @@ class _Context:
                     del out[mm]
         return out
 
+    def vec_images(self, terms: dict) -> list:
+        """``[e_i * terms for i in range(n)]``.  A monomial with coefficient 1
+        gives the table's own entries, which callers must not modify."""
+        if len(terms) == 1:
+            ((m, c),) = terms.items()
+            if c == 1:
+                return [self.vec_mono(i, m) for i in range(self.n)]
+        return [self.vec_mul_terms(i, terms) for i in range(self.n)]
+
     def mono_mul_terms(self, mask: int, terms: dict) -> dict:
         acc = terms
         m = mask

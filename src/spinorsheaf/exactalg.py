@@ -27,6 +27,7 @@ free columns.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
@@ -387,8 +388,10 @@ class SpanSolver:
     its pivot and 0 at the other pivots, so a coordinate is the vector's
     entry at a pivot; the vector is in the span when that combination of
     the rows leaves no residual.  Only nonzeros are touched, and a
-    coordinate is the vector's own entry, so canonical vectors (``exact``)
-    get canonical coordinates."""
+    coordinate is the vector's own entry, made canonical (``exact``).
+    Every read goes through ``columns``, which fills a matrix's row-major
+    nonzeros from its column images in one sweep; ``coords`` is one
+    column."""
 
     def __init__(self, rref, pivots):
         rows = [_sparse(r) for r in rref]
@@ -400,24 +403,37 @@ class SpanSolver:
         self._tails = [[(j, x) for j, x in r.items() if j != c]
                        for r, c in zip(rows, self.pivots)]
 
+    def columns(self, images, nz):
+        """Append the coordinates of image c, a ``{col: value}`` dict of
+        nonzeros, to the row-major nonzeros ``nz`` (``nz[k]`` the list of
+        basis row k) as column c, canonical (``exact``); returns the index
+        of the first image outside the span, or None.
+
+        The residual of an image is its part off the pivots less a * tail
+        for each coordinate a, since a row's tail holds no pivot."""
+        at, tails = self._at, self._tails
+        for c, v in enumerate(images):
+            rest = {}
+            for j, a in v.items():
+                k = at.get(j)
+                if k is None:
+                    rest[j] = rest.get(j, 0) + a
+                else:
+                    nz[k].append((c, a if a.__class__ is int else _whole(a)))
+                    for t, x in tails[k]:
+                        rest[t] = rest.get(t, 0) - a * x
+            if any(rest.values()):
+                return c
+        return None
+
     def coords(self, v):
         """The nonzero coordinates ``{k: a}`` of v in the basis, or None if
-        v is outside the span."""
-        v = _sparse(v)
-        out = {}
-        rest = dict(v)
-        for c, a in v.items():
-            k = self._at.get(c)
-            if k is not None:
-                out[k] = a
-                del rest[c]
-                for j, x in self._tails[k]:
-                    r = rest.get(j, 0) - a * x
-                    if r:
-                        rest[j] = r
-                    else:
-                        rest.pop(j, None)
-        return None if rest else out
+        v is outside the span: one column of ``columns``, on the rows it
+        touches."""
+        col = defaultdict(list)
+        if self.columns([_sparse(v)], col) is not None:
+            return None
+        return {k: row[0][1] for k, row in col.items()}
 
 
 class LinMat:

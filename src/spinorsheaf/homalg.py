@@ -509,7 +509,10 @@ def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
 
     The argument needs the identity: a pair whose ``identity_checked`` is
     unset (hand-built, swapped, dual) is checked here once, and one that
-    fails raises ``PreconditionError`` at every index.  The one cross-check:
+    fails raises ``PreconditionError`` at every index.  ``check_identity``
+    reads phi psi = q Id alone: for N x N phi and psi over k(x), q != 0
+    makes phi invertible and psi = q phi^-1, so psi phi = q Id as well; a
+    pair of any other shape fails it.  The one cross-check:
     (idx 0, t = 2) also eliminates phi and phi^T in degree 2, and a rank
     other than N * n raises ``InvariantError``.
     """

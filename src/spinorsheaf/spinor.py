@@ -124,24 +124,17 @@ class IdealModule:
     def part_matrix(self, parity, images, what) -> Mat:
         """The matrix whose columns are the coordinates of ``images`` in the
         given graded part; an image outside it raises SpanError(what)."""
-        return self._terms_matrix(parity, (x.terms for x in images), what)
+        return self._terms_matrix(parity, [x.terms for x in images], what)
 
     def _terms_matrix(self, parity, images, what) -> Mat:
-        """``part_matrix`` of images given by their terms: the row-major
-        nonzeros are filled from the nonzero coordinates, each made
-        canonical (``exact``)."""
+        """``part_matrix`` of images given by their terms, a sequence: one
+        ``SpanSolver.columns`` sweep fills the row-major nonzeros."""
         solver = self._solver(parity)
-        cols = []
-        for terms in images:
-            coords = solver.coords(terms)
-            if coords is None:
-                raise SpanError(what, witness=CliffordElement(self.space, terms))
-            cols.append(coords)
         nz = [[] for _ in solver.pivots]
-        for c, coords in enumerate(cols):
-            for k, a in coords.items():
-                nz[k].append((c, a if a.__class__ is int else exact(a)))
-        return Mat.from_nonzeros(len(nz), len(cols), nz)
+        bad = solver.columns(images, nz)
+        if bad is not None:
+            raise SpanError(what, witness=CliffordElement(self.space, images[bad]))
+        return Mat.from_nonzeros(len(nz), len(images), nz)
 
     def graded_map(self, source, f, what):
         """The map x -> f(x) from each graded part of ``source`` to the same
@@ -151,12 +144,11 @@ class IdealModule:
         return tuple(self.part_matrix(par, map(f, source.part(par)), what) for par in (1, 0))
 
     def _left_action(self, parity):
-        """Matrices of left multiplication by each e_i on one graded part,
-        read off the Clifford table (``vec_mul_terms``)."""
-        ctx = _ctx(self.space)
-        basis = [x.terms for x in self.part(parity)]
-        return tuple(self._terms_matrix(1 - parity,
-                                        (ctx.vec_mul_terms(i, x) for x in basis),
+        """Matrices of left multiplication by each e_i on one graded part:
+        the n images of each basis element come from one ``vec_images``
+        call, and every image is checked to lie in the other part."""
+        images = list(map(_ctx(self.space).vec_images, (x.terms for x in self.part(parity))))
+        return tuple(self._terms_matrix(1 - parity, [im[i] for im in images],
                                         "left action leaves the module")
                      for i in range(self.space.n))
 
@@ -276,43 +268,49 @@ class FactorizationPair:
         return self.psi.coeff
 
     def check_identity(self) -> bool:
-        """phi_i psi_j + phi_j psi_i = 2 b(e_i, e_j) Id for i <= j, and the
-        same with phi and psi swapped, on integer rows: scaling phi and psi
-        by their denominators multiplies both sides by d_phi * d_psi.  The
+        """phi_i psi_j + phi_j psi_i = 2 b(e_i, e_j) Id for i <= j, that is
+        phi(x) psi(x) = q(x) Id, on integer rows: scaling phi and psi by
+        their denominators multiplies both sides by d_phi * d_psi.  The
         constants q(e_i) and 2 b(e_i, e_j) are read from the Clifford
-        table.
+        table.  A pair whose phi and psi are not both N x N fails.
 
-        One accumulator per row r: every product of row r of first_i with
-        a row t of second_j is summed under the key (min(i, j), max(i, j),
-        c), flattened to an int, with the nonzeros of second indexed by
-        their row t once per order.  Each nonzero target, at c = r, is taken
-        out of the accumulator and compared, and what is left must be
-        zero."""
-        consts = _ctx(self.space).consts
+        One order is enough.  Over the field k(x), phi psi = q Id with
+        q != 0 (a ``QuadraticSpace`` has rank >= 2, so q is no zero form)
+        makes the square phi invertible, psi = q phi^-1, and so psi phi =
+        q Id too (Eisenbud 1980, section 5).
+
+        One accumulator per row r: every product of row r of phi_i with a
+        row t of psi_j is summed under the key (min(i, j), max(i, j), c),
+        flattened to an int, with the nonzeros of psi indexed by their row
+        t.  Each nonzero target, at c = r, is taken out of the accumulator
+        and compared, and what is left must be zero."""
         n = self.space.n
         N = self.N
-        d_phi, phi_rows = self.phi.int_rows()
-        d_psi, psi_rows = self.psi.int_rows()
+        phi, psi = self.phi, self.psi
+        if not (phi.n == psi.n == n and phi.cols == psi.rows == psi.cols == N):
+            return False
+        consts = _ctx(self.space).consts
+        d_phi, phi_rows = phi.int_rows()
+        d_psi, psi_rows = psi.int_rows()
         scale = d_phi * d_psi
         # the key of (i, j, c) is base[i][j] + c, symmetric in i and j
         base = [[(min(i, j) * n + max(i, j)) * N for j in range(n)] for i in range(n)]
         targets = [(base[i][j], consts[i][j] * scale)
                    for i in range(n) for j in range(i, n) if consts[i][j]]
-        for first, second in ((phi_rows, psi_rows), (psi_rows, phi_rows)):
-            by_t = [[(j, c, w) for j in range(n) for c, w in second[j][t]] for t in range(N)]
-            for r in range(N):
-                acc = {}
-                for i in range(n):
-                    bi = base[i]
-                    for t, v in first[i][r]:
-                        for j, c, w in by_t[t]:
-                            k = bi[j] + c
-                            acc[k] = acc.get(k, 0) + v * w
-                for b, want in targets:
-                    if acc.pop(b + r, 0) != want:
-                        return False
-                if any(acc.values()):
+        by_t = [[(j, c, w) for j in range(n) for c, w in psi_rows[j][t]] for t in range(N)]
+        for r in range(N):
+            acc = {}
+            for i in range(n):
+                bi = base[i]
+                for t, v in phi_rows[i][r]:
+                    for j, c, w in by_t[t]:
+                        k = bi[j] + c
+                        acc[k] = acc.get(k, 0) + v * w
+            for b, want in targets:
+                if acc.pop(b + r, 0) != want:
                     return False
+            if any(acc.values()):
+                return False
         return True
 
 

@@ -462,6 +462,36 @@ def left_action_matrix(v, domain_basis, codomain_basis) -> Mat:
     return Mat.from_cols(cols)
 
 
+def per_image_action(i, parity):
+    """The matrices of left multiplication by each e_k on one graded part
+    of the ideal module ``i``, by the route that one coordinate sweep per
+    matrix replaced: each image from ``vec_mul_terms``, its coordinates
+    read one image at a time (its entry at each pivot of the other part's
+    canonical basis, that multiple of the row taken off, no residual
+    left), then one fill of the nonzeros, as Fractions.  An image outside
+    the other part raises SpanError with the image as witness."""
+    ctx = _ctx(i.space)
+    rows = [x.terms for x in i.part(1 - parity)]
+    at = {min(r, key=ctx.index.__getitem__): k for k, r in enumerate(rows)}
+    out = []
+    for e in range(i.space.n):
+        nz = [[] for _ in rows]
+        for c, x in enumerate(i.part(parity)):
+            image = ctx.vec_mul_terms(e, x.terms)
+            rest = dict(image)
+            for m, a in image.items():
+                k = at.get(m)
+                if k is not None:
+                    nz[k].append((c, Fraction(a)))
+                    for j, y in rows[k].items():
+                        rest[j] = rest.get(j, ZERO) - a * y
+            if any(rest.values()):
+                raise SpanError("left action leaves the module",
+                                witness=CliffordElement(i.space, image))
+        out.append(Mat.from_nonzeros(len(rows), len(i.part(parity)), nz))
+    return tuple(out)
+
+
 def dense_trace_pairing_nondegenerate(space) -> bool:
     """``clifford.trace_pairing_nondegenerate`` from the full 2^n x 2^n
     Gram of tr(e_S * e_T) and its rank."""

@@ -11,10 +11,10 @@ from spinorsheaf.errors import SchemaError
 from spinorsheaf.exactalg import LinMat, Mat, exact, mat_invertible, mat_rank_kernel, mat_solve
 from spinorsheaf.fixtures import grid_spaces
 from spinorsheaf.homalg import hom_space, sheaf_numerics
-from spinorsheaf.quadform import QuadraticSpace, _combination, _rational_sqrt, line_roots
+from spinorsheaf.quadform import QuadraticSpace, Subspace, _combination, _rational_sqrt, line_roots
 from spinorsheaf.spinor import build_factorization, build_ideal, shift
 
-from dense_oracles import canonical, canonical_nonzeros, hom_basis
+from dense_oracles import canonical, canonical_nonzeros, hom_basis, per_image_action
 
 INTEGRAL = st.integers(-4, 4)
 # Fractions, whole ones included, which no producer may pass on as they are
@@ -116,3 +116,23 @@ def test_numerics_and_hom_pairs():
                 cs = tuple(exact(k + 1, 2) for k in range(hom.dimension))
                 assert all_canonical(*(m.entries for m in hom.at(cs)))
                 assert all(map(canonical_nonzeros, hom.at(cs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_action_matrices_of_fractional_forms(data):
+    # q(e_0) = 0 and b(e_0, e_1) != 0, so e_0 spans an isotropic line of a
+    # form of rank >= 2; the other entries are ints and Fractions, whole
+    # ones among them.  The action matrices of the module of <e_0> and of
+    # its shift hold canonical nonzeros and match the per-image route.
+    n = data.draw(st.integers(2, 5))
+    upper = data.draw(st.lists(st.one_of(INTEGRAL, FRACTIONAL), min_size=n * n, max_size=n * n))
+    upper[0] = 0
+    upper[1] = data.draw(FRACTIONAL.filter(bool))
+    gram = Mat(n, n, [upper[min(i, j) * n + max(i, j)] for i in range(n) for j in range(n)])
+    space = QuadraticSpace(gram)
+    i = build_ideal(space, Subspace(space, [(1,) + (0,) * (n - 1)]))
+    for m in (i, shift(build_ideal(space, i.w))):
+        for parity, act in ((0, m.act_ev), (1, m.act_odd)):
+            assert all(map(canonical_nonzeros, act))
+            assert act == per_image_action(m, parity)

@@ -291,6 +291,33 @@ def test_graded_map_scan():
         "Other.graded_map", "graded_map", "f", "f.graded_map"}
 
 
+SPAN_SOLVER_HOMES = ("SpanSolver.__init__", "SpanSolver.columns")
+
+
+def test_one_coordinate_loop():
+    # coordinates in a canonical basis are read in SpanSolver.columns, one
+    # sweep per matrix; coords is one column of it, so the pivot index and
+    # the row tails are read nowhere else
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for name in ("_at", "_tails")
+                  for line in _reads_outside(tree, name, *SPAN_SOLVER_HOMES)]
+    assert found == []
+
+
+def test_coordinate_loop_scan():
+    src = ("class SpanSolver:\n"
+           "    def __init__(self, rows):\n        self._at, self._tails = {}, rows\n"
+           "    def columns(self, images, nz):\n        return self._at, self._tails\n"
+           "    def coords(self, v):\n        return self._at.get(v)\n"
+           "def f(solver):\n    return solver._tails[0]\n"
+           "class Other:\n    def columns(self):\n        return self._at\n")
+    tree = ast.parse(src)
+    assert _reads_outside(tree, "_at", *SPAN_SOLVER_HOMES) == [7, 12]
+    assert _reads_outside(tree, "_tails", *SPAN_SOLVER_HOMES) == [9]
+
+
 def _dense_entries_reads(tree, home):
     """Lines that take the attribute ``entries`` outside the classes named
     ``home``; a name that is no attribute is not a read."""

@@ -131,6 +131,30 @@ class TestFactorization:
         assert not bad.check_identity()
 
 
+    def test_identity_fails_on_pairs_that_are_not_square(self):
+        # one order of the identity is enough for N x N phi and psi only:
+        # a pair of another shape fails the check, and cohomology_dim
+        # refuses it instead of reading ranks off it
+        from spinorsheaf.exactalg import LinMat
+        from spinorsheaf.homalg import cohomology_dim
+
+        mf = build_factorization(module("F-H6"))
+        n = mf.space.n
+        assert mf.N == 4
+
+        def block(lm, rows, cols):
+            return LinMat(n, [Mat.from_rows([r[:cols] for r in row_lists(m)[:rows]])
+                              for m in lm.coeff])
+
+        for phi_shape, psi_shape in (((4, 2), (2, 4)), ((4, 4), (3, 3)), ((4, 4), (4, 3))):
+            pair = FactorizationPair(mf.space, block(mf.phi, *phi_shape),
+                                     block(mf.psi, *psi_shape))
+            assert pair.check_identity() is False
+            with pytest.raises(PreconditionError, match="phi psi = q Id fails"):
+                cohomology_dim(pair, 0, 1)
+            assert not pair.identity_checked
+
+
 class TestFiberRank:
     def test_fqs_strata(self):
         mf = build_factorization(module("F-QS"))
@@ -734,6 +758,49 @@ class TestSparseConstruction:
             for m in i.act_ev + i.act_odd:
                 dense = Mat(m.rows, m.cols, m.entries)
                 assert m == dense and hash(m) == hash(dense) and m.nz == dense.nz
+
+    def test_action_matches_the_per_image_route(self):
+        # one SpanSolver.columns sweep per matrix, on the images of one
+        # vec_images call per basis element, against coordinates read one
+        # image at a time: equal matrices that hash alike, on the fixtures,
+        # grid_spaces(6), their shifts and the non-integral form
+        from dense_oracles import canonical_nonzeros, per_image_action
+        from spinorsheaf.fixtures import fixture_from_dict
+
+        odd = fixture_from_dict(NON_INTEGRAL_FIXTURE)
+        cases = ([(fx.space, fx.w) for fx in map(get_fixture, FIXTURES)]
+                 + grid_spaces(6) + [(odd.space, odd.w)])
+        for space, w in cases:
+            for i in (build_ideal(space, w), shift(build_ideal(space, w))):
+                for got, want in ((i.act_ev, per_image_action(i, 0)),
+                                  (i.act_odd, per_image_action(i, 1))):
+                    assert got == want, (space, w, i.shift)
+                    assert list(map(hash, got)) == list(map(hash, want))
+                    assert all(map(canonical_nonzeros, got))
+
+    def test_left_action_leaving_the_module_raises_its_image(self, monkeypatch):
+        # the image of e_2 on the third even basis element of F-H6 gets a
+        # scalar term off the odd part: the one-sweep read of act_ev raises,
+        # with that image as witness, and caches nothing
+        from spinorsheaf.clifford import _Context
+        from spinorsheaf.errors import SpanError
+
+        i = module("F-H6")
+        original = _Context.vec_images
+        stray = []
+
+        def moved(ctx, terms):
+            images = list(original(ctx, terms))
+            if terms is i.ev_basis[2].terms:
+                images[2] = {**images[2], 0: 1}
+                stray.append(images[2])
+            return images
+
+        monkeypatch.setattr(_Context, "vec_images", moved)
+        with pytest.raises(SpanError, match="left action leaves the module") as err:
+            i.act_ev
+        assert err.value.witness == CliffordElement(i.space, stray[0])
+        assert i._act_ev is None
 
     def test_coords_in_reads_the_canonical_basis(self):
         i = module("F-H6")
