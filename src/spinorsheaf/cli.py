@@ -67,7 +67,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     fx = _fixture_from_args(args)
-    report = run_suite(fx, suite=args.suite, seed=args.seed, window=args.window)
+    report = run_suite(fx, suite=args.suite, seed=args.seed)
     for record in report.records:
         sys.stdout.write(f"[{record['verdict'].upper():9s}] {record['op']}\n")
     ok = report.overall(strict=args.strict)
@@ -141,7 +141,7 @@ def cmd_query(args) -> int:
     elif kind == "cohomology":
         module, fx = _module_from_label(args.args[0])
         mf = build_factorization(module)
-        h = cohomology_dim(mf, args.index, args.twist, window=args.window)
+        h = cohomology_dim(mf, args.index, args.twist)
         result.update(fixture=args.args[0], index=args.index,
                       twist=args.twist, dim=h)
     else:
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--strict", action="store_true",
                           help="treat UNDECIDED records as failures")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--window", type=int, default=6)
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--data", help="inline JSON for restrict/cone subspaces")
     p_query.add_argument("--index", type=int, default=0, help="cohomology index")
     p_query.add_argument("--twist", type=int, default=0, help="cohomology twist")
-    p_query.add_argument("--window", type=int, default=6)
     p_query.set_defaults(func=cmd_query)
 
     p_paper = sub.add_parser("paper-example",

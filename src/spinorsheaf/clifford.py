@@ -170,13 +170,6 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coords(self) -> tuple:
-        ctx = _ctx(self.space)
-        out = [0] * (1 << ctx.n)
-        for m, c in self.terms.items():
-            out[ctx.index[m]] = c
-        return tuple(out)
-
     def __eq__(self, other):
         return (
             isinstance(other, CliffordElement)

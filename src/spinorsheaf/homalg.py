@@ -22,7 +22,6 @@ from .clifford import CliffordElement, multiply
 from .errors import (
     InvariantError,
     PreconditionError,
-    SchemaError,
     SpanError,
     StandardizationUnavailable,
 )
@@ -46,16 +45,13 @@ from .spinor import (
     generator_image_system,
     intertwines,
     recover_intersection_with_radical,
-    word_coordinates,
+    word_walk,
 )
 
-# Cohomology runs over the twists -window..window.  The bound was set when
-# each twist eliminated a multiplication map of N * C(t + n - 1, n - 1)
-# rows; the ranks now come from the factorization identity, so the window
-# no longer drives the cost (F-H6a's stability suite takes about 0.02 s at
-# window 6 and at 40, Python 3.11, 2-vCPU Xeon), and the bound keeps the
-# accepted windows as they were.
-MAX_WINDOW = 12
+# The suites check cohomology and Euler sums at the twists -WINDOW..WINDOW.
+# Every h^i(S(t)) is a closed form in N, n and t, so this bounds no cost;
+# it is the span the reports record.
+WINDOW = 6
 
 
 class GradedHom:
@@ -75,18 +71,14 @@ class GradedHom:
         self._walk = self._crosscheck = None
 
     def _words(self, module, columns, v):
-        """The words e_M v = e_i (e_{M - i} v), M a subset of the source's
-        ``word_coordinates`` and i its least index (as in ``build_ideal``),
-        v in part ``_part`` of ``module``: the columns of a matrix per part,
-        read only by a product or an inverse, which make them canonical."""
-        free = word_coordinates(self.source.w)
-        words, parts = [_sparse(v)], [self._part]
-        for mask in range(1, 1 << len(free)):
-            rest = mask & (mask - 1)
-            words.append(_image(columns[parts[rest]][free[(mask ^ rest).bit_length() - 1]],
-                                words[rest]))
-            parts.append(1 - parts[rest])
-        cols = [[sorted(w.items()) for w, p in zip(words, parts) if p == par] for par in (0, 1)]
+        """The source's ``word_walk`` (as in ``build_ideal``) from v in part
+        ``_part`` of ``module``, a word of |M| letters in part _part + |M|:
+        the columns of a matrix per part, read only by a product or an
+        inverse, which make them canonical."""
+        part = self._part
+        walk = word_walk(self.source.w, _sparse(v),
+                         lambda i, x, k: _image(columns[(part + k) % 2][i], x))
+        cols = [[sorted(x.items()) for x, k in walk if (part + k) % 2 == par] for par in (0, 1)]
         return [Mat.from_nonzeros(len(c), dim, c).transpose()
                 for c, dim in zip(cols, (module.ev_dim, module.odd_dim))]
 
@@ -492,20 +484,15 @@ def sheaf_numerics(mf: FactorizationPair) -> SheafNumerics:
     return SheafNumerics(hilbert, rank, degree, slope, False)
 
 
-def check_window(window) -> None:
-    """Reject a twist window outside 0..MAX_WINDOW (a negative one has no twists)."""
-    if type(window) is not int or not 0 <= window <= MAX_WINDOW:
-        raise SchemaError(f"window must be an integer in 0..{MAX_WINDOW}, got {window!r}")
-
-
-def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
+def cohomology_dim(mf, idx: int, t: int) -> int:
     """Dimension of H^idx(S(t)), S = coker phi, from the resolution
     0 -> O(-1)^N -> O^N -> S -> 0 on P^{n-1}.
 
     psi phi = q Id, q != 0 in a domain, makes phi and phi^T injective, of
     rank N * df(t-1) in degree t (df(d) counts degree-d monomials); so h^0
     = N * (df(t) - df(t-1)), the top index is that at s = -t-n+1, and line
-    bundles on P^{n-1} have no middle cohomology.
+    bundles on P^{n-1} have no middle cohomology.  Any twist t is read off
+    these closed forms.
 
     The argument needs the identity: a pair whose ``identity_checked`` is
     unset (hand-built, swapped, dual) is checked here once, and one that
@@ -516,14 +503,11 @@ def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
     (idx 0, t = 2) also eliminates phi and phi^T in degree 2, and a rank
     other than N * n raises ``InvariantError``.
     """
-    check_window(window)
     n = mf.space.n
     N = mf.N
     top = n - 2
     if idx < 0 or idx > top:
         raise PreconditionError("cohomology index out of range")
-    if abs(t) > window:
-        raise PreconditionError("twist outside the configured window")
     if not mf.identity_checked:
         if not mf.check_identity():
             raise PreconditionError("phi psi = q Id fails: the pair resolves no sheaf")
@@ -549,15 +533,9 @@ def cohomology_dim(mf, idx: int, t: int, window: int = 6) -> int:
     return 0
 
 
-def cohomology_table(mf, t: int, window: int = 6):
-    n = mf.space.n
-    return [cohomology_dim(mf, i, t, window) for i in range(max(n - 1, 1))]
-
-
-def euler_characteristic_matches(mf, numerics: SheafNumerics, t: int,
-                                 window: int = 6) -> bool:
-    table = cohomology_table(mf, t, window)
-    total = sum((-1) ** i * h for i, h in enumerate(table))
+def euler_characteristic_matches(mf, numerics: SheafNumerics, t: int) -> bool:
+    """Whether sum_i (-1)^i h^i(S(t)) is the Hilbert polynomial at t."""
+    total = sum((-1) ** i * cohomology_dim(mf, i, t) for i in range(max(mf.space.n - 1, 1)))
     return total == numerics.hilbert(t)
 
 

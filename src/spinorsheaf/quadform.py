@@ -126,14 +126,6 @@ class Subspace:
         return f"Subspace(dim={self.dim} of n={self.ambient.n})"
 
 
-def evaluate(space: QuadraticSpace, v, w=None):
-    """b(v, w); with w omitted, q(v) = b(v, v)."""
-    v = vec(v)
-    if w is None:
-        return space.q(v)
-    return space.b(v, vec(w))
-
-
 def radical_basis(space: QuadraticSpace) -> Subspace:
     """The kernel K of the form; dim K = n - rank(q).  The space caches the
     kernel vectors, not the Subspace, which would refer back to it."""

@@ -170,20 +170,29 @@ class IdealModule:
         return f"IdealModule(dim W={self.w.dim}, N={self.ev_dim}){tag}"
 
 
-def word_coordinates(w: Subspace) -> list:
-    """S, the coordinates that are not pivots of W's reduced rows."""
-    return [k for k in range(w.ambient.n) if k not in w._solver.pivots]
+def word_walk(w: Subspace, start, step) -> list:
+    """The words e_M v, M a subset of S, the coordinates that are not
+    pivots of W's reduced rows, in the order of the masks of S, each as
+    (word, |M|): the word of M is ``step(i, word of M - i, |M| - 1)`` with
+    i the least index of M, and the word of the empty set is ``start``."""
+    free = [k for k in range(w.ambient.n) if k not in w._solver.pivots]
+    walk = [(start, 0)]
+    for mask in range(1, 1 << len(free)):
+        low = mask & -mask
+        word, size = walk[mask ^ low]
+        walk.append((step(free[low.bit_length() - 1], word, size), size + 1))
+    return walk
 
 
 def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     """The ideal module of an isotropic subspace, with canonical bases.
 
-    Let S be the ``word_coordinates`` of W, so V = span(e_S) + W, a
-    direct sum.  The ordered products e_M w_A (M in S, A in a basis of W)
-    then span Cl, and w_a g = 0 for the generator
+    Let S be the coordinates off the pivots of W's reduced rows, so
+    V = span(e_S) + W, a direct sum.  The ordered products e_M w_A (M in
+    S, A in a basis of W) then span Cl, and w_a g = 0 for the generator
     g = w_1...w_m, since the vectors of an isotropic W anticommute and
     square to 0.  So Cl g is spanned by the 2^(n-m) products e_M g, M a
-    subset of S, built by a recursion over the masks of S:
+    subset of S, built by ``word_walk``:
     e_M g = e_i (e_{M - i} g) with i the least index of M.  They are
     2^(n-m) nonzero elements of the right graded degrees, and the
     dimension law checks that they are independent."""
@@ -195,19 +204,10 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     ctx = _ctx(space)
     index, order = ctx.index, ctx.order
     m = w.dim
-    free = word_coordinates(w)
-    prods = [gen.terms]
-    ev_raw = []
-    odd_raw = []
-    for mask in range(1 << len(free)):
-        if mask:
-            low = mask & -mask
-            prods.append(ctx.vec_mul_terms(free[low.bit_length() - 1], prods[mask ^ low]))
-        row = {index[mono]: c for mono, c in prods[mask].items()}
-        if (bin(mask).count("1") + m) % 2 == 0:
-            ev_raw.append(row)
-        else:
-            odd_raw.append(row)
+    raw = ([], [])
+    for terms, size in word_walk(w, gen.terms, lambda i, x, _: ctx.vec_mul_terms(i, x)):
+        raw[(size + m) % 2].append({index[mono]: c for mono, c in terms.items()})
+    ev_raw, odd_raw = raw
     dim = 1 << space.n
     ev_rows, _ = rref_rows(ev_raw, dim)
     odd_rows, _ = rref_rows(odd_raw, dim)
@@ -345,9 +345,8 @@ def dual_factorization(mf: FactorizationPair) -> FactorizationPair:
 class FlagSequence:
     """Data of 0 -> I_W -> I_W' -> I_W[1] -> 0 for W' of codimension 1."""
 
-    __slots__ = ("inner", "outer", "connecting_vector", "inclusion_ev", "inclusion_odd",
-                 "quotient_ev", "quotient_odd", "exact", "split_subspace", "split_module",
-                 "section")
+    __slots__ = ("inner", "outer", "inclusion_ev", "inclusion_odd", "quotient_ev",
+                 "quotient_odd", "exact", "split_subspace", "split_module", "section")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -427,7 +426,6 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
     return FlagSequence(
         inner=inner,
         outer=outer,
-        connecting_vector=drop,
         inclusion_ev=inc_ev,
         inclusion_odd=inc_odd,
         quotient_ev=q_ev,

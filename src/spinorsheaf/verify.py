@@ -15,7 +15,7 @@ from .errors import InvariantError, SpinorError
 from .exactalg import Mat, rat_to_json
 from .fixtures import Fixture
 from .homalg import (
-    check_window,
+    WINDOW,
     cohomology_dim,
     euler_characteristic_matches,
     factorization_equivalent,
@@ -134,10 +134,9 @@ class _Run:
     """What the suites of one run share: the module, its factorization,
     and, computed on first use, the flag sequence and End(module)."""
 
-    def __init__(self, fx, seed, window):
+    def __init__(self, fx, seed):
         self.fx = fx
         self.seed = seed
-        self.window = window
         self.module = build_ideal(fx.space, fx.w)
         self.mf = build_factorization(self.module)
 
@@ -153,19 +152,17 @@ class _Run:
         return hom_space(self.module, self.module)
 
 
-def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED,
-              window: int = 6) -> Report:
+def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED) -> Report:
     """Run one suite or all of them on a fixture.  An ``InvariantError``
     inside a suite becomes a ``fail`` record with op ``invariant_error``
     and the next suite runs; one raised while building the module or its
     factorization ends the run."""
     if suite != "all" and suite not in SUITES:
         raise SpinorError(f"unknown suite {suite!r}; choose from all, " + ", ".join(SUITES))
-    check_window(window)
     chosen = SUITES if suite == "all" else (suite,)
     report = Report(fx.label, suite, seed)
     t0 = time.perf_counter()
-    run = _Run(fx, seed, window)
+    run = _Run(fx, seed)
     for name in chosen:
         try:
             _RUNNERS[name](run, report)
@@ -276,7 +273,7 @@ def _run_dual(run, report):
 
 
 def _run_sections(run, report):
-    fx, module, mf, window = run.fx, run.module, run.mf, run.window
+    fx, module, mf = run.fx, run.module, run.mf
     if fx.section_subspace is not None:
         u = Subspace(fx.space, fx.section_subspace)
         verdict = restrict_compare(module, u)
@@ -296,14 +293,14 @@ def _run_sections(run, report):
     if n - 2 >= 3:
         ok = True
         for i in range(1, n - 2):
-            for t in range(-window, window + 1):
-                if cohomology_dim(mf, i, t, window) != 0:
+            for t in range(-WINDOW, WINDOW + 1):
+                if cohomology_dim(mf, i, t) != 0:
                     ok = False
-        report.add("acm_vanishing", _verdict(ok), window=window)
+        report.add("acm_vanishing", _verdict(ok), window=WINDOW)
 
 
 def _run_stability(run, report):
-    module, mf, window = run.module, run.mf, run.window
+    module, mf = run.module, run.mf
     num = sheaf_numerics(mf)
     if num.torsion_flag:
         report.add("sheaf_numerics", "pass", torsion=True)
@@ -313,10 +310,10 @@ def _run_stability(run, report):
         report.add("sheaf_numerics", _verdict(ok), rank=num.rank,
                    degree=num.degree, slope=num.slope)
     ok = True
-    for t in range(-window, window + 1):
-        if not euler_characteristic_matches(mf, num, t, window):
+    for t in range(-WINDOW, WINDOW + 1):
+        if not euler_characteristic_matches(mf, num, t):
             ok = False
-    report.add("euler_consistency", _verdict(ok), window=window)
+    report.add("euler_consistency", _verdict(ok), window=WINDOW)
 
     sv = simplicity_verdict(module, end=run.end)
     report.add("simplicity_trichotomy", _verdict(sv.agree),

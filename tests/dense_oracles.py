@@ -3,10 +3,10 @@ replaced, the certificates on a standardized copy of the space that the
 module-side ones replaced, the eliminated cohomology dimensions that the
 identity route replaced, the form, sampled points and fiber ranks in
 Fraction arithmetic that the integer form replaced, and the
-quotient-space, Clifford, matrix and module helpers no package module
-needs; the tests compare the package
-against them.  The references compute on their own Fraction constants,
-so they stay independent of the package's canonical form."""
+form-evaluation, quotient-space, Clifford, matrix and module helpers no
+package module needs; the tests compare the package against them.  The
+references compute on their own Fraction constants, so they stay
+independent of the package's canonical form."""
 
 import random
 from fractions import Fraction
@@ -98,6 +98,15 @@ def vector_part(a: CliffordElement):
             return None
         v[m.bit_length() - 1] = c
     return tuple(v)
+
+
+def dense_coords(a: CliffordElement) -> tuple:
+    """The 2^n coordinates of ``a`` in the monomial order of its space."""
+    ctx = _ctx(a.space)
+    out = [0] * (1 << ctx.n)
+    for m, c in a.terms.items():
+        out[ctx.index[m]] = c
+    return tuple(out)
 
 
 def _scaled_int_rows(frac_rows):
@@ -265,9 +274,9 @@ def dense_ideal_bases(space, w):
         if elt.is_zero():
             continue
         if (bin(mask).count("1") + w.dim) % 2 == 0:
-            ev_raw.append(elt.coords())
+            ev_raw.append(dense_coords(elt))
         else:
-            odd_raw.append(elt.coords())
+            odd_raw.append(dense_coords(elt))
     dim = 1 << space.n
     return tuple(
         [CliffordElement(space, {ctx.order[i]: c for i, c in enumerate(r) if c})
@@ -323,6 +332,14 @@ def fraction_form(space, v, w) -> Fraction:
     n = space.n
     return sum((Fraction(v[i]) * Fraction(space.gram[i, j]) * Fraction(w[j])
                 for i in range(n) for j in range(n)), ZERO)
+
+
+def evaluate(space, v, w=None):
+    """b(v, w); with w omitted, q(v) = b(v, v)."""
+    v = vec(v)
+    if w is None:
+        return space.q(v)
+    return space.b(v, vec(w))
 
 
 def _fraction_roots(qa, bab, qb) -> list:

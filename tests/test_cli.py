@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorsheaf import cli, homalg, spinor
+from spinorsheaf import cli, spinor
 from spinorsheaf.cli import main, paper_example_matrices, paper_example_result
 from spinorsheaf.errors import SchemaError
 from spinorsheaf.fixtures import (
@@ -20,7 +20,6 @@ from spinorsheaf.fixtures import (
     fixture_to_dict,
     get_fixture,
 )
-from spinorsheaf.verify import run_suite
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -136,27 +135,15 @@ class TestVerify:
         assert r.returncode == 2
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--fixture", "F-H6", "--window", "-1"],
-        ["verify", "--fixture", "F-H6", "--window", str(homalg.MAX_WINDOW + 1)],
-        ["query", "cohomology", "F-H6", "--twist", "0", "--window", str(homalg.MAX_WINDOW + 1)],
+        ["verify", "--fixture", "F-H6", "--window", "6"],
+        ["query", "cohomology", "F-H6", "--window", "6"],
     ])
-    def test_window_out_of_range_exit_2(self, argv):
-        # a negative window checks no twist at all; a large one runs for minutes
+    def test_window_option_is_gone(self, argv):
+        # the suites check the twists -6..6 and a query takes any twist
         r = run_cli(argv)
         assert r.returncode == 2
-        assert f"window must be an integer in 0..{homalg.MAX_WINDOW}" in r.stderr
-        assert "Traceback" not in r.stderr and r.stdout == ""
-
-    def test_window_bounds_in_the_library(self):
-        fx = get_fixture("F-H2")
-        for window in (-1, homalg.MAX_WINDOW + 1):
-            with pytest.raises(SchemaError):
-                run_suite(fx, "all", window=window)
-        mf = spinor.build_factorization(spinor.build_ideal(fx.space, fx.w))
-        with pytest.raises(SchemaError):
-            homalg.cohomology_dim(mf, 0, 0, window=-1)
-        assert homalg.cohomology_dim(mf, 0, 0, window=0) == 1
-        assert run_suite(fx, "all", window=homalg.MAX_WINDOW).overall()
+        assert "unrecognized arguments: --window" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestQuery:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -513,11 +514,33 @@ class TestCohomology:
         assert cohomology_dim(m6, 4, -6) == 20
 
     def test_window_enforced(self):
+        # the twist is unbounded (test_any_twist_matches_the_closed_form);
+        # the index must name a cohomology group
         m = build_factorization(module("F-QS"))
         with pytest.raises(PreconditionError):
-            cohomology_dim(m, 0, 9)
-        with pytest.raises(PreconditionError):
             cohomology_dim(m, 7, 0)
+
+    def test_any_twist_matches_the_closed_form(self):
+        # coker(O(-1)^N -> O^N) on P^{n-1}: h^0 in degree d = t and the top
+        # index in degree d = -t-n+1 are N (C(d+n-1, n-1) - C(d+n-2, n-1)),
+        # far outside the twists the suites check
+        def comb(a, b):
+            return math.comb(a, b) if a >= 0 else 0
+
+        def coker(N, n, d):
+            return N * (comb(d + n - 1, n - 1) - comb(d + n - 2, n - 1))
+
+        for label in FIXTURE_LABELS:
+            mf = build_factorization(module(label))
+            n, N = mf.space.n, mf.N
+            for t in (7, -7, 13, -13, 10 ** 5, -10 ** 5):
+                h0, top = coker(N, n, t), coker(N, n, -t - n + 1)
+                if n == 2:
+                    assert cohomology_dim(mf, 0, t) == h0 + top
+                    continue
+                assert cohomology_dim(mf, 0, t) == h0
+                assert cohomology_dim(mf, n - 2, t) == top
+                assert all(cohomology_dim(mf, i, t) == 0 for i in range(1, n - 2))
 
     def test_identity_route_agrees_with_elimination(self):
         pairs = [build_factorization(module(label)) for label in FIXTURE_LABELS]

@@ -486,34 +486,82 @@ def test_rational_scan():
     assert _rational_sites(ast.parse(src)) == [1, 2, 2, 3, 5, 6, 12, 16]
 
 
+def _import_bindings(tree):
+    """The names a module binds by a relative import: ``from .m import f
+    as g`` binds g -> (m, f) and ``from . import m`` binds m -> (m, None)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                out[alias.asname or alias.name] = ((node.module.split(".")[-1], alias.name)
+                                                   if node.module else (alias.name, None))
+    return out
+
+
 def _uncalled(trees, kept):
     """``module.function`` for each top-level function, and
     ``module.Class.method`` for each method of a top-level class other than
     a dunder, that no module of ``trees`` (name -> tree) reads outside its
     own definition and that ``kept`` does not list (a method as
-    ``Class.method``).  A read is by name, whatever the object."""
-    reads = {}
-    for tree in trees.values():
+    ``Class.method``).
+
+    A read of a top-level function is one bound to it: its name loaded in
+    its own module or where ``from .m import f`` binds it (followed through
+    re-exports), or ``m.f`` where m is module m's own name or is bound to
+    it by ``from . import m``.  The scan has no types, so a method is read
+    by any name or attribute that spells it, whatever the object."""
+    defs = {mod: {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+            for mod, tree in trees.items()}
+    bindings = {mod: _import_bindings(tree) for mod, tree in trees.items()}
+
+    def resolve(mod, name):
+        """(module, name) of the top-level function that ``name`` stands
+        for in ``mod``, or None."""
+        while mod in trees:
+            if name in defs[mod]:
+                return mod, name
+            if name not in bindings[mod] or bindings[mod][name][1] is None:
+                return None
+            mod, name = bindings[mod][name]
+        return None
+
+    def module_named(mod, name):
+        """The module that ``name`` stands for in ``mod``, or None."""
+        target, attr = bindings[mod].get(name, (name, None))
+        return target if attr is None and target in trees else None
+
+    reads, called = {}, set()
+    for mod, tree in trees.items():
+        inside = {id(sub): name for name, node in defs[mod].items() for sub in ast.walk(node)}
         for node in ast.walk(tree):
+            target = None
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads[node.id] = reads.get(node.id, 0) + 1
+                target = resolve(mod, node.id)
             elif isinstance(node, ast.Attribute):
                 reads[node.attr] = reads.get(node.attr, 0) + 1
-    found = []
+                owner = isinstance(node.value, ast.Name) and module_named(mod, node.value.id)
+                if owner:
+                    target = resolve(owner, node.attr)
+            if target is not None and target != (mod, inside.get(id(node))):
+                called.add(target)
+    found = [f"{mod}.{name}" for mod in trees for name in defs[mod]
+             if name not in kept and (mod, name) not in called]
     for mod, tree in trees.items():
-        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-        defs += [(f"{cls.name}.{node.name}", node)
-                 for cls in tree.body if isinstance(cls, ast.ClassDef)
-                 for node in cls.body if isinstance(node, ast.FunctionDef)
-                 and not (node.name.startswith("__") and node.name.endswith("__"))]
-        for qual, node in defs:
-            if qual in kept:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
                 continue
-            own = sum(1 for sub in ast.walk(node)
-                      if (isinstance(sub, ast.Name) and sub.id == node.name)
-                      or (isinstance(sub, ast.Attribute) and sub.attr == node.name))
-            if reads.get(node.name, 0) == own:
-                found.append(f"{mod}.{qual}")
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                qual = f"{cls.name}.{node.name}"
+                if qual in kept or (node.name.startswith("__") and node.name.endswith("__")):
+                    continue
+                own = sum(1 for sub in ast.walk(node)
+                          if (isinstance(sub, ast.Name) and sub.id == node.name)
+                          or (isinstance(sub, ast.Attribute) and sub.attr == node.name))
+                if reads.get(node.name, 0) == own:
+                    found.append(f"{mod}.{qual}")
     return sorted(found)
 
 
@@ -550,3 +598,18 @@ def test_caller_scan_checks_methods():
         "b": ast.parse("from .a import C\nx = C().used()\n"),
     }
     assert _uncalled(trees, {"C", "C.traced"}) == ["a.C.recursive"]
+
+
+def test_caller_scan_binds_function_reads():
+    # a method read of the same name does not call a top-level function;
+    # an import, a re-export and a module attribute do
+    trees = {
+        "a": ast.parse("def evaluate(v):\n    return v\n"
+                       "def helper(v):\n    return v\n"
+                       "def rank(v):\n    return v\n"),
+        "b": ast.parse("class L:\n    def evaluate(self):\n        return 1\n"
+                       "def f(x):\n    return x.evaluate()\n"),
+        "c": ast.parse("from .a import helper as h, rank\nx = h(1)\n"),
+        "d": ast.parse("from . import c\ny = c.rank(2)\n"),
+    }
+    assert _uncalled(trees, {"f"}) == ["a.evaluate"]

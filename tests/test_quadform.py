@@ -4,7 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import canonical, fraction_form, quotient_induced_gram, quotient_lift
+from dense_oracles import (
+    canonical,
+    evaluate,
+    fraction_form,
+    quotient_induced_gram,
+    quotient_lift,
+)
 from spinorsheaf.errors import PreconditionError, SchemaError
 from spinorsheaf.exactalg import Mat, vec
 from spinorsheaf.fixtures import get_fixture
@@ -14,7 +20,6 @@ from spinorsheaf.quadform import (
     Subspace,
     candidate_vectors,
     check_isotropic,
-    evaluate,
     isotropic_type,
     line_roots,
     quotient_space,

@@ -718,14 +718,14 @@ class TestSparseConstruction:
             assert (list(i.ev_basis), list(i.odd_basis)) == dense_ideal_bases(space, w)
 
     def test_bases_match_dense_path_on_fixtures(self):
-        from dense_oracles import dense_ideal_bases
+        from dense_oracles import dense_coords, dense_ideal_bases
 
         for label in FIXTURES:
             fx = get_fixture(label)
             i = build_ideal(fx.space, fx.w)
             ev, odd = dense_ideal_bases(fx.space, fx.w)
-            assert [x.coords() for x in i.ev_basis] == [x.coords() for x in ev]
-            assert [x.coords() for x in i.odd_basis] == [x.coords() for x in odd]
+            assert [dense_coords(x) for x in i.ev_basis] == [dense_coords(x) for x in ev]
+            assert [dense_coords(x) for x in i.odd_basis] == [dense_coords(x) for x in odd]
 
     def test_bases_match_dense_path_beyond_the_grid(self):
         # the 2^(n-m) products e_M g (M off W's pivots) against all 2^n masks
