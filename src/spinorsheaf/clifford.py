@@ -118,6 +118,14 @@ class CliffordElement:
                       for m, c in terms.items() if c}
 
     @classmethod
+    def from_terms(cls, space, terms: dict) -> "CliffordElement":
+        """The element of ``terms``, taken as they are: nonzero canonical
+        coefficients, as ``exactalg.rref_rows`` gives them."""
+        x = cls.__new__(cls)
+        x.space, x.terms = space, terms
+        return x
+
+    @classmethod
     def zero(cls, space) -> "CliffordElement":
         return cls(space, {})
 

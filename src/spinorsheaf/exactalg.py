@@ -19,9 +19,12 @@ integer rows cleared of denominators: the canonical span bases
 (``rref_rows``), the spans grown one vector at a time (``IncrementalSpan``),
 the multiplication-map ranks (``mult_map_rank``) and the matrix routines
 ``mat_rank``, ``mat_rank_kernel``, ``mat_solve`` and ``mat_invertible``.
-One back-substitution (``_back_substitute``) gives the kernel vectors, the
-particular solutions and the inverse columns, each from fixed values at
-free columns.
+Rows already reduced up to scale need none: when their leading columns
+are distinct and no row is nonzero at another row's leading column, as the
+words e_M g of an ideal module almost always are, ``rref_rows`` divides
+each row by its leading entry.  One back-substitution
+(``_back_substitute``) gives the kernel vectors, the particular solutions
+and the inverse columns, each from fixed values at free columns.
 """
 
 from __future__ import annotations
@@ -170,12 +173,6 @@ class Mat:
     def __neg__(self) -> "Mat":
         return Mat.from_nonzeros(self.rows, self.cols,
                                  [[(j, -x) for j, x in row] for row in self.nz])
-
-    def scale(self, s) -> "Mat":
-        s = exact(s)
-        return Mat.from_nonzeros(self.rows, self.cols,
-                                 [[(j, _whole(s * x)) for j, x in row] if s else []
-                                  for row in self.nz])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -327,14 +324,36 @@ def mat_invertible(m: Mat):
 
 def rref_rows(vectors, ncols):
     """Canonical (reduced row echelon) basis of the span of ``vectors``,
-    dense sequences or ``{col: value}`` dicts: echelon form from the sparse
-    kernel on rows cleared of denominators, then back-substitution from the
-    last pivot up to pivot 1.  Returns (rows, pivots); rows are dicts in
-    column order for dict input, else dense tuples of length ``ncols``, and
-    their entries are canonical (``exact``): ints where whole."""
+    dense sequences or ``{col: value}`` dicts.  Returns (rows, pivots);
+    rows are dicts in column order for dict input, else dense tuples of
+    length ``ncols``, and their entries are canonical (``exact``): ints
+    where whole.
+
+    Nonzero rows with distinct leading columns, none of them nonzero at
+    another row's leading column, are already in reduced echelon form up
+    to scale: each is divided once by its leading entry and no elimination
+    runs.  Other input takes the echelon form from the sparse kernel on
+    rows cleared of denominators, then back-substitution from the last
+    pivot up to pivot 1.  The reduced form is unique, so both routes give
+    the same rows."""
     vectors = list(vectors)
-    reduced = _kernels.sparse_echelon(
-        [r for r in (_int_row(_sparse(v).items()) for v in vectors) if r])
+    nonzero = [r for r in map(_sparse, vectors) if r]
+    leads = {min(r): r for r in nonzero}
+    if len(leads) == len(nonzero) and all(j == c or j not in leads
+                                          for c, r in leads.items() for j in r):
+        pivots = sorted(leads)
+        rows = [{j: exact(v, r[c]) for j, v in sorted(r.items())}
+                for c, r in sorted(leads.items())]
+    else:
+        rows, pivots = _eliminated_rref(nonzero)
+    if vectors and not isinstance(vectors[0], dict):
+        rows = [tuple(r.get(j, 0) for j in range(ncols)) for r in rows]
+    return rows, pivots
+
+
+def _eliminated_rref(rows):
+    """``rref_rows`` of nonzero ``{col: value}`` rows by elimination."""
+    reduced = _kernels.sparse_echelon([_int_row(r.items()) for r in rows])
     pivots = sorted(reduced)
     done = {}
     for c in reversed(pivots):
@@ -352,10 +371,7 @@ def rref_rows(vectors, ncols):
                         del row[j]
         done[c] = row
     # a Fraction difference may be whole
-    rows = [{j: _whole(v) for j, v in sorted(done[c].items())} for c in pivots]
-    if vectors and not isinstance(vectors[0], dict):
-        rows = [tuple(r.get(j, 0) for j in range(ncols)) for r in rows]
-    return rows, pivots
+    return [{j: _whole(v) for j, v in sorted(done[c].items())} for c in pivots], pivots
 
 
 class IncrementalSpan:
@@ -389,41 +405,44 @@ class SpanSolver:
     entry at a pivot; the vector is in the span when that combination of
     the rows leaves no residual.  Only nonzeros are touched, and a
     coordinate is the vector's own entry, made canonical (``exact``).
-    Every read goes through ``columns``, which fills a matrix's row-major
-    nonzeros from its column images in one sweep; ``coords`` is one
-    column."""
+    Every read goes through ``columns``, which fills the row-major
+    nonzeros of several matrices from their column images in one sweep;
+    ``coords`` is one column of one matrix."""
 
     def __init__(self, rref, pivots):
-        rows = [_sparse(r) for r in rref]
         self.pivots = list(pivots)
-        self._at = {c: k for k, c in enumerate(self.pivots)}
-        if any(r.get(c) != 1 or any(j != c and j in self._at for j in r)
-               for r, c in zip(rows, self.pivots)):
-            raise ValueError("span rows must be in reduced row echelon form")
-        self._tails = [[(j, x) for j, x in r.items() if j != c]
-                       for r, c in zip(rows, self.pivots)]
+        self._at = at = {c: k for k, c in enumerate(self.pivots)}
+        self._tails = []
+        for r, c in zip(map(_sparse, rref), self.pivots):
+            # 1 at its own pivot, and no other pivot
+            if r.get(c) != 1 or len(r.keys() & at.keys()) != 1:
+                raise ValueError("span rows must be in reduced row echelon form")
+            self._tails.append([(j, x) for j, x in r.items() if j != c])
 
-    def columns(self, images, nz):
-        """Append the coordinates of image c, a ``{col: value}`` dict of
-        nonzeros, to the row-major nonzeros ``nz`` (``nz[k]`` the list of
-        basis row k) as column c, canonical (``exact``); returns the index
-        of the first image outside the span, or None.
+    def columns(self, images, nzs):
+        """Fill the row-major nonzeros of several matrices in one sweep.
+        ``images`` gives one sequence per column c, whose entry i, a
+        ``{col: value}`` dict of nonzeros, is column c of matrix i; its
+        coordinates go to ``nzs[i]`` (``nzs[i][k]`` the list of basis row
+        k) as column c, canonical (``exact``).  Returns the first image
+        outside the span, or None.
 
         The residual of an image is its part off the pivots less a * tail
         for each coordinate a, since a row's tail holds no pivot."""
         at, tails = self._at, self._tails
-        for c, v in enumerate(images):
-            rest = {}
-            for j, a in v.items():
-                k = at.get(j)
-                if k is None:
-                    rest[j] = rest.get(j, 0) + a
-                else:
-                    nz[k].append((c, a if a.__class__ is int else _whole(a)))
-                    for t, x in tails[k]:
-                        rest[t] = rest.get(t, 0) - a * x
-            if any(rest.values()):
-                return c
+        for c, column in enumerate(images):
+            for v, nz in zip(column, nzs):
+                rest = {}
+                for j, a in v.items():
+                    k = at.get(j)
+                    if k is None:
+                        rest[j] = rest.get(j, 0) + a
+                    else:
+                        nz[k].append((c, a if a.__class__ is int else _whole(a)))
+                        for t, x in tails[k]:
+                            rest[t] = rest.get(t, 0) - a * x
+                if rest and any(rest.values()):
+                    return v
         return None
 
     def coords(self, v):
@@ -431,7 +450,7 @@ class SpanSolver:
         v is outside the span: one column of ``columns``, on the rows it
         touches."""
         col = defaultdict(list)
-        if self.columns([_sparse(v)], col) is not None:
+        if self.columns([[_sparse(v)]], [col]) is not None:
             return None
         return {k: row[0][1] for k, row in col.items()}
 

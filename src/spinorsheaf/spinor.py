@@ -60,7 +60,8 @@ from .quadform import (
 
 class IdealModule:
     """The graded left ideal generated by the product of a basis of an
-    isotropic subspace, with canonical bases of both graded pieces."""
+    isotropic subspace, with canonical bases of both graded pieces and
+    the span solvers of those bases (``solvers``, even part first)."""
 
     __slots__ = (
         "space",
@@ -75,15 +76,14 @@ class IdealModule:
         "_act_odd",
     )
 
-    def __init__(self, space, w, generator, ev_basis, odd_basis, shift=0):
+    def __init__(self, space, w, generator, ev_basis, odd_basis, solvers, shift=0):
         self.space = space
         self.w = w
         self.generator = generator
         self.ev_basis = tuple(ev_basis)
         self.odd_basis = tuple(odd_basis)
         self.shift = shift
-        self._solver_ev = None
-        self._solver_odd = None
+        self._solver_ev, self._solver_odd = solvers
         self._act_ev = None
         self._act_odd = None
 
@@ -100,14 +100,8 @@ class IdealModule:
         return self.space.n - self.w.dim
 
     def _solver(self, parity):
-        """Span solver of one graded part; a canonical row's pivot is its first monomial."""
-        attr = "_solver_ev" if parity == 0 else "_solver_odd"
-        if getattr(self, attr) is None:
-            basis = self.ev_basis if parity == 0 else self.odd_basis
-            first = _ctx(self.space).index.__getitem__
-            setattr(self, attr, SpanSolver([x.terms for x in basis],
-                                           [min(x.terms, key=first) for x in basis]))
-        return getattr(self, attr)
+        """Span solver of the even (0) or odd (1) graded part."""
+        return self._solver_ev if parity == 0 else self._solver_odd
 
     def coords_in(self, parity, element):
         """Coordinates of element in the basis of the given graded part, as
@@ -124,17 +118,20 @@ class IdealModule:
     def part_matrix(self, parity, images, what) -> Mat:
         """The matrix whose columns are the coordinates of ``images`` in the
         given graded part; an image outside it raises SpanError(what)."""
-        return self._terms_matrix(parity, [x.terms for x in images], what)
+        return self._matrices(parity, [[x.terms] for x in images], 1, what)[0]
 
-    def _terms_matrix(self, parity, images, what) -> Mat:
-        """``part_matrix`` of images given by their terms, a sequence: one
-        ``SpanSolver.columns`` sweep fills the row-major nonzeros."""
+    def _matrices(self, parity, images, count, what):
+        """The ``count`` matrices on the given graded part whose column c
+        holds the coordinates of ``images[c][i]``, given by its terms, in
+        matrix i: one ``SpanSolver.columns`` sweep fills all their
+        row-major nonzeros.  An image outside the part raises
+        SpanError(what) with that image as witness."""
         solver = self._solver(parity)
-        nz = [[] for _ in solver.pivots]
-        bad = solver.columns(images, nz)
+        nzs = [[[] for _ in solver.pivots] for _ in range(count)]
+        bad = solver.columns(images, nzs)
         if bad is not None:
-            raise SpanError(what, witness=CliffordElement(self.space, images[bad]))
-        return Mat.from_nonzeros(len(nz), len(images), nz)
+            raise SpanError(what, witness=CliffordElement(self.space, bad))
+        return tuple(Mat.from_nonzeros(len(nz), len(images), nz) for nz in nzs)
 
     def graded_map(self, source, f, what):
         """The map x -> f(x) from each graded part of ``source`` to the same
@@ -144,13 +141,12 @@ class IdealModule:
         return tuple(self.part_matrix(par, map(f, source.part(par)), what) for par in (1, 0))
 
     def _left_action(self, parity):
-        """Matrices of left multiplication by each e_i on one graded part:
-        the n images of each basis element come from one ``vec_images``
-        call, and every image is checked to lie in the other part."""
+        """Matrices of left multiplication by each e_i on one graded part,
+        all n from one sweep over its basis: the n images of each basis
+        element come from one ``vec_images`` call, and every image is
+        checked to lie in the other part."""
         images = list(map(_ctx(self.space).vec_images, (x.terms for x in self.part(parity))))
-        return tuple(self._terms_matrix(1 - parity, [im[i] for im in images],
-                                        "left action leaves the module")
-                     for i in range(self.space.n))
+        return self._matrices(1 - parity, images, self.space.n, "left action leaves the module")
 
     @property
     def act_ev(self):
@@ -195,7 +191,9 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     subset of S, built by ``word_walk``:
     e_M g = e_i (e_{M - i} g) with i the least index of M.  They are
     2^(n-m) nonzero elements of the right graded degrees, and the
-    dimension law checks that they are independent."""
+    dimension law checks that they are independent.  The canonical rows
+    of each part give its basis and, with the pivots ``rref_rows``
+    returns, its span solver."""
     if w.dim == 0:
         raise PreconditionError("the isotropic subspace must be nonzero")
     if not check_isotropic(space, w):
@@ -207,27 +205,27 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     raw = ([], [])
     for terms, size in word_walk(w, gen.terms, lambda i, x, _: ctx.vec_mul_terms(i, x)):
         raw[(size + m) % 2].append({index[mono]: c for mono, c in terms.items()})
-    ev_raw, odd_raw = raw
     dim = 1 << space.n
-    ev_rows, _ = rref_rows(ev_raw, dim)
-    odd_rows, _ = rref_rows(odd_raw, dim)
-    ev_basis = [CliffordElement(space, {order[j]: c for j, c in r.items()}) for r in ev_rows]
-    odd_basis = [CliffordElement(space, {order[j]: c for j, c in r.items()}) for r in odd_rows]
+    bases, solvers = [], []
+    for part in raw:
+        rows, pivots = rref_rows(part, dim)
+        terms = [{order[j]: c for j, c in r.items()} for r in rows]
+        bases.append([CliffordElement.from_terms(space, t) for t in terms])
+        solvers.append(SpanSolver(terms, [order[c] for c in pivots]))
+    ev_basis, odd_basis = bases
     expected = 1 << (space.n - m - 1)
     if not len(ev_basis) == len(odd_basis) == expected:
         raise InvariantError(
             f"dimension law violated: ev {len(ev_basis)}, odd {len(odd_basis)},"
             f" expected {expected}"
         )
-    return IdealModule(space, w, gen, ev_basis, odd_basis, shift=0)
+    return IdealModule(space, w, gen, ev_basis, odd_basis, solvers)
 
 
 def shift(i: IdealModule) -> IdealModule:
     """Swap the graded pieces; an involution."""
     out = IdealModule(i.space, i.w, i.generator, i.odd_basis, i.ev_basis,
-                      shift=1 - i.shift)
-    out._solver_ev = i._solver_odd
-    out._solver_odd = i._solver_ev
+                      (i._solver_odd, i._solver_ev), shift=1 - i.shift)
     out._act_ev = i._act_odd
     out._act_odd = i._act_ev
     return out

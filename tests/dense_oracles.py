@@ -22,6 +22,7 @@ from spinorsheaf.exactalg import (
     LinMat,
     Mat,
     SpanSolver,
+    exact,
     mat_invertible,
     mat_solve,
     monomial_count,
@@ -317,12 +318,19 @@ def fraction_identity(pair) -> bool:
     return True
 
 
+def scale(m: Mat, s) -> Mat:
+    """The matrix s * m, its nonzeros scaled one by one, canonical."""
+    s = exact(s)
+    return Mat.from_nonzeros(m.rows, m.cols,
+                             [[(j, exact(s * x)) for j, x in row] if s else [] for row in m.nz])
+
+
 def dense_evaluate(lm, v) -> Mat:
     """M(v) as a running sum of scaled dense coefficient matrices."""
     out = Mat.zeros(lm.rows, lm.cols)
     for x, m in zip(v, lm.coeff):
         if x:
-            out = out + m.scale(x)
+            out = out + scale(m, x)
     return out
 
 

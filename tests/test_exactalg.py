@@ -445,6 +445,78 @@ class TestRrefAgainstDense:
         assert rows == [{0: 1, 2: -2}, {1: 1, 2: 1}]
 
 
+@st.composite
+def reduced_up_to_scale(draw):
+    """Rows of a reduced echelon form, each scaled by a nonzero rational
+    (negative and non-unit leading entries among them), with zero rows,
+    in shuffled order; and ``near``, the same rows after one change that
+    makes them no longer reduced: a row gets a nonzero at another row's
+    leading column, or a scaled copy of a row shares its leading column."""
+    nc = draw(st.integers(1, 9))
+    pivots = sorted(draw(st.sets(st.integers(0, nc - 1), min_size=1, max_size=nc)))
+    nonzero = st.one_of(st.integers(-5, 5).filter(bool).map(Fraction),
+                        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
+    entry = st.one_of(st.just(Fraction(0)), nonzero)
+    rows = []
+    for p in pivots:
+        s = draw(nonzero)
+        rows.append([Fraction(0) if j < p or (j in pivots and j != p)
+                     else s if j == p else s * draw(entry) for j in range(nc)])
+    if len(pivots) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(pivots) - 2))
+        near = [list(r) for r in rows]
+        near[i][draw(st.sampled_from(pivots[i + 1:]))] = draw(nonzero)
+    else:
+        near = rows + [[draw(nonzero) * x for x in draw(st.sampled_from(rows))]]
+    zeros = [[Fraction(0)] * nc for _ in range(draw(st.integers(0, 2)))]
+
+    def shuffled(rs):
+        rs = rs + zeros
+        return [tuple(rs[k]) for k in draw(st.permutations(range(len(rs))))]
+
+    return shuffled(rows), shuffled(near), nc
+
+
+class TestRrefShortcut:
+    """Rows already reduced up to scale skip the elimination, and rows
+    that only nearly are take it; both match the dense Bareiss reference."""
+
+    @staticmethod
+    def _rref(vectors, nc, as_dicts):
+        """``rref_rows`` of ``vectors`` as dicts or dense tuples, in dense
+        form, and the number of eliminations it ran."""
+        from unittest import mock
+
+        if as_dicts:
+            vectors = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+        with mock.patch.object(ea._kernels, "sparse_echelon",
+                               wraps=ea._kernels.sparse_echelon) as kernel:
+            rows, pivots = ea.rref_rows(vectors, nc)
+        if as_dicts:
+            assert all(list(row) == sorted(row) for row in rows)
+            rows = [tuple(row.get(j, 0) for j in range(nc)) for row in rows]
+        assert all(map(canonical, (x for row in rows for x in row)))
+        return (rows, pivots), kernel.call_count
+
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_up_to_scale(), st.booleans())
+    def test_reduced_input_matches_the_dense_reference(self, case, as_dicts):
+        from dense_oracles import dense_rref
+
+        rows, near, nc = case
+        assert self._rref(rows, nc, as_dicts) == (dense_rref(rows, nc), 0)
+        assert self._rref(near, nc, as_dicts) == (dense_rref(near, nc), 1)
+
+    def test_known(self):
+        # scaled reduced rows, one with a Fraction tail and a negative lead
+        rows = [(0, Fraction(-2, 3), 0, 1), (3, 0, 0, Fraction(3, 2)), (0, 0, 0, 0)]
+        assert self._rref(rows, 4, False) == (([(1, 0, 0, Fraction(1, 2)),
+                                                (0, 1, 0, Fraction(-3, 2))], [0, 1]), 0)
+        # the first row is nonzero at the second's leading column
+        assert self._rref([(1, 1), (0, 2)], 2, True) == (([(1, 0), (0, 1)], [0, 1]), 1)
+        # two rows lead at column 0
+        assert self._rref([(1, 2), (2, 4)], 2, True) == (([(1, 2)], [0]), 1)
+
 
 @st.composite
 def solve_cases(draw):

@@ -42,6 +42,7 @@ from dense_oracles import (
     grade_parts,
     hom_basis,
     monomial,
+    scale,
 )
 
 
@@ -145,7 +146,7 @@ class TestHomSpace:
         a = module("F-H6")
         b = module("F-H6")
         act = b.act_odd
-        b._act_odd = (act[0].scale(2),) + act[1:]
+        b._act_odd = (scale(act[0], 2),) + act[1:]
         h = hom_space(a, b)
         assert (h.dimension, h.crosscheck_dimension) == (1, 0)
         with pytest.raises(InvariantError, match="does not intertwine"):
@@ -331,7 +332,7 @@ class TestSearchInvertible:
 
         A, B, ai, bi = _search_invertible(HandBuiltHom())
         assert A == B == Mat.from_rows([[1, 1], [1, -1]])
-        assert ai == Mat.from_rows([[1, 1], [1, -1]]).scale(Fraction(1, 2))
+        assert ai == scale(Mat.from_rows([[1, 1], [1, -1]]), Fraction(1, 2))
 
     def test_simplicity_verdict_reuses_a_given_end(self):
         i = module("F-C5")
@@ -559,7 +560,7 @@ class TestCohomology:
         # psi scaled by 2 gives psi phi = 2q Id: no resolution, so no index
         # is read off it, the middle ones behind acm_vanishing included
         mf = build_factorization(module("F-H6"))
-        psi2 = LinMat(mf.space.n, [m.scale(2) for m in mf.psi.coeff])
+        psi2 = LinMat(mf.space.n, [scale(m, 2) for m in mf.psi.coeff])
         bad = FactorizationPair(mf.space, mf.phi, psi2)
         for idx in (0, 2):
             with pytest.raises(PreconditionError, match="phi psi = q Id fails"):
@@ -628,7 +629,7 @@ class TestIdempotentProbe:
                 acc = Mat.zeros(basis[0][which].rows, basis[0][which].cols)
                 for c, pair in zip(cs, basis):
                     if c:
-                        acc = acc + pair[which].scale(c)
+                        acc = acc + scale(pair[which], c)
                 dense.append(acc)
             got = end.at(cs)
             assert got == tuple(dense)

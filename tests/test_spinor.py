@@ -38,6 +38,7 @@ from dense_oracles import (
     monomial,
     row_lists,
     same_module,
+    scale,
 )
 
 
@@ -572,7 +573,7 @@ class TestIntertwines:
         i = module("F-H6")
         assert spinor._action(i.act_ev, e(6, 2)) is i.act_ev[2]
         v = vec((0, 0, 2, 0, 0, 0))
-        assert spinor._action(i.act_ev, v) == i.act_ev[2].scale(2)
+        assert spinor._action(i.act_ev, v) == scale(i.act_ev[2], 2)
 
     def test_invertible_pair_stops_at_a_singular_first(self, monkeypatch):
         calls = []
@@ -698,7 +699,8 @@ class TestInvariants:
         inner = fl.inner
         # the scalar 1 lies in no proper left ideal
         bad = spinor.IdealModule(inner.space, inner.w, CliffordElement.scalar(inner.space, 1),
-                                 inner.ev_basis, inner.odd_basis)
+                                 inner.ev_basis, inner.odd_basis,
+                                 (inner._solver(0), inner._solver(1)))
         with pytest.raises(InvariantError, match="generator"):
             spinor._splitting_exists(bad, fl.outer, fl.quotient_ev, fl.quotient_odd)
 
@@ -802,6 +804,87 @@ class TestSparseConstruction:
         assert err.value.witness == CliffordElement(i.space, stray[0])
         assert i._act_ev is None
 
+    def test_left_action_stray_last_image_raises_it(self, monkeypatch):
+        # the image of e_{n-1} on the last even basis element is the last
+        # one the sweep reads: a scalar term off the odd part there still
+        # raises, with that image as witness, and caches nothing
+        from spinorsheaf.clifford import _Context
+        from spinorsheaf.errors import SpanError
+
+        i = module("F-H6")
+        last, n = i.ev_basis[-1].terms, i.space.n
+        original = _Context.vec_images
+        stray = []
+
+        def moved(ctx, terms):
+            images = list(original(ctx, terms))
+            if terms is last:
+                images[n - 1] = {**images[n - 1], 0: 1}
+                stray.append(images[n - 1])
+            return images
+
+        monkeypatch.setattr(_Context, "vec_images", moved)
+        with pytest.raises(SpanError, match="left action leaves the module") as err:
+            i.act_ev
+        assert len(stray) == 1
+        assert err.value.witness == CliffordElement(i.space, stray[0])
+        assert i._act_ev is None
+
+    def test_solver_pivots_are_the_leading_monomials(self):
+        # the span solvers take rref_rows' pivots from build_ideal: each is
+        # the leading monomial of its basis element in the monomial order,
+        # on the fixtures, grid_spaces(6), their shifts and the non-integral
+        # form
+        from spinorsheaf.clifford import _ctx
+        from spinorsheaf.fixtures import fixture_from_dict
+
+        odd = fixture_from_dict(NON_INTEGRAL_FIXTURE)
+        cases = ([(fx.space, fx.w) for fx in map(get_fixture, FIXTURES)]
+                 + grid_spaces(6) + [(odd.space, odd.w)])
+        for space, w in cases:
+            first = _ctx(space).index.__getitem__
+            for i in (build_ideal(space, w), shift(build_ideal(space, w))):
+                for par in (0, 1):
+                    assert i._solver(par).pivots == [min(x.terms, key=first)
+                                                     for x in i.part(par)], (space, w, i.shift)
+
+    def test_construction_counts_on_the_cohomology_grid(self, monkeypatch):
+        # each of the 51 grid modules with n in {5, 6}, with its
+        # factorization, makes two rref_rows calls on rows already reduced
+        # up to scale, so no elimination in them, and builds two span
+        # solvers: one of each per graded part
+        from spinorsheaf import _kernels, exactalg
+
+        pairs = [(space, w) for space, w in grid_spaces(6) if space.n >= 5]
+        assert len(pairs) == 51
+        rref, echelon, init = spinor.rref_rows, _kernels.sparse_echelon, exactalg.SpanSolver.__init__
+        counts = {}
+        inside = []
+
+        def counted_rref(*args):
+            counts["rref_rows"] += 1
+            inside.append(True)
+            try:
+                return rref(*args)
+            finally:
+                inside.pop()
+
+        def counted_echelon(*args):
+            counts["sparse_echelon"] += bool(inside)
+            return echelon(*args)
+
+        def counted_init(solver, *args):
+            counts["SpanSolver"] += 1
+            init(solver, *args)
+
+        monkeypatch.setattr(spinor, "rref_rows", counted_rref)
+        monkeypatch.setattr(_kernels, "sparse_echelon", counted_echelon)
+        monkeypatch.setattr(exactalg.SpanSolver, "__init__", counted_init)
+        for space, w in pairs:
+            counts.update(rref_rows=0, sparse_echelon=0, SpanSolver=0)
+            assert build_factorization(build_ideal(space, w)).identity_checked
+            assert counts == {"rref_rows": 2, "sparse_echelon": 0, "SpanSolver": 2}, (space, w)
+
     def test_coords_in_reads_the_canonical_basis(self):
         i = module("F-H6")
         for par, basis in ((0, i.ev_basis), (1, i.odd_basis)):
@@ -833,14 +916,14 @@ class TestSparseConstruction:
                 (mf.psi, mf.phi, True),
                 (mf.phi.transpose(), mf.psi.transpose(), True),
                 # fractional entries on both sides, the product unchanged
-                (LinMat(n, [m.scale(Fraction(1, 2)) for m in mf.phi.coeff]),
-                 LinMat(n, [m.scale(2) for m in mf.psi.coeff]), True),
-                (LinMat(n, [m.scale(2) for m in mf.phi.coeff]),
-                 LinMat(n, [m.scale(Fraction(1, 2)) for m in mf.psi.coeff]), True),
-                (LinMat(n, [m.scale(Fraction(2, 3)) for m in mf.phi.coeff]),
-                 LinMat(n, [m.scale(Fraction(3, 2)) for m in mf.psi.coeff]), True),
-                (LinMat(n, [m.scale(Fraction(2, 3)) for m in mf.phi.coeff]),
-                 LinMat(n, [m.scale(Fraction(3, 4)) for m in mf.psi.coeff]), False),
+                (LinMat(n, [scale(m, Fraction(1, 2)) for m in mf.phi.coeff]),
+                 LinMat(n, [scale(m, 2) for m in mf.psi.coeff]), True),
+                (LinMat(n, [scale(m, 2) for m in mf.phi.coeff]),
+                 LinMat(n, [scale(m, Fraction(1, 2)) for m in mf.psi.coeff]), True),
+                (LinMat(n, [scale(m, Fraction(2, 3)) for m in mf.phi.coeff]),
+                 LinMat(n, [scale(m, Fraction(3, 2)) for m in mf.psi.coeff]), True),
+                (LinMat(n, [scale(m, Fraction(2, 3)) for m in mf.phi.coeff]),
+                 LinMat(n, [scale(m, Fraction(3, 4)) for m in mf.psi.coeff]), False),
                 # every product vanishes: only the missing diagonal shows it
                 (mf.phi, LinMat(n, [Mat.zeros(mf.N, mf.N)] * n), False),
             ):
@@ -917,7 +1000,7 @@ class TestSplittingAgainstDense:
                 # right-hand side meets a denominator; q = 0 leaves rows
                 # whose only entry is the right-hand side
                 for s in (2, 0):
-                    q_ev, q_odd = fl.quotient_ev.scale(s), fl.quotient_odd.scale(s)
+                    q_ev, q_odd = scale(fl.quotient_ev, s), scale(fl.quotient_odd, s)
                     got = spinor._splitting_exists(fl.inner, fl.outer, q_ev, q_odd)
                     assert got == dense_splitting_exists(fl.inner, fl.outer, q_ev, q_odd)
                     assert got == (fl.split_module if s else False)
