@@ -18,7 +18,6 @@ from .fixtures import FIXTURE_LABELS, _parse_matrix, get_fixture, load_fixture
 from .homalg import cohomology_dim, factorization_equivalent, hom_space, is_isomorphic
 from .quadform import Subspace, quotient_space
 from .spinor import (
-    DEFAULT_SEED,
     FactorizationPair,
     build_factorization,
     build_ideal,
@@ -67,7 +66,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     fx = _fixture_from_args(args)
-    report = run_suite(fx, suite=args.suite, seed=args.seed)
+    report = run_suite(fx, suite=args.suite)
     for record in report.records:
         sys.stdout.write(f"[{record['verdict'].upper():9s}] {record['op']}\n")
     ok = report.overall(strict=args.strict)
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p_verify.add_argument("--strict", action="store_true",
                           help="treat UNDECIDED records as failures")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 

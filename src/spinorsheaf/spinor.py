@@ -17,7 +17,6 @@ witness of the isomorphism test.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .clifford import (
@@ -50,7 +49,6 @@ from .quadform import (
     candidate_vectors,
     check_isotropic,
     isotropic_type,
-    line_roots,
     radical_basis,
     standardize,
     sub_intersection,
@@ -649,14 +647,14 @@ def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
     """The map tau: x -> embed(x) * tail from the module ``small`` (on the
     space whose basis ``cols`` embeds) into ``big`` shifted by ``d``.
     Returns its two graded matrices (``map_ev``, ``map_odd``), whether both
-    are invertible (``bijective``), and whether tau(s x) = v tau(x) for
+    are square of full rank (``bijective``), and whether tau(s x) = v tau(x) for
     every pair (s, v) of ``vector_pairs`` (``linear``)."""
     space = big.space
     target = shift(big) if d % 2 else big
     map_odd, map_ev = target.graded_map(
         small, lambda xi: multiply(_embed_element(space, cols, xi), tail), what)
     return {"map_ev": map_ev, "map_odd": map_odd,
-            "bijective": _invertible_pair(map_ev, map_odd) is not None,
+            "bijective": all(m.rows == m.cols == mat_rank(m) for m in (map_ev, map_odd)),
             "linear": intertwines(small, target, map_odd, map_ev, vector_pairs)}
 
 
@@ -708,17 +706,15 @@ def cone_compare(i: IdealModule, qs: QuotientSpace) -> ConeVerdict:
     )
 
 
-# Points that sample_quadric_points takes from random lines
-LINE_POINTS = 24
-# The seed of those lines, the one random stream of the package
-DEFAULT_SEED = 20103
-
-
-def sample_quadric_points(space: QuadraticSpace, seed: int = DEFAULT_SEED):
-    """Deterministic rational points on the quadric: the isotropic
-    ``candidate_vectors``, then LINE_POINTS points where seeded random
-    small-integer lines meet it."""
-    n = space.n
+def quadric_points(space: QuadraticSpace, w: Subspace):
+    """Rational points on the quadric, each once up to scaling, for a
+    nonzero isotropic w and K the radical: the isotropic
+    ``candidate_vectors``; a point of each nonempty stratum, from the basis
+    of W cap K, the first vector k of K's basis outside W, the first u of
+    W's basis outside K, and u + k; then, for the ramps y = (k, k+1, ...,
+    k+n-1), k = 1..8, the second point q(y) p - 2 b(p, y) y where the line
+    through y and the first point p outside K meets the quadric (a line
+    through a point of K meets it there twice)."""
     points = []
     seen = set()
 
@@ -735,18 +731,18 @@ def sample_quadric_points(space: QuadraticSpace, seed: int = DEFAULT_SEED):
     for v in candidate_vectors(space):
         if space.q(v) == 0:
             push(v)
-    rng = random.Random(seed)
-    attempts = 0
-    found = 0
-    while found < LINE_POINTS and attempts < 40 * LINE_POINTS:
-        attempts += 1
-        a = tuple(rng.randint(-3, 3) for _ in range(n))
-        b = tuple(rng.randint(-3, 3) for _ in range(n))
-        for t in line_roots(space.q(a), 2 * space.b(a, b), space.q(b)):
-            v = vec(x + t * y for x, y in zip(a, b))
-            if any(v) and space.q(v) == 0:
-                push(v)
-                found += 1
+    rad = radical_basis(space)
+    k_out = [v for v in rad.basis if not w.contains(v)][:1]
+    u_out = [v for v in w.basis if not rad.contains(v)][:1]
+    sums = [vec(a + b for a, b in zip(k, u)) for k in k_out for u in u_out]
+    for v in [*sub_intersection(w, rad).basis, *k_out, *u_out, *sums]:
+        push(v)
+    p = next((v for v in points if not rad.contains(v)), None)
+    if p is not None:
+        for k in range(1, 9):
+            y = tuple(range(k, k + space.n))
+            qy, by = space.q(y), 2 * space.b(p, y)
+            push(vec(qy * a - by * c for a, c in zip(p, y)))
     return points
 
 

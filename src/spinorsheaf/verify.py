@@ -34,7 +34,6 @@ from .quadform import (
     sub_intersection,
 )
 from .spinor import (
-    DEFAULT_SEED,
     build_factorization,
     build_ideal,
     cone_compare,
@@ -44,7 +43,7 @@ from .spinor import (
     flag_sequence,
     recover_intersection_with_radical,
     restrict_compare,
-    sample_quadric_points,
+    quadric_points,
     shift,
 )
 
@@ -71,10 +70,9 @@ class Report:
     """Outcome of a verification run; the serialized form is fully
     deterministic (wall-clock timing stays out of it)."""
 
-    def __init__(self, label, suite, seed):
+    def __init__(self, label, suite):
         self.label = label
         self.suite = suite
-        self.seed = seed
         self.records = []
         self.timing = 0.0
 
@@ -101,7 +99,6 @@ class Report:
         return {
             "label": self.label,
             "suite": self.suite,
-            "seed": self.seed,
             "records": self.records,
             "counts": self.counts(),
             "overall": "pass" if self.overall(strict) else "fail",
@@ -134,9 +131,8 @@ class _Run:
     """What the suites of one run share: the module, its factorization,
     and, computed on first use, the flag sequence and End(module)."""
 
-    def __init__(self, fx, seed):
+    def __init__(self, fx):
         self.fx = fx
-        self.seed = seed
         self.module = build_ideal(fx.space, fx.w)
         self.mf = build_factorization(self.module)
 
@@ -152,17 +148,18 @@ class _Run:
         return hom_space(self.module, self.module)
 
 
-def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED) -> Report:
+def run_suite(fx: Fixture, suite: str = "all", seed=None) -> Report:
     """Run one suite or all of them on a fixture.  An ``InvariantError``
     inside a suite becomes a ``fail`` record with op ``invariant_error``
     and the next suite runs; one raised while building the module or its
-    factorization ends the run."""
+    factorization ends the run.  ``seed`` is ignored, and kept because
+    ``perfbench/workloads.py`` passes one."""
     if suite != "all" and suite not in SUITES:
         raise SpinorError(f"unknown suite {suite!r}; choose from all, " + ", ".join(SUITES))
     chosen = SUITES if suite == "all" else (suite,)
-    report = Report(fx.label, suite, seed)
+    report = Report(fx.label, suite)
     t0 = time.perf_counter()
-    run = _Run(fx, seed)
+    run = _Run(fx)
     for name in chosen:
         try:
             _RUNNERS[name](run, report)
@@ -173,7 +170,7 @@ def run_suite(fx: Fixture, suite: str = "all", seed: int = DEFAULT_SEED) -> Repo
 
 
 def _run_construction(run, report):
-    fx, module, mf, seed = run.fx, run.module, run.mf, run.seed
+    fx, module, mf = run.fx, run.module, run.mf
     c = module.codim
     report.add(
         "dimension_law",
@@ -183,7 +180,7 @@ def _run_construction(run, report):
     report.add("factorization_identity", _verdict(mf.check_identity()), N=mf.N)
     rad = radical_basis(fx.space)
     wk = sub_intersection(fx.w, rad)
-    points = sample_quadric_points(fx.space, seed=seed)
+    points = quadric_points(fx.space, fx.w)
     ok = True
     strata = {"singular_w": 0, "elsewhere": 0}
     for v in points:

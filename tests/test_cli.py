@@ -126,7 +126,7 @@ class TestVerify:
         out2 = tmp_path / "r2.json"
         for out in (out1, out2):
             r = run_cli(["verify", "--fixture", "F-C5", "--suite", "all",
-                         "--seed", "7", "--out", str(out)])
+                         "--out", str(out)])
             assert r.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -271,9 +271,10 @@ class TestPaperExample:
         assert digest == "8331d2436076171e68b1dfc1d16a4705e468b87dfcb2f261ff20937c5a4595b0"
 
     @pytest.mark.parametrize("argv", [["query", "iso", "F-H6a", "F-H6a-shift"],
-                                      ["paper-example"]])
-    def test_seed_only_on_verify(self, argv):
-        # the searches are deterministic; only verify samples points
+                                      ["paper-example"],
+                                      ["verify", "--fixture", "F-QS"]])
+    def test_no_command_takes_seed(self, argv):
+        # the searches and the quadric points are deterministic
         r = run_cli([*argv, "--seed", "1"])
         assert r.returncode == 2
         assert "unrecognized arguments: --seed 1" in r.stderr
