@@ -40,7 +40,7 @@ from .quadform import candidate_vectors, isotropic_type, standardize
 from .spinor import (
     FactorizationPair,
     IdealModule,
-    _invertible_pair,
+    _bijective,
     family_indicator,
     generator_image_system,
     intertwines,
@@ -161,8 +161,11 @@ def _candidates(d, grid, ramps=0):
 
 
 def _search_invertible(hom):
-    """Look for an invertible pair in the hom space: the basis pairs, read
-    one at a time, then the {1, -1, 0} sweep, then the ramps.
+    """(A, B, A^-1, B^-1) for an invertible pair in the hom space, or None:
+    the basis pairs from the last to the first, then the {1, -1, 0} sweep,
+    then the ramps; B is inverted only once A is.  On every dual seen so far
+    the last basis map is the only invertible one, so the dual certificate
+    comes first; that order is checked, not proved, and moves no verdict.
 
     The ramps lie on one affine line k -> k(1, ..., 1) + (0, 1, ..., d-1),
     so A and B there are affine in k and det A * det B is a polynomial in
@@ -172,12 +175,13 @@ def _search_invertible(hom):
     ``intertwines``."""
     target = hom.target
     cands = _candidates(hom.dimension, (1, -1, 0), target.ev_dim + target.odd_dim + 1)
-    for A, B in chain(map(hom.pair, range(hom.dimension)), map(hom.at, cands)):
-        got = _invertible_pair(A, B)
-        if got:
+    for A, B in chain(map(hom.pair, reversed(range(hom.dimension))), map(hom.at, cands)):
+        ai = mat_invertible(A)
+        bi = None if ai is None else mat_invertible(B)
+        if bi is not None:
             if not intertwines(hom.source, target, A, B):
                 raise InvariantError("an invertible Hom pair does not intertwine the actions")
-            return got
+            return A, B, ai, bi
     return None
 
 
@@ -197,9 +201,10 @@ def _family_certificate(i):
 
 
 def _orthogonal_shift_witness(a, b):
-    """For a module and its shift: right multiplication by an anisotropic
-    vector orthogonal to w is an explicit degree-1 automorphism.  The
-    vectors tried are ``candidate_vectors``, in their order."""
+    """For a module and its shift: right multiplication by u^-1, for an
+    anisotropic u orthogonal to w (tried in ``candidate_vectors`` order), as
+    (A, B, u).  x -> x u undoes it on Cl, so ``_bijective``, by rank,
+    cross-checks a theorem."""
     space = a.space
     for u in candidate_vectors(space):
         if space.q(u) == 0:
@@ -213,7 +218,7 @@ def _orthogonal_shift_witness(a, b):
                                 "right multiplication leaves the shift")
         except SpanError:
             continue
-        if intertwines(a, b, A, B) and _invertible_pair(A, B) is not None:
+        if intertwines(a, b, A, B) and _bijective(A, B):
             return (A, B, u)
     return None
 

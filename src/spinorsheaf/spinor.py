@@ -35,7 +35,6 @@ from .exactalg import (
     SpanSolver,
     _int_vec,
     exact,
-    mat_invertible,
     mat_rank,
     mat_rank_kernel,
     mat_solve,
@@ -491,15 +490,9 @@ def _action(mats, v) -> Mat:
     return LinMat(len(mats), mats).evaluate(v)
 
 
-def _invertible_pair(A, B):
-    """(A, B, A^-1, B^-1) when both are invertible, else None."""
-    ai = mat_invertible(A)
-    if ai is None:
-        return None
-    bi = mat_invertible(B)
-    if bi is None:
-        return None
-    return (A, B, ai, bi)
+def _bijective(A, B) -> bool:
+    """Both parts of a graded map square and of full rank; no inverse."""
+    return all(m.rows == m.cols == mat_rank(m) for m in (A, B))
 
 
 def recover_intersection_with_radical(module) -> Subspace:
@@ -654,7 +647,7 @@ def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
     map_odd, map_ev = target.graded_map(
         small, lambda xi: multiply(_embed_element(space, cols, xi), tail), what)
     return {"map_ev": map_ev, "map_odd": map_odd,
-            "bijective": all(m.rows == m.cols == mat_rank(m) for m in (map_ev, map_odd)),
+            "bijective": _bijective(map_ev, map_odd),
             "linear": intertwines(small, target, map_odd, map_ev, vector_pairs)}
 
 
@@ -747,8 +740,7 @@ def quadric_points(space: QuadraticSpace, w: Subspace):
 
 
 class EquivarianceVerdict:
-    __slots__ = ("parity", "target_shifted", "bijective", "linear", "twisted",
-                 "rho", "sigma")
+    __slots__ = ("parity", "bijective", "linear", "twisted", "rho", "sigma")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -761,8 +753,8 @@ class EquivarianceVerdict:
 
 def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     """Verify that right multiplication by g^{-1} (rho) is a Cl-linear
-    bijection onto the module of gWg^{-1} (shifted for odd g) and that
-    conjugation (sigma) satisfies the twisted commuting square with the
+    bijection, by rank, onto the module of gWg^{-1} (shifted for odd g) and
+    that conjugation (sigma) satisfies the twisted commuting square with the
     reflected vectors.  When g fixes W, the target has i's canonical bases,
     so the unshifted ``i`` is taken as it is, with its solvers and action."""
     space = i.space
@@ -788,8 +780,7 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
     basis = [space.basis_vector(t) for t in range(space.n)]
     return EquivarianceVerdict(
         parity=par,
-        target_shifted=bool(par),
-        bijective=_invertible_pair(rho_ev, rho_odd) is not None,
+        bijective=_bijective(rho_ev, rho_odd),
         linear=linear,
         twisted=intertwines(i, iprime, sig_odd, sig_ev,
                             [(v, g.conjugate_vector(v)) for v in basis]),

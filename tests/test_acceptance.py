@@ -295,7 +295,7 @@ def test_criterion_14_equivariance(modules):
             ok &= equivariance_check(g, module).ok
             count += 1
         v = equivariance_check(odd, module)
-        ok &= v.ok and v.target_shifted
+        ok &= v.ok and v.parity == 1
         count += 1
     report(14, ok,
            f"commuting squares for {count} group elements "

@@ -5,7 +5,7 @@ import pytest
 
 from spinorsheaf.clifford import CliffordElement
 from spinorsheaf.errors import InvariantError, PreconditionError, StandardizationUnavailable
-from spinorsheaf.exactalg import LinMat, Mat, UniPoly, mat_rank, mat_rank_kernel
+from spinorsheaf.exactalg import LinMat, Mat, UniPoly, mat_invertible, mat_rank, mat_rank_kernel
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf import homalg
 from spinorsheaf.homalg import (
@@ -333,6 +333,30 @@ class TestSearchInvertible:
         A, B, ai, bi = _search_invertible(HandBuiltHom())
         assert A == B == Mat.from_rows([[1, 1], [1, -1]])
         assert ai == scale(Mat.from_rows([[1, 1], [1, -1]]), Fraction(1, 2))
+
+    def test_search_stops_at_a_singular_first(self, monkeypatch):
+        # every candidate pair has A = 0 and B = Id: A is inverted and found
+        # singular each time, and B is never inverted
+        from types import SimpleNamespace
+
+        from spinorsheaf.homalg import _search_invertible
+
+        class HandBuiltHom:
+            dimension = 1
+            source = target = SimpleNamespace(space=SimpleNamespace(n=0), ev_dim=1, odd_dim=1)
+
+            def pair(self, k):
+                return Mat.zeros(1, 1), Mat.identity(1)
+
+            def at(self, cs):
+                return self.pair(0)
+
+        calls = []
+        real = homalg.mat_invertible
+        monkeypatch.setattr(homalg, "mat_invertible", lambda m: calls.append(m) or real(m))
+        assert _search_invertible(HandBuiltHom()) is None
+        # the basis pair, the sweep points 1 and -1, and the 3 ramps
+        assert calls == [Mat.zeros(1, 1)] * 6
 
     def test_simplicity_verdict_reuses_a_given_end(self):
         i = module("F-C5")
@@ -665,13 +689,15 @@ class TestFactorizationEquivalence:
     def test_last_basis_map_certifies_the_dual(self, index):
         # n = 6, dim W = 2: codim 4, so the dual is compared with I[1]; of
         # the 8 basis maps I[1] -> dual only the last is invertible, the
-        # search reads the basis in order, and that map is the certificate
+        # search reads the basis from the last, and that map is the
+        # certificate
         space, w = grid_spaces(6)[index]
         i = build_ideal(space, w)
         dual = dual_factorization(build_factorization(i))
         hom = hom_space(shift(i), dual)
         assert hom.dimension == 8
-        invertible = [homalg._invertible_pair(A, B) is not None for A, B in hom_basis(hom)]
+        invertible = [mat_invertible(A) is not None and mat_invertible(B) is not None
+                      for A, B in hom_basis(hom)]
         assert invertible == [False] * 7 + [True]
         A, B, ai, bi = factorization_equivalent(shift(i), dual)
         assert (A, B) == hom.pair(7)
@@ -679,9 +705,9 @@ class TestFactorizationEquivalence:
         assert intertwines(dual, shift(i), ai, bi)
 
     def test_ramps_follow_the_basis_beyond_the_sweep(self):
-        # d = 7 skips the sweep; the basis pairs diag(1, 0) and diag(0, 1)
-        # and five zero pairs are singular, and the first ramp (1, ..., 7)
-        # gives diag(1, 2)
+        # d = 7 skips the sweep; the basis pairs, read from the last (five
+        # zero pairs, diag(0, 1), diag(1, 0)), are singular, and the first
+        # ramp (1, ..., 7) gives diag(1, 2)
         from types import SimpleNamespace
 
         from spinorsheaf.homalg import _search_invertible
@@ -705,7 +731,7 @@ class TestFactorizationEquivalence:
         hom = HandBuiltHom()
         A, B, _, _ = _search_invertible(hom)
         assert A == B == Mat.from_rows([[1, 0], [0, 2]])
-        assert hom.read == list(range(7)) + [tuple(range(1, 8))]
+        assert hom.read == list(range(6, -1, -1)) + [tuple(range(1, 8))]
 
 
 def knoerrer_pairs(space, w):
@@ -764,7 +790,7 @@ def hyperbolic_case(n):
 def test_scale_case_builds_maps_when_read(n, end_dim, monkeypatch):
     # N = 2^(n-2): End(I) is a kernel on N unknowns and builds no map; the
     # cross-check builds each basis map once; the dual search reads the
-    # basis in order, and its last map is the certificate
+    # basis from the last, and that first map read is the certificate
     space, w = hyperbolic_case(n)
     i = build_ideal(space, w)
     assert i.ev_dim == 2 ** (n - 2)
@@ -778,5 +804,5 @@ def test_scale_case_builds_maps_when_read(n, end_dim, monkeypatch):
     source = i if i.codim % 2 else shift(i)
     dual = dual_factorization(build_factorization(i))
     A, B, _, _ = factorization_equivalent(source, dual)
-    assert len(maps) == 2 * end_dim
+    assert len(maps) == end_dim + 1
     assert intertwines(source, dual, A, B)

@@ -291,6 +291,34 @@ def test_graded_map_scan():
         "Other.graded_map", "graded_map", "f", "f.graded_map"}
 
 
+INVERSE_HOMES = {"homalg.py": ("_search_invertible", "GradedHom._map"),
+                 "quadform.py": ("_invert_or_die",)}
+
+
+def test_inverses_only_where_kept():
+    # a yes/no on bijectivity is a rank (spinor._bijective); an inverse is
+    # built only where it is used: the certificate of _search_invertible,
+    # the source walk of a Hom map, and a change of basis
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        homes = INVERSE_HOMES.get(path.name, ())
+        found += [f"{path.name}:{line}" for line in _reads_outside(tree, "mat_invertible", *homes)]
+    assert found == []
+
+
+def test_mat_invertible_scan():
+    src = ("from .exactalg import mat_invertible\n"
+           "def mat_invertible(m):\n    return m\n"
+           "def _search_invertible(hom):\n    return mat_invertible(hom)\n"
+           "class GradedHom:\n    def _map(self, x):\n        return exactalg.mat_invertible(x)\n"
+           "    def pair(self, k):\n        return mat_invertible(k)\n"
+           "def _bijective(a, b):\n    return mat_invertible(a) is not None\n"
+           "inverse = mat_invertible\n")
+    homes = INVERSE_HOMES["homalg.py"]
+    assert _reads_outside(ast.parse(src), "mat_invertible", *homes) == [10, 12, 13]
+
+
 SPAN_SOLVER_HOMES = ("SpanSolver.__init__", "SpanSolver.columns")
 
 

@@ -435,14 +435,18 @@ class TestCone:
             quotient_space(fx.space, Subspace(fx.space, [e(5, 0)]))
 
 
-@pytest.mark.parametrize("which", ["restriction", "cone"])
+@pytest.mark.parametrize("which", ["restriction", "cone", "equivariance"])
 def test_tail_map_with_a_zero_column_is_not_bijective(monkeypatch, which):
-    # bijective is read off the ranks of the two tail maps: zero the first
-    # column of the even one and the comparison is no longer bijective
+    # bijective is read off the ranks of the two parts of the tail map (or
+    # of rho): zero the first column of one and the map is no longer
+    # bijective
     def compare():
         if which == "restriction":
             fx = get_fixture("F-H6")
             return restrict_compare(module("F-H6"), Subspace(fx.space, fx.section_subspace))
+        if which == "equivariance":
+            i = module("F-H6")
+            return equivariance_check(GroupElement(i.space, [vec((1, 0, 0, 1, 0, 0))]), i)
         fx = get_fixture("F-C5")
         qs = quotient_space(fx.space, Subspace(fx.space, fx.cone_mod))
         return cone_compare(module("F-C5"), qs)
@@ -503,19 +507,19 @@ class TestEquivariance:
         i = module("F-H6")
         g = GroupElement(i.space, [])
         v = equivariance_check(g, i)
-        assert v.ok and not v.target_shifted
+        assert v.ok and v.parity == 0
 
     def test_even_pair(self):
         i = module("F-H6")
         g = GroupElement(i.space, [vec((1, 0, 0, 1, 0, 0)), vec((0, 1, 0, 0, 1, 0))])
         v = equivariance_check(g, i)
-        assert v.ok and not v.target_shifted
+        assert v.ok and v.parity == 0
 
     def test_single_odd_factor(self):
         i = module("F-H6")
         g = GroupElement(i.space, [vec((1, 0, 0, 1, 0, 0))])
         v = equivariance_check(g, i)
-        assert v.ok and v.target_shifted
+        assert v.ok and v.parity == 1
 
     def test_other_fixtures(self):
         for label, factors in (
@@ -604,11 +608,13 @@ class TestIntertwines:
         v = vec((0, 0, 2, 0, 0, 0))
         assert spinor._action(i.act_ev, v) == scale(i.act_ev[2], 2)
 
-    def test_invertible_pair_stops_at_a_singular_first(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(spinor, "mat_invertible", lambda m: calls.append(m))
-        assert spinor._invertible_pair(Mat.zeros(1, 1), Mat.identity(1)) is None
-        assert calls == [Mat.zeros(1, 1)]
+    def test_bijective_needs_both_parts_square_and_of_full_rank(self):
+        eye, zero = Mat.identity(2), Mat.zeros(2, 2)
+        assert spinor._bijective(eye, eye)
+        assert not spinor._bijective(zero, eye)
+        assert not spinor._bijective(eye, Mat.from_rows([[1, 2], [2, 4]]))
+        assert not spinor._bijective(eye, Mat.from_rows([[1, 0, 0], [0, 1, 0]]))
+        assert not spinor._bijective(Mat.from_rows([[1, 0], [0, 1], [0, 0]]), eye)
 
 
 class TestDirectSum:

@@ -266,9 +266,9 @@ def test_only_the_dual_searches_read_hom_pairs(monkeypatch):
     # a Hom dimension builds no map, and of the searches in a pass only the
     # six dual searches read basis maps: the shift verdicts are decided
     # without one, and End of the flag's outer module builds none.  Each
-    # dual search reads the basis in order up to its certificate, the last
-    # map; the only other maps are End(I)'s, each built once for its
-    # cross-check (End dimensions 2, 1, 1, 8, 1, 1)
+    # dual search reads the basis from the last, and that first map is its
+    # certificate; the only other maps are End(I)'s, each built once for
+    # its cross-check (End dimensions 2, 1, 1, 8, 1, 1)
     maps, per_dual = [], []
     real_map, real_equiv = homalg.GradedHom._map, verify.factorization_equivalent
 
@@ -283,5 +283,5 @@ def test_only_the_dual_searches_read_hom_pairs(monkeypatch):
     monkeypatch.setattr(verify, "factorization_equivalent", equivalent)
     for label in FIXTURE_LABELS:
         run_suite(get_fixture(label), "all")
-    assert per_dual == [2, 1, 1, 8, 1, 1]
+    assert per_dual == [1] * 6
     assert len(maps) == 14 + sum(per_dual)
