@@ -24,7 +24,3 @@ class SpanError(SpinorError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class StandardizationUnavailable(SpinorError):
-    """No rational hyperbolic completion was found for the leftover form."""

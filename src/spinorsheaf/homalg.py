@@ -19,12 +19,7 @@ from itertools import chain, combinations, product
 from math import factorial
 
 from .clifford import CliffordElement, multiply
-from .errors import (
-    InvariantError,
-    PreconditionError,
-    SpanError,
-    StandardizationUnavailable,
-)
+from .errors import InvariantError, PreconditionError, SpanError
 from .exactalg import (
     IncrementalSpan,
     Mat,
@@ -193,7 +188,7 @@ def _family_certificate(i):
     isomorphism i -> i[1], which commutes with xi, cannot exist."""
     try:
         ind = family_indicator(i)
-    except (PreconditionError, StandardizationUnavailable):
+    except PreconditionError:
         return None
     if ind == "NONE":
         return None
@@ -227,7 +222,8 @@ def is_isomorphic(a, b) -> IsoVerdict:
     """ISO with an invertible certificate, NOT_ISO with a reason, or
     UNDECIDED.  Deterministic: the search order is fixed.  The Hom searches
     run from each side that is an ideal module (``PreconditionError`` when
-    neither is), and the End dimensions are compared when both are."""
+    neither is), and the End dimensions are compared when both are and the
+    forward search finds no invertible map."""
     if a.space != b.space:
         raise PreconditionError("modules live over different spaces")
     if (a.ev_dim, a.odd_dim) != (b.ev_dim, b.odd_dim):
@@ -267,7 +263,14 @@ def is_isomorphic(a, b) -> IsoVerdict:
         hom = hom_space(src, dst)
         if hom.dimension == 0:
             return IsoVerdict("NOT_ISO", reason="hom space vanishes" + tag)
+        found = _search_invertible(hom)
+        if found:
+            A, B, ai, bi = found
+            return IsoVerdict("ISO", reason="invertible intertwiner" + tag,
+                              certificate={"A": ai, "B": bi} if tag else {"A": A, "B": B})
         if both and not tag:
+            # an isomorphism a -> b conjugates End(a) onto End(b), so the
+            # comparison is needed only when the search found none
             end_a = hom_space(a, a)
             end_b = hom_space(b, b)
             if end_a.dimension != end_b.dimension:
@@ -276,11 +279,6 @@ def is_isomorphic(a, b) -> IsoVerdict:
                     reason="endomorphism dimensions differ",
                     certificate={"end_a": end_a.dimension, "end_b": end_b.dimension},
                 )
-        found = _search_invertible(hom)
-        if found:
-            A, B, ai, bi = found
-            return IsoVerdict("ISO", reason="invertible intertwiner" + tag,
-                              certificate={"A": ai, "B": bi} if tag else {"A": A, "B": B})
     return IsoVerdict("UNDECIDED", reason="no invertible combination found")
 
 
@@ -394,6 +392,8 @@ def _irreducibility_certificate(i: IdealModule):
     """Verify the generator identities of the standardized basis; returns
     the checklist or None.  They are a consistency record, not a proof of
     irreducibility: they hold on REDUCIBLE modules too (F-QS, F-QSb).
+    Requires pi(w) maximal; ``standardize`` raises ``PreconditionError``
+    otherwise.
 
     The identities are those of the standardized basis, read on i itself.
     ``standardize`` gives a basis of V adapted to w: in odd rank an
@@ -405,10 +405,7 @@ def _irreducibility_certificate(i: IdealModule):
     generator to the product of a basis of w, a nonzero multiple of
     ``i.generator``, and each identity below is linear in the generator.
     So each holds here exactly when it holds on the standardized module."""
-    try:
-        std = standardize(i.space, i.w)
-    except (PreconditionError, StandardizationUnavailable):
-        return None
+    std = standardize(i.space, i.w)
     prof = std.profile
     vecel = [CliffordElement.from_vector(i.space, v) for v in std.new_basis]
     gen = i.generator

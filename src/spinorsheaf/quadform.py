@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import isqrt, lcm
+from math import lcm
 
-from .errors import PreconditionError, SchemaError, StandardizationUnavailable
+from .errors import InvariantError, PreconditionError, SchemaError
 from .exactalg import (
     IncrementalSpan,
     Mat,
@@ -305,63 +305,12 @@ class Standardization:
         self.profile = profile
 
 
-def _rational_sqrt(x):
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return exact(rn, rd)
-    return None
-
-
-def line_roots(qa, bab, qb) -> list:
-    """The rational roots t of qa + bab t + qb t^2 = 0, ascending: where the
-    line a + t b meets the quadric, with qa = q(a), bab = 2 b(a, b) and
-    qb = q(b).  For qb = 0 the equation is linear; for qb = bab = 0 no root
-    is given, even when every t is one."""
-    if qb == 0:
-        return [exact(-qa, bab)] if bab != 0 else []
-    root = _rational_sqrt(bab * bab - 4 * qb * qa)
-    if root is None:
-        return []
-    return sorted({exact(-bab - root, 2 * qb), exact(-bab + root, 2 * qb)})
-
-
 def _solve_partner(space, constraints, rhs):
     rows = [space.gram.mul_vec(c) for c in constraints]
     sol = mat_solve(Mat.from_rows(rows), rhs)
     if sol is None:
-        raise StandardizationUnavailable("no dual partner solves the pairing system")
+        raise InvariantError("no dual partner solves the pairing system")
     return sol[0]
-
-
-def _isotropic_in(space, cols):
-    """Deterministic search for an isotropic, non-radical vector in the span
-    of cols (with the restricted form).  Returns the vector or None."""
-    m = len(cols)
-    sub_gram = Mat.from_rows(
-        [[space.b(cols[i], cols[j]) for j in range(m)] for i in range(m)]
-    )
-
-    def non_radical(coords):
-        return not all(x == 0 for x in sub_gram.mul_vec(coords))
-
-    for i in range(m):
-        coords = tuple(1 if t == i else 0 for t in range(m))
-        if sub_gram[i, i] == 0 and non_radical(coords):
-            return _combination(coords, cols, space.n)
-    for i in range(m):
-        for j in range(i + 1, m):
-            # the points c_i + t c_j of the quadric
-            for t in line_roots(sub_gram[i, i], 2 * sub_gram[i, j], sub_gram[j, j]):
-                coords = tuple(
-                    1 if s == i else (t if s == j else 0)
-                    for s in range(m)
-                )
-                if non_radical(coords):
-                    return _combination(coords, cols, space.n)
-    return None
 
 
 def _orthogonal_complement(space, vectors):
@@ -372,12 +321,17 @@ def _orthogonal_complement(space, vectors):
 
 
 def standardize(space: QuadraticSpace, w: Subspace):
-    """Hyperbolic standardization adapted to the isotropic subspace w.
+    """Hyperbolic standardization adapted to an isotropic w with pi(w)
+    maximal, dim pi(w) = k = rank(q) // 2; any other w raises
+    PreconditionError.
 
     Produces a basis in which q = sum_i x_{a_i} x_{b_i} (+ c x0^2 in odd
     rank) with b(a_i, b_i) = 1/2, w spanned by the leading tail positions
-    followed by radical positions.  Raises StandardizationUnavailable when
-    the leftover form admits no rational hyperbolic completion.
+    followed by radical positions.  By Witt's decomposition the k planes
+    of pi(w) and their partners leave a form of rank rank(q) - 2k <= 1 on
+    their orthogonal complement, so every vector is solved for: the
+    partners from the pairing system, the anisotropic vector of odd rank
+    from the complement.
     """
     if not check_isotropic(space, w):
         raise PreconditionError("standardize requires an isotropic subspace")
@@ -391,60 +345,28 @@ def standardize(space: QuadraticSpace, w: Subspace):
 
     # complement of w∩K inside w, giving representatives of pi(w)
     span = IncrementalSpan(w_cap_k.basis)
-    w_part = [v for v in w.basis if span.add(v)]
-    if len(w_part) != j:
+    b_vecs = [v for v in w.basis if span.add(v)]
+    if len(b_vecs) != j:
         raise PreconditionError("could not split w against the radical")
-    if j > k:
-        raise PreconditionError("isotropic projection exceeds the Witt bound")
+    if j != k:
+        raise PreconditionError("standardize requires pi(w) maximal")
 
     a_vecs = []
-    b_vecs = list(w_part)
-    for t in range(j):
-        constraints = b_vecs[:j] + a_vecs
-        rhs = [Fraction(1, 2) if i == t else 0 for i in range(j)] + [0] * len(a_vecs)
-        u = _solve_partner(space, constraints, rhs)
+    for t in range(k):
+        rhs = [Fraction(1, 2) if i == t else 0 for i in range(k)] + [0] * len(a_vecs)
+        u = _solve_partner(space, b_vecs + a_vecs, rhs)
         qu = space.q(u)
         if qu:
             u = vec(x - qu * y for x, y in zip(u, b_vecs[t]))
         a_vecs.append(u)
 
-    # hyperbolically complete the orthogonal complement of the pairs so far
-    comp = _orthogonal_complement(space, a_vecs + b_vecs[:j]) if j else None
-    cols = comp if comp is not None else [space.basis_vector(i) for i in range(n)]
-    while True:
-        sub_rank = mat_rank(
-            Mat.from_rows([[space.b(u, v) for v in cols] for u in cols])
-        ) if cols else 0
-        if sub_rank <= 1:
-            break
-        iso = _isotropic_in(space, cols)
-        if iso is None:
-            raise StandardizationUnavailable(
-                "no rational isotropic vector found in the leftover form"
-            )
-        # partner inside the complement span
-        giso = space.gram.mul_vec(iso)
-        proj = [sum(giso[i] * c[i] for i in range(n)) for c in cols]
-        sol = mat_solve(Mat.from_rows([proj]), (Fraction(1, 2),))
-        if sol is None:
-            raise StandardizationUnavailable("no dual partner in the leftover form")
-        u = _combination(sol[0], cols, n)
-        qu = space.q(u)
-        if qu:
-            u = vec(x - qu * y for x, y in zip(u, iso))
-        a_vecs.append(u)
-        b_vecs.append(iso)
-        cols = _orthogonal_complement(space, a_vecs + b_vecs)
-
     diag_vec = None
     if rank % 2 == 1:
-        for cvec in cols:
-            if space.q(cvec) != 0:
-                diag_vec = cvec
-                break
+        # the complement of the pairs is K plus one anisotropic line
+        diag_vec = next((c for c in _orthogonal_complement(space, a_vecs + b_vecs)
+                         if space.q(c) != 0), None)
         if diag_vec is None:
-            raise StandardizationUnavailable("odd-rank leftover has no anisotropic vector")
-        cols = _orthogonal_complement(space, a_vecs + b_vecs + [diag_vec])
+            raise InvariantError("odd-rank leftover has no anisotropic vector")
 
     # leftover must now be exactly the radical
     span = IncrementalSpan(w_cap_k.basis)
@@ -467,7 +389,7 @@ def standardize(space: QuadraticSpace, w: Subspace):
     radical_positions = list(range(offset + 2 * k, offset + 2 * k + len(rad_basis)))
     new_basis.extend(rad_basis)
     if len(new_basis) != n:
-        raise StandardizationUnavailable("standardization produced a defective basis")
+        raise InvariantError("standardization produced a defective basis")
 
     profile = StdProfile(
         n, rank, k, j, diag_index, diag_value,
@@ -477,7 +399,7 @@ def standardize(space: QuadraticSpace, w: Subspace):
     inverse = _invert_or_die(change)
     gram_std = change.transpose() @ space.gram @ change
     if gram_std != profile.normal_gram():
-        raise StandardizationUnavailable("completed basis is not in normal form")
+        raise InvariantError("completed basis is not in normal form")
     space_std = QuadraticSpace(gram_std)
     w_std = Subspace(
         space_std, [space_std.basis_vector(i) for i in profile.w_positions]

@@ -47,7 +47,6 @@ from .quadform import (
     Subspace,
     candidate_vectors,
     check_isotropic,
-    isotropic_type,
     radical_basis,
     standardize,
     sub_intersection,
@@ -515,8 +514,8 @@ def family_indicator(i: IdealModule) -> str:
     """Which graded half of the module the family witness xi annihilates:
     "EVEN", "ODD", or "NONE" when it kills both halves or neither.
 
-    Requires dim V/K even and pi(w) maximal, and checks that before
-    standardizing.  ``standardize`` gives a basis of V adapted to w:
+    Requires dim V/K even, checked here, and pi(w) maximal, checked by
+    ``standardize``.  ``standardize`` gives a basis of V adapted to w:
     hyperbolic pairs (a_t, b_t), then the radical, with w spanned by the
     b_t and the first radical vectors.  xi is the product, in increasing
     position, of the partners a_t and the radical vectors outside w.  The
@@ -527,11 +526,8 @@ def family_indicator(i: IdealModule) -> str:
     module exactly when that monomial kills the same half of the
     standardized module.
     """
-    j, k, _ = isotropic_type(i.space, i.w)
     if i.space.rank % 2:
         raise PreconditionError("family_indicator needs dim V/K even")
-    if j != k:
-        raise PreconditionError("family_indicator needs pi(w) maximal")
     std = standardize(i.space, i.w)
     prof = std.profile
     positions = prof.a_positions + prof.radical_positions[prof.w_radical_count:]

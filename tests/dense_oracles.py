@@ -15,7 +15,7 @@ from math import lcm
 
 from spinorsheaf import _kernels
 from spinorsheaf.clifford import CliffordElement, _ctx, multiply, trace_form
-from spinorsheaf.errors import PreconditionError, SpanError, StandardizationUnavailable
+from spinorsheaf.errors import PreconditionError, SpanError
 from spinorsheaf.exactalg import (
     IncrementalSpan,
     LinMat,
@@ -554,7 +554,7 @@ def standardized_irreducibility_certificate(i):
     the module, with the coordinate vectors of the detected profile."""
     try:
         module, prof = _standardized_module(i)
-    except (PreconditionError, StandardizationUnavailable):
+    except PreconditionError:
         return None
     space = module.space
     gen = module.generator

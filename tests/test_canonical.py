@@ -11,7 +11,7 @@ from spinorsheaf.errors import SchemaError
 from spinorsheaf.exactalg import LinMat, Mat, exact, mat_invertible, mat_rank_kernel, mat_solve
 from spinorsheaf.fixtures import grid_spaces
 from spinorsheaf.homalg import hom_space, sheaf_numerics
-from spinorsheaf.quadform import QuadraticSpace, Subspace, _combination, _rational_sqrt, line_roots
+from spinorsheaf.quadform import QuadraticSpace, Subspace, _combination
 from spinorsheaf.spinor import build_factorization, build_ideal, shift
 
 from dense_oracles import canonical, canonical_nonzeros, hom_basis, per_image_action, scale
@@ -91,15 +91,6 @@ def test_form_values(data):
     v, w = data.draw(scalars(n)), data.draw(scalars(n))
     coeffs = data.draw(scalars(2))
     assert all_canonical((space.b(v, w), space.q(v)), _combination(coeffs, (v, w), n))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(INTEGRAL, FRACTIONAL), st.one_of(INTEGRAL, FRACTIONAL),
-       st.one_of(INTEGRAL, FRACTIONAL), st.integers(1, 5), st.integers(1, 5))
-def test_roots(qa, bab, qb, p, q):
-    square = Fraction(p * p, q * q)
-    assert all_canonical(line_roots(qa, bab, qb), [_rational_sqrt(square)],
-                         [_rational_sqrt(Fraction(p * p))])
 
 
 def test_numerics_and_hom_pairs():

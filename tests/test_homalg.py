@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spinorsheaf.clifford import CliffordElement
-from spinorsheaf.errors import InvariantError, PreconditionError, StandardizationUnavailable
+from spinorsheaf.errors import InvariantError, PreconditionError
 from spinorsheaf.exactalg import LinMat, Mat, UniPoly, mat_invertible, mat_rank, mat_rank_kernel
 from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf import homalg
@@ -272,6 +272,49 @@ class TestIsIsomorphic:
         for t in range(i.space.n):
             assert A @ i.act_ev[t] == b.act_ev[t] @ B
 
+    @staticmethod
+    def count_hom_calls(monkeypatch, replace=None):
+        """Count the ``hom_space`` calls of ``is_isomorphic``; ``replace``
+        may stand in for a call's result."""
+        calls = []
+        real = homalg.hom_space
+
+        def counted(src, dst):
+            calls.append((src, dst))
+            h = real(src, dst)
+            return replace(src, dst, h) if replace else h
+
+        monkeypatch.setattr(homalg, "hom_space", counted)
+        return calls
+
+    def test_found_map_skips_the_end_spaces(self, monkeypatch):
+        # an isomorphism a -> b forces equal End dimensions, so the search
+        # that finds one needs no End space
+        i = module("F-H6")
+        calls = self.count_hom_calls(monkeypatch)
+        v = is_isomorphic(i, i)
+        assert (v.kind, v.reason) == ("ISO", "invertible intertwiner")
+        assert calls == [(i, i)]
+
+    def test_end_dimensions_differ(self, monkeypatch):
+        # no invertible map found and End(b) one larger than End(a): the
+        # comparison still refuses the pair, with both dimensions
+        a, b = module("F-H6"), module("F-H6")
+
+        class Larger:
+            def __init__(self, h):
+                self.dimension = h.dimension + 1
+
+        def larger_end_b(src, dst, h):
+            return Larger(h) if src is dst is b else h
+
+        calls = self.count_hom_calls(monkeypatch, larger_end_b)
+        monkeypatch.setattr(homalg, "_search_invertible", lambda hom: None)
+        v = is_isomorphic(a, b)
+        assert (v.kind, v.reason) == ("NOT_ISO", "endomorphism dimensions differ")
+        assert v.certificate == {"end_a": 1, "end_b": 2}
+        assert calls == [(a, b), (a, a), (b, b)]
+
 
 class TestAnnihilator:
     def test_matches_radical_intersections(self):
@@ -441,8 +484,8 @@ class TestStandardizedCertificates:
     def outcome(f, x):
         try:
             return f(x)
-        except (PreconditionError, StandardizationUnavailable):
-            return "not applicable"
+        except PreconditionError:
+            return None
 
     def test_match_the_standardized_module(self):
         from dense_oracles import (
@@ -458,7 +501,7 @@ class TestStandardizedCertificates:
             for x in (m, shift(m)):
                 ind = self.outcome(family_indicator, x)
                 assert ind == self.outcome(standardized_family_indicator, x)
-                cert = homalg._irreducibility_certificate(x)
+                cert = self.outcome(homalg._irreducibility_certificate, x)
                 assert cert == standardized_irreducibility_certificate(x)
                 indicators.append(ind)
                 certificates.append(cert)

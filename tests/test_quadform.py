@@ -13,7 +13,7 @@ from dense_oracles import (
 )
 from spinorsheaf.errors import PreconditionError, SchemaError
 from spinorsheaf.exactalg import Mat, vec
-from spinorsheaf.fixtures import get_fixture
+from spinorsheaf.fixtures import get_fixture, grid_spaces
 from spinorsheaf.quadform import (
     QuadraticSpace,
     StdProfile,
@@ -21,7 +21,6 @@ from spinorsheaf.quadform import (
     candidate_vectors,
     check_isotropic,
     isotropic_type,
-    line_roots,
     quotient_space,
     radical_basis,
     standardize,
@@ -203,30 +202,39 @@ class TestStandardize:
         assert std.w_std.contains(e(4, 2))
 
     def test_fc5_pairs_and_radical(self):
+        # F-C5's pi(w) has dim 1 < k = 2: no standardization
         fx = get_fixture("F-C5")
-        std = standardize(fx.space, fx.w)
-        p = std.profile
-        assert p.k == 2
-        assert p.pi_dim == 1
-        assert p.w_radical_count == 1
-        # gram verification of the output pairs
-        for a, b in zip(p.a_positions, p.b_positions):
-            va, vb = std.new_basis[a], std.new_basis[b]
-            assert fx.space.q(va) == 0
-            assert fx.space.q(vb) == 0
-            assert fx.space.b(va, vb) == Fraction(1, 2)
-        for r in p.radical_positions:
-            vr = std.new_basis[r]
-            assert all(x == 0 for x in fx.space.gram.mul_vec(vr))
+        with pytest.raises(PreconditionError):
+            standardize(fx.space, fx.w)
+        for space, w in grid_spaces(6):
+            j, k, l = isotropic_type(space, w)
+            if j != k:
+                continue
+            std = standardize(space, w)
+            p = std.profile
+            assert (p.k, p.pi_dim, p.w_radical_count) == (k, j, l)
+            # gram verification of the output pairs
+            for a, b in zip(p.a_positions, p.b_positions):
+                va, vb = std.new_basis[a], std.new_basis[b]
+                assert space.q(va) == 0
+                assert space.q(vb) == 0
+                assert space.b(va, vb) == Fraction(1, 2)
+            for r in p.radical_positions:
+                vr = std.new_basis[r]
+                assert all(x == 0 for x in space.gram.mul_vec(vr))
 
     def test_normal_form_pairs_reproduced(self):
-        for label in ("F-H2", "F-H6", "F-H6a", "F-QS", "F-QSb", "F-C5"):
+        for label in ("F-H2", "F-H6", "F-QS", "F-QSb"):
             fx = get_fixture(label)
             std = standardize(fx.space, fx.w)
             g = std.space_std.gram
             assert g == std.profile.normal_gram()
             # change of basis really conjugates the form
             assert std.change.transpose() @ fx.space.gram @ std.change == g
+        for label in ("F-H6a", "F-C5"):
+            fx = get_fixture(label)
+            with pytest.raises(PreconditionError):
+                standardize(fx.space, fx.w)
 
     def test_odd_rank_diag(self):
         gram = Mat.from_rows(
@@ -247,13 +255,17 @@ class TestStandardize:
         # that standardize returned, and recognizes no other space
         from dense_oracles import detect_standard_profile
 
-        for label in ("F-QS", "F-H6", "F-C5", "F-H6a"):
+        for label in ("F-QS", "F-H6"):
             fx = get_fixture(label)
             std = standardize(fx.space, fx.w)
             prof = detect_standard_profile(std.space_std, std.w_std)
             assert prof is not None
             for attr in StdProfile.__slots__:
                 assert getattr(prof, attr) == getattr(std.profile, attr)
+        for label in ("F-C5", "F-H6a"):
+            fx = get_fixture(label)
+            with pytest.raises(PreconditionError):
+                standardize(fx.space, fx.w)
         # x0^2 - x1^2 is not in normal form
         space = QuadraticSpace(Mat.from_rows([[1, 0], [0, -1]]))
         w = Subspace(space, [(1, 1)])
@@ -267,16 +279,27 @@ class TestStandardize:
             standardize(fx.space, w)
 
     def test_unavailable_over_rationals(self):
-        # leftover x2^2 + x3^2 has no rational isotropic vector
-        from spinorsheaf.errors import StandardizationUnavailable
-
+        # leftover x2^2 + x3^2 has no rational isotropic vector, so no
+        # hyperbolic basis exists; pi(w) of dim 1 < k = 2 is refused first
         half = Fraction(1, 2)
         gram = Mat.from_rows(
             [[0, half, 0, 0], [half, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
         space = QuadraticSpace(gram)
-        with pytest.raises(StandardizationUnavailable):
+        with pytest.raises(PreconditionError, match="maximal"):
             standardize(space, Subspace(space, [e(4, 0)]))
+
+    def test_only_maximal_projection(self):
+        # every grid w with dim pi(w) < k is refused, whatever its radical part
+        refused = 0
+        for space, w in grid_spaces(5):
+            j, k, _ = isotropic_type(space, w)
+            if j == k:
+                continue
+            with pytest.raises(PreconditionError, match="maximal"):
+                standardize(space, w)
+            refused += 1
+        assert refused > 0
 
     def test_messy_gram_completes(self):
         half = Fraction(1, 2)
@@ -317,37 +340,6 @@ class TestSearches:
         ]
         assert all(len(v) == 4 and all(map(canonical, v))
                    for v in candidate_vectors(space))
-
-    @given(_space_and_vectors())
-    @settings(max_examples=60, deadline=None)
-    def test_line_roots_solve_q(self, sv):
-        space, a, b = sv
-        qa, bab, qb = space.q(a), 2 * space.b(a, b), space.q(b)
-        roots = line_roots(qa, bab, qb)
-        assert roots == sorted(set(roots))
-        for t in roots:
-            assert space.q(tuple(x + t * y for x, y in zip(a, b))) == 0
-        if qb == 0 and bab != 0:
-            assert roots == [Fraction(-qa, bab)]
-
-    def test_line_roots_cases(self):
-        half = Fraction(1, 2)
-        # t^2 - 1: two roots, ascending
-        assert line_roots(-1, 0, 1) == [-1, 1]
-        # (t + 1/2)^2: one double root
-        assert line_roots(Fraction(1, 4), 1, 1) == [-half]
-        # t^2 - 2 and t^2 + 1: no rational root
-        assert line_roots(-2, 0, 1) == []
-        assert line_roots(1, 0, 1) == []
-        # linear, qb = 0: 3 + 2t
-        assert line_roots(3, 2, 0) == [Fraction(-3, 2)]
-        # qb = bab = 0: none given, whether or not qa = 0
-        assert line_roots(3, 0, 0) == []
-        assert line_roots(0, 0, 0) == []
-        # q = x0 x1 on the line (1, 0) + t (1, 1): q = t + t^2
-        space = QuadraticSpace(Mat.from_rows([[0, half], [half, 0]]))
-        a, b = e(2, 0), (Fraction(1), Fraction(1))
-        assert line_roots(space.q(a), 2 * space.b(a, b), space.q(b)) == [-1, 0]
 
     def test_isotropic_type(self):
         # (dim pi(w), rank // 2, dim w cap K)

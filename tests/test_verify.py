@@ -3,11 +3,13 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
 from spinorsheaf import clifford, spinor, verify
 from spinorsheaf import homalg
+from spinorsheaf.exactalg import Mat
 from spinorsheaf.fixtures import (
     FIXTURE_LABELS,
     Fixture,
@@ -15,7 +17,7 @@ from spinorsheaf.fixtures import (
     get_fixture,
     grid_spaces,
 )
-from spinorsheaf.quadform import radical_basis, sub_intersection
+from spinorsheaf.quadform import QuadraticSpace, Subspace, radical_basis, sub_intersection
 from spinorsheaf.verify import run_suite
 
 # sha256 of run_suite(fixture, "all").to_json(): a change of
@@ -61,6 +63,23 @@ def test_fiber_stratification_passes_on_the_grid():
         record = _fiber_record(fx)
         assert record["verdict"] == "pass", (fx.label, record)
         assert record["details"]["points"] == sum(record["details"]["strata"].values())
+
+
+def test_forms_with_no_rational_hyperbolic_basis():
+    # x0 x1 + x2^2 + x3^2 with W = <e0>, and x0^2 - 2 x1^2 with W = K =
+    # <e2>: no rational hyperbolic basis completes pi(W), and every suite
+    # runs through without one
+    half = Fraction(1, 2)
+    split_plus_sum_of_squares = QuadraticSpace(Mat.from_rows(
+        [[0, half, 0, 0], [half, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    anisotropic_plus_radical = QuadraticSpace(Mat.from_rows(
+        [[1, 0, 0], [0, -2, 0], [0, 0, 0]]))
+    for label, space, w in (("x0x1+x2^2+x3^2", split_plus_sum_of_squares, (1, 0, 0, 0)),
+                            ("x0^2-2x1^2", anisotropic_plus_radical, (0, 0, 1))):
+        report = run_suite(Fixture(label, space, Subspace(space, [w])), "all")
+        assert report.overall(), label
+        assert report.counts()["fail"] == 0, label
+        assert not [r for r in report.records if r["op"] == "invariant_error"], label
 
 
 def test_a_wrong_rank_on_w_cap_k_fails(monkeypatch):
