@@ -12,8 +12,6 @@ from .errors import PreconditionError
 from .exactalg import exact, vec
 from .quadform import QuadraticSpace, Subspace
 
-_POPCOUNT = int.bit_count if hasattr(int, "bit_count") else (lambda m: bin(m).count("1"))
-
 
 class _Context:
     """Per-space monomial order and multiplication cache.  It keeps no
@@ -26,7 +24,7 @@ class _Context:
     def __init__(self, space: QuadraticSpace):
         n = space.n
         self.n = n
-        self.order = tuple(sorted(range(1 << n), key=lambda m: (_POPCOUNT(m), m)))
+        self.order = tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
         self.index = {m: i for i, m in enumerate(self.order)}
         self.vec_cache = {}
         # q(e_i) on the diagonal, 2 b(e_i, e_j) off it
@@ -260,12 +258,12 @@ def trace_pairing_nondegenerate(space: QuadraticSpace) -> bool:
     filtered deformation of the exterior algebra (Chevalley, 1954)."""
     ctx = _ctx(space)
     for mask in range(1 << ctx.n):
-        top = _POPCOUNT(mask) + 1
+        top = mask.bit_count() + 1
         for i in range(ctx.n):
             bit = 1 << i
             lead = {}
             for m, c in ctx.vec_mono(i, mask).items():
-                d = _POPCOUNT(m)
+                d = m.bit_count()
                 if d > top:
                     return False
                 if d == top:
@@ -273,7 +271,7 @@ def trace_pairing_nondegenerate(space: QuadraticSpace) -> bool:
             if mask & bit:
                 wedge = {}
             else:
-                wedge = {mask | bit: -1 if _POPCOUNT(mask & (bit - 1)) % 2 else 1}
+                wedge = {mask | bit: -1 if (mask & (bit - 1)).bit_count() % 2 else 1}
             if lead != wedge:
                 return False
     return all(trace_form(CliffordElement(space, {m: 1}),
@@ -339,5 +337,4 @@ class GroupElement:
 
 def conjugate_subspace(g: GroupElement, w: Subspace) -> Subspace:
     """The subspace g W g^{-1}."""
-    new_basis = [g.conjugate_vector(v) for v in w.basis]
-    return Subspace(g.space, new_basis)
+    return Subspace(g.space, [g.conjugate_vector(v) for v in w.basis])

@@ -397,45 +397,51 @@ def _irreducibility_certificate(i: IdealModule):
 
     The identities are those of the standardized basis, read on i itself.
     ``standardize`` gives a basis of V adapted to w: in odd rank an
-    anisotropic vector, then hyperbolic pairs (a_t, b_t), then the radical,
-    with w spanned by the b_t and the first radical vectors.  The map taking the
-    standard basis of V_std to it is an isometry V_std -> V, so it extends
-    to an isomorphism Cl(V_std) -> Cl(V) of graded algebras, which carries
-    each basis vector e_p to new_basis[p].  It carries the standardized
-    generator to the product of a basis of w, a nonzero multiple of
-    ``i.generator``, and each identity below is linear in the generator.
-    So each holds here exactly when it holds on the standardized module."""
+    anisotropic vector, then hyperbolic pairs (a_t, b_t) of partners and
+    tails, then the radical, which starts with a basis of w cap K; w is
+    spanned by the tails and that basis.  The map taking the standard basis
+    of V_std to it is an isometry V_std -> V, so it extends to an
+    isomorphism Cl(V_std) -> Cl(V) of graded algebras, which carries each
+    standard basis vector to the basis vector in its place.  It carries the
+    standardized generator to the product of a basis of w, a nonzero
+    multiple of ``i.generator``, and each identity below is linear in the
+    generator.  So each holds here exactly when it holds on the
+    standardized module."""
     std = standardize(i.space, i.w)
-    prof = std.profile
-    vecel = [CliffordElement.from_vector(i.space, v) for v in std.new_basis]
+
+    def vecel(v):
+        return CliffordElement.from_vector(i.space, v)
+
+    partners = [vecel(v) for v in std.partners]
+    tails = [vecel(v) for v in std.tails]
     gen = i.generator
     checks = []
 
-    for pos in prof.w_positions:
-        if not multiply(vecel[pos], gen).is_zero():
+    for v in tails + [vecel(v) for v in std.radical[:std.l]]:
+        if not multiply(v, gen).is_zero():
             return None
     checks.append("w kills the generator")
-    for ai, bi in zip(prof.a_positions, prof.b_positions):
-        if multiply(vecel[bi], multiply(vecel[ai], gen)) != gen:
+    for a, b in zip(partners, tails):
+        if multiply(b, multiply(a, gen)) != gen:
             return None
     checks.append("partner pair restores the generator")
-    for ai in prof.a_positions:
-        for bj in prof.b_positions:
-            if prof.a_positions.index(ai) == prof.b_positions.index(bj):
+    for s, a in enumerate(partners):
+        for t, b in enumerate(tails):
+            if s == t:
                 continue
-            lhs = multiply(vecel[ai], vecel[bj])
-            rhs = multiply(vecel[bj], vecel[ai]).scale(-1)
-            if lhs != rhs:
+            if multiply(a, b) != multiply(b, a).scale(-1):
                 return None
     checks.append("partners anticommute across pairs")
-    if prof.diag_index is not None:
-        v0 = vecel[prof.diag_index]
-        if multiply(v0, multiply(v0, gen)) != gen.scale(prof.diag_value):
+    diag = None
+    if std.diag is not None:
+        v0 = vecel(std.diag)
+        diag = i.space.q(std.diag)
+        if multiply(v0, multiply(v0, gen)) != gen.scale(diag):
             return None
-        if prof.diag_value == 0:
+        if diag == 0:
             return None
         checks.append("anisotropic direction squares to a nonzero scalar")
-    return {"identities": checks, "k": prof.k, "diag": prof.diag_value}
+    return {"identities": checks, "k": len(tails), "diag": diag}
 
 
 class SheafNumerics:

@@ -244,65 +244,23 @@ def _invert_or_die(m: Mat) -> Mat:
     return inv
 
 
-class StdProfile:
-    """Positions of the normal-form blocks after standardization."""
+class Standardization:
+    """The basis of V that ``standardize`` adapts to w, by its parts."""
 
-    __slots__ = (
-        "n",
-        "rank",
-        "k",
-        "pi_dim",
-        "diag_index",
-        "diag_value",
-        "a_positions",
-        "b_positions",
-        "radical_positions",
-        "w_radical_count",
-    )
+    __slots__ = ("diag", "partners", "tails", "radical", "l")
 
-    def __init__(self, n, rank, k, pi_dim, diag_index, diag_value,
-                 a_positions, b_positions, radical_positions, w_radical_count):
-        self.n = n
-        self.rank = rank
-        self.k = k
-        self.pi_dim = pi_dim
-        self.diag_index = diag_index
-        self.diag_value = diag_value
-        self.a_positions = tuple(a_positions)
-        self.b_positions = tuple(b_positions)
-        self.radical_positions = tuple(radical_positions)
-        self.w_radical_count = w_radical_count
+    def __init__(self, diag, partners, tails, radical, l):
+        self.diag = diag
+        self.partners = partners
+        self.tails = tails
+        self.radical = radical
+        self.l = l
 
     @property
-    def w_positions(self):
-        return self.b_positions[: self.pi_dim] + self.radical_positions[: self.w_radical_count]
-
-    def normal_gram(self) -> Mat:
-        half = Fraction(1, 2)
-        g = [[0] * self.n for _ in range(self.n)]
-        for a, b in zip(self.a_positions, self.b_positions):
-            g[a][b] = half
-            g[b][a] = half
-        if self.diag_index is not None:
-            g[self.diag_index][self.diag_index] = self.diag_value
-        return Mat.from_rows(g)
-
-
-class Standardization:
-    """Result of standardize(): new basis, change of basis and profile."""
-
-    __slots__ = ("source", "w", "new_basis", "change", "inverse", "space_std",
-                 "w_std", "profile")
-
-    def __init__(self, source, w, new_basis, change, inverse, space_std, w_std, profile):
-        self.source = source
-        self.w = w
-        self.new_basis = new_basis
-        self.change = change
-        self.inverse = inverse
-        self.space_std = space_std
-        self.w_std = w_std
-        self.profile = profile
+    def basis(self) -> tuple:
+        """diag (odd rank only), the partners, the tails, then the radical."""
+        head = () if self.diag is None else (self.diag,)
+        return head + self.partners + self.tails + self.radical
 
 
 def _solve_partner(space, constraints, rhs):
@@ -320,94 +278,64 @@ def _orthogonal_complement(space, vectors):
     return list(kernel)
 
 
-def standardize(space: QuadraticSpace, w: Subspace):
+def standardize(space: QuadraticSpace, w: Subspace) -> Standardization:
     """Hyperbolic standardization adapted to an isotropic w with pi(w)
     maximal, dim pi(w) = k = rank(q) // 2; any other w raises
     PreconditionError.
 
-    Produces a basis in which q = sum_i x_{a_i} x_{b_i} (+ c x0^2 in odd
-    rank) with b(a_i, b_i) = 1/2, w spanned by the leading tail positions
-    followed by radical positions.  By Witt's decomposition the k planes
-    of pi(w) and their partners leave a form of rank rank(q) - 2k <= 1 on
-    their orthogonal complement, so every vector is solved for: the
-    partners from the pairing system, the anisotropic vector of odd rank
-    from the complement.
+    The parts of the returned basis: in odd rank an anisotropic vector
+    ``diag``; the partners a_t; the tails b_t, the basis vectors of w outside
+    w cap K; and the radical, the basis of w cap K (``l`` vectors) then its
+    completion from K's basis.  In it q = sum_t x_{a_t} x_{b_t} (+ q(diag)
+    x0^2 in odd rank) with b(a_t, b_t) = 1/2.  By Witt's decomposition the
+    k planes of pi(w) and their partners leave a form of rank
+    rank(q) - 2k <= 1 on their orthogonal complement, so every vector is
+    solved for: the partners from the pairing system, the anisotropic
+    vector of odd rank from the complement.
     """
     if not check_isotropic(space, w):
         raise PreconditionError("standardize requires an isotropic subspace")
     n = space.n
-    rank = space.rank
-    k = rank // 2
+    k = space.rank // 2
     rad = radical_basis(space)
     w_cap_k = sub_intersection(w, rad)
-    l = w_cap_k.dim
-    j = w.dim - l
 
     # complement of w∩K inside w, giving representatives of pi(w)
     span = IncrementalSpan(w_cap_k.basis)
-    b_vecs = [v for v in w.basis if span.add(v)]
-    if len(b_vecs) != j:
-        raise PreconditionError("could not split w against the radical")
-    if j != k:
+    tails = [v for v in w.basis if span.add(v)]
+    if len(tails) != k:
         raise PreconditionError("standardize requires pi(w) maximal")
 
-    a_vecs = []
+    partners = []
     for t in range(k):
-        rhs = [Fraction(1, 2) if i == t else 0 for i in range(k)] + [0] * len(a_vecs)
-        u = _solve_partner(space, b_vecs + a_vecs, rhs)
+        rhs = [Fraction(1, 2) if i == t else 0 for i in range(k)] + [0] * len(partners)
+        u = _solve_partner(space, tails + partners, rhs)
         qu = space.q(u)
         if qu:
-            u = vec(x - qu * y for x, y in zip(u, b_vecs[t]))
-        a_vecs.append(u)
+            u = vec(x - qu * y for x, y in zip(u, tails[t]))
+        partners.append(u)
 
-    diag_vec = None
-    if rank % 2 == 1:
+    diag = None
+    if space.rank % 2 == 1:
         # the complement of the pairs is K plus one anisotropic line
-        diag_vec = next((c for c in _orthogonal_complement(space, a_vecs + b_vecs)
-                         if space.q(c) != 0), None)
-        if diag_vec is None:
+        diag = next((c for c in _orthogonal_complement(space, partners + tails)
+                     if space.q(c) != 0), None)
+        if diag is None:
             raise InvariantError("odd-rank leftover has no anisotropic vector")
 
-    # leftover must now be exactly the radical
     span = IncrementalSpan(w_cap_k.basis)
-    rad_basis = list(w_cap_k.basis) + [v for v in rad.basis if span.add(v)]
-    if len(rad_basis) != rad.dim:
-        raise PreconditionError("radical completion failed")
+    radical = list(w_cap_k.basis) + [v for v in rad.basis if span.add(v)]
+    std = Standardization(diag, tuple(partners), tuple(tails), tuple(radical), w_cap_k.dim)
 
-    new_basis = []
-    diag_index = None
-    diag_value = None
-    if diag_vec is not None:
-        diag_index = 0
-        diag_value = space.q(diag_vec)
-        new_basis.append(diag_vec)
-    offset = len(new_basis)
-    a_positions = list(range(offset, offset + k))
-    b_positions = list(range(offset + k, offset + 2 * k))
-    new_basis.extend(a_vecs)
-    new_basis.extend(b_vecs)
-    radical_positions = list(range(offset + 2 * k, offset + 2 * k + len(rad_basis)))
-    new_basis.extend(rad_basis)
-    if len(new_basis) != n:
+    change = Mat.from_cols(std.basis)
+    if mat_rank(change) != n:
         raise InvariantError("standardization produced a defective basis")
-
-    profile = StdProfile(
-        n, rank, k, j, diag_index, diag_value,
-        a_positions, b_positions, radical_positions, l,
-    )
-    change = Mat.from_cols(new_basis)
-    inverse = _invert_or_die(change)
-    gram_std = change.transpose() @ space.gram @ change
-    if gram_std != profile.normal_gram():
+    normal = [[0] * n for _ in range(n)]
+    d = 0 if diag is None else 1
+    if diag is not None:
+        normal[0][0] = space.q(diag)
+    for t in range(d, d + k):
+        normal[t][t + k] = normal[t + k][t] = Fraction(1, 2)
+    if change.transpose() @ space.gram @ change != Mat.from_rows(normal):
         raise InvariantError("completed basis is not in normal form")
-    space_std = QuadraticSpace(gram_std)
-    w_std = Subspace(
-        space_std, [space_std.basis_vector(i) for i in profile.w_positions]
-    )
-    # the coordinates of w in the new basis must span the same subspace
-    w_coords = Subspace(space_std, [inverse.mul_vec(v) for v in w.basis])
-    if not w_coords.same_span(w_std):
-        raise PreconditionError("w is not tail-positioned after standardization")
-    return Standardization(space, w, tuple(new_basis), change, inverse,
-                           space_std, w_std, profile)
-
+    return std

@@ -516,22 +516,20 @@ def family_indicator(i: IdealModule) -> str:
 
     Requires dim V/K even, checked here, and pi(w) maximal, checked by
     ``standardize``.  ``standardize`` gives a basis of V adapted to w:
-    hyperbolic pairs (a_t, b_t), then the radical, with w spanned by the
-    b_t and the first radical vectors.  xi is the product, in increasing
-    position, of the partners a_t and the radical vectors outside w.  The
-    map taking the standard basis of V_std to that basis is an isometry
-    V_std -> V, so it extends to an isomorphism Cl(V_std) -> Cl(V) that
-    keeps the grading and carries the ideal of the standardized w onto
-    this one.  xi is the image of a monomial, and it kills a half of the
-    module exactly when that monomial kills the same half of the
-    standardized module.
+    hyperbolic pairs (a_t, b_t) of partners and tails, then the radical,
+    which starts with a basis of w cap K; w is spanned by the tails and
+    that basis.  xi is the product of the partners a_t and then of the
+    radical vectors outside w, in that order.  The map taking the standard
+    basis of V_std to that basis is an isometry V_std -> V, so it extends
+    to an isomorphism Cl(V_std) -> Cl(V) that keeps the grading and
+    carries the ideal of the standardized w onto this one.  xi is the
+    image of a monomial, and it kills a half of the module exactly when
+    that monomial kills the same half of the standardized module.
     """
     if i.space.rank % 2:
         raise PreconditionError("family_indicator needs dim V/K even")
     std = standardize(i.space, i.w)
-    prof = std.profile
-    positions = prof.a_positions + prof.radical_positions[prof.w_radical_count:]
-    xi = vector_product(i.space, (std.new_basis[p] for p in positions))
+    xi = vector_product(i.space, std.partners + std.radical[std.l:])
     killed_ev = all(multiply(xi, b).is_zero() for b in i.ev_basis)
     killed_odd = all(multiply(xi, b).is_zero() for b in i.odd_basis)
     if killed_ev and not killed_odd:

@@ -30,7 +30,7 @@ from spinorsheaf.exactalg import (
     rref_rows,
     vec,
 )
-from spinorsheaf.quadform import StdProfile, standardize
+from spinorsheaf.quadform import QuadraticSpace, Subspace, standardize
 from spinorsheaf.spinor import (
     FactorizationPair,
     IdealModule,
@@ -473,6 +473,74 @@ def dense_trace_pairing_nondegenerate(space) -> bool:
     return dense_rank(gram) == 1 << space.n
 
 
+class StdProfile:
+    """Positions of the normal-form blocks of a space in standardized
+    coordinates."""
+
+    __slots__ = (
+        "n",
+        "rank",
+        "k",
+        "pi_dim",
+        "diag_index",
+        "diag_value",
+        "a_positions",
+        "b_positions",
+        "radical_positions",
+        "w_radical_count",
+    )
+
+    def __init__(self, n, rank, k, pi_dim, diag_index, diag_value,
+                 a_positions, b_positions, radical_positions, w_radical_count):
+        self.n = n
+        self.rank = rank
+        self.k = k
+        self.pi_dim = pi_dim
+        self.diag_index = diag_index
+        self.diag_value = diag_value
+        self.a_positions = tuple(a_positions)
+        self.b_positions = tuple(b_positions)
+        self.radical_positions = tuple(radical_positions)
+        self.w_radical_count = w_radical_count
+
+    @property
+    def w_positions(self):
+        return self.b_positions[: self.pi_dim] + self.radical_positions[: self.w_radical_count]
+
+    def normal_gram(self) -> Mat:
+        half = Fraction(1, 2)
+        g = [[0] * self.n for _ in range(self.n)]
+        for a, b in zip(self.a_positions, self.b_positions):
+            g[a][b] = half
+            g[b][a] = half
+        if self.diag_index is not None:
+            g[self.diag_index][self.diag_index] = self.diag_value
+        return Mat.from_rows(g)
+
+
+def standardized_copy(space, w):
+    """(space_std, w_std): the form in the basis that ``standardize``
+    returns, and w by its coordinates in that basis."""
+    change = Mat.from_cols(standardize(space, w).basis)
+    space_std = QuadraticSpace(change.transpose() @ space.gram @ change)
+    inverse = mat_invertible(change)
+    coords = [inverse.mul_vec(vec(v)) for v in w.basis]
+    return space_std, Subspace(space_std, rref_rows(coords, space.n)[0])
+
+
+def standardization_profile(space, std) -> StdProfile:
+    """The ``StdProfile`` of the layout of ``standardize``'s result ``std``:
+    [diag] + partners + tails + radical, w the tails and the first
+    ``std.l`` radical vectors."""
+    d = 0 if std.diag is None else 1
+    k = len(std.partners)
+    return StdProfile(
+        space.n, space.rank, k, len(std.tails), None if std.diag is None else 0,
+        None if std.diag is None else space.q(std.diag), range(d, d + k),
+        range(d + k, d + 2 * k), range(d + 2 * k, space.n), std.l,
+    )
+
+
 def detect_standard_profile(space, w):
     """Recognize a space already in standardized coordinates: the
     ``StdProfile`` of (space, w), or None when the form is not in normal
@@ -519,9 +587,9 @@ def detect_standard_profile(space, w):
 def _standardized_module(i):
     """The module of i rebuilt on the standardized copy of its space (and
     shifted as i is), with the profile detected there."""
-    std = standardize(i.space, i.w)
-    module = build_ideal(std.space_std, std.w_std)
-    profile = detect_standard_profile(std.space_std, std.w_std)
+    space_std, w_std = standardized_copy(i.space, i.w)
+    module = build_ideal(space_std, w_std)
+    profile = detect_standard_profile(space_std, w_std)
     return (shift(module) if i.shift else module), profile
 
 

