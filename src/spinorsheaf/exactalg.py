@@ -19,12 +19,12 @@ integer rows cleared of denominators: the canonical span bases
 (``rref_rows``), the spans grown one vector at a time (``IncrementalSpan``),
 the multiplication-map ranks (``mult_map_rank``) and the matrix routines
 ``mat_rank``, ``mat_rank_kernel``, ``mat_solve`` and ``mat_invertible``.
-Rows already reduced up to scale need none: when their leading columns
+One back-reduction, ``_rref``, gives the reduced form, and the span bases,
+kernel vectors, solutions and inverses are all read off its rows.  Rows
+already reduced up to scale need no elimination: when their leading columns
 are distinct and no row is nonzero at another row's leading column, as the
 words e_M g of an ideal module almost always are, ``rref_rows`` divides
-each row by its leading entry.  One back-substitution
-(``_back_substitute``) gives the kernel vectors, the particular solutions
-and the inverse columns, each from fixed values at free columns.
+each row by its leading entry.
 """
 
 from __future__ import annotations
@@ -256,109 +256,24 @@ def _sparse(v) -> dict:
     return v if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
 
 
-def _back_substitute(pivots, fixed, n):
-    """The solution of a sparse echelon form ``{col: row}`` that takes the
-    values ``fixed`` at some free columns and 0 at the others, on the first
-    ``n`` columns.  Its pivots are those of the reduced form, so it is the
-    same whichever echelon form it is read from; a pivot right of every
-    fixed column stays 0."""
-    cols = sorted(pivots)
-    x = dict(fixed)
-    for c in reversed(cols[:bisect_left(cols, max(fixed))]):
-        row = pivots[c]
-        s = sum(v * x[j] for j, v in row.items() if j in x)
-        if s:
-            x[c] = exact(-s, row[c])
-    return tuple(x.get(j, 0) for j in range(n))
-
-
-def _kernel_from_sparse_echelon(pivots, ncols):
-    """Kernel basis in reduced echelon-normal form: for each free column
-    f < ncols, the solution with 1 at f and 0 at the other free columns."""
-    return tuple(_back_substitute(pivots, {f: 1}, ncols)
-                 for f in range(ncols) if f not in pivots)
-
-
 def _int_rows(m: Mat, extra=None):
     """Sparse integer rows of ``m``, row i extended by the pairs ``extra[i]``."""
     nz = m.nz
     return [_int_row(nz[i] + extra[i] if extra else nz[i]) for i in range(m.rows)]
 
 
-def mat_rank_kernel(m: Mat):
-    """Rank and a deterministic kernel basis of ``m``."""
-    pivots = _kernels.sparse_echelon(_int_rows(m))
-    return len(pivots), _kernel_from_sparse_echelon(pivots, m.cols)
-
-
-def mat_rank(m: Mat) -> int:
-    return _kernels.sparse_rank(_int_rows(m))
-
-
-def mat_solve(a: Mat, target):
-    """Solve a x = target.  Returns (particular, kernel_basis) or None if
-    the system is inconsistent."""
-    if len(target) != a.rows:
-        raise ValueError("target length mismatch")
-    n = a.cols
-    # [a | -target] x' = 0 with x'[n] = 1; inconsistent when n is a pivot
-    pivots = _kernels.sparse_echelon(
-        _int_rows(a, [[(n, -t)] if t else [] for t in vec(target)]))
-    if n in pivots:
-        return None
-    return _back_substitute(pivots, {n: 1}, n), _kernel_from_sparse_echelon(pivots, n)
-
-
-def mat_invertible(m: Mat):
-    """Inverse of ``m`` or None if singular.  Non-square input is rejected."""
-    if m.rows != m.cols:
-        raise ValueError("mat_invertible requires a square matrix")
-    n = m.rows
-    # [m | -I] x' = 0 with x'[n + k] = 1 gives column k of the inverse
-    pivots = _kernels.sparse_echelon(_int_rows(m, [[(n + i, -1)] for i in range(n)]))
-    if any(c not in pivots for c in range(n)):
-        return None
-    cols = [_back_substitute(pivots, {n + k: 1}, n) for k in range(n)]
-    return Mat(n, n, chain.from_iterable(zip(*cols)))
-
-
-def rref_rows(vectors, ncols):
-    """Canonical (reduced row echelon) basis of the span of ``vectors``,
-    dense sequences or ``{col: value}`` dicts.  Returns (rows, pivots);
-    rows are dicts in column order for dict input, else dense tuples of
-    length ``ncols``, and their entries are canonical (``exact``): ints
-    where whole.
-
-    Nonzero rows with distinct leading columns, none of them nonzero at
-    another row's leading column, are already in reduced echelon form up
-    to scale: each is divided once by its leading entry and no elimination
-    runs.  Other input takes the echelon form from the sparse kernel on
-    rows cleared of denominators, then back-substitution from the last
-    pivot up to pivot 1.  The reduced form is unique, so both routes give
-    the same rows."""
-    vectors = list(vectors)
-    nonzero = [r for r in map(_sparse, vectors) if r]
-    leads = {min(r): r for r in nonzero}
-    if len(leads) == len(nonzero) and all(j == c or j not in leads
-                                          for c, r in leads.items() for j in r):
-        pivots = sorted(leads)
-        rows = [{j: exact(v, r[c]) for j, v in sorted(r.items())}
-                for c, r in sorted(leads.items())]
-    else:
-        rows, pivots = _eliminated_rref(nonzero)
-    if vectors and not isinstance(vectors[0], dict):
-        rows = [tuple(r.get(j, 0) for j in range(ncols)) for r in rows]
-    return rows, pivots
-
-
-def _eliminated_rref(rows):
-    """``rref_rows`` of nonzero ``{col: value}`` rows by elimination."""
-    reduced = _kernels.sparse_echelon([_int_row(r.items()) for r in rows])
-    pivots = sorted(reduced)
+def _rref(rows):
+    """The reduced row echelon form of sparse integer rows ``{col: value}``
+    (consumed), as ``{pivot: row}`` in pivot order, rows canonical and in
+    column order.  From the last pivot of ``_kernels.sparse_echelon`` up,
+    each pivot row is divided by its pivot entry and the later pivots are
+    cleared out of it."""
+    form = _kernels.sparse_echelon(rows)
+    pivots = sorted(form)
     done = {}
     for c in reversed(pivots):
-        p = reduced[c][c]
-        row = {j: exact(v, p) for j, v in reduced[c].items()}
+        p = form[c][c]
+        row = {j: exact(v, p) for j, v in form[c].items()}
         # a finished row holds no other pivot: clearing one refills none
         for k in [k for k in row if k != c and k in done]:
             f = row.pop(k)
@@ -371,7 +286,80 @@ def _eliminated_rref(rows):
                         del row[j]
         done[c] = row
     # a Fraction difference may be whole
-    return [{j: _whole(v) for j, v in sorted(done[c].items())} for c in pivots], pivots
+    return {c: {j: _whole(v) for j, v in sorted(done[c].items())} for c in pivots}
+
+
+def mat_rank_kernel(m: Mat):
+    """Rank and the kernel basis of ``m`` in reduced form: for each free
+    column f, the vector with 1 at f, 0 at the other free columns and
+    -R_c[f] at each pivot c, R_c the reduced row of c."""
+    reduced = _rref(_int_rows(m))
+    kernel = {f: [0] * f + [1] + [0] * (m.cols - f - 1)
+              for f in range(m.cols) if f not in reduced}
+    for c, row in reduced.items():
+        for f, v in row.items():
+            if f != c:
+                kernel[f][c] = -v
+    return len(reduced), tuple(map(tuple, kernel.values()))
+
+
+def mat_rank(m: Mat) -> int:
+    return _kernels.sparse_rank(_int_rows(m))
+
+
+def mat_solve(a: Mat, target):
+    """The solution of a x = target that is 0 at every free column, or None
+    if the system is inconsistent: [a | target] reduced, x_c is the last
+    entry of the row of pivot c."""
+    if len(target) != a.rows:
+        raise ValueError("target length mismatch")
+    n = a.cols
+    reduced = _rref(_int_rows(a, [[(n, t)] if t else [] for t in vec(target)]))
+    if n in reduced:
+        return None
+    return tuple(reduced[c].get(n, 0) if c in reduced else 0 for c in range(n))
+
+
+def mat_invertible(m: Mat):
+    """Inverse of ``m`` or None if singular: [m | I] reduced to [I | m^-1].
+    Non-square input is rejected."""
+    if m.rows != m.cols:
+        raise ValueError("mat_invertible requires a square matrix")
+    n = m.rows
+    reduced = _rref(_int_rows(m, [[(n + i, 1)] for i in range(n)]))
+    if any(c not in reduced for c in range(n)):
+        return None
+    return Mat.from_nonzeros(n, n, [[(j - n, v) for j, v in reduced[c].items() if j != c]
+                                    for c in range(n)])
+
+
+def rref_rows(vectors, ncols):
+    """Canonical (reduced row echelon) basis of the span of ``vectors``,
+    dense sequences or ``{col: value}`` dicts.  Returns (rows, pivots);
+    rows are dicts in column order for dict input, else dense tuples of
+    length ``ncols``, and their entries are canonical (``exact``): ints
+    where whole.
+
+    Nonzero rows with distinct leading columns, none of them nonzero at
+    another row's leading column, are already in reduced echelon form up
+    to scale: each is divided once by its leading entry and no elimination
+    runs.  Other input is reduced by ``_rref`` on rows cleared of
+    denominators.  The reduced form is unique, so both routes give the
+    same rows."""
+    vectors = list(vectors)
+    nonzero = [r for r in map(_sparse, vectors) if r]
+    leads = {min(r): r for r in nonzero}
+    if len(leads) == len(nonzero) and all(j == c or j not in leads
+                                          for c, r in leads.items() for j in r):
+        pivots = sorted(leads)
+        rows = [{j: exact(v, r[c]) for j, v in sorted(r.items())}
+                for c, r in sorted(leads.items())]
+    else:
+        reduced = _rref([_int_row(r.items()) for r in nonzero])
+        rows, pivots = list(reduced.values()), list(reduced)
+    if vectors and not isinstance(vectors[0], dict):
+        rows = [tuple(r.get(j, 0) for j in range(ncols)) for r in rows]
+    return rows, pivots
 
 
 class IncrementalSpan:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import factorial
+from operator import add
 
 from .clifford import CliffordElement, multiply
 from .errors import InvariantError, PreconditionError, SpanError
@@ -361,11 +362,14 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
     standardized generator identities in its certificate are a consistency
     record: they hold on REDUCIBLE modules too, F-QS and F-QSb among them."""
     n_ev, n_odd = i.ev_dim, i.odd_dim
-    eye_ev, eye_odd = Mat.identity(n_ev), Mat.identity(n_odd)
-    singles = ([(eye_ev.row(t), ()) for t in range(n_ev)]
-               + [((), eye_odd.row(t)) for t in range(n_odd)])
-    pairs = ((_seed_sum(x[0], y[0]), _seed_sum(x[1], y[1]))
-             for x, y in combinations(singles, 2))
+    ev_rows = list(map(Mat.identity(n_ev).row, range(n_ev)))
+    odd_rows = list(map(Mat.identity(n_odd).row, range(n_odd)))
+    singles = [(v, ()) for v in ev_rows] + [((), v) for v in odd_rows]
+    # pairs are tried once every single seed closes to the whole module; a
+    # pair with one seed in each part closes to the sum of two such
+    # closures, so only sums within one part can be proper
+    pairs = chain(((tuple(map(add, x, y)), ()) for x, y in combinations(ev_rows, 2)),
+                  (((), tuple(map(add, x, y))) for x, y in combinations(odd_rows, 2)))
     columns = _action_columns(i)
     for ev, od in chain(singles, pairs):
         ev_dim, odd_dim = _closure_from_coords(columns, [ev], [od])
@@ -381,11 +385,6 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
     if cert is not None:
         return IrredVerdict("IRREDUCIBLE", certificate=cert)
     return IrredVerdict("UNDECIDED")
-
-
-def _seed_sum(a, b):
-    """Sum of two seed parts, where () stands for no seed."""
-    return tuple(x + y for x, y in zip(a, b)) if a and b else a or b
 
 
 def _irreducibility_certificate(i: IdealModule):
@@ -437,8 +436,6 @@ def _irreducibility_certificate(i: IdealModule):
         v0 = vecel(std.diag)
         diag = i.space.q(std.diag)
         if multiply(v0, multiply(v0, gen)) != gen.scale(diag):
-            return None
-        if diag == 0:
             return None
         checks.append("anisotropic direction squares to a nonzero scalar")
     return {"identities": checks, "k": len(tails), "diag": diag}

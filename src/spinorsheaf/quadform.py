@@ -20,7 +20,6 @@ from .exactalg import (
     _int_vec,
     _whole,
     exact,
-    mat_invertible,
     mat_rank,
     mat_rank_kernel,
     mat_solve,
@@ -215,33 +214,29 @@ class QuotientSpace:
 
 def quotient_space(space: QuadraticSpace, modded: Subspace) -> QuotientSpace:
     """Form V/modded. The section picks the standard coordinates not pivoted
-    by modded, so projection . section = identity."""
+    by modded, so projection . section = identity.  The projection is read
+    off modded's reduced rows R_p: v less sum_p v_p R_p is 0 at every pivot
+    p and equal to v modulo modded, so pi(v)_f = v_f - sum_p v_p R_p[f] at
+    each free coordinate f."""
     rad = radical_basis(space)
     for v in modded.basis:
         if not rad.contains(v):
             raise PreconditionError("modded subspace must lie in the radical")
     d = modded.dim
     n = space.n
-    _, pivots = rref_rows(modded.basis, n) if modded.basis else ([], [])
+    rows, pivots = rref_rows(modded.basis, n) if modded.basis else ([], [])
     pivot_set = set(pivots)
     free_positions = [i for i in range(n) if i not in pivot_set]
     section_cols = [space.basis_vector(i) for i in free_positions]
-    basis_change = Mat.from_cols(list(modded.basis) + section_cols)
-    inv = _invert_or_die(basis_change)
-    projection = Mat.from_nonzeros(n - d, n, inv.nz[d:])
+    projection = Mat.from_nonzeros(n - d, n, [
+        sorted([(f, 1)] + [(p, -r[f]) for p, r in zip(pivots, rows) if r[f]])
+        for f in free_positions])
     section = Mat.from_cols(section_cols)
     induced = section.transpose() @ space.gram @ section
     quotient = QuadraticSpace(induced)
     if quotient.rank != space.rank:
         raise PreconditionError("induced form lost rank; modded not radical")
     return QuotientSpace(space, modded, section, projection, quotient)
-
-
-def _invert_or_die(m: Mat) -> Mat:
-    inv = mat_invertible(m)
-    if inv is None:
-        raise PreconditionError("expected an invertible change of basis")
-    return inv
 
 
 class Standardization:
@@ -268,7 +263,7 @@ def _solve_partner(space, constraints, rhs):
     sol = mat_solve(Mat.from_rows(rows), rhs)
     if sol is None:
         raise InvariantError("no dual partner solves the pairing system")
-    return sol[0]
+    return sol
 
 
 def _orthogonal_complement(space, vectors):

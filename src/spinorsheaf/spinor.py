@@ -368,10 +368,9 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
     drop = vec(drop)
     if w.dim < 2:
         raise PreconditionError("flags need an isotropic subspace of dimension >= 2")
-    coords = mat_solve(Mat.from_cols(list(w.basis)), drop)
-    if coords is None:
+    coeffs = mat_solve(Mat.from_cols(list(w.basis)), drop)
+    if coeffs is None:
         raise PreconditionError("the dropped vector must lie in w")
-    coeffs = coords[0]
     pivot = next((t for t, c in enumerate(coeffs) if c), None)
     if pivot is None:
         raise PreconditionError("the dropped vector must be nonzero")
@@ -409,7 +408,7 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
     u = mat_solve(orth, (0,) * w_prime.dim + (Fraction(1, 2),))
     section = None
     if u is not None:
-        u_elt = CliffordElement.from_vector(space, u[0])
+        u_elt = CliffordElement.from_vector(space, u)
         section = outer.graded_map(inner_shift, lambda x: multiply(x, u_elt),
                                    "the section leaves the flag")
         if not (intertwines(inner_shift, outer, *section)
@@ -597,7 +596,7 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
         sol = mat_solve(ucol_mat, v)
         if sol is None:
             raise InvariantError("a vector of W cap U is not in the span of U")
-        cap_in_u.append(sol[0])
+        cap_in_u.append(sol)
     restricted = build_ideal(space_u, Subspace(space_u, cap_in_u))
 
     # adapted basis of w: cap part first, then a complement inside w

@@ -71,7 +71,7 @@ def test_kernels_solutions_and_inverses(data):
     m = data.draw(mats())
     _, kernel = mat_rank_kernel(m)
     got = mat_solve(m, data.draw(scalars(m.rows)))
-    solved = [got[0], *got[1]] if got else []
+    solved = [] if got is None else [got]
     square = data.draw(mats(m.rows, m.rows))
     inv = mat_invertible(square)
     assert all_canonical(*kernel, *solved, inv.entries if inv else ())

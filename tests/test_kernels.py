@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spinorsheaf import _kernels
 from spinorsheaf import _rowreduce_py as pure
-from spinorsheaf.exactalg import _kernel_from_sparse_echelon
+from spinorsheaf.exactalg import Mat, mat_rank_kernel
 
 from dense_oracles import _kernel_from_echelon
 
@@ -16,6 +16,13 @@ def random_matrix(rng, nr, nc):
 
 def sparse_rows(mat):
     return [{j: v for j, v in enumerate(row) if v} for row in mat]
+
+
+def echelon_kernel(ech, ncols):
+    """The kernel of the rows of a sparse echelon form ``{col: row}``, read
+    off their reduced form by ``mat_rank_kernel``."""
+    return mat_rank_kernel(Mat.from_nonzeros(len(ech), ncols,
+                                             [sorted(row.items()) for row in ech.values()]))[1]
 
 
 class TestPureKernel:
@@ -118,7 +125,7 @@ class TestHeapOrder:
         assert list(ech) == sorted(ech) == pivots == [0, 1, 3, 4, 5]
         assert len(ech) == rank
         assert all(min(row) == c for c, row in ech.items())
-        assert _kernel_from_sparse_echelon(ech, nc) == kernel
+        assert echelon_kernel(ech, nc) == kernel
         assert pure.sparse_rank(sparse_rows(mat)) == rank
 
     def test_fixed_pivot_then_new_column(self):
@@ -130,7 +137,7 @@ class TestHeapOrder:
         dense = [row[:] for row in mat]
         rank, pivots = pure.echelon(dense, 6)
         assert list(ech) == pivots == [0, 2, 4]
-        assert _kernel_from_sparse_echelon(ech, 6) == _kernel_from_echelon(dense, pivots, 6)
+        assert echelon_kernel(ech, 6) == _kernel_from_echelon(dense, pivots, 6)
 
 
 @st.composite
@@ -170,7 +177,7 @@ class TestSparseAgainstDense:
         assert len(ech) == rank
         assert sorted(ech) == pivots
         assert all(min(row) == c for c, row in ech.items())
-        assert _kernel_from_sparse_echelon(ech, nc) == kernel
+        assert echelon_kernel(ech, nc) == kernel
         assert pure.sparse_rank(sparse_rows(mat)) == rank
 
     @settings(max_examples=200, deadline=None)

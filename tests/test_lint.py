@@ -291,14 +291,14 @@ def test_graded_map_scan():
         "Other.graded_map", "graded_map", "f", "f.graded_map"}
 
 
-INVERSE_HOMES = {"homalg.py": ("_search_invertible", "GradedHom._map"),
-                 "quadform.py": ("_invert_or_die",)}
+INVERSE_HOMES = {"homalg.py": ("_search_invertible", "GradedHom._map")}
 
 
 def test_inverses_only_where_kept():
     # a yes/no on bijectivity is a rank (spinor._bijective); an inverse is
-    # built only where it is used: the certificate of _search_invertible,
-    # the source walk of a Hom map, and a change of basis
+    # built only where it is used: the certificate of _search_invertible
+    # and the source walk of a Hom map.  A quotient's projection is read
+    # off the modded subspace's reduced rows, with no change of basis
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -317,6 +317,35 @@ def test_mat_invertible_scan():
            "inverse = mat_invertible\n")
     homes = INVERSE_HOMES["homalg.py"]
     assert _reads_outside(ast.parse(src), "mat_invertible", *homes) == [10, 12, 13]
+
+
+SPARSE_ECHELON_HOMES = ("_rref", "IncrementalSpan.add")
+
+
+def test_one_back_reduction():
+    # _rref finishes the sparse echelon form into the reduced one, and every
+    # span basis, kernel, solution and inverse is read off its rows;
+    # IncrementalSpan.add grows an echelon form that is never reduced.  A
+    # read of sparse_echelon anywhere else would be a second back-reduction
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        homes = SPARSE_ECHELON_HOMES if path.name == "exactalg.py" else ()
+        found += [f"{path.name}:{line}"
+                  for line in _reads_outside(tree, "sparse_echelon", *homes)]
+    assert found == []
+
+
+def test_sparse_echelon_scan():
+    src = ("from ._kernels import sparse_echelon\n"
+           "def sparse_echelon(rows):\n    return rows\n"
+           "def _rref(rows):\n    return _kernels.sparse_echelon(rows)\n"
+           "class IncrementalSpan:\n"
+           "    def add(self, v):\n        return sparse_echelon([v], self.pivots)\n"
+           "    def extend(self, vs):\n        return _kernels.sparse_echelon(vs, self.pivots)\n"
+           "def _kernel(rows, n):\n    return sparse_echelon(rows)\n"
+           "echelon = sparse_echelon\n")
+    assert _reads_outside(ast.parse(src), "sparse_echelon", *SPARSE_ECHELON_HOMES) == [10, 12, 13]
 
 
 SPAN_SOLVER_HOMES = ("SpanSolver.__init__", "SpanSolver.columns")

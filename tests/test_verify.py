@@ -102,6 +102,52 @@ def test_grid_report_bytes_pinned():
     assert digest.hexdigest() == GRID_REPORTS_SHA256
 
 
+def _unimodular(n, k):
+    """Upper triangular, 1 on the diagonal, (i + j + k) % 3 - 1 above it."""
+    return [[1 if i == j else (i + j + k) % 3 - 1 if j > i else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _carry(p, v):
+    """P^-1 v for a unit upper triangular P, by back substitution."""
+    x = [0] * len(p)
+    for i in range(len(p) - 1, -1, -1):
+        x[i] = v[i] - sum(p[i][j] * x[j] for j in range(i + 1, len(p)))
+    return tuple(x)
+
+
+def _basis_changed(k, fx):
+    """``fx`` in the coordinates y of x = P y, P = ``_unimodular(n, k)``: the
+    form P^T G P, and W, the flag drop, the section subspace and the cone
+    carried through P^-1."""
+    p = _unimodular(fx.space.n, k)
+    pm = Mat.from_rows(p)
+    space = QuadraticSpace(pm.transpose() @ fx.space.gram @ pm)
+
+    def carried(vectors):
+        return None if vectors is None else [_carry(p, v) for v in vectors]
+
+    return Fixture(fx.label, space, Subspace(space, carried(fx.w.basis)),
+                   None if fx.flag_drop is None else _carry(p, fx.flag_drop),
+                   carried(fx.section_subspace), carried(fx.cone_mod))
+
+
+# sha256 over run_suite(…, "all").to_json() of the six fixtures in
+# FIXTURE_LABELS order, fixture k under _basis_changed(k, …).  Their span
+# bases are not reduced up to scale, so unlike the fixtures themselves they
+# take rref_rows' elimination route and clear pivots from earlier rows.
+BASIS_CHANGED_REPORTS_SHA256 = "51762a86c2ba47e5b3dfaa39161b27fee5fb72a3d0a0b40a49f169c64bc2460d"
+
+
+def test_basis_changed_report_bytes_pinned():
+    digest = hashlib.sha256()
+    for k, label in enumerate(FIXTURE_LABELS):
+        report = run_suite(_basis_changed(k, get_fixture(label)), "all")
+        assert report.counts()["pass"] == len(report.records), label
+        digest.update(report.to_json().encode("utf-8"))
+    assert digest.hexdigest() == BASIS_CHANGED_REPORTS_SHA256
+
+
 def test_a_wrong_rank_on_w_cap_k_fails(monkeypatch):
     # F-QS has W cap K = <e2>: a fiber_rank off by one there alone is seen
     fx = get_fixture("F-QS")
