@@ -134,7 +134,7 @@ def cmd_query(args) -> int:
         if rows is None:
             raise SchemaError("cone comparison needs cone_mod data")
         v = cone_compare(module, quotient_space(fx.space, Subspace(fx.space, rows)))
-        result.update(fixture=args.args[0], dim_u=v.dim_u, parity=v.parity,
+        result.update(fixture=args.args[0], dim_u=v.d, parity=v.parity,
                       matches=v.matches, bijective=bool(v.bijective),
                       linear=bool(v.linear))
     elif kind == "cohomology":

@@ -20,7 +20,7 @@ from math import factorial
 from operator import add
 
 from .clifford import CliffordElement, multiply
-from .errors import InvariantError, PreconditionError, SpanError
+from .errors import InvariantError, PreconditionError
 from .exactalg import (
     IncrementalSpan,
     Mat,
@@ -197,26 +197,22 @@ def _family_certificate(i):
 
 
 def _orthogonal_shift_witness(a, b):
-    """For a module and its shift: right multiplication by u^-1, for an
-    anisotropic u orthogonal to w (tried in ``candidate_vectors`` order), as
-    (A, B, u).  x -> x u undoes it on Cl, so ``_bijective``, by rank,
-    cross-checks a theorem."""
+    """For a module and its shift: right multiplication by u^-1, for the
+    first anisotropic u orthogonal to w in ``candidate_vectors`` order, as
+    (A, B, u); None when there is no such u.  u anticommutes with W, so
+    g u^-1 = +-u^-1 g lies in the ideal, and x -> x u undoes the map on Cl:
+    a map that fails ``intertwines`` or ``_bijective``, by rank, is a bug."""
     space = a.space
-    for u in candidate_vectors(space):
-        if space.q(u) == 0:
-            continue
-        if any(space.b(u, wv) != 0 for wv in a.w.basis):
-            continue
-        uelt = CliffordElement.from_vector(space, u)
-        uinv = uelt.scale(exact(1, space.q(u)))
-        try:
-            A, B = b.graded_map(a, lambda xi: multiply(xi, uinv),
-                                "right multiplication leaves the shift")
-        except SpanError:
-            continue
-        if intertwines(a, b, A, B) and _bijective(A, B):
-            return (A, B, u)
-    return None
+    u = next((u for u in candidate_vectors(space)
+              if space.q(u) != 0 and all(space.b(u, wv) == 0 for wv in a.w.basis)), None)
+    if u is None:
+        return None
+    uinv = CliffordElement.from_vector(space, u).scale(exact(1, space.q(u)))
+    A, B = b.graded_map(a, lambda xi: multiply(xi, uinv),
+                        "right multiplication leaves the shift")
+    if not (intertwines(a, b, A, B) and _bijective(A, B)):
+        raise InvariantError("x -> x u^-1 is no module isomorphism onto the shift")
+    return (A, B, u)
 
 
 def is_isomorphic(a, b) -> IsoVerdict:
@@ -381,18 +377,16 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
             )
     if predict_simplicity(i.space, i.w)[1] != "maximal":
         return IrredVerdict("UNDECIDED")
-    cert = _irreducibility_certificate(i)
-    if cert is not None:
-        return IrredVerdict("IRREDUCIBLE", certificate=cert)
-    return IrredVerdict("UNDECIDED")
+    return IrredVerdict("IRREDUCIBLE", certificate=_irreducibility_certificate(i))
 
 
 def _irreducibility_certificate(i: IdealModule):
     """Verify the generator identities of the standardized basis; returns
-    the checklist or None.  They are a consistency record, not a proof of
+    the checklist.  They are a consistency record, not a proof of
     irreducibility: they hold on REDUCIBLE modules too (F-QS, F-QSb).
     Requires pi(w) maximal; ``standardize`` raises ``PreconditionError``
-    otherwise.
+    otherwise.  Once ``standardize`` has passed its exact normal-form
+    check, a failing identity is a bug: it raises ``InvariantError``.
 
     The identities are those of the standardized basis, read on i itself.
     ``standardize`` gives a basis of V adapted to w: in odd rank an
@@ -416,28 +410,24 @@ def _irreducibility_certificate(i: IdealModule):
     gen = i.generator
     checks = []
 
-    for v in tails + [vecel(v) for v in std.radical[:std.l]]:
-        if not multiply(v, gen).is_zero():
-            return None
-    checks.append("w kills the generator")
-    for a, b in zip(partners, tails):
-        if multiply(b, multiply(a, gen)) != gen:
-            return None
-    checks.append("partner pair restores the generator")
-    for s, a in enumerate(partners):
-        for t, b in enumerate(tails):
-            if s == t:
-                continue
-            if multiply(a, b) != multiply(b, a).scale(-1):
-                return None
-    checks.append("partners anticommute across pairs")
+    def check(holds, identity):
+        if not holds:
+            raise InvariantError(f"standardized generator identity fails: {identity}")
+        checks.append(identity)
+
+    killers = tails + [vecel(v) for v in std.radical[:std.l]]
+    check(all(multiply(v, gen).is_zero() for v in killers), "w kills the generator")
+    check(all(multiply(b, multiply(a, gen)) == gen for a, b in zip(partners, tails)),
+          "partner pair restores the generator")
+    check(all(multiply(a, b) == multiply(b, a).scale(-1)
+              for s, a in enumerate(partners) for t, b in enumerate(tails) if s != t),
+          "partners anticommute across pairs")
     diag = None
     if std.diag is not None:
         v0 = vecel(std.diag)
         diag = i.space.q(std.diag)
-        if multiply(v0, multiply(v0, gen)) != gen.scale(diag):
-            return None
-        checks.append("anisotropic direction squares to a nonzero scalar")
+        check(multiply(v0, multiply(v0, gen)) == gen.scale(diag),
+              "anisotropic direction squares to a nonzero scalar")
     return {"identities": checks, "k": len(tails), "diag": diag}
 
 

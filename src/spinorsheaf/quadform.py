@@ -196,8 +196,9 @@ def candidate_vectors(space: QuadraticSpace):
 
 
 class QuotientSpace:
-    """V / modded with a chosen section; requires modded inside the radical
-    so the form descends."""
+    """V / modded with a chosen section; ``quotient_space``, its one
+    constructor, requires modded to lie in the radical so the form
+    descends."""
 
     __slots__ = ("source", "modded", "section", "projection", "space")
 
@@ -233,10 +234,8 @@ def quotient_space(space: QuadraticSpace, modded: Subspace) -> QuotientSpace:
         for f in free_positions])
     section = Mat.from_cols(section_cols)
     induced = section.transpose() @ space.gram @ section
-    quotient = QuadraticSpace(induced)
-    if quotient.rank != space.rank:
-        raise PreconditionError("induced form lost rank; modded not radical")
-    return QuotientSpace(space, modded, section, projection, quotient)
+    # b(s + u, s' + u') = b(s, s') for u, u' in the radical: no rank is lost
+    return QuotientSpace(space, modded, section, projection, QuadraticSpace(induced))
 
 
 class Standardization:

@@ -111,11 +111,6 @@ class IdealModule:
         """Canonical basis of the even (0) or odd (1) graded part."""
         return self.ev_basis if parity == 0 else self.odd_basis
 
-    def part_matrix(self, parity, images, what) -> Mat:
-        """The matrix whose columns are the coordinates of ``images`` in the
-        given graded part; an image outside it raises SpanError(what)."""
-        return self._matrices(parity, [[x.terms] for x in images], 1, what)[0]
-
     def _matrices(self, parity, images, count, what):
         """The ``count`` matrices on the given graded part whose column c
         holds the coordinates of ``images[c][i]``, given by its terms, in
@@ -134,7 +129,8 @@ class IdealModule:
         part of this module, as the pair (A, B) of ``intertwines``: A on the
         odd parts, B on the even parts.  A shift is the caller's: pass the
         shifted module as ``source`` or as this one."""
-        return tuple(self.part_matrix(par, map(f, source.part(par)), what) for par in (1, 0))
+        return tuple(self._matrices(par, [[f(x).terms] for x in source.part(par)], 1, what)[0]
+                     for par in (1, 0))
 
     def _left_action(self, parity):
         """Matrices of left multiplication by each e_i on one graded part,
@@ -538,9 +534,13 @@ def family_indicator(i: IdealModule) -> str:
     return "NONE"
 
 
-class RestrictVerdict:
-    __slots__ = ("kind", "codim_u", "parity", "restricted", "map_ev", "map_odd",
-                 "bijective", "linear")
+class TailVerdict:
+    """A restriction or cone comparison: ``kind`` is "ISOMORPHIC", with the
+    map tau of ``_tail_comparison`` from the module ``small`` to the module
+    shifted by ``d``, or "REDUCES_TO_FREE" (a section missing W), with
+    only ``d`` and ``parity`` set."""
+
+    __slots__ = ("kind", "d", "parity", "small", "map_ev", "map_odd", "bijective", "linear")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -561,7 +561,7 @@ def _embed_element(space, cols, element):
     return out
 
 
-def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
+def restrict_compare(i: IdealModule, u: Subspace) -> TailVerdict:
     """Compare the module with the one built on a transverse subspace.
 
     Builds I' over (U, q|_U, W cap U) and certifies that right
@@ -579,8 +579,7 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
     l = cap.dim
     codim_u = n - u.dim
     if l == 0:
-        return RestrictVerdict(kind="REDUCES_TO_FREE", codim_u=codim_u,
-                               parity=codim_u % 2)
+        return TailVerdict(kind="REDUCES_TO_FREE", d=codim_u, parity=codim_u % 2)
     ucols = list(u.basis)
     gram_u = Mat.from_rows(
         [[space.b(a, b) for b in ucols] for a in ucols]
@@ -619,47 +618,31 @@ def restrict_compare(i: IdealModule, u: Subspace) -> RestrictVerdict:
         raise InvariantError("the adapted basis of W gives a different ideal")
 
     pairs = [(space_u.basis_vector(t), ucols[t]) for t in range(space_u.n)]
-    return RestrictVerdict(
-        kind="ISOMORPHIC",
-        codim_u=codim_u,
-        parity=codim_u % 2,
-        restricted=restricted,
-        **_tail_comparison(restricted, i, ucols, tail, shift_amount, pairs,
-                           "comparison map leaves the module"),
-    )
+    return _tail_comparison(restricted, i, ucols, tail, shift_amount, pairs,
+                            "comparison map leaves the module")
 
 
 def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
     """The map tau: x -> embed(x) * tail from the module ``small`` (on the
-    space whose basis ``cols`` embeds) into ``big`` shifted by ``d``.
-    Returns its two graded matrices (``map_ev``, ``map_odd``), whether both
-    are square of full rank (``bijective``), and whether tau(s x) = v tau(x) for
-    every pair (s, v) of ``vector_pairs`` (``linear``)."""
+    space whose basis ``cols`` embeds) into ``big`` shifted by ``d``, as an
+    ISOMORPHIC verdict: its two graded matrices (``map_ev``, ``map_odd``),
+    whether both are square of full rank (``bijective``), and whether
+    tau(s x) = v tau(x) for every pair (s, v) of ``vector_pairs``
+    (``linear``)."""
     space = big.space
     target = shift(big) if d % 2 else big
     map_odd, map_ev = target.graded_map(
         small, lambda xi: multiply(_embed_element(space, cols, xi), tail), what)
-    return {"map_ev": map_ev, "map_odd": map_odd,
-            "bijective": _bijective(map_ev, map_odd),
-            "linear": intertwines(small, target, map_odd, map_ev, vector_pairs)}
+    return TailVerdict(kind="ISOMORPHIC", d=d, parity=d % 2, small=small,
+                       map_ev=map_ev, map_odd=map_odd,
+                       bijective=_bijective(map_ev, map_odd),
+                       linear=intertwines(small, target, map_odd, map_ev, vector_pairs))
 
 
-class ConeVerdict:
-    __slots__ = ("dim_u", "parity", "quotient", "map_ev", "map_odd", "bijective", "linear")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw.get(k))
-
-    @property
-    def matches(self) -> str:
-        return "S" if self.parity == 0 else "T"
-
-
-def cone_compare(i: IdealModule, qs: QuotientSpace) -> ConeVerdict:
+def cone_compare(i: IdealModule, qs: QuotientSpace) -> TailVerdict:
     """Compare the module ``i`` of W on V with the module of W/U on V/U,
-    where U, the modded subspace of ``qs``, must lie in W and in the
-    radical.
+    where U, the modded subspace of ``qs``, must be a proper subspace of W
+    (``quotient_space`` has put it in the radical).
 
     The section embeds Cl(V/U) into Cl(V); right multiplication by a basis
     of U gives the isomorphism I' -> I shifted by dim U, checked exactly,
@@ -670,26 +653,18 @@ def cone_compare(i: IdealModule, qs: QuotientSpace) -> ConeVerdict:
         raise PreconditionError("cone_compare expects an unshifted module")
     if space != qs.source:
         raise PreconditionError("the module does not live on the cone's space")
-    rad = radical_basis(space)
-    for v in u.basis:
-        if not rad.contains(v):
-            raise PreconditionError("cone vertex must lie inside the radical")
-        if not i.w.contains(v):
-            raise PreconditionError("cone vertex must lie inside w")
+    if not all(i.w.contains(v) for v in u.basis):
+        raise PreconditionError("cone vertex must lie inside w")
     rows, _ = rref_rows([qs.project(v) for v in i.w.basis], qs.space.n)
+    if not rows:
+        raise PreconditionError("the cone vertex U must be a proper subspace of w")
     quotient = build_ideal(qs.space, Subspace(qs.space, rows))
     section_cols = [qs.section.col(j) for j in range(qs.section.cols)]
-    d = u.dim
     tail = vector_product(space, u.basis)
     pairs = [(qs.project(space.basis_vector(t)), space.basis_vector(t))
              for t in range(space.n)]
-    return ConeVerdict(
-        dim_u=d,
-        parity=d % 2,
-        quotient=quotient,
-        **_tail_comparison(quotient, i, section_cols, tail, d, pairs,
-                           "cone comparison leaves the module"),
-    )
+    return _tail_comparison(quotient, i, section_cols, tail, u.dim, pairs,
+                            "cone comparison leaves the module")
 
 
 def quadric_points(space: QuadraticSpace, w: Subspace):

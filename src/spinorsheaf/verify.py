@@ -54,7 +54,12 @@ def jsonable(x):
     if isinstance(x, Fraction):
         return rat_to_json(x)
     if isinstance(x, Mat):
-        return [list(map(rat_to_json, x.row(i))) for i in range(x.rows)]
+        # zero-filled rows, written from the nonzeros only
+        rows = [[0] * x.cols for _ in range(x.rows)]
+        for row, nz in zip(rows, x.nz):
+            for j, v in nz:
+                row[j] = rat_to_json(v)
+        return rows
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -284,7 +289,7 @@ def _run_sections(run, report):
         verdict = cone_compare(module, quotient_space(fx.space, Subspace(fx.space, fx.cone_mod)))
         report.add("cone",
                    _verdict(bool(verdict.bijective and verdict.linear)),
-                   dim_u=verdict.dim_u, parity=verdict.parity,
+                   dim_u=verdict.d, parity=verdict.parity,
                    matches=verdict.matches)
     n = fx.space.n
     if n - 2 >= 3:

@@ -279,7 +279,7 @@ def test_criterion_13_restriction_and_cone(modules):
     fx5 = get_fixture("F-C5")
     qs = quotient_space(fx5.space, Subspace(fx5.space, fx5.cone_mod))
     cv = cone_compare(modules["F-C5"], qs)
-    ok &= cv.bijective and cv.linear and cv.dim_u == 1 and cv.parity == 1
+    ok &= cv.bijective and cv.linear and cv.d == 1 and cv.parity == 1
     report(13, ok,
            "hyperplane restriction shifts by codim U, cone pullback by dim U, "
            "both bijective and Cl-linear")

@@ -15,6 +15,7 @@ from spinorsheaf import cli, spinor
 from spinorsheaf.cli import main, paper_example_matrices, paper_example_result
 from spinorsheaf.errors import SchemaError
 from spinorsheaf.fixtures import (
+    FIXTURE_LABELS,
     MAX_DIMENSION,
     fixture_from_dict,
     fixture_to_dict,
@@ -196,6 +197,16 @@ class TestQuery:
         assert main(argv) == 2
         assert "cone vertex must lie inside w" in capsys.readouterr().err
 
+    def test_cone_vertex_all_of_w_exit_2(self, tmp_path, capsys):
+        # q = x0 x1 on V = Q^4 with W = U = <e2>: W/U = 0 has no module
+        data = {"label": "cone-all-of-w", "dimension": 4,
+                "gram": [[0, "1/2", 0, 0], ["1/2", 0, 0, 0], [0] * 4, [0] * 4],
+                "isotropic": [[0, 0, 1, 0]], "cone_mod": [[0, 0, 1, 0]]}
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "-i", str(path)]) == 2
+        assert "the cone vertex U must be a proper subspace of w" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, label", [("cone", "F-C5-shift"),
                                              ("restrict", "F-H6-shift")])
     def test_shifted_label_exit_2(self, kind, label, capsys):
@@ -289,6 +300,41 @@ class TestPaperExample:
     def test_inprocess_main(self, capsys):
         assert main(["paper-example"]) == 0
         assert "EQUIVALENT" in capsys.readouterr().out
+
+
+# sha256 of the concatenated stdout, of the concatenated stderr and of the
+# JSON list of exit codes of the calls that ``_pinned_cli_calls`` lists
+CLI_SHA256 = {
+    "stdout": "a3278cef53be166f24a731dad22e997338db621ec17c9f421ca325e4a95b143a",
+    "stderr": "a3eb7170e2ffa87e8604d69c8246ef1dfe31e71286ea1c4ebb77bd9eef490757",
+    "exit_codes": "dd7f77deb1f0dd3c066ae6447e78d8fc2d30665dd2ef32ab11a0db86a54c1c1d",
+}
+
+
+def _pinned_cli_calls():
+    """query hom and iso on every pair of labels, shifted ones included;
+    query restrict, cone and cohomology (index 0..4, twist -2, 0, 3) on
+    every label; build on each fixture; paper-example."""
+    labels = [x for label in FIXTURE_LABELS for x in (label, label + "-shift")]
+    calls = [["query", kind, a, b] for kind in ("hom", "iso") for a in labels for b in labels]
+    calls += [["query", kind, a] for kind in ("restrict", "cone") for a in labels]
+    calls += [["query", "cohomology", a, "--index", str(k), "--twist", str(t)]
+              for a in labels for k in range(5) for t in (-2, 0, 3)]
+    calls += [["build", "--fixture", label] for label in FIXTURE_LABELS]
+    return calls + [["paper-example"]]
+
+
+def test_cli_output_pinned():
+    calls = _pinned_cli_calls()
+    assert len(calls) == 499
+    out, err, codes = io.StringIO(), io.StringIO(), []
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        for argv in calls:
+            codes.append(main(argv))
+    assert {"stdout": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
+            "exit_codes": hashlib.sha256(json.dumps(codes).encode("utf-8")).hexdigest(),
+            } == CLI_SHA256
 
 
 def test_readme_fixture_example_verifies(tmp_path, capsys):

@@ -21,7 +21,7 @@ from spinorsheaf.homalg import (
     sheaf_numerics,
     simplicity_verdict,
 )
-from spinorsheaf.quadform import QuadraticSpace, Subspace, isotropic_type
+from spinorsheaf.quadform import QuadraticSpace, Standardization, Subspace, isotropic_type
 from spinorsheaf.spinor import (
     FactorizationPair,
     build_factorization,
@@ -315,6 +315,16 @@ class TestIsIsomorphic:
         assert v.certificate == {"end_a": 1, "end_b": 2}
         assert calls == [(a, b), (a, a), (b, b)]
 
+    @pytest.mark.parametrize("label", ["F-C5", "F-H6a"])
+    def test_failed_shift_witness_raises(self, monkeypatch, label):
+        # x -> x u^-1 is an isomorphism onto the shift for any anisotropic u
+        # orthogonal to W, so a witness that fails its check is a bug, not a
+        # cue to try the next u or fall back to the Hom search
+        i = module(label)
+        monkeypatch.setattr(homalg, "_bijective", lambda A, B: False)
+        with pytest.raises(InvariantError, match="shift"):
+            is_isomorphic(i, shift(i))
+
 
 class TestAnnihilator:
     def test_matches_radical_intersections(self):
@@ -473,6 +483,20 @@ class TestIrreducibility:
             assert homalg._irreducibility_certificate(i) is not None
             assert irreducibility_check(i).kind == "REDUCIBLE"
             assert predict_simplicity(i.space, i.w)[1] != "maximal"
+
+    def test_failed_identity_raises(self, monkeypatch):
+        # standardize has passed its normal-form check, so an identity that
+        # fails on its basis is a bug, not an UNDECIDED verdict
+        real = homalg.standardize
+
+        def swapped(space, w):
+            std = real(space, w)
+            a, b, *rest = std.partners
+            return Standardization(std.diag, (b, a, *rest), std.tails, std.radical, std.l)
+
+        monkeypatch.setattr(homalg, "standardize", swapped)
+        with pytest.raises(InvariantError, match="partner pair restores the generator"):
+            irreducibility_check(module("F-H6"))
 
 
 class TestStandardizedCertificates:

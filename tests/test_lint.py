@@ -260,34 +260,34 @@ def test_mult_map_rank_scan():
     assert _reads_outside(ast.parse(src), "mult_map_rank", "cohomology_dim") == [9, 12, 13]
 
 
-PART_MATRIX_HOMES = ("IdealModule.graded_map", "IdealModule._left_action")
+MATRICES_HOMES = ("IdealModule.graded_map", "IdealModule._left_action")
 
 
 def test_one_graded_map_builder():
     # a map x -> f(x) between ideal modules is built by
     # IdealModule.graded_map, which pairs each part with its image part;
-    # part_matrix elsewhere would repeat that parity bookkeeping
+    # _matrices elsewhere would repeat that parity bookkeeping
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}"
-                  for line in _reads_outside(tree, "part_matrix", *PART_MATRIX_HOMES)]
+                  for line in _reads_outside(tree, "_matrices", *MATRICES_HOMES)]
     assert found == []
 
 
 def test_graded_map_scan():
     src = ("class IdealModule:\n"
-           "    def part_matrix(self, p):\n        return p\n"
-           "    def graded_map(self, s):\n        return self.part_matrix(1)\n"
-           "    def other(self):\n        return self.part_matrix(0)\n"
+           "    def _matrices(self, p):\n        return p\n"
+           "    def graded_map(self, s):\n        return self._matrices(1)\n"
+           "    def other(self):\n        return self._matrices(0)\n"
            "class Other:\n"
-           "    def graded_map(self, m):\n        return m.part_matrix(0)\n"
-           "def graded_map(m):\n    return m.part_matrix(1)\n"
-           "def f(m):\n    def graded_map():\n        return m.part_matrix(0)\n")
+           "    def graded_map(self, m):\n        return m._matrices(0)\n"
+           "def graded_map(m):\n    return m._matrices(1)\n"
+           "def f(m):\n    def graded_map():\n        return m._matrices(0)\n")
     tree = ast.parse(src)
-    assert _reads_outside(tree, "part_matrix", *PART_MATRIX_HOMES) == [7, 10, 12, 15]
+    assert _reads_outside(tree, "_matrices", *MATRICES_HOMES) == [7, 10, 12, 15]
     assert dict(_qualified_functions(tree)).keys() == {
-        "IdealModule.part_matrix", "IdealModule.graded_map", "IdealModule.other",
+        "IdealModule._matrices", "IdealModule.graded_map", "IdealModule.other",
         "Other.graded_map", "graded_map", "f", "f.graded_map"}
 
 

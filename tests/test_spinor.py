@@ -396,7 +396,7 @@ class TestCone:
         fx = get_fixture("F-C5")
         qs = quotient_space(fx.space, Subspace(fx.space, fx.cone_mod))
         verdict = cone_compare(build_ideal(fx.space, fx.w), qs)
-        assert verdict.dim_u == 1
+        assert verdict.d == 1
         assert verdict.parity == 1
         assert verdict.bijective and verdict.linear
 
@@ -404,7 +404,7 @@ class TestCone:
         fx = get_fixture("F-H6")
         qs = quotient_space(fx.space, Subspace(fx.space, []))
         verdict = cone_compare(build_ideal(fx.space, fx.w), qs)
-        assert verdict.dim_u == 0
+        assert verdict.d == 0
         assert verdict.parity == 0
         assert verdict.bijective and verdict.linear
 
@@ -554,8 +554,8 @@ class TestIntertwines:
         u = Subspace(fx.space, fx.section_subspace)
         v = restrict_compare(i, u)
         assert v.bijective and v.linear
-        space_u = v.restricted.space
-        self.assert_sharp(v.restricted, shift(i) if v.codim_u % 2 else i,
+        space_u = v.small.space
+        self.assert_sharp(v.small, shift(i) if v.d % 2 else i,
                           v.map_odd, v.map_ev,
                           [(space_u.basis_vector(t), u.basis[t]) for t in range(space_u.n)])
 
@@ -566,7 +566,7 @@ class TestIntertwines:
         v = cone_compare(i, qs)
         assert v.bijective and v.linear
         basis = [fx.space.basis_vector(t) for t in range(fx.space.n)]
-        self.assert_sharp(v.quotient, shift(i) if v.dim_u % 2 else i,
+        self.assert_sharp(v.small, shift(i) if v.d % 2 else i,
                           v.map_odd, v.map_ev, [(qs.project(x), x) for x in basis])
 
     def test_shift_witness(self):
@@ -1017,11 +1017,11 @@ class TestSparseConstruction:
         from spinorsheaf.errors import SpanError
 
         i = module("F-H6")
-        # e_0 maps the even part into the odd part, so reading its images
-        # in the even part's basis must fail
+        # e_0 maps each part into the other, so reading its images in the
+        # basis of the same part must fail
         e0 = CliffordElement.from_vector(i.space, e(6, 0))
         with pytest.raises(SpanError, match="left action leaves the module"):
-            i.part_matrix(0, [e0 * xi for xi in i.ev_basis], "left action leaves the module")
+            i.graded_map(i, lambda xi: e0 * xi, "left action leaves the module")
 
 
 class TestSplittingAgainstDense:
@@ -1178,6 +1178,61 @@ def test_flag_maps_pinned(label):
     assert {k: hashlib.sha256(json.dumps(jsonable(x)).encode()).hexdigest()
             for k, x in maps.items()} == FLAG_MAP_SHA256[label]
     assert (fl.section is None) == (label == "F-QS")
+
+
+FLAG_FIELDS = ("inclusion_ev", "inclusion_odd", "quotient_ev", "quotient_odd", "exact",
+               "split_subspace", "split_module", "section")
+# sha256 of the JSON form (``verify.jsonable``) of the flag fields and
+# maps, and of each restriction and cone comparison's (kind, d, parity,
+# bijective, linear, map_ev, map_odd), for the inputs that
+# ``_grid_comparison_inputs`` derives from each grid_spaces(7) pair
+GRID_COMPARISON_SHA256 = "deca5e876112cd54fb9553616c98719c29f1cc8eeb5ccf003353fefdb0a36cb6"
+
+
+def _grid_comparison_inputs(space, w):
+    """(flag drop, section subspace, cone vertex) of a grid pair: the flag
+    drops w's last basis vector and the section is the coordinate
+    hyperplane that omits the last pivot of w's reduced rows, both when
+    dim W >= 2; the vertex is a basis of W cap K, less its last vector when
+    W cap K = W.  None where there is no input."""
+    drop = section = None
+    if w.dim >= 2:
+        drop = w.basis[-1]
+        last = max(w._solver.pivots)
+        section = Subspace(space, [space.basis_vector(k) for k in range(space.n) if k != last])
+    cap = sub_intersection(w, radical_basis(space)).basis
+    vertex = cap[:-1] if len(cap) == w.dim else cap
+    return drop, section, (Subspace(space, vertex) if vertex else None)
+
+
+def test_grid_comparisons_pinned():
+    import hashlib
+    import json
+
+    from spinorsheaf.verify import jsonable
+
+    def comparison(v):
+        assert v.kind == "ISOMORPHIC" and v.bijective and v.linear
+        return [v.kind, v.d, v.parity, v.bijective, v.linear, v.map_ev, v.map_odd]
+
+    records = []
+    sections = 0
+    for space, w in grid_spaces(7):
+        m = build_ideal(space, w)
+        drop, section, vertex = _grid_comparison_inputs(space, w)
+        rec = {}
+        if drop is not None:
+            fl = flag_sequence(m, drop)
+            sections += fl.section is not None
+            rec["flag"] = [getattr(fl, k) for k in FLAG_FIELDS]
+            rec["restrict"] = comparison(restrict_compare(m, section))
+        if vertex is not None:
+            rec["cone"] = comparison(cone_compare(m, quotient_space(space, vertex)))
+        records.append(rec)
+    assert sum("flag" in r for r in records) == 79 and sections == 13
+    assert sum("cone" in r for r in records) == 66
+    digest = hashlib.sha256(json.dumps(jsonable(records)).encode("utf-8")).hexdigest()
+    assert digest == GRID_COMPARISON_SHA256
 
 
 # A form whose q(e_i) and 2 b(e_i, e_j) are not all integers (1/3, 1/5, 2/3,
