@@ -56,60 +56,49 @@ from .quadform import (
 
 class IdealModule:
     """The graded left ideal generated by the product of a basis of an
-    isotropic subspace, with canonical bases of both graded pieces and
-    the span solvers of those bases (``solvers``, even part first)."""
+    isotropic subspace, with canonical bases of both graded pieces
+    (``parts``) and the span solvers of those bases (``solvers``), each a
+    pair indexed by parity: the even part first."""
 
-    __slots__ = (
-        "space",
-        "w",
-        "generator",
-        "ev_basis",
-        "odd_basis",
-        "shift",
-        "_solver_ev",
-        "_solver_odd",
-        "_act_ev",
-        "_act_odd",
-    )
+    __slots__ = ("space", "w", "generator", "parts", "solvers", "shift", "_act_ev", "_act_odd")
 
-    def __init__(self, space, w, generator, ev_basis, odd_basis, solvers, shift=0):
+    def __init__(self, space, w, generator, parts, solvers, shift=0):
         self.space = space
         self.w = w
         self.generator = generator
-        self.ev_basis = tuple(ev_basis)
-        self.odd_basis = tuple(odd_basis)
+        self.parts = tuple(map(tuple, parts))
+        self.solvers = tuple(solvers)
         self.shift = shift
-        self._solver_ev, self._solver_odd = solvers
         self._act_ev = None
         self._act_odd = None
 
     @property
+    def ev_basis(self):
+        return self.parts[0]
+
+    @property
+    def odd_basis(self):
+        return self.parts[1]
+
+    @property
     def ev_dim(self) -> int:
-        return len(self.ev_basis)
+        return len(self.parts[0])
 
     @property
     def odd_dim(self) -> int:
-        return len(self.odd_basis)
+        return len(self.parts[1])
 
     @property
     def codim(self) -> int:
         return self.space.n - self.w.dim
 
-    def _solver(self, parity):
-        """Span solver of the even (0) or odd (1) graded part."""
-        return self._solver_ev if parity == 0 else self._solver_odd
-
     def coords_in(self, parity, element):
         """Coordinates of element in the basis of the given graded part, as
         a dense tuple, or None when it lies outside."""
-        solver = self._solver(parity)
+        solver = self.solvers[parity]
         coords = solver.coords(element.terms)
         return None if coords is None else tuple(coords.get(k, 0)
                                                  for k in range(len(solver.pivots)))
-
-    def part(self, parity):
-        """Canonical basis of the even (0) or odd (1) graded part."""
-        return self.ev_basis if parity == 0 else self.odd_basis
 
     def _matrices(self, parity, images, count, what):
         """The ``count`` matrices on the given graded part whose column c
@@ -117,7 +106,7 @@ class IdealModule:
         matrix i: one ``SpanSolver.columns`` sweep fills all their
         row-major nonzeros.  An image outside the part raises
         SpanError(what) with that image as witness."""
-        solver = self._solver(parity)
+        solver = self.solvers[parity]
         nzs = [[[] for _ in solver.pivots] for _ in range(count)]
         bad = solver.columns(images, nzs)
         if bad is not None:
@@ -129,7 +118,7 @@ class IdealModule:
         part of this module, as the pair (A, B) of ``intertwines``: A on the
         odd parts, B on the even parts.  A shift is the caller's: pass the
         shifted module as ``source`` or as this one."""
-        return tuple(self._matrices(par, [[f(x).terms] for x in source.part(par)], 1, what)[0]
+        return tuple(self._matrices(par, [[f(x).terms] for x in source.parts[par]], 1, what)[0]
                      for par in (1, 0))
 
     def _left_action(self, parity):
@@ -137,7 +126,7 @@ class IdealModule:
         all n from one sweep over its basis: the n images of each basis
         element come from one ``vec_images`` call, and every image is
         checked to lie in the other part."""
-        images = list(map(_ctx(self.space).vec_images, (x.terms for x in self.part(parity))))
+        images = list(map(_ctx(self.space).vec_images, (x.terms for x in self.parts[parity])))
         return self._matrices(1 - parity, images, self.space.n, "left action leaves the module")
 
     @property
@@ -204,20 +193,16 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
         terms = [{order[j]: c for j, c in r.items()} for r in rows]
         bases.append([CliffordElement.from_terms(space, t) for t in terms])
         solvers.append(SpanSolver(terms, [order[c] for c in pivots]))
-    ev_basis, odd_basis = bases
+    ev, odd = map(len, bases)
     expected = 1 << (space.n - m - 1)
-    if not len(ev_basis) == len(odd_basis) == expected:
-        raise InvariantError(
-            f"dimension law violated: ev {len(ev_basis)}, odd {len(odd_basis)},"
-            f" expected {expected}"
-        )
-    return IdealModule(space, w, gen, ev_basis, odd_basis, solvers)
+    if not ev == odd == expected:
+        raise InvariantError(f"dimension law violated: ev {ev}, odd {odd}, expected {expected}")
+    return IdealModule(space, w, gen, bases, solvers)
 
 
 def shift(i: IdealModule) -> IdealModule:
     """Swap the graded pieces; an involution."""
-    out = IdealModule(i.space, i.w, i.generator, i.odd_basis, i.ev_basis,
-                      (i._solver_odd, i._solver_ev), shift=1 - i.shift)
+    out = IdealModule(i.space, i.w, i.generator, i.parts[::-1], i.solvers[::-1], 1 - i.shift)
     out._act_ev = i._act_odd
     out._act_odd = i._act_ev
     return out
@@ -333,10 +318,11 @@ def dual_factorization(mf: FactorizationPair) -> FactorizationPair:
 
 
 class FlagSequence:
-    """Data of 0 -> I_W -> I_W' -> I_W[1] -> 0 for W' of codimension 1."""
+    """Data of 0 -> I_W -> I_W' -> I_W[1] -> 0 for W' of codimension 1;
+    ``inclusion``, ``quotient`` and ``section`` are (A, B) pairs."""
 
-    __slots__ = ("inner", "outer", "inclusion_ev", "inclusion_odd", "quotient_ev",
-                 "quotient_odd", "exact", "split_subspace", "split_module", "section")
+    __slots__ = ("inner", "outer", "inclusion", "quotient", "exact", "split_subspace",
+                 "split_module", "section")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -370,35 +356,32 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
     pivot = next((t for t, c in enumerate(coeffs) if c), None)
     if pivot is None:
         raise PreconditionError("the dropped vector must be nonzero")
+    # drop has a nonzero coefficient on the basis vector that w_prime omits
     w_prime = Subspace(space, [v for t, v in enumerate(w.basis) if t != pivot])
-    if w_prime.contains(drop):
-        raise PreconditionError("the dropped vector lies in the smaller subspace")
 
     outer = build_ideal(space, w_prime)
 
-    inc_odd, inc_ev = outer.graded_map(inner, lambda x: x, "inner module does not embed")
+    inclusion = outer.graded_map(inner, lambda x: x, "inner module does not embed")
     drop_elt = CliffordElement.from_vector(space, drop)
     # outer ev -> inner odd and outer odd -> inner ev
     inner_shift = shift(inner)
-    q_odd, q_ev = inner_shift.graded_map(outer, lambda x: multiply(x, drop_elt),
-                                         "right multiplication leaves the flag")
+    quotient = inner_shift.graded_map(outer, lambda x: multiply(x, drop_elt),
+                                      "right multiplication leaves the flag")
 
     exact = True
-    # injectivity, vanishing composite, surjectivity, middle exactness
-    for inc, q, inner_dim, outer_dim in (
-        (inc_ev, q_ev, inner.ev_dim, outer.ev_dim),
-        (inc_odd, q_odd, inner.odd_dim, outer.odd_dim),
-    ):
+    # injectivity, vanishing composite, surjectivity, middle exactness: inc
+    # maps a part of inner (its columns) into that part of outer (its rows)
+    for inc, q in zip(inclusion, quotient):
         rank_inc, rank_q = mat_rank(inc), mat_rank(q)
-        if (rank_inc != inner_dim or not (q @ inc).is_zero()
-                or rank_q != inner_dim or rank_inc + rank_q != outer_dim):
+        if (rank_inc != inc.cols or not (q @ inc).is_zero()
+                or rank_q != inc.cols or rank_inc + rank_q != inc.rows):
             exact = False
 
     rad = radical_basis(space)
     split_subspace = sub_intersection(w, rad).same_span(
         sub_intersection(w_prime, rad)
     )
-    split_module = _splitting_exists(inner, outer, q_ev, q_odd)
+    split_module = _splitting_exists(inner, outer, quotient)
 
     orth = Mat.from_rows([space.gram.mul_vec(v) for v in w_prime.basis + (drop,)])
     u = mat_solve(orth, (0,) * w_prime.dim + (Fraction(1, 2),))
@@ -408,17 +391,15 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
         section = outer.graded_map(inner_shift, lambda x: multiply(x, u_elt),
                                    "the section leaves the flag")
         if not (intertwines(inner_shift, outer, *section)
-                and (q_odd @ section[0], q_ev @ section[1])
+                and tuple(q @ s for q, s in zip(quotient, section))
                 == (Mat.identity(inner.ev_dim), Mat.identity(inner.odd_dim))):
             raise InvariantError("x -> x u is no module section of the flag quotient")
 
     return FlagSequence(
         inner=inner,
         outer=outer,
-        inclusion_ev=inc_ev,
-        inclusion_odd=inc_odd,
-        quotient_ev=q_ev,
-        quotient_odd=q_odd,
+        inclusion=inclusion,
+        quotient=quotient,
         exact=exact,
         split_subspace=split_subspace,
         split_module=split_module,
@@ -444,9 +425,9 @@ def generator_image_system(i, target):
     return p, Mat.from_nonzeros(len(rows), dim, rows)
 
 
-def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
+def _splitting_exists(inner, outer, quotient) -> bool:
     """Is there a graded Cl-linear section s: inner[1] -> outer of the
-    quotient map (q_ev, q_odd)?
+    quotient map, the pair (A, B)?
 
     s is fixed by x = s(g) with w.x = 0 for each w in W
     (``generator_image_system``), and q.s = id exactly when q_p x is the
@@ -457,7 +438,7 @@ def _splitting_exists(inner, outer, q_ev, q_odd) -> bool:
     g = source.coords_in(p, source.generator)
     if g is None:
         raise InvariantError("the generator has no coordinates in its graded part")
-    q = q_odd if p else q_ev
+    q = quotient[1 - p]
     system = Mat.from_nonzeros(system.rows + q.rows, q.cols, system.nz + q.nz)
     return mat_solve(system, (0,) * (system.rows - len(g)) + g) is not None
 
@@ -536,11 +517,11 @@ def family_indicator(i: IdealModule) -> str:
 
 class TailVerdict:
     """A restriction or cone comparison: ``kind`` is "ISOMORPHIC", with the
-    map tau of ``_tail_comparison`` from the module ``small`` to the module
-    shifted by ``d``, or "REDUCES_TO_FREE" (a section missing W), with
-    only ``d`` and ``parity`` set."""
+    map tau of ``_tail_comparison`` (``map``, an (A, B) pair) from the
+    module ``small`` to the module shifted by ``d``, or "REDUCES_TO_FREE"
+    (a section missing W), with only ``d`` and ``parity`` set."""
 
-    __slots__ = ("kind", "d", "parity", "small", "map_ev", "map_odd", "bijective", "linear")
+    __slots__ = ("kind", "d", "parity", "small", "map", "bijective", "linear")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -576,9 +557,8 @@ def restrict_compare(i: IdealModule, u: Subspace) -> TailVerdict:
     if sub_sum(u, w).dim != n:
         raise PreconditionError("restriction subspace is not transverse")
     cap = sub_intersection(w, u)
-    l = cap.dim
     codim_u = n - u.dim
-    if l == 0:
+    if cap.dim == 0:
         return TailVerdict(kind="REDUCES_TO_FREE", d=codim_u, parity=codim_u % 2)
     ucols = list(u.basis)
     gram_u = Mat.from_rows(
@@ -590,53 +570,35 @@ def restrict_compare(i: IdealModule, u: Subspace) -> TailVerdict:
         raise PreconditionError(f"restricted form is degenerate: {exc}") from exc
     # W cap U in U coordinates
     ucol_mat = Mat.from_cols(ucols)
-    cap_in_u = []
-    for v in cap.basis:
-        sol = mat_solve(ucol_mat, v)
-        if sol is None:
-            raise InvariantError("a vector of W cap U is not in the span of U")
-        cap_in_u.append(sol)
-    restricted = build_ideal(space_u, Subspace(space_u, cap_in_u))
+    cap_in_u = Subspace(space_u, [mat_solve(ucol_mat, v) for v in cap.basis])
+    restricted = build_ideal(space_u, cap_in_u)
 
-    # adapted basis of w: cap part first, then a complement inside w
+    # adapted basis of w: cap part first, then a complement inside w, of
+    # dim W - dim(W cap U) = codim U vectors as U + W = V.  The vectors of
+    # an isotropic W anticommute, so the product of the adapted basis is a
+    # nonzero multiple of i's generator: the same ideal, and coordinates
+    # may be taken in i's bases
     span = IncrementalSpan(cap.basis)
-    rest = [v for v in w.basis if span.add(v)]
-    shift_amount = len(rest)
-    if l + shift_amount != w.dim or shift_amount != codim_u:
-        raise InvariantError(
-            f"transversality bookkeeping failed: dim(W cap U) {l} + complement"
-            f" {shift_amount} vs dim W {w.dim}, codim U {codim_u}"
-        )
-    tail = vector_product(space, rest)
-
-    # the vectors of an isotropic W anticommute, so the product of the
-    # adapted basis is a nonzero multiple of i's generator: the same ideal,
-    # and coordinates may be taken in i's bases
-    adapted, gen = vector_product(space, list(cap.basis) + rest).terms, i.generator.terms
-    if (adapted.keys() != gen.keys()
-            or len({exact(c, gen[m]) for m, c in adapted.items()}) != 1):
-        raise InvariantError("the adapted basis of W gives a different ideal")
-
+    tail = vector_product(space, [v for v in w.basis if span.add(v)])
     pairs = [(space_u.basis_vector(t), ucols[t]) for t in range(space_u.n)]
-    return _tail_comparison(restricted, i, ucols, tail, shift_amount, pairs,
+    return _tail_comparison(restricted, i, ucols, tail, codim_u, pairs,
                             "comparison map leaves the module")
 
 
 def _tail_comparison(small, big, cols, tail, d, vector_pairs, what):
     """The map tau: x -> embed(x) * tail from the module ``small`` (on the
     space whose basis ``cols`` embeds) into ``big`` shifted by ``d``, as an
-    ISOMORPHIC verdict: its two graded matrices (``map_ev``, ``map_odd``),
+    ISOMORPHIC verdict: its (A, B) pair of graded matrices (``map``),
     whether both are square of full rank (``bijective``), and whether
     tau(s x) = v tau(x) for every pair (s, v) of ``vector_pairs``
     (``linear``)."""
     space = big.space
     target = shift(big) if d % 2 else big
-    map_odd, map_ev = target.graded_map(
+    tau = target.graded_map(
         small, lambda xi: multiply(_embed_element(space, cols, xi), tail), what)
-    return TailVerdict(kind="ISOMORPHIC", d=d, parity=d % 2, small=small,
-                       map_ev=map_ev, map_odd=map_odd,
-                       bijective=_bijective(map_ev, map_odd),
-                       linear=intertwines(small, target, map_odd, map_ev, vector_pairs))
+    return TailVerdict(kind="ISOMORPHIC", d=d, parity=d % 2, small=small, map=tau,
+                       bijective=_bijective(*tau),
+                       linear=intertwines(small, target, *tau, vector_pairs))
 
 
 def cone_compare(i: IdealModule, qs: QuotientSpace) -> TailVerdict:
@@ -708,6 +670,9 @@ def quadric_points(space: QuadraticSpace, w: Subspace):
 
 
 class EquivarianceVerdict:
+    """The verdict of ``equivariance_check``; ``rho`` and ``sigma`` are
+    (A, B) pairs."""
+
     __slots__ = ("parity", "bijective", "linear", "twisted", "rho", "sigma")
 
     def __init__(self, **kw):
@@ -736,22 +701,20 @@ def equivariance_check(g: GroupElement, i: IdealModule) -> EquivarianceVerdict:
 
     # x g^{-1} for each basis element x of i, computed once for rho and sigma
     right = {id(xi): multiply(xi, ginv) for xi in i.ev_basis + i.odd_basis}
-    rho_odd, rho_ev = target.graded_map(i, lambda xi: right[id(xi)],
-                                        "right multiplication misses the target")
-    linear = intertwines(i, target, rho_odd, rho_ev)
+    rho = target.graded_map(i, lambda xi: right[id(xi)], "right multiplication misses the target")
+    linear = intertwines(i, target, *rho)
     # twisted square: conjugation sigma(xi) = g xi g^{-1} lands in the
     # unshifted module of gWg^{-1} and carries the action of v to that of
     # gvg^{-1}; shifting back shares the solvers and action of the target
     iprime = shift(target) if par else target
-    sig_odd, sig_ev = iprime.graded_map(i, lambda xi: multiply(gelt, right[id(xi)]),
-                                        "conjugation misses the target")
+    sigma = iprime.graded_map(i, lambda xi: multiply(gelt, right[id(xi)]),
+                              "conjugation misses the target")
     basis = [space.basis_vector(t) for t in range(space.n)]
     return EquivarianceVerdict(
         parity=par,
-        bijective=_bijective(rho_ev, rho_odd),
+        bijective=_bijective(*rho),
         linear=linear,
-        twisted=intertwines(i, iprime, sig_odd, sig_ev,
-                            [(v, g.conjugate_vector(v)) for v in basis]),
-        rho=(rho_ev, rho_odd),
-        sigma=(sig_ev, sig_odd),
+        twisted=intertwines(i, iprime, *sigma, [(v, g.conjugate_vector(v)) for v in basis]),
+        rho=rho,
+        sigma=sigma,
     )

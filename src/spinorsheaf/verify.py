@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
-from .clifford import CliffordElement, GroupElement, trace_pairing_nondegenerate
+from .clifford import GroupElement, trace_pairing_nondegenerate
 from .errors import InvariantError, SpinorError
 from .exactalg import Mat, rat_to_json
 from .fixtures import Fixture
@@ -64,11 +64,9 @@ def jsonable(x):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, CliffordElement):
-        return repr(x)
     if isinstance(x, (str, int, bool)) or x is None:
         return x
-    return repr(x)
+    raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
 class Report:
@@ -186,22 +184,18 @@ def _run_construction(run, report):
     rad = radical_basis(fx.space)
     wk = sub_intersection(fx.w, rad)
     points = quadric_points(fx.space, fx.w)
+    # the fiber ranks each stratum allows; c >= 1, as q has rank >= 2 and so
+    # an isotropic W is never all of V
+    allowed = {"singular_w": (1 << (c - 1),),
+               "elsewhere": (1 << (c - 2),) if c >= 2 else (0, 1)}
     ok = True
-    strata = {"singular_w": 0, "elsewhere": 0}
+    strata = dict.fromkeys(allowed, 0)
     for v in points:
         _, fiber = fiber_rank(mf, v)
-        if wk.contains(v):
-            strata["singular_w"] += 1
-            if c >= 1 and fiber != 1 << (c - 1):
-                ok = False
-        elif c >= 2:
-            strata["elsewhere"] += 1
-            if fiber != 1 << (c - 2):
-                ok = False
-        else:
-            strata["elsewhere"] += 1
-            if fiber not in (0, 1):
-                ok = False
+        stratum = "singular_w" if wk.contains(v) else "elsewhere"
+        strata[stratum] += 1
+        if fiber not in allowed[stratum]:
+            ok = False
     report.add("fiber_rank_stratification", _verdict(ok),
                points=len(points), strata=strata)
 

@@ -444,12 +444,12 @@ def per_image_action(i, parity):
     left), then one fill of the nonzeros, as Fractions.  An image outside
     the other part raises SpanError with the image as witness."""
     ctx = _ctx(i.space)
-    rows = [x.terms for x in i.part(1 - parity)]
+    rows = [x.terms for x in i.parts[1 - parity]]
     at = {min(r, key=ctx.index.__getitem__): k for k, r in enumerate(rows)}
     out = []
     for e in range(i.space.n):
         nz = [[] for _ in rows]
-        for c, x in enumerate(i.part(parity)):
+        for c, x in enumerate(i.parts[parity]):
             image = ctx.vec_mul_terms(e, x.terms)
             rest = dict(image)
             for m, a in image.items():
@@ -461,7 +461,7 @@ def per_image_action(i, parity):
             if any(rest.values()):
                 raise SpanError("left action leaves the module",
                                 witness=CliffordElement(i.space, image))
-        out.append(Mat.from_nonzeros(len(rows), len(i.part(parity)), nz))
+        out.append(Mat.from_nonzeros(len(rows), len(i.parts[parity]), nz))
     return tuple(out)
 
 

@@ -260,6 +260,50 @@ def test_mult_map_rank_scan():
     assert _reads_outside(ast.parse(src), "mult_map_rank", "cohomology_dim") == [9, 12, 13]
 
 
+GRADED_PROTOCOL = {"act_ev", "act_odd", "_act_ev", "_act_odd", "ev_dim", "odd_dim",
+                   "ev_basis", "odd_basis"}
+
+
+def _graded_halves(tree):
+    """Lines of each attribute name, keyword argument or ``__slots__``
+    entry that ends in ``_ev`` or ``_odd`` and is no name of the module
+    protocol."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.append((node.lineno, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.append((node.lineno, node.arg))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            names += [(c.lineno, c.value) for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return sorted(line for line, name in names
+                  if name.endswith(("_ev", "_odd")) and name not in GRADED_PROTOCOL)
+
+
+def test_no_graded_halves():
+    # a module's parts and solvers are pairs indexed by parity, and a kept
+    # graded map is the (A, B) pair of intertwines; a name ending in _ev or
+    # _odd would split one of them into halves.  The module protocol that
+    # Hom spaces read (act_ev, ev_dim, ...) keeps its names
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _graded_halves(tree)]
+    assert found == []
+
+
+def test_graded_halves_scan():
+    src = ("class M:\n"
+           "    __slots__ = ('parts', 'x_ev',\n                 '_act_odd', 'y_odd')\n"
+           "    def f(self):\n        return self.part_odd, self.ev_basis\n"
+           "g(inclusion_ev=1, ev=2, act_ev=3, **kw)\n"
+           "q_ev = h.event\n"
+           "def k(a_odd):\n    return a_odd.parts\n")
+    assert _graded_halves(ast.parse(src)) == [2, 3, 5, 6]
+
+
 MATRICES_HOMES = ("IdealModule.graded_map", "IdealModule._left_action")
 
 

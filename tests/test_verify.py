@@ -165,6 +165,32 @@ def test_a_wrong_rank_on_w_cap_k_fails(monkeypatch):
     assert record["verdict"] == "fail" and record["details"]["strata"]["singular_w"] == 1
 
 
+@pytest.mark.parametrize("label", ["F-H6", "F-H2"])
+def test_a_wrong_rank_off_w_cap_k_fails(monkeypatch, label):
+    # codim W is 3 on F-H6 and 1 on F-H2, the two rules off W cap K: a
+    # fiber_rank off by two there alone is seen
+    fx = get_fixture(label)
+    assert fx.space.n - fx.w.dim == {"F-H6": 3, "F-H2": 1}[label]
+    wk = sub_intersection(fx.w, radical_basis(fx.space))
+    real = verify.fiber_rank
+
+    def wrong_off_wk(mf, v):
+        r, fiber = real(mf, v)
+        return (r, fiber) if wk.contains(v) else (r - 2, fiber + 2)
+
+    assert _fiber_record(fx)["verdict"] == "pass"
+    monkeypatch.setattr(verify, "fiber_rank", wrong_off_wk)
+    record = _fiber_record(fx)
+    assert record["verdict"] == "fail" and record["details"]["strata"]["elsewhere"] > 0
+
+
+def test_a_value_without_a_json_form_raises():
+    # a float would reach a report as its repr, and an object without a
+    # __repr__ as its memory address
+    with pytest.raises(TypeError, match="float"):
+        verify.Report("x", "all").add("x", "pass", v=0.5)
+
+
 def test_a_basis_out_of_normal_form_is_an_invariant_error(monkeypatch):
     # twice the partner pairs to 1, not 1/2, with its tail: standardize's
     # normal-form check fires, and the run records a failed invariant
