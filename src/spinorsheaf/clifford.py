@@ -14,10 +14,13 @@ from .quadform import QuadraticSpace, Subspace
 
 
 class _Context:
-    """Per-space monomial order and multiplication cache.  It keeps no
+    """Per-space monomial order and multiplication table.  It keeps no
     reference to its space, so the two form no cycle for the collector.
-    The constants and the entries of the table are canonical exact
-    rationals (``exactalg.exact``): ints for an integral form."""
+    The table ``vec_cache`` holds one row per monomial mask, filled on
+    first use (``vec_row``): the tuple of the n normal forms
+    e_0 * e_mask, ..., e_{n-1} * e_mask.  The constants and the entries of
+    the table are canonical exact rationals (``exactalg.exact``): ints for
+    an integral form."""
 
     __slots__ = ("n", "order", "index", "vec_cache", "consts", "top")
 
@@ -32,43 +35,40 @@ class _Context:
                        for i in range(n)]
         self.top = (1 << n) - 1
 
-    def vec_mono(self, i: int, mask: int) -> dict:
-        """Normal form of e_i * (monomial mask)."""
-        key = (i, mask)
-        cached = self.vec_cache.get(key)
-        if cached is not None:
-            return cached
-        bit = 1 << i
+    def vec_row(self, mask: int) -> tuple:
+        """The normal forms of e_i * (monomial mask) for i = 0, ..., n-1,
+        the table's own entries, which callers must not modify.  With j
+        the least index of mask and rest = mask - e_j, entry i is
+        e_{mask + i} for i < j, q(e_j) e_rest for i = j, and
+        2 b(e_i, e_j) e_rest - e_j (e_i e_rest) for i > j, where e_j only
+        prefixes the monomials of e_i e_rest: their indices exceed j."""
+        row = self.vec_cache.get(mask)
+        if row is not None:
+            return row
         if mask == 0:
-            res = {bit: 1}
+            row = tuple({1 << i: 1} for i in range(self.n))
         else:
-            j = (mask & -mask).bit_length() - 1
-            if i < j:
-                res = {bit | mask: 1}
-            elif i == j:
-                qi = self.consts[i][i]
-                rest = mask & (mask - 1)
-                res = {rest: qi} if qi else {}
-            else:
-                rest = mask & (mask - 1)
-                jbit = 1 << j
-                res = {}
+            jbit = mask & -mask
+            j = jbit.bit_length() - 1
+            rest = mask ^ jbit
+            qj = self.consts[j][j]
+            row = [{(1 << i) | mask: 1} for i in range(j)]
+            row.append({rest: qj} if qj else {})
+            prev = self.vec_row(rest)
+            for i in range(j + 1, self.n):
                 two_b = self.consts[i][j]
-                if two_b:
-                    res[rest] = two_b
-                for m, c in self.vec_mono(i, rest).items():
-                    prev = exact(res.get(m | jbit, 0) - c)
-                    if prev:
-                        res[m | jbit] = prev
-                    elif (m | jbit) in res:
-                        del res[m | jbit]
-        self.vec_cache[key] = res
-        return res
+                res = {rest: two_b} if two_b else {}
+                for m, c in prev[i].items():
+                    res[m | jbit] = -c
+                row.append(res)
+            row = tuple(row)
+        self.vec_cache[mask] = row
+        return row
 
     def vec_mul_terms(self, i: int, terms: dict) -> dict:
         out = {}
         for m, c in terms.items():
-            for mm, cc in self.vec_mono(i, m).items():
+            for mm, cc in self.vec_row(m)[i].items():
                 v = out.get(mm, 0) + c * cc
                 if v:
                     out[mm] = v
@@ -76,14 +76,24 @@ class _Context:
                     del out[mm]
         return out
 
-    def vec_images(self, terms: dict) -> list:
+    def vec_images(self, terms: dict) -> tuple | list:
         """``[e_i * terms for i in range(n)]``.  A monomial with coefficient 1
-        gives the table's own entries, which callers must not modify."""
+        gives its table row, whose entries callers must not modify; any
+        other element reads the row of each of its terms once."""
         if len(terms) == 1:
             ((m, c),) = terms.items()
             if c == 1:
-                return [self.vec_mono(i, m) for i in range(self.n)]
-        return [self.vec_mul_terms(i, terms) for i in range(self.n)]
+                return self.vec_row(m)
+        out = [{} for _ in range(self.n)]
+        for m, c in terms.items():
+            for o, prod in zip(out, self.vec_row(m)):
+                for mm, cc in prod.items():
+                    v = o.get(mm, 0) + c * cc
+                    if v:
+                        o[mm] = v
+                    elif mm in o:
+                        del o[mm]
+        return out
 
     def mono_mul_terms(self, mask: int, terms: dict) -> dict:
         acc = terms
@@ -259,10 +269,10 @@ def trace_pairing_nondegenerate(space: QuadraticSpace) -> bool:
     ctx = _ctx(space)
     for mask in range(1 << ctx.n):
         top = mask.bit_count() + 1
-        for i in range(ctx.n):
+        for i, prod in enumerate(ctx.vec_row(mask)):
             bit = 1 << i
             lead = {}
-            for m, c in ctx.vec_mono(i, mask).items():
+            for m, c in prod.items():
                 d = m.bit_count()
                 if d > top:
                     return False

@@ -416,19 +416,27 @@ class SpanSolver:
         outside the span, or None.
 
         The residual of an image is its part off the pivots less a * tail
-        for each coordinate a, since a row's tail holds no pivot."""
+        for each coordinate a, since a row's tail holds no pivot.  It is
+        only allocated once an image has a term off the pivots or reads a
+        row with a tail."""
         at, tails = self._at, self._tails
         for c, column in enumerate(images):
             for v, nz in zip(column, nzs):
-                rest = {}
+                rest = None
                 for j, a in v.items():
                     k = at.get(j)
                     if k is None:
+                        if rest is None:
+                            rest = {}
                         rest[j] = rest.get(j, 0) + a
                     else:
                         nz[k].append((c, a if a.__class__ is int else _whole(a)))
-                        for t, x in tails[k]:
-                            rest[t] = rest.get(t, 0) - a * x
+                        tail = tails[k]
+                        if tail:
+                            if rest is None:
+                                rest = {}
+                            for t, x in tail:
+                                rest[t] = rest.get(t, 0) - a * x
                 if rest and any(rest.values()):
                     return v
         return None
@@ -662,10 +670,14 @@ def mult_map_rank(lm: LinMat, t: int) -> int:
     if t <= 0:
         return 0
     n, R = lm.n, lm.rows
-    _, nz = lm.transpose().int_rows()
-    # the nonzeros (k, r, value) of each nonzero column j of the coefficients
-    cols = [c for c in ([(k, r, v) for k in range(n) for r, v in nz[k][j]]
-                        for j in range(lm.cols)) if c]
+    # the nonzeros (k, r, value) of each nonzero column j of the
+    # coefficients, k outermost and then r ascending
+    by_col = [[] for _ in range(lm.cols)]
+    for k, coeff_rows in enumerate(lm.int_rows()[1]):
+        for r, row in enumerate(coeff_rows):
+            for j, v in row:
+                by_col[j].append((k, r, v))
+    cols = [c for c in by_col if c]
     cod_idx = {nu: i for i, nu in enumerate(monomials(n, t))}
     rows = []
     for mu in monomials(n, t - 1):

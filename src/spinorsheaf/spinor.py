@@ -269,7 +269,10 @@ class FactorizationPair:
         d_psi, psi_rows = psi.int_rows()
         scale = d_phi * d_psi
         # the key of (i, j, c) is base[i][j] + c, symmetric in i and j
-        base = [[(min(i, j) * n + max(i, j)) * N for j in range(n)] for i in range(n)]
+        base = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                base[i][j] = base[j][i] = (i * n + j) * N
         targets = [(base[i][j], consts[i][j] * scale)
                    for i in range(n) for j in range(i, n) if consts[i][j]]
         by_t = [[(j, c, w) for j in range(n) for c, w in psi_rows[j][t]] for t in range(N)]

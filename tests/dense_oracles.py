@@ -2,7 +2,8 @@
 replaced, the certificates on a standardized copy of the space that the
 module-side ones replaced, the eliminated cohomology dimensions that the
 identity route replaced, the form and fiber ranks in Fraction
-arithmetic that the integer form replaced, and the
+arithmetic that the integer form replaced, the Clifford table entry by
+entry that the row-per-monomial table replaced, and the
 form-evaluation, quotient-space, Clifford, matrix and module helpers no
 package module needs; the tests compare the package against them.  The
 references compute on their own Fraction constants, so they stay
@@ -463,6 +464,46 @@ def per_image_action(i, parity):
                                 witness=CliffordElement(i.space, image))
         out.append(Mat.from_nonzeros(len(rows), len(i.parts[parity]), nz))
     return tuple(out)
+
+
+def per_entry_table(space):
+    """The Clifford table one entry at a time: ``entry(i, mask)`` is the
+    normal form of e_i * (monomial mask), memoized per (i, mask).  With j
+    the least index of mask and rest = mask - e_j, it is e_{mask + i} for
+    i < j, q(e_j) e_rest for i = j, and 2 b(e_i, e_j) e_rest - e_j (e_i e_rest)
+    for i > j."""
+    n = space.n
+    consts = [[Fraction(g if i == j else 2 * g) for j, g in enumerate(space.gram.row(i))]
+              for i in range(n)]
+    cache = {}
+
+    def entry(i, mask):
+        key = (i, mask)
+        if key in cache:
+            return cache[key]
+        bit = 1 << i
+        if mask == 0:
+            res = {bit: ONE}
+        else:
+            j = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            if i < j:
+                res = {bit | mask: ONE}
+            elif i == j:
+                res = {rest: consts[i][i]} if consts[i][i] else {}
+            else:
+                jbit = 1 << j
+                res = {rest: consts[i][j]} if consts[i][j] else {}
+                for m, c in entry(i, rest).items():
+                    v = res.get(m | jbit, ZERO) - c
+                    if v:
+                        res[m | jbit] = v
+                    else:
+                        res.pop(m | jbit, None)
+        cache[key] = res
+        return res
+
+    return entry
 
 
 def dense_trace_pairing_nondegenerate(space) -> bool:

@@ -22,10 +22,12 @@ from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf.quadform import QuadraticSpace, Subspace
 
 from dense_oracles import (
+    canonical,
     dense_trace_pairing_nondegenerate,
     grade_parts,
     left_action_matrix,
     monomial,
+    per_entry_table,
     transpose_anti,
     vector_part,
 )
@@ -180,15 +182,17 @@ class TestTrace:
 
     def test_pairing_certificate_rejects_a_wrong_leading_term(self):
         space, ctx = self._certified_space()
-        # e2 * e0e1 = e0e1e2: flip its sign
-        assert ctx.vec_cache[2, 0b011] == {0b111: 1}
-        ctx.vec_cache[2, 0b011] = {0b111: Fraction(-1)}
+        # e2 * e0e1 = e0e1e2, entry 2 of the row of e0e1: flip its sign
+        row = ctx.vec_cache[0b011]
+        assert row[2] == {0b111: 1}
+        ctx.vec_cache[0b011] = row[:2] + ({0b111: Fraction(-1)},) + row[3:]
         assert not trace_pairing_nondegenerate(space)
 
     def test_pairing_certificate_rejects_a_degree_raising_term(self):
         space, ctx = self._certified_space()
-        # e0 * e1 gains a term of degree 3
-        ctx.vec_cache[0, 0b010] = {0b011: Fraction(1), 0b111000: Fraction(1)}
+        # e0 * e1, entry 0 of the row of e1, gains a term of degree 3
+        row = ctx.vec_cache[0b010]
+        ctx.vec_cache[0b010] = ({0b011: Fraction(1), 0b111000: Fraction(1)},) + row[1:]
         assert not trace_pairing_nondegenerate(space)
 
     def test_pairing_certificate_rejects_a_zero_antidiagonal_trace(self, monkeypatch):
@@ -367,6 +371,52 @@ class TestGroup:
 
 
 class TestContext:
+    @staticmethod
+    def _table_spaces():
+        from test_spinor import NON_INTEGRAL_FIXTURE
+
+        from spinorsheaf.fixtures import fixture_from_dict
+
+        spaces = [get_fixture(label).space for label in FIXTURE_LABELS]
+        grams = set()
+        for space, _ in grid_spaces(6):
+            if space.gram not in grams:
+                grams.add(space.gram)
+                spaces.append(space)
+        assert len(grams) == 15
+        return spaces + [fixture_from_dict(NON_INTEGRAL_FIXTURE).space]
+
+    def test_rows_match_the_per_entry_recursion(self):
+        # every row, e_i * e_mask for all i, against the oracle entry by
+        # entry, canonical, and filled once: one row per monomial
+        for space in self._table_spaces():
+            ctx, entry = _ctx(QuadraticSpace(space.gram)), per_entry_table(space)
+            for mask in range(1 << ctx.n):
+                row = ctx.vec_row(mask)
+                assert len(row) == ctx.n and ctx.vec_row(mask) is row
+                for i, prod in enumerate(row):
+                    assert prod == entry(i, mask), (space.gram, i, mask)
+                    assert all(c and canonical(c) for c in prod.values())
+            assert len(ctx.vec_cache) == 1 << ctx.n
+
+    def test_vec_images_reads_rows(self):
+        # a coefficient-1 monomial gives the row's own dicts; any other
+        # element gives e_i * x for each i, term by term
+        for space in self._table_spaces():
+            ctx = _ctx(QuadraticSpace(space.gram))
+            n = ctx.n
+            for mask in range(1 << n):
+                row = ctx.vec_row(mask)
+                got = ctx.vec_images({mask: 1})
+                assert all(a is b for a, b in zip(got, row)) and len(got) == n
+            elements = [{0b1: 2}, {0b11: Fraction(-1, 3)}, {0: 1, 0b101: 1},
+                        {0b1: 1, 0b10: Fraction(1, 2), 0b111: -3}, {}]
+            elements.append({m: 1 + m % 3 for m in range(1 << n)})
+            for terms in elements:
+                terms = {m: c for m, c in terms.items() if m < 1 << n}
+                want = [ctx.vec_mul_terms(i, terms) for i in range(n)]
+                assert list(ctx.vec_images(terms)) == want
+
     def test_context_holds_no_reference_to_its_space(self):
         import gc
 

@@ -690,6 +690,16 @@ class TestSparseSpanSolver:
         assert solver.coords(ea.vec((0, 1, 0, -2, 0))) == {1: 1}
         assert solver.coords(ea.vec((0, 0, 0, 0, 1))) is None
 
+    def test_columns_returns_an_image_off_a_tail_free_basis(self):
+        # rows e_0, e_2 with no tails: no residual is needed until an image
+        # has a term off the pivots, and then that image is returned
+        solver = ea.SpanSolver([{0: ONE}, {2: ONE}], [0, 2])
+        stray = {0: 3, 1: Fraction(1, 2)}
+        nzs = [[[] for _ in range(2)] for _ in range(2)]
+        assert solver.columns([[{0: 1}, {2: -2}], [{2: 5}, {}]], nzs) is None
+        assert nzs == [[[(0, 1)], [(1, 5)]], [[], [(0, -2)]]]
+        assert solver.columns([[{2: 1}, stray], [{0: 1}, {0: 1}]], nzs) is stray
+
     def test_rejects_rows_not_in_reduced_form(self):
         with pytest.raises(ValueError):
             ea.SpanSolver([{0: Fraction(2)}], [0])
