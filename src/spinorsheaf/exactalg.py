@@ -454,7 +454,7 @@ class SpanSolver:
 class LinMat:
     """Matrix of linear forms M(x) = sum_i x_i * coeff[i], all shapes equal."""
 
-    __slots__ = ("n", "rows", "cols", "coeff", "_int_rows", "_transpose")
+    __slots__ = ("n", "rows", "cols", "coeff", "_int_rows")
 
     def __init__(self, n: int, coeff):
         coeff = tuple(coeff)
@@ -471,7 +471,6 @@ class LinMat:
         self.cols = c
         self.coeff = coeff
         self._int_rows = None
-        self._transpose = None
 
     def evaluate(self, v) -> Mat:
         """M(v), summed row by row over the nonzeros of each coefficient."""
@@ -505,11 +504,8 @@ class LinMat:
         return self._int_rows
 
     def transpose(self) -> "LinMat":
-        """The transposed matrix, computed once.  It keeps no link back, so
-        the two make no reference cycle."""
-        if self._transpose is None:
-            self._transpose = LinMat(self.n, [m.transpose() for m in self.coeff])
-        return self._transpose
+        """The transposed matrix, each coefficient transposed."""
+        return LinMat(self.n, [m.transpose() for m in self.coeff])
 
     def __eq__(self, other):
         return (
@@ -667,16 +663,34 @@ def mult_map_rank(lm: LinMat, t: int) -> int:
     echelon form; the codomain side would add rows * (df(t) - df(t-1))
     rows, df(d) the monomial count, only to reduce them to zero.
     """
-    if t <= 0:
-        return 0
-    n, R = lm.n, lm.rows
-    # the nonzeros (k, r, value) of each nonzero column j of the
-    # coefficients, k outermost and then r ascending
+    # the nonzeros (k, r, value) of each column j of the coefficients,
+    # k outermost and then r ascending
     by_col = [[] for _ in range(lm.cols)]
     for k, coeff_rows in enumerate(lm.int_rows()[1]):
         for r, row in enumerate(coeff_rows):
             for j, v in row:
                 by_col[j].append((k, r, v))
+    return _domain_side_rank(by_col, lm.n, lm.rows, t)
+
+
+def transposed_mult_map_rank(lm: LinMat, t: int) -> int:
+    """``mult_map_rank(lm.transpose(), t)`` with no transpose built:
+    column r of lm^T is row r of lm, so its nonzeros (k, j, value) are read
+    off ``lm.int_rows()`` row by row, k outermost and then j ascending,
+    the same rows in the same order."""
+    int_rows = lm.int_rows()[1]
+    by_row = [[(k, j, v) for k in range(lm.n) for j, v in int_rows[k][r]]
+              for r in range(lm.rows)]
+    return _domain_side_rank(by_row, lm.n, lm.cols, t)
+
+
+def _domain_side_rank(by_col, n: int, R: int, t: int) -> int:
+    """The rank of ``mult_map_rank`` from the nonzeros ``(k, r, value)``
+    of each domain column, grouped: one row per nonempty column and
+    degree-(t-1) monomial mu, with the value at codomain row (mu + e_k, r)
+    of R rows per monomial."""
+    if t <= 0:
+        return 0
     cols = [c for c in by_col if c]
     cod_idx = {nu: i for i, nu in enumerate(monomials(n, t))}
     rows = []

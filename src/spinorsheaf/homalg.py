@@ -30,6 +30,7 @@ from .exactalg import (
     mat_rank_kernel,
     monomial_count,
     mult_map_rank,
+    transposed_mult_map_rank,
     _sparse,
 )
 from .quadform import candidate_vectors, isotropic_type, standardize
@@ -495,8 +496,9 @@ def cohomology_dim(mf, idx: int, t: int) -> int:
     reads phi psi = q Id alone: for N x N phi and psi over k(x), q != 0
     makes phi invertible and psi = q phi^-1, so psi phi = q Id as well; a
     pair of any other shape fails it.  The one cross-check:
-    (idx 0, t = 2) also eliminates phi and phi^T in degree 2, and a rank
-    other than N * n raises ``InvariantError``.
+    (idx 0, t = 2) also eliminates phi and phi^T in degree 2, phi^T read
+    off the rows of phi (``transposed_mult_map_rank``), and a rank other
+    than N * n raises ``InvariantError``.
     """
     n = mf.space.n
     N = mf.N
@@ -508,8 +510,8 @@ def cohomology_dim(mf, idx: int, t: int) -> int:
             raise PreconditionError("phi psi = q Id fails: the pair resolves no sheaf")
         mf.identity_checked = True
     if idx == 0 and t == 2:
-        for lm in (mf.phi, mf.phi.transpose()):
-            r = mult_map_rank(lm, 2)
+        for rank in (mult_map_rank, transposed_mult_map_rank):
+            r = rank(mf.phi, 2)
             if r != N * n:
                 raise InvariantError(
                     f"multiplication map of rank {r} in degree 2, expected {N * n}"

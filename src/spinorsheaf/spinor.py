@@ -451,13 +451,40 @@ def intertwines(a, b, A, B, pairs=None) -> bool:
     even parts, carry the action of s on a to that of v on b for each pair
     (s, v) of vectors: A phi_a(s) = phi_b(v) B and B psi_a(s) = psi_b(v) A?
     The default pairs (e_i, e_i) ask for a module map.  This is the one
-    check of a map against the action."""
+    check of a map against the action.
+
+    No product is built: each side is summed row by row (``_rows_agree``)
+    and the first row that differs returns False.  As with the products,
+    a map whose inner dimension does not fit the action raises
+    ``ValueError``, and one whose outer shape differs does not
+    intertwine."""
     if pairs is None:
         basis = [a.space.basis_vector(i) for i in range(a.space.n)]
         pairs = zip(basis, basis)
-    return all(A @ _action(a.act_ev, s) == _action(b.act_ev, v) @ B
-               and B @ _action(a.act_odd, s) == _action(b.act_odd, v) @ A
+    return all(_rows_agree(A, _action(a.act_ev, s), _action(b.act_ev, v), B)
+               and _rows_agree(B, _action(a.act_odd, s), _action(b.act_odd, v), A)
                for s, v in pairs)
+
+
+def _rows_agree(X, P, Q, Y) -> bool:
+    """X P = Q Y, one row at a time: row r of X P minus row r of Q Y is
+    summed into one ``{col: value}`` accumulator, which must be zero."""
+    if X.cols != P.rows or Q.cols != Y.rows:
+        raise ValueError("shape mismatch in product")
+    if X.rows != Q.rows or P.cols != Y.cols:
+        return False
+    pnz, ynz = P.nz, Y.nz
+    for xrow, qrow in zip(X.nz, Q.nz):
+        acc = {}
+        for t, x in xrow:
+            for j, p in pnz[t]:
+                acc[j] = acc.get(j, 0) + x * p
+        for t, q in qrow:
+            for j, y in ynz[t]:
+                acc[j] = acc.get(j, 0) - q * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _action(mats, v) -> Mat:

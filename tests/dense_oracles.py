@@ -3,7 +3,8 @@ replaced, the certificates on a standardized copy of the space that the
 module-side ones replaced, the eliminated cohomology dimensions that the
 identity route replaced, the form and fiber ranks in Fraction
 arithmetic that the integer form replaced, the Clifford table entry by
-entry that the row-per-monomial table replaced, and the
+entry that the row-per-monomial table replaced, the map check on built
+products that the row sums of ``intertwines`` replaced, and the
 form-evaluation, quotient-space, Clifford, matrix and module helpers no
 package module needs; the tests compare the package against them.  The
 references compute on their own Fraction constants, so they stay
@@ -35,6 +36,7 @@ from spinorsheaf.quadform import QuadraticSpace, Subspace, standardize
 from spinorsheaf.spinor import (
     FactorizationPair,
     IdealModule,
+    _action,
     build_ideal,
     shift,
 )
@@ -761,6 +763,18 @@ def direct_sum(a, b) -> FactorizationPair:
         block_diag(LinMat(n, a.act_ev), LinMat(n, b.act_ev)),
         block_diag(LinMat(n, a.act_odd), LinMat(n, b.act_odd)),
     )
+
+
+def intertwines_by_products(a, b, A, B, pairs=None) -> bool:
+    """``spinor.intertwines`` as it was before the row sums: both sides of
+    A phi_a(s) = phi_b(v) B and B psi_a(s) = psi_b(v) A built as products
+    and compared with ``Mat.__eq__``."""
+    if pairs is None:
+        basis = [a.space.basis_vector(i) for i in range(a.space.n)]
+        pairs = zip(basis, basis)
+    return all(A @ _action(a.act_ev, s) == _action(b.act_ev, v) @ B
+               and B @ _action(a.act_odd, s) == _action(b.act_odd, v) @ A
+               for s, v in pairs)
 
 
 def hom_basis(h):

@@ -16,6 +16,7 @@ from spinorsheaf.exactalg import (
     mat_solve,
     monomials,
     mult_map_rank,
+    transposed_mult_map_rank,
 )
 
 from dense_oracles import (
@@ -210,14 +211,17 @@ class TestMonomialMatrix:
         for t in range(1, 5):
             dense = dense_rank(monomial_multiplication_matrix(lm, t))
             assert mult_map_rank(lm, t) == dense
-        assert mult_map_rank(lm, 0) == 0
-        assert mult_map_rank(lm, -3) == 0
+            dense_t = dense_rank(monomial_multiplication_matrix(lm.transpose(), t))
+            assert transposed_mult_map_rank(lm, t) == dense_t
+        assert mult_map_rank(lm, 0) == transposed_mult_map_rank(lm, 0) == 0
+        assert mult_map_rank(lm, -3) == transposed_mult_map_rank(lm, -3) == 0
         # [x0, x1] maps S(t-1)^2 onto S(t), with the Koszul syzygy as kernel
         # from t = 2; its transpose [x0; x1] is injective
         row = LinMat(2, [M([[1, 0]]), M([[0, 1]])])
         for t in range(1, 5):
             assert mult_map_rank(row, t) == t + 1 <= 2 * t
             assert mult_map_rank(row.transpose(), t) == t < 2 * (t + 1)
+            assert transposed_mult_map_rank(row, t) == t
             assert dense_rank(monomial_multiplication_matrix(row, t)) == t + 1
 
     def test_mult_map_rank_on_grid_factorizations(self):
@@ -232,6 +236,8 @@ class TestMonomialMatrix:
                 for t in (1, 2, 3):
                     dense = dense_rank(monomial_multiplication_matrix(lm, t))
                     assert mult_map_rank(lm, t) == dense
+                    if lm is not mf.phi:
+                        assert transposed_mult_map_rank(mf.phi, t) == dense
                     checked += 1
         assert checked == 204
 
@@ -244,6 +250,8 @@ class TestMonomialMatrix:
         assert lm.rows != lm.cols
         for t in range(1, 5):
             assert mult_map_rank(lm, t) == dense_rank(monomial_multiplication_matrix(lm, t))
+            assert transposed_mult_map_rank(lm, t) == dense_rank(
+                monomial_multiplication_matrix(lm.transpose(), t))
 
     def test_cohomology_grid_ranks_pinned(self):
         # every rank one cohomology-grid pass computes: phi at t = 1..6 for
@@ -260,8 +268,9 @@ class TestMonomialMatrix:
             if n not in (5, 6):
                 continue
             mf = build_factorization(build_ideal(space, w))
-            for lm, degrees in ((mf.phi, range(1, 7)), (mf.phi.transpose(), range(1, 8 - n))):
-                got = [mult_map_rank(lm, t) for t in degrees]
+            for rank, degrees in ((mult_map_rank, range(1, 7)),
+                                  (transposed_mult_map_rank, range(1, 8 - n))):
+                got = [rank(mf.phi, t) for t in degrees]
                 assert got == [mf.N * ea.monomial_count(n, t - 1) for t in degrees]
                 ranks.append(got)
         assert len(ranks) == 2 * 51
@@ -301,6 +310,10 @@ class TestMonomialMatrix:
         ])
         for t in range(1, 4):
             assert mult_map_rank(lm3, t) == dense_rank(monomial_multiplication_matrix(lm3, t))
+        for m in (lm, lm3):
+            for t in range(1, 4):
+                assert transposed_mult_map_rank(m, t) == dense_rank(
+                    monomial_multiplication_matrix(m.transpose(), t))
 
     def test_monomial_order_is_lex(self):
         assert monomials(2, 1) == ((1, 0), (0, 1))
@@ -772,14 +785,11 @@ class TestLinMatSparse:
         with pytest.raises(ValueError):
             LinMat(2, [Mat.identity(1), Mat.identity(1)]).evaluate((1,))
 
-    def test_transpose_computed_once(self):
+    def test_transpose_carries_each_coefficient(self):
         lm = LinMat(2, [M([[1, Fraction(1, 2), 0]]), M([[0, 0, -3]])])
         t = lm.transpose()
-        assert lm.transpose() is t
         assert (t.rows, t.cols) == (3, 1)
         assert t.coeff == tuple(m.transpose() for m in lm.coeff)
-        # no link back from the transpose, so no reference cycle
-        assert t._transpose is None
         assert t.transpose() == lm and t.transpose() is not lm
 
     def test_int_rows(self):

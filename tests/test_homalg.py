@@ -659,12 +659,20 @@ class TestCohomology:
         assert not bad.identity_checked
 
     def test_cross_check_disagreement_raises(self, monkeypatch):
-        rank = homalg.mult_map_rank
-        monkeypatch.setattr(homalg, "mult_map_rank", lambda lm, t: rank(lm, t) - 1)
+        # on either side: phi, or phi^T read off phi's rows
         mf = build_factorization(module("F-H6"))
-        assert cohomology_dim(mf, 0, 1) == 4 * (6 - 1)
-        with pytest.raises(InvariantError, match="rank 23 in degree 2, expected 24"):
-            cohomology_dim(mf, 0, 2)
+        for name in ("mult_map_rank", "transposed_mult_map_rank"):
+            with monkeypatch.context() as m:
+                rank = getattr(homalg, name)
+                m.setattr(homalg, name, lambda lm, t, rank=rank: rank(lm, t) - 1)
+                assert cohomology_dim(mf, 0, 1) == 4 * (6 - 1)
+                with pytest.raises(InvariantError, match="rank 23 in degree 2, expected 24"):
+                    cohomology_dim(mf, 0, 2)
+
+    def test_cross_check_builds_no_transpose(self, monkeypatch):
+        mf = build_factorization(module("F-H6"))
+        monkeypatch.setattr(LinMat, "transpose", None)
+        assert cohomology_dim(mf, 0, 2) == 4 * (21 - 6)
 
     def test_explicit_identity_check_runs_in_full(self, monkeypatch):
         # the gate reads identity_checked; check_identity itself is not

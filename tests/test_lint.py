@@ -124,14 +124,10 @@ def _reads_action(node):
 
 
 def _action_products(tree):
-    """Lines of the ``@`` products outside ``intertwines`` with an operand
-    that reads the action."""
-    inside = {id(sub) for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == "intertwines"
-              for sub in ast.walk(node)}
+    """Lines of the ``@`` products with an operand that reads the action."""
     found = []
     for node in ast.walk(tree):
-        if id(node) in inside or not isinstance(getattr(node, "op", None), ast.MatMult):
+        if not isinstance(getattr(node, "op", None), ast.MatMult):
             continue
         operands = ((node.left, node.right) if isinstance(node, ast.BinOp)
                     else (node.target, node.value))
@@ -142,8 +138,8 @@ def _action_products(tree):
 
 def test_one_check_of_a_map_against_the_action():
     # whether a graded map (A, B) respects the action is decided by
-    # spinor.intertwines alone; a product like A @ act_ev[i] elsewhere is a
-    # second copy of that check
+    # spinor.intertwines alone, on row sums; a product like A @ act_ev[i]
+    # anywhere, intertwines included, is a second copy of that check
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -157,7 +153,7 @@ def test_action_product_scan():
            "def h(a, X):\n    X @= a.act_odd[1]\n"
            "def intertwines(a, A):\n    return A @ a.act_odd[0]\n"
            "def k(A, B):\n    return A @ B\n")
-    assert _action_products(ast.parse(src)) == [2, 4, 6]
+    assert _action_products(ast.parse(src)) == [2, 4, 6, 8]
 
 
 def _qualified_functions(tree, prefix=""):
@@ -244,7 +240,8 @@ def test_multiplication_ranks_only_in_cohomology_dim():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         home = "cohomology_dim" if path.name == "homalg.py" else None
-        found += [f"{path.name}:{line}" for line in _reads_outside(tree, "mult_map_rank", home)]
+        for rank in ("mult_map_rank", "transposed_mult_map_rank"):
+            found += [f"{path.name}:{line}" for line in _reads_outside(tree, rank, home)]
     assert found == []
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,6 +44,7 @@ from dense_oracles import (
     fraction_fiber_rank,
     fraction_form,
     hom_basis,
+    intertwines_by_products,
     monomial,
     row_lists,
     same_module,
@@ -581,6 +583,72 @@ class TestIntertwines:
         for phi, psi in ((LinMat(n, (bumped(mf.phi.coeff[0]),) + mf.phi.coeff[1:]), mf.psi),
                          (mf.phi, LinMat(n, (bumped(mf.psi.coeff[0]),) + mf.psi.coeff[1:]))):
             assert not intertwines(mf, FactorizationPair(mf.space, phi, psi), eye, eye)
+
+    def test_row_sums_match_the_products_on_every_checked_map(self, monkeypatch):
+        # every map the six fixture runs check (rho, sigma with its
+        # reflected pairs, the shift witness, the restriction and cone tau,
+        # the flag section, each Hom basis pair and the invertible pair of
+        # the isomorphism search), as it is and with one
+        # entry of A or of B bumped, gets the verdict of the products
+        from spinorsheaf import homalg
+        from spinorsheaf.verify import run_suite
+
+        seen = []
+
+        def record(a, b, A, B, pairs=None):
+            pairs = None if pairs is None else list(pairs)
+            seen.append((sys._getframe(1).f_code.co_name, a, b, A, B, pairs))
+            return intertwines(a, b, A, B, pairs)
+
+        monkeypatch.setattr(spinor, "intertwines", record)
+        monkeypatch.setattr(homalg, "intertwines", record)
+        for label in FIXTURE_LABELS:
+            assert run_suite(get_fixture(label), "all", 1).overall(strict=True)
+        monkeypatch.undo()
+        assert {site for site, *_ in seen} == {
+            "equivariance_check", "_tail_comparison", "_orthogonal_shift_witness",
+            "flag_sequence", "_search_invertible", "<genexpr>"}
+        assert len(seen) == 61
+        for _, a, b, A, B, pairs in seen:
+            for X, Y, want in ((A, B, True), (bumped(A), B, False), (A, bumped(B), False)):
+                assert intertwines(a, b, X, Y, pairs) is want
+                assert intertwines_by_products(a, b, X, Y, pairs) is want
+
+    def test_inner_shape_mismatch_raises_as_the_product(self):
+        i = module("F-H6")
+        eye_ev, eye_odd = Mat.identity(i.ev_dim), Mat.identity(i.odd_dim)
+        wide = Mat.zeros(i.odd_dim, i.odd_dim + 1)
+        for A, B in ((wide, eye_ev), (eye_odd, Mat.zeros(i.ev_dim + 1, i.ev_dim + 1))):
+            with pytest.raises(ValueError, match="shape mismatch in product"):
+                intertwines(i, i, A, B)
+            with pytest.raises(ValueError, match="shape mismatch in product"):
+                intertwines_by_products(i, i, A, B)
+
+    def test_outer_shape_mismatch_does_not_intertwine(self):
+        # zero maps with one row or one column too many: the inner
+        # dimensions of the first half fit, its two sides are zero but of
+        # different shapes, and Mat.__eq__ said False before the second
+        # half, whose inner dimensions do not fit, was reached
+        i = module("F-H6")
+        odd, ev = i.odd_dim, i.ev_dim
+        for A, B in ((Mat.zeros(odd, odd), Mat.zeros(ev, ev + 1)),
+                     (Mat.zeros(odd + 1, odd), Mat.zeros(ev, ev))):
+            assert not intertwines_by_products(i, i, A, B)
+            assert not intertwines(i, i, A, B)
+
+    def test_pairs_read_once(self):
+        # a one-shot zip is read once, both halves checked on that pass: a
+        # map that fails only the psi half still fails
+        mf = build_factorization(module("F-QS"))
+        n = mf.space.n
+        eye = Mat.identity(mf.N)
+        basis = [mf.space.basis_vector(t) for t in range(n)]
+        bad = FactorizationPair(mf.space, mf.phi,
+                                LinMat(n, (bumped(mf.psi.coeff[0]),) + mf.psi.coeff[1:]))
+        assert not intertwines(mf, bad, eye, eye, zip(basis, basis))
+        pairs = zip(basis, basis)
+        assert intertwines(mf, mf, eye, eye, pairs)
+        assert next(pairs, None) is None
 
     def test_basis_vector_reads_the_action_as_it_is(self):
         i = module("F-H6")

@@ -279,12 +279,13 @@ def test_one_elimination_per_run(monkeypatch):
     # the cohomology ranks are read off psi phi = q Id; each run eliminates
     # phi and phi^T once, in degree 2, inside euler_consistency
     degrees = []
-    real = homalg.mult_map_rank
-    monkeypatch.setattr(homalg, "mult_map_rank",
-                        lambda lm, t: degrees.append(t) or real(lm, t))
+    for name in ("mult_map_rank", "transposed_mult_map_rank"):
+        real = getattr(homalg, name)
+        monkeypatch.setattr(homalg, name, lambda lm, t, name=name, real=real:
+                            degrees.append((name, t)) or real(lm, t))
     for label in FIXTURE_LABELS:
         run_suite(get_fixture(label), "all")
-    assert degrees == [2] * 12
+    assert degrees == [("mult_map_rank", 2), ("transposed_mult_map_rank", 2)] * 6
 
 
 def test_cross_check_failure_is_a_fail_record(monkeypatch):
