@@ -108,8 +108,8 @@ def cmd_query(args) -> int:
         b, _ = _module_from_label(args.args[1])
         h = hom_space(a, b)
         if h.crosscheck_dimension != h.dimension:
-            raise InvariantError(f"{h.dimension - h.crosscheck_dimension} of {h.dimension}"
-                                 " Hom basis maps fail to intertwine the actions")
+            raise InvariantError(f"the Hom kernel of dimension {h.dimension}"
+                                 " fails its certificate")
         result.update(source=args.args[0], target=args.args[1], dim=h.dimension)
     elif kind == "iso":
         a, _ = _module_from_label(args.args[0])

@@ -7,8 +7,11 @@ A Hom space runs from an ideal module I = Cl.g to a module given by its
 action (``space``, ``ev_dim``, ``odd_dim``, ``act_ev``, ``act_odd``): an
 ideal module or a factorization pair.  A map is fixed by x = f(g), any
 target vector with w.x = 0 for w in W (``spinor.generator_image_system``),
-so the dimension is a kernel on N unknowns; a map is built only when read,
-and the cross-check is that every basis map passes ``intertwines``.
+so the dimension is a kernel on N unknowns; a map is built only when read.
+The cross-check is a certificate of that kernel read apart from the
+elimination: w.x = 0 by products with the target's action, full rank from
+the kernel's reduced form, and one combination map through ``intertwines``
+(``GradedHom.crosscheck_dimension``).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .quadform import candidate_vectors, isotropic_type, standardize
 from .spinor import (
     FactorizationPair,
     IdealModule,
+    _action,
     _bijective,
     family_indicator,
     generator_image_system,
@@ -104,12 +108,43 @@ class GradedHom:
 
     @property
     def crosscheck_dimension(self):
-        """How many basis maps pass ``intertwines``, counted on first read:
-        it reads only the action, so a wrong image x gives a failing map."""
+        """The dimension when the kernel passes its certificate, read apart
+        from the elimination, else 0; computed on first read.
+
+        The certificate: each kernel vector x has w.x = 0 for each w in W's
+        basis, by a product with the target's action (``_action``), not by
+        a row of the eliminated system; the kernel has full rank, as the
+        last nonzeros of its vectors, the 1s that ``mat_rank_kernel`` leaves
+        at the free columns, lie in distinct columns; and the map of one
+        combination, every coefficient 1, passes ``intertwines``.
+
+        That is enough: the map c.g -> c.x is well defined exactly when
+        Ann(g) x = 0, and Ann(g) = Cl.W.  Cl.W lies in Ann(g), and both have
+        dimension 2^n - 2^(n-m): dim Cl.g = 2^(n-m) is the ``dimension_law``
+        record, and the monomials v_S w_T with T nonempty span Cl.W in a
+        basis of Cl (``generator_image_system``).  So on a module target the
+        first part makes each f_x a module map, and the combination map
+        checks the target's action and the word walk of ``_map`` on one map
+        in place of one per basis vector."""
         if self._crosscheck is None:
-            self._crosscheck = sum(intertwines(self.source, self.target, *self.pair(k))
-                                   for k in range(self.dimension))
+            self._crosscheck = self.dimension if self._certified() else 0
         return self._crosscheck
+
+    def _certified(self):
+        """Whether the kernel passes the certificate of
+        ``crosscheck_dimension``."""
+        kernel = self._kernel
+        if not kernel:
+            return True
+        act = self.target.act_odd if self._part else self.target.act_ev
+        for w in self.source.w.basis:
+            m = _action(act, w)
+            if any(any(m.mul_vec(x)) for x in kernel):
+                return False
+        last = [next((j for j in range(len(x) - 1, -1, -1) if x[j]), None) for x in kernel]
+        if None in last or len(set(last)) < len(last) or any(x[j] != 1 for x, j in zip(kernel, last)):
+            return False
+        return intertwines(self.source, self.target, *self.at((1,) * len(kernel)))
 
 
 def _action_columns(module):

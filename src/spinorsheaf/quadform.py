@@ -195,6 +195,45 @@ def candidate_vectors(space: QuadraticSpace):
         yield tuple(a - b for a, b in zip(x, y))
 
 
+def anisotropic_orthogonal(space: QuadraticSpace, v):
+    """An int vector h with b(h, v) = 0 and q(h) != 0, or None when b
+    vanishes on v^perp; ``PreconditionError`` for v in the radical K.
+
+    With c_k = b(v, e_k), cleared of denominators, and a the first index
+    with c_a != 0, the n - 1 vectors y_k = c_a e_k - c_k e_a, k != a, are
+    orthogonal to v and independent, so they span v^perp.  The search
+    tries each y_k, then each sum y_k + y_l, k < l, reading b(y_k, y_l)
+    off the integer Gram rows.  It is complete: once every q(y_k) is 0,
+    q(y_k + y_l) = 2 b(y_k, y_l), and if all of these vanish too, b is
+    zero on v^perp.  For an isotropic v outside K, the radical of q on
+    v^perp is K + <v>, so q there has rank rank(q) - 2, and on a form of
+    rank >= 3 the search always finds an h."""
+    if len(v) != space.n:
+        raise PreconditionError("vector length mismatch")
+    v, _ = _int_vec(v)
+    gram = [dict(row) for row in space._int_nz]
+    c = [sum(g * v[j] for j, g in row.items()) for row in gram]
+    a = next((k for k, x in enumerate(c) if x), None)
+    if a is None:
+        raise PreconditionError("v lies in the radical, where v^perp is all of V")
+    ca, ga = c[a], gram[a]
+
+    def b(k, l):
+        return (ca * ca * gram[k].get(l, 0) - ca * c[l] * ga.get(k, 0)
+                - ca * c[k] * ga.get(l, 0) + c[k] * c[l] * ga.get(a, 0))
+
+    others = [k for k in range(space.n) if k != a]
+    pair = next(((k, k) for k in others if b(k, k)), None) or next(
+        ((k, l) for k, l in combinations(others, 2) if b(k, l)), None)
+    if pair is None:
+        return None
+    h = [0] * space.n
+    for k in set(pair):
+        h[k] = ca
+        h[a] -= c[k]
+    return tuple(h)
+
+
 class QuotientSpace:
     """V / modded with a chosen section; ``quotient_space``, its one
     constructor, requires modded to lie in the radical so the form

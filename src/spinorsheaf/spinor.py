@@ -45,6 +45,7 @@ from .quadform import (
     QuadraticSpace,
     QuotientSpace,
     Subspace,
+    anisotropic_orthogonal,
     candidate_vectors,
     check_isotropic,
     radical_basis,
@@ -315,6 +316,35 @@ def fiber_rank(mf: FactorizationPair, v):
     return r, mf.N - r
 
 
+def fiber_rank_from_identity(mf: FactorizationPair, v):
+    """(N/2, N/2): the rank of phi(v) and the fiber of coker phi at a point
+    v of the quadric outside the radical K, read off the checked identity
+    with no elimination.  The pair must have passed ``check_identity`` and
+    the form must have rank >= 3 (else ``PreconditionError``).
+
+    Polarizing phi(x) psi(x) = q(x) Id gives phi(u) psi(v) + phi(v) psi(u)
+    = 2 b(u, v) Id for all u, v.
+      q(v) = 0 gives phi(v) psi(v) = 0, so rank phi(v) + rank psi(v) <= N;
+      a u with b(u, v) != 0 (v is not in K) writes 2 b(u, v) Id as a sum
+      through psi(v) and phi(v), so the sum is N.
+      An h with b(h, v) = 0 and q(h) != 0 gives phi(h) psi(v) = -phi(v)
+      psi(h), with phi(h) and psi(h) invertible as phi(h) psi(h) = q(h) Id,
+      so rank psi(v) = rank phi(v) = N/2.
+    h is the one of ``anisotropic_orthogonal``, which finds one whenever
+    the form has rank >= 3, and is checked with b and q before it is used;
+    a search that finds none raises ``InvariantError``."""
+    space = mf.space
+    if not mf.identity_checked or space.rank < 3:
+        raise PreconditionError("the rank is read off a checked identity on a form of rank >= 3")
+    if space.q(v) != 0:
+        raise PreconditionError("fiber points must lie on the quadric")
+    h = anisotropic_orthogonal(space, v)
+    if h is None or space.b(h, v) != 0 or space.q(h) == 0:
+        raise InvariantError("no anisotropic vector orthogonal to a point off the radical")
+    half = mf.N // 2
+    return half, mf.N - half
+
+
 def dual_factorization(mf: FactorizationPair) -> FactorizationPair:
     """The transposed pair; its first map presents the twisted dual."""
     return FactorizationPair(mf.space, mf.phi.transpose(), mf.psi.transpose())
@@ -453,42 +483,53 @@ def intertwines(a, b, A, B, pairs=None) -> bool:
     The default pairs (e_i, e_i) ask for a module map.  This is the one
     check of a map against the action.
 
-    No product is built: each side is summed row by row (``_rows_agree``)
-    and the first row that differs returns False.  As with the products,
-    a map whose inner dimension does not fit the action raises
-    ``ValueError``, and one whose outer shape differs does not
-    intertwine."""
+    No product and no action at a vector is built: each side is summed row
+    by row from the nonzeros of the action matrices (``_rows_agree``) and
+    the first row that differs returns False.  As with the products, a map
+    whose inner dimension does not fit the action raises ``ValueError``,
+    and one whose outer shape differs does not intertwine."""
     if pairs is None:
         basis = [a.space.basis_vector(i) for i in range(a.space.n)]
         pairs = zip(basis, basis)
-    return all(_rows_agree(A, _action(a.act_ev, s), _action(b.act_ev, v), B)
-               and _rows_agree(B, _action(a.act_odd, s), _action(b.act_odd, v), A)
+    return all(_rows_agree(A, a.act_ev, s, b.act_ev, v, B)
+               and _rows_agree(B, a.act_odd, s, b.act_odd, v, A)
                for s, v in pairs)
 
 
-def _rows_agree(X, P, Q, Y) -> bool:
-    """X P = Q Y, one row at a time: row r of X P minus row r of Q Y is
-    summed into one ``{col: value}`` accumulator, which must be zero."""
-    if X.cols != P.rows or Q.cols != Y.rows:
+def _rows_agree(X, P, s, Q, v, Y) -> bool:
+    """X P(s) = Q(v) Y, P(s) = sum_k s_k P[k], one row at a time: row r of
+    X P(s) minus row r of Q(v) Y is summed into one ``{col: value}``
+    accumulator straight from the nonzeros of the P[k] and Q[k] at the
+    nonzero s_k and v_k, and it must be zero."""
+    if len(s) != len(P) or len(v) != len(Q):
+        raise ValueError("vector length mismatch")
+    if X.cols != P[0].rows or Q[0].cols != Y.rows:
         raise ValueError("shape mismatch in product")
-    if X.rows != Q.rows or P.cols != Y.cols:
+    if X.rows != Q[0].rows or P[0].cols != Y.cols:
         return False
-    pnz, ynz = P.nz, Y.nz
-    for xrow, qrow in zip(X.nz, Q.nz):
+    ps = [(m.nz, c) for m, c in zip(P, s) if c]
+    qs = [(m.nz, c) for m, c in zip(Q, v) if c]
+    ynz = Y.nz
+    for r, xrow in enumerate(X.nz):
         acc = {}
         for t, x in xrow:
-            for j, p in pnz[t]:
-                acc[j] = acc.get(j, 0) + x * p
-        for t, q in qrow:
-            for j, y in ynz[t]:
-                acc[j] = acc.get(j, 0) - q * y
+            for pnz, c in ps:
+                xc = x * c
+                for j, p in pnz[t]:
+                    acc[j] = acc.get(j, 0) + xc * p
+        for qnz, c in qs:
+            for t, q in qnz[r]:
+                qc = q * c
+                for j, y in ynz[t]:
+                    acc[j] = acc.get(j, 0) - qc * y
         if any(acc.values()):
             return False
     return True
 
 
 def _action(mats, v) -> Mat:
-    """sum_k v_k mats[k]; for a basis vector, one of ``mats`` as it is."""
+    """sum_k v_k mats[k] as a matrix, for the Hom systems and their
+    certificate; for a basis vector, one of ``mats`` as it is."""
     support = [k for k, x in enumerate(v) if x]
     if len(support) == 1 and v[support[0]] == 1:
         return mats[support[0]]

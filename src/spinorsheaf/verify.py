@@ -40,6 +40,7 @@ from .spinor import (
     dual_factorization,
     equivariance_check,
     fiber_rank,
+    fiber_rank_from_identity,
     flag_sequence,
     recover_intersection_with_radical,
     restrict_compare,
@@ -188,10 +189,17 @@ def _run_construction(run, report):
     # an isotropic W is never all of V
     allowed = {"singular_w": (1 << (c - 1),),
                "elsewhere": (1 << (c - 2),) if c >= 2 else (0, 1)}
+    # off K on a form of rank >= 3 the checked identity fixes the rank at
+    # N/2 (fiber_rank_from_identity); points of K and rank-2 forms, where the
+    # record has content of its own, are eliminated
+    by_identity = mf.identity_checked and fx.space.rank >= 3
     ok = True
     strata = dict.fromkeys(allowed, 0)
     for v in points:
-        _, fiber = fiber_rank(mf, v)
+        if by_identity and not rad.contains(v):
+            _, fiber = fiber_rank_from_identity(mf, v)
+        else:
+            _, fiber = fiber_rank(mf, v)
         stratum = "singular_w" if wk.contains(v) else "elsewhere"
         strata[stratum] += 1
         if fiber not in allowed[stratum]:

@@ -4,7 +4,9 @@ module-side ones replaced, the eliminated cohomology dimensions that the
 identity route replaced, the form and fiber ranks in Fraction
 arithmetic that the integer form replaced, the Clifford table entry by
 entry that the row-per-monomial table replaced, the map check on built
-products that the row sums of ``intertwines`` replaced, and the
+products that the row sums of ``intertwines`` replaced, the fiber ranks
+eliminated at every point and the Hom cross-check on every basis map
+that the identity and the kernel certificate replaced, and the
 form-evaluation, quotient-space, Clifford, matrix and module helpers no
 package module needs; the tests compare the package against them.  The
 references compute on their own Fraction constants, so they stay
@@ -32,12 +34,22 @@ from spinorsheaf.exactalg import (
     rref_rows,
     vec,
 )
-from spinorsheaf.quadform import QuadraticSpace, Subspace, standardize
+from spinorsheaf.quadform import (
+    QuadraticSpace,
+    Subspace,
+    radical_basis,
+    standardize,
+    sub_intersection,
+)
 from spinorsheaf.spinor import (
     FactorizationPair,
     IdealModule,
     _action,
+    build_factorization,
     build_ideal,
+    fiber_rank,
+    intertwines,
+    quadric_points,
     shift,
 )
 
@@ -775,6 +787,31 @@ def intertwines_by_products(a, b, A, B, pairs=None) -> bool:
     return all(A @ _action(a.act_ev, s) == _action(b.act_ev, v) @ B
                and B @ _action(a.act_odd, s) == _action(b.act_odd, v) @ A
                for s, v in pairs)
+
+
+def fiber_record_by_elimination(fx):
+    """(verdict, strata) of the ``fiber_rank_stratification`` record with
+    phi(v) eliminated at every point, as before the ranks off the radical
+    were read off the checked identity."""
+    module = build_ideal(fx.space, fx.w)
+    mf = build_factorization(module)
+    c = module.codim
+    wk = sub_intersection(fx.w, radical_basis(fx.space))
+    allowed = {"singular_w": (1 << (c - 1),),
+               "elsewhere": (1 << (c - 2),) if c >= 2 else (0, 1)}
+    ok = True
+    strata = dict.fromkeys(allowed, 0)
+    for v in quadric_points(fx.space, fx.w):
+        stratum = "singular_w" if wk.contains(v) else "elsewhere"
+        strata[stratum] += 1
+        ok &= fiber_rank(mf, v)[1] in allowed[stratum]
+    return ("pass" if ok else "fail"), strata
+
+
+def crosscheck_by_maps(h) -> int:
+    """How many basis maps of the Hom space ``h`` pass ``intertwines``:
+    the cross-check before the kernel certificate."""
+    return sum(intertwines(h.source, h.target, A, B) for A, B in hom_basis(h))
 
 
 def hom_basis(h):

@@ -235,10 +235,10 @@ class TestQuery:
         assert "missing query arguments" not in capsys.readouterr().err
 
     def test_hom_route_disagreement_exit_1(self, corrupted_image, capsys):
-        # the image of g off the annihilator kernel: its map fails
-        # ``intertwines``, so the dimension is not confirmed
+        # the image of g off the annihilator kernel: it fails w.x = 0 on
+        # the target's action, so the dimension is not confirmed
         assert main(["query", "hom", "F-H6", "F-H6"]) == 1
-        assert "1 of 1 Hom basis maps fail to intertwine" in capsys.readouterr().err
+        assert "Hom kernel of dimension 1 fails its certificate" in capsys.readouterr().err
 
 
 class TestInvariantExit:
@@ -252,7 +252,7 @@ class TestInvariantExit:
         out = tmp_path / "F.json"
         assert main(["verify", "--fixture", "F-H6", "--out", str(out)]) == 1
         records = json.loads(out.read_text())["records"]
-        # End(I)'s cross-check counts the corrupted map out; the dual
+        # End(I)'s kernel certificate fails on the corrupted image; the dual
         # search finds it invertible, checks it and raises
         assert [r["op"] for r in records if r["verdict"] != "pass"] == [
             "hom_route_crosscheck", "invariant_error"]

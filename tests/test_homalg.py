@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from spinorsheaf.clifford import CliffordElement
 from spinorsheaf.errors import InvariantError, PreconditionError
 from spinorsheaf.exactalg import LinMat, Mat, UniPoly, mat_invertible, mat_rank, mat_rank_kernel
-from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
-from spinorsheaf import homalg
+from spinorsheaf.fixtures import FIXTURE_LABELS, Fixture, get_fixture, grid_spaces
+from spinorsheaf import homalg, verify
 from spinorsheaf.homalg import (
     _closure_from_coords,
     cohomology_dim,
@@ -37,6 +38,7 @@ from spinorsheaf.spinor import (
 from dense_oracles import (
     block_diag,
     canonical,
+    crosscheck_by_maps,
     element_closure,
     eliminated_cohomology_dim,
     grade_parts,
@@ -149,6 +151,7 @@ class TestHomSpace:
         b._act_odd = (scale(act[0], 2),) + act[1:]
         h = hom_space(a, b)
         assert (h.dimension, h.crosscheck_dimension) == (1, 0)
+        assert crosscheck_by_maps(h) == 0
         with pytest.raises(InvariantError, match="does not intertwine"):
             is_isomorphic(a, b)
 
@@ -161,8 +164,65 @@ class TestHomSpace:
         request.getfixturevalue("corrupted_image")
         h = hom_space(a, a)
         assert (h.dimension, h.crosscheck_dimension) == (1, 0)
+        assert crosscheck_by_maps(h) == 0
         with pytest.raises(InvariantError, match="does not intertwine"):
             is_isomorphic(a, a)
+
+    def test_a_dropped_system_row_fails_the_certificate(self, monkeypatch):
+        # a row of w.x = 0 left out of the eliminated system: the kernel
+        # grows past End(I), and its new vector fails the residual w.x = 0
+        # read off the target's action
+        a = module("F-H6a")
+        assert (hom_space(a, a).dimension, hom_space(a, a).crosscheck_dimension) == (8, 8)
+        real = homalg.generator_image_system
+
+        def dropped(i, target):
+            p, m = real(i, target)
+            r = next(r for r, row in enumerate(m.nz) if row)
+            return p, Mat.from_nonzeros(m.rows - 1, m.cols, m.nz[:r] + m.nz[r + 1:])
+
+        monkeypatch.setattr(homalg, "generator_image_system", dropped)
+        h = hom_space(a, a)
+        assert (h.dimension, h.crosscheck_dimension) == (9, 0)
+        assert crosscheck_by_maps(h) < 9
+
+    def test_the_residual_is_read_apart_from_the_map_check(self, monkeypatch, request):
+        # with intertwines patched to pass everything, a generator image off
+        # the annihilator still fails w.x = 0 on the target's action
+        request.getfixturevalue("corrupted_image")
+        monkeypatch.setattr(homalg, "intertwines", lambda *args: True)
+        h = hom_space(module("F-H6a"), module("F-H6a"))
+        assert (h.dimension, h.crosscheck_dimension) == (8, 0)
+
+    def test_a_kernel_short_of_full_rank_fails(self, monkeypatch):
+        # the first kernel vector in place of the second: every vector still
+        # has w.x = 0 and the combination is still a module map, so only
+        # the rank part of the certificate sees it
+        real = homalg.mat_rank_kernel
+
+        def repeated(m):
+            rank, kernel = real(m)
+            return rank, kernel[:1] * 2 + kernel[2:]
+
+        monkeypatch.setattr(homalg, "mat_rank_kernel", repeated)
+        h = hom_space(module("F-H6a"), module("F-H6a"))
+        assert (h.dimension, h.crosscheck_dimension) == (8, 0)
+        assert crosscheck_by_maps(h) == 8
+
+    def test_certificate_agrees_with_the_basis_maps(self):
+        # End(I) and Hom(I, dual) of the fixtures and of grid_spaces(6): the
+        # kernel certificate confirms the dimension exactly where every
+        # basis map passes intertwines
+        cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
+        count = 0
+        for space, w in cases + grid_spaces(6):
+            i = build_ideal(space, w)
+            source = i if i.codim % 2 else shift(i)
+            for a, b in ((i, i), (source, dual_factorization(build_factorization(i)))):
+                h = hom_space(a, b)
+                assert h.crosscheck_dimension == crosscheck_by_maps(h) == h.dimension
+                count += 1
+        assert count == 2 * (6 + len(grid_spaces(6)))
 
     def test_end_dims(self):
         assert hom_space(module("F-H6"), module("F-H6")).dimension == 1
@@ -864,8 +924,9 @@ def hyperbolic_case(n):
 @pytest.mark.parametrize("n, end_dim", [(7, 16), (8, 32)])
 def test_scale_case_builds_maps_when_read(n, end_dim, monkeypatch):
     # N = 2^(n-2): End(I) is a kernel on N unknowns and builds no map; the
-    # cross-check builds each basis map once; the dual search reads the
-    # basis from the last, and that first map read is the certificate
+    # cross-check certifies the kernel and builds one combination map; the
+    # dual search reads the basis from the last, and that first map read is
+    # the certificate
     space, w = hyperbolic_case(n)
     i = build_ideal(space, w)
     assert i.ev_dim == 2 ** (n - 2)
@@ -875,9 +936,47 @@ def test_scale_case_builds_maps_when_read(n, end_dim, monkeypatch):
                         lambda self, x: maps.append(x) or real(self, x))
     end = hom_space(i, i)
     assert (end.dimension, len(maps)) == (end_dim, 0)
-    assert (end.crosscheck_dimension, len(maps)) == (end_dim, end_dim)
+    assert (end.crosscheck_dimension, len(maps)) == (end_dim, 1)
     source = i if i.codim % 2 else shift(i)
     dual = dual_factorization(build_factorization(i))
     A, B, _, _ = factorization_equivalent(source, dual)
-    assert len(maps) == end_dim + 1
+    assert len(maps) == 2
     assert intertwines(source, dual, A, B)
+
+
+def test_scale_case_counts_no_fiber_elimination_and_one_cross_check_map(monkeypatch):
+    # counts, not timings: on hyperbolic_case(9) (rank 9, K = 0) every
+    # fiber point is read off the checked identity, End(I)'s cross-check
+    # builds one map, and intertwines never evaluates the action at a vector
+    space, w = hyperbolic_case(9)
+    eliminated, cross_check_maps, evaluated, inside = [], [], [], []
+    real_rank = verify.fiber_rank
+    monkeypatch.setattr(verify, "fiber_rank",
+                        lambda mf, v: eliminated.append(v) or real_rank(mf, v))
+    real_crosscheck = homalg.GradedHom.crosscheck_dimension.fget
+
+    def crosscheck(self):
+        inside.append(self)
+        try:
+            return real_crosscheck(self)
+        finally:
+            inside.pop()
+
+    real_map = homalg.GradedHom._map
+    monkeypatch.setattr(homalg.GradedHom, "crosscheck_dimension", property(crosscheck))
+    monkeypatch.setattr(homalg.GradedHom, "_map", lambda self, x: (
+        inside and cross_check_maps.append(x)) or real_map(self, x))
+    real_evaluate = LinMat.evaluate
+
+    def evaluate(self, v):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in ("intertwines", "_rows_agree"):
+                evaluated.append(v)
+            frame = frame.f_back
+        return real_evaluate(self, v)
+
+    monkeypatch.setattr(LinMat, "evaluate", evaluate)
+    report = verify.run_suite(Fixture("hyperbolic-9", space, w), "all")
+    assert report.counts() == {"pass": 17, "fail": 0, "UNDECIDED": 0}
+    assert (len(eliminated), len(cross_check_maps), len(evaluated)) == (0, 1, 0)

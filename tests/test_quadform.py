@@ -17,10 +17,11 @@ from dense_oracles import (
 )
 from spinorsheaf.errors import PreconditionError, SchemaError
 from spinorsheaf.exactalg import Mat, vec
-from spinorsheaf.fixtures import get_fixture, grid_spaces
+from spinorsheaf.fixtures import FIXTURE_LABELS, get_fixture, grid_spaces
 from spinorsheaf.quadform import (
     QuadraticSpace,
     Subspace,
+    anisotropic_orthogonal,
     candidate_vectors,
     check_isotropic,
     isotropic_type,
@@ -29,6 +30,7 @@ from spinorsheaf.quadform import (
     standardize,
     sub_intersection,
 )
+from spinorsheaf.spinor import quadric_points
 
 
 def e(n, i):
@@ -351,3 +353,35 @@ class TestSearches:
         for label, jkl in expected.items():
             fx = get_fixture(label)
             assert isotropic_type(fx.space, fx.w) == jkl
+
+    def test_anisotropic_orthogonal_is_complete(self):
+        # every isotropic point off K of the fixtures' and grid_spaces(6)'s
+        # forms: an h with b(h, v) = 0 and q(h) != 0 exactly when q has
+        # rank >= 3, and on a rank-2 form q vanishes on v^perp
+        cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
+        found = {True: 0, False: 0}
+        for space, w in cases + grid_spaces(6):
+            rad = radical_basis(space)
+            for v in quadric_points(space, w):
+                if rad.contains(v):
+                    with pytest.raises(PreconditionError, match="radical"):
+                        anisotropic_orthogonal(space, v)
+                    continue
+                h = anisotropic_orthogonal(space, v)
+                assert (h is not None) == (space.rank >= 3)
+                if h is None:
+                    perp = [u for u in candidate_vectors(space) if space.b(u, v) == 0]
+                    assert all(space.q(u) == 0 for u in perp)
+                else:
+                    assert all(x.__class__ is int for x in h)
+                    assert space.b(h, v) == 0 and space.q(h) != 0
+                found[h is not None] += 1
+        assert found[True] > 0 and found[False] > 0
+
+    def test_anisotropic_orthogonal_order(self):
+        # y_k = c_a e_k - c_k e_a for the first a with c_a = b(v, e_a) != 0,
+        # then the pair sums: on the hyperbolic F-H6 at v = e0 (c_3 = 1/2,
+        # cleared to 1) every y_k is isotropic, and y_1 + y_4 is the first
+        # anisotropic sum
+        space = get_fixture("F-H6").space
+        assert anisotropic_orthogonal(space, e(6, 0)) == (0, 1, 0, 0, 1, 0)

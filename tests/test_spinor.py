@@ -29,6 +29,7 @@ from spinorsheaf.spinor import (
     equivariance_check,
     family_indicator,
     fiber_rank,
+    fiber_rank_from_identity,
     flag_sequence,
     intertwines,
     recover_intersection_with_radical,
@@ -204,6 +205,47 @@ class TestFiberRank:
         r0, f0 = fiber_rank(mf, e(2, 0))
         r1, f1 = fiber_rank(mf, e(2, 1))
         assert sorted((f0, f1)) == [0, 1]
+
+    def test_identity_rank_matches_the_elimination_off_k(self):
+        # at every point off K of a form of rank >= 3, the fixtures' and
+        # grid_spaces(6)'s, the rank read off the identity is phi(v)'s
+        cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
+        count = 0
+        for space, w in cases + grid_spaces(6):
+            if space.rank < 3:
+                continue
+            mf = build_factorization(build_ideal(space, w))
+            rad = radical_basis(space)
+            for v in quadric_points(space, w):
+                if not rad.contains(v):
+                    assert fiber_rank_from_identity(mf, v) == fiber_rank(mf, v)
+                    count += 1
+        assert count > 1000
+
+    def test_identity_rank_preconditions(self):
+        # an unchecked pair, a rank-2 form and a point off the quadric are
+        # refused; a point of K has all of V as v^perp, and no rank there
+        mf = build_factorization(module("F-H6"))
+        unchecked = FactorizationPair(mf.space, mf.phi, mf.psi)
+        with pytest.raises(PreconditionError, match="checked identity"):
+            fiber_rank_from_identity(unchecked, e(6, 0))
+        with pytest.raises(PreconditionError, match="checked identity"):
+            fiber_rank_from_identity(build_factorization(module("F-H2")), e(2, 0))
+        with pytest.raises(PreconditionError, match="on the quadric"):
+            fiber_rank_from_identity(mf, vec((1, 0, 0, 1, 0, 0)))
+        c5 = build_factorization(module("F-C5"))  # rank 4, K = <e4>
+        with pytest.raises(PreconditionError, match="radical"):
+            fiber_rank_from_identity(c5, e(5, 4))
+        assert fiber_rank_from_identity(c5, e(5, 2)) == fiber_rank(c5, e(5, 2)) == (2, 2)
+
+    def test_a_witness_that_fails_its_check_is_refused(self, monkeypatch):
+        # h is checked with b and q before the rank is read off it
+        mf = build_factorization(module("F-H6"))
+        v = e(6, 0)
+        for h in (e(6, 3), vec((0, 1, 0, 0, 0, 0))):  # b(h, v) != 0; q(h) = 0
+            monkeypatch.setattr(spinor, "anisotropic_orthogonal", lambda space, v, h=h: h)
+            with pytest.raises(InvariantError, match="no anisotropic vector"):
+                fiber_rank_from_identity(mf, v)
 
 
 class TestDual:
@@ -587,9 +629,9 @@ class TestIntertwines:
     def test_row_sums_match_the_products_on_every_checked_map(self, monkeypatch):
         # every map the six fixture runs check (rho, sigma with its
         # reflected pairs, the shift witness, the restriction and cone tau,
-        # the flag section, each Hom basis pair and the invertible pair of
-        # the isomorphism search), as it is and with one
-        # entry of A or of B bumped, gets the verdict of the products
+        # the flag section, the combination map of each End cross-check and
+        # the invertible pair of the isomorphism search), as it is and with
+        # one entry of A or of B bumped, gets the verdict of the products
         from spinorsheaf import homalg
         from spinorsheaf.verify import run_suite
 
@@ -607,8 +649,8 @@ class TestIntertwines:
         monkeypatch.undo()
         assert {site for site, *_ in seen} == {
             "equivariance_check", "_tail_comparison", "_orthogonal_shift_witness",
-            "flag_sequence", "_search_invertible", "<genexpr>"}
-        assert len(seen) == 61
+            "flag_sequence", "_search_invertible", "_certified"}
+        assert len(seen) == 53
         for _, a, b, A, B, pairs in seen:
             for X, Y, want in ((A, B, True), (bumped(A), B, False), (A, bumped(B), False)):
                 assert intertwines(a, b, X, Y, pairs) is want

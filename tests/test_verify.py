@@ -10,7 +10,7 @@ import pytest
 from spinorsheaf import clifford, quadform, spinor, verify
 from spinorsheaf import homalg
 from spinorsheaf.errors import InvariantError
-from spinorsheaf.exactalg import Mat
+from spinorsheaf.exactalg import LinMat, Mat
 from spinorsheaf.fixtures import (
     FIXTURE_LABELS,
     Fixture,
@@ -20,6 +20,8 @@ from spinorsheaf.fixtures import (
 )
 from spinorsheaf.quadform import QuadraticSpace, Subspace, radical_basis, sub_intersection
 from spinorsheaf.verify import run_suite
+
+from dense_oracles import fiber_record_by_elimination
 
 # sha256 of run_suite(fixture, "all").to_json(): a change of
 # kernel or of system assembly must leave every report byte-identical.  The
@@ -165,12 +167,12 @@ def test_a_wrong_rank_on_w_cap_k_fails(monkeypatch):
     assert record["verdict"] == "fail" and record["details"]["strata"]["singular_w"] == 1
 
 
-@pytest.mark.parametrize("label", ["F-H6", "F-H2"])
+@pytest.mark.parametrize("label", ["F-H2"])
 def test_a_wrong_rank_off_w_cap_k_fails(monkeypatch, label):
-    # codim W is 3 on F-H6 and 1 on F-H2, the two rules off W cap K: a
-    # fiber_rank off by two there alone is seen
+    # codim W is 1 on F-H2, a rank-2 form, where every point is still
+    # eliminated: a fiber_rank off by two off W cap K alone is seen
     fx = get_fixture(label)
-    assert fx.space.n - fx.w.dim == {"F-H6": 3, "F-H2": 1}[label]
+    assert fx.space.n - fx.w.dim == 1 and fx.space.rank == 2
     wk = sub_intersection(fx.w, radical_basis(fx.space))
     real = verify.fiber_rank
 
@@ -182,6 +184,59 @@ def test_a_wrong_rank_off_w_cap_k_fails(monkeypatch, label):
     monkeypatch.setattr(verify, "fiber_rank", wrong_off_wk)
     record = _fiber_record(fx)
     assert record["verdict"] == "fail" and record["details"]["strata"]["elsewhere"] > 0
+
+
+def _bumped_phi(mf):
+    """``mf`` with 1 added to the first nonzero entry of phi_0."""
+    m = mf.phi.coeff[0]
+    r = next(r for r, row in enumerate(m.nz) if row)
+    (j, x), *rest = m.nz[r]
+    nz = m.nz[:r] + [[(j, x + 1)] + rest if x != -1 else rest] + m.nz[r + 1:]
+    coeff = (Mat.from_nonzeros(m.rows, m.cols, nz),) + mf.phi.coeff[1:]
+    return spinor.FactorizationPair(mf.space, LinMat(mf.space.n, coeff), mf.psi)
+
+
+def test_a_bumped_phi_fails_the_identity_the_fiber_ranks_rest_on(monkeypatch):
+    # F-H6 has K = 0 and rank 6: no fiber point is eliminated, each rank is
+    # read off phi psi = q Id, so a wrong phi shows in that identity:
+    # build_factorization refuses it, and the factorization_identity
+    # record of a pair bumped after the build fails
+    fx = get_fixture("F-H6")
+    assert radical_basis(fx.space).dim == 0
+    calls = _count_calls(monkeypatch, "fiber_rank")
+    assert _fiber_record(fx)["verdict"] == "pass" and calls == []
+    module = spinor.build_ideal(fx.space, fx.w)
+    bumped = _bumped_phi(spinor.build_factorization(module))
+    module._act_ev = bumped.phi.coeff
+    with pytest.raises(InvariantError, match="factorization identity failed"):
+        spinor.build_factorization(module)
+    real = verify.build_factorization
+    monkeypatch.setattr(verify, "build_factorization", lambda i: _bumped_phi(real(i)))
+    records = run_suite(fx, "construction").records
+    assert [r["verdict"] for r in records if r["op"] == "factorization_identity"] == ["fail"]
+
+
+def test_no_witness_on_a_form_of_rank_3_or_more_is_an_invariant_error(monkeypatch):
+    # the search is complete on such a form, so finding no h is a bug
+    fx = get_fixture("F-H6")
+    monkeypatch.setattr(spinor, "anisotropic_orthogonal", lambda space, v: None)
+    errors = [r for r in run_suite(fx, "construction").records if r["op"] == "invariant_error"]
+    assert errors == [{"op": "invariant_error", "verdict": "fail", "details": {
+        "suite": "construction",
+        "message": "no anisotropic vector orthogonal to a point off the radical"}}]
+
+
+def test_fiber_records_match_elimination_at_every_point():
+    # the record with ranks off K read off the identity gives the verdict
+    # and strata of eliminating every point, on the fixtures, the
+    # basis-changed fixtures and every grid_spaces(6) pair
+    cases = [get_fixture(label) for label in FIXTURE_LABELS]
+    cases += [_basis_changed(k, fx) for k, fx in enumerate(cases)]
+    cases += [Fixture(f"grid-{t}", space, w) for t, (space, w) in enumerate(grid_spaces(6))]
+    for fx in cases:
+        record = _fiber_record(fx)
+        assert (record["verdict"], record["details"]["strata"]) \
+            == fiber_record_by_elimination(fx), fx.label
 
 
 def test_a_value_without_a_json_form_raises():
@@ -394,8 +449,8 @@ def test_only_the_dual_searches_read_hom_pairs(monkeypatch):
     # six dual searches read basis maps: the shift verdicts are decided
     # without one, and End of the flag's outer module builds none.  Each
     # dual search reads the basis from the last, and that first map is its
-    # certificate; the only other maps are End(I)'s, each built once for
-    # its cross-check (End dimensions 2, 1, 1, 8, 1, 1)
+    # certificate; the only other maps are the six combination maps of the
+    # End(I) cross-checks
     maps, per_dual = [], []
     real_map, real_equiv = homalg.GradedHom._map, verify.factorization_equivalent
 
@@ -411,4 +466,4 @@ def test_only_the_dual_searches_read_hom_pairs(monkeypatch):
     for label in FIXTURE_LABELS:
         run_suite(get_fixture(label), "all")
     assert per_dual == [1] * 6
-    assert len(maps) == 14 + sum(per_dual)
+    assert len(maps) == 6 + sum(per_dual)
