@@ -6,9 +6,12 @@ the leftmost column, so its pivot columns are those of the reduced row
 echelon form.  ``sparse_echelon`` solves the Hom systems and gives the
 echelon forms of ``exactalg``'s kernels, solves, inverses and span bases;
 fed its own earlier result, it grows ``exactalg.IncrementalSpan`` one
-vector at a time.  ``sparse_rank`` gives ``exactalg.mat_rank`` and every
-multiplication-map rank.  ``echelon``, dense fraction-free (Bareiss)
-elimination, is only the tests' reference for the sparse kernel.
+vector at a time, for the vectors whose leading column is already a
+pivot: a lone row of a new column would come out as it went in, so
+``IncrementalSpan.add`` stores it without a call here.  ``sparse_rank``
+gives ``exactalg.mat_rank`` and every multiplication-map rank.
+``echelon``, dense fraction-free (Bareiss) elimination, is only the
+tests' reference for the sparse kernel.
 """
 
 from heapq import heappop, heappush

@@ -24,11 +24,14 @@ kernel vectors, solutions and inverses are all read off its rows.  Rows
 already reduced up to scale need no elimination: when their leading columns
 are distinct and no row is nonzero at another row's leading column, as the
 words e_M g of an ideal module almost always are, ``rref_rows`` divides
-each row by its leading entry.
+each row by its leading entry.  Likewise a vector whose leading column is
+no pivot of an ``IncrementalSpan`` yet becomes that column's pivot row as
+it is, with no call to the kernel.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
@@ -69,10 +72,18 @@ def rat_to_json(x):
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# the string form of a rational in JSON: an integer or "a/b", in decimal
+# digits with an optional leading minus
+_RATIONAL_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rat_from_json(v):
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ValueError(f"rationals must be integers or 'a/b' strings, got {v!r}")
-    return exact(v)
+    """The rational of a JSON int or ``_RATIONAL_STR`` string; anything
+    else is a ValueError: a float or a bool, and strings ``Fraction``
+    would read, such as "0.5", "1e3" or " 1"."""
+    if v.__class__ is int or (v.__class__ is str and _RATIONAL_STR.fullmatch(v)):
+        return exact(v)
+    raise ValueError(f"rationals must be integers or 'a/b' strings, got {v!r}")
 
 
 def vec(values) -> tuple:
@@ -365,8 +376,9 @@ def rref_rows(vectors, ncols):
 class IncrementalSpan:
     """A span grown one vector at a time, in the incremental mode of
     ``_kernels.sparse_echelon``: each new vector (dense, or a ``{col:
-    value}`` dict of nonzeros) is reduced against the pivot rows held so
-    far, and ``add`` tells whether it added a pivot."""
+    value}`` dict of nonzeros) is cleared of denominators once, and when
+    its leading column is already a pivot it is reduced against the pivot
+    rows held so far; ``add`` tells whether it added a pivot."""
 
     __slots__ = ("pivots",)
 
@@ -380,10 +392,24 @@ class IncrementalSpan:
         return len(self.pivots)
 
     def add(self, v) -> bool:
-        """Add ``v``; True exactly when it lies outside the span so far."""
-        dim = len(self.pivots)
-        _kernels.sparse_echelon([_int_row(_sparse(v).items())], self.pivots)
-        return len(self.pivots) > dim
+        """Add ``v``; True exactly when it lies outside the span so far.
+
+        A zero ``v`` adds nothing.  A row whose leading column is no pivot
+        yet is outside the span and becomes that column's pivot row as it
+        is, at the end of ``pivots``: what ``sparse_echelon`` makes of a
+        lone row of an unheld column, without the elimination.  Any other
+        row is reduced by ``sparse_echelon``."""
+        row = _int_row(_sparse(v).items())
+        if not row:
+            return False
+        pivots = self.pivots
+        lead = min(row)
+        if lead not in pivots:
+            pivots[lead] = row
+            return True
+        dim = len(pivots)
+        _kernels.sparse_echelon([row], pivots)
+        return len(pivots) > dim
 
 
 class SpanSolver:

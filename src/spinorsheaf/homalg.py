@@ -364,16 +364,27 @@ def _closure_from_coords(columns, ev_seeds, odd_seeds):
     the seed coordinate vectors (an empty one adds nothing) and closed
     under left multiplication by every coordinate vector, given the
     module's ``_action_columns``.  The closure grows on sparse
-    ``{col: value}`` vectors."""
+    ``{col: value}`` vectors.
+
+    It stops as soon as its answer is fixed.  A part's full dimension is
+    the length of its column lists, and a full span can take no image: a
+    queued vector's images are not computed once the other part is full,
+    and the closure returns once both parts are."""
+    full = tuple(len(cols[0]) for cols in columns)
     spans = (IncrementalSpan(), IncrementalSpan())
     queue = [(par, v) for par, seeds in ((0, ev_seeds), (1, odd_seeds))
              for v in map(_sparse, seeds) if spans[par].add(v)]
-    while queue:
+    while queue and spans[0].dim + spans[1].dim < full[0] + full[1]:
         par, v = queue.pop()
+        span, room = spans[1 - par], full[1 - par]
+        if span.dim == room:
+            continue
         for cols in columns[par]:
             img = _image(cols, v)
-            if spans[1 - par].add(img):
+            if span.add(img):
                 queue.append((1 - par, img))
+                if span.dim == room:
+                    break
     return spans[0].dim, spans[1].dim
 
 
@@ -390,7 +401,11 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
     """REDUCIBLE with a closure witness, IRREDUCIBLE, or UNDECIDED.
 
     IRREDUCIBLE rests on the closure sweep finding no proper submodule,
-    together with ``predict_simplicity`` returning "maximal".  The
+    together with ``predict_simplicity`` returning "maximal".  Each closure
+    of the sweep stops once both parts are full (``_closure_from_coords``),
+    so a seed that generates the whole module, as every seed of an
+    irreducible one does, costs the images that fill both parts, not n
+    images (one per basis vector of V) for every vector of both.  The
     standardized generator identities in its certificate are a consistency
     record: they hold on REDUCIBLE modules too, F-QS and F-QSb among them."""
     n_ev, n_odd = i.ev_dim, i.odd_dim

@@ -349,7 +349,8 @@ def test_readme_fixture_example_verifies(tmp_path, capsys):
     assert "[PASS     ] restriction" in out and "[PASS     ] cone" in out
 
 
-BAD_SCALARS = st.sampled_from([1.5, 0.0, True, False, None, [1], {"a": 1}, "1/0", "x"])
+BAD_SCALARS = st.sampled_from([1.5, 0.0, True, False, None, [1], {"a": 1}, "1/0", "x",
+                               "0.5", "1e3", " 1", "1e5000", "1e-5000"])
 
 
 @st.composite
@@ -406,6 +407,22 @@ class TestFixtureSchema:
         assert r.returncode == 2
         assert "bad rational in flag_drop" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("scalar", ["1e5000", "1e-5000"])
+    def test_exponent_string_exit_2(self, tmp_path, scalar):
+        # Fraction reads an exponent string as a 5,000-digit number, past the
+        # 4,300-digit limit on integer strings that the report's writer keeps;
+        # the schema refuses it before any report is written
+        data = {"label": "exponent", "dimension": 3,
+                "gram": [[0, "1/2", 0], ["1/2", 0, 0], [0, 0, scalar]],
+                "isotropic": [[1, 0, 0]]}
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(data))
+        r = run_cli(["verify", "-i", str(path), "--out", str(tmp_path / "report.json")])
+        assert r.returncode == 2
+        assert "bad rational in gram" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_dimension_above_the_bound_exit_2(self, tmp_path):
         # a well-formed 20-dimensional fixture is refused before any

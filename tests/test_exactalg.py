@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinorsheaf import exactalg as ea
+from spinorsheaf import _kernels, exactalg as ea
 from spinorsheaf.exactalg import (
     LinMat,
     Mat,
@@ -667,6 +667,24 @@ class TestIncrementalSpan:
         kept = [v for v in vectors if span.add(v)]
         assert len(ea.rref_rows(list(base) + kept, nc)[0]) == len(base) + len(kept)
         assert span.dim == len(ea.rref_rows(vectors, nc)[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda nc: st.lists(st.dictionaries(
+        st.integers(0, nc - 1),
+        st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5)).map(ea.exact)
+        .filter(bool), max_size=nc), max_size=12)))
+    @example([{}, {1: 2, 3: Fraction(1, 2)}, {0: Fraction(2, 3)}, {1: 4, 3: 1}, {1: 1, 2: 5}])
+    def test_add_grows_what_sparse_echelon_grows(self, vectors):
+        # a row with a new leading column skips the kernel: the pivots must
+        # still be the ones sparse_echelon builds from the same state, with
+        # the same keys in the same order and the same rows
+        span = ea.IncrementalSpan()
+        for v in vectors:
+            want = dict(span.pivots)
+            _kernels.sparse_echelon([ea._int_row(v.items())], want)
+            grew = len(want) > span.dim
+            assert span.add(v) == grew
+            assert list(span.pivots.items()) == list(want.items())
 
     def test_zero_and_repeated_vectors(self):
         span = ea.IncrementalSpan()

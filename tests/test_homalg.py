@@ -1,6 +1,9 @@
+import hashlib
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -500,22 +503,25 @@ class TestClosure:
         assert self.closure(i, seed) == (1, 1)
 
     def test_matches_products_of_elements(self):
-        # the closure of each basis element, from the action columns that
-        # irreducibility_check computes once, against the span grown by
-        # Clifford products (the other part's columns give a different
-        # closure for 66 of these seeds)
+        # the closure of each seed of the irreducibility sweep, from the
+        # action columns that irreducibility_check computes once, against the
+        # span grown by Clifford products: each basis element (the other
+        # part's columns give a different closure for 66 of these), then each
+        # sum of two basis elements of one part, whose closure may stop short
+        # of the whole module or stop early once it is the whole module
         cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
-        seeds = 0
+        singles = pairs = 0
         for space, w in cases + grid_spaces(5):
             i = build_ideal(space, w)
             columns = homalg._action_columns(i)
             for par, basis in ((0, i.ev_basis), (1, i.odd_basis)):
-                for x in basis:
-                    coords = i.coords_in(par, x)
+                ones = [(x, i.coords_in(par, x)) for x in basis]
+                twos = [(x + y, tuple(map(add, a, b))) for (x, a), (y, b) in combinations(ones, 2)]
+                for x, coords in ones + twos:
                     seed = ([()], [coords]) if par else ([coords], [()])
                     assert _closure_from_coords(columns, *seed) == element_closure(i, par, x)
-                    seeds += 1
-        assert seeds == 318
+                singles, pairs = singles + len(ones), pairs + len(twos)
+        assert (singles, pairs) == (318, 826)
 
 
 class TestIrreducibility:
@@ -910,15 +916,16 @@ def test_knoerrer_periodicity():
     assert (len(cases), not_swapped) == (40, 17)
 
 
-def hyperbolic_case(n):
+def hyperbolic_case(n, maximal=False):
     """The hyperbolic form of dimension n, pairs (e_i, e_{k+i}) for
-    k = n // 2 and q(e_{n-1}) = 1 when n is odd, with W = <e_k>."""
+    k = n // 2 and q(e_{n-1}) = 1 when n is odd, with W = <e_k>, or the
+    maximal W = <e_k, ..., e_{2k-1}> when ``maximal``."""
     k = n // 2
     half = Fraction(1, 2)
     space = QuadraticSpace(Mat.from_rows(
         [[half if abs(i - j) == k and max(i, j) < 2 * k else int(i == j == 2 * k)
           for j in range(n)] for i in range(n)]))
-    return space, Subspace(space, [e(n, k)])
+    return space, Subspace(space, [e(n, t) for t in range(k, 2 * k if maximal else k + 1)])
 
 
 @pytest.mark.parametrize("n, end_dim", [(7, 16), (8, 32)])
@@ -980,3 +987,32 @@ def test_scale_case_counts_no_fiber_elimination_and_one_cross_check_map(monkeypa
     report = verify.run_suite(Fixture("hyperbolic-9", space, w), "all")
     assert report.counts() == {"pass": 17, "fail": 0, "UNDECIDED": 0}
     assert (len(eliminated), len(cross_check_maps), len(evaluated)) == (0, 1, 0)
+
+
+# sha256 of run_suite(…, "all").to_json() on hyperbolic_case(8, maximal=True),
+# labelled "hyperbolic-max-8": N = 8 in each part, IRREDUCIBLE after the
+# whole sweep of 2 * 8 single and 2 * 28 pair closures, every one of them
+# the whole module
+MAXIMAL_8_SHA256 = "aa6f4fc02bfcfc719c9a6550ccf87666fd1e0da97b9c33d2573bc50fe5a77bec"
+
+
+def test_maximal_case_report_pinned():
+    space, w = hyperbolic_case(8, maximal=True)
+    report = verify.run_suite(Fixture("hyperbolic-max-8", space, w), "all")
+    assert report.counts() == {"pass": 17, "fail": 0, "UNDECIDED": 0}
+    text = report.to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MAXIMAL_8_SHA256
+
+
+def test_maximal_case_closures_stop_once_whole(monkeypatch):
+    # counts, not timings: each of the 72 closures of the sweep stops once
+    # both parts are full, so irreducibility_check computes 3,767 images;
+    # running every queue dry computed 9,216, 16 vectors times 8 images
+    # per closure
+    i = build_ideal(*hyperbolic_case(8, maximal=True))
+    assert (i.ev_dim, i.odd_dim) == (8, 8)
+    images = []
+    real = homalg._image
+    monkeypatch.setattr(homalg, "_image", lambda cols, v: images.append(v) or real(cols, v))
+    assert irreducibility_check(i).kind == "IRREDUCIBLE"
+    assert len(images) == 3767
