@@ -107,7 +107,7 @@ def cmd_query(args) -> int:
         a, _ = _module_from_label(args.args[0])
         b, _ = _module_from_label(args.args[1])
         h = hom_space(a, b)
-        if h.crosscheck_dimension != h.dimension:
+        if not h.certified():
             raise InvariantError(f"the Hom kernel of dimension {h.dimension}"
                                  " fails its certificate")
         result.update(source=args.args[0], target=args.args[1], dim=h.dimension)

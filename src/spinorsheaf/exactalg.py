@@ -32,6 +32,7 @@ it is, with no call to the kernel.
 from __future__ import annotations
 
 import re
+import reprlib
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
@@ -80,10 +81,11 @@ _RATIONAL_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def rat_from_json(v):
     """The rational of a JSON int or ``_RATIONAL_STR`` string; anything
     else is a ValueError: a float or a bool, and strings ``Fraction``
-    would read, such as "0.5", "1e3" or " 1"."""
+    would read, such as "0.5", "1e3" or " 1".  Its message shows the value
+    cut short (``reprlib.repr``), so a long one stays one short line."""
     if v.__class__ is int or (v.__class__ is str and _RATIONAL_STR.fullmatch(v)):
         return exact(v)
-    raise ValueError(f"rationals must be integers or 'a/b' strings, got {v!r}")
+    raise ValueError(f"rationals must be integers or 'a/b' strings, got {reprlib.repr(v)}")
 
 
 def vec(values) -> tuple:

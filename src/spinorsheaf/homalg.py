@@ -11,7 +11,7 @@ so the dimension is a kernel on N unknowns; a map is built only when read.
 The cross-check is a certificate of that kernel read apart from the
 elimination: w.x = 0 by products with the target's action, full rank from
 the kernel's reduced form, and one combination map through ``intertwines``
-(``GradedHom.crosscheck_dimension``).
+(``GradedHom.certified``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import factorial
-from operator import add
 
 from .clifford import CliffordElement, multiply
 from .errors import InvariantError, PreconditionError
@@ -64,12 +63,12 @@ class GradedHom:
     target walk is carried back through the inverse of the source walk,
     computed once per Hom."""
 
-    __slots__ = ("source", "target", "dimension", "_part", "_kernel", "_walk", "_crosscheck")
+    __slots__ = ("source", "target", "dimension", "_part", "_kernel", "_walk")
 
     def __init__(self, source, target, part, kernel):
         self.source, self.target, self._part, self._kernel = source, target, part, kernel
         self.dimension = len(kernel)
-        self._walk = self._crosscheck = None
+        self._walk = None
 
     def _words(self, module, columns, v):
         """The source's ``word_walk`` (as in ``build_ideal``) from v in part
@@ -106,10 +105,9 @@ class GradedHom:
         return self._map([sum(c * a for c, a in zip(coeffs, col) if c)
                           for col in zip(*self._kernel)])
 
-    @property
-    def crosscheck_dimension(self):
-        """The dimension when the kernel passes its certificate, read apart
-        from the elimination, else 0; computed on first read.
+    def certified(self):
+        """Whether the kernel passes its certificate, read apart from the
+        elimination.
 
         The certificate: each kernel vector x has w.x = 0 for each w in W's
         basis, by a product with the target's action (``_action``), not by
@@ -126,13 +124,6 @@ class GradedHom:
         first part makes each f_x a module map, and the combination map
         checks the target's action and the word walk of ``_map`` on one map
         in place of one per basis vector."""
-        if self._crosscheck is None:
-            self._crosscheck = self.dimension if self._certified() else 0
-        return self._crosscheck
-
-    def _certified(self):
-        """Whether the kernel passes the certificate of
-        ``crosscheck_dimension``."""
         kernel = self._kernel
         if not kernel:
             return True
@@ -359,12 +350,12 @@ def simplicity_verdict(i: IdealModule, end: GradedHom | None = None) -> Simplici
     return SimplicityVerdict(end.dimension, computed, predicted, case)
 
 
-def _closure_from_coords(columns, ev_seeds, odd_seeds):
+def _closure(columns, par, seed):
     """(ev_dim, odd_dim) of the smallest graded subspace pair containing
-    the seed coordinate vectors (an empty one adds nothing) and closed
-    under left multiplication by every coordinate vector, given the
-    module's ``_action_columns``.  The closure grows on sparse
-    ``{col: value}`` vectors.
+    the vector ``seed`` of part ``par`` and closed under left
+    multiplication by every coordinate vector, given the module's
+    ``_action_columns``.  The seed and every vector the closure grows on
+    are sparse ``{col: value}`` dicts.
 
     It stops as soon as its answer is fixed.  A part's full dimension is
     the length of its column lists, and a full span can take no image: a
@@ -372,8 +363,8 @@ def _closure_from_coords(columns, ev_seeds, odd_seeds):
     and the closure returns once both parts are."""
     full = tuple(len(cols[0]) for cols in columns)
     spans = (IncrementalSpan(), IncrementalSpan())
-    queue = [(par, v) for par, seeds in ((0, ev_seeds), (1, odd_seeds))
-             for v in map(_sparse, seeds) if spans[par].add(v)]
+    spans[par].add(seed)
+    queue = [(par, seed)]
     while queue and spans[0].dim + spans[1].dim < full[0] + full[1]:
         par, v = queue.pop()
         span, room = spans[1 - par], full[1 - par]
@@ -401,31 +392,31 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
     """REDUCIBLE with a closure witness, IRREDUCIBLE, or UNDECIDED.
 
     IRREDUCIBLE rests on the closure sweep finding no proper submodule,
-    together with ``predict_simplicity`` returning "maximal".  Each closure
-    of the sweep stops once both parts are full (``_closure_from_coords``),
-    so a seed that generates the whole module, as every seed of an
-    irreducible one does, costs the images that fill both parts, not n
-    images (one per basis vector of V) for every vector of both.  The
-    standardized generator identities in its certificate are a consistency
-    record: they hold on REDUCIBLE modules too, F-QS and F-QSb among them."""
-    n_ev, n_odd = i.ev_dim, i.odd_dim
-    ev_rows = list(map(Mat.identity(n_ev).row, range(n_ev)))
-    odd_rows = list(map(Mat.identity(n_odd).row, range(n_odd)))
-    singles = [(v, ()) for v in ev_rows] + [((), v) for v in odd_rows]
-    # pairs are tried once every single seed closes to the whole module; a
-    # pair with one seed in each part closes to the sum of two such
-    # closures, so only sums within one part can be proper
-    pairs = chain(((tuple(map(add, x, y)), ()) for x, y in combinations(ev_rows, 2)),
-                  (((), tuple(map(add, x, y))) for x, y in combinations(odd_rows, 2)))
+    together with ``predict_simplicity`` returning "maximal".  Each seed of
+    the sweep is one sparse vector in one part, made when it is reached and
+    written out dense only into a witness.  Each closure stops once both
+    parts are full (``_closure``), so a seed that generates the whole
+    module, as every seed of an irreducible one does, costs the images that
+    fill both parts, not n images (one per basis vector of V) for every
+    vector of both.  The standardized generator identities in its
+    certificate are a consistency record: they hold on REDUCIBLE modules
+    too, F-QS and F-QSb among them."""
+    dims = (i.ev_dim, i.odd_dim)
     columns = _action_columns(i)
-    for ev, od in chain(singles, pairs):
-        ev_dim, odd_dim = _closure_from_coords(columns, [ev], [od])
-        if 0 < ev_dim + odd_dim < n_ev + n_odd:
-            return IrredVerdict(
-                "REDUCIBLE",
-                witness={"ev_dim": ev_dim, "odd_dim": odd_dim,
-                         "seed": {"ev": ev, "odd": od}},
-            )
+    # the unit vectors of the even and then the odd part, then the sums of
+    # two in one part, tried once every single seed closes to the whole
+    # module: a pair with one seed in each part closes to the sum of two
+    # such closures, so only sums within one part can be proper
+    for size, par in product((1, 2), (0, 1)):
+        for ks in combinations(range(dims[par]), size):
+            ev_dim, odd_dim = _closure(columns, par, dict.fromkeys(ks, 1))
+            if 0 < ev_dim + odd_dim < sum(dims):
+                row = [int(k in ks) for k in range(dims[par])]
+                return IrredVerdict(
+                    "REDUCIBLE",
+                    witness={"ev_dim": ev_dim, "odd_dim": odd_dim,
+                             "seed": {"ev": [] if par else row, "odd": row if par else []}},
+                )
     if predict_simplicity(i.space, i.w)[1] != "maximal":
         return IrredVerdict("UNDECIDED")
     return IrredVerdict("IRREDUCIBLE", certificate=_irreducibility_certificate(i))

@@ -231,7 +231,7 @@ def _run_dependence(run, report):
     end = run.end
     report.add(
         "hom_route_crosscheck",
-        _verdict(end.dimension == end.crosscheck_dimension),
+        _verdict(end.certified()),
         dim=end.dimension,
     )
 

@@ -808,10 +808,10 @@ def fiber_record_by_elimination(fx):
     return ("pass" if ok else "fail"), strata
 
 
-def crosscheck_by_maps(h) -> int:
-    """How many basis maps of the Hom space ``h`` pass ``intertwines``:
-    the cross-check before the kernel certificate."""
-    return sum(intertwines(h.source, h.target, A, B) for A, B in hom_basis(h))
+def crosscheck_by_maps(h) -> bool:
+    """Whether every basis map of the Hom space ``h`` passes
+    ``intertwines``: the cross-check before the kernel certificate."""
+    return all(intertwines(h.source, h.target, A, B) for A, B in hom_basis(h))
 
 
 def hom_basis(h):

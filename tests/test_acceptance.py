@@ -185,7 +185,7 @@ def test_criterion_08_full_faithfulness(modules):
         for a in mods:
             for b in mods:
                 h = hom_space(a, b)
-                ok &= h.dimension == h.crosscheck_dimension
+                ok &= h.certified()
                 ok &= all(intertwines(a, b, A, B) for A, B in map(h.pair, range(h.dimension)))
                 pairs += 1
     report(8, ok,

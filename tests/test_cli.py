@@ -424,6 +424,18 @@ class TestFixtureSchema:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "report.json").exists()
 
+    def test_long_bad_rational_is_echoed_cut_short(self, tmp_path):
+        # a 200,000-character string in the Gram is refused in one short
+        # line, not echoed whole
+        data = fixture_to_dict(get_fixture("F-QS"))
+        data["gram"][0][0] = "x" * 200000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        r = run_cli(["verify", "-i", str(path)])
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error: bad rational in gram")
+        assert r.stderr.count("\n") == 1 and len(r.stderr.encode("utf-8")) < 200
+
     def test_dimension_above_the_bound_exit_2(self, tmp_path):
         # a well-formed 20-dimensional fixture is refused before any
         # Clifford algebra of 2^20 monomials is set up

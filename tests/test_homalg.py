@@ -3,17 +3,24 @@ import math
 import sys
 from fractions import Fraction
 from itertools import combinations
-from operator import add
 
 import pytest
 
 from spinorsheaf.clifford import CliffordElement
 from spinorsheaf.errors import InvariantError, PreconditionError
-from spinorsheaf.exactalg import LinMat, Mat, UniPoly, mat_invertible, mat_rank, mat_rank_kernel
+from spinorsheaf.exactalg import (
+    LinMat,
+    Mat,
+    UniPoly,
+    _sparse,
+    mat_invertible,
+    mat_rank,
+    mat_rank_kernel,
+)
 from spinorsheaf.fixtures import FIXTURE_LABELS, Fixture, get_fixture, grid_spaces
 from spinorsheaf import homalg, verify
 from spinorsheaf.homalg import (
-    _closure_from_coords,
+    _closure,
     cohomology_dim,
     euler_characteristic_matches,
     factorization_equivalent,
@@ -44,7 +51,6 @@ from dense_oracles import (
     crosscheck_by_maps,
     element_closure,
     eliminated_cohomology_dim,
-    grade_parts,
     hom_basis,
     monomial,
     scale,
@@ -127,7 +133,7 @@ class TestHomSpace:
         for a, b in route_cases():
             kernel, both = dense_hom_oracle(a, b)
             h = hom_space(a, b)
-            assert h.dimension == len(kernel) == both == h.crosscheck_dimension
+            assert h.dimension == len(kernel) == both and h.certified()
             flat = [A.entries + B.entries for A, B in hom_basis(h)]
             assert mat_rank(Mat.from_rows(flat + list(kernel))) == h.dimension
             count += 1
@@ -153,8 +159,8 @@ class TestHomSpace:
         act = b.act_odd
         b._act_odd = (scale(act[0], 2),) + act[1:]
         h = hom_space(a, b)
-        assert (h.dimension, h.crosscheck_dimension) == (1, 0)
-        assert crosscheck_by_maps(h) == 0
+        assert (h.dimension, h.certified()) == (1, False)
+        assert not crosscheck_by_maps(h)
         with pytest.raises(InvariantError, match="does not intertwine"):
             is_isomorphic(a, b)
 
@@ -166,8 +172,8 @@ class TestHomSpace:
         assert is_isomorphic(a, a).kind == "ISO"
         request.getfixturevalue("corrupted_image")
         h = hom_space(a, a)
-        assert (h.dimension, h.crosscheck_dimension) == (1, 0)
-        assert crosscheck_by_maps(h) == 0
+        assert (h.dimension, h.certified()) == (1, False)
+        assert not crosscheck_by_maps(h)
         with pytest.raises(InvariantError, match="does not intertwine"):
             is_isomorphic(a, a)
 
@@ -176,7 +182,7 @@ class TestHomSpace:
         # grows past End(I), and its new vector fails the residual w.x = 0
         # read off the target's action
         a = module("F-H6a")
-        assert (hom_space(a, a).dimension, hom_space(a, a).crosscheck_dimension) == (8, 8)
+        assert (hom_space(a, a).dimension, hom_space(a, a).certified()) == (8, True)
         real = homalg.generator_image_system
 
         def dropped(i, target):
@@ -186,8 +192,8 @@ class TestHomSpace:
 
         monkeypatch.setattr(homalg, "generator_image_system", dropped)
         h = hom_space(a, a)
-        assert (h.dimension, h.crosscheck_dimension) == (9, 0)
-        assert crosscheck_by_maps(h) < 9
+        assert (h.dimension, h.certified()) == (9, False)
+        assert not crosscheck_by_maps(h)
 
     def test_the_residual_is_read_apart_from_the_map_check(self, monkeypatch, request):
         # with intertwines patched to pass everything, a generator image off
@@ -195,7 +201,7 @@ class TestHomSpace:
         request.getfixturevalue("corrupted_image")
         monkeypatch.setattr(homalg, "intertwines", lambda *args: True)
         h = hom_space(module("F-H6a"), module("F-H6a"))
-        assert (h.dimension, h.crosscheck_dimension) == (8, 0)
+        assert (h.dimension, h.certified()) == (8, False)
 
     def test_a_kernel_short_of_full_rank_fails(self, monkeypatch):
         # the first kernel vector in place of the second: every vector still
@@ -209,8 +215,8 @@ class TestHomSpace:
 
         monkeypatch.setattr(homalg, "mat_rank_kernel", repeated)
         h = hom_space(module("F-H6a"), module("F-H6a"))
-        assert (h.dimension, h.crosscheck_dimension) == (8, 0)
-        assert crosscheck_by_maps(h) == 8
+        assert (h.dimension, h.certified()) == (8, False)
+        assert crosscheck_by_maps(h)
 
     def test_certificate_agrees_with_the_basis_maps(self):
         # End(I) and Hom(I, dual) of the fixtures and of grid_spaces(6): the
@@ -223,7 +229,7 @@ class TestHomSpace:
             source = i if i.codim % 2 else shift(i)
             for a, b in ((i, i), (source, dual_factorization(build_factorization(i)))):
                 h = hom_space(a, b)
-                assert h.crosscheck_dimension == crosscheck_by_maps(h) == h.dimension
+                assert h.certified() and crosscheck_by_maps(h)
                 count += 1
         assert count == 2 * (6 + len(grid_spaces(6)))
 
@@ -242,7 +248,7 @@ class TestHomSpace:
             i = module(label)
             h = hom_space(i, i)
             assert all(intertwines(i, i, A, B) for A, B in hom_basis(h))
-            assert h.crosscheck_dimension == h.dimension
+            assert h.certified()
 
     def test_dimension_builds_no_map(self, monkeypatch):
         # the dimension is the kernel on N unknowns; the source walk and its
@@ -257,7 +263,7 @@ class TestHomSpace:
         assert (h.dimension, calls) == (8, [])
         assert h.pair(3) == h.pair(3)
         assert len(calls) == 2
-        assert h.crosscheck_dimension == 8 and len(calls) == 2
+        assert h.certified() and len(calls) == 2
 
     def test_map_takes_the_generator_to_its_image(self):
         # the map of x sends g to x, in the part (dim W + shift) mod 2
@@ -482,46 +488,46 @@ class TestSearchInvertible:
 
 class TestClosure:
     @staticmethod
-    def closure(i, seed):
-        # the closure of a seed element of an unshifted module, from its
-        # coordinates in both parts
-        ev, odd = grade_parts(seed)
-        return _closure_from_coords(homalg._action_columns(i),
-                                    [i.coords_in(0, ev)], [i.coords_in(1, odd)])
+    def closure(i, par, x):
+        # the closure of the element x of part ``par`` of an unshifted
+        # module, from its sparse coordinates
+        return _closure(homalg._action_columns(i), par, _sparse(i.coords_in(par, x)))
 
     def test_generator_generates(self):
         i = module("F-H6")
-        assert self.closure(i, i.generator) == (4, 4)
+        assert self.closure(i, i.w.dim % 2, i.generator) == (4, 4)
 
     def test_zero_seed(self):
         i = module("F-H6")
-        assert self.closure(i, CliffordElement.zero(i.space)) == (0, 0)
+        assert self.closure(i, 0, CliffordElement.zero(i.space)) == (0, 0)
 
     def test_fqs_proper_submodule(self):
         i = module("F-QS")
         seed = monomial(i.space, (1, 2, 3))
-        assert self.closure(i, seed) == (1, 1)
+        assert self.closure(i, 1, seed) == (1, 1)
 
     def test_matches_products_of_elements(self):
-        # the closure of each seed of the irreducibility sweep, from the
-        # action columns that irreducibility_check computes once, against the
-        # span grown by Clifford products: each basis element (the other
-        # part's columns give a different closure for 66 of these), then each
-        # sum of two basis elements of one part, whose closure may stop short
-        # of the whole module or stop early once it is the whole module
+        # the closure of each seed of the irreducibility sweep, the sparse
+        # coordinates of a basis element or of a sum of two in one part, from
+        # the action columns that irreducibility_check computes once, against
+        # the span grown by Clifford products: the other part's columns give
+        # a different closure for 66 of the singles, and a pair's closure may
+        # stop short of the whole module or stop early once it is the whole
+        # module
         cases = [(get_fixture(label).space, get_fixture(label).w) for label in FIXTURE_LABELS]
-        singles = pairs = 0
+        counts = [0, 0]
         for space, w in cases + grid_spaces(5):
             i = build_ideal(space, w)
             columns = homalg._action_columns(i)
             for par, basis in ((0, i.ev_basis), (1, i.odd_basis)):
-                ones = [(x, i.coords_in(par, x)) for x in basis]
-                twos = [(x + y, tuple(map(add, a, b))) for (x, a), (y, b) in combinations(ones, 2)]
-                for x, coords in ones + twos:
-                    seed = ([()], [coords]) if par else ([coords], [()])
-                    assert _closure_from_coords(columns, *seed) == element_closure(i, par, x)
-                singles, pairs = singles + len(ones), pairs + len(twos)
-        assert (singles, pairs) == (318, 826)
+                for size in (1, 2):
+                    for ks in combinations(range(len(basis)), size):
+                        x = sum((basis[k] for k in ks[1:]), basis[ks[0]])
+                        seed = dict.fromkeys(ks, 1)
+                        assert _sparse(i.coords_in(par, x)) == seed
+                        assert _closure(columns, par, seed) == element_closure(i, par, x)
+                        counts[size - 1] += 1
+        assert counts == [318, 826]
 
 
 class TestIrreducibility:
@@ -534,6 +540,36 @@ class TestIrreducibility:
         v = irreducibility_check(odd5_module())
         assert v.kind == "IRREDUCIBLE"
         assert any("anisotropic" in c for c in v.certificate["identities"])
+
+    @staticmethod
+    def spied_sweep(monkeypatch, i):
+        # the verdict, and the (part, seed) of each closure the sweep makes
+        seeds = []
+        real = homalg._closure
+        monkeypatch.setattr(homalg, "_closure", lambda columns, par, seed: (
+            seeds.append((par, seed)) or real(columns, par, seed)))
+        return irreducibility_check(i), seeds
+
+    def test_seeds_reach_the_closure_sparse_in_sweep_order(self, monkeypatch):
+        # F-H6 is irreducible, so the sweep makes all 20 closures: the 4 + 4
+        # unit vectors of the even and then the odd part, then the 6 + 6
+        # sums of two in one part, each seed a dict of one or two 1s
+        v, seeds = self.spied_sweep(monkeypatch, module("F-H6"))
+        assert v.kind == "IRREDUCIBLE"
+        assert all(type(seed) is dict and set(seed.values()) == {1} for _, seed in seeds)
+        assert [(par, tuple(seed)) for par, seed in seeds] == (
+            [(0, (k,)) for k in range(4)] + [(1, (k,)) for k in range(4)]
+            + [(0, ks) for ks in combinations(range(4), 2)]
+            + [(1, ks) for ks in combinations(range(4), 2)])
+
+    def test_scale_case_makes_no_dense_seed_it_does_not_report(self, monkeypatch):
+        # N = 256: the second closure is proper, and only its seed is
+        # written out dense, into the witness
+        i = build_ideal(*hyperbolic_case(10))
+        v, seeds = self.spied_sweep(monkeypatch, i)
+        assert (i.ev_dim, v.kind, seeds) == (256, "REDUCIBLE", [(0, {0: 1}), (0, {1: 1})])
+        assert (v.witness["ev_dim"], v.witness["odd_dim"]) == (128, 128)
+        assert v.witness["seed"] == {"ev": [0, 1] + [0] * 254, "odd": []}
 
     def test_reducible_witnesses(self):
         for label in ("F-QS", "F-H6a"):
@@ -943,7 +979,7 @@ def test_scale_case_builds_maps_when_read(n, end_dim, monkeypatch):
                         lambda self, x: maps.append(x) or real(self, x))
     end = hom_space(i, i)
     assert (end.dimension, len(maps)) == (end_dim, 0)
-    assert (end.crosscheck_dimension, len(maps)) == (end_dim, 1)
+    assert (end.certified(), len(maps)) == (True, 1)
     source = i if i.codim % 2 else shift(i)
     dual = dual_factorization(build_factorization(i))
     A, B, _, _ = factorization_equivalent(source, dual)
@@ -960,17 +996,17 @@ def test_scale_case_counts_no_fiber_elimination_and_one_cross_check_map(monkeypa
     real_rank = verify.fiber_rank
     monkeypatch.setattr(verify, "fiber_rank",
                         lambda mf, v: eliminated.append(v) or real_rank(mf, v))
-    real_crosscheck = homalg.GradedHom.crosscheck_dimension.fget
+    real_certified = homalg.GradedHom.certified
 
-    def crosscheck(self):
+    def certified(self):
         inside.append(self)
         try:
-            return real_crosscheck(self)
+            return real_certified(self)
         finally:
             inside.pop()
 
     real_map = homalg.GradedHom._map
-    monkeypatch.setattr(homalg.GradedHom, "crosscheck_dimension", property(crosscheck))
+    monkeypatch.setattr(homalg.GradedHom, "certified", certified)
     monkeypatch.setattr(homalg.GradedHom, "_map", lambda self, x: (
         inside and cross_check_maps.append(x)) or real_map(self, x))
     real_evaluate = LinMat.evaluate

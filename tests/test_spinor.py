@@ -649,7 +649,7 @@ class TestIntertwines:
         monkeypatch.undo()
         assert {site for site, *_ in seen} == {
             "equivariance_check", "_tail_comparison", "_orthogonal_shift_witness",
-            "flag_sequence", "_search_invertible", "_certified"}
+            "flag_sequence", "_search_invertible", "certified"}
         assert len(seen) == 53
         for _, a, b, A, B, pairs in seen:
             for X, Y, want in ((A, B, True), (bumped(A), B, False), (A, bumped(B), False)):

@@ -150,6 +150,28 @@ def test_basis_changed_report_bytes_pinned():
     assert digest.hexdigest() == BASIS_CHANGED_REPORTS_SHA256
 
 
+# (index, k) of the grid_spaces(5) pairs that _basis_changed(k, …) carries
+# to a module whose irreducibility witness is a pair seed, the sum of two
+# unit vectors of one part; no fixture, basis-changed fixture or
+# grid_spaces(7) pair has one.  sha256 over their run_suite(…, "all")
+# reports, in this order.
+PAIR_SEED_CASES = ((8, 2), (8, 5), (11, 1), (11, 4), (24, 0),
+                   (24, 3), (25, 0), (25, 2), (25, 3), (25, 5))
+PAIR_SEED_REPORTS_SHA256 = "01dc293e0e3873463b5c6a8944fdca228960c0737d645d363dfcb5cada110e87"
+
+
+def test_pair_seed_report_bytes_pinned():
+    grid = grid_spaces(5)
+    digest = hashlib.sha256()
+    for t, k in PAIR_SEED_CASES:
+        report = run_suite(_basis_changed(k, Fixture(f"grid-{t}", *grid[t])), "all")
+        (record,) = [r for r in report.records if r["op"] == "irreducibility"]
+        seed = record["details"]["witness"]["seed"]
+        assert sum(map(bool, seed["ev"] + seed["odd"])) == 2, (t, k)
+        digest.update(report.to_json().encode("utf-8"))
+    assert digest.hexdigest() == PAIR_SEED_REPORTS_SHA256
+
+
 def test_a_wrong_rank_on_w_cap_k_fails(monkeypatch):
     # F-QS has W cap K = <e2>: a fiber_rank off by one there alone is seen
     fx = get_fixture("F-QS")
