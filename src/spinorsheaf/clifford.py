@@ -13,6 +13,17 @@ from .exactalg import exact, vec
 from .quadform import QuadraticSpace, Subspace
 
 
+def _accumulate(out: dict, c, terms: dict) -> None:
+    """Add c * ``terms`` into the sum ``out``, dropping the monomials that
+    cancel."""
+    for m, x in terms.items():
+        v = out.get(m, 0) + c * x
+        if v:
+            out[m] = v
+        elif m in out:
+            del out[m]
+
+
 class _Context:
     """Per-space monomial order and multiplication table.  It keeps no
     reference to its space, so the two form no cycle for the collector.
@@ -68,12 +79,7 @@ class _Context:
     def vec_mul_terms(self, i: int, terms: dict) -> dict:
         out = {}
         for m, c in terms.items():
-            for mm, cc in self.vec_row(m)[i].items():
-                v = out.get(mm, 0) + c * cc
-                if v:
-                    out[mm] = v
-                elif mm in out:
-                    del out[mm]
+            _accumulate(out, c, self.vec_row(m)[i])
         return out
 
     def vec_images(self, terms: dict) -> tuple | list:
@@ -87,12 +93,7 @@ class _Context:
         out = [{} for _ in range(self.n)]
         for m, c in terms.items():
             for o, prod in zip(out, self.vec_row(m)):
-                for mm, cc in prod.items():
-                    v = o.get(mm, 0) + c * cc
-                    if v:
-                        o[mm] = v
-                    elif mm in o:
-                        del o[mm]
+                _accumulate(o, c, prod)
         return out
 
     def mono_mul_terms(self, mask: int, terms: dict) -> dict:
@@ -155,12 +156,7 @@ class CliffordElement:
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
         self._require_same_space(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+        _accumulate(out, 1, other.terms)
         return CliffordElement(self.space, out)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
@@ -225,13 +221,7 @@ def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     ctx = _ctx(a.space)
     out = {}
     for m, c in a.terms.items():
-        prod = ctx.mono_mul_terms(m, b.terms)
-        for mm, cc in prod.items():
-            v = out.get(mm, 0) + c * cc
-            if v:
-                out[mm] = v
-            elif mm in out:
-                del out[mm]
+        _accumulate(out, c, ctx.mono_mul_terms(m, b.terms))
     return CliffordElement(a.space, out)
 
 

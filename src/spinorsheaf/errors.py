@@ -18,8 +18,10 @@ class InvariantError(SpinorError):
     did not.  This is a bug in the package, not in the input."""
 
 
-class SpanError(SpinorError):
-    """An element fell outside the span it was required to lie in."""
+class SpanError(InvariantError):
+    """An element fell outside the span it was required to lie in, the
+    ``witness``.  Every such span is an internal invariant (a module's
+    action, maps and sections), so a run records it and the CLI exits 1."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

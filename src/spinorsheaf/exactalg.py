@@ -20,13 +20,16 @@ integer rows cleared of denominators: the canonical span bases
 the multiplication-map ranks (``mult_map_rank``) and the matrix routines
 ``mat_rank``, ``mat_rank_kernel``, ``mat_solve`` and ``mat_invertible``.
 One back-reduction, ``_rref``, gives the reduced form, and the span bases,
-kernel vectors, solutions and inverses are all read off its rows.  Rows
-already reduced up to scale need no elimination: when their leading columns
-are distinct and no row is nonzero at another row's leading column, as the
-words e_M g of an ideal module almost always are, ``rref_rows`` divides
-each row by its leading entry.  Likewise a vector whose leading column is
-no pivot of an ``IncrementalSpan`` yet becomes that column's pivot row as
-it is, with no call to the kernel.
+kernel vectors, solutions and inverses are all read off its rows.  A
+canonical span has one form, its reduced rows as ``{col: value}`` dicts
+of nonzeros with their pivots: ``rref_rows`` returns it, and
+``quadform.Subspace`` keeps it as it is.  Rows already reduced up to
+scale need no elimination: when their leading columns are distinct and no
+row is nonzero at another row's leading column, as the words e_M g of an
+ideal module almost always are, ``rref_rows`` divides each row by its
+leading entry.  Likewise a vector whose leading column is no pivot of an
+``IncrementalSpan`` yet becomes that column's pivot row as it is, with no
+call to the kernel.
 """
 
 from __future__ import annotations
@@ -346,12 +349,12 @@ def mat_invertible(m: Mat):
                                     for c in range(n)])
 
 
-def rref_rows(vectors, ncols):
+def rref_rows(vectors):
     """Canonical (reduced row echelon) basis of the span of ``vectors``,
-    dense sequences or ``{col: value}`` dicts.  Returns (rows, pivots);
-    rows are dicts in column order for dict input, else dense tuples of
-    length ``ncols``, and their entries are canonical (``exact``): ints
-    where whole.
+    ``{col: value}`` dicts of nonzeros or dense sequences (read through
+    ``_sparse``).  Returns (rows, pivots); the rows are ``{col: value}``
+    dicts in column order, the one form of a canonical span, and their
+    entries are canonical (``exact``): ints where whole.
 
     Nonzero rows with distinct leading columns, none of them nonzero at
     another row's leading column, are already in reduced echelon form up
@@ -359,20 +362,14 @@ def rref_rows(vectors, ncols):
     runs.  Other input is reduced by ``_rref`` on rows cleared of
     denominators.  The reduced form is unique, so both routes give the
     same rows."""
-    vectors = list(vectors)
     nonzero = [r for r in map(_sparse, vectors) if r]
     leads = {min(r): r for r in nonzero}
     if len(leads) == len(nonzero) and all(j == c or j not in leads
                                           for c, r in leads.items() for j in r):
-        pivots = sorted(leads)
-        rows = [{j: exact(v, r[c]) for j, v in sorted(r.items())}
-                for c, r in sorted(leads.items())]
-    else:
-        reduced = _rref([_int_row(r.items()) for r in nonzero])
-        rows, pivots = list(reduced.values()), list(reduced)
-    if vectors and not isinstance(vectors[0], dict):
-        rows = [tuple(r.get(j, 0) for j in range(ncols)) for r in rows]
-    return rows, pivots
+        return ([{j: exact(v, r[c]) for j, v in sorted(r.items())}
+                 for c, r in sorted(leads.items())], sorted(leads))
+    reduced = _rref([_int_row(r.items()) for r in nonzero])
+    return list(reduced.values()), list(reduced)
 
 
 class IncrementalSpan:

@@ -41,6 +41,7 @@ from .spinor import (
     IdealModule,
     _action,
     _bijective,
+    action_columns,
     family_indicator,
     generator_image_system,
     intertwines,
@@ -61,7 +62,8 @@ class GradedHom:
     the words e_M g that ``build_ideal`` spans the source with are walked
     from g in the source and from x in the target, e_M g -> e_M x, and the
     target walk is carried back through the inverse of the source walk,
-    computed once per Hom."""
+    computed once per Hom (``_walk``).  Both walks read the transposed
+    action each module keeps (``spinor.action_columns``)."""
 
     __slots__ = ("source", "target", "dimension", "_part", "_kernel", "_walk")
 
@@ -70,12 +72,12 @@ class GradedHom:
         self.dimension = len(kernel)
         self._walk = None
 
-    def _words(self, module, columns, v):
+    def _words(self, module, v):
         """The source's ``word_walk`` (as in ``build_ideal``) from v in part
         ``_part`` of ``module``, a word of |M| letters in part _part + |M|:
         the columns of a matrix per part, read only by a product or an
         inverse, which make them canonical."""
-        part = self._part
+        part, columns = self._part, action_columns(module)
         walk = word_walk(self.source.w, _sparse(v),
                          lambda i, x, k: _image(columns[(part + k) % 2][i], x))
         cols = [[sorted(x.items()) for x, k in walk if (part + k) % 2 == par] for par in (0, 1)]
@@ -87,12 +89,11 @@ class GradedHom:
         if self._walk is None:
             src = self.source
             g = src.coords_in(self._part, src.generator)
-            inverse = list(map(mat_invertible, self._words(src, _action_columns(src), g)))
+            inverse = list(map(mat_invertible, self._words(src, g)))
             if None in inverse:
                 raise InvariantError("the words e_M g are no basis of the source")
-            self._walk = _action_columns(self.target), inverse
-        columns, inverse = self._walk
-        B, A = (m @ inv for m, inv in zip(self._words(self.target, columns, x), inverse))
+            self._walk = inverse
+        B, A = (m @ inv for m, inv in zip(self._words(self.target, x), self._walk))
         return A, B
 
     def pair(self, k):
@@ -136,11 +137,6 @@ class GradedHom:
         if None in last or len(set(last)) < len(last) or any(x[j] != 1 for x, j in zip(kernel, last)):
             return False
         return intertwines(self.source, self.target, *self.at((1,) * len(kernel)))
-
-
-def _action_columns(module):
-    """The nonzeros of each column of each action matrix, per part."""
-    return tuple([m.transpose().nz for m in mats] for mats in (module.act_ev, module.act_odd))
 
 
 def _image(cols, v):
@@ -354,7 +350,7 @@ def _closure(columns, par, seed):
     """(ev_dim, odd_dim) of the smallest graded subspace pair containing
     the vector ``seed`` of part ``par`` and closed under left
     multiplication by every coordinate vector, given the module's
-    ``_action_columns``.  The seed and every vector the closure grows on
+    ``action_columns``.  The seed and every vector the closure grows on
     are sparse ``{col: value}`` dicts.
 
     It stops as soon as its answer is fixed.  A part's full dimension is
@@ -402,7 +398,7 @@ def irreducibility_check(i: IdealModule) -> IrredVerdict:
     certificate are a consistency record: they hold on REDUCIBLE modules
     too, F-QS and F-QSb among them."""
     dims = (i.ev_dim, i.odd_dim)
-    columns = _action_columns(i)
+    columns = action_columns(i)
     # the unit vectors of the even and then the odd part, then the sums of
     # two in one part, tried once every single seed closes to the whole
     # module: a pair with one seed in each part closes to the sum of two

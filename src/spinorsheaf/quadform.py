@@ -18,7 +18,6 @@ from .exactalg import (
     Mat,
     SpanSolver,
     _int_vec,
-    _whole,
     exact,
     mat_rank,
     mat_rank_kernel,
@@ -91,25 +90,37 @@ class QuadraticSpace:
 
 
 class Subspace:
-    """A subspace given by linearly independent column vectors."""
+    """A subspace given by linearly independent column vectors, kept with
+    its canonical rows (``rref_rows``) and their span solver; a derived one
+    is made by ``span``.  ``_cap_k`` keeps ``intersection_with_radical``."""
 
-    __slots__ = ("ambient", "basis", "_rows", "_solver")
+    __slots__ = ("ambient", "basis", "_rows", "_solver", "_cap_k")
 
     def __init__(self, ambient: QuadraticSpace, basis):
         basis = tuple(vec(v) for v in basis)
-        for v in basis:
-            if len(v) != ambient.n:
-                raise SchemaError("basis vector length does not match ambient")
-        # the canonical rows, as {col: value} dicts of nonzeros
-        rows, pivots = rref_rows(
-            [{j: x for j, x in enumerate(v) if x} for v in basis], ambient.n
-        ) if basis else ([], [])
+        if any(len(v) != ambient.n for v in basis):
+            raise SchemaError("basis vector length does not match ambient")
+        rows, pivots = rref_rows(basis)
         if len(rows) != len(basis):
             raise SchemaError("subspace basis vectors must be independent")
+        self._set(ambient, basis, rows, pivots)
+
+    @classmethod
+    def span(cls, ambient: QuadraticSpace, vectors) -> "Subspace":
+        """The span of any ``vectors`` of length ``ambient.n``, reduced
+        once: its canonical rows, written out dense, are the basis."""
+        rows, pivots = rref_rows(vectors)
+        out = cls.__new__(cls)
+        out._set(ambient, tuple(tuple(r.get(j, 0) for j in range(ambient.n)) for r in rows),
+                 rows, pivots)
+        return out
+
+    def _set(self, ambient, basis, rows, pivots):
         self.ambient = ambient
         self.basis = basis
         self._rows = rows
         self._solver = SpanSolver(rows, pivots)
+        self._cap_k = None
 
     @property
     def dim(self) -> int:
@@ -127,7 +138,8 @@ class Subspace:
 
 def radical_basis(space: QuadraticSpace) -> Subspace:
     """The kernel K of the form; dim K = n - rank(q).  The space caches the
-    kernel vectors, not the Subspace, which would refer back to it."""
+    kernel vectors, not the Subspace, which refers back to the space: kept
+    on it, the two would make a reference cycle."""
     if space._radical is None:
         space._radical = mat_rank_kernel(space.gram)[1]
     return Subspace(space, space._radical)
@@ -144,43 +156,37 @@ def check_isotropic(space: QuadraticSpace, w: Subspace) -> bool:
     return True
 
 
-def _combination(coeffs, vectors, n) -> tuple:
-    """sum_t coeffs[t] * vectors[t], a vector of length n; the coefficients
-    beyond the last vector are ignored."""
-    v = [0] * n
-    for c, col in zip(coeffs, vectors):
-        if c:
-            for i, x in enumerate(col):
-                v[i] += c * x
-    return tuple(map(_whole, v))
-
-
 def sub_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
     if a.ambient != b.ambient:
         raise PreconditionError("ambient mismatch")
     if a.dim == 0 or b.dim == 0:
-        return Subspace(a.ambient, [])
-    cols = list(a.basis) + list(b.basis)
-    m = Mat.from_cols(cols)
-    _, kernel = mat_rank_kernel(m)
+        return Subspace.span(a.ambient, [])
+    _, kernel = mat_rank_kernel(Mat.from_cols(a.basis + b.basis))
     # the first a.dim coordinates of a kernel vector combine a's basis
-    vectors = [_combination(k, a.basis, a.ambient.n) for k in kernel]
-    rows, _ = rref_rows(vectors, a.ambient.n) if vectors else ([], [])
-    return Subspace(a.ambient, rows)
+    combine = Mat.from_cols(a.basis)
+    return Subspace.span(a.ambient, [combine.mul_vec(k[:a.dim]) for k in kernel])
 
 
 def sub_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise PreconditionError("ambient mismatch")
-    rows, _ = rref_rows(list(a.basis) + list(b.basis), a.ambient.n)
-    return Subspace(a.ambient, rows)
+    return Subspace.span(a.ambient, a.basis + b.basis)
+
+
+def intersection_with_radical(w: Subspace) -> Subspace:
+    """W cap K, K the radical of w's ambient space: computed once per
+    subspace and kept on it (``_cap_k``).  It refers to the ambient space
+    and not back to w, so keeping it makes no reference cycle."""
+    if w._cap_k is None:
+        w._cap_k = sub_intersection(w, radical_basis(w.ambient))
+    return w._cap_k
 
 
 def isotropic_type(space: QuadraticSpace, w: Subspace) -> tuple:
     """(j, k, l) of an isotropic w: j = dim pi(w), its image in V/K;
     k = rank(q) // 2, the Witt bound on j; l = dim (w cap K)."""
-    l = sub_intersection(w, radical_basis(space)).dim
+    l = intersection_with_radical(w).dim
     return w.dim - l, space.rank // 2, l
 
 
@@ -264,12 +270,11 @@ def quotient_space(space: QuadraticSpace, modded: Subspace) -> QuotientSpace:
             raise PreconditionError("modded subspace must lie in the radical")
     d = modded.dim
     n = space.n
-    rows, pivots = rref_rows(modded.basis, n) if modded.basis else ([], [])
-    pivot_set = set(pivots)
-    free_positions = [i for i in range(n) if i not in pivot_set]
+    rows, pivots = modded._rows, modded._solver.pivots
+    free_positions = [i for i in range(n) if i not in pivots]
     section_cols = [space.basis_vector(i) for i in free_positions]
     projection = Mat.from_nonzeros(n - d, n, [
-        sorted([(f, 1)] + [(p, -r[f]) for p, r in zip(pivots, rows) if r[f]])
+        sorted([(f, 1)] + [(p, -r[f]) for p, r in zip(pivots, rows) if f in r])
         for f in free_positions])
     section = Mat.from_cols(section_cols)
     induced = section.transpose() @ space.gram @ section
@@ -331,7 +336,7 @@ def standardize(space: QuadraticSpace, w: Subspace) -> Standardization:
     n = space.n
     k = space.rank // 2
     rad = radical_basis(space)
-    w_cap_k = sub_intersection(w, rad)
+    w_cap_k = intersection_with_radical(w)
 
     # complement of w∩K inside w, giving representatives of pi(w)
     span = IncrementalSpan(w_cap_k.basis)

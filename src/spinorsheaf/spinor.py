@@ -48,6 +48,7 @@ from .quadform import (
     anisotropic_orthogonal,
     candidate_vectors,
     check_isotropic,
+    intersection_with_radical,
     radical_basis,
     standardize,
     sub_intersection,
@@ -61,7 +62,8 @@ class IdealModule:
     (``parts``) and the span solvers of those bases (``solvers``), each a
     pair indexed by parity: the even part first."""
 
-    __slots__ = ("space", "w", "generator", "parts", "solvers", "shift", "_act_ev", "_act_odd")
+    __slots__ = ("space", "w", "generator", "parts", "solvers", "shift", "_act_ev", "_act_odd",
+                 "_columns")
 
     def __init__(self, space, w, generator, parts, solvers, shift=0):
         self.space = space
@@ -72,6 +74,7 @@ class IdealModule:
         self.shift = shift
         self._act_ev = None
         self._act_odd = None
+        self._columns = None
 
     @property
     def ev_basis(self):
@@ -187,10 +190,9 @@ def build_ideal(space: QuadraticSpace, w: Subspace) -> IdealModule:
     raw = ([], [])
     for terms, size in word_walk(w, gen.terms, lambda i, x, _: ctx.vec_mul_terms(i, x)):
         raw[(size + m) % 2].append({index[mono]: c for mono, c in terms.items()})
-    dim = 1 << space.n
     bases, solvers = [], []
     for part in raw:
-        rows, pivots = rref_rows(part, dim)
+        rows, pivots = rref_rows(part)
         terms = [{order[j]: c for j, c in r.items()} for r in rows]
         bases.append([CliffordElement.from_terms(space, t) for t in terms])
         solvers.append(SpanSolver(terms, [order[c] for c in pivots]))
@@ -206,6 +208,7 @@ def shift(i: IdealModule) -> IdealModule:
     out = IdealModule(i.space, i.w, i.generator, i.parts[::-1], i.solvers[::-1], 1 - i.shift)
     out._act_ev = i._act_odd
     out._act_odd = i._act_ev
+    out._columns = i._columns and i._columns[::-1]
     return out
 
 
@@ -218,7 +221,7 @@ class FactorizationPair:
     pair, by ``build_factorization`` or by the first ``cohomology_dim``
     call on it."""
 
-    __slots__ = ("space", "phi", "psi", "N", "identity_checked")
+    __slots__ = ("space", "phi", "psi", "N", "identity_checked", "_columns")
 
     def __init__(self, space, phi: LinMat, psi: LinMat):
         self.space = space
@@ -226,6 +229,7 @@ class FactorizationPair:
         self.psi = psi
         self.N = phi.rows
         self.identity_checked = False
+        self._columns = None
 
     @property
     def ev_dim(self) -> int:
@@ -302,6 +306,16 @@ def build_factorization(i) -> FactorizationPair:
         raise InvariantError("factorization identity failed: multiplication bug")
     mf.identity_checked = True
     return mf
+
+
+def action_columns(module):
+    """The nonzeros of each column of each action matrix of ``module``, an
+    ideal module or a factorization pair, per part: its action transposed,
+    computed once per module object and kept on it (``_columns``)."""
+    if module._columns is None:
+        module._columns = tuple([m.transpose().nz for m in mats]
+                                for mats in (module.act_ev, module.act_odd))
+    return module._columns
 
 
 def fiber_rank(mf: FactorizationPair, v):
@@ -410,10 +424,7 @@ def flag_sequence(inner: IdealModule, drop) -> FlagSequence:
                 or rank_q != inc.cols or rank_inc + rank_q != inc.rows):
             exact = False
 
-    rad = radical_basis(space)
-    split_subspace = sub_intersection(w, rad).same_span(
-        sub_intersection(w_prime, rad)
-    )
+    split_subspace = intersection_with_radical(w).same_span(intersection_with_radical(w_prime))
     split_module = _splitting_exists(inner, outer, quotient)
 
     orth = Mat.from_rows([space.gram.mul_vec(v) for v in w_prime.basis + (drop,)])
@@ -688,10 +699,10 @@ def cone_compare(i: IdealModule, qs: QuotientSpace) -> TailVerdict:
         raise PreconditionError("the module does not live on the cone's space")
     if not all(i.w.contains(v) for v in u.basis):
         raise PreconditionError("cone vertex must lie inside w")
-    rows, _ = rref_rows([qs.project(v) for v in i.w.basis], qs.space.n)
-    if not rows:
+    w_bar = Subspace.span(qs.space, [qs.project(v) for v in i.w.basis])
+    if not w_bar.dim:
         raise PreconditionError("the cone vertex U must be a proper subspace of w")
-    quotient = build_ideal(qs.space, Subspace(qs.space, rows))
+    quotient = build_ideal(qs.space, w_bar)
     section_cols = [qs.section.col(j) for j in range(qs.section.cols)]
     tail = vector_product(space, u.basis)
     pairs = [(qs.project(space.basis_vector(t)), space.basis_vector(t))
@@ -729,7 +740,7 @@ def quadric_points(space: QuadraticSpace, w: Subspace):
     k_out = [v for v in rad.basis if not w.contains(v)][:1]
     u_out = [v for v in w.basis if not rad.contains(v)][:1]
     sums = [vec(a + b for a, b in zip(k, u)) for k in k_out for u in u_out]
-    for v in [*sub_intersection(w, rad).basis, *k_out, *u_out, *sums]:
+    for v in [*intersection_with_radical(w).basis, *k_out, *u_out, *sums]:
         push(v)
     p = next((v for v in points if not rad.contains(v)), None)
     if p is not None:

@@ -28,10 +28,10 @@ from .homalg import (
 from .quadform import (
     Subspace,
     candidate_vectors,
+    intersection_with_radical,
     isotropic_type,
     quotient_space,
     radical_basis,
-    sub_intersection,
 )
 from .spinor import (
     build_factorization,
@@ -183,7 +183,7 @@ def _run_construction(run, report):
     )
     report.add("factorization_identity", _verdict(mf.check_identity()), N=mf.N)
     rad = radical_basis(fx.space)
-    wk = sub_intersection(fx.w, rad)
+    wk = intersection_with_radical(fx.w)
     points = quadric_points(fx.space, fx.w)
     # the fiber ranks each stratum allows; c >= 1, as q has rank >= 2 and so
     # an isotropic W is never all of V
@@ -211,11 +211,9 @@ def _run_construction(run, report):
 def _run_dependence(run, report):
     fx, module = run.fx, run.module
     space = fx.space
-    rad = radical_basis(space)
-    expected = sub_intersection(fx.w, rad)
     got = recover_intersection_with_radical(module)
     report.add("recover_radical_intersection",
-               _verdict(got.same_span(expected)), dim=got.dim)
+               _verdict(got.same_span(intersection_with_radical(fx.w))), dim=got.dim)
 
     j, k, _ = isotropic_type(space, fx.w)
     predicted_shift_iso = not (space.rank % 2 == 0 and j == k)

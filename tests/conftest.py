@@ -2,7 +2,7 @@
 
 import pytest
 
-from spinorsheaf import homalg
+from spinorsheaf import clifford, homalg
 
 
 @pytest.fixture
@@ -23,3 +23,13 @@ def corrupted_image(monkeypatch):
         return rank, (tuple(x),) + kernel[1:]
 
     monkeypatch.setattr(homalg, "mat_rank_kernel", corrupted)
+
+
+@pytest.fixture
+def wrong_group_inverse(monkeypatch):
+    """Make ``GroupElement.inverse_element`` return g^-1 + 1.  Right
+    multiplication by it takes F-H6a's module off the module of g W g^-1,
+    so ``equivariance_check`` raises SpanError from its graded map."""
+    real = clifford.GroupElement.inverse_element.fget
+    monkeypatch.setattr(clifford.GroupElement, "inverse_element", property(
+        lambda g: real(g) + clifford.CliffordElement.scalar(g.space, 1)))

@@ -430,7 +430,7 @@ def left_action_matrix(v, domain_basis, codomain_basis) -> Mat:
         return Mat.zeros(len(codomain_basis), 0)
     space = domain_basis[0].space
     velt = CliffordElement.from_vector(space, v)
-    rows, pivots = rref_rows([x.terms for x in codomain_basis], 1 << space.n)
+    rows, pivots = rref_rows([x.terms for x in codomain_basis])
     solver = SpanSolver(rows, pivots)
 
     def dense_coords(x):
@@ -580,7 +580,7 @@ def standardized_copy(space, w):
     space_std = QuadraticSpace(change.transpose() @ space.gram @ change)
     inverse = mat_invertible(change)
     coords = [inverse.mul_vec(vec(v)) for v in w.basis]
-    return space_std, Subspace(space_std, rref_rows(coords, space.n)[0])
+    return space_std, Subspace.span(space_std, coords)
 
 
 def standardization_profile(space, std) -> StdProfile:
@@ -617,11 +617,10 @@ def detect_standard_profile(space, w):
     radical_positions = list(range(offset + 2 * k, n))
     # w must be spanned by coordinate vectors among tails and radicals
     positions = []
-    for row in (rref_rows(w.basis, n)[0] if w.basis else []):
-        nz = [i for i, x in enumerate(row) if x]
-        if len(nz) != 1 or row[nz[0]] != 1:
+    for row in rref_rows(w.basis)[0]:
+        if list(row.values()) != [1]:
             return None
-        positions.append(nz[0])
+        positions.append(min(row))
     tail_hits = [p for p in positions if p in b_positions]
     rad_hits = [p for p in positions if p in radical_positions]
     if len(tail_hits) + len(rad_hits) != len(positions):

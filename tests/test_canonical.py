@@ -11,7 +11,7 @@ from spinorsheaf.errors import SchemaError
 from spinorsheaf.exactalg import LinMat, Mat, exact, mat_invertible, mat_rank_kernel, mat_solve
 from spinorsheaf.fixtures import grid_spaces
 from spinorsheaf.homalg import hom_space, sheaf_numerics
-from spinorsheaf.quadform import QuadraticSpace, Subspace, _combination
+from spinorsheaf.quadform import QuadraticSpace, Subspace
 from spinorsheaf.spinor import build_factorization, build_ideal, shift
 
 from dense_oracles import canonical, canonical_nonzeros, hom_basis, per_image_action, scale
@@ -90,7 +90,9 @@ def test_form_values(data):
         assume(False)
     v, w = data.draw(scalars(n)), data.draw(scalars(n))
     coeffs = data.draw(scalars(2))
-    assert all_canonical((space.b(v, w), space.q(v)), _combination(coeffs, (v, w), n))
+    # a combination of basis vectors, as sub_intersection takes it
+    combined = Mat.from_cols((v, w)).mul_vec(coeffs)
+    assert all_canonical((space.b(v, w), space.q(v)), combined)
 
 
 def test_numerics_and_hom_pairs():

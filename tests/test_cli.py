@@ -264,6 +264,14 @@ class TestInvariantExit:
         assert {"trace_pairing_nondegenerate", "restriction", "sheaf_numerics"} <= set(ops)
 
 
+    def test_map_leaving_its_target_exit_1(self, wrong_group_inverse, capsys):
+        # SpanError is an internal invariant: a fail record and exit 1, not
+        # the input-error exit 2
+        assert main(["verify", "--fixture", "F-H6a"]) == 1
+        out = capsys.readouterr()
+        assert "[FAIL     ] invariant_error" in out.out and "input error" not in out.err
+
+
 class TestPaperExample:
     def test_pass(self):
         r = run_cli(["paper-example"])

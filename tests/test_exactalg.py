@@ -383,7 +383,7 @@ class TestUniPoly:
 class TestSpanSolver:
     def test_coords_roundtrip(self):
         vs = [(1, 0, 2), (0, 1, 3)]
-        rows, pivots = ea.rref_rows([ea.vec(v) for v in vs], 3)
+        rows, pivots = ea.rref_rows([ea.vec(v) for v in vs])
         solver = ea.SpanSolver(rows, pivots)
         assert solver.coords(ea.vec((1, 1, 5))) == {0: 1, 1: 1}
         assert solver.coords(ea.vec((0, 0, 1))) is None
@@ -416,45 +416,53 @@ def spanning_sets(draw):
     return [tuple(rows[i]) for i in order], nc
 
 
+def sparse_dense_rref(vectors, nc):
+    """The dense Bareiss RREF of ``vectors`` in the sparse form of
+    ``rref_rows``: rows as ``{col: value}`` dicts of nonzeros."""
+    from dense_oracles import dense_rref
+
+    rows, pivots = dense_rref(vectors, nc)
+    return [{j: x for j, x in enumerate(r) if x} for r in rows], pivots
+
+
 class TestRrefAgainstDense:
-    """The dense Bareiss RREF that rref_rows replaced is its oracle."""
+    """The dense Bareiss RREF that rref_rows replaced is its oracle; rows
+    come out as ``{col: value}`` dicts in column order, from dense or
+    sparse input."""
+
+    @staticmethod
+    def _check(given, vectors, nc):
+        """``rref_rows(given)``, ``vectors`` in some form, against the
+        dense reference on ``vectors``."""
+        rows, pivots = ea.rref_rows(given)
+        assert (rows, pivots) == sparse_dense_rref(vectors, nc)
+        assert all(list(row) == sorted(row) for row in rows)
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for row in rows for x in row.values())
 
     @settings(max_examples=200, deadline=None)
     @given(spanning_sets())
     def test_dense_vectors(self, case):
-        from dense_oracles import dense_rref
-
         vectors, nc = case
-        rows, pivots = ea.rref_rows(vectors, nc)
-        assert (rows, pivots) == dense_rref(vectors, nc)
-        assert all(type(row) is tuple and len(row) == nc for row in rows)
-        assert all(type(x) is (int if x.denominator == 1 else Fraction)
-                   for row in rows for x in row)
+        self._check(vectors, vectors, nc)
 
     @settings(max_examples=200, deadline=None)
     @given(spanning_sets())
     def test_sparse_vectors(self, case):
-        from dense_oracles import dense_rref
-
         vectors, nc = case
-        sparse = [{j: x for j, x in enumerate(v) if x} for v in vectors]
-        rows, pivots = ea.rref_rows(sparse, nc)
-        want, want_pivots = dense_rref(vectors, nc)
-        assert pivots == want_pivots
-        assert rows == [{j: x for j, x in enumerate(r) if x} for r in want]
-        assert all(list(row) == sorted(row) for row in rows)
+        self._check([{j: x for j, x in enumerate(v) if x} for v in vectors], vectors, nc)
 
     def test_empty_and_zero(self):
-        assert ea.rref_rows([], 3) == ([], [])
-        assert ea.rref_rows([ea.vec((0, 0, 0))], 3) == ([], [])
-        assert ea.rref_rows([{}], 3) == ([], [])
+        assert ea.rref_rows([]) == ([], [])
+        assert ea.rref_rows([ea.vec((0, 0, 0))]) == ([], [])
+        assert ea.rref_rows([{}]) == ([], [])
 
     def test_known(self):
         # [[2, 4, 0], [1, 3, 1]] -> [[1, 0, -2], [0, 1, 1]]
-        rows, pivots = ea.rref_rows([ea.vec((2, 4, 0)), ea.vec((1, 3, 1))], 3)
+        rows, pivots = ea.rref_rows([ea.vec((2, 4, 0)), ea.vec((1, 3, 1))])
         assert pivots == [0, 1]
-        assert rows == [(1, 0, -2), (0, 1, 1)]
-        rows, _ = ea.rref_rows([{0: Fraction(2), 1: Fraction(4)}, {0: ONE, 1: Fraction(3), 2: ONE}], 3)
+        assert rows == [{0: 1, 2: -2}, {1: 1, 2: 1}]
+        rows, _ = ea.rref_rows([{0: Fraction(2), 1: Fraction(4)}, {0: ONE, 1: Fraction(3), 2: ONE}])
         assert rows == [{0: 1, 2: -2}, {1: 1, 2: 1}]
 
 
@@ -495,40 +503,36 @@ class TestRrefShortcut:
     that only nearly are take it; both match the dense Bareiss reference."""
 
     @staticmethod
-    def _rref(vectors, nc, as_dicts):
-        """``rref_rows`` of ``vectors`` as dicts or dense tuples, in dense
-        form, and the number of eliminations it ran."""
+    def _rref(vectors, as_dicts):
+        """``rref_rows`` of ``vectors``, given as dicts or dense tuples, and
+        the number of eliminations it ran."""
         from unittest import mock
 
         if as_dicts:
             vectors = [{j: x for j, x in enumerate(v) if x} for v in vectors]
         with mock.patch.object(ea._kernels, "sparse_echelon",
                                wraps=ea._kernels.sparse_echelon) as kernel:
-            rows, pivots = ea.rref_rows(vectors, nc)
-        if as_dicts:
-            assert all(list(row) == sorted(row) for row in rows)
-            rows = [tuple(row.get(j, 0) for j in range(nc)) for row in rows]
-        assert all(map(canonical, (x for row in rows for x in row)))
+            rows, pivots = ea.rref_rows(vectors)
+        assert all(list(row) == sorted(row) for row in rows)
+        assert all(map(canonical, (x for row in rows for x in row.values())))
         return (rows, pivots), kernel.call_count
 
     @settings(max_examples=200, deadline=None)
     @given(reduced_up_to_scale(), st.booleans())
     def test_reduced_input_matches_the_dense_reference(self, case, as_dicts):
-        from dense_oracles import dense_rref
-
         rows, near, nc = case
-        assert self._rref(rows, nc, as_dicts) == (dense_rref(rows, nc), 0)
-        assert self._rref(near, nc, as_dicts) == (dense_rref(near, nc), 1)
+        assert self._rref(rows, as_dicts) == (sparse_dense_rref(rows, nc), 0)
+        assert self._rref(near, as_dicts) == (sparse_dense_rref(near, nc), 1)
 
     def test_known(self):
         # scaled reduced rows, one with a Fraction tail and a negative lead
         rows = [(0, Fraction(-2, 3), 0, 1), (3, 0, 0, Fraction(3, 2)), (0, 0, 0, 0)]
-        assert self._rref(rows, 4, False) == (([(1, 0, 0, Fraction(1, 2)),
-                                                (0, 1, 0, Fraction(-3, 2))], [0, 1]), 0)
+        assert self._rref(rows, False) == (([{0: 1, 3: Fraction(1, 2)},
+                                             {1: 1, 3: Fraction(-3, 2)}], [0, 1]), 0)
         # the first row is nonzero at the second's leading column
-        assert self._rref([(1, 1), (0, 2)], 2, True) == (([(1, 0), (0, 1)], [0, 1]), 1)
+        assert self._rref([(1, 1), (0, 2)], True) == (([{0: 1}, {1: 1}], [0, 1]), 1)
         # two rows lead at column 0
-        assert self._rref([(1, 2), (2, 4)], 2, True) == (([(1, 2)], [0]), 1)
+        assert self._rref([(1, 2), (2, 4)], True) == (([{0: 1, 1: 2}], [0]), 1)
 
 
 @st.composite
@@ -649,24 +653,24 @@ class TestIncrementalSpan:
     @settings(max_examples=100, deadline=None)
     @given(spanning_sets())
     def test_add_reports_rank_growth(self, case):
-        vectors, nc = case
-        ranks = [len(ea.rref_rows(vectors[:k], nc)[1]) for k in range(len(vectors) + 1)]
+        vectors, _ = case
+        ranks = [len(ea.rref_rows(vectors[:k])[1]) for k in range(len(vectors) + 1)]
         for form in self.forms(vectors):
             span = ea.IncrementalSpan()
             for k, v in enumerate(form):
                 assert span.add(v) == (ranks[k + 1] > ranks[k])
                 assert span.dim == ranks[k + 1]
-            assert sorted(span.pivots) == ea.rref_rows(vectors, nc)[1]
+            assert sorted(span.pivots) == ea.rref_rows(vectors)[1]
 
     @settings(max_examples=40, deadline=None)
     @given(spanning_sets())
     def test_seeded_span_keeps_independent_extensions(self, case):
-        vectors, nc = case
-        base = ea.rref_rows(vectors[:2], nc)[0]
+        vectors, _ = case
+        base = ea.rref_rows(vectors[:2])[0]
         span = ea.IncrementalSpan(base)
         kept = [v for v in vectors if span.add(v)]
-        assert len(ea.rref_rows(list(base) + kept, nc)[0]) == len(base) + len(kept)
-        assert span.dim == len(ea.rref_rows(vectors, nc)[1])
+        assert len(ea.rref_rows(list(base) + kept)[0]) == len(base) + len(kept)
+        assert span.dim == len(ea.rref_rows(vectors)[1])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda nc: st.lists(st.dictionaries(
@@ -697,7 +701,7 @@ class TestIncrementalSpan:
 class TestSparseSpanSolver:
     def _solver(self):
         rows, pivots = ea.rref_rows(
-            [{0: ONE, 2: Fraction(1, 2)}, {1: ONE, 3: Fraction(-2)}, {0: Fraction(3), 4: ONE}], 5)
+            [{0: ONE, 2: Fraction(1, 2)}, {1: ONE, 3: Fraction(-2)}, {0: Fraction(3), 4: ONE}])
         return ea.SpanSolver(rows, pivots), rows
 
     def test_coordinates_of_combinations(self):

@@ -491,7 +491,7 @@ class TestClosure:
     def closure(i, par, x):
         # the closure of the element x of part ``par`` of an unshifted
         # module, from its sparse coordinates
-        return _closure(homalg._action_columns(i), par, _sparse(i.coords_in(par, x)))
+        return _closure(homalg.action_columns(i), par, _sparse(i.coords_in(par, x)))
 
     def test_generator_generates(self):
         i = module("F-H6")
@@ -518,7 +518,7 @@ class TestClosure:
         counts = [0, 0]
         for space, w in cases + grid_spaces(5):
             i = build_ideal(space, w)
-            columns = homalg._action_columns(i)
+            columns = homalg.action_columns(i)
             for par, basis in ((0, i.ev_basis), (1, i.odd_basis)):
                 for size in (1, 2):
                     for ks in combinations(range(len(basis)), size):

@@ -232,6 +232,34 @@ def test_one_hom_route_scan():
     assert _definitions(tree, "generator_image_system") == [8]
 
 
+INTERSECTION_READERS = ("intersection_with_radical", "restrict_compare")
+
+
+def test_one_intersection_with_radical():
+    # W cap K is computed once per subspace and kept on it by
+    # intersection_with_radical, which every reader of it calls; the one
+    # other intersection is W cap U in restrict_compare
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in
+                  _reads_outside(tree, "sub_intersection", *INTERSECTION_READERS)]
+    assert found == []
+
+
+def test_intersection_scan():
+    src = ("from .quadform import sub_intersection\n"
+           "def sub_intersection(a, b):\n    return a\n"
+           "def intersection_with_radical(w):\n    return sub_intersection(w, w)\n"
+           "def restrict_compare(i, u):\n    return quadform.sub_intersection(i, u)\n"
+           "def isotropic_type(space, w):\n    return sub_intersection(w, space)\n"
+           "class Flag:\n    def restrict_compare(self, u):\n"
+           "        return sub_intersection(self, u)\n"
+           "cap = sub_intersection\n")
+    assert _reads_outside(ast.parse(src), "sub_intersection", *INTERSECTION_READERS) == [
+        9, 12, 13]
+
+
 def test_multiplication_ranks_only_in_cohomology_dim():
     # the cohomology ranks are read off psi phi = q Id; cohomology_dim
     # eliminates once per pair as the cross-check, and nothing else

@@ -24,12 +24,14 @@ from spinorsheaf.quadform import (
     anisotropic_orthogonal,
     candidate_vectors,
     check_isotropic,
+    intersection_with_radical,
     isotropic_type,
     quotient_space,
     radical_basis,
     standardize,
     sub_intersection,
 )
+from spinorsheaf import _kernels, quadform
 from spinorsheaf.spinor import quadric_points
 
 
@@ -324,6 +326,41 @@ class TestSubspaceOps:
         cap = sub_intersection(w, k)
         assert cap.dim == 1
         assert cap.contains(e(4, 2))
+
+    def test_span_takes_the_canonical_rows_as_basis(self):
+        # dependent dense and sparse spanning vectors, reduced once: the
+        # basis is the canonical rows that Subspace would compute from it
+        space = get_fixture("F-QS").space
+        s = Subspace.span(space, [(2, 4, 0, 0), (1, 3, 1, 0), (3, 7, 1, 0), {3: Fraction(1, 2)}])
+        assert s.basis == ((1, 0, -2, 0), (0, 1, 1, 0), (0, 0, 0, 1))
+        assert all(canonical(x) for v in s.basis for x in v)
+        again = Subspace(space, s.basis)
+        assert again._rows == s._rows and again._solver.pivots == s._solver.pivots
+        assert Subspace.span(space, []).dim == 0
+
+    def test_intersection_reduces_once(self, monkeypatch):
+        calls = []
+        real = quadform.rref_rows
+        monkeypatch.setattr(quadform, "rref_rows", lambda vs: calls.append(vs) or real(vs))
+        space = get_fixture("F-QS").space
+        w, k = Subspace(space, [e(4, 1), e(4, 2)]), radical_basis(space)
+        calls.clear()
+        cap = sub_intersection(w, k)
+        assert len(calls) == 1 and cap.basis == ((0, 0, 1, 0),)
+
+    def test_intersection_with_radical_kept_on_the_subspace(self, monkeypatch):
+        space = get_fixture("F-QS").space
+        w = Subspace(space, [e(4, 1), e(4, 2)])
+        cap = intersection_with_radical(w)
+        assert cap.same_span(sub_intersection(w, radical_basis(space)))
+        eliminations = []
+        real = _kernels.sparse_echelon
+        monkeypatch.setattr(_kernels, "sparse_echelon",
+                            lambda *a: eliminations.append(a) or real(*a))
+        monkeypatch.setattr(quadform, "rref_rows",
+                            lambda vs: eliminations.append(vs) or ([], []))
+        assert intersection_with_radical(w) is cap and isotropic_type(space, w) == (1, 1, 1)
+        assert eliminations == []
 
     def test_space_invariants(self):
         with pytest.raises(SchemaError):

@@ -800,10 +800,10 @@ class TestInvariants:
         rref_rows = spinor.rref_rows
         seen = []
 
-        def drop_last(vectors, ncols):
+        def drop_last(vectors):
             # truncate the canonical basis build_ideal computes from its
             # sparse product rows
-            rows, pivots = rref_rows(vectors, ncols)
+            rows, pivots = rref_rows(vectors)
             seen.append(rows)
             return rows[:-1], pivots[:-1]
 

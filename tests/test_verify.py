@@ -9,7 +9,7 @@ import pytest
 
 from spinorsheaf import clifford, quadform, spinor, verify
 from spinorsheaf import homalg
-from spinorsheaf.errors import InvariantError
+from spinorsheaf.errors import InvariantError, SpanError
 from spinorsheaf.exactalg import LinMat, Mat
 from spinorsheaf.fixtures import (
     FIXTURE_LABELS,
@@ -281,6 +281,59 @@ def test_a_basis_out_of_normal_form_is_an_invariant_error(monkeypatch):
     errors = [r for r in run_suite(fx, "dependence").records if r["op"] == "invariant_error"]
     assert errors == [{"op": "invariant_error", "verdict": "fail", "details": {
         "suite": "dependence", "message": "completed basis is not in normal form"}}]
+
+
+def test_a_map_leaving_its_target_is_an_invariant_error(wrong_group_inverse):
+    # a graded map whose image leaves its target raises SpanError, an
+    # InvariantError with its witness: the run records it for the
+    # dependence suite and runs the suites after it
+    fx = get_fixture("F-H6a")
+    module = spinor.build_ideal(fx.space, fx.w)
+    g = verify.default_group_elements(fx.space)[0][1]
+    with pytest.raises(SpanError, match="right multiplication misses the target") as err:
+        spinor.equivariance_check(g, module)
+    assert isinstance(err.value, InvariantError) and not err.value.witness.is_zero()
+    records = run_suite(fx, "all").records
+    assert [r for r in records if r["op"] == "invariant_error"] == [
+        {"op": "invariant_error", "verdict": "fail", "details": {
+            "suite": "dependence", "message": "right multiplication misses the target"}}]
+    ops = {r["op"] for r in records}
+    assert {"trace_pairing_nondegenerate", "acm_vanishing", "irreducibility"} <= ops
+
+
+def test_w_cap_k_once_per_subspace_in_a_run(monkeypatch):
+    # F-H6: W cap K of W, kept on it for every reader, W' cap K of the
+    # flag's W', and W cap U in restrict_compare; no more intersections
+    calls = []
+    real = quadform.sub_intersection
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(quadform, "sub_intersection", counted)
+    monkeypatch.setattr(spinor, "sub_intersection", counted)
+    fx = get_fixture("F-H6")
+    run_suite(fx, "all")
+    assert len(calls) == 3
+    assert calls[0][0] is fx.w and fx.w._cap_k is not None
+
+
+@pytest.mark.parametrize("label", ["F-H6", "F-H6a"])
+def test_transposed_action_once_per_module(monkeypatch, label):
+    # the module's and the dual pair's: the Hom maps, the End certificate
+    # and the irreducibility closures read the one each module keeps
+    computed = []
+    real = homalg.action_columns
+
+    def spy(module):
+        if module._columns is None:
+            computed.append(type(module).__name__)
+        return real(module)
+
+    monkeypatch.setattr(homalg, "action_columns", spy)
+    run_suite(get_fixture(label), "all")
+    assert computed == ["IdealModule", "FactorizationPair"]
 
 
 def test_run_leaves_no_cyclic_garbage():
